@@ -5,10 +5,18 @@ piece is the corresponding piece of the diagonal ideal I_R (the 2x2 mixed
 minors).  psi_u splits a sorted Veronese monomial into consecutive blocks of
 sizes u_1,...,u_d and is a section of pi, giving the decomposition
 S_u = (I_R)_u + psi_u(V_|u|) with zero intersection.
+
+Because of that split, every subspace of S_u that contains (I_R)_u is the
+pi-preimage of its pi-image: (I_R)_u + psi_u(W) = pi^{-1}(W) for any W inside
+V_|u|.  `pi_preimage` writes that subspace down in reduced row echelon form
+from the pi-fibre table of S_u (which column collapses to which monomial, and
+the largest column in each fibre), eliminating only on W; `ir_piece` is the
+case W = 0 and `upsilon` the case W = I_|u|.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .grading import (
@@ -22,7 +30,7 @@ from .grading import (
     segre_ring,
     veronese_ring,
 )
-from .linalg import QQ, Matrix, Subspace, image, kernel
+from .linalg import QQ, Matrix, Subspace, image, rref_with_pivots
 
 
 def _require_kind(el: PieceElement, kind: RingKind, what: str):
@@ -162,15 +170,88 @@ def ir_generators(n: int, d: int) -> list:
     return gens
 
 
+@dataclass(frozen=True)
+class PiFibres:
+    """How pi collapses the monomial columns of S_u onto those of V_|u|.
+
+    `f[c]` is the V-monomial that column c collapses to, `top[m]` the largest
+    column in the fibre of m, and `order` the V-monomials sorted by `top`.
+    """
+
+    f: tuple
+    top: tuple
+    order: tuple
+
+
 @lru_cache(maxsize=None)
-def ir_piece(n: int, d: int, u: tuple, field=QQ) -> Subspace:
-    """Degree-u piece of the diagonal ideal, computed as ker pi on S_u."""
+def pi_fibres(n: int, d: int, u: tuple) -> PiFibres:
+    ring_s = segre_ring(n, d)
+    ring_v = veronese_ring(n)
+    u = check_degree(ring_s, u)
+    f = tuple(rank_monomial(ring_v, _collapse(mono)) for mono in monomials(ring_s, u))
+    # pi is onto (psi is a section), so every fibre is nonempty; columns
+    # ascend, so the last write leaves the largest column of each fibre.
+    top = [0] * dim_piece(ring_v, degree_total(u))
+    for c, m in enumerate(f):
+        top[m] = c
+    order = tuple(sorted(range(len(top)), key=top.__getitem__))
+    return PiFibres(f, tuple(top), order)
+
+
+def pi_preimage(n: int, d: int, u: tuple, w: Subspace) -> Subspace:
+    """pi^{-1}(w) inside S_u, equal to (I_R)_u + psi_u(w), in RREF.
+
+    Every non-top column c of a fibre is a pivot, with row e_c - e_top; the top
+    of the fibre of m is a pivot exactly when m is a pivot of w reduced in the
+    column order `order`, with that reduced row lifted onto the top columns as
+    its row.  A non-top row whose top is a pivot adds the top's row, which
+    clears the top entry.  Only w is eliminated, never S_u.
+    """
     ring_s = segre_ring(n, d)
     u = check_degree(ring_s, u)
-    ker = kernel(pi_matrix(n, d, u, field))
-    return Subspace(
-        dim_piece(ring_s, u), tuple(tuple(r) for r in ker.rows), (ring_s, u), field
-    )
+    fib = pi_fibres(n, d, u)
+    field = w.field
+    if w.ambient_dim != len(fib.top):
+        raise ValueError(
+            f"subspace ambient {w.ambient_dim} is not dim V_{degree_total(u)} = {len(fib.top)}"
+        )
+    zero, one = field.zero, field.one
+    ncols = len(fib.f)
+    lifted = {}
+    if w.basis:
+        permuted = Matrix([[row[m] for m in fib.order] for row in w.basis],
+                          ncols=len(fib.order), field=field)
+        red, pivots = rref_with_pivots(permuted)
+        tops = [fib.top[m] for m in fib.order]
+        for row, p in zip(red.rows, pivots):
+            x = [zero] * ncols
+            for t, a in zip(tops, row):
+                if a:
+                    x[t] = a
+            lifted[fib.order[p]] = x
+    rows = []
+    for c, m in enumerate(fib.f):
+        t = fib.top[m]
+        top_row = lifted.get(m)
+        if c == t:
+            if top_row is not None:
+                rows.append(tuple(top_row))
+            continue
+        if top_row is None:
+            x = [zero] * ncols
+            x[t] = -one
+        else:
+            x = list(top_row)
+            x[t] = zero
+        x[c] = one
+        rows.append(tuple(x))
+    return Subspace(ncols, tuple(rows), (ring_s, u), field)
+
+
+@lru_cache(maxsize=None)
+def ir_piece(n: int, d: int, u: tuple, field=QQ) -> Subspace:
+    """Degree-u piece of the diagonal ideal: ker pi = pi^{-1}(0) on S_u."""
+    return pi_preimage(n, d, u, Subspace.zero(len(pi_fibres(n, d, u).top), field=field))
 
 
 def psi_image(n: int, d: int, u: tuple, field=QQ) -> Subspace:

@@ -49,7 +49,6 @@ def degrees_up_to(ring: RingSpec, bound: int) -> list:
 @lru_cache(maxsize=None)
 def _var_index_map(ring: RingSpec, u, i: int, j: int) -> tuple:
     """Monomial index map for multiplication by the (i,j) variable: u -> u+e_i."""
-    target = add_degrees(u, unit_degree(ring.d, i)) if ring.is_multigraded else u + 1
     out = []
     for mono in monomials(ring, u):
         if ring.is_multigraded:

@@ -337,7 +337,8 @@ def kernel(m: Matrix) -> Matrix:
     """RREF basis of the right kernel {v : m v = 0}."""
     red, pivots = rref_with_pivots(m)
     field = m.field
-    free = [c for c in range(m.ncols) if c not in set(pivots)]
+    pivot_set = set(pivots)
+    free = [c for c in range(m.ncols) if c not in pivot_set]
     vecs = []
     for f in free:
         v = [field.zero] * m.ncols

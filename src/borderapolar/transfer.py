@@ -22,7 +22,7 @@ from .apolarity import (
     depolarize,
     flattening_ranks,
 )
-from .diagonal_maps import ir_piece, pi_matrix, psi_matrix, staircase_degrees
+from .diagonal_maps import ir_piece, pi_matrix, pi_preimage, staircase_degrees
 from .grading import (
     RingKind,
     degree_total,
@@ -110,7 +110,10 @@ def tensor_digest(f: GeneralTensor) -> str:
 
 def upsilon(i: TruncatedIdeal, d: int, bound: int | None = None,
             provenance: str | None = None) -> TruncatedIdeal:
-    """Desymmetrize a Z-graded ideal: piece at u is (I_R)_u + psi_u(I_{|u|})."""
+    """Desymmetrize a Z-graded ideal: piece at u is (I_R)_u + psi_u(I_{|u|}).
+
+    That sum is pi^{-1}(I_{|u|}), which `pi_preimage` builds in closed form.
+    """
     if i.ring.kind is not RingKind.VERONESE_COORD:
         raise ValueError("desymmetrization expects an ideal in the Veronese ring")
     bound = i.bound if bound is None else bound
@@ -118,16 +121,10 @@ def upsilon(i: TruncatedIdeal, d: int, bound: int | None = None,
         raise ValueError(f"requested bound {bound} exceeds the input bound {i.bound}")
     n = i.ring.n
     ring_s = segre_ring(n, d)
-    pieces = {}
-    for u in degrees_up_to(ring_s, bound):
-        base = ir_piece(n, d, u, i.field)
-        lifted = image(psi_matrix(n, d, u, i.field), i.piece(degree_total(u)))
-        pieces[u] = Subspace.from_rows(
-            dim_piece(ring_s, u),
-            list(base.basis) + list(lifted.basis),
-            piece=_piece_tag(ring_s, u),
-            field=i.field,
-        )
+    pieces = {
+        u: pi_preimage(n, d, u, i.piece(degree_total(u)))
+        for u in degrees_up_to(ring_s, bound)
+    }
     if provenance is None:
         provenance = "upsilon-of-point" if i.provenance in ("point", "diagonal-points") else "user"
     return TruncatedIdeal(ring_s, bound, pieces, None, provenance, i.field)

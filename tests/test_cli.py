@@ -267,6 +267,30 @@ class TestSelftest:
         assert not result.passed
         assert "direct sum" in result.detail
 
+    def test_corrupted_fibre_top_fails_kernel_suite(self, monkeypatch):
+        import random
+
+        good_pi_fibres = dmaps.pi_fibres
+
+        def broken_pi_fibres(n, d, u):
+            fib = good_pi_fibres(n, d, u)
+            top = list(fib.top)
+            for m in range(len(top)):
+                fibre = [c for c, x in enumerate(fib.f) if x == m]
+                if len(fibre) > 1:  # a non-maximal column becomes this fibre's top
+                    top[m] = fibre[0]
+                    break
+            return dmaps.PiFibres(fib.f, tuple(top), fib.order)
+
+        monkeypatch.setattr(dmaps, "pi_fibres", broken_pi_fibres)
+        dmaps.ir_piece.cache_clear()
+        try:
+            result = suite_pi_kernel_direct_sum(SCALES["desk"], random.Random(0))
+        finally:
+            dmaps.ir_piece.cache_clear()
+        assert not result.passed
+        assert "generator expansion differs" in result.detail
+
 
 class TestSerializationRoundTrips:
     def test_tensor_poly_round_trip(self, tmp_path):

@@ -29,7 +29,7 @@ from borderapolar.grading import (
     veronese_ring,
 )
 from borderapolar.ideals import degrees_up_to, expand
-from borderapolar.linalg import image
+from borderapolar.linalg import image, kernel
 from support import random_symmetric_tensor
 
 
@@ -172,6 +172,9 @@ class TestDirectSum:
         ring = segre_ring(n, d)
         for u in degrees_up_to(ring, 5 if (n, d) != (3, 3) else 4):
             assert direct_sum_check(n, d, u), (n, d, u)
+            # the closed form against the kernel it replaced
+            ker = kernel(pi_matrix(n, d, u))
+            assert ir_piece(n, d, u).basis == tuple(tuple(r) for r in ker.rows), (n, d, u)
 
     def test_degree_zero(self):
         assert direct_sum_check(2, 2, (0, 0))
