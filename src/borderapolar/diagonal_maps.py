@@ -30,7 +30,7 @@ from .grading import (
     segre_ring,
     veronese_ring,
 )
-from .linalg import QQ, Matrix, Subspace, image, rref_with_pivots
+from .linalg import QQ, Matrix, Subspace, image, _rref_permuted
 
 
 def _require_kind(el: PieceElement, kind: RingKind, what: str):
@@ -219,11 +219,9 @@ def pi_preimage(n: int, d: int, u: tuple, w: Subspace) -> Subspace:
     ncols = len(fib.f)
     lifted = {}
     if w.basis:
-        permuted = Matrix([[row[m] for m in fib.order] for row in w.basis],
-                          ncols=len(fib.order), field=field)
-        red, pivots = rref_with_pivots(permuted)
+        red, pivots = _rref_permuted(w.basis, fib.order, field)
         tops = [fib.top[m] for m in fib.order]
-        for row, p in zip(red.rows, pivots):
+        for row, p in zip(red, pivots):
             x = [zero] * ncols
             for t, a in zip(tops, row):
                 if a:

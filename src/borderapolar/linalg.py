@@ -5,12 +5,21 @@ its row span, so two subspaces are equal as sets exactly when their stored
 bases compare equal.  Rational elimination is fraction-free (Bareiss) on
 integer-scaled rows, with a final normalization pass to RREF; prime-field
 elimination is ordinary Gauss-Jordan.
+
+A kernel costs one elimination and an annihilator none.  Both come from a
+basis whose pivot columns are clean: the annihilator of such a basis has one
+row e_c - sum_i row_i[c] e_{p_i} per non-pivot column c.  A Subspace applies
+this to its stored RREF basis (the rows span the annihilator but are not in
+RREF).  `kernel` applies it to the RREF of m with its columns reversed, where
+each pivot is the last nonzero column of its row, and there the rows come out
+already in RREF.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
 
@@ -333,21 +342,54 @@ def rank(m: Matrix) -> int:
     return len(rref_with_pivots(m)[1])
 
 
-def kernel(m: Matrix) -> Matrix:
-    """RREF basis of the right kernel {v : m v = 0}."""
+def _rref_permuted(rows, order, field):
+    """RREF of `rows` with column k taken from column order[k].
+
+    Returns (reduced rows, pivots), both in the permuted coordinates.  The
+    rows must already hold elements of `field`.
+    """
+    m = Matrix([], ncols=len(order), field=field)
+    m.rows = [[row[c] for c in order] for row in rows]
     red, pivots = rref_with_pivots(m)
-    field = m.field
+    return red.rows, pivots
+
+
+def _annihilator(ncols: int, rows, pivots, field) -> Matrix:
+    """The right kernel of a basis whose pivot columns are clean.
+
+    Each row i has a 1 at pivots[i] and 0 at every other pivot.  For each
+    non-pivot column c the kernel gets the row e_c - sum_i rows[i][c] e_{p_i};
+    these rows are a basis of the kernel, in ascending c.
+    """
     pivot_set = set(pivots)
-    free = [c for c in range(m.ncols) if c not in pivot_set]
-    vecs = []
-    for f in free:
-        v = [field.zero] * m.ncols
-        v[f] = field.one
-        for i, c in enumerate(pivots):
-            v[c] = -red.rows[i][f]
-        vecs.append(v)
-    basis = Matrix(vecs, ncols=m.ncols, field=field)
-    return rref(basis)
+    out = []
+    for c in range(ncols):
+        if c in pivot_set:
+            continue
+        v = [field.zero] * ncols
+        v[c] = field.one
+        for row, p in zip(rows, pivots):
+            a = row[c]
+            if a:
+                v[p] = -a
+        out.append(v)
+    m = Matrix([], ncols=ncols, field=field)
+    m.rows = out
+    return m
+
+
+def kernel(m: Matrix) -> Matrix:
+    """RREF basis of the right kernel {v : m v = 0}, from one elimination.
+
+    m is row-reduced with its columns reversed, so each pivot q is the last
+    nonzero column of its row.  The kernel row of a non-pivot column c then
+    involves only pivots q > c, so the rows of `_annihilator`, in ascending c,
+    are already the reduced row echelon form.
+    """
+    n = m.ncols
+    red, rev_pivots = _rref_permuted(m.rows, range(n - 1, -1, -1), m.field)
+    return _annihilator(n, [row[::-1] for row in red], [n - 1 - p for p in rev_pivots],
+                        m.field)
 
 
 # -- subspaces ------------------------------------------------------------------
@@ -378,6 +420,11 @@ class Subspace:
             for i in range(ambient_dim)
         )
         return cls(ambient_dim, rows, piece, field)
+
+    @cached_property
+    def pivots(self) -> tuple:
+        """The pivot column of each basis row, ascending."""
+        return tuple(next(c for c, x in enumerate(row) if x) for row in self.basis)
 
     @property
     def dim(self) -> int:
@@ -418,8 +465,13 @@ class Subspace:
         )
 
     def constraints(self) -> Matrix:
-        """Rows spanning the linear functionals that vanish on this subspace."""
-        return kernel(self.matrix())
+        """Rows spanning the linear functionals that vanish on this subspace.
+
+        Read off the RREF basis with no elimination: for each non-pivot column
+        f, the row e_f - sum_i basis[i][f] e_{p_i}.  There are codim rows and
+        they span the annihilator, but they are not in RREF.
+        """
+        return _annihilator(self.ambient_dim, self.basis, self.pivots, self.field)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)
@@ -441,11 +493,10 @@ class Subspace:
         v = [self.field.of(x) for x in v]
         if len(v) != self.ambient_dim:
             raise ValueError("vector length mismatch")
-        for row in self.basis:
-            c = next(i for i, x in enumerate(row) if x)
+        for row, c in zip(self.basis, self.pivots):
             f = v[c]
             if f:
-                v = [a - f * b for a, b in zip(v, row)]
+                v = [a - f * b if b else a for a, b in zip(v, row)]
         return v
 
     def contains_vector(self, v) -> bool:

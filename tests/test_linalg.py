@@ -1,12 +1,17 @@
 """Tests for exact elimination, kernels, and the canonical subspace calculus."""
 
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from borderapolar import linalg
+from borderapolar.grading import veronese_ring
+from borderapolar.ideals import is_saturated_degreewise, point_ideal, very_general_points
 from borderapolar.linalg import (
+    QQ,
     Matrix,
     PrimeField,
     Subspace,
@@ -17,7 +22,11 @@ from borderapolar.linalg import (
     preimage,
     rank,
     rref,
+    rref_with_pivots,
 )
+
+GF = PrimeField(2147483647)
+FIELDS = [QQ, GF]
 
 
 def small_matrix_strategy(max_rows=6, max_cols=7, bound=9):
@@ -30,6 +39,54 @@ def small_matrix_strategy(max_rows=6, max_cols=7, bound=9):
             )
         )
     )
+
+
+def shaped_matrix_strategy():
+    """Random integer matrices, plus the shapes elimination gets wrong first:
+    zero rows, repeated rows, the zero matrix and full column rank."""
+    base = small_matrix_strategy(max_rows=8, max_cols=8)
+    with_zero_row = base.flatmap(
+        lambda rows: st.integers(0, len(rows)).map(
+            lambda i: rows[:i] + [[0] * len(rows[0])] + rows[i:]))
+    with_repeat = base.flatmap(
+        lambda rows: st.tuples(st.sampled_from(rows), st.integers(-3, 3)).map(
+            lambda rk: rows + [[rk[1] * x for x in rk[0]]]))
+    zero = st.tuples(st.integers(1, 6), st.integers(1, 7)).map(
+        lambda rc: [[0] * rc[1] for _ in range(rc[0])])
+    full_col_rank = small_matrix_strategy(max_rows=4, max_cols=6).flatmap(
+        lambda rows: st.permutations(
+            rows + [[int(i == j) for j in range(len(rows[0]))] for i in range(len(rows[0]))]))
+    return st.one_of(base, with_zero_row, with_repeat, zero, full_col_rank)
+
+
+def kernel_reference(m: Matrix) -> Matrix:
+    """The former kernel: forward RREF, fill the free columns, RREF again."""
+    red, pivots = rref_with_pivots(m)
+    field = m.field
+    pivot_set = set(pivots)
+    vecs = []
+    for f in range(m.ncols):
+        if f in pivot_set:
+            continue
+        v = [field.zero] * m.ncols
+        v[f] = field.one
+        for i, c in enumerate(pivots):
+            v[c] = -red.rows[i][f]
+        vecs.append(v)
+    return rref(Matrix(vecs, ncols=m.ncols, field=field))
+
+
+def assert_rref(rows):
+    """Ascending leading 1s, and every other row zero in each pivot column."""
+    seen = -1
+    for row in rows:
+        c = next(i for i, x in enumerate(row) if x)
+        assert c > seen
+        seen = c
+        assert row[c] == 1
+        for other in rows:
+            if other is not row:
+                assert not other[c]
 
 
 class TestRref:
@@ -60,16 +117,7 @@ class TestRref:
     @given(small_matrix_strategy())
     @settings(max_examples=80, deadline=None)
     def test_pivots_are_clean(self, rows):
-        red = rref(Matrix(rows))
-        seen = -1
-        for row in red.rows:
-            c = next(i for i, x in enumerate(row) if x)
-            assert c > seen
-            seen = c
-            assert row[c] == 1
-            for other in red.rows:
-                if other is not row:
-                    assert other[c] == 0
+        assert_rref(rref(Matrix(rows)).rows)
 
 
 class TestKernel:
@@ -81,14 +129,36 @@ class TestKernel:
 
     def test_kernel_vectors_annihilate(self):
         rng = random.Random(7)
-        for _ in range(100):
+        for k in range(200):
             nr = rng.randint(1, 12)
             nc = rng.randint(1, 20)
-            m = Matrix([[rng.randint(-9, 9) for _ in range(nc)] for _ in range(nr)])
+            m = Matrix([[rng.randint(-9, 9) for _ in range(nc)] for _ in range(nr)],
+                       field=FIELDS[k % 2])
             ker = kernel(m)
             assert ker.nrows == nc - rank(m)
             for v in ker.rows:
-                assert all(x == 0 for x in mat_vec(m, v))
+                assert all(not x for x in mat_vec(m, v))
+            assert_rref(ker.rows)
+            assert ker.rows == kernel_reference(m).rows
+
+    @pytest.mark.parametrize("field", FIELDS, ids=repr)
+    @given(rows=shaped_matrix_strategy())
+    @settings(max_examples=120, deadline=None)
+    def test_matches_two_elimination_reference(self, field, rows):
+        m = Matrix(rows, field=field)
+        ker = kernel(m)
+        assert ker.ncols == m.ncols
+        assert ker.rows == kernel_reference(m).rows
+        assert_rref(ker.rows)
+
+    @pytest.mark.parametrize("field", FIELDS, ids=repr)
+    def test_edge_shapes(self, field):
+        one, zero = field.one, field.zero
+        identity4 = [[one if i == j else zero for j in range(4)] for i in range(4)]
+        assert kernel(Matrix([], ncols=4, field=field)).rows == identity4
+        assert kernel(Matrix([[0] * 4] * 3, field=field)).rows == identity4
+        assert kernel(Matrix(identity4 + [[1, 2, 3, 4]], field=field)).rows == []
+        assert kernel(Matrix([], ncols=0, field=field)).rows == []
 
 
 class TestSubspace:
@@ -135,6 +205,30 @@ class TestSubspace:
             )
             assert a.dim + b.dim == a.sum(b).dim + a.intersect(b).dim
 
+    @pytest.mark.parametrize("field", FIELDS, ids=repr)
+    def test_constraints_read_off_basis(self, field):
+        rng = random.Random(5)
+        cases = [Subspace.zero(6, field=field), Subspace.full(6, field=field)]
+        for _ in range(60):
+            n = rng.randint(1, 9)
+            rows = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(rng.randint(0, n + 1))]
+            cases.append(Subspace.from_rows(n, rows, field=field))
+        for s in cases:
+            cons = s.constraints()
+            assert (cons.nrows, cons.ncols) == (s.codim, s.ambient_dim)
+            for c in cons.rows:
+                for b in s.basis:
+                    assert not sum((x * y for x, y in zip(c, b)), field.zero)
+            assert rref(cons).rows == kernel_reference(s.matrix()).rows
+
+    def test_pivots_cached_and_frozen(self):
+        a = Subspace.from_rows(4, [[0, 2, 0, 1], [0, 0, 3, 1]])
+        assert a.pivots == (1, 2)
+        assert a.pivots is a.pivots
+        with pytest.raises(FrozenInstanceError):
+            a.pivots = (0, 1)
+        assert Subspace.zero(3).pivots == ()
+
     def test_codim(self):
         a = Subspace.from_rows(5, [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0]])
         assert a.codim == 3
@@ -150,6 +244,47 @@ class TestSubspace:
         assert pre.dim == 2
         for v in pre.basis:
             assert w.contains(mat_vec(m, list(v)))
+
+
+class TestEliminationCount:
+    """Each kernel and annihilator costs at most one elimination."""
+
+    @pytest.fixture
+    def shapes(self, monkeypatch):
+        calls = []
+        real = linalg.rref_with_pivots
+
+        def counted(m):
+            calls.append((m.nrows, m.ncols))
+            return real(m)
+
+        monkeypatch.setattr(linalg, "rref_with_pivots", counted)
+        return calls
+
+    def test_kernel_eliminates_once(self, shapes):
+        kernel(Matrix([[1, 2, 3, 4], [2, 4, 6, 9]]))
+        assert shapes == [(2, 4)]
+
+    def test_constraints_do_not_eliminate(self, shapes):
+        a = Subspace.from_rows(5, [[1, 2, 0, 1, 3], [0, 1, 1, 0, 2]])
+        shapes.clear()
+        assert a.constraints().nrows == 3
+        assert shapes == []
+
+    def test_intersect_eliminates_once(self, shapes):
+        a = Subspace.from_rows(4, [[1, 2, 0, 1], [0, 1, 1, 0]])
+        b = Subspace.from_rows(4, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1]])
+        shapes.clear()
+        a.intersect(b)
+        assert len(shapes) == 1
+
+    def test_saturation_eliminates_once_per_call(self, shapes):
+        z = very_general_points(veronese_ring(2), 2, 4, random.Random(15))
+        j = point_ideal(z, 4)
+        shapes.clear()
+        for k in range(4):
+            assert is_saturated_degreewise(j, k)
+        assert len(shapes) == 4
 
 
 class TestPrimeField:
