@@ -69,7 +69,6 @@ class RunConfig:
     degree_bound: int | None = None
     output: str | None = None
     fmt: str = "text"
-    jobs: int = 1
 
     @property
     def field(self):
@@ -472,7 +471,7 @@ def cmd_check(args, cfg: RunConfig) -> int:
 
 
 def cmd_selftest(args, cfg: RunConfig) -> int:
-    results, ok = run_selftest(scale=args.scale, jobs=cfg.jobs, seed=cfg.seed)
+    results, ok = run_selftest(scale=args.scale, seed=cfg.seed)
     width = max(len(r.name) for r in results)
     lines = [f"{'suite':<{width}}  instances  seconds  result"]
     for r in results:
@@ -517,8 +516,6 @@ def _add_common(sp):
     sp.add_argument("--seed", type=int, default=None, help="seed for randomized suites")
     sp.add_argument("--degree-bound", type=int, default=None,
                     help="override the truncation bound")
-    sp.add_argument("--jobs", type=int, default=1,
-                    help="parallel workers for independent sub-checks")
     sp.add_argument("--format", choices=("text", "json"), default="text")
     sp.add_argument("--output", default=None, help="write the report to a file")
 
@@ -582,7 +579,6 @@ def main(argv=None) -> int:
             degree_bound=args.degree_bound,
             output=args.output,
             fmt=args.format,
-            jobs=max(1, args.jobs),
         )
         cfg.field  # validate the modulus eagerly
         handler = {

@@ -2,9 +2,10 @@
 
 Vectors are rows.  A Subspace stores the unique reduced row echelon basis of
 its row span, so two subspaces are equal as sets exactly when their stored
-bases compare equal.  Rational elimination is fraction-free (Bareiss) on
-integer-scaled rows, with a final normalization pass to RREF; prime-field
-elimination is ordinary Gauss-Jordan.
+bases compare equal.  Rational elimination is fraction-free Gauss-Jordan on
+rows scaled to primitive integers, divided by their content after each update;
+the RREF's Fractions are made once, at the end, one per nonzero entry.
+Prime-field elimination is ordinary Gauss-Jordan.
 
 A kernel costs one elimination and an annihilator none.  Both come from a
 basis whose pivot columns are clean: the annihilator of such a basis has one
@@ -20,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm
 
 
 # -- scalar fields -------------------------------------------------------------
@@ -247,45 +248,35 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def _int_rows(rows) -> list:
-    """Scale each rational row to coprime integers."""
+    """Scale each rational row to primitive integers (content 1)."""
     out = []
     for row in rows:
-        den = 1
-        for x in row:
-            den = den * x.denominator // gcd(den, x.denominator)
-        ints = [int(x.numerator) * (den // x.denominator) for x in row]
-        g = 0
-        for v in ints:
-            g = gcd(g, v)
+        dens = [x.denominator for x in row]
+        den = lcm(*dens)
+        ints = [x.numerator for x in row]
+        if den > 1:
+            ints = [v * (den // e) for v, e in zip(ints, dens)]
+        g = gcd(*ints)
         if g > 1:
             ints = [v // g for v in ints]
         out.append(ints)
     return out
 
 
-def _echelon_bareiss(m: list, ncols: int):
-    """Fraction-free forward elimination; returns (rows, pivot columns)."""
-    nrows = len(m)
-    pivots = []
-    r = 0
-    prev = 1
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if m[i][c]), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        pivot = m[r][c]
-        for i in range(r + 1, nrows):
-            mic = m[i][c]
-            row_i = m[i]
-            row_r = m[r]
-            m[i] = [(pivot * row_i[j] - mic * row_r[j]) // prev for j in range(ncols)]
-        pivots.append(c)
-        prev = pivot
-        r += 1
-        if r == nrows:
-            break
-    return m[:r], pivots
+def _eliminate(row, pivot_row, c) -> list:
+    """Clear column c of an integer row against pivot_row, kept primitive.
+
+    With a = row[c], p = pivot_row[c] and g = gcd(p, a), the result is the
+    primitive row of (p/g) row - (a/g) pivot_row.
+    """
+    a, p = row[c], pivot_row[c]
+    g = gcd(p, a)
+    x, y = p // g, a // g
+    out = [x * u - y * v if v else x * u for u, v in zip(row, pivot_row)]
+    g = gcd(*out)
+    if g > 1:
+        out = [v // g for v in out]
+    return out
 
 
 def _rref_generic(rows, ncols, field):
@@ -300,11 +291,11 @@ def _rref_generic(rows, ncols, field):
             continue
         m[r], m[pr] = m[pr], m[r]
         inv = m[r][c]
-        m[r] = [x / inv for x in m[r]]
+        m[r] = [x / inv if x else x for x in m[r]]
         for i in range(nrows):
             if i != r and m[i][c]:
                 f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+                m[i] = [a - f * b if b else a for a, b in zip(m[i], m[r])]
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -318,18 +309,36 @@ def rref_with_pivots(m: Matrix):
         out = Matrix([], ncols=m.ncols, field=m.field)
         out.rows = rows
         return out, pivots
-    ech, pivots = _echelon_bareiss(_int_rows(m.rows), m.ncols)
-    rows = [[Fraction(v) for v in row] for row in ech]
+    # Gauss-Jordan on integer rows, each kept primitive: the smallest integer
+    # vector on its line, so entries never outgrow the line they span.  The
+    # only Fractions made are the nonzero entries of the result.
+    rows = _int_rows(m.rows)
+    nrows = len(rows)
+    pivots = []
+    for c in range(m.ncols):
+        r = len(pivots)
+        pr = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        pivot_row = rows[r]
+        for i in range(r + 1, nrows):
+            if rows[i][c]:
+                rows[i] = _eliminate(rows[i], pivot_row, c)
+        pivots.append(c)
+        if r + 1 == nrows:
+            break
+    del rows[len(pivots):]
     for i in reversed(range(len(rows))):
+        pivot_row = rows[i]
         c = pivots[i]
-        inv = rows[i][c]
-        rows[i] = [x / inv for x in rows[i]]
         for k in range(i):
-            f = rows[k][c]
-            if f:
-                rows[k] = [a - f * b for a, b in zip(rows[k], rows[i])]
+            if rows[k][c]:
+                rows[k] = _eliminate(rows[k], pivot_row, c)
+    zero = QQ.zero
     out = Matrix([], ncols=m.ncols, field=m.field)
-    out.rows = rows
+    out.rows = [[Fraction(v, row[c]) if v else zero for v in row]
+                for row, c in zip(rows, pivots)]
     return out, pivots
 
 

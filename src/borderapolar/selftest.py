@@ -11,7 +11,6 @@ import itertools
 import math
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -341,15 +340,10 @@ SUITES = (
 )
 
 
-def run_selftest(scale: str = "desk", jobs: int = 1, seed: int = 0):
+def run_selftest(scale: str = "desk", seed: int = 0):
     """Run every suite; returns (results, all_passed)."""
     if scale not in SCALES:
         raise ValueError(f"unknown scale {scale!r}; choose from {sorted(SCALES)}")
     cfg = SCALES[scale]
-    tasks = [(name, fn, random.Random(seed + k)) for k, (name, fn) in enumerate(SUITES)]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(lambda t: t[1](cfg, t[2]), tasks))
-    else:
-        results = [fn(cfg, r) for _, fn, r in tasks]
+    results = [fn(cfg, random.Random(seed + k)) for k, (_, fn) in enumerate(SUITES)]
     return results, all(r.passed for r in results)

@@ -3,7 +3,7 @@
 import json
 
 from borderapolar import cli
-from borderapolar.selftest import SCALES, suite_pi_kernel_direct_sum
+from borderapolar.selftest import SCALES, SUITES, run_selftest, suite_pi_kernel_direct_sum
 import borderapolar.diagonal_maps as dmaps
 
 
@@ -236,9 +236,14 @@ class TestCheck:
 
 class TestSelftest:
     def test_desk_scale_passes(self, capsys):
-        code, out = run(["selftest", "--scale", "desk", "--jobs", "2"], capsys)
+        code, out = run(["selftest", "--scale", "desk"], capsys)
         assert code == 0
         assert "overall: pass" in out
+
+    def test_deep_scale_passes(self):
+        results, ok = run_selftest("deep")
+        assert [r.name for r in results] == [name for name, _ in SUITES]
+        assert ok, [r.name for r in results if not r.passed]
 
     def test_deep_scale_raises_the_knobs(self):
         desk, deep = SCALES["desk"], SCALES["deep"]

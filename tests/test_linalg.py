@@ -3,6 +3,7 @@
 import random
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -76,6 +77,105 @@ def kernel_reference(m: Matrix) -> Matrix:
     return rref(Matrix(vecs, ncols=m.ncols, field=field))
 
 
+def _bareiss_int_rows(rows) -> list:
+    """Scale each rational row to coprime integers."""
+    out = []
+    for row in rows:
+        den = 1
+        for x in row:
+            den = den * x.denominator // gcd(den, x.denominator)
+        ints = [int(x.numerator) * (den // x.denominator) for x in row]
+        g = 0
+        for v in ints:
+            g = gcd(g, v)
+        if g > 1:
+            ints = [v // g for v in ints]
+        out.append(ints)
+    return out
+
+
+def _echelon_bareiss(m: list, ncols: int):
+    """Fraction-free forward elimination; returns (rows, pivot columns)."""
+    nrows = len(m)
+    pivots = []
+    r = 0
+    prev = 1
+    for c in range(ncols):
+        pr = next((i for i in range(r, nrows) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        pivot = m[r][c]
+        for i in range(r + 1, nrows):
+            mic = m[i][c]
+            row_i = m[i]
+            row_r = m[r]
+            m[i] = [(pivot * row_i[j] - mic * row_r[j]) // prev for j in range(ncols)]
+        pivots.append(c)
+        prev = pivot
+        r += 1
+        if r == nrows:
+            break
+    return m[:r], pivots
+
+
+def rref_reference(m: Matrix):
+    """The former rational RREF: Bareiss forward pass, then back-substitution
+    in dense Fraction arithmetic.  Returns (rows, pivots)."""
+    ech, pivots = _echelon_bareiss(_bareiss_int_rows(m.rows), m.ncols)
+    rows = [[Fraction(v) for v in row] for row in ech]
+    for i in reversed(range(len(rows))):
+        c = pivots[i]
+        inv = rows[i][c]
+        rows[i] = [x / inv for x in rows[i]]
+        for k in range(i):
+            f = rows[k][c]
+            if f:
+                rows[k] = [a - f * b for a, b in zip(rows[k], rows[i])]
+    return rows, pivots
+
+
+ENTRIES = (
+    st.integers(-3, 3),
+    st.integers(-(2**64), 2**64),
+    st.fractions(min_value=-20, max_value=20, max_denominator=12),
+)
+
+
+@st.composite
+def rational_matrices(draw):
+    """Matrices over Q of every shape from 0x0 to 8x8: small, huge or rational
+    entries, optionally low rank, with dependent, repeated and zero rows."""
+    nrows, ncols = draw(st.integers(0, 6)), draw(st.integers(0, 8))
+    entry = draw(st.sampled_from(ENTRIES))
+    row = st.lists(entry, min_size=ncols, max_size=ncols)
+    if nrows and draw(st.booleans()):
+        # nrows integer combinations of k drawn rows: rank at most k
+        k = draw(st.integers(1, nrows))
+        basis = draw(st.lists(row, min_size=k, max_size=k))
+        coeffs = st.lists(st.integers(-4, 4), min_size=k, max_size=k)
+        rows = [[sum(a * b[j] for a, b in zip(cs, basis)) for j in range(ncols)]
+                for cs in draw(st.lists(coeffs, min_size=nrows, max_size=nrows))]
+    else:
+        rows = draw(st.lists(row, min_size=nrows, max_size=nrows))
+    if rows and draw(st.booleans()):
+        rows.append([-3 * x for x in draw(st.sampled_from(rows))])
+    if draw(st.booleans()):
+        rows.append([0] * ncols)
+    return Matrix(draw(st.permutations(rows)), ncols=ncols)
+
+
+def assert_matches_reference(m: Matrix):
+    before = repr(m.rows)
+    red, pivots = rref_with_pivots(m)
+    ref_rows, ref_pivots = rref_reference(m)
+    assert pivots == ref_pivots
+    # repr also tells Fraction from int and checks lowest terms
+    assert repr(red.rows) == repr(ref_rows)
+    assert repr(m.rows) == before
+    return red, pivots
+
+
 def assert_rref(rows):
     """Ascending leading 1s, and every other row zero in each pivot column."""
     seen = -1
@@ -118,6 +218,32 @@ class TestRref:
     @settings(max_examples=80, deadline=None)
     def test_pivots_are_clean(self, rows):
         assert_rref(rref(Matrix(rows)).rows)
+
+    @given(rational_matrices())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_bareiss_reference(self, m):
+        red, _ = assert_matches_reference(m)
+        assert_rref(red.rows)
+
+    def test_edge_shapes_match_reference(self):
+        for m in (Matrix([], ncols=0), Matrix([], ncols=5), Matrix([[], []]),
+                  Matrix([[0] * 5] * 3), Matrix([[-7, 0, 14]]),
+                  Matrix([[0, -(2**64), 3], [0, 2**64 - 1, 5]])):
+            assert_matches_reference(m)
+
+    def test_hilbert_matrix(self):
+        h = [[Fraction(1, i + j + 1) for j in range(10)] for i in range(10)]
+        red, pivots = assert_matches_reference(Matrix(h))
+        assert pivots == list(range(10))
+        rng = random.Random(3)
+        coeffs = [[Fraction(rng.randint(-5, 5), rng.randint(1, 9)) for _ in range(6)]
+                  for _ in range(6)]
+        combos = [[sum(c * h[i][j] for i, c in enumerate(cs)) for j in range(10)]
+                  for cs in coeffs]
+        stack = h[:6] + combos + [[-x for x in h[2]], [Fraction(0)] * 10]
+        rng.shuffle(stack)
+        red, pivots = assert_matches_reference(Matrix(stack))
+        assert pivots == list(range(6))
 
 
 class TestKernel:
