@@ -9,27 +9,13 @@ the degree-one generator count against the expected n - 1.
 """
 
 import argparse
-import itertools
 import random
 from fractions import Fraction
 
-from borderapolar.apolarity import SymTensor, is_concise
+from borderapolar.apolarity import is_concise
 from borderapolar.bounds import is_111_sharp, is_sharp, min_generators_degree_one
 from borderapolar.linalg import Matrix, rank
-
-
-def power_sum_tensor(n, d, forms):
-    entries = {}
-    for idx in itertools.product(range(n), repeat=d):
-        val = Fraction(0)
-        for l in forms:
-            term = Fraction(1)
-            for i in idx:
-                term *= l[i]
-            val += term
-        if val:
-            entries[idx] = val
-    return SymTensor(n, d, entries)
+from borderapolar.selftest import sum_of_powers_tensor
 
 
 def draw_instance(n, rng, coeff_bound):
@@ -40,7 +26,7 @@ def draw_instance(n, rng, coeff_bound):
         ]
         if rank(Matrix([list(f) for f in forms], ncols=n)) < n:
             continue
-        f = power_sum_tensor(n, 3, forms)
+        f = sum_of_powers_tensor(n, 3, forms)
         if is_concise(f):
             return f
 

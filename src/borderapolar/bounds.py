@@ -18,7 +18,7 @@ from .apolarity import (
     depolarize,
     is_concise,
 )
-from .diagonal_maps import pi_matrix, proper_unit_box_degrees
+from .diagonal_maps import pi_image, proper_unit_box_degrees
 from .grading import (
     PieceElement,
     dim_piece,
@@ -27,7 +27,7 @@ from .grading import (
     veronese_ring,
 )
 from .ideals import expand, multiply_vector_by_variable
-from .linalg import Subspace, image
+from .linalg import Subspace
 from .transfer import Certificate, tensor_digest
 
 
@@ -221,7 +221,7 @@ def verify_lemma_1_minus_ed(f) -> Certificate:
     f = _require_concise_symmetric(f)
     n, d = f.n, f.order
     u = tuple(1 if t < d - 1 else 0 for t in range(d))
-    lifted = image(pi_matrix(n, d, u, f.field), ann_piece(f, u))
+    lifted = pi_image(n, d, u, ann_piece(f, u))
     target = ann_sym_piece(depolarize(f), d - 1)
     contained = target.contains(lifted)
     equal = lifted == target
@@ -273,7 +273,7 @@ def verify_containment_lemma(f) -> Certificate:
     n, d = f.n, f.order
     ideal = proper_degree_annihilator_ideal(f, d)
     u = tuple([d - 1, 1] + [0] * (d - 2))
-    lifted = image(pi_matrix(n, d, u, f.field), ideal.piece(u))
+    lifted = pi_image(n, d, u, ideal.piece(u))
     target = ann_sym_piece(depolarize(f), d)
     ok = target.contains(lifted)
     cert = Certificate(

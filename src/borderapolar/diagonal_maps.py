@@ -6,12 +6,18 @@ minors).  psi_u splits a sorted Veronese monomial into consecutive blocks of
 sizes u_1,...,u_d and is a section of pi, giving the decomposition
 S_u = (I_R)_u + psi_u(V_|u|) with zero intersection.
 
-Because of that split, every subspace of S_u that contains (I_R)_u is the
+Both maps only merge or pick monomials, so both are read off one cached
+pi-fibre table of S_u (`pi_fibres`): `f[c]` is the V-monomial that column c
+collapses to, `top[m]` the largest column in the fibre of m, `order` the
+V-monomials sorted by `top`, and `section[m]` the column psi_u sends m to.
+`pi_image` adds each row's entries into their fibres and eliminates once, on
+V_|u|; `psi_image` is a set of unit rows and needs no elimination.
+
+Because of the split, every subspace of S_u that contains (I_R)_u is the
 pi-preimage of its pi-image: (I_R)_u + psi_u(W) = pi^{-1}(W) for any W inside
 V_|u|.  `pi_preimage` writes that subspace down in reduced row echelon form
-from the pi-fibre table of S_u (which column collapses to which monomial, and
-the largest column in each fibre), eliminating only on W; `ir_piece` is the
-case W = 0 and `upsilon` the case W = I_|u|.
+from the table, eliminating only on W; `ir_piece` is the case W = 0 and
+`upsilon` the case W = I_|u|.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from .grading import (
     segre_ring,
     veronese_ring,
 )
-from .linalg import QQ, Matrix, Subspace, image, _rref_permuted
+from .linalg import QQ, Subspace, _rref_permuted
 
 
 def _require_kind(el: PieceElement, kind: RingKind, what: str):
@@ -42,57 +48,6 @@ def _collapse(mono) -> tuple:
     """Column sums of a Segre exponent table: the pi-image monomial."""
     n = len(mono[0])
     return tuple(sum(row[j] for row in mono) for j in range(n))
-
-
-@lru_cache(maxsize=None)
-def pi_matrix(n: int, d: int, u: tuple, field=QQ) -> Matrix:
-    """Matrix of pi on the degree-u piece, V_{|u|} x S_u, entries 0/1."""
-    ring_s = segre_ring(n, d)
-    ring_v = veronese_ring(n)
-    u = check_degree(ring_s, u)
-    k = degree_total(u)
-    nrows = dim_piece(ring_v, k)
-    cols = monomials(ring_s, u)
-    rows = [[0] * len(cols) for _ in range(nrows)]
-    for col, mono in enumerate(cols):
-        rows[rank_monomial(ring_v, _collapse(mono))][col] = 1
-    return Matrix(rows, ncols=len(cols), field=field)
-
-
-def pi(theta: PieceElement) -> PieceElement:
-    """Ring-map image under a(i,j) -> b_j, on one graded piece."""
-    _require_kind(theta, RingKind.SEGRE_COORD, "pi")
-    ring_v = veronese_ring(theta.ring.n)
-    k = degree_total(theta.degree)
-    zero = theta.coords[0] * 0
-    out = [zero] * dim_piece(ring_v, k)
-    basis = monomials(theta.ring, theta.degree)
-    for i, c in enumerate(theta.coords):
-        if c:
-            out[rank_monomial(ring_v, _collapse(basis[i]))] += c
-    return PieceElement(ring_v, k, tuple(out))
-
-
-def rho(theta: PieceElement) -> PieceElement:
-    """a(1,j) -> b_j and every other factor's variable to zero."""
-    _require_kind(theta, RingKind.SEGRE_COORD, "rho")
-    u = theta.degree
-    ring_v = veronese_ring(theta.ring.n)
-    k = u[0]
-    zero = theta.coords[0] * 0
-    out = [zero] * dim_piece(ring_v, k)
-    if all(ui == 0 for ui in u[1:]):
-        basis = monomials(theta.ring, u)
-        for i, c in enumerate(theta.coords):
-            if c:
-                out[rank_monomial(ring_v, basis[i][0])] += c
-    return PieceElement(ring_v, k, tuple(out))
-
-
-def tau(g: PieceElement, d: int) -> PieceElement:
-    """The inclusion b_j -> a(1,j), landing in degree (k,0,...,0)."""
-    _require_kind(g, RingKind.VERONESE_COORD, "tau")
-    return psi(tuple([g.degree] + [0] * (d - 1)), g, d=d)
 
 
 def _split_blocks(delta: tuple, u: tuple) -> tuple:
@@ -110,19 +65,70 @@ def _split_blocks(delta: tuple, u: tuple) -> tuple:
     return tuple(rows)
 
 
+@dataclass(frozen=True)
+class PiFibres:
+    """How pi collapses the monomial columns of S_u onto those of V_|u|.
+
+    `f[c]` is the V-monomial that column c collapses to, `top[m]` the largest
+    column in the fibre of m, `order` the V-monomials sorted by `top`, and
+    `section[m]` the column that psi_u sends m to.
+    """
+
+    f: tuple
+    top: tuple
+    order: tuple
+    section: tuple
+
+
 @lru_cache(maxsize=None)
-def psi_matrix(n: int, d: int, u: tuple, field=QQ) -> Matrix:
-    """Matrix of psi_u, S_u x V_{|u|}, entries 0/1; pi . psi is the identity."""
+def pi_fibres(n: int, d: int, u: tuple) -> PiFibres:
     ring_s = segre_ring(n, d)
     ring_v = veronese_ring(n)
     u = check_degree(ring_s, u)
-    k = degree_total(u)
-    dom = monomials(ring_v, k)
-    nrows = dim_piece(ring_s, u)
-    rows = [[0] * len(dom) for _ in range(nrows)]
-    for col, delta in enumerate(dom):
-        rows[rank_monomial(ring_s, _split_blocks(delta, u))][col] = 1
-    return Matrix(rows, ncols=len(dom), field=field)
+    f = tuple(rank_monomial(ring_v, _collapse(mono)) for mono in monomials(ring_s, u))
+    # pi is onto (psi is a section), so every fibre is nonempty; columns
+    # ascend, so the last write leaves the largest column of each fibre.
+    top = [0] * dim_piece(ring_v, degree_total(u))
+    for c, m in enumerate(f):
+        top[m] = c
+    order = tuple(sorted(range(len(top)), key=top.__getitem__))
+    section = tuple(rank_monomial(ring_s, _split_blocks(delta, u))
+                    for delta in monomials(ring_v, degree_total(u)))
+    return PiFibres(f, tuple(top), order, section)
+
+
+def _push(index: tuple, size: int, row, zero) -> list:
+    """A coordinate row moved along an index map: entry i is added at index[i]."""
+    out = [zero] * size
+    for t, x in zip(index, row):
+        if x:
+            out[t] += x
+    return out
+
+
+def pi(theta: PieceElement) -> PieceElement:
+    """Ring-map image under a(i,j) -> b_j, on one graded piece."""
+    _require_kind(theta, RingKind.SEGRE_COORD, "pi")
+    ring = theta.ring
+    fib = pi_fibres(ring.n, ring.d, check_degree(ring, theta.degree))
+    out = _push(fib.f, len(fib.top), theta.coords, theta.coords[0] * 0)
+    return PieceElement(veronese_ring(ring.n), degree_total(theta.degree), tuple(out))
+
+
+def rho(theta: PieceElement) -> PieceElement:
+    """a(1,j) -> b_j and every other factor's variable to zero."""
+    _require_kind(theta, RingKind.SEGRE_COORD, "rho")
+    u = theta.degree
+    if any(u[1:]):
+        ring_v = veronese_ring(theta.ring.n)
+        return PieceElement(ring_v, u[0], (theta.coords[0] * 0,) * dim_piece(ring_v, u[0]))
+    return pi(theta)  # on a first-factor piece, rho is pi
+
+
+def tau(g: PieceElement, d: int) -> PieceElement:
+    """The inclusion b_j -> a(1,j), landing in degree (k,0,...,0)."""
+    _require_kind(g, RingKind.VERONESE_COORD, "tau")
+    return psi(tuple([g.degree] + [0] * (d - 1)), g, d=d)
 
 
 def psi(u, g: PieceElement, d: int | None = None) -> PieceElement:
@@ -134,12 +140,8 @@ def psi(u, g: PieceElement, d: int | None = None) -> PieceElement:
     u = check_degree(ring_s, u)
     if degree_total(u) != g.degree:
         raise ValueError(f"|u| = {degree_total(u)} does not match element degree {g.degree}")
-    zero = g.coords[0] * 0
-    out = [zero] * dim_piece(ring_s, u)
-    dom = monomials(g.ring, g.degree)
-    for i, c in enumerate(g.coords):
-        if c:
-            out[rank_monomial(ring_s, _split_blocks(dom[i], u))] += c
+    fib = pi_fibres(g.ring.n, d, u)
+    out = _push(fib.section, len(fib.f), g.coords, g.coords[0] * 0)
     return PieceElement(ring_s, u, tuple(out))
 
 
@@ -168,34 +170,6 @@ def ir_generators(n: int, d: int) -> list:
                         )
                     )
     return gens
-
-
-@dataclass(frozen=True)
-class PiFibres:
-    """How pi collapses the monomial columns of S_u onto those of V_|u|.
-
-    `f[c]` is the V-monomial that column c collapses to, `top[m]` the largest
-    column in the fibre of m, and `order` the V-monomials sorted by `top`.
-    """
-
-    f: tuple
-    top: tuple
-    order: tuple
-
-
-@lru_cache(maxsize=None)
-def pi_fibres(n: int, d: int, u: tuple) -> PiFibres:
-    ring_s = segre_ring(n, d)
-    ring_v = veronese_ring(n)
-    u = check_degree(ring_s, u)
-    f = tuple(rank_monomial(ring_v, _collapse(mono)) for mono in monomials(ring_s, u))
-    # pi is onto (psi is a section), so every fibre is nonempty; columns
-    # ascend, so the last write leaves the largest column of each fibre.
-    top = [0] * dim_piece(ring_v, degree_total(u))
-    for c, m in enumerate(f):
-        top[m] = c
-    order = tuple(sorted(range(len(top)), key=top.__getitem__))
-    return PiFibres(f, tuple(top), order)
 
 
 def pi_preimage(n: int, d: int, u: tuple, w: Subspace) -> Subspace:
@@ -252,12 +226,26 @@ def ir_piece(n: int, d: int, u: tuple, field=QQ) -> Subspace:
     return pi_preimage(n, d, u, Subspace.zero(len(pi_fibres(n, d, u).top), field=field))
 
 
+def pi_image(n: int, d: int, u: tuple, sub: Subspace) -> Subspace:
+    """pi(sub) inside V_|u|, from one elimination of dim sub x dim V_|u|."""
+    fib = pi_fibres(n, d, check_degree(segre_ring(n, d), u))
+    if sub.ambient_dim != len(fib.f):
+        raise ValueError(
+            f"subspace ambient {sub.ambient_dim} is not dim S_{tuple(u)} = {len(fib.f)}"
+        )
+    zero = sub.field.zero
+    rows = [_push(fib.f, len(fib.top), row, zero) for row in sub.basis]
+    return Subspace.from_rows(len(fib.top), rows, field=sub.field)
+
+
 def psi_image(n: int, d: int, u: tuple, field=QQ) -> Subspace:
-    """psi_u(V_{|u|}) as a subspace of S_u."""
-    ring_v = veronese_ring(n)
-    k = degree_total(u)
-    full_v = Subspace.full(dim_piece(ring_v, k), field=field)
-    return image(psi_matrix(n, d, tuple(u), field), full_v)
+    """psi_u(V_{|u|}) as a subspace of S_u: the unit rows at the section's columns."""
+    fib = pi_fibres(n, d, check_degree(segre_ring(n, d), u))
+    zero, one = field.zero, field.one
+    ncols = len(fib.f)
+    rows = tuple(tuple(one if c == s else zero for c in range(ncols))
+                 for s in sorted(set(fib.section)))
+    return Subspace(ncols, rows, None, field)
 
 
 def direct_sum_check(n: int, d: int, u) -> bool:

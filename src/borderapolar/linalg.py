@@ -206,45 +206,8 @@ class Matrix:
     def nrows(self) -> int:
         return len(self.rows)
 
-    def transpose(self) -> "Matrix":
-        return Matrix(
-            [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)],
-            ncols=self.nrows,
-            field=self.field,
-        )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Matrix)
-            and self.ncols == other.ncols
-            and self.rows == other.rows
-        )
-
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols} over {self.field})"
-
-
-def mat_vec(m: Matrix, v) -> list:
-    """m applied to the column vector v."""
-    if len(v) != m.ncols:
-        raise ValueError(f"vector length {len(v)} != {m.ncols} columns")
-    out = []
-    for row in m.rows:
-        s = m.field.zero
-        for a, b in zip(row, v):
-            if a and b:
-                s = s + a * b
-        out.append(s)
-    return out
-
-
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    if a.ncols != b.nrows:
-        raise ValueError(f"shape mismatch {a.nrows}x{a.ncols} @ {b.nrows}x{b.ncols}")
-    bt = b.transpose()
-    rows = [[sum((x * y for x, y in zip(ra, rb) if x and y), a.field.zero) for rb in bt.rows]
-            for ra in a.rows]
-    return Matrix(rows, ncols=b.ncols, field=a.field)
 
 
 def _int_rows(rows) -> list:
@@ -529,22 +492,3 @@ class Subspace:
         tag = f" @ {self.piece}" if self.piece is not None else ""
         return f"Subspace(dim {self.dim} of {self.ambient_dim}{tag})"
 
-
-def image(m: Matrix, a: Subspace) -> Subspace:
-    """Image of subspace `a` under the column-action map `m` (codomain x domain)."""
-    if m.ncols != a.ambient_dim:
-        raise ValueError("map domain does not match subspace ambient")
-    rows = [mat_vec(m, list(r)) for r in a.basis]
-    return Subspace.from_rows(m.nrows, rows, field=a.field)
-
-
-def preimage(m: Matrix, w: Subspace) -> Subspace:
-    """{x : m x lies in w}, as a subspace of the domain."""
-    if m.nrows != w.ambient_dim:
-        raise ValueError("map codomain does not match subspace ambient")
-    cons = w.constraints()
-    stacked = matmul(cons, m) if cons.nrows else Matrix([], ncols=m.ncols, field=m.field)
-    ker = kernel(stacked) if stacked.nrows else None
-    if ker is None:
-        return Subspace.full(m.ncols, field=m.field)
-    return Subspace(m.ncols, tuple(tuple(r) for r in ker.rows), None, m.field)

@@ -71,6 +71,7 @@ class SuiteResult:
 
 
 def diagonal_tensor(n: int, d: int) -> SymTensor:
+    """sum_j e_j^{tensor d}: the unit tensor, concise of minimal border rank."""
     return SymTensor(n, d, {tuple([j] * d): 1 for j in range(n)})
 
 
@@ -99,16 +100,19 @@ def random_forms(n: int, count: int, rng: random.Random, bound: int = 5):
             return forms
 
 
-def random_symmetric_tensor(n: int, d: int, rng: random.Random) -> SymTensor:
-    ring = veronese_ring(n)
+def random_form(n: int, d: int, rng: random.Random, coeff_bound: int = 5) -> HomPoly:
     terms = {}
-    for mono in monomials(ring, d):
-        c = rng.randint(-5, 5)
+    for mono in monomials(veronese_ring(n), d):
+        c = rng.randint(-coeff_bound, coeff_bound)
         if c:
             terms[mono] = Fraction(c)
     if not terms:
         terms[tuple([d] + [0] * (n - 1))] = Fraction(1)
-    return polarize(HomPoly(n, d, terms))
+    return HomPoly(n, d, terms)
+
+
+def random_symmetric_tensor(n: int, d: int, rng: random.Random) -> SymTensor:
+    return polarize(random_form(n, d, rng))
 
 
 # -- the suites -----------------------------------------------------------------
@@ -177,7 +181,7 @@ def suite_degree_one_image(cfg: ScaleConfig, rng: random.Random) -> SuiteResult:
         for _ in range(cfg.instances):
             count += 1
             f = random_symmetric_tensor(n, d, rng)
-            lifted = _pi_image(n, d, ones(d), ann_piece(f, ones(d)))
+            lifted = dmaps.pi_image(n, d, ones(d), ann_piece(f, ones(d)))
             target = ann_sym_piece(depolarize(f), d)
             if lifted != target:
                 return SuiteResult(
@@ -185,12 +189,6 @@ def suite_degree_one_image(cfg: ScaleConfig, rng: random.Random) -> SuiteResult:
                     f"projected annihilator differs at n={n} d={d}",
                 )
     return SuiteResult("degree-one-image", count, True, time.perf_counter() - t0)
-
-
-def _pi_image(n, d, u, sub) -> Subspace:
-    from .linalg import image
-
-    return image(dmaps.pi_matrix(n, d, u), sub)
 
 
 def suite_upsilon_transport(cfg: ScaleConfig, rng: random.Random) -> SuiteResult:

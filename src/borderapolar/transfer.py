@@ -22,7 +22,7 @@ from .apolarity import (
     depolarize,
     flattening_ranks,
 )
-from .diagonal_maps import ir_piece, pi_matrix, pi_preimage, staircase_degrees
+from .diagonal_maps import pi_image, pi_preimage, staircase_degrees
 from .grading import (
     RingKind,
     degree_total,
@@ -31,7 +31,7 @@ from .grading import (
     segre_ring,
     veronese_ring,
 )
-from .linalg import Subspace, image
+from .linalg import Subspace
 from .ideals import (
     TruncatedIdeal,
     degrees_up_to,
@@ -130,12 +130,31 @@ def upsilon(i: TruncatedIdeal, d: int, bound: int | None = None,
     return TruncatedIdeal(ring_s, bound, pieces, None, provenance, i.field)
 
 
-def contains_diagonal_ideal(j: TruncatedIdeal) -> bool:
+def _pi_images(j: TruncatedIdeal, degrees) -> dict:
+    """pi(J_u) for each degree u, in the given order."""
     ring = j.ring
-    return all(
-        j.pieces[u].contains(ir_piece(ring.n, ring.d, u, j.field))
-        for u in j.degrees()
-    )
+    return {u: pi_image(ring.n, ring.d, u, j.pieces[u]) for u in degrees}
+
+
+def _first_without_diagonal(j: TruncatedIdeal, images: dict):
+    """The first degree u whose piece misses (I_R)_u, or None.
+
+    J_u meets ker pi = (I_R)_u in a subspace of dimension dim J_u - dim pi(J_u),
+    and pi is onto, so dim (I_R)_u = dim S_u - dim V_|u|: the two dimensions
+    agree exactly when J_u contains (I_R)_u.
+    """
+    for u, im in images.items():
+        if j.pieces[u].dim - im.dim != dim_piece(j.ring, u) - im.ambient_dim:
+            return u
+    return None
+
+
+def contains_diagonal_ideal(j: TruncatedIdeal) -> bool:
+    return _first_without_diagonal(j, _pi_images(j, j.degrees())) is None
+
+
+def _tagged(sub: Subspace, ring_v, k: int, field) -> Subspace:
+    return Subspace(sub.ambient_dim, sub.basis, _piece_tag(ring_v, k), field)
 
 
 def sigma(j: TruncatedIdeal) -> TruncatedIdeal:
@@ -143,23 +162,19 @@ def sigma(j: TruncatedIdeal) -> TruncatedIdeal:
     ring = j.ring
     if ring.kind is not RingKind.SEGRE_COORD:
         raise ValueError("symmetrization expects an ideal in the Segre coordinate ring")
-    if not contains_diagonal_ideal(j):
+    images = _pi_images(j, j.degrees())
+    if _first_without_diagonal(j, images) is not None:
         raise ValueError(
             "symmetrization is undefined: the ideal does not contain the diagonal ideal"
         )
-    n, d = ring.n, ring.d
-    ring_v = veronese_ring(n)
+    d = ring.d
+    ring_v = veronese_ring(ring.n)
     stairs = staircase_degrees(d)
     pieces = {}
     for total in range(j.bound + 1):
         a, m = divmod(total, d)
         u = tuple(a + s for s in stairs[m])
-        pieces[total] = Subspace(
-            dim_piece(ring_v, total),
-            image(pi_matrix(n, d, u, j.field), j.piece(u)).basis,
-            _piece_tag(ring_v, total),
-            j.field,
-        )
+        pieces[total] = _tagged(images[u], ring_v, total, j.field)
     provenance = "point" if j.provenance in ("upsilon-of-point", "diagonal-points") else "user"
     return TruncatedIdeal(ring_v, j.bound, pieces, None, provenance, j.field)
 
@@ -174,12 +189,7 @@ def rho_ideal(j: TruncatedIdeal) -> TruncatedIdeal:
     pieces = {}
     for k in range(j.bound + 1):
         u = tuple([k] + [0] * (d - 1))
-        pieces[k] = Subspace(
-            dim_piece(ring_v, k),
-            image(pi_matrix(n, d, u, j.field), j.piece(u)).basis,
-            _piece_tag(ring_v, k),
-            j.field,
-        )
+        pieces[k] = _tagged(pi_image(n, d, u, j.piece(u)), ring_v, k, j.field)
     provenance = (
         "rho-of-certified" if j.provenance in SLIP_CERTIFIED else "user"
     )
@@ -188,11 +198,11 @@ def rho_ideal(j: TruncatedIdeal) -> TruncatedIdeal:
 
 # -- containment bookkeeping ------------------------------------------------------
 
-def _apolarity_witnesses(j: TruncatedIdeal, f: GeneralTensor, up_to: int):
+def _apolarity_stage(cert: Certificate, j: TruncatedIdeal, f: GeneralTensor,
+                     up_to: int) -> bool:
     """Degreewise containment J_u in Ann(F)_u for |u| <= up_to; pieces above the
     unit box are full, so only 0/1 degrees need a kernel computation."""
-    failures = []
-    checked = []
+    first_failure = None
     for u in j.degrees():
         if degree_total(u) > up_to:
             continue
@@ -200,17 +210,33 @@ def _apolarity_witnesses(j: TruncatedIdeal, f: GeneralTensor, up_to: int):
             continue
         ann = ann_piece(f, u)
         ok = ann.contains(j.pieces[u])
-        checked.append({"degree": u, "dim_ideal": j.pieces[u].dim,
-                        "dim_ann": ann.dim, "ok": ok})
-        if not ok:
-            failures.append(u)
-    return checked, failures
+        cert.add(degree=u, dim_ideal=j.pieces[u].dim, dim_ann=ann.dim, ok=ok)
+        if not ok and first_failure is None:
+            first_failure = u
+    if first_failure is not None:
+        cert.failure = f"ideal is not apolar to the tensor at degree {first_failure}"
+    return first_failure is None
+
+
+def _pi_containment_stage(cert: Certificate, j: TruncatedIdeal, with_degree: bool) -> bool:
+    """pi(J_{(d,0,...,0)}) inside pi(J_{(1,...,1)})."""
+    n, d = j.ring.n, j.ring.d
+    u_first = tuple([d] + [0] * (d - 1))
+    lhs = pi_image(n, d, u_first, j.piece(u_first))
+    rhs = pi_image(n, d, ones(d), j.piece(ones(d)))
+    ok = rhs.contains(lhs)
+    witness = {"stage": "pi-containment"}
+    if with_degree:
+        witness["degree"] = u_first
+    cert.add(**witness, dim_lhs=lhs.dim, dim_rhs=rhs.dim, ok=ok)
+    if not ok:
+        cert.failure = f"pi(J_{u_first}) is not inside pi(J_{ones(d)})"
+    return ok
 
 
 def check_condition_iii(j: TruncatedIdeal, f: GeneralTensor) -> Certificate:
     """pi(J_{(d,0,...,0)}) inside pi(J_1), after verifying J is apolar to F."""
-    ring = j.ring
-    n, d = ring.n, ring.d
+    d = j.ring.d
     if j.bound < d:
         raise ValueError(f"need the truncation bound >= {d}, got {j.bound}")
     cert = Certificate(
@@ -220,28 +246,15 @@ def check_condition_iii(j: TruncatedIdeal, f: GeneralTensor) -> Certificate:
         tested_bound=j.bound,
         slip_provenance=slip_label(j.provenance),
     )
-    checked, failures = _apolarity_witnesses(j, f, d)
-    cert.witnesses.extend(checked)
-    if failures:
-        cert.failure = f"ideal is not apolar to the tensor at degree {failures[0]}"
-        return cert
-    u_first = tuple([d] + [0] * (d - 1))
-    lhs = image(pi_matrix(n, d, u_first, j.field), j.piece(u_first))
-    rhs = image(pi_matrix(n, d, ones(d), j.field), j.piece(ones(d)))
-    ok = rhs.contains(lhs)
-    cert.add(stage="pi-containment", degree=u_first, dim_lhs=lhs.dim,
-             dim_rhs=rhs.dim, ok=ok)
-    cert.verdict = ok
-    if not ok:
-        cert.failure = f"pi(J_{u_first}) is not inside pi(J_{ones(d)})"
+    if _apolarity_stage(cert, j, f, d):
+        cert.verdict = _pi_containment_stage(cert, j, with_degree=True)
     return cert
 
 
 def check_condition_ii(j: TruncatedIdeal, f: GeneralTensor,
                        bound: int | None = None) -> Certificate:
     """I_R inside J and pi(J_u) independent of u within each total degree."""
-    ring = j.ring
-    n, d = ring.n, ring.d
+    d = j.ring.d
     bound = j.bound if bound is None else min(bound, j.bound)
     cert = Certificate(
         check="condition-ii",
@@ -250,26 +263,21 @@ def check_condition_ii(j: TruncatedIdeal, f: GeneralTensor,
         tested_bound=bound,
         slip_provenance=slip_label(j.provenance),
     )
-    checked, failures = _apolarity_witnesses(j, f, d)
-    cert.witnesses.extend(checked)
-    if failures:
-        cert.failure = f"ideal is not apolar to the tensor at degree {failures[0]}"
+    if not _apolarity_stage(cert, j, f, d):
         return cert
-    for u in j.degrees():
-        if degree_total(u) > bound:
-            continue
-        if not j.pieces[u].contains(ir_piece(n, d, u, j.field)):
-            cert.add(stage="diagonal-containment", degree=u, ok=False)
-            cert.failure = f"the diagonal ideal is not inside J at degree {u}"
-            return cert
+    images = _pi_images(j, [u for u in j.degrees() if degree_total(u) <= bound])
+    missing = _first_without_diagonal(j, images)
+    if missing is not None:
+        cert.add(stage="diagonal-containment", degree=missing, ok=False)
+        cert.failure = f"the diagonal ideal is not inside J at degree {missing}"
+        return cert
     cert.add(stage="diagonal-containment", ok=True)
     verdict = True
     for total in range(bound + 1):
-        degs = [u for u in j.degrees() if degree_total(u) == total]
-        images = [image(pi_matrix(n, d, u, j.field), j.pieces[u]) for u in degs]
-        same = all(im == images[0] for im in images[1:])
+        same_total = [im for u, im in images.items() if degree_total(u) == total]
+        same = all(im == same_total[0] for im in same_total[1:])
         cert.add(stage="pi-image-equality", total_degree=total,
-                 dims=tuple(im.dim for im in images), ok=same)
+                 dims=tuple(im.dim for im in same_total), ok=same)
         if not same:
             verdict = False
             cert.failure = f"pi-images differ within total degree {total}"
@@ -326,10 +334,7 @@ def comon_certificate(f: SymTensor, r: int, j: TruncatedIdeal) -> Certificate:
     if not hf_ok:
         cert.failure = "Hilbert function differs from the generic one"
         return cert
-    checked, failures = _apolarity_witnesses(j, f, d)
-    cert.witnesses.extend(checked)
-    if failures:
-        cert.failure = f"ideal is not apolar to the tensor at degree {failures[0]}"
+    if not _apolarity_stage(cert, j, f, d):
         return cert
     sat_degrees = [u for u in j.degrees() if degree_total(u) + d <= j.bound]
     sat_ok = all(is_saturated_degreewise(j, u) for u in sat_degrees)
@@ -337,13 +342,7 @@ def comon_certificate(f: SymTensor, r: int, j: TruncatedIdeal) -> Certificate:
     if not sat_ok:
         cert.failure = "a testable degree fails the degreewise saturation check"
         return cert
-    u_first = tuple([d] + [0] * (d - 1))
-    lhs = image(pi_matrix(n, d, u_first, j.field), j.piece(u_first))
-    rhs = image(pi_matrix(n, d, ones(d), j.field), j.piece(ones(d)))
-    cond = rhs.contains(lhs)
-    cert.add(stage="pi-containment", dim_lhs=lhs.dim, dim_rhs=rhs.dim, ok=cond)
-    if not cond:
-        cert.failure = f"pi(J_{u_first}) is not inside pi(J_{ones(d)})"
+    if not _pi_containment_stage(cert, j, with_degree=False):
         return cert
     restricted = rho_ideal(j)
     p = depolarize(f)

@@ -2,32 +2,26 @@
 
 from __future__ import annotations
 
-import itertools
 import random
 from fractions import Fraction
 
-from borderapolar.apolarity import HomPoly, SymTensor, is_concise, polarize
-from borderapolar.grading import monomials, veronese_ring
-from borderapolar.linalg import Matrix, rank
-
-
-def diagonal_tensor(n: int, d: int) -> SymTensor:
-    """sum_j e_j^{tensor d}: the unit tensor, concise of minimal border rank."""
-    return SymTensor(n, d, {tuple([j] * d): 1 for j in range(n)})
-
-
-def sum_of_powers_tensor(n: int, d: int, forms) -> SymTensor:
-    entries = {}
-    for idx in itertools.product(range(n), repeat=d):
-        val = Fraction(0)
-        for l in forms:
-            term = Fraction(1)
-            for i in idx:
-                term *= l[i]
-            val += term
-        if val:
-            entries[idx] = val
-    return SymTensor(n, d, entries)
+from borderapolar.apolarity import HomPoly, SymTensor, is_concise
+from borderapolar.grading import (
+    check_degree,
+    degree_total,
+    dim_piece,
+    monomials,
+    rank_monomial,
+    segre_ring,
+    veronese_ring,
+)
+from borderapolar.linalg import QQ, Matrix, Subspace, kernel, rank
+from borderapolar.selftest import (  # noqa: F401  (the library's model tensors)
+    diagonal_tensor,
+    random_form,
+    random_symmetric_tensor,
+    sum_of_powers_tensor,
+)
 
 
 def independent_forms(n: int, rng: random.Random, bound: int = 5):
@@ -49,21 +43,6 @@ def concise_power_sum_instance(n: int, d: int, rng: random.Random) -> SymTensor:
             return f
 
 
-def random_form(n: int, d: int, rng: random.Random, coeff_bound: int = 5) -> HomPoly:
-    terms = {}
-    for mono in monomials(veronese_ring(n), d):
-        c = rng.randint(-coeff_bound, coeff_bound)
-        if c:
-            terms[mono] = Fraction(c)
-    if not terms:
-        terms[tuple([d] + [0] * (n - 1))] = Fraction(1)
-    return HomPoly(n, d, terms)
-
-
-def random_symmetric_tensor(n: int, d: int, rng: random.Random) -> SymTensor:
-    return polarize(random_form(n, d, rng))
-
-
 def power_of_form(coords, d: int) -> HomPoly:
     """(c_1 y_1 + ... + c_n y_n)^d expanded exactly."""
     import math
@@ -79,3 +58,62 @@ def power_of_form(coords, d: int) -> HomPoly:
         if coef:
             terms[mono] = coef
     return HomPoly(n, d, terms)
+
+
+# -- dense 0/1 matrices of pi and psi, the reference for the fibre-table maps --------
+
+def pi_matrix_reference(n: int, d: int, u, field=QQ) -> Matrix:
+    """pi on S_u as a V_|u| x S_u matrix: column c has a 1 in the row of the
+    column sums of monomial c."""
+    ring_s, ring_v = segre_ring(n, d), veronese_ring(n)
+    u = check_degree(ring_s, u)
+    cols = monomials(ring_s, u)
+    rows = [[0] * len(cols) for _ in range(dim_piece(ring_v, degree_total(u)))]
+    for c, mono in enumerate(cols):
+        rows[rank_monomial(ring_v, tuple(map(sum, zip(*mono))))][c] = 1
+    return Matrix(rows, ncols=len(cols), field=field)
+
+
+def psi_matrix_reference(n: int, d: int, u, field=QQ) -> Matrix:
+    """psi_u as an S_u x V_|u| matrix: the sorted variable indices of each
+    Veronese monomial are cut into consecutive blocks of sizes u_1, ..., u_d."""
+    ring_s, ring_v = segre_ring(n, d), veronese_ring(n)
+    u = check_degree(ring_s, u)
+    dom = monomials(ring_v, degree_total(u))
+    rows = [[0] * len(dom) for _ in range(dim_piece(ring_s, u))]
+    for m, delta in enumerate(dom):
+        idx = [j for j, e in enumerate(delta) for _ in range(e)]
+        starts = [sum(u[:t]) for t in range(d)]
+        blocks = tuple(tuple(idx[a:a + ut].count(j) for j in range(n))
+                       for a, ut in zip(starts, u))
+        rows[rank_monomial(ring_s, blocks)][m] = 1
+    return Matrix(rows, ncols=len(dom), field=field)
+
+
+def mat_vec(m: Matrix, v) -> list:
+    """m applied to the column vector v."""
+    assert len(v) == m.ncols
+    return [sum((a * b for a, b in zip(row, v) if a and b), m.field.zero) for row in m.rows]
+
+
+def matmul(a: Matrix, b: Matrix) -> Matrix:
+    assert a.ncols == b.nrows
+    cols = list(zip(*b.rows)) if b.rows else [()] * b.ncols
+    return Matrix([[sum((x * y for x, y in zip(ra, cb) if x and y), a.field.zero) for cb in cols]
+                   for ra in a.rows], ncols=b.ncols, field=a.field)
+
+
+def image_reference(m: Matrix, a: Subspace) -> Subspace:
+    """The image of `a` under m, row-reduced on the codomain."""
+    assert m.ncols == a.ambient_dim
+    return Subspace.from_rows(m.nrows, [mat_vec(m, r) for r in a.basis], field=a.field)
+
+
+def preimage_reference(m: Matrix, w: Subspace) -> Subspace:
+    """{x : m x in w}: the kernel of (annihilator of w) . m."""
+    assert m.nrows == w.ambient_dim
+    cons = w.constraints()
+    if not cons.nrows:
+        return Subspace.full(m.ncols, field=m.field)
+    ker = kernel(matmul(cons, m))
+    return Subspace(m.ncols, tuple(tuple(r) for r in ker.rows), None, m.field)

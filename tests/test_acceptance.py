@@ -31,7 +31,7 @@ from borderapolar.diagonal_maps import (
     direct_sum_check,
     ir_generators,
     ir_piece,
-    pi_matrix,
+    pi_image,
 )
 from borderapolar.grading import dim_piece, ones, segre_ring, veronese_ring
 from borderapolar.ideals import (
@@ -45,7 +45,7 @@ from borderapolar.ideals import (
     point_ideal,
     very_general_points,
 )
-from borderapolar.linalg import Subspace, image
+from borderapolar.linalg import Subspace
 from borderapolar.transfer import (
     check_condition_ii,
     check_condition_iii,
@@ -110,7 +110,7 @@ def test_criterion_03_degree_one_image():
     for n, d in ((2, 3), (2, 4), (3, 3)):
         for _ in range(7):
             f = random_symmetric_tensor(n, d, rng)
-            lifted = image(pi_matrix(n, d, ones(d)), ann_piece(f, ones(d)))
+            lifted = pi_image(n, d, ones(d), ann_piece(f, ones(d)))
             ok = ok and lifted == ann_sym_piece(depolarize(f), d)
             checked += 1
     elapsed = time.perf_counter() - t0

@@ -25,9 +25,9 @@ from borderapolar.bounds import (
     verify_gen_count_transfer,
     verify_lemma_1_minus_ed,
 )
-from borderapolar.diagonal_maps import pi_matrix
+from borderapolar.diagonal_maps import pi_image
 from borderapolar.grading import dim_piece, segre_ring, veronese_ring
-from borderapolar.linalg import Subspace, image
+from borderapolar.linalg import Subspace
 from borderapolar.ideals import multiply_vector_by_variable
 from support import concise_power_sum_instance, diagonal_tensor
 
@@ -248,11 +248,11 @@ class TestLemmaSuite:
                 (s if t == 0 else 0) + (1 if 1 <= t <= d - s - 1 else 0)
                 for t in range(d)
             )
-            lifted_a = image(pi_matrix(n, d, deg_a), ideal.piece(deg_a))
+            lifted_a = pi_image(n, d, deg_a, ideal.piece(deg_a))
             assert ann_dm1.contains(lifted_a), f"A({s})"
             deg_b = tuple(
                 (s + 1 if t == 0 else 0) + (1 if 1 <= t <= d - s - 1 else 0)
                 for t in range(d)
             )
-            lifted_b = image(pi_matrix(n, d, deg_b), ideal.piece(deg_b))
+            lifted_b = pi_image(n, d, deg_b, ideal.piece(deg_b))
             assert v1_ann.contains(lifted_b), f"B({s})"

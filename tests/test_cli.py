@@ -252,27 +252,25 @@ class TestSelftest:
         assert deep.bound == desk.bound + 1
 
     def test_mutated_psi_fails_kernel_suite(self, monkeypatch):
+        import dataclasses
         import random
-        from borderapolar.linalg import Matrix, QQ
 
-        good_psi_matrix = dmaps.psi_matrix
+        good_pi_fibres = dmaps.pi_fibres
 
-        def broken_psi_matrix(n, d, u, field=QQ):
-            good = good_psi_matrix(n, d, u, field)
-            rows = [list(r) for r in good.rows]
-            if good.ncols >= 2:
-                for row in rows:  # collapse two columns: the section loses injectivity
-                    row[1] = row[0]
-            m = Matrix([], ncols=good.ncols, field=field)
-            m.rows = rows
-            return m
+        def broken_pi_fibres(n, d, u):
+            fib = good_pi_fibres(n, d, u)
+            section = list(fib.section)
+            if len(section) >= 2:  # two monomials share a column: psi is not injective
+                section[1] = section[0]
+            return dataclasses.replace(fib, section=tuple(section))
 
-        monkeypatch.setattr(dmaps, "psi_matrix", broken_psi_matrix)
+        monkeypatch.setattr(dmaps, "pi_fibres", broken_pi_fibres)
         result = suite_pi_kernel_direct_sum(SCALES["desk"], random.Random(0))
         assert not result.passed
         assert "direct sum" in result.detail
 
     def test_corrupted_fibre_top_fails_kernel_suite(self, monkeypatch):
+        import dataclasses
         import random
 
         good_pi_fibres = dmaps.pi_fibres
@@ -285,7 +283,7 @@ class TestSelftest:
                 if len(fibre) > 1:  # a non-maximal column becomes this fibre's top
                     top[m] = fibre[0]
                     break
-            return dmaps.PiFibres(fib.f, tuple(top), fib.order)
+            return dataclasses.replace(fib, top=tuple(top))
 
         monkeypatch.setattr(dmaps, "pi_fibres", broken_pi_fibres)
         dmaps.ir_piece.cache_clear()

@@ -11,7 +11,6 @@ import random
 
 import pytest
 
-from borderapolar.diagonal_maps import pi_matrix, psi_matrix
 from borderapolar.grading import PieceElement, dim_piece, segre_ring, veronese_ring
 from borderapolar.ideals import (
     PointSet,
@@ -22,8 +21,9 @@ from borderapolar.ideals import (
     very_general_points,
     zero_ideal,
 )
-from borderapolar.linalg import QQ, PrimeField, Subspace, image, kernel
+from borderapolar.linalg import QQ, PrimeField, Subspace, kernel
 from borderapolar.transfer import ideal_digest, upsilon
+from support import image_reference, pi_matrix_reference, psi_matrix_reference
 
 FIELDS = [QQ, PrimeField(2147483647)]
 
@@ -33,8 +33,8 @@ def reference_upsilon(i: TruncatedIdeal, d: int, bound: int) -> TruncatedIdeal:
     ring_s = segre_ring(n, d)
     pieces = {}
     for u in degrees_up_to(ring_s, bound):
-        base = kernel(pi_matrix(n, d, u, i.field))
-        lifted = image(psi_matrix(n, d, u, i.field), i.piece(sum(u)))
+        base = kernel(pi_matrix_reference(n, d, u, i.field))
+        lifted = image_reference(psi_matrix_reference(n, d, u, i.field), i.piece(sum(u)))
         pieces[u] = Subspace.from_rows(
             dim_piece(ring_s, u), list(base.rows) + list(lifted.basis),
             piece=(ring_s, u), field=i.field,

@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,9 @@ from borderapolar.diagonal_maps import (
     ir_generators,
     ir_piece,
     pi,
-    pi_matrix,
+    pi_fibres,
+    pi_image,
+    pi_preimage,
     psi,
     psi_image,
     rho,
@@ -29,8 +32,17 @@ from borderapolar.grading import (
     veronese_ring,
 )
 from borderapolar.ideals import degrees_up_to, expand
-from borderapolar.linalg import image, kernel
-from support import random_symmetric_tensor
+from borderapolar.linalg import QQ, PrimeField, Subspace, kernel
+from support import (
+    image_reference,
+    mat_vec,
+    pi_matrix_reference,
+    preimage_reference,
+    psi_matrix_reference,
+    random_symmetric_tensor,
+)
+
+FIELDS = [QQ, PrimeField(2147483647)]
 
 
 def random_element(ring, u, rng):
@@ -162,7 +174,7 @@ class TestDiagonalIdeal:
         rng = random.Random(5)
         for n, d in ((2, 3), (2, 4), (3, 3)):
             f = random_symmetric_tensor(n, d, rng)
-            lifted = image(pi_matrix(n, d, ones(d)), ann_piece(f, ones(d)))
+            lifted = pi_image(n, d, ones(d), ann_piece(f, ones(d)))
             assert lifted == ann_sym_piece(depolarize(f), d)
 
 
@@ -173,7 +185,7 @@ class TestDirectSum:
         for u in degrees_up_to(ring, 5 if (n, d) != (3, 3) else 4):
             assert direct_sum_check(n, d, u), (n, d, u)
             # the closed form against the kernel it replaced
-            ker = kernel(pi_matrix(n, d, u))
+            ker = kernel(pi_matrix_reference(n, d, u))
             assert ir_piece(n, d, u).basis == tuple(tuple(r) for r in ker.rows), (n, d, u)
 
     def test_degree_zero(self):
@@ -183,6 +195,80 @@ class TestDirectSum:
         # d=1: I_R is zero and psi is an isomorphism
         assert ir_piece(2, 1, (3,)).is_zero
         assert direct_sum_check(2, 1, (3,))
+
+
+def small_pieces():
+    """Every degree u of S with n <= 3, d <= 3 and |u| <= 3."""
+    for n in (1, 2, 3):
+        for d in (1, 2, 3):
+            for u in degrees_up_to(segre_ring(n, d), 3):
+                yield n, d, u
+
+
+def sample_subspaces(dim, field, rng):
+    """The zero and full subspaces and a few random ones, some rank-deficient."""
+    yield Subspace.zero(dim, field=field)
+    yield Subspace.full(dim, field=field)
+    for count in (1, max(dim // 2, 1), dim + 1):
+        rows = [[rng.choice((0, 0, 1, -1, rng.randint(-9, 9))) for _ in range(dim)]
+                for _ in range(count)]
+        yield Subspace.from_rows(dim, rows, field=field)
+
+
+def assert_same_subspace(got: Subspace, want: Subspace):
+    assert got.basis == want.basis
+    assert repr(got.basis) == repr(want.basis)
+    assert repr(got) == repr(want)
+
+
+class TestIndexMaps:
+    """The fibre-table maps against the dense 0/1 matrices they replaced."""
+
+    @pytest.mark.parametrize("field", FIELDS, ids=repr)
+    def test_pi_image_matches_dense_reference(self, field):
+        rng = random.Random(41)
+        for n, d, u in small_pieces():
+            m = pi_matrix_reference(n, d, u, field)
+            for sub in sample_subspaces(m.ncols, field, rng):
+                assert_same_subspace(pi_image(n, d, u, sub), image_reference(m, sub))
+
+    @pytest.mark.parametrize("field", FIELDS, ids=repr)
+    def test_psi_image_and_section_match_dense_reference(self, field):
+        for n, d, u in small_pieces():
+            m = psi_matrix_reference(n, d, u, field)
+            full_v = Subspace.full(m.ncols, field=field)
+            assert_same_subspace(psi_image(n, d, u, field), image_reference(m, full_v))
+            section = pi_fibres(n, d, u).section
+            assert section == tuple(next(c for c in range(m.nrows) if m.rows[c][k])
+                                    for k in range(m.ncols))
+
+    @pytest.mark.parametrize("field", FIELDS, ids=repr)
+    def test_pi_preimage_matches_dense_reference(self, field):
+        rng = random.Random(42)
+        for n, d, u in small_pieces():
+            m = pi_matrix_reference(n, d, u, field)
+            for w in sample_subspaces(m.nrows, field, rng):
+                want = preimage_reference(m, w)
+                assert pi_preimage(n, d, u, w).basis == want.basis
+                assert repr(pi_preimage(n, d, u, w).basis) == repr(want.basis)
+
+    def test_element_maps_match_dense_reference(self):
+        rng = random.Random(43)
+        for n, d, u in small_pieces():
+            theta = random_element(segre_ring(n, d), u, rng)
+            g = random_element(veronese_ring(n), sum(u), rng)
+            assert list(pi(theta).coords) == mat_vec(pi_matrix_reference(n, d, u), theta.coords)
+            assert list(psi(u, g).coords) == mat_vec(psi_matrix_reference(n, d, u), g.coords)
+
+    def test_pi_image_rejects_wrong_ambient(self):
+        with pytest.raises(ValueError, match="ambient"):
+            pi_image(2, 2, (1, 1), Subspace.full(3))
+
+    def test_fibre_table_is_frozen(self):
+        fib = pi_fibres(2, 3, (1, 1, 1))
+        assert all(isinstance(t, tuple) for t in (fib.f, fib.top, fib.order, fib.section))
+        with pytest.raises(FrozenInstanceError):
+            fib.section = ()
 
 
 def test_degree_enumerators():

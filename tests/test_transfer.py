@@ -5,12 +5,13 @@ from fractions import Fraction
 
 import pytest
 
+from borderapolar import linalg, transfer
 from borderapolar.apolarity import (
     GeneralTensor,
     ann_sym_piece,
     polarize,
 )
-from borderapolar.diagonal_maps import ir_generators, ir_piece
+from borderapolar.diagonal_maps import ir_generators, ir_piece, pi_image, psi_image
 from borderapolar.grading import dim_piece, ones, segre_ring, veronese_ring
 from borderapolar.ideals import (
     PointSet,
@@ -24,7 +25,7 @@ from borderapolar.ideals import (
     very_general_points,
     zero_ideal,
 )
-from borderapolar.linalg import Subspace
+from borderapolar.linalg import QQ, PrimeField, Subspace
 from borderapolar.transfer import (
     check_condition_ii,
     check_condition_iii,
@@ -185,6 +186,119 @@ class TestSigmaRho:
             a, m = divmod(total, d)
             u = tuple(a + 1 if t < m else a for t in range(d))
             assert hilbert_function(out, total) == hilbert_function(j, u)
+
+
+def segre_point_ideal(n, d, bound, rng, field=QQ):
+    """The ideal of two random Segre points: it misses the diagonal ideal."""
+    while True:
+        pts = tuple(
+            tuple(tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(d))
+            for _ in range(2)
+        )
+        try:
+            return point_ideal(PointSet(segre_ring(n, d), pts, field=field), bound)
+        except ValueError:
+            continue
+
+
+def diagonal_fixtures(field):
+    """Ideals that contain I_R, ideals that miss it, and ideals with one piece
+    moved to either side of the edge: a basis row dropped, or a vector added."""
+    rng = random.Random(34)
+    ring = segre_ring(2, 3)
+    yield expand(ir_generators(2, 3), ring, 4, field=field)
+    yield zero_ideal(ring, 3, field)
+    yield point_ideal(PointSet(segre_ring(2, 2), (((1, 2), (3, 5)),), field=field), 3)
+    for n in (2, 3):
+        z = very_general_points(veronese_ring(n), n + 1, 4, rng)
+        zs = PointSet(veronese_ring(n), z.points, field=field)
+        lifted = upsilon(point_ideal(zs, 4), 3, 4)
+        yield lifted
+        yield point_ideal(diagonal_points(zs, 3), 4, provenance="diagonal-points")
+        yield segre_point_ideal(n, 3, 3, rng, field)
+        for u in lifted.degrees()[1::3]:
+            sub = lifted.pieces[u]
+            rows = list(sub.basis)
+            if rows:
+                del rows[rng.randrange(len(rows))]
+                yield lifted.with_piece(u, Subspace.from_rows(sub.ambient_dim, rows,
+                                                              field=field))
+            extra = [rng.randint(-3, 3) for _ in range(sub.ambient_dim)]
+            yield lifted.with_piece(u, Subspace.from_rows(
+                sub.ambient_dim, list(sub.basis) + [extra], field=field))
+
+
+class TestDiagonalContainment:
+    """dim J_u - dim pi(J_u) = dim S_u - dim V_|u| exactly when J_u contains (I_R)_u."""
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(2147483647)], ids=repr)
+    def test_rank_identity_agrees_with_contains(self, field):
+        # (n, d, u, id of the piece) -> (the piece, kept alive, and its verdict);
+        # the variants share every piece but one with the ideal they came from
+        verdicts = {}
+        for j in diagonal_fixtures(field):
+            n, d = j.ring.n, j.ring.d
+            for u, sub in j.pieces.items():
+                key = (n, d, u, id(sub))
+                if key not in verdicts:
+                    image = pi_image(n, d, u, sub)
+                    by_rank = transfer._first_without_diagonal(j, {u: image}) is None
+                    verdicts[key] = sub, sub.contains(ir_piece(n, d, u, field))
+                    assert by_rank == verdicts[key][1], (j.ring, u)
+            assert contains_diagonal_ideal(j) == all(
+                verdicts[n, d, u, id(sub)][1] for u, sub in j.pieces.items())
+        assert {v for _, v in verdicts.values()} == {True, False}
+
+    def test_first_missing_degree_is_reported(self):
+        j = segre_point_ideal(2, 3, 3, random.Random(35))
+        cert = check_condition_ii(j, GeneralTensor(2, 3, {}))
+        missing = [u for u in j.degrees() if not j.pieces[u].contains(ir_piece(2, 3, u))]
+        assert cert.witnesses[-1] == {"stage": "diagonal-containment",
+                                      "degree": missing[0], "ok": False}
+
+
+class TestEliminationCount:
+    """pi-images eliminate once per piece, on V_|u|; psi-images not at all."""
+
+    @pytest.fixture
+    def shapes(self, monkeypatch):
+        calls = []
+        real = linalg.rref_with_pivots
+
+        def counted(m):
+            calls.append((m.nrows, m.ncols))
+            return real(m)
+
+        monkeypatch.setattr(linalg, "rref_with_pivots", counted)
+        return calls
+
+    @pytest.fixture
+    def lifted(self):
+        z = very_general_points(V3, 4, 4, random.Random(36))
+        return upsilon(point_ideal(z, 4), 3, 4)
+
+    def test_sigma_eliminates_once_per_piece(self, shapes, lifted):
+        shapes.clear()
+        sigma(lifted)
+        assert shapes == [(lifted.pieces[u].dim, dim_piece(V3, sum(u)))
+                          for u in lifted.degrees()]
+
+    def test_contains_diagonal_ideal_eliminates_once_per_piece(self, shapes, lifted):
+        shapes.clear()
+        assert contains_diagonal_ideal(lifted)
+        assert len(shapes) == len(lifted.degrees())
+
+    def test_rho_ideal_eliminates_once_per_piece(self, shapes, lifted):
+        shapes.clear()
+        rho_ideal(lifted)
+        assert shapes == [(lifted.piece((k, 0, 0)).dim, dim_piece(V3, k))
+                          for k in range(lifted.bound + 1)]
+
+    def test_psi_image_does_not_eliminate(self, shapes, lifted):
+        shapes.clear()
+        for u in lifted.degrees():
+            assert psi_image(3, 3, u).dim == dim_piece(V3, sum(u))
+        assert shapes == []
 
 
 class TestConditionChecks:
