@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 from .apolarity import (
     SymTensor,
@@ -21,12 +22,14 @@ from .apolarity import (
 from .diagonal_maps import pi_image, proper_unit_box_degrees
 from .grading import (
     PieceElement,
+    add_degrees,
     dim_piece,
     ones,
     segre_ring,
+    unit_degree,
     veronese_ring,
 )
-from .ideals import expand, multiply_vector_by_variable
+from .ideals import expand, span_from_below, variable_multiples
 from .linalg import Subspace
 from .transfer import Certificate, tensor_digest
 
@@ -97,33 +100,15 @@ def _require_concise_symmetric(f) -> SymTensor:
 def min_generators_degree_one(f) -> int:
     """Minimal generators of Ann(F) in degree (1,...,1):
     dim Ann(F)_1 minus dim of the sum of S_{e_i} Ann(F)_{1-e_i}."""
-    n, d = f.n, f.order
-    ring = segre_ring(n, d)
-    top = ann_piece(f, ones(d))
-    rows = []
-    for i in range(d):
-        u = tuple(0 if t == i else 1 for t in range(d))
-        below = ann_piece(f, u)
-        for b in below.basis:
-            for j in range(n):
-                rows.append(multiply_vector_by_variable(ring, u, b, i, j))
-    from_below = Subspace.from_rows(dim_piece(ring, ones(d)), rows, field=f.field)
-    return top.dim - from_below.dim
+    u = ones(f.order)
+    return ann_piece(f, u).dim - span_from_below(
+        segre_ring(f.n, f.order), u, partial(ann_piece, f), f.field).dim
 
 
 def min_generators_sym_in_degree(p, k: int) -> int:
     """Minimal generators of Ann(p) in degree k: dim Ann_k - dim V_1 Ann_{k-1}."""
-    ring = veronese_ring(p.n)
-    top = ann_sym_piece(p, k)
-    if k == 0:
-        return top.dim
-    below = ann_sym_piece(p, k - 1)
-    rows = []
-    for b in below.basis:
-        for j in range(p.n):
-            rows.append(multiply_vector_by_variable(ring, k - 1, b, 0, j))
-    from_below = Subspace.from_rows(dim_piece(ring, k), rows, field=p.field)
-    return top.dim - from_below.dim
+    return ann_sym_piece(p, k).dim - span_from_below(
+        veronese_ring(p.n), k, partial(ann_sym_piece, p), p.field).dim
 
 
 # -- sharpness -----------------------------------------------------------------------
@@ -173,20 +158,10 @@ def is_sharp(f) -> Certificate:
                     cert.add(stage="two-factor-growth", i=i, j=j, s=s,
                              have=hf, want=n, ok=False)
                 if s < d - 1:
-                    rows = []
-                    u_cur = tuple(
-                        (s if t == i else 0) + (1 if t == j else 0) for t in range(d)
-                    )
-                    for b in sub.basis:
-                        for v in range(n):
-                            rows.append(
-                                multiply_vector_by_variable(ring, u_cur, b, i, v)
-                            )
-                    nxt = tuple(
-                        (s + 1 if t == i else 0) + (1 if t == j else 0)
-                        for t in range(d)
-                    )
-                    sub = Subspace.from_rows(dim_piece(ring, nxt), rows, field=f.field)
+                    nxt = add_degrees(deg, unit_degree(d, i))
+                    sub = Subspace.from_rows(dim_piece(ring, nxt),
+                                             variable_multiples(ring, deg, sub.basis, i),
+                                             field=f.field)
     cert.add(stage="two-factor-growth", ok=cond3)
     cert.verdict = cond1 and cond2 and cond3
     if not cert.verdict:

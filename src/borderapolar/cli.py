@@ -201,7 +201,10 @@ def load_ideal_file(path: str, cfg: RunConfig) -> TruncatedIdeal:
             ]
             if any(len(row) != dim for row in rows):
                 raise UsageError(f"{where}: basis rows must have length {dim}")
-            pieces[u] = Subspace.from_rows(dim, rows, piece=(ring, u), field=field)
+            try:
+                pieces[u] = Subspace.from_rows(dim, rows, piece=(ring, u), field=field)
+            except ValueError as exc:
+                raise UsageError(f"{where}: {exc}") from exc
         missing = [u for u in degrees_up_to(ring, bound) if u not in pieces]
         if missing:
             raise UsageError(f"{path}: missing pieces for degrees {missing[:4]}...")
@@ -302,10 +305,6 @@ def certificate_lines(cert: Certificate) -> list:
         parts = [f"{k}={v}" for k, v in w.items()]
         lines.append("  - " + ", ".join(parts))
     return lines
-
-
-def emit_certificate(cert: Certificate, cfg: RunConfig):
-    _emit_payload(cert.to_dict(), certificate_lines(cert), cfg)
 
 
 # -- subcommands ----------------------------------------------------------------------

@@ -51,16 +51,8 @@ def segre_ring(n: int, d: int) -> RingSpec:
     return RingSpec(n, d, RingKind.SEGRE_COORD)
 
 
-def segre_dual_ring(n: int, d: int) -> RingSpec:
-    return RingSpec(n, d, RingKind.SEGRE_DUAL)
-
-
 def veronese_ring(n: int, d: int = 1) -> RingSpec:
     return RingSpec(n, d, RingKind.VERONESE_COORD)
-
-
-def veronese_dual_ring(n: int, d: int = 1) -> RingSpec:
-    return RingSpec(n, d, RingKind.VERONESE_DUAL)
 
 
 # -- degree arithmetic --------------------------------------------------------
@@ -86,10 +78,6 @@ def check_degree(ring: RingSpec, u):
 
 def degree_total(u) -> int:
     return sum(u) if isinstance(u, tuple) else int(u)
-
-
-def zero_degree(d: int) -> tuple:
-    return (0,) * d
 
 
 def ones(d: int) -> tuple:
@@ -233,18 +221,6 @@ def multiply_monomials(ring: RingSpec, a, b):
     if ring.is_multigraded:
         return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
     return tuple(x + y for x, y in zip(a, b))
-
-
-def variable_monomial(ring: RingSpec, i: int, j: int):
-    """The degree-e_i variable of factor i, variable j (0-based); for Veronese, i is ignored."""
-    if not 0 <= j < ring.n:
-        raise ValueError(f"variable index {j} out of range")
-    if ring.is_multigraded:
-        return tuple(
-            tuple(1 if (f == i and v == j) else 0 for v in range(ring.n))
-            for f in range(ring.d)
-        )
-    return tuple(1 if v == j else 0 for v in range(ring.n))
 
 
 # -- elements of a single graded piece -----------------------------------------

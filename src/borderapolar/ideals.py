@@ -75,6 +75,28 @@ def multiply_vector_by_variable(ring: RingSpec, u, coords, i: int, j: int) -> li
     return out
 
 
+def variable_multiples(ring: RingSpec, u, basis, i: int):
+    """Each row of `basis` (degree u) times each variable of factor i, in turn."""
+    for b in basis:
+        for j in range(ring.n):
+            yield multiply_vector_by_variable(ring, u, b, i, j)
+
+
+def _degrees_below(ring: RingSpec, u) -> list:
+    """The pairs (i, u - e_i) over the factors i with u_i >= 1."""
+    if not ring.is_multigraded:
+        return [(0, u - 1)] if u >= 1 else []
+    return [(i, sub_degrees(u, unit_degree(ring.d, i))) for i in range(ring.d) if u[i]]
+
+
+def span_from_below(ring: RingSpec, u, piece_at, field=QQ, rows=(), piece=None) -> Subspace:
+    """The span of `rows` and of sum_i S_{e_i} J_{u-e_i}, where J_v = piece_at(v)."""
+    rows = list(rows)
+    for i, prev in _degrees_below(ring, u):
+        rows.extend(variable_multiples(ring, prev, piece_at(prev).basis, i))
+    return Subspace.from_rows(dim_piece(ring, u), rows, piece=piece, field=field)
+
+
 @dataclass
 class TruncatedIdeal:
     """Degree-indexed family of subspaces, ideal-closed within the bound.
@@ -140,46 +162,21 @@ def expand(generators, ring: RingSpec, bound: int, provenance: str = "user",
             continue
         by_degree.setdefault(u, []).append(list(g.coords))
     pieces: dict = {}
-    nfac = ring.d if ring.is_multigraded else 1
     for u in degrees_up_to(ring, bound):
-        rows = [list(r) for r in by_degree.get(u, [])]
-        for i in range(nfac):
-            if ring.is_multigraded:
-                if u[i] == 0:
-                    continue
-                prev = sub_degrees(u, unit_degree(ring.d, i))
-            else:
-                if u == 0:
-                    continue
-                prev = u - 1
-            below = pieces[prev]
-            for b in below.basis:
-                for j in range(ring.n):
-                    rows.append(multiply_vector_by_variable(ring, prev, b, i, j))
-        pieces[u] = Subspace.from_rows(
-            dim_piece(ring, u), rows, piece=_piece_tag(ring, u), field=field
-        )
+        pieces[u] = span_from_below(ring, u, pieces.__getitem__, field,
+                                    rows=by_degree.get(u, ()), piece=_piece_tag(ring, u))
     return TruncatedIdeal(ring, bound, pieces, list(generators), provenance, field)
 
 
 def is_ideal_closed(j: TruncatedIdeal) -> bool:
     """Every variable multiple of every stored piece lands in the next piece."""
     ring = j.ring
-    nfac = ring.d if ring.is_multigraded else 1
-    for u in j.degrees():
-        if degree_total(u) + 1 > j.bound:
-            continue
-        sub = j.pieces[u]
-        for i in range(nfac):
-            target = add_degrees(u, unit_degree(ring.d, i)) if ring.is_multigraded else u + 1
-            upper = j.pieces[target]
-            for b in sub.basis:
-                for v in range(ring.n):
-                    if not upper.contains_vector(
-                        multiply_vector_by_variable(ring, u, b, i, v)
-                    ):
-                        return False
-    return True
+    return all(
+        j.pieces[u].contains_vector(v)
+        for u in j.degrees()
+        for i, prev in _degrees_below(ring, u)
+        for v in variable_multiples(ring, prev, j.pieces[prev].basis, i)
+    )
 
 
 def hilbert_function(j: TruncatedIdeal, u) -> int:
@@ -379,23 +376,8 @@ def is_saturated_degreewise(j: TruncatedIdeal, u) -> bool:
 
 def min_generators_in_degree(j: TruncatedIdeal, u) -> int:
     """dim J_u minus the dimension of the from-below part sum_i S_{e_i} J_{u-e_i}."""
-    ring = j.ring
-    u = check_degree(ring, u)
-    rows = []
-    if ring.is_multigraded:
-        below_degrees = [
-            (i, sub_degrees(u, unit_degree(ring.d, i)))
-            for i in range(ring.d)
-            if u[i] >= 1
-        ]
-    else:
-        below_degrees = [(0, u - 1)] if u >= 1 else []
-    for i, prev in below_degrees:
-        for b in j.piece(prev).basis:
-            for v in range(ring.n):
-                rows.append(multiply_vector_by_variable(ring, prev, b, i, v))
-    from_below = Subspace.from_rows(dim_piece(ring, u), rows, field=j.field)
-    return j.piece(u).dim - from_below.dim
+    u = check_degree(j.ring, u)
+    return j.piece(u).dim - span_from_below(j.ring, u, j.piece, j.field).dim
 
 
 def diagonal_ideal(n: int, d: int, bound: int) -> TruncatedIdeal:

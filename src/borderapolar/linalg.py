@@ -2,10 +2,12 @@
 
 Vectors are rows.  A Subspace stores the unique reduced row echelon basis of
 its row span, so two subspaces are equal as sets exactly when their stored
-bases compare equal.  Rational elimination is fraction-free Gauss-Jordan on
-rows scaled to primitive integers, divided by their content after each update;
-the RREF's Fractions are made once, at the end, one per nonzero entry.
-Prime-field elimination is ordinary Gauss-Jordan.
+bases compare equal.  Both fields run one fraction-free Gauss-Jordan loop on
+integer rows.  The field supplies the rest: how a row becomes integers
+(primitive integers over Q, residues over GF(p)), how a row is kept small after
+each update (divided by its content over Q, reduced mod p over GF(p)) and how a
+finished row becomes field elements.  Those are made once, at the end, one per
+nonzero entry.
 
 A kernel costs one elimination and an annihilator none.  Both come from a
 basis whose pivot columns are clean: the annihilator of such a basis has one
@@ -41,6 +43,26 @@ class RationalField:
         if isinstance(x, str):
             return Fraction(x)
         raise TypeError(f"cannot coerce {x!r} into Q")
+
+    def to_ints(self, row) -> list:
+        """The row scaled to primitive integers."""
+        dens = [x.denominator for x in row]
+        den = lcm(*dens)
+        ints = [x.numerator for x in row]
+        if den > 1:
+            ints = [v * (den // e) for v, e in zip(ints, dens)]
+        return self.normalize(ints)
+
+    @staticmethod
+    def normalize(ints) -> list:
+        """Divide an integer row by its content."""
+        g = gcd(*ints)
+        return [v // g for v in ints] if g > 1 else ints
+
+    def from_ints(self, ints, pivot) -> list:
+        """The integer row divided by its pivot entry."""
+        zero = self.zero
+        return [Fraction(v, pivot) if v else zero for v in ints]
 
     def __repr__(self):
         return "QQ"
@@ -164,10 +186,28 @@ class PrimeField:
         if isinstance(x, int):
             return Mod(x, self.p)
         if isinstance(x, Fraction):
+            if not x.denominator % self.p:
+                raise ValueError(
+                    f"{x} has no value mod {self.p}: its denominator is divisible by {self.p}")
             return Mod(x.numerator, self.p) / Mod(x.denominator, self.p)
         if isinstance(x, str):
             return self.of(Fraction(x))
         raise TypeError(f"cannot coerce {x!r} into GF({self.p})")
+
+    def to_ints(self, row) -> list:
+        """The residues of the row."""
+        return [x.v for x in row]
+
+    def normalize(self, ints) -> list:
+        """Reduce an integer row mod p."""
+        p = self.p
+        return [v % p for v in ints]
+
+    def from_ints(self, ints, pivot) -> list:
+        """The row of residues times the inverse of its pivot entry."""
+        p, zero = self.p, self.zero
+        inv = pow(pivot, -1, p)
+        return [Mod(v * inv, p) if v else zero for v in ints]
 
     def __repr__(self):
         return f"GF({self.p})"
@@ -210,72 +250,27 @@ class Matrix:
         return f"Matrix({self.nrows}x{self.ncols} over {self.field})"
 
 
-def _int_rows(rows) -> list:
-    """Scale each rational row to primitive integers (content 1)."""
-    out = []
-    for row in rows:
-        dens = [x.denominator for x in row]
-        den = lcm(*dens)
-        ints = [x.numerator for x in row]
-        if den > 1:
-            ints = [v * (den // e) for v, e in zip(ints, dens)]
-        g = gcd(*ints)
-        if g > 1:
-            ints = [v // g for v in ints]
-        out.append(ints)
-    return out
+def _eliminate(row, pivot_row, c, normalize) -> list:
+    """Clear column c of an integer row against pivot_row.
 
-
-def _eliminate(row, pivot_row, c) -> list:
-    """Clear column c of an integer row against pivot_row, kept primitive.
-
-    With a = row[c], p = pivot_row[c] and g = gcd(p, a), the result is the
-    primitive row of (p/g) row - (a/g) pivot_row.
+    With a = row[c], b = pivot_row[c] and g = gcd(b, a), the result is the
+    normalized (b/g) row - (a/g) pivot_row.  Over GF(p) the factor b/g is a
+    nonzero residue, so the update keeps the span there too.
     """
-    a, p = row[c], pivot_row[c]
-    g = gcd(p, a)
-    x, y = p // g, a // g
-    out = [x * u - y * v if v else x * u for u, v in zip(row, pivot_row)]
-    g = gcd(*out)
-    if g > 1:
-        out = [v // g for v in out]
-    return out
-
-
-def _rref_generic(rows, ncols, field):
-    """Gauss-Jordan over an arbitrary field; returns (rref rows, pivots)."""
-    m = [list(r) for r in rows]
-    nrows = len(m)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if m[i][c]), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = m[r][c]
-        m[r] = [x / inv if x else x for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b if b else a for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m[:r], pivots
+    a, b = row[c], pivot_row[c]
+    g = gcd(b, a)
+    x, y = b // g, a // g
+    return normalize([x * u - y * v if v else x * u for u, v in zip(row, pivot_row)])
 
 
 def rref_with_pivots(m: Matrix):
-    if not isinstance(m.field, RationalField):
-        rows, pivots = _rref_generic(m.rows, m.ncols, m.field)
-        out = Matrix([], ncols=m.ncols, field=m.field)
-        out.rows = rows
-        return out, pivots
-    # Gauss-Jordan on integer rows, each kept primitive: the smallest integer
-    # vector on its line, so entries never outgrow the line they span.  The
-    # only Fractions made are the nonzero entries of the result.
-    rows = _int_rows(m.rows)
+    # Gauss-Jordan on integer rows that the field keeps small after every
+    # update: primitive over Q, so entries never outgrow the line they span,
+    # and reduced mod p over GF(p).  The only field elements made are the
+    # nonzero entries of the result.
+    field = m.field
+    normalize = field.normalize
+    rows = [field.to_ints(row) for row in m.rows]
     nrows = len(rows)
     pivots = []
     for c in range(m.ncols):
@@ -287,7 +282,7 @@ def rref_with_pivots(m: Matrix):
         pivot_row = rows[r]
         for i in range(r + 1, nrows):
             if rows[i][c]:
-                rows[i] = _eliminate(rows[i], pivot_row, c)
+                rows[i] = _eliminate(rows[i], pivot_row, c, normalize)
         pivots.append(c)
         if r + 1 == nrows:
             break
@@ -297,11 +292,9 @@ def rref_with_pivots(m: Matrix):
         c = pivots[i]
         for k in range(i):
             if rows[k][c]:
-                rows[k] = _eliminate(rows[k], pivot_row, c)
-    zero = QQ.zero
-    out = Matrix([], ncols=m.ncols, field=m.field)
-    out.rows = [[Fraction(v, row[c]) if v else zero for v in row]
-                for row, c in zip(rows, pivots)]
+                rows[k] = _eliminate(rows[k], pivot_row, c, normalize)
+    out = Matrix([], ncols=m.ncols, field=field)
+    out.rows = [field.from_ints(row, row[c]) for row, c in zip(rows, pivots)]
     return out, pivots
 
 

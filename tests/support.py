@@ -103,6 +103,32 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
                    for ra in a.rows], ncols=b.ncols, field=a.field)
 
 
+def rref_gf_reference(m: Matrix):
+    """Textbook Gauss-Jordan over GF(p) in `Mod` arithmetic: scale each pivot
+    row to a leading 1 and clear its column everywhere else.  Returns (rows,
+    pivots)."""
+    rows = [list(r) for r in m.rows]
+    nrows = len(rows)
+    pivots = []
+    r = 0
+    for c in range(m.ncols):
+        pr = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = rows[r][c]
+        rows[r] = [x / inv if x else x for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b if b else a for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return rows[:r], pivots
+
+
 def image_reference(m: Matrix, a: Subspace) -> Subspace:
     """The image of `a` under m, row-reduced on the codomain."""
     assert m.ncols == a.ambient_dim

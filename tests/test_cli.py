@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from borderapolar import cli
 from borderapolar.selftest import SCALES, SUITES, run_selftest, suite_pi_kernel_direct_sum
 import borderapolar.diagonal_maps as dmaps
@@ -232,6 +234,40 @@ class TestCheck:
         assert cli.main(["check", tf, "2", "--points", pf]) == 2
         monkeypatch.setenv("BORDERAPOLAR_MODULUS", "1048583")
         assert cli.main(["check", tf, "2", "--points", pf]) == 0
+
+
+class TestDenominatorDivisibleByModulus:
+    """A coefficient with no value mod p is a usage error on every load path."""
+
+    BAD = "1/1048583"
+
+    def files(self, tmp_path, path):
+        bad = self.BAD
+        tensor, points = FERMAT, POINTS2
+        ideal = None
+        if path == "tensor":
+            tensor = dict(FERMAT, terms=[{"exps": [3, 0], "coeff": bad},
+                                         {"exps": [0, 3], "coeff": "1"}])
+        elif path == "points":
+            points = {"points": [[bad, "0"], ["0", "1"]]}
+        elif path == "generators":
+            ideal = {"ring": "S", "n": 2, "d": 3, "bound": 4, "generators": [
+                {"degree": [1, 0, 0],
+                 "terms": [{"monomial": [[1, 0], [0, 0], [0, 0]], "coeff": bad}]}]}
+        else:
+            ideal = {"ring": "S", "n": 2, "d": 3, "bound": 0,
+                     "pieces": [{"degree": [0, 0, 0], "basis": [[bad]]}]}
+        args = ["check", write(tmp_path, "t.json", tensor), "2"]
+        if ideal is None:
+            return args + ["--points", write(tmp_path, "p.json", points)]
+        return args + ["--ideal", write(tmp_path, "i.json", ideal)]
+
+    @pytest.mark.parametrize("path", ["tensor", "points", "generators", "pieces"])
+    def test_exits_two_naming_value_and_modulus(self, tmp_path, capsys, path):
+        assert cli.main(self.files(tmp_path, path) + ["--modulus", "1048583"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "1/1048583 has no value mod 1048583" in err
 
 
 class TestSelftest:

@@ -10,7 +10,12 @@ from hypothesis import given, settings, strategies as st
 
 from borderapolar import linalg
 from borderapolar.grading import veronese_ring
-from borderapolar.ideals import is_saturated_degreewise, point_ideal, very_general_points
+from borderapolar.ideals import (
+    PointSet,
+    is_saturated_degreewise,
+    point_ideal,
+    very_general_points,
+)
 from borderapolar.linalg import (
     QQ,
     Matrix,
@@ -21,10 +26,12 @@ from borderapolar.linalg import (
     rref,
     rref_with_pivots,
 )
-from support import mat_vec
+from support import mat_vec, rref_gf_reference
 
 GF = PrimeField(2147483647)
 FIELDS = [QQ, GF]
+# the reference tests also run over a modulus just above the 2^20 floor
+REF_FIELDS = [QQ, GF, PrimeField(1048583)]
 
 
 def small_matrix_strategy(max_rows=6, max_cols=7, bound=9):
@@ -162,12 +169,15 @@ def rational_matrices(draw):
     return Matrix(draw(st.permutations(rows)), ncols=ncols)
 
 
-def assert_matches_reference(m: Matrix):
+def assert_matches_reference(m: Matrix, field=QQ):
+    """The RREF of m over `field` equals Bareiss over Q and the textbook
+    Gauss-Jordan over GF(p)."""
+    m = Matrix(m.rows, ncols=m.ncols, field=field)
     before = repr(m.rows)
     red, pivots = rref_with_pivots(m)
-    ref_rows, ref_pivots = rref_reference(m)
+    ref_rows, ref_pivots = rref_reference(m) if field is QQ else rref_gf_reference(m)
     assert pivots == ref_pivots
-    # repr also tells Fraction from int and checks lowest terms
+    # repr also tells Fraction from int, checks lowest terms and reduced residues
     assert repr(red.rows) == repr(ref_rows)
     assert repr(m.rows) == before
     return red, pivots
@@ -219,19 +229,23 @@ class TestRref:
     @given(rational_matrices())
     @settings(max_examples=400, deadline=None)
     def test_matches_bareiss_reference(self, m):
-        red, _ = assert_matches_reference(m)
-        assert_rref(red.rows)
+        for field in REF_FIELDS:
+            red, _ = assert_matches_reference(m, field)
+            assert_rref(red.rows)
 
     def test_edge_shapes_match_reference(self):
         for m in (Matrix([], ncols=0), Matrix([], ncols=5), Matrix([[], []]),
                   Matrix([[0] * 5] * 3), Matrix([[-7, 0, 14]]),
-                  Matrix([[0, -(2**64), 3], [0, 2**64 - 1, 5]])):
-            assert_matches_reference(m)
+                  Matrix([[0, -(2**64), 3], [0, 2**64 - 1, 5]]),
+                  Matrix([[1048583, 2], [2147483647, 1]])):
+            for field in REF_FIELDS:
+                assert_matches_reference(m, field)
 
     def test_hilbert_matrix(self):
         h = [[Fraction(1, i + j + 1) for j in range(10)] for i in range(10)]
-        red, pivots = assert_matches_reference(Matrix(h))
-        assert pivots == list(range(10))
+        for field in REF_FIELDS:
+            red, pivots = assert_matches_reference(Matrix(h), field)
+            assert pivots == list(range(10))
         rng = random.Random(3)
         coeffs = [[Fraction(rng.randint(-5, 5), rng.randint(1, 9)) for _ in range(6)]
                   for _ in range(6)]
@@ -239,8 +253,9 @@ class TestRref:
                   for cs in coeffs]
         stack = h[:6] + combos + [[-x for x in h[2]], [Fraction(0)] * 10]
         rng.shuffle(stack)
-        red, pivots = assert_matches_reference(Matrix(stack))
-        assert pivots == list(range(6))
+        for field in REF_FIELDS:
+            red, pivots = assert_matches_reference(Matrix(stack), field)
+            assert pivots == list(range(6))
 
 
 class TestKernel:
@@ -358,7 +373,7 @@ class TestSubspace:
 
 
 class TestEliminationCount:
-    """Each kernel and annihilator costs at most one elimination."""
+    """Each kernel and annihilator costs at most one elimination, in each field."""
 
     @pytest.fixture
     def shapes(self, monkeypatch):
@@ -373,29 +388,35 @@ class TestEliminationCount:
         return calls
 
     def test_kernel_eliminates_once(self, shapes):
-        kernel(Matrix([[1, 2, 3, 4], [2, 4, 6, 9]]))
-        assert shapes == [(2, 4)]
+        for field in FIELDS:
+            shapes.clear()
+            kernel(Matrix([[1, 2, 3, 4], [2, 4, 6, 9]], field=field))
+            assert shapes == [(2, 4)]
 
     def test_constraints_do_not_eliminate(self, shapes):
-        a = Subspace.from_rows(5, [[1, 2, 0, 1, 3], [0, 1, 1, 0, 2]])
-        shapes.clear()
-        assert a.constraints().nrows == 3
-        assert shapes == []
+        for field in FIELDS:
+            a = Subspace.from_rows(5, [[1, 2, 0, 1, 3], [0, 1, 1, 0, 2]], field=field)
+            shapes.clear()
+            assert a.constraints().nrows == 3
+            assert shapes == []
 
     def test_intersect_eliminates_once(self, shapes):
-        a = Subspace.from_rows(4, [[1, 2, 0, 1], [0, 1, 1, 0]])
-        b = Subspace.from_rows(4, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1]])
-        shapes.clear()
-        a.intersect(b)
-        assert len(shapes) == 1
+        for field in FIELDS:
+            a = Subspace.from_rows(4, [[1, 2, 0, 1], [0, 1, 1, 0]], field=field)
+            b = Subspace.from_rows(4, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1]],
+                                   field=field)
+            shapes.clear()
+            a.intersect(b)
+            assert len(shapes) == 1
 
     def test_saturation_eliminates_once_per_call(self, shapes):
         z = very_general_points(veronese_ring(2), 2, 4, random.Random(15))
-        j = point_ideal(z, 4)
-        shapes.clear()
-        for k in range(4):
-            assert is_saturated_degreewise(j, k)
-        assert len(shapes) == 4
+        for field in FIELDS:
+            j = point_ideal(PointSet(z.ring, z.points, field=field), 4)
+            shapes.clear()
+            for k in range(4):
+                assert is_saturated_degreewise(j, k)
+            assert len(shapes) == 4
 
 
 class TestPrimeField:
@@ -411,6 +432,8 @@ class TestPrimeField:
         assert x * 3 == gf.of(2)
         assert (x - x) == gf.zero
         assert bool(gf.zero) is False
+        with pytest.raises(ValueError, match="1/2097166 has no value mod 1048583"):
+            gf.of("1/2097166")
 
     def test_rref_matches_rational_rank(self):
         gf = PrimeField(1048583)

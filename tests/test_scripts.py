@@ -1,5 +1,7 @@
-"""Smoke tests for the experiment scripts, each run as its own process."""
+"""Repository checks: the experiment scripts, each run as its own process, and
+a guard against dead public functions in the package."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -24,3 +26,39 @@ def test_script_runs(args, summary):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().splitlines()[-1] == summary
+
+
+def _used_names(path: Path) -> set:
+    """Names a file reads, attributes it takes and names it imports, leaving out
+    each top-level function's references to itself."""
+    used = set()
+    for top in ast.parse(path.read_text(encoding="utf-8")).body:
+        own = top.name if isinstance(top, ast.FunctionDef) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name.rsplit(".", 1)[-1]
+            else:
+                continue
+            if name != own:
+                used.add(name)
+    return used
+
+
+def test_every_public_function_has_a_caller():
+    """A public top-level function of the package is called from src/, scripts/
+    or tests/, or is exported from __init__ (an import counts as a use)."""
+    used = set()
+    for top in ("src", "scripts", "tests"):
+        for path in (ROOT / top).rglob("*.py"):
+            used |= _used_names(path)
+    dead = []
+    for path in sorted((ROOT / "src" / "borderapolar").glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if (isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+                    and node.name not in used):
+                dead.append(f"{path.stem}.{node.name}")
+    assert dead == []
