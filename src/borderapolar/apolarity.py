@@ -269,16 +269,18 @@ def ann_piece(f: GeneralTensor, u) -> Subspace:
     rows = []
     for tail in itertools.product(range(f.n), repeat=len(remaining)):
         row = []
-        for sel in selectors:
+        for c, sel in enumerate(selectors):
             idx = [0] * f.order
             for i, j in sel.items():
                 idx[i] = j
             for i, j in zip(remaining, tail):
                 idx[i] = j
-            row.append(f.entry(idx))
+            x = f.entries.get(tuple(idx))
+            if x is not None:
+                row.append((c, x))
         rows.append(row)
-    ker = kernel(Matrix(rows, ncols=dim, field=f.field))
-    return Subspace(dim, tuple(tuple(r) for r in ker.rows), tag, f.field)
+    ker = kernel(Matrix.of_sparse(dim, rows, f.field))
+    return Subspace(dim, tuple(ker.sparse), tag, f.field)
 
 
 def ann_sym_piece(p: HomPoly, k: int) -> Subspace:
@@ -296,19 +298,17 @@ def ann_sym_piece(p: HomPoly, k: int) -> Subspace:
     rows = []
     for mu in cod:
         row = []
-        for delta in dom:
+        for c, delta in enumerate(dom):
             gamma = tuple(m + dl for m, dl in zip(mu, delta))
             a = p.terms.get(gamma)
-            if a is None:
-                row.append(p.field.zero)
-            else:
+            if a is not None:
                 fall = 1
                 for gj, dj in zip(gamma, delta):
                     fall *= math.factorial(gj) // math.factorial(gj - dj)
-                row.append(a * fall)
+                row.append((c, a * fall))
         rows.append(row)
-    ker = kernel(Matrix(rows, ncols=dim, field=p.field))
-    return Subspace(dim, tuple(tuple(r) for r in ker.rows), tag, p.field)
+    ker = kernel(Matrix.of_sparse(dim, rows, p.field))
+    return Subspace(dim, tuple(ker.sparse), tag, p.field)
 
 
 # -- flattenings ------------------------------------------------------------------

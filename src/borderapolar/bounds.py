@@ -30,7 +30,7 @@ from .grading import (
     veronese_ring,
 )
 from .ideals import expand, span_from_below, variable_multiples
-from .linalg import Subspace
+from .linalg import Matrix, Subspace
 from .transfer import Certificate, tensor_digest
 
 
@@ -158,10 +158,9 @@ def is_sharp(f) -> Certificate:
                     cert.add(stage="two-factor-growth", i=i, j=j, s=s,
                              have=hf, want=n, ok=False)
                 if s < d - 1:
-                    nxt = add_degrees(deg, unit_degree(d, i))
-                    sub = Subspace.from_rows(dim_piece(ring, nxt),
-                                             variable_multiples(ring, deg, sub.basis, i),
-                                             field=f.field)
+                    dim = dim_piece(ring, add_degrees(deg, unit_degree(d, i)))
+                    rows = variable_multiples(ring, deg, sub.sparse, i)
+                    sub = Subspace.from_rows(dim, Matrix.of_sparse(dim, rows, f.field))
     cert.add(stage="two-factor-growth", ok=cond3)
     cert.verdict = cond1 and cond2 and cond3
     if not cert.verdict:

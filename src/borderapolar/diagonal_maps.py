@@ -7,23 +7,25 @@ sizes u_1,...,u_d and is a section of pi, giving the decomposition
 S_u = (I_R)_u + psi_u(V_|u|) with zero intersection.
 
 Both maps only merge or pick monomials, so both are read off one cached
-pi-fibre table of S_u (`pi_fibres`): `f[c]` is the V-monomial that column c
-collapses to, `top[m]` the largest column in the fibre of m, `order` the
-V-monomials sorted by `top`, and `section[m]` the column psi_u sends m to.
-`pi_image` adds each row's entries into their fibres and eliminates once, on
+pi-fibre table of S_u (`pi_fibres`), folded factor by factor from per-degree
+monomial ranks: `f[c]` is the V-monomial that column c collapses to, `top[m]`
+the largest column in the fibre of m, `order` the V-monomials sorted by `top`,
+and `section[m]` the smallest, which is the column psi_u sends m to.
+`pi_image` adds each row's nonzeros into their fibres and eliminates once, on
 V_|u|; `psi_image` is a set of unit rows and needs no elimination.
 
 Because of the split, every subspace of S_u that contains (I_R)_u is the
 pi-preimage of its pi-image: (I_R)_u + psi_u(W) = pi^{-1}(W) for any W inside
-V_|u|.  `pi_preimage` writes that subspace down in reduced row echelon form
-from the table, eliminating only on W; `ir_piece` is the case W = 0 and
-`upsilon` the case W = I_|u|.
+V_|u|.  `pi_preimage` writes that subspace down as sparse RREF rows from the
+table, eliminating only on W, so most rows are e_c - e_top with two entries;
+`ir_piece` is the case W = 0 and `upsilon` the case W = I_|u|.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add
 
 from .grading import (
     PieceElement,
@@ -32,37 +34,15 @@ from .grading import (
     degree_total,
     dim_piece,
     monomials,
-    rank_monomial,
     segre_ring,
     veronese_ring,
 )
-from .linalg import QQ, Subspace, _rref_permuted
+from .linalg import QQ, Matrix, Subspace, _dense, _rref_permuted
 
 
 def _require_kind(el: PieceElement, kind: RingKind, what: str):
     if el.ring.kind is not kind:
         raise ValueError(f"{what} expects ring kind {kind.value}, got {el.ring.kind.value}")
-
-
-def _collapse(mono) -> tuple:
-    """Column sums of a Segre exponent table: the pi-image monomial."""
-    n = len(mono[0])
-    return tuple(sum(row[j] for row in mono) for j in range(n))
-
-
-def _split_blocks(delta: tuple, u: tuple) -> tuple:
-    """Sorted variable indices of a Veronese monomial, split into u-sized blocks."""
-    n = len(delta)
-    idx = [j for j, e in enumerate(delta) for _ in range(e)]
-    rows = []
-    pos = 0
-    for ui in u:
-        row = [0] * n
-        for j in idx[pos:pos + ui]:
-            row[j] += 1
-        rows.append(tuple(row))
-        pos += ui
-    return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -82,27 +62,38 @@ class PiFibres:
 
 @lru_cache(maxsize=None)
 def pi_fibres(n: int, d: int, u: tuple) -> PiFibres:
-    ring_s = segre_ring(n, d)
     ring_v = veronese_ring(n)
-    u = check_degree(ring_s, u)
-    f = tuple(rank_monomial(ring_v, _collapse(mono)) for mono in monomials(ring_s, u))
-    # pi is onto (psi is a section), so every fibre is nonempty; columns
-    # ascend, so the last write leaves the largest column of each fibre.
-    top = [0] * dim_piece(ring_v, degree_total(u))
+    u = check_degree(segre_ring(n, d), u)
+    # The columns of S_u are the mixed-radix products of per-factor monomials,
+    # so f folds in one factor at a time: the rank of a partial collapse in
+    # V_k and a monomial of V_ui give the rank of their sum in V_{k+ui}.
+    f, k = [0], 0
+    for ui in u:
+        ranks = {m: r for r, m in enumerate(monomials(ring_v, k + ui))}
+        sums = [[ranks[tuple(map(add, a, b))] for b in monomials(ring_v, ui)]
+                for a in monomials(ring_v, k)]
+        f = [m for r in f for m in sums[r]]
+        k += ui
+    # pi is onto (psi is a section), so every fibre is nonempty; the last
+    # write leaves the largest column of each fibre in `top` and the smallest
+    # in `section`.  The smallest is psi's: handing the lowest variables to the
+    # first factors gives the lex-largest exponent rows, which rank first.
+    top = [0] * dim_piece(ring_v, k)
+    section = top[:]
     for c, m in enumerate(f):
         top[m] = c
+    for c in reversed(range(len(f))):
+        section[f[c]] = c
     order = tuple(sorted(range(len(top)), key=top.__getitem__))
-    section = tuple(rank_monomial(ring_s, _split_blocks(delta, u))
-                    for delta in monomials(ring_v, degree_total(u)))
-    return PiFibres(f, tuple(top), order, section)
+    return PiFibres(tuple(f), tuple(top), order, tuple(section))
 
 
-def _push(index: tuple, size: int, row, zero) -> list:
-    """A coordinate row moved along an index map: entry i is added at index[i]."""
-    out = [zero] * size
-    for t, x in zip(index, row):
-        if x:
-            out[t] += x
+def _push(index: tuple, row, zero) -> dict:
+    """A sparse row moved along an index map: entry (i, x) is added at index[i]."""
+    out = {}
+    for i, x in row:
+        t = index[i]
+        out[t] = out.get(t, zero) + x
     return out
 
 
@@ -111,7 +102,8 @@ def pi(theta: PieceElement) -> PieceElement:
     _require_kind(theta, RingKind.SEGRE_COORD, "pi")
     ring = theta.ring
     fib = pi_fibres(ring.n, ring.d, check_degree(ring, theta.degree))
-    out = _push(fib.f, len(fib.top), theta.coords, theta.coords[0] * 0)
+    zero = theta.coords[0] * 0
+    out = _dense(_push(fib.f, enumerate(theta.coords), zero).items(), len(fib.top), zero)
     return PieceElement(veronese_ring(ring.n), degree_total(theta.degree), tuple(out))
 
 
@@ -141,7 +133,8 @@ def psi(u, g: PieceElement, d: int | None = None) -> PieceElement:
     if degree_total(u) != g.degree:
         raise ValueError(f"|u| = {degree_total(u)} does not match element degree {g.degree}")
     fib = pi_fibres(g.ring.n, d, u)
-    out = _push(fib.section, len(fib.f), g.coords, g.coords[0] * 0)
+    zero = g.coords[0] * 0
+    out = _dense(_push(fib.section, enumerate(g.coords), zero).items(), len(fib.f), zero)
     return PieceElement(ring_s, u, tuple(out))
 
 
@@ -189,35 +182,29 @@ def pi_preimage(n: int, d: int, u: tuple, w: Subspace) -> Subspace:
         raise ValueError(
             f"subspace ambient {w.ambient_dim} is not dim V_{degree_total(u)} = {len(fib.top)}"
         )
-    zero, one = field.zero, field.one
-    ncols = len(fib.f)
+    one = field.one
     lifted = {}
-    if w.basis:
-        red, pivots = _rref_permuted(w.basis, fib.order, field)
+    if w.sparse:
+        pos = [0] * len(fib.order)
+        for k, m in enumerate(fib.order):
+            pos[m] = k
+        red, pivots = _rref_permuted(w.sparse, pos, field)
+        # `order` ascends in the top column, so each lifted row ascends too
         tops = [fib.top[m] for m in fib.order]
         for row, p in zip(red, pivots):
-            x = [zero] * ncols
-            for t, a in zip(tops, row):
-                if a:
-                    x[t] = a
-            lifted[fib.order[p]] = x
+            lifted[fib.order[p]] = tuple([(tops[k], a) for k, a in row])
     rows = []
     for c, m in enumerate(fib.f):
         t = fib.top[m]
         top_row = lifted.get(m)
         if c == t:
             if top_row is not None:
-                rows.append(tuple(top_row))
-            continue
-        if top_row is None:
-            x = [zero] * ncols
-            x[t] = -one
+                rows.append(top_row)
+        elif top_row is None:
+            rows.append(((c, one), (t, -one)))
         else:
-            x = list(top_row)
-            x[t] = zero
-        x[c] = one
-        rows.append(tuple(x))
-    return Subspace(ncols, tuple(rows), (ring_s, u), field)
+            rows.append(((c, one),) + top_row[1:])
+    return Subspace(len(fib.f), tuple(rows), (ring_s, u), field)
 
 
 @lru_cache(maxsize=None)
@@ -234,18 +221,15 @@ def pi_image(n: int, d: int, u: tuple, sub: Subspace) -> Subspace:
             f"subspace ambient {sub.ambient_dim} is not dim S_{tuple(u)} = {len(fib.f)}"
         )
     zero = sub.field.zero
-    rows = [_push(fib.f, len(fib.top), row, zero) for row in sub.basis]
-    return Subspace.from_rows(len(fib.top), rows, field=sub.field)
+    rows = [_push(fib.f, row, zero).items() for row in sub.sparse]
+    return Subspace.from_rows(len(fib.top), Matrix.of_sparse(len(fib.top), rows, sub.field))
 
 
 def psi_image(n: int, d: int, u: tuple, field=QQ) -> Subspace:
     """psi_u(V_{|u|}) as a subspace of S_u: the unit rows at the section's columns."""
     fib = pi_fibres(n, d, check_degree(segre_ring(n, d), u))
-    zero, one = field.zero, field.one
-    ncols = len(fib.f)
-    rows = tuple(tuple(one if c == s else zero for c in range(ncols))
-                 for s in sorted(set(fib.section)))
-    return Subspace(ncols, rows, None, field)
+    rows = tuple(((s, field.one),) for s in sorted(set(fib.section)))
+    return Subspace(len(fib.f), rows, None, field)
 
 
 def direct_sum_check(n: int, d: int, u) -> bool:

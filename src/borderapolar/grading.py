@@ -1,8 +1,8 @@
 """Graded pieces of the coordinate rings of (P^{n-1})^d and of P^{n-1}.
 
-Four polynomial rings appear throughout: the Z^d-graded coordinate ring of
-the d-factor Segre product and its graded dual, and the Z-graded coordinate
-ring of the Veronese target and its dual.  Every graded piece gets one
+Two polynomial rings appear throughout: the Z^d-graded coordinate ring of
+the d-factor Segre product and the Z-graded coordinate ring of the Veronese
+target.  Every graded piece gets one
 canonical monomial order (lexicographic on the flattened exponent table,
 within a fixed degree), so that coefficient vectors, and hence row-reduced
 subspace bases, are bit-for-bit comparable.
@@ -20,17 +20,12 @@ from functools import lru_cache
 
 class RingKind(Enum):
     SEGRE_COORD = "S"
-    SEGRE_DUAL = "T"
     VERONESE_COORD = "V"
-    VERONESE_DUAL = "P"
-
-
-_MULTI = (RingKind.SEGRE_COORD, RingKind.SEGRE_DUAL)
 
 
 @dataclass(frozen=True)
 class RingSpec:
-    """n variables per factor, d factors; Veronese kinds are Z-graded."""
+    """n variables per factor, d factors; the Veronese ring is Z-graded."""
 
     n: int
     d: int
@@ -44,7 +39,7 @@ class RingSpec:
 
     @property
     def is_multigraded(self) -> bool:
-        return self.kind in _MULTI
+        return self.kind is RingKind.SEGRE_COORD
 
 
 def segre_ring(n: int, d: int) -> RingSpec:
@@ -311,22 +306,20 @@ def multiply(a: PieceElement, b: PieceElement) -> PieceElement:
 
 def format_monomial(ring: RingSpec, mono) -> str:
     if ring.is_multigraded:
-        letter = "a" if ring.kind is RingKind.SEGRE_COORD else "x"
         parts = []
         for i, row in enumerate(mono):
             for j, e in enumerate(row):
                 if e == 1:
-                    parts.append(f"{letter}({i + 1},{j + 1})")
+                    parts.append(f"a({i + 1},{j + 1})")
                 elif e > 1:
-                    parts.append(f"{letter}({i + 1},{j + 1})^{e}")
+                    parts.append(f"a({i + 1},{j + 1})^{e}")
         return "*".join(parts) if parts else "1"
-    letter = "b" if ring.kind is RingKind.VERONESE_COORD else "y"
     parts = []
     for j, e in enumerate(mono):
         if e == 1:
-            parts.append(f"{letter}{j + 1}")
+            parts.append(f"b{j + 1}")
         elif e > 1:
-            parts.append(f"{letter}{j + 1}^{e}")
+            parts.append(f"b{j + 1}^{e}")
     return "*".join(parts) if parts else "1"
 
 

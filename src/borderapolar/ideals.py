@@ -62,22 +62,19 @@ def _var_index_map(ring: RingSpec, u, i: int, j: int) -> tuple:
     return tuple(out)
 
 
-def multiply_vector_by_variable(ring: RingSpec, u, coords, i: int, j: int) -> list:
-    """Coordinates of (variable i,j) * element, in the degree-(u+e_i) piece."""
-    u = check_degree(ring, u)
-    target = add_degrees(u, unit_degree(ring.d, i)) if ring.is_multigraded else u + 1
-    zero = coords[0] * 0
-    out = [zero] * dim_piece(ring, target)
-    idx_map = _var_index_map(ring, u, i, j)
-    for col, c in enumerate(coords):
-        if c:
-            out[idx_map[col]] += c
-    return out
+def multiply_vector_by_variable(ring: RingSpec, u, row, i: int, j: int) -> list:
+    """The sparse row of (variable i,j) * element, in the degree-(u+e_i) piece.
+
+    Multiplying by a variable maps monomials one to one and keeps their order,
+    so each (column, value) pair just moves to its new column.
+    """
+    idx_map = _var_index_map(ring, check_degree(ring, u), i, j)
+    return [(idx_map[c], x) for c, x in row]
 
 
-def variable_multiples(ring: RingSpec, u, basis, i: int):
-    """Each row of `basis` (degree u) times each variable of factor i, in turn."""
-    for b in basis:
+def variable_multiples(ring: RingSpec, u, rows, i: int):
+    """Each sparse row of `rows` (degree u) times each variable of factor i, in turn."""
+    for b in rows:
         for j in range(ring.n):
             yield multiply_vector_by_variable(ring, u, b, i, j)
 
@@ -90,11 +87,13 @@ def _degrees_below(ring: RingSpec, u) -> list:
 
 
 def span_from_below(ring: RingSpec, u, piece_at, field=QQ, rows=(), piece=None) -> Subspace:
-    """The span of `rows` and of sum_i S_{e_i} J_{u-e_i}, where J_v = piece_at(v)."""
+    """The span of the sparse `rows` and of sum_i S_{e_i} J_{u-e_i}, where
+    J_v = piece_at(v)."""
     rows = list(rows)
     for i, prev in _degrees_below(ring, u):
-        rows.extend(variable_multiples(ring, prev, piece_at(prev).basis, i))
-    return Subspace.from_rows(dim_piece(ring, u), rows, piece=piece, field=field)
+        rows.extend(variable_multiples(ring, prev, piece_at(prev).sparse, i))
+    dim = dim_piece(ring, u)
+    return Subspace.from_rows(dim, Matrix.of_sparse(dim, rows, field), piece=piece)
 
 
 @dataclass
@@ -160,7 +159,8 @@ def expand(generators, ring: RingSpec, bound: int, provenance: str = "user",
                 f"generator of degree {u} exceeds bound {bound}; ignored", stacklevel=2
             )
             continue
-        by_degree.setdefault(u, []).append(list(g.coords))
+        by_degree.setdefault(u, []).append(
+            [(c, x) for c, x in enumerate(map(field.of, g.coords)) if x])
     pieces: dict = {}
     for u in degrees_up_to(ring, bound):
         pieces[u] = span_from_below(ring, u, pieces.__getitem__, field,
@@ -171,11 +171,11 @@ def expand(generators, ring: RingSpec, bound: int, provenance: str = "user",
 def is_ideal_closed(j: TruncatedIdeal) -> bool:
     """Every variable multiple of every stored piece lands in the next piece."""
     ring = j.ring
-    return all(
-        j.pieces[u].contains_vector(v)
+    return not any(
+        j.pieces[u]._remainder(v)
         for u in j.degrees()
         for i, prev in _degrees_below(ring, u)
-        for v in variable_multiples(ring, prev, j.pieces[prev].basis, i)
+        for v in variable_multiples(ring, prev, j.pieces[prev].sparse, i)
     )
 
 
@@ -246,35 +246,42 @@ class PointSet:
         return len(self.points)
 
 
-def _monomial_value(ring: RingSpec, mono, point, field):
-    val = field.one
-    if ring.is_multigraded:
-        for row, fac in zip(mono, point):
-            for e, c in zip(row, fac):
-                if e:
-                    val = val * c ** e
-    else:
-        for e, c in zip(mono, point):
-            if e:
-                val = val * c ** e
-    return val
+@lru_cache(maxsize=None)
+def _predecessors(ring: RingSpec, u) -> tuple:
+    """(u - e_i, i, steps) for a degree u above zero, where i is the first
+    factor with u_i >= 1: monomial c of degree u is monomial steps[c][0] of
+    degree u - e_i times variable steps[c][1] of factor i, its first one."""
+    i, below = _degrees_below(ring, u)[0]
+    steps = []
+    for mono in monomials(ring, u):
+        row = list(mono[i] if ring.is_multigraded else mono)
+        j = next(v for v, e in enumerate(row) if e)
+        row[j] -= 1
+        prev = (mono[:i] + (tuple(row),) + mono[i + 1:]) if ring.is_multigraded else row
+        steps.append((rank_monomial(ring, prev), j))
+    return below, i, tuple(steps)
 
 
 def point_ideal(zs: PointSet, bound: int, provenance: str = "point") -> TruncatedIdeal:
-    """Saturated ideal of a reduced point set, degreewise: ker of evaluation."""
+    """Saturated ideal of a reduced point set, degreewise: ker of evaluation.
+
+    Each monomial is evaluated with one multiplication, from the value of its
+    predecessor one degree down."""
     ring = zs.ring
     field = zs.field
+    values = {}
     pieces = {}
     for u in degrees_up_to(ring, bound):
-        basis = monomials(ring, u)
-        rows = [
-            [_monomial_value(ring, mono, p, field) for mono in basis]
-            for p in zs.points
-        ]
-        ker = kernel(Matrix(rows, ncols=len(basis), field=field))
-        pieces[u] = Subspace(
-            len(basis), tuple(tuple(r) for r in ker.rows), _piece_tag(ring, u), field
-        )
+        if degree_total(u) == 0:
+            rows = [[field.one] for _ in zs.points]
+        else:
+            below, i, steps = _predecessors(ring, u)
+            coords = (p[i] if ring.is_multigraded else p for p in zs.points)
+            rows = [[prev[t] * x[j] for t, j in steps] for prev, x in zip(values[below], coords)]
+        values[u] = rows
+        sparse = [[(c, x) for c, x in enumerate(row) if x] for row in rows]
+        ker = kernel(Matrix.of_sparse(len(rows[0]), sparse, field))
+        pieces[u] = Subspace(len(rows[0]), tuple(ker.sparse), _piece_tag(ring, u), field)
     return TruncatedIdeal(ring, bound, pieces, None, provenance, field)
 
 
@@ -354,7 +361,7 @@ def is_saturated_degreewise(j: TruncatedIdeal, u) -> bool:
         )
     target = add_degrees(u, tuple([1] * ring.d)) if ring.is_multigraded else u + 1
     upper = j.pieces[target]
-    cons = upper.constraints()
+    cons = [dict(row) for row in upper.constraints().sparse]
     dim_u = dim_piece(ring, u)
     stacked = []
     for combo in _multilinear_monomial_sets(ring):
@@ -364,13 +371,13 @@ def is_saturated_degreewise(j: TruncatedIdeal, u) -> bool:
             step_map = _var_index_map(ring, deg, i if ring.is_multigraded else 0, var)
             idx_map = [step_map[t] for t in idx_map]
             deg = add_degrees(deg, unit_degree(ring.d, i)) if ring.is_multigraded else deg + 1
-        for crow in cons.rows:
-            stacked.append([crow[idx_map[t]] for t in range(dim_u)])
+        for crow in cons:
+            stacked.append([(t, crow[c]) for t, c in enumerate(idx_map) if c in crow])
     if not stacked:
         pre = Subspace.full(dim_u, field=j.field)
     else:
-        ker = kernel(Matrix(stacked, ncols=dim_u, field=j.field))
-        pre = Subspace(dim_u, tuple(tuple(r) for r in ker.rows), None, j.field)
+        ker = kernel(Matrix.of_sparse(dim_u, stacked, j.field))
+        pre = Subspace(dim_u, tuple(ker.sparse), None, j.field)
     return pre == j.pieces[u]
 
 

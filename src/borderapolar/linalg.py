@@ -1,13 +1,16 @@
 """Exact linear algebra over Q, or over a large prime field for fast re-checks.
 
-Vectors are rows.  A Subspace stores the unique reduced row echelon basis of
-its row span, so two subspaces are equal as sets exactly when their stored
-bases compare equal.  Both fields run one fraction-free Gauss-Jordan loop on
-integer rows.  The field supplies the rest: how a row becomes integers
-(primitive integers over Q, residues over GF(p)), how a row is kept small after
-each update (divided by its content over Q, reduced mod p over GF(p)) and how a
-finished row becomes field elements.  Those are made once, at the end, one per
-nonzero entry.
+Vectors are rows, and matrices and subspaces hold them sparsely, as the
+(column, value) pairs of their nonzero entries; dense rows are built only on
+demand, for dumps and tests.  A Subspace stores the unique reduced row echelon
+basis of its row span, each row in ascending column order with its pivot
+first, so two subspaces are equal as sets exactly when their stored rows
+compare equal.  Both fields run one fraction-free Gauss-Jordan loop on dense
+integer rows built from the nonzeros.  The field supplies the rest: how a row
+becomes integers (primitive integers over Q, residues over GF(p)), how a row is
+kept small after each update (divided by its content over Q, reduced mod p over
+GF(p)) and how a finished row becomes field elements.  Those are made once, at
+the end, one per nonzero entry.
 
 A kernel costs one elimination and an annihilator none.  Both come from a
 basis whose pivot columns are clean: the annihilator of such a basis has one
@@ -44,14 +47,11 @@ class RationalField:
             return Fraction(x)
         raise TypeError(f"cannot coerce {x!r} into Q")
 
-    def to_ints(self, row) -> list:
-        """The row scaled to primitive integers."""
-        dens = [x.denominator for x in row]
-        den = lcm(*dens)
-        ints = [x.numerator for x in row]
-        if den > 1:
-            ints = [v * (den // e) for v, e in zip(ints, dens)]
-        return self.normalize(ints)
+    def to_ints(self, row, ncols: int) -> list:
+        """A sparse row as a dense row of primitive integers."""
+        den = lcm(*[x.denominator for _, x in row])
+        ints = [(c, x.numerator * (den // x.denominator)) for c, x in row]
+        return self.normalize(_dense(ints, ncols, 0))
 
     @staticmethod
     def normalize(ints) -> list:
@@ -59,10 +59,9 @@ class RationalField:
         g = gcd(*ints)
         return [v // g for v in ints] if g > 1 else ints
 
-    def from_ints(self, ints, pivot) -> list:
-        """The integer row divided by its pivot entry."""
-        zero = self.zero
-        return [Fraction(v, pivot) if v else zero for v in ints]
+    def from_ints(self, ints, pivot) -> tuple:
+        """The integer row divided by its pivot entry, as a sparse row."""
+        return tuple([(c, Fraction(v, pivot)) for c, v in enumerate(ints) if v])
 
     def __repr__(self):
         return "QQ"
@@ -194,20 +193,20 @@ class PrimeField:
             return self.of(Fraction(x))
         raise TypeError(f"cannot coerce {x!r} into GF({self.p})")
 
-    def to_ints(self, row) -> list:
-        """The residues of the row."""
-        return [x.v for x in row]
+    def to_ints(self, row, ncols: int) -> list:
+        """A sparse row as a dense row of residues."""
+        return _dense([(c, x.v) for c, x in row], ncols, 0)
 
     def normalize(self, ints) -> list:
         """Reduce an integer row mod p."""
         p = self.p
         return [v % p for v in ints]
 
-    def from_ints(self, ints, pivot) -> list:
-        """The row of residues times the inverse of its pivot entry."""
-        p, zero = self.p, self.zero
+    def from_ints(self, ints, pivot) -> tuple:
+        """The row of residues times the inverse of its pivot entry, as a sparse row."""
+        p = self.p
         inv = pow(pivot, -1, p)
-        return [Mod(v * inv, p) if v else zero for v in ints]
+        return tuple([(c, Mod(v * inv, p)) for c, v in enumerate(ints) if v])
 
     def __repr__(self):
         return f"GF({self.p})"
@@ -225,10 +224,22 @@ def field_for_modulus(p) -> object:
 
 # -- matrices ------------------------------------------------------------------
 
-class Matrix:
-    """Dense rectangular matrix over a fixed field."""
+def _dense(row, ncols: int, zero) -> list:
+    """A sparse row as a dense list."""
+    out = [zero] * ncols
+    for c, x in row:
+        out[c] = x
+    return out
 
-    __slots__ = ("rows", "ncols", "field")
+
+class Matrix:
+    """Rectangular matrix over a fixed field, held as sparse rows.
+
+    Each row of `sparse` is a sequence of (column, value) pairs with distinct
+    columns.  The constructor takes dense rows and `rows` gives them back.
+    """
+
+    __slots__ = ("sparse", "ncols", "field")
 
     def __init__(self, rows, ncols=None, field=QQ):
         rows = [list(r) for r in rows]
@@ -238,13 +249,24 @@ class Matrix:
                 raise ValueError("ragged rows")
         elif ncols is None:
             raise ValueError("empty matrix needs an explicit column count")
-        self.rows = [[field.of(x) for x in r] for r in rows]
+        self.sparse = [[(c, x) for c, x in enumerate(map(field.of, r)) if x] for r in rows]
         self.ncols = ncols
         self.field = field
 
+    @classmethod
+    def of_sparse(cls, ncols: int, rows, field=QQ) -> "Matrix":
+        """The matrix with the given sparse rows, whose values lie in `field`."""
+        m = cls.__new__(cls)
+        m.sparse, m.ncols, m.field = list(rows), ncols, field
+        return m
+
+    @property
+    def rows(self) -> list:
+        return [_dense(row, self.ncols, self.field.zero) for row in self.sparse]
+
     @property
     def nrows(self) -> int:
-        return len(self.rows)
+        return len(self.sparse)
 
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols} over {self.field})"
@@ -264,13 +286,13 @@ def _eliminate(row, pivot_row, c, normalize) -> list:
 
 
 def rref_with_pivots(m: Matrix):
-    # Gauss-Jordan on integer rows that the field keeps small after every
-    # update: primitive over Q, so entries never outgrow the line they span,
-    # and reduced mod p over GF(p).  The only field elements made are the
-    # nonzero entries of the result.
+    # Gauss-Jordan on dense integer rows that the field keeps small after
+    # every update: primitive over Q, so entries never outgrow the line they
+    # span, and reduced mod p over GF(p).  The only field elements made are
+    # the nonzero entries of the result.
     field = m.field
     normalize = field.normalize
-    rows = [field.to_ints(row) for row in m.rows]
+    rows = [field.to_ints(row, m.ncols) for row in m.sparse]
     nrows = len(rows)
     pivots = []
     for c in range(m.ncols):
@@ -293,9 +315,8 @@ def rref_with_pivots(m: Matrix):
         for k in range(i):
             if rows[k][c]:
                 rows[k] = _eliminate(rows[k], pivot_row, c, normalize)
-    out = Matrix([], ncols=m.ncols, field=field)
-    out.rows = [field.from_ints(row, row[c]) for row, c in zip(rows, pivots)]
-    return out, pivots
+    out = [field.from_ints(row, row[c]) for row, c in zip(rows, pivots)]
+    return Matrix.of_sparse(m.ncols, out, field), pivots
 
 
 def rref(m: Matrix) -> Matrix:
@@ -307,72 +328,72 @@ def rank(m: Matrix) -> int:
     return len(rref_with_pivots(m)[1])
 
 
-def _rref_permuted(rows, order, field):
-    """RREF of `rows` with column k taken from column order[k].
+def _rref_permuted(rows, pos, field):
+    """RREF of the sparse `rows` with column c moved to column pos[c].
 
-    Returns (reduced rows, pivots), both in the permuted coordinates.  The
-    rows must already hold elements of `field`.
+    Returns (reduced sparse rows, pivots), both in the moved coordinates.
     """
-    m = Matrix([], ncols=len(order), field=field)
-    m.rows = [[row[c] for c in order] for row in rows]
+    m = Matrix.of_sparse(len(pos), [[(pos[c], x) for c, x in row] for row in rows], field)
     red, pivots = rref_with_pivots(m)
-    return red.rows, pivots
+    return red.sparse, pivots
 
 
-def _annihilator(ncols: int, rows, pivots, field) -> Matrix:
-    """The right kernel of a basis whose pivot columns are clean.
+def _annihilator(ncols: int, rows, field) -> list:
+    """The right kernel of sparse rows whose pivot comes first and is clean.
 
-    Each row i has a 1 at pivots[i] and 0 at every other pivot.  For each
-    non-pivot column c the kernel gets the row e_c - sum_i rows[i][c] e_{p_i};
-    these rows are a basis of the kernel, in ascending c.
+    Each row has a 1 at its first column p_i and no other row has an entry
+    there.  For each non-pivot column c the kernel gets the row
+    e_c - sum_i rows[i][c] e_{p_i}; these rows are a basis of the kernel, in
+    ascending c, and with the rows in ascending pivot order their entries
+    ascend too.
     """
-    pivot_set = set(pivots)
-    out = []
-    for c in range(ncols):
-        if c in pivot_set:
-            continue
-        v = [field.zero] * ncols
-        v[c] = field.one
-        for row, p in zip(rows, pivots):
-            a = row[c]
-            if a:
-                v[p] = -a
-        out.append(v)
-    m = Matrix([], ncols=ncols, field=field)
-    m.rows = out
-    return m
+    ann = [[] for _ in range(ncols)]
+    for row in rows:
+        p = row[0][0]
+        ann[p] = None
+        for c, a in row[1:]:
+            ann[c].append((p, -a))
+    one = field.one
+    return [tuple(a) + ((c, one),) for c, a in enumerate(ann) if a is not None]
 
 
 def kernel(m: Matrix) -> Matrix:
     """RREF basis of the right kernel {v : m v = 0}, from one elimination.
 
-    m is row-reduced with its columns reversed, so each pivot q is the last
-    nonzero column of its row.  The kernel row of a non-pivot column c then
-    involves only pivots q > c, so the rows of `_annihilator`, in ascending c,
-    are already the reduced row echelon form.
+    m is row-reduced with its columns reversed, where each pivot is the last
+    nonzero column of its row in the original order.  Read off that RREF and
+    turned back, the kernel row of a non-pivot column c starts at c and has
+    its other entries at pivots q > c, so the rows, in ascending c, are
+    already the reduced row echelon form.
     """
     n = m.ncols
-    red, rev_pivots = _rref_permuted(m.rows, range(n - 1, -1, -1), m.field)
-    return _annihilator(n, [row[::-1] for row in red], [n - 1 - p for p in rev_pivots],
-                        m.field)
+    red, _ = _rref_permuted(m.sparse, range(n - 1, -1, -1), m.field)
+    rows = [tuple((n - 1 - c, x) for c, x in reversed(row))
+            for row in reversed(_annihilator(n, red, m.field))]
+    return Matrix.of_sparse(n, rows, m.field)
 
 
 # -- subspaces ------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
 class Subspace:
-    """A linear subspace given by its RREF row basis inside a fixed ambient piece."""
+    """A linear subspace given by its RREF row basis inside a fixed ambient piece.
+
+    `sparse` holds each basis row as the (column, value) pairs of its nonzero
+    entries in ascending column order, so the pivot comes first; `basis`
+    builds the dense rows.
+    """
 
     ambient_dim: int
-    basis: tuple
+    sparse: tuple
     piece: object = None
     field: object = QQ
 
     @classmethod
     def from_rows(cls, ambient_dim: int, rows, piece=None, field=QQ) -> "Subspace":
-        m = Matrix(rows, ncols=ambient_dim, field=field)
-        red = rref(m)
-        return cls(ambient_dim, tuple(tuple(r) for r in red.rows), piece, field)
+        """The span of `rows`: dense rows over `field`, or a Matrix."""
+        m = rows if isinstance(rows, Matrix) else Matrix(rows, ncols=ambient_dim, field=field)
+        return cls(ambient_dim, tuple(rref(m).sparse), piece, m.field)
 
     @classmethod
     def zero(cls, ambient_dim: int, piece=None, field=QQ) -> "Subspace":
@@ -380,20 +401,23 @@ class Subspace:
 
     @classmethod
     def full(cls, ambient_dim: int, piece=None, field=QQ) -> "Subspace":
-        rows = tuple(
-            tuple(field.one if i == j else field.zero for j in range(ambient_dim))
-            for i in range(ambient_dim)
-        )
-        return cls(ambient_dim, rows, piece, field)
+        return cls(ambient_dim, tuple(((i, field.one),) for i in range(ambient_dim)),
+                   piece, field)
 
     @cached_property
     def pivots(self) -> tuple:
         """The pivot column of each basis row, ascending."""
-        return tuple(next(c for c, x in enumerate(row) if x) for row in self.basis)
+        return tuple(row[0][0] for row in self.sparse)
+
+    @property
+    def basis(self) -> tuple:
+        """The basis rows as dense tuples."""
+        zero = self.field.zero
+        return tuple(tuple(_dense(row, self.ambient_dim, zero)) for row in self.sparse)
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.sparse)
 
     @property
     def codim(self) -> int:
@@ -401,7 +425,7 @@ class Subspace:
 
     @property
     def is_zero(self) -> bool:
-        return not self.basis
+        return not self.sparse
 
     @property
     def is_full(self) -> bool:
@@ -416,18 +440,12 @@ class Subspace:
             raise ValueError(f"graded piece mismatch: {self.piece} vs {other.piece}")
 
     def matrix(self) -> Matrix:
-        m = Matrix([], ncols=self.ambient_dim, field=self.field)
-        m.rows = [list(r) for r in self.basis]
-        return m
+        return Matrix.of_sparse(self.ambient_dim, self.sparse, self.field)
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)
-        return Subspace.from_rows(
-            self.ambient_dim,
-            list(self.basis) + list(other.basis),
-            piece=self.piece or other.piece,
-            field=self.field,
-        )
+        both = Matrix.of_sparse(self.ambient_dim, self.sparse + other.sparse, self.field)
+        return Subspace.from_rows(self.ambient_dim, both, piece=self.piece or other.piece)
 
     def constraints(self) -> Matrix:
         """Rows spanning the linear functionals that vanish on this subspace.
@@ -436,33 +454,42 @@ class Subspace:
         f, the row e_f - sum_i basis[i][f] e_{p_i}.  There are codim rows and
         they span the annihilator, but they are not in RREF.
         """
-        return _annihilator(self.ambient_dim, self.basis, self.pivots, self.field)
+        rows = _annihilator(self.ambient_dim, self.sparse, self.field)
+        return Matrix.of_sparse(self.ambient_dim, rows, self.field)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)
-        stacked = Matrix(
-            list(self.constraints().rows) + list(other.constraints().rows),
-            ncols=self.ambient_dim,
-            field=self.field,
+        stacked = Matrix.of_sparse(
+            self.ambient_dim, self.constraints().sparse + other.constraints().sparse, self.field
         )
-        ker = kernel(stacked)
-        return Subspace(
-            self.ambient_dim,
-            tuple(tuple(r) for r in ker.rows),
-            self.piece or other.piece,
-            self.field,
-        )
+        return Subspace(self.ambient_dim, tuple(kernel(stacked).sparse),
+                        self.piece or other.piece, self.field)
+
+    @cached_property
+    def _row_at(self) -> dict:
+        return {row[0][0]: row for row in self.sparse}
+
+    def _remainder(self, row) -> dict:
+        """{column: value} of a sparse vector's remainder against the basis.
+
+        Subtracting a basis row leaves every other pivot entry as it is, so
+        each pivot column in the vector's support is cleared once.
+        """
+        v = dict(row)
+        row_at, zero = self._row_at, self.field.zero
+        for p in [p for p in v if p in row_at]:
+            f = v[p]
+            for c, b in row_at[p]:
+                v[c] = v.get(c, zero) - f * b
+        return {c: x for c, x in v.items() if x}
 
     def reduce_vector(self, v) -> list:
         """Remainder of v after elimination against the RREF basis."""
         v = [self.field.of(x) for x in v]
         if len(v) != self.ambient_dim:
             raise ValueError("vector length mismatch")
-        for row, c in zip(self.basis, self.pivots):
-            f = v[c]
-            if f:
-                v = [a - f * b if b else a for a, b in zip(v, row)]
-        return v
+        rem = self._remainder((c, x) for c, x in enumerate(v) if x)
+        return _dense(rem.items(), self.ambient_dim, self.field.zero)
 
     def contains_vector(self, v) -> bool:
         return not any(self.reduce_vector(v))
@@ -470,18 +497,17 @@ class Subspace:
     def contains(self, other) -> bool:
         if isinstance(other, Subspace):
             self._check_compatible(other)
-            return all(self.contains_vector(r) for r in other.basis)
+            return not any(self._remainder(row) for row in other.sparse)
         return self.contains_vector(other)
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
-        return self.ambient_dim == other.ambient_dim and self.basis == other.basis
+        return self.ambient_dim == other.ambient_dim and self.sparse == other.sparse
 
     def __hash__(self):
-        return hash((self.ambient_dim, self.basis))
+        return hash((self.ambient_dim, self.sparse))
 
     def __repr__(self):
         tag = f" @ {self.piece}" if self.piece is not None else ""
         return f"Subspace(dim {self.dim} of {self.ambient_dim}{tag})"
-

@@ -98,8 +98,30 @@ def digest_of(*parts) -> str:
 
 
 def ideal_digest(j: TruncatedIdeal) -> str:
-    payload = [(u, j.pieces[u].basis) for u in j.degrees()]
-    return digest_of(j.ring, j.bound, payload)
+    """digest_of(j.ring, j.bound, [(u, j.pieces[u].basis) for u in j.degrees()]).
+
+    The repr of the dense bases is streamed from the sparse rows, one row at a
+    time, with each run of zeros written as one repeated string.
+    """
+    h = hashlib.sha256(f"{j.ring!r}\x00{j.bound!r}\x00[".encode())
+    for k, u in enumerate(j.degrees()):
+        sub = j.pieces[u]
+        n, rows = sub.ambient_dim, sub.sparse
+        zero = f"{sub.field.zero!r}, ".encode()
+        h.update(f"{', ' if k else ''}({u!r}, (".encode())
+        for r, row in enumerate(rows):
+            parts = [b", (" if r else b"("]
+            at = 0
+            for c, x in row:
+                parts += (zero * (c - at), f"{x!r}, ".encode())
+                at = c + 1
+            parts.append(zero * (n - at))
+            line = b"".join(parts)
+            h.update(memoryview(line)[:-2])  # the separator after the last entry
+            h.update(b",)" if n == 1 else b")")
+        h.update(b",))" if len(rows) == 1 else b"))")
+    h.update(b"]\x00")
+    return h.hexdigest()[:16]
 
 
 def tensor_digest(f: GeneralTensor) -> str:
@@ -154,7 +176,7 @@ def contains_diagonal_ideal(j: TruncatedIdeal) -> bool:
 
 
 def _tagged(sub: Subspace, ring_v, k: int, field) -> Subspace:
-    return Subspace(sub.ambient_dim, sub.basis, _piece_tag(ring_v, k), field)
+    return Subspace(sub.ambient_dim, sub.sparse, _piece_tag(ring_v, k), field)
 
 
 def sigma(j: TruncatedIdeal) -> TruncatedIdeal:

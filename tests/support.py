@@ -7,15 +7,20 @@ from fractions import Fraction
 
 from borderapolar.apolarity import HomPoly, SymTensor, is_concise
 from borderapolar.grading import (
+    add_degrees,
     check_degree,
     degree_total,
     dim_piece,
     monomials,
     rank_monomial,
     segre_ring,
+    sub_degrees,
+    unit_degree,
     veronese_ring,
 )
+from borderapolar.ideals import degrees_up_to
 from borderapolar.linalg import QQ, Matrix, Subspace, kernel, rank
+from borderapolar.transfer import digest_of
 from borderapolar.selftest import (  # noqa: F401  (the library's model tensors)
     diagonal_tensor,
     random_form,
@@ -142,4 +147,119 @@ def preimage_reference(m: Matrix, w: Subspace) -> Subspace:
     if not cons.nrows:
         return Subspace.full(m.ncols, field=m.field)
     ker = kernel(matmul(cons, m))
-    return Subspace(m.ncols, tuple(tuple(r) for r in ker.rows), None, m.field)
+    return Subspace.from_rows(m.ncols, ker.rows, field=m.field)
+
+
+# -- dense references for the sparse-row subspace calculus ---------------------------
+
+def assert_canonical(sub: Subspace):
+    """The stored rows are tuples of (column, value) pairs with no zero value,
+    in ascending column order, each led by a 1 at its pivot, with every pivot
+    column clear in the other rows; `pivots` is the first column of each row."""
+    assert isinstance(sub.sparse, tuple)
+    pivots = set(sub.pivots)
+    assert sub.pivots == tuple(row[0][0] for row in sub.sparse)
+    assert list(sub.pivots) == sorted(pivots) and len(pivots) == sub.dim
+    for row in sub.sparse:
+        assert isinstance(row, tuple) and all(isinstance(e, tuple) for e in row)
+        cols = [c for c, _ in row]
+        assert cols == sorted(set(cols)) and 0 <= cols[0] and cols[-1] < sub.ambient_dim
+        assert all(x for _, x in row) and row[0][1] == sub.field.one
+        assert not pivots.intersection(cols[1:])
+
+
+def dense_pivots(basis) -> list:
+    return [next(c for c, x in enumerate(row) if x) for row in basis]
+
+
+def ideal_digest_reference(j) -> str:
+    """The ideal digest as first defined: the hash of the repr of the dense bases."""
+    return digest_of(j.ring, j.bound, [(u, j.pieces[u].basis) for u in j.degrees()])
+
+
+def constraints_reference(sub: Subspace) -> Matrix:
+    """For each non-pivot column c, e_c - sum_i basis[i][c] e_{p_i}, from dense rows."""
+    n, field, basis = sub.ambient_dim, sub.field, sub.basis
+    pivots = dense_pivots(basis)
+    rows = []
+    for c in range(n):
+        if c in pivots:
+            continue
+        v = [field.zero] * n
+        v[c] = field.one
+        for row, p in zip(basis, pivots):
+            if row[c]:
+                v[p] = -row[c]
+        rows.append(v)
+    return Matrix(rows, ncols=n, field=field)
+
+
+def intersect_reference(a: Subspace, b: Subspace) -> Subspace:
+    """The kernel of both dense constraint matrices stacked."""
+    stacked = constraints_reference(a).rows + constraints_reference(b).rows
+    ker = kernel(Matrix(stacked, ncols=a.ambient_dim, field=a.field))
+    return Subspace.from_rows(a.ambient_dim, ker.rows, field=a.field)
+
+
+def reduce_vector_reference(sub: Subspace, v) -> list:
+    """The remainder of v after subtracting multiples of the dense basis rows."""
+    v = [sub.field.of(x) for x in v]
+    for row, c in zip(sub.basis, dense_pivots(sub.basis)):
+        f = v[c]
+        if f:
+            v = [a - f * b for a, b in zip(v, row)]
+    return v
+
+
+def multiply_vector_by_variable_reference(ring, u, coords, i: int, j: int) -> list:
+    """Dense coordinates of (variable i,j) * element, ranking each product monomial."""
+    u = check_degree(ring, u)
+    target = add_degrees(u, unit_degree(ring.d, i)) if ring.is_multigraded else u + 1
+    out = [coords[0] * 0] * dim_piece(ring, target)
+    for mono, c in zip(monomials(ring, u), coords):
+        if ring.is_multigraded:
+            new = tuple(tuple(e + (f == i and v == j) for v, e in enumerate(row))
+                        for f, row in enumerate(mono))
+        else:
+            new = tuple(e + (v == j) for v, e in enumerate(mono))
+        out[rank_monomial(ring, new)] += c
+    return out
+
+
+def expand_reference(generators, ring, bound: int, field=QQ) -> dict:
+    """The pieces of the ideal the generators span: in each degree, the dense
+    generators of that degree and every variable multiple of the pieces below."""
+    pieces = {}
+    for u in degrees_up_to(ring, bound):
+        rows = [list(g.coords) for g in generators if g.degree == u]
+        if ring.is_multigraded:
+            below = [(i, sub_degrees(u, unit_degree(ring.d, i))) for i in range(ring.d) if u[i]]
+        else:
+            below = [(0, u - 1)] if u else []
+        for i, prev in below:
+            rows += [multiply_vector_by_variable_reference(ring, prev, b, i, j)
+                     for b in pieces[prev].basis for j in range(ring.n)]
+        pieces[u] = Subspace.from_rows(dim_piece(ring, u), rows, field=field)
+    return pieces
+
+
+def point_ideal_reference(zs, bound: int) -> dict:
+    """The pieces of a point ideal, every monomial evaluated through powers."""
+    ring, field = zs.ring, zs.field
+    pieces = {}
+    for u in degrees_up_to(ring, bound):
+        basis = monomials(ring, u)
+        rows = []
+        for p in zs.points:
+            row = []
+            for mono in basis:
+                val = field.one
+                pairs = zip(mono, p) if ring.is_multigraded else [(mono, p)]
+                for exps, coords in pairs:
+                    for e, c in zip(exps, coords):
+                        val = val * c ** e
+                row.append(val)
+            rows.append(row)
+        ker = kernel(Matrix(rows, ncols=len(basis), field=field))
+        pieces[u] = Subspace.from_rows(len(basis), ker.rows, field=field)
+    return pieces

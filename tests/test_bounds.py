@@ -27,7 +27,7 @@ from borderapolar.bounds import (
 )
 from borderapolar.diagonal_maps import pi_image
 from borderapolar.grading import dim_piece, segre_ring, veronese_ring
-from borderapolar.linalg import Subspace
+from borderapolar.linalg import Matrix, Subspace
 from borderapolar.ideals import multiply_vector_by_variable
 from support import concise_power_sum_instance, diagonal_tensor
 
@@ -235,14 +235,12 @@ class TestLemmaSuite:
         ideal = proper_degree_annihilator_ideal(f, d)
         ring = segre_ring(n, d)
         ann_dm1 = ann_sym_piece(p, d - 1)
-        v1_ann = Subspace.from_rows(
-            dim_piece(veronese_ring(n), d),
-            [
-                multiply_vector_by_variable(veronese_ring(n), d - 1, b, 0, j)
-                for b in ann_dm1.basis
-                for j in range(n)
-            ],
-        )
+        dim = dim_piece(veronese_ring(n), d)
+        v1_ann = Subspace.from_rows(dim, Matrix.of_sparse(dim, [
+            multiply_vector_by_variable(veronese_ring(n), d - 1, b, 0, j)
+            for b in ann_dm1.sparse
+            for j in range(n)
+        ]))
         for s in range(1, d - 1):
             deg_a = tuple(
                 (s if t == 0 else 0) + (1 if 1 <= t <= d - s - 1 else 0)

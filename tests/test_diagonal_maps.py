@@ -34,6 +34,7 @@ from borderapolar.grading import (
 from borderapolar.ideals import degrees_up_to, expand
 from borderapolar.linalg import QQ, PrimeField, Subspace, kernel
 from support import (
+    assert_canonical,
     image_reference,
     mat_vec,
     pi_matrix_reference,
@@ -216,6 +217,7 @@ def sample_subspaces(dim, field, rng):
 
 
 def assert_same_subspace(got: Subspace, want: Subspace):
+    assert_canonical(got)
     assert got.basis == want.basis
     assert repr(got.basis) == repr(want.basis)
     assert repr(got) == repr(want)
@@ -249,6 +251,7 @@ class TestIndexMaps:
             m = pi_matrix_reference(n, d, u, field)
             for w in sample_subspaces(m.nrows, field, rng):
                 want = preimage_reference(m, w)
+                assert_canonical(pi_preimage(n, d, u, w))
                 assert pi_preimage(n, d, u, w).basis == want.basis
                 assert repr(pi_preimage(n, d, u, w).basis) == repr(want.basis)
 
