@@ -435,6 +435,11 @@ def cmd_check(args, cfg: RunConfig) -> int:
         raise UsageError(f"the check needs a symmetric tensor: {exc}") from exc
     n, d = f.n, f.order
     bound = cfg.degree_bound if cfg.degree_bound is not None else d + 1
+    if bound < d:
+        raise UsageError(
+            f"--degree-bound {bound} is below the tensor order {d}: "
+            f"the check reads the pieces up to total degree {d}"
+        )
     if args.points:
         zs = load_points(args.points, n, cfg)
         if zs.count != args.r:

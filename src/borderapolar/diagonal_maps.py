@@ -11,14 +11,16 @@ pi-fibre table of S_u (`pi_fibres`), folded factor by factor from per-degree
 monomial ranks: `f[c]` is the V-monomial that column c collapses to, `top[m]`
 the largest column in the fibre of m, `order` the V-monomials sorted by `top`,
 and `section[m]` the smallest, which is the column psi_u sends m to.
-`pi_image` adds each row's nonzeros into their fibres and eliminates once, on
-V_|u|; `psi_image` is a set of unit rows and needs no elimination.
+`pi_image` scales each row to integers once, adds them into their fibres,
+drops the rows that collapse to zero and eliminates the rest once, on V_|u|;
+`psi_image` is a set of unit rows and needs no elimination.
 
 Because of the split, every subspace of S_u that contains (I_R)_u is the
 pi-preimage of its pi-image: (I_R)_u + psi_u(W) = pi^{-1}(W) for any W inside
 V_|u|.  `pi_preimage` writes that subspace down as sparse RREF rows from the
-table, eliminating only on W, so most rows are e_c - e_top with two entries;
-`ir_piece` is the case W = 0 and `upsilon` the case W = I_|u|.
+table, eliminating only W, in the column order `order`, so most rows are
+e_c - e_top with two entries; `ir_piece` is the case W = 0 and `upsilon` the
+case W = I_|u|, which it reduces once per distinct order within a total.
 """
 
 from __future__ import annotations
@@ -174,37 +176,53 @@ def pi_preimage(n: int, d: int, u: tuple, w: Subspace) -> Subspace:
     its row.  A non-top row whose top is a pivot adds the top's row, which
     clears the top entry.  Only w is eliminated, never S_u.
     """
+    u = check_degree(segre_ring(n, d), u)
+    return _pi_preimages(n, d, [u], w)[u]
+
+
+def _reduced_in_order(w: Subspace, order: tuple):
+    """w's RREF rows and their pivots with the columns of V taken in `order`,
+    in those moved coordinates.  In the identity order that is w as stored."""
+    if not w.sparse or all(k == m for k, m in enumerate(order)):
+        return w.sparse, w.pivots
+    pos = [0] * len(order)
+    for k, m in enumerate(order):
+        pos[m] = k
+    return _rref_permuted(w.sparse, pos, w.field)
+
+
+def _pi_preimages(n: int, d: int, degrees, w: Subspace) -> dict:
+    """{u: pi^{-1}(w) in S_u} for degrees u of one total, reducing w once per
+    distinct fibre order among them (never in the identity order)."""
     ring_s = segre_ring(n, d)
-    u = check_degree(ring_s, u)
-    fib = pi_fibres(n, d, u)
-    field = w.field
-    if w.ambient_dim != len(fib.top):
-        raise ValueError(
-            f"subspace ambient {w.ambient_dim} is not dim V_{degree_total(u)} = {len(fib.top)}"
-        )
-    one = field.one
-    lifted = {}
-    if w.sparse:
-        pos = [0] * len(fib.order)
-        for k, m in enumerate(fib.order):
-            pos[m] = k
-        red, pivots = _rref_permuted(w.sparse, pos, field)
+    field, one = w.field, w.field.one
+    reduced, out = {}, {}
+    for u in degrees:
+        fib = pi_fibres(n, d, u)
+        if w.ambient_dim != len(fib.top):
+            raise ValueError(
+                f"subspace ambient {w.ambient_dim} is not dim V_{degree_total(u)} = {len(fib.top)}"
+            )
+        if fib.order not in reduced:
+            reduced[fib.order] = _reduced_in_order(w, fib.order)
+        red, pivots = reduced[fib.order]
         # `order` ascends in the top column, so each lifted row ascends too
         tops = [fib.top[m] for m in fib.order]
-        for row, p in zip(red, pivots):
-            lifted[fib.order[p]] = tuple([(tops[k], a) for k, a in row])
-    rows = []
-    for c, m in enumerate(fib.f):
-        t = fib.top[m]
-        top_row = lifted.get(m)
-        if c == t:
-            if top_row is not None:
-                rows.append(top_row)
-        elif top_row is None:
-            rows.append(((c, one), (t, -one)))
-        else:
-            rows.append(((c, one),) + top_row[1:])
-    return Subspace(len(fib.f), tuple(rows), (ring_s, u), field)
+        lifted = {fib.order[p]: tuple([(tops[k], a) for k, a in row])
+                  for row, p in zip(red, pivots)}
+        rows = []
+        for c, m in enumerate(fib.f):
+            t = fib.top[m]
+            top_row = lifted.get(m)
+            if c == t:
+                if top_row is not None:
+                    rows.append(top_row)
+            elif top_row is None:
+                rows.append(((c, one), (t, -one)))
+            else:
+                rows.append(((c, one),) + top_row[1:])
+        out[u] = Subspace(len(fib.f), tuple(rows), (ring_s, u), field)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -214,15 +232,25 @@ def ir_piece(n: int, d: int, u: tuple, field=QQ) -> Subspace:
 
 
 def pi_image(n: int, d: int, u: tuple, sub: Subspace) -> Subspace:
-    """pi(sub) inside V_|u|, from one elimination of dim sub x dim V_|u|."""
+    """pi(sub) inside V_|u|, from one elimination on V_|u|.
+
+    Each row is pushed through the fibres as integers (`integer_row`), and
+    entries that cancel and rows that collapse to zero, such as every
+    e_c - e_top row of a pi-preimage, are dropped before the elimination.
+    """
     fib = pi_fibres(n, d, check_degree(segre_ring(n, d), u))
     if sub.ambient_dim != len(fib.f):
         raise ValueError(
             f"subspace ambient {sub.ambient_dim} is not dim S_{tuple(u)} = {len(fib.f)}"
         )
-    zero = sub.field.zero
-    rows = [_push(fib.f, row, zero).items() for row in sub.sparse]
-    return Subspace.from_rows(len(fib.top), Matrix.of_sparse(len(fib.top), rows, sub.field))
+    field = sub.field
+    rows = []
+    for row in sub.sparse:
+        pushed = _push(fib.f, field.integer_row(row), 0)
+        ints = [(t, v) for t, v in zip(pushed, field.normalize(list(pushed.values()))) if v]
+        if ints:
+            rows.append(ints)
+    return Subspace.from_rows(len(fib.top), Matrix.of_sparse(len(fib.top), rows, field))
 
 
 def psi_image(n: int, d: int, u: tuple, field=QQ) -> Subspace:

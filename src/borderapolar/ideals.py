@@ -3,8 +3,10 @@
 An ideal is stored extensionally, degree by degree, with the closure
 invariant that multiplying any stored piece by a variable lands inside the
 piece one degree up.  Saturated ideals of finite point sets are computed as
-kernels of evaluation maps; no generator normal forms or global saturation
-are ever needed.
+kernels of evaluation maps, evaluated on integer representatives of the
+points, so elimination receives integer rows; no generator normal forms or
+global saturation are ever needed.  Multiplication by a variable is a cached
+index map folded from per-factor monomial ranks.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from functools import lru_cache
 
 from .grading import (
     RingSpec,
+    _compositions_desc,
     add_degrees,
     check_degree,
     degree_total,
@@ -25,6 +28,7 @@ from .grading import (
     rank_monomial,
     sub_degrees,
     unit_degree,
+    veronese_ring,
 )
 from .linalg import QQ, Matrix, Subspace, kernel
 
@@ -34,31 +38,37 @@ class GenericityError(RuntimeError):
 
 
 def degrees_up_to(ring: RingSpec, bound: int) -> list:
-    """All degrees of total degree <= bound, sorted by (total, reverse-lex)."""
+    """All degrees of total degree <= bound, sorted by (total, reverse-lex).
+
+    Each total's block is its weak compositions into d parts, enumerated in
+    lexicographically decreasing order."""
     if not ring.is_multigraded:
         return list(range(bound + 1))
-    out = []
-    for total in range(bound + 1):
-        block = [u for u in itertools.product(range(total + 1), repeat=ring.d)
-                 if sum(u) == total]
-        block.sort(key=lambda u: tuple(-x for x in u))
-        out.extend(block)
-    return out
+    return [u for total in range(bound + 1) for u in _compositions_desc(total, ring.d)]
 
 
 @lru_cache(maxsize=None)
 def _var_index_map(ring: RingSpec, u, i: int, j: int) -> tuple:
-    """Monomial index map for multiplication by the (i,j) variable: u -> u+e_i."""
-    out = []
-    for mono in monomials(ring, u):
-        if ring.is_multigraded:
-            new = tuple(
-                tuple(e + 1 if (f == i and v == j) else e for v, e in enumerate(row))
-                for f, row in enumerate(mono)
-            )
+    """Monomial index map for multiplication by the (i,j) variable: u -> u+e_i.
+
+    As in `pi_fibres`, the columns of a Segre piece are the mixed-radix
+    products of per-factor monomial ranks, so the map folds in one factor at a
+    time: factor i's rank moves along the one-variable step from V_{u_i} to
+    V_{u_i+1}, read off a {monomial: rank} dict, and every other factor's rank
+    stays.  The Veronese ring is the one-factor case.
+    """
+    ring_v = veronese_ring(ring.n)
+    degs = u if ring.is_multigraded else (u,)
+    ranks = {m: r for r, m in enumerate(monomials(ring_v, degs[i] + 1))}
+    step = [ranks[m[:j] + (m[j] + 1,) + m[j + 1:]] for m in monomials(ring_v, degs[i])]
+    out = [0]
+    for f, uf in enumerate(degs):
+        if f == i:
+            width, digits = len(ranks), step
         else:
-            new = tuple(e + 1 if v == j else e for v, e in enumerate(mono))
-        out.append(rank_monomial(ring, new))
+            width = dim_piece(ring_v, uf)
+            digits = range(width)
+        out = [o * width + s for o in out for s in digits]
     return tuple(out)
 
 
@@ -265,19 +275,30 @@ def _predecessors(ring: RingSpec, u) -> tuple:
 def point_ideal(zs: PointSet, bound: int, provenance: str = "point") -> TruncatedIdeal:
     """Saturated ideal of a reduced point set, degreewise: ker of evaluation.
 
-    Each monomial is evaluated with one multiplication, from the value of its
-    predecessor one degree down."""
+    Rescaling a point, or one factor of a Segre point, scales its row of every
+    evaluation matrix and leaves the kernel alone, so each point is evaluated
+    on integer coordinates: primitive integers over Q (per factor on the Segre
+    side) and residues over GF(p).  Each monomial takes one multiplication,
+    from the value of its predecessor one degree down; the field's `normalize`
+    keeps each row small, and the integer rows go to `kernel` as they are."""
     ring = zs.ring
     field = zs.field
+
+    def integers(coords):
+        return field.to_ints(list(enumerate(coords)), len(coords))
+
+    points = [tuple(map(integers, p)) if ring.is_multigraded else integers(p)
+              for p in zs.points]
     values = {}
     pieces = {}
     for u in degrees_up_to(ring, bound):
         if degree_total(u) == 0:
-            rows = [[field.one] for _ in zs.points]
+            rows = [[1] for _ in points]
         else:
             below, i, steps = _predecessors(ring, u)
-            coords = (p[i] if ring.is_multigraded else p for p in zs.points)
-            rows = [[prev[t] * x[j] for t, j in steps] for prev, x in zip(values[below], coords)]
+            coords = (p[i] if ring.is_multigraded else p for p in points)
+            rows = [field.normalize([prev[t] * x[j] for t, j in steps])
+                    for prev, x in zip(values[below], coords)]
         values[u] = rows
         sparse = [[(c, x) for c, x in enumerate(row) if x] for row in rows]
         ker = kernel(Matrix.of_sparse(len(rows[0]), sparse, field))

@@ -10,7 +10,11 @@ integer rows built from the nonzeros.  The field supplies the rest: how a row
 becomes integers (primitive integers over Q, residues over GF(p)), how a row is
 kept small after each update (divided by its content over Q, reduced mod p over
 GF(p)) and how a finished row becomes field elements.  Those are made once, at
-the end, one per nonzero entry.
+the end, one per nonzero entry.  So the rows handed to elimination (a Matrix,
+and through it `kernel` and `Subspace.from_rows`) may hold plain ints in place
+of field elements, each standing for its image in the field: producers that
+know a row only up to a scalar, such as an evaluation at a point or a row
+pushed through an index map, pass integers and make no field element at all.
 
 A kernel costs one elimination and an annihilator none.  Both come from a
 basis whose pivot columns are clean: the annihilator of such a basis has one
@@ -47,11 +51,16 @@ class RationalField:
             return Fraction(x)
         raise TypeError(f"cannot coerce {x!r} into Q")
 
+    @staticmethod
+    def integer_row(row) -> list:
+        """A sparse row (of Fractions or ints) times the lcm of its
+        denominators: sparse integers on the same line."""
+        den = lcm(*[x.denominator for _, x in row])
+        return [(c, x.numerator * (den // x.denominator)) for c, x in row]
+
     def to_ints(self, row, ncols: int) -> list:
         """A sparse row as a dense row of primitive integers."""
-        den = lcm(*[x.denominator for _, x in row])
-        ints = [(c, x.numerator * (den // x.denominator)) for c, x in row]
-        return self.normalize(_dense(ints, ncols, 0))
+        return self.normalize(_dense(self.integer_row(row), ncols, 0))
 
     @staticmethod
     def normalize(ints) -> list:
@@ -193,9 +202,14 @@ class PrimeField:
             return self.of(Fraction(x))
         raise TypeError(f"cannot coerce {x!r} into GF({self.p})")
 
+    def integer_row(self, row) -> list:
+        """A sparse row (of Mods or ints) as sparse residues."""
+        p = self.p
+        return [(c, x.v if isinstance(x, Mod) else x % p) for c, x in row]
+
     def to_ints(self, row, ncols: int) -> list:
         """A sparse row as a dense row of residues."""
-        return _dense([(c, x.v) for c, x in row], ncols, 0)
+        return _dense(self.integer_row(row), ncols, 0)
 
     def normalize(self, ints) -> list:
         """Reduce an integer row mod p."""
@@ -236,7 +250,9 @@ class Matrix:
     """Rectangular matrix over a fixed field, held as sparse rows.
 
     Each row of `sparse` is a sequence of (column, value) pairs with distinct
-    columns.  The constructor takes dense rows and `rows` gives them back.
+    columns.  A value is a field element or a plain int, which stands for its
+    image in the field; elimination reads both and returns field elements.
+    The constructor takes dense rows and `rows` gives them back.
     """
 
     __slots__ = ("sparse", "ncols", "field")

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field as dc_field
+from itertools import groupby
 
 from .apolarity import (
     GeneralTensor,
@@ -22,7 +23,7 @@ from .apolarity import (
     depolarize,
     flattening_ranks,
 )
-from .diagonal_maps import pi_image, pi_preimage, staircase_degrees
+from .diagonal_maps import _pi_preimages, pi_image, staircase_degrees
 from .grading import (
     RingKind,
     degree_total,
@@ -134,7 +135,9 @@ def upsilon(i: TruncatedIdeal, d: int, bound: int | None = None,
             provenance: str | None = None) -> TruncatedIdeal:
     """Desymmetrize a Z-graded ideal: piece at u is (I_R)_u + psi_u(I_{|u|}).
 
-    That sum is pi^{-1}(I_{|u|}), which `pi_preimage` builds in closed form.
+    That sum is pi^{-1}(I_{|u|}), which `pi_preimage` builds in closed form;
+    the degrees of one total share I_{|u|}, which is reduced once for each
+    distinct fibre order among them.
     """
     if i.ring.kind is not RingKind.VERONESE_COORD:
         raise ValueError("desymmetrization expects an ideal in the Veronese ring")
@@ -143,10 +146,9 @@ def upsilon(i: TruncatedIdeal, d: int, bound: int | None = None,
         raise ValueError(f"requested bound {bound} exceeds the input bound {i.bound}")
     n = i.ring.n
     ring_s = segre_ring(n, d)
-    pieces = {
-        u: pi_preimage(n, d, u, i.piece(degree_total(u)))
-        for u in degrees_up_to(ring_s, bound)
-    }
+    pieces = {}
+    for total, same_total in groupby(degrees_up_to(ring_s, bound), degree_total):
+        pieces.update(_pi_preimages(n, d, same_total, i.piece(total)))
     if provenance is None:
         provenance = "upsilon-of-point" if i.provenance in ("point", "diagonal-points") else "user"
     return TruncatedIdeal(ring_s, bound, pieces, None, provenance, i.field)

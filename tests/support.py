@@ -29,6 +29,16 @@ from borderapolar.selftest import (  # noqa: F401  (the library's model tensors)
 )
 
 
+F = Fraction
+# non-integer, negative and zero coordinates; the factors of one Segre point
+# have different denominators
+RATIONAL_POINTS = ((F(1, 2), -3, 0), (0, F(2, 3), F(-5, 7)), (-1, 0, F(4, 9)),
+                   (F(3, 4), F(5, 6), F(-1, 8)), (6, -4, 10))
+RATIONAL_SEGRE_POINTS = (((F(1, 2), -3), (0, F(2, 7)), (5, F(-1, 3))),
+                         ((F(-4, 9), F(2, 3)), (F(5, 6), 1), (0, -7)),
+                         ((2, 0), (F(-1, 5), F(3, 10)), (F(7, 4), F(7, 8))))
+
+
 def independent_forms(n: int, rng: random.Random, bound: int = 5):
     """n random integer linear forms spanning C^n (redraw until full rank)."""
     while True:

@@ -236,6 +236,38 @@ class TestCheck:
         assert cli.main(["check", tf, "2", "--points", pf]) == 0
 
 
+class TestDegreeBoundBelowOrder:
+    """check --degree-bound B with B < d exits 2 before any ideal is built."""
+
+    @pytest.mark.parametrize("bound", ["-1", "0", "2"])
+    @pytest.mark.parametrize("source", ["points", "ideal"])
+    def test_rejected_up_front(self, tmp_path, capsys, monkeypatch, bound, source):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("built an ideal for a bound below the order")
+
+        for name in ("point_ideal", "upsilon", "expand", "comon_certificate"):
+            monkeypatch.setattr(cli, name, unreachable)
+        tf = write(tmp_path, "t.json", FERMAT)
+        if source == "points":
+            hint = ["--points", write(tmp_path, "p.json", POINTS2)]
+        else:
+            hint = ["--ideal", write(tmp_path, "z.json", {
+                "ring": "S", "n": 2, "d": 3, "bound": 4, "generators": []})]
+        code = cli.main(["check", tf, "2", *hint, "--degree-bound", bound])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (f"error: --degree-bound {bound} is below the tensor order 3: "
+                                "the check reads the pieces up to total degree 3\n")
+
+    def test_bound_equal_to_order_runs(self, tmp_path, capsys):
+        tf = write(tmp_path, "t.json", FERMAT)
+        pf = write(tmp_path, "p.json", POINTS2)
+        code, out = run(["check", tf, "2", "--points", pf, "--degree-bound", "3"], capsys)
+        assert code == 0
+        assert "tested up to total degree 3" in out
+
+
 class TestDenominatorDivisibleByModulus:
     """A coefficient with no value mod p is a usage error on every load path."""
 

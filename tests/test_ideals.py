@@ -1,5 +1,6 @@
 """Tests for truncated ideals, point ideals, Hilbert functions, and saturation."""
 
+import itertools
 import random
 import warnings
 from fractions import Fraction
@@ -10,7 +11,9 @@ from borderapolar.diagonal_maps import ir_generators
 from borderapolar.grading import (
     PieceElement,
     dim_piece,
+    monomials,
     ones,
+    rank_monomial,
     segre_ring,
     veronese_ring,
 )
@@ -29,6 +32,7 @@ from borderapolar.ideals import (
     point_ideal,
     very_general_points,
     zero_ideal,
+    _var_index_map,
 )
 from borderapolar.linalg import Subspace
 from support import diagonal_tensor
@@ -41,6 +45,47 @@ V3 = veronese_ring(3)
 def principal_ideal(coeffs_by_mono, ring, degree, bound):
     gen = PieceElement.from_terms(ring, degree, coeffs_by_mono)
     return expand([gen], ring, bound)
+
+
+class TestDegreeEnumeration:
+    def test_degrees_up_to_matches_filtering_definition(self):
+        for d in range(1, 7):
+            ring = segre_ring(2, d)
+            blocks = []
+            for total in range(8):
+                block = [u for u in itertools.product(range(total + 1), repeat=d)
+                         if sum(u) == total]
+                block.sort(key=lambda u: tuple(-x for x in u))
+                blocks.append(block)
+            for bound in range(-1, 8):
+                want = [u for block in blocks[:bound + 1] for u in block]
+                assert degrees_up_to(ring, bound) == want, (d, bound)
+
+    def test_veronese_degrees(self):
+        assert degrees_up_to(V3, 3) == [0, 1, 2, 3]
+
+
+class TestVariableIndexMaps:
+    """The folded multiplication maps against ranking every product monomial."""
+
+    @pytest.mark.parametrize("ring, bound", [
+        (veronese_ring(1), 4), (V2, 5), (V3, 4), (veronese_ring(4), 3),
+        (segre_ring(1, 3), 3), (segre_ring(2, 2), 4), (segre_ring(3, 3), 3),
+        (segre_ring(2, 4), 3),
+    ], ids=repr)
+    def test_matches_rank_monomial(self, ring, bound):
+        for u in degrees_up_to(ring, bound):
+            for i in range(ring.d if ring.is_multigraded else 1):
+                for j in range(ring.n):
+                    want = []
+                    for mono in monomials(ring, u):
+                        if ring.is_multigraded:
+                            new = tuple(tuple(e + (f == i and v == j) for v, e in enumerate(row))
+                                        for f, row in enumerate(mono))
+                        else:
+                            new = tuple(e + (v == j) for v, e in enumerate(mono))
+                        want.append(rank_monomial(ring, new))
+                    assert _var_index_map(ring, u, i, j) == tuple(want), (u, i, j)
 
 
 class TestExpand:

@@ -241,6 +241,20 @@ class TestRref:
             for field in REF_FIELDS:
                 assert_matches_reference(m, field)
 
+    def test_plain_int_rows(self):
+        """Sparse rows of plain ints, as producers pass them, reduce exactly as
+        the same values made into field elements: ints below zero, beyond a
+        modulus and multiples of one included."""
+        rows = [[(0, 3), (2, -(2**64)), (3, 2147483648)],
+                [(1, 5 * 2147483647), (2, 1048583), (3, -1)],
+                [(0, 6), (2, -(2**65)), (3, 2 * 2147483648)],
+                [(0, 2 * 2147483647), (3, 7)]]
+        for field in REF_FIELDS:
+            as_field = [[(c, field.of(x)) for c, x in row] for row in rows]
+            want, want_pivots = rref_with_pivots(Matrix.of_sparse(4, as_field, field))
+            got, pivots = rref_with_pivots(Matrix.of_sparse(4, rows, field))
+            assert repr(got.sparse) == repr(want.sparse) and pivots == want_pivots
+
     def test_hilbert_matrix(self):
         h = [[Fraction(1, i + j + 1) for j in range(10)] for i in range(10)]
         for field in REF_FIELDS:

@@ -37,6 +37,8 @@ from borderapolar.ideals import (
 from borderapolar.linalg import QQ, PrimeField, Subspace
 from borderapolar.transfer import ideal_digest, upsilon
 from support import (
+    RATIONAL_POINTS,
+    RATIONAL_SEGRE_POINTS,
     assert_canonical,
     constraints_reference,
     expand_reference,
@@ -161,15 +163,19 @@ class TestAgainstDenseReferences:
 
     @pytest.mark.parametrize("field", FIELDS, ids=repr)
     def test_point_ideal(self, field):
+        cases = []
         for n, r, bound in ((2, 3, 4), (3, 4, 3)):
             z = very_general_points(veronese_ring(n), r, bound, random.Random(5 + n))
             zs = PointSet(z.ring, z.points, field=field)
-            for points, b in ((zs, bound), (diagonal_points(zs, 3), 3)):
-                got = point_ideal(points, b)
-                want = point_ideal_reference(points, b)
-                for u in got.degrees():
-                    assert_canonical(got.pieces[u])
-                    assert repr(got.pieces[u].basis) == repr(want[u].basis)
+            cases += [(zs, bound), (diagonal_points(zs, 3), 3)]
+        cases += [(PointSet(veronese_ring(3), RATIONAL_POINTS, field=field), 4),
+                  (PointSet(segre_ring(2, 3), RATIONAL_SEGRE_POINTS, field=field), 4)]
+        for points, b in cases:
+            got = point_ideal(points, b)
+            want = point_ideal_reference(points, b)
+            for u in got.degrees():
+                assert_canonical(got.pieces[u])
+                assert repr(got.pieces[u].basis) == repr(want[u].basis)
 
     def test_pi_fibres_match_per_column_ranking(self):
         for n, d in itertools.product((1, 2, 3, 4), (1, 2, 3)):

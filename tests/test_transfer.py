@@ -11,7 +11,13 @@ from borderapolar.apolarity import (
     ann_sym_piece,
     polarize,
 )
-from borderapolar.diagonal_maps import ir_generators, ir_piece, pi_image, psi_image
+from borderapolar.diagonal_maps import (
+    ir_generators,
+    ir_piece,
+    pi_fibres,
+    pi_image,
+    psi_image,
+)
 from borderapolar.grading import dim_piece, ones, segre_ring, veronese_ring
 from borderapolar.ideals import (
     PointSet,
@@ -36,7 +42,7 @@ from borderapolar.transfer import (
     slip_label,
     upsilon,
 )
-from support import diagonal_tensor, power_of_form
+from support import diagonal_tensor, mat_vec, pi_matrix_reference, power_of_form
 
 
 V2 = veronese_ring(2)
@@ -278,10 +284,32 @@ class TestEliminationCount:
         return upsilon(point_ideal(z, 4), 3, 4)
 
     def test_sigma_eliminates_once_per_piece(self, shapes, lifted):
+        """One elimination per piece, of the rows whose pi-image is nonzero:
+        the e_c - e_top rows of the upsilon pieces never reach it."""
+        def surviving(u):
+            m = pi_matrix_reference(3, 3, u)
+            return sum(1 for row in lifted.pieces[u].basis if any(mat_vec(m, row)))
+
         shapes.clear()
         sigma(lifted)
-        assert shapes == [(lifted.pieces[u].dim, dim_piece(V3, sum(u)))
-                          for u in lifted.degrees()]
+        assert shapes == [(surviving(u), dim_piece(V3, sum(u))) for u in lifted.degrees()]
+        assert sum(rows for rows, _ in shapes) < sum(p.dim for p in lifted.pieces.values())
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(2147483647)], ids=repr)
+    @pytest.mark.parametrize("n, r, eliminations", [(2, 3, 0), (3, 4, 10)])
+    def test_upsilon_reduces_once_per_fibre_order(self, shapes, field, n, r, eliminations):
+        """One elimination of W = I_k per distinct fibre order among the degrees
+        of total k, none in the identity order (every order when n = 2) and
+        none when W = 0."""
+        z = very_general_points(veronese_ring(n), r, 4, random.Random(36))
+        ideal = point_ideal(PointSet(z.ring, z.points, field=field), 4)
+        shapes.clear()
+        lifted = upsilon(ideal, 3, 4)
+        orders = {(sum(u), pi_fibres(n, 3, u).order) for u in lifted.degrees()}
+        want = [(ideal.piece(k).dim, dim_piece(veronese_ring(n), k)) for k, order in orders
+                if order != tuple(range(len(order))) and ideal.piece(k).dim]
+        assert sorted(shapes) == sorted(want)
+        assert len(shapes) == eliminations
 
     def test_contains_diagonal_ideal_eliminates_once_per_piece(self, shapes, lifted):
         shapes.clear()
