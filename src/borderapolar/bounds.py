@@ -29,7 +29,7 @@ from .grading import (
     unit_degree,
     veronese_ring,
 )
-from .ideals import expand, span_from_below, variable_multiples
+from .ideals import expand, min_generators, variable_multiples
 from .linalg import Matrix, Subspace
 from .transfer import Certificate, tensor_digest
 
@@ -98,17 +98,13 @@ def _require_concise_symmetric(f) -> SymTensor:
 
 
 def min_generators_degree_one(f) -> int:
-    """Minimal generators of Ann(F) in degree (1,...,1):
-    dim Ann(F)_1 minus dim of the sum of S_{e_i} Ann(F)_{1-e_i}."""
-    u = ones(f.order)
-    return ann_piece(f, u).dim - span_from_below(
-        segre_ring(f.n, f.order), u, partial(ann_piece, f), f.field).dim
+    """Minimal generators of Ann(F) in degree (1,...,1)."""
+    return min_generators(segre_ring(f.n, f.order), ones(f.order), partial(ann_piece, f), f.field)
 
 
 def min_generators_sym_in_degree(p, k: int) -> int:
-    """Minimal generators of Ann(p) in degree k: dim Ann_k - dim V_1 Ann_{k-1}."""
-    return ann_sym_piece(p, k).dim - span_from_below(
-        veronese_ring(p.n), k, partial(ann_sym_piece, p), p.field).dim
+    """Minimal generators of Ann(p) in degree k."""
+    return min_generators(veronese_ring(p.n), k, partial(ann_sym_piece, p), p.field)
 
 
 # -- sharpness -----------------------------------------------------------------------

@@ -5,6 +5,8 @@ File formats are JSON with exact coefficients serialized as strings ("-3/7").
 Exit codes: 0 for success/pass, 1 for a failed check, 2 for usage or parse
 errors.  Defaults for the seed and the optional prime modulus can come from
 the environment (BORDERAPOLAR_SEED, BORDERAPOLAR_MODULUS); flags win.
+`--modulus` is taken by every subcommand but `selftest`, and `--degree-bound`
+by every one but `ann` and `selftest`.
 """
 
 from __future__ import annotations
@@ -58,10 +60,6 @@ class UsageError(Exception):
     """Bad flags, malformed files, out-of-range parameters: exit code 2."""
 
 
-class CheckFailure(Exception):
-    """A well-posed check ran and failed: exit code 1."""
-
-
 @dataclass
 class RunConfig:
     modulus: int | None = None
@@ -91,10 +89,6 @@ def parse_scalar(raw, where: str) -> Fraction:
         raise ValueError(f"unsupported coefficient type {type(raw).__name__}")
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"bad coefficient at {where}: {raw!r} ({exc})") from exc
-
-
-def fmt_scalar(x) -> str:
-    return str(x)
 
 
 def _load_json(path: str) -> dict:
@@ -247,9 +241,7 @@ def dump_ideal(ideal: TruncatedIdeal) -> dict:
             {
                 "degree": list(u) if isinstance(u, tuple) else u,
                 "dim": ideal.pieces[u].dim,
-                "basis": [
-                    [fmt_scalar(x) for x in row] for row in ideal.pieces[u].basis
-                ],
+                "basis": [list(map(str, row)) for row in ideal.pieces[u].basis],
             }
             for u in ideal.degrees()
         ],
@@ -350,7 +342,7 @@ def cmd_ann(args, cfg: RunConfig) -> int:
         "dim": sub.dim,
         "full": sub.is_full,
         "monomials": [format_monomial(ring, m) for m in monomials(ring, u)],
-        "basis": [[fmt_scalar(x) for x in row] for row in sub.basis],
+        "basis": [list(map(str, row)) for row in sub.basis],
     }
     _emit_payload(payload, lines, cfg)
     return 0
@@ -399,24 +391,20 @@ def cmd_hf(args, cfg: RunConfig) -> int:
 
 def _transport(args, cfg: RunConfig, fn_name: str) -> int:
     ideal = load_ideal_file(args.ideal, cfg)
-    if fn_name == "upsilon":
-        if ideal.ring.kind is not RingKind.VERONESE_COORD:
-            raise UsageError("desymmetrization expects an ideal in the V ring")
-        d = args.factors
-        bound = cfg.degree_bound if cfg.degree_bound is not None else ideal.bound
-        try:
-            out = upsilon(ideal, d, bound)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-    elif fn_name == "sigma":
-        try:
+    try:
+        if fn_name == "upsilon":
+            if ideal.ring.kind is not RingKind.VERONESE_COORD:
+                raise UsageError("desymmetrization expects an ideal in the V ring")
+            bound = cfg.degree_bound if cfg.degree_bound is not None else ideal.bound
+            out = upsilon(ideal, args.factors, bound)
+        elif fn_name == "sigma":
             out = sigma(ideal)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-    else:
-        if ideal.ring.kind is not RingKind.SEGRE_COORD:
-            raise UsageError("the restriction expects an ideal in the S ring")
-        out = rho_ideal(ideal)
+        else:
+            if ideal.ring.kind is not RingKind.SEGRE_COORD:
+                raise UsageError("the restriction expects an ideal in the S ring")
+            out = rho_ideal(ideal)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     payload = dump_ideal(out)
     lines = [
         f"ring {payload['ring']}, n={payload['n']}, d={payload['d']}, bound {payload['bound']}"
@@ -459,17 +447,14 @@ def cmd_check(args, cfg: RunConfig) -> int:
     lines = certificate_lines(cert)
     if args.sharp_check:
         try:
-            sharp = bounds_mod.is_sharp(f)
-            payload["sharp"] = sharp.to_dict()
-            lines.append("")
-            lines.extend(certificate_lines(sharp))
+            extra = {"sharp": bounds_mod.is_sharp(f)}
             if d == 3:
-                sharp111 = bounds_mod.is_111_sharp(f)
-                payload["sharp111"] = sharp111.to_dict()
-                lines.append("")
-                lines.extend(certificate_lines(sharp111))
+                extra["sharp111"] = bounds_mod.is_111_sharp(f)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
+        for key, sharp in extra.items():
+            payload[key] = sharp.to_dict()
+            lines += ["", *certificate_lines(sharp)]
     _emit_payload(payload, lines, cfg)
     return 0 if cert.verdict else 1
 
@@ -514,12 +499,14 @@ def _env_int(name: str):
         raise UsageError(f"environment variable {name} must be an integer") from exc
 
 
-def _add_common(sp):
-    sp.add_argument("--modulus", type=int, default=None,
-                    help="work over Z/p for a prime p > 2^20 (probabilistic verdicts)")
+def _add_common(sp, modulus: bool = True, degree_bound: bool = True):
+    if modulus:
+        sp.add_argument("--modulus", type=int, default=None,
+                        help="work over Z/p for a prime p > 2^20 (probabilistic verdicts)")
     sp.add_argument("--seed", type=int, default=None, help="seed for randomized suites")
-    sp.add_argument("--degree-bound", type=int, default=None,
-                    help="override the truncation bound")
+    if degree_bound:
+        sp.add_argument("--degree-bound", type=int, default=None,
+                        help="override the truncation bound")
     sp.add_argument("--format", choices=("text", "json"), default="text")
     sp.add_argument("--output", default=None, help="write the report to a file")
 
@@ -534,7 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ann", help="print a basis of one annihilator piece")
     p.add_argument("tensor", help="tensor/polynomial JSON file")
     p.add_argument("degree", help="an integer (V side) or comma-separated vector (S side)")
-    _add_common(p)
+    _add_common(p, degree_bound=False)
 
     p = sub.add_parser("hf", help="Hilbert function values of a truncated ideal")
     p.add_argument("ideal", nargs="?", help="ideal JSON file")
@@ -568,7 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", help="run the built-in invariant suites")
     p.add_argument("--scale", choices=sorted(SCALES), default="desk")
-    _add_common(p)
+    _add_common(p, modulus=False, degree_bound=False)
 
     return ap
 
@@ -577,10 +564,13 @@ def main(argv=None) -> int:
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
+        modulus = getattr(args, "modulus", None)
+        if modulus is None and "modulus" in args:
+            modulus = _env_int("BORDERAPOLAR_MODULUS")
         cfg = RunConfig(
-            modulus=args.modulus if args.modulus is not None else _env_int("BORDERAPOLAR_MODULUS"),
+            modulus=modulus,
             seed=args.seed if args.seed is not None else (_env_int("BORDERAPOLAR_SEED") or 0),
-            degree_bound=args.degree_bound,
+            degree_bound=getattr(args, "degree_bound", None),
             output=args.output,
             fmt=args.format,
         )

@@ -201,6 +201,12 @@ def generic_hf(r: int, ring: RingSpec, u) -> int:
     return min(r, dim_piece(ring, u))
 
 
+def first_non_generic(j: TruncatedIdeal, r: int):
+    """The first degree where J's Hilbert function is not `generic_hf(r, ...)`, or None."""
+    return next((u for u in j.degrees()
+                 if hilbert_function(j, u) != generic_hf(r, j.ring, u)), None)
+
+
 # -- point sets and their saturated ideals ------------------------------------------
 
 def _is_projectively_equal(a, b) -> bool:
@@ -343,11 +349,7 @@ def very_general_points(ring: RingSpec, r: int, bound: int, rng: random.Random,
             zs = PointSet(ring, pts)
         except ValueError:
             continue
-        ideal = point_ideal(zs, bound)
-        if all(
-            hilbert_function(ideal, u) == generic_hf(r, ring, u)
-            for u in degrees_up_to(ring, bound)
-        ):
+        if first_non_generic(point_ideal(zs, bound), r) is None:
             return zs
         warnings.warn(
             f"resampling: draw {attempt} was not in general position", stacklevel=2
@@ -402,10 +404,15 @@ def is_saturated_degreewise(j: TruncatedIdeal, u) -> bool:
     return pre == j.pieces[u]
 
 
+def min_generators(ring: RingSpec, u, piece_at, field=QQ) -> int:
+    """Minimal generators of degree u: dim J_u minus the dimension of the
+    from-below part sum_i S_{e_i} J_{u-e_i}, where J_v = piece_at(v)."""
+    return piece_at(u).dim - span_from_below(ring, u, piece_at, field).dim
+
+
 def min_generators_in_degree(j: TruncatedIdeal, u) -> int:
-    """dim J_u minus the dimension of the from-below part sum_i S_{e_i} J_{u-e_i}."""
-    u = check_degree(j.ring, u)
-    return j.piece(u).dim - span_from_below(j.ring, u, j.piece, j.field).dim
+    """Minimal generators of J in degree u."""
+    return min_generators(j.ring, check_degree(j.ring, u), j.piece, j.field)
 
 
 def diagonal_ideal(n: int, d: int, bound: int) -> TruncatedIdeal:

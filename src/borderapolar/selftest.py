@@ -3,6 +3,12 @@
 Each suite re-derives one family of exact identities from scratch and
 reports an instance count; the desk scale is sized for a coffee-break run,
 the deep scale raises dimensions, factors, and bounds by one notch.
+
+A suite is written as a generator over (cfg, rng) that yields once per
+instance: a failure detail, or "" when the instance passes.  The `_suite`
+decorator names it and turns it into `suite(cfg, rng) -> SuiteResult`: it runs
+the generator to its first failure, never resuming it after one, and counts
+and times the instances it saw.
 """
 
 from __future__ import annotations
@@ -31,8 +37,7 @@ from .ideals import (
     degrees_up_to,
     diagonal_points,
     expand,
-    generic_hf,
-    hilbert_function,
+    first_non_generic,
     point_ideal,
     very_general_points,
 )
@@ -117,120 +122,95 @@ def random_symmetric_tensor(n: int, d: int, rng: random.Random) -> SymTensor:
 
 # -- the suites -----------------------------------------------------------------
 
-def suite_pi_kernel_direct_sum(cfg: ScaleConfig, rng: random.Random) -> SuiteResult:
-    t0 = time.perf_counter()
-    count = 0
+def _suite(name: str):
+    def wrap(instances):
+        def run(cfg: ScaleConfig, rng: random.Random) -> SuiteResult:
+            t0 = time.perf_counter()
+            count, detail = 0, ""
+            for detail in instances(cfg, rng):
+                count += 1
+                if detail:
+                    break
+            return SuiteResult(name, count, not detail, time.perf_counter() - t0, detail)
+        run.suite_name = name
+        return run
+    return wrap
+
+
+@_suite("pi-kernel-direct-sum")
+def suite_pi_kernel_direct_sum(cfg: ScaleConfig, rng: random.Random):
     for n in range(2, cfg.max_n + 1):
         for d in range(2, cfg.max_d + 1):
             ring = segre_ring(n, d)
             expanded = expand(dmaps.ir_generators(n, d), ring, cfg.bound)
             for u in degrees_up_to(ring, cfg.bound):
-                count += 1
                 k = sum(u)
                 want = dmaps.ir_piece(n, d, u)
                 if expanded.piece(u) != want:
-                    return SuiteResult(
-                        "pi-kernel-direct-sum", count, False,
-                        time.perf_counter() - t0,
-                        f"generator expansion differs from ker pi at n={n} d={d} u={u}",
-                    )
-                if dim_piece(ring, u) - want.dim != math.comb(n + k - 1, k):
-                    return SuiteResult(
-                        "pi-kernel-direct-sum", count, False,
-                        time.perf_counter() - t0,
-                        f"codimension of the diagonal ideal wrong at n={n} d={d} u={u}",
-                    )
-                if not dmaps.direct_sum_check(n, d, u):
-                    return SuiteResult(
-                        "pi-kernel-direct-sum", count, False,
-                        time.perf_counter() - t0,
-                        f"direct sum fails at n={n} d={d} u={u}",
-                    )
-    return SuiteResult("pi-kernel-direct-sum", count, True, time.perf_counter() - t0)
+                    yield f"generator expansion differs from ker pi at n={n} d={d} u={u}"
+                elif dim_piece(ring, u) - want.dim != math.comb(n + k - 1, k):
+                    yield f"codimension of the diagonal ideal wrong at n={n} d={d} u={u}"
+                elif not dmaps.direct_sum_check(n, d, u):
+                    yield f"direct sum fails at n={n} d={d} u={u}"
+                else:
+                    yield ""
 
 
-def suite_counting(cfg: ScaleConfig, rng: random.Random) -> SuiteResult:
-    t0 = time.perf_counter()
-    count = 0
+@_suite("counting")
+def suite_counting(cfg: ScaleConfig, rng: random.Random):
     for n in range(1, cfg.max_n + 2):
         for r in range(0, cfg.bound + 3):
-            count += 1
             seqs = sum(
                 1 for _ in itertools.combinations_with_replacement(range(n), r)
             )
             if seqs != math.comb(n + r - 1, r):
-                return SuiteResult(
-                    "counting", count, False, time.perf_counter() - t0,
-                    f"sequence count mismatch at n={n} r={r}",
-                )
-            if seqs != dim_piece(veronese_ring(n), r):
-                return SuiteResult(
-                    "counting", count, False, time.perf_counter() - t0,
-                    f"dimension formula mismatch at n={n} r={r}",
-                )
-    return SuiteResult("counting", count, True, time.perf_counter() - t0)
+                yield f"sequence count mismatch at n={n} r={r}"
+            elif seqs != dim_piece(veronese_ring(n), r):
+                yield f"dimension formula mismatch at n={n} r={r}"
+            else:
+                yield ""
 
 
-def suite_degree_one_image(cfg: ScaleConfig, rng: random.Random) -> SuiteResult:
-    t0 = time.perf_counter()
-    count = 0
+@_suite("degree-one-image")
+def suite_degree_one_image(cfg: ScaleConfig, rng: random.Random):
     shapes = [(2, 3), (2, 4), (3, 3)]
     if cfg.max_n >= 4:
         shapes.append((3, 4))
     for n, d in shapes:
         for _ in range(cfg.instances):
-            count += 1
             f = random_symmetric_tensor(n, d, rng)
             lifted = dmaps.pi_image(n, d, ones(d), ann_piece(f, ones(d)))
             target = ann_sym_piece(depolarize(f), d)
-            if lifted != target:
-                return SuiteResult(
-                    "degree-one-image", count, False, time.perf_counter() - t0,
-                    f"projected annihilator differs at n={n} d={d}",
-                )
-    return SuiteResult("degree-one-image", count, True, time.perf_counter() - t0)
+            yield "" if lifted == target else f"projected annihilator differs at n={n} d={d}"
 
 
-def suite_upsilon_transport(cfg: ScaleConfig, rng: random.Random) -> SuiteResult:
-    t0 = time.perf_counter()
-    count = 0
+@_suite("upsilon-transport")
+def suite_upsilon_transport(cfg: ScaleConfig, rng: random.Random):
     d = 3
     for n in sorted({2, cfg.max_n}):
         for r in range(n, math.comb(n + 1, 2) + 1):
-            count += 1
             zs = very_general_points(veronese_ring(n), r, cfg.bound, rng)
             ideal = point_ideal(zs, cfg.bound)
             lifted = upsilon(ideal, d, cfg.bound)
             diag = point_ideal(diagonal_points(zs, d), cfg.bound,
                                provenance="diagonal-points")
-            for u in lifted.degrees():
-                if hilbert_function(lifted, u) != generic_hf(r, lifted.ring, u):
-                    return SuiteResult(
-                        "upsilon-transport", count, False, time.perf_counter() - t0,
-                        f"Hilbert transport fails at n={n} r={r} u={u}",
-                    )
-                if lifted.piece(u) != diag.piece(u):
-                    return SuiteResult(
-                        "upsilon-transport", count, False, time.perf_counter() - t0,
-                        f"lifted ideal differs from diagonal points at n={n} r={r} u={u}",
-                    )
-            back = rho_ideal(lifted)
-            twisted = sigma(lifted)
-            for k in range(cfg.bound + 1):
-                if back.piece(k) != ideal.piece(k) or twisted.piece(k) != ideal.piece(k):
-                    return SuiteResult(
-                        "upsilon-transport", count, False, time.perf_counter() - t0,
-                        f"round trip fails at n={n} r={r} degree {k}",
-                    )
-    return SuiteResult("upsilon-transport", count, True, time.perf_counter() - t0)
+            bad = first_non_generic(lifted, r)
+            differs = [u for u in lifted.degrees() if lifted.piece(u) != diag.piece(u)]
+            if bad is not None:
+                yield f"Hilbert transport fails at n={n} r={r} u={bad}"
+            elif differs:
+                yield f"lifted ideal differs from diagonal points at n={n} r={r} u={differs[0]}"
+            else:
+                back, twisted = rho_ideal(lifted), sigma(lifted)
+                wrong = [k for k in range(cfg.bound + 1)
+                         if back.piece(k) != ideal.piece(k) or twisted.piece(k) != ideal.piece(k)]
+                yield f"round trip fails at n={n} r={r} degree {wrong[0]}" if wrong else ""
 
 
-def suite_pipeline(cfg: ScaleConfig, rng: random.Random) -> SuiteResult:
-    t0 = time.perf_counter()
-    count = 0
+@_suite("pipeline")
+def suite_pipeline(cfg: ScaleConfig, rng: random.Random):
     d = 3
     for n in range(2, cfg.max_n + 1):
-        count += 1
         f = diagonal_tensor(n, d)
         pts = [tuple(1 if j == t else 0 for j in range(n)) for t in range(n)]
         zs = PointSet(veronese_ring(n), tuple(pts))
@@ -238,60 +218,47 @@ def suite_pipeline(cfg: ScaleConfig, rng: random.Random) -> SuiteResult:
         lifted = upsilon(ideal, d, d + 1)
         cert = comon_certificate(f, n, lifted)
         if not cert.verdict:
-            return SuiteResult(
-                "pipeline", count, False, time.perf_counter() - t0,
-                f"pipeline certificate fails for the diagonal tensor, n={n}: {cert.failure}",
-            )
-        two = check_condition_ii(lifted, f)
-        three = check_condition_iii(lifted, f)
-        if not (two.verdict and three.verdict):
-            return SuiteResult(
-                "pipeline", count, False, time.perf_counter() - t0,
-                f"containment conditions fail for the diagonal tensor, n={n}",
-            )
-    return SuiteResult("pipeline", count, True, time.perf_counter() - t0)
+            yield f"pipeline certificate fails for the diagonal tensor, n={n}: {cert.failure}"
+        elif not (check_condition_ii(lifted, f).verdict and check_condition_iii(lifted, f).verdict):
+            yield f"containment conditions fail for the diagonal tensor, n={n}"
+        else:
+            yield ""
 
 
-def suite_sharpness(cfg: ScaleConfig, rng: random.Random) -> SuiteResult:
-    t0 = time.perf_counter()
-    count = 0
+@_suite("sharpness-coherence")
+def suite_sharpness(cfg: ScaleConfig, rng: random.Random):
     for n in (2, min(cfg.max_n, 3)):
         for _ in range(cfg.instances):
-            count += 1
             forms = random_forms(n, n, rng)
             f = sum_of_powers_tensor(n, 3, forms)
-            if not is_concise(f):
-                continue
-            if bounds_mod.is_sharp(f).verdict != bounds_mod.is_111_sharp(f).verdict:
-                return SuiteResult(
-                    "sharpness-coherence", count, False, time.perf_counter() - t0,
-                    f"sharpness tests disagree at n={n}",
-                )
-    return SuiteResult("sharpness-coherence", count, True, time.perf_counter() - t0)
+            agree = (not is_concise(f)
+                     or bounds_mod.is_sharp(f).verdict == bounds_mod.is_111_sharp(f).verdict)
+            yield "" if agree else f"sharpness tests disagree at n={n}"
 
 
-def suite_macaulay(cfg: ScaleConfig, rng: random.Random) -> SuiteResult:
-    t0 = time.perf_counter()
-    count = 0
+@_suite("macaulay")
+def suite_macaulay(cfg: ScaleConfig, rng: random.Random):
     for a in range(1, 7):
         for m in range(0, 101):
-            count += 1
-            rep = bounds_mod.macaulay_rep(m, a)
-            if rep.reconstruct() != m:
-                return SuiteResult(
-                    "macaulay", count, False, time.perf_counter() - t0,
-                    f"reconstruction fails at m={m} a={a}",
-                )
-            if m <= a and bounds_mod.macaulay_bound(m, a) != m:
-                return SuiteResult(
-                    "macaulay", count, False, time.perf_counter() - t0,
-                    f"degenerate bound fails at m={m} a={a}",
-                )
-    return SuiteResult("macaulay", count, True, time.perf_counter() - t0)
+            if bounds_mod.macaulay_rep(m, a).reconstruct() != m:
+                yield f"reconstruction fails at m={m} a={a}"
+            elif m <= a and bounds_mod.macaulay_bound(m, a) != m:
+                yield f"degenerate bound fails at m={m} a={a}"
+            else:
+                yield ""
 
 
-def suite_negative_controls(cfg: ScaleConfig, rng: random.Random) -> SuiteResult:
-    t0 = time.perf_counter()
+def _rejects(fn, *args) -> bool:
+    """Whether fn(*args) raises ValueError."""
+    try:
+        fn(*args)
+    except ValueError:
+        return True
+    return False
+
+
+@_suite("negative-controls")
+def suite_negative_controls(cfg: ScaleConfig, rng: random.Random):
     n, d = 2, 3
     f = diagonal_tensor(n, d)
     zs = PointSet(veronese_ring(n), ((1, 0), (0, 1)))
@@ -308,34 +275,25 @@ def suite_negative_controls(cfg: ScaleConfig, rng: random.Random) -> SuiteResult
         u_first,
         Subspace.from_rows(dim_piece(ring, u_first), bad_rows),
     )
-    cert = check_condition_iii(perturbed, f)
-    ok = not cert.verdict
-    try:
-        sigma(point_ideal(PointSet(ring, (((1, 2), (3, 4), (5, 7)),)), 2))
-        ok = False
-    except ValueError:
-        pass
-    try:
-        comon_certificate(f, math.comb(n + 1, 2) + 1, lifted)
-        ok = False
-    except ValueError:
-        pass
-    return SuiteResult(
-        "negative-controls", 3, ok, time.perf_counter() - t0,
-        "" if ok else "an invalid input was accepted",
-    )
+    accepted = check_condition_iii(perturbed, f).verdict
+    yield "condition iii accepted a piece that is not apolar to the tensor" if accepted else ""
+    no_diagonal = point_ideal(PointSet(ring, (((1, 2), (3, 4), (5, 7)),)), 2)
+    yield "" if _rejects(sigma, no_diagonal) else "sigma accepted an ideal without I_R"
+    too_many = math.comb(n + 1, 2) + 1
+    yield "" if _rejects(comon_certificate, f, too_many, lifted) else (
+        f"comon_certificate accepted r={too_many} above the admissible range")
 
 
-SUITES = (
-    ("counting", suite_counting),
-    ("macaulay", suite_macaulay),
-    ("pi-kernel-direct-sum", suite_pi_kernel_direct_sum),
-    ("degree-one-image", suite_degree_one_image),
-    ("upsilon-transport", suite_upsilon_transport),
-    ("pipeline", suite_pipeline),
-    ("sharpness-coherence", suite_sharpness),
-    ("negative-controls", suite_negative_controls),
-)
+SUITES = tuple((suite.suite_name, suite) for suite in (
+    suite_counting,
+    suite_macaulay,
+    suite_pi_kernel_direct_sum,
+    suite_degree_one_image,
+    suite_upsilon_transport,
+    suite_pipeline,
+    suite_sharpness,
+    suite_negative_controls,
+))
 
 
 def run_selftest(scale: str = "desk", seed: int = 0):

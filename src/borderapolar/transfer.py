@@ -36,6 +36,7 @@ from .linalg import Subspace
 from .ideals import (
     TruncatedIdeal,
     degrees_up_to,
+    first_non_generic,
     generic_hf,
     hilbert_function,
     is_saturated_degreewise,
@@ -62,10 +63,6 @@ class Certificate:
     tested_bound: int | None = None
     slip_provenance: str | None = None
     failure: str | None = None
-
-    @property
-    def passed(self) -> bool:
-        return self.verdict
 
     def add(self, **kw):
         self.witnesses.append(kw)
@@ -222,6 +219,12 @@ def rho_ideal(j: TruncatedIdeal) -> TruncatedIdeal:
 
 # -- containment bookkeeping ------------------------------------------------------
 
+def _ideal_certificate(check: str, j: TruncatedIdeal, tested_bound: int, *parts) -> Certificate:
+    """A not-yet-passed certificate on J, its inputs digested from `parts`."""
+    return Certificate(check=check, inputs_digest=digest_of(*parts), verdict=False,
+                       tested_bound=tested_bound, slip_provenance=slip_label(j.provenance))
+
+
 def _apolarity_stage(cert: Certificate, j: TruncatedIdeal, f: GeneralTensor,
                      up_to: int) -> bool:
     """Degreewise containment J_u in Ann(F)_u for |u| <= up_to; pieces above the
@@ -258,18 +261,17 @@ def _pi_containment_stage(cert: Certificate, j: TruncatedIdeal, with_degree: boo
     return ok
 
 
+def _require_bound(j: TruncatedIdeal, d: int):
+    """Both pi-containment checks read J_{(d,0,...,0)}, so J must reach degree d."""
+    if j.bound < d:
+        raise ValueError(f"need the truncation bound >= {d}, got {j.bound}")
+
+
 def check_condition_iii(j: TruncatedIdeal, f: GeneralTensor) -> Certificate:
     """pi(J_{(d,0,...,0)}) inside pi(J_1), after verifying J is apolar to F."""
     d = j.ring.d
-    if j.bound < d:
-        raise ValueError(f"need the truncation bound >= {d}, got {j.bound}")
-    cert = Certificate(
-        check="condition-iii",
-        inputs_digest=digest_of(tensor_digest(f), ideal_digest(j)),
-        verdict=False,
-        tested_bound=j.bound,
-        slip_provenance=slip_label(j.provenance),
-    )
+    _require_bound(j, d)
+    cert = _ideal_certificate("condition-iii", j, j.bound, tensor_digest(f), ideal_digest(j))
     if _apolarity_stage(cert, j, f, d):
         cert.verdict = _pi_containment_stage(cert, j, with_degree=True)
     return cert
@@ -280,13 +282,7 @@ def check_condition_ii(j: TruncatedIdeal, f: GeneralTensor,
     """I_R inside J and pi(J_u) independent of u within each total degree."""
     d = j.ring.d
     bound = j.bound if bound is None else min(bound, j.bound)
-    cert = Certificate(
-        check="condition-ii",
-        inputs_digest=digest_of(tensor_digest(f), ideal_digest(j), bound),
-        verdict=False,
-        tested_bound=bound,
-        slip_provenance=slip_label(j.provenance),
-    )
+    cert = _ideal_certificate("condition-ii", j, bound, tensor_digest(f), ideal_digest(j), bound)
     if not _apolarity_stage(cert, j, f, d):
         return cert
     images = _pi_images(j, [u for u in j.degrees() if degree_total(u) <= bound])
@@ -319,7 +315,8 @@ def comon_certificate(f: SymTensor, r: int, j: TruncatedIdeal) -> Certificate:
     Hilbert function, apolarity, degreewise saturation where the bound allows,
     and the pi-containment condition; on success it also produces rho(J) and
     verifies that it is apolar to the corresponding form with the expected
-    Hilbert function.
+    Hilbert function.  An ideal truncated below total degree d is refused with
+    a ValueError before any stage runs.
     """
     if not isinstance(f, SymTensor):
         raise TypeError("the transfer pipeline requires a symmetric tensor")
@@ -328,13 +325,8 @@ def comon_certificate(f: SymTensor, r: int, j: TruncatedIdeal) -> Certificate:
         raise ValueError(
             f"r={r} outside the admissible range [{n}, {math.comb(n + 1, 2)}]"
         )
-    cert = Certificate(
-        check="comon-transfer",
-        inputs_digest=digest_of(tensor_digest(f), r, ideal_digest(j)),
-        verdict=False,
-        tested_bound=j.bound,
-        slip_provenance=slip_label(j.provenance),
-    )
+    _require_bound(j, d)
+    cert = _ideal_certificate("comon-transfer", j, j.bound, tensor_digest(f), r, ideal_digest(j))
     ranks = flattening_ranks(f)
     concise = all(rk == n for rk in ranks)
     cert.add(stage="conciseness", flattening_ranks=ranks, ok=concise)
@@ -346,18 +338,14 @@ def comon_certificate(f: SymTensor, r: int, j: TruncatedIdeal) -> Certificate:
     if flb > r:
         cert.failure = f"flattening lower bound {flb} exceeds r={r}"
         return cert
-    hf_ok = True
-    for u in j.degrees():
-        have = hilbert_function(j, u)
-        want = generic_hf(r, j.ring, u)
-        if have != want:
-            hf_ok = False
-            cert.add(stage="hilbert-function", degree=u, have=have, want=want, ok=False)
-            break
-    cert.add(stage="hilbert-function", ok=hf_ok)
-    if not hf_ok:
+    bad = first_non_generic(j, r)
+    if bad is not None:
+        cert.add(stage="hilbert-function", degree=bad, have=hilbert_function(j, bad),
+                 want=generic_hf(r, j.ring, bad), ok=False)
+        cert.add(stage="hilbert-function", ok=False)
         cert.failure = "Hilbert function differs from the generic one"
         return cert
+    cert.add(stage="hilbert-function", ok=True)
     if not _apolarity_stage(cert, j, f, d):
         return cert
     sat_degrees = [u for u in j.degrees() if degree_total(u) + d <= j.bound]
@@ -374,10 +362,7 @@ def comon_certificate(f: SymTensor, r: int, j: TruncatedIdeal) -> Certificate:
     apolar = ann_d.contains(restricted.piece(d))
     cert.add(stage="rho-apolarity", degree=d, dim=restricted.piece(d).dim,
              dim_ann=ann_d.dim, ok=apolar)
-    hf_v = all(
-        hilbert_function(restricted, k) == generic_hf(r, restricted.ring, k)
-        for k in range(restricted.bound + 1)
-    )
+    hf_v = first_non_generic(restricted, r) is None
     cert.add(stage="rho-hilbert-function", ok=hf_v)
     cert.verdict = apolar and hf_v
     if not cert.verdict:

@@ -268,6 +268,61 @@ class TestDegreeBoundBelowOrder:
         assert "tested up to total degree 3" in out
 
 
+class TestIdealBelowOrder:
+    """check --ideal FILE with a file bound below d exits 2 before any stage runs."""
+
+    @pytest.mark.parametrize("ideal", ["zero", "upsilon"])
+    def test_exits_two(self, tmp_path, capsys, ideal):
+        from borderapolar.grading import veronese_ring
+        from borderapolar.ideals import PointSet, point_ideal
+        from borderapolar.transfer import upsilon
+
+        if ideal == "zero":  # fails the Hilbert function stage when that runs first
+            payload = {"ring": "S", "n": 2, "d": 3, "bound": 2, "generators": []}
+        else:  # passes every stage below the pi-containment one
+            z = PointSet(veronese_ring(2), ((1, 0), (0, 1)))
+            payload = cli.dump_ideal(upsilon(point_ideal(z, 2), 3, 2))
+        tf = write(tmp_path, "t.json", FERMAT)
+        code = cli.main(["check", tf, "2", "--ideal", write(tmp_path, "i.json", payload)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: need the truncation bound >= 3, got 2\n"
+
+
+class TestFlagsPerSubcommand:
+    """--modulus and --degree-bound exist only on the subcommands that read them."""
+
+    @pytest.mark.parametrize("argv", [
+        ["selftest", "--scale", "desk", "--modulus", "2147483647"],
+        ["selftest", "--degree-bound", "1"],
+        ["ann", "TENSOR", "2", "--degree-bound", "2"],
+    ], ids=["selftest-modulus", "selftest-degree-bound", "ann-degree-bound"])
+    def test_unread_flag_exits_two(self, tmp_path, capsys, argv):
+        tf = write(tmp_path, "t.json", FERMAT)
+        with pytest.raises(SystemExit) as exc:
+            cli.main([tf if a == "TENSOR" else a for a in argv])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --" in capsys.readouterr().err
+
+    def test_flags_where_read(self, tmp_path, capsys):
+        tf = write(tmp_path, "t.json", FERMAT)
+        code, out = run(["ann", tf, "2", "--modulus", "2147483647"], capsys)
+        assert code == 0
+        assert "annihilator dimension 1" in out
+        zf = write(tmp_path, "z.json", {"ring": "V", "n": 2, "bound": 3, "generators": []})
+        assert run(["hf", zf, "2", "--degree-bound", "2", "--modulus", "1048583"],
+                   capsys)[0] == 0
+        assert cli.main(["hf", zf, "3", "--degree-bound", "2"]) == 2
+        assert run(["selftest", "--seed", "3", "--format", "json"], capsys)[0] == 0
+
+    def test_selftest_ignores_env_modulus(self, capsys, monkeypatch):
+        monkeypatch.setenv("BORDERAPOLAR_MODULUS", "97")  # not a valid modulus
+        code, out = run(["selftest", "--scale", "desk"], capsys)
+        assert code == 0
+        assert "overall: pass" in out
+
+
 class TestDenominatorDivisibleByModulus:
     """A coefficient with no value mod p is a usage error on every load path."""
 
@@ -312,12 +367,33 @@ class TestSelftest:
         results, ok = run_selftest("deep")
         assert [r.name for r in results] == [name for name, _ in SUITES]
         assert ok, [r.name for r in results if not r.passed]
+        assert [r.instances for r in results] == [35, 606, 360, 32, 9, 3, 16, 3]
 
     def test_deep_scale_raises_the_knobs(self):
         desk, deep = SCALES["desk"], SCALES["deep"]
         assert deep.max_n == desk.max_n + 1
         assert deep.max_d == desk.max_d + 1
         assert deep.bound == desk.bound + 1
+
+    def test_negative_controls_fail_at_the_accepting_instance(self, monkeypatch):
+        import random
+        from types import SimpleNamespace
+
+        from borderapolar import selftest
+
+        def accepting(*args, **kwargs):
+            return SimpleNamespace(verdict=True)
+
+        monkeypatch.setattr(selftest, "check_condition_iii", accepting)
+        result = selftest.suite_negative_controls(SCALES["desk"], random.Random(0))
+        assert (result.name, result.instances, result.passed) == ("negative-controls", 1, False)
+        assert result.detail == "condition iii accepted a piece that is not apolar to the tensor"
+
+        monkeypatch.undo()
+        monkeypatch.setattr(selftest, "sigma", lambda j: j)
+        result = selftest.suite_negative_controls(SCALES["desk"], random.Random(0))
+        assert (result.instances, result.passed) == (2, False)
+        assert result.detail == "sigma accepted an ideal without I_R"
 
     def test_mutated_psi_fails_kernel_suite(self, monkeypatch):
         import dataclasses

@@ -24,6 +24,7 @@ from borderapolar.ideals import (
     diagonal_ideal,
     diagonal_points,
     expand,
+    first_non_generic,
     generic_hf,
     hilbert_function,
     is_ideal_closed,
@@ -150,6 +151,36 @@ class TestHilbertFunction:
         assert generic_hf(0, x, (1, 1, 1)) == 0
         with pytest.raises(ValueError):
             generic_hf(-1, x, (1, 0, 0))
+
+    @pytest.mark.parametrize("ring,r", [(V2, 3), (V3, 5), (segre_ring(2, 2), 3),
+                                        (segre_ring(2, 3), 4)])
+    def test_first_non_generic_none_on_general_points(self, ring, r):
+        z = very_general_points(ring, r, 3, random.Random(19))
+        assert first_non_generic(point_ideal(z, 3), r) is None
+
+    def test_first_non_generic_on_zero_ideal(self):
+        # the zero ideal has HF dim V_k = 1, 2, 3, 4, 5 against min(3, dim V_k)
+        assert first_non_generic(zero_ideal(V2, 4), 3) == 3
+        # (1, 1, 0) is the first degree, in enumeration order, with dim S_u = 4 > 3
+        assert first_non_generic(zero_ideal(segre_ring(2, 3), 3), 3) == (1, 1, 0)
+        assert first_non_generic(zero_ideal(segre_ring(2, 3), 3), 8) is None
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_first_non_generic_on_a_replaced_piece(self, k):
+        j = point_ideal(very_general_points(V2, 3, 4, random.Random(20)), 4)
+        assert first_non_generic(j, 3) is None
+        broken = j.with_piece(k, Subspace.zero(dim_piece(V2, k)))
+        assert first_non_generic(broken, 3) == k
+
+    def test_first_non_generic_on_a_replaced_segre_piece(self):
+        from borderapolar.transfer import upsilon
+
+        z = very_general_points(V2, 3, 3, random.Random(21))
+        lifted = upsilon(point_ideal(z, 3), 3, 3)
+        assert first_non_generic(lifted, 3) is None
+        u = (2, 1, 0)
+        broken = lifted.with_piece(u, Subspace.zero(dim_piece(lifted.ring, u)))
+        assert first_non_generic(broken, 3) == u
 
 
 class TestPointIdeal:

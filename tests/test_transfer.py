@@ -451,6 +451,24 @@ class TestComonCertificate:
         with pytest.raises(ValueError):
             comon_certificate(f, 2, j)  # 2 < n
 
+    @pytest.mark.parametrize("checker", ["comon_certificate", "check_condition_iii"])
+    def test_bound_below_order_raises_before_any_stage(self, monkeypatch, checker):
+        f = diagonal_tensor(2, 3)
+        j = upsilon(point_ideal(coordinate_points(2), 2), 3, 2)
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a stage ran on an ideal truncated below the order")
+
+        for name in ("flattening_ranks", "first_non_generic", "hilbert_function",
+                     "_apolarity_stage", "is_saturated_degreewise",
+                     "_pi_containment_stage", "rho_ideal", "ideal_digest"):
+            monkeypatch.setattr(transfer, name, unreachable)
+        with pytest.raises(ValueError, match=r"^need the truncation bound >= 3, got 2$"):
+            if checker == "comon_certificate":
+                comon_certificate(f, 2, j)
+            else:
+                check_condition_iii(j, f)
+
     def test_non_symmetric_rejected(self):
         g = GeneralTensor(2, 3, {(0, 0, 1): 1})
         j = zero_ideal(segre_ring(2, 3), 4)
