@@ -313,23 +313,22 @@ def ann_sym_piece(p: HomPoly, k: int) -> Subspace:
 
 # -- flattenings ------------------------------------------------------------------
 
+def flattening(f: GeneralTensor, i: int, cols=None) -> Matrix:
+    """F's flattening along factor i, as sparse rows: row j is the slice F_{i=j}.
+
+    The index on the other factors goes to column cols[index]; `cols` is a
+    dict, by default empty, and an index not in it gets the next column."""
+    _require_full_tensor(f)
+    cols = {} if cols is None else cols
+    rows = [[] for _ in range(f.n)]
+    for idx, x in f.entries.items():
+        rows[idx[i]].append((cols.setdefault(idx[:i] + idx[i + 1:], len(cols)), x))
+    return Matrix.of_sparse(max(len(cols), 1), rows, f.field)
+
+
 def flattening_ranks(f: GeneralTensor) -> tuple:
     """Rank of each one-factor flattening C^n -> tensor on the other factors."""
-    _require_full_tensor(f)
-    ranks = []
-    others = lambda i: [k for k in range(f.order) if k != i]  # noqa: E731
-    for i in range(f.order):
-        cols = {}
-        for idx, c in f.entries.items():
-            key = tuple(idx[k] for k in others(i))
-            cols.setdefault(key, {})[idx[i]] = c
-        col_keys = sorted(cols)
-        rows = [
-            [cols[key].get(j, f.field.zero) for key in col_keys]
-            for j in range(f.n)
-        ]
-        ranks.append(rank(Matrix(rows, ncols=max(len(col_keys), 1), field=f.field)))
-    return tuple(ranks)
+    return tuple(rank(flattening(f, i)) for i in range(f.order))
 
 
 def is_concise(f: GeneralTensor) -> bool:

@@ -8,6 +8,7 @@ Hilbert function values, with a separate quick test in the three-factor case.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -17,6 +18,7 @@ from .apolarity import (
     ann_piece,
     ann_sym_piece,
     depolarize,
+    flattening,
     is_concise,
 )
 from .diagonal_maps import pi_image, proper_unit_box_degrees
@@ -24,13 +26,12 @@ from .grading import (
     PieceElement,
     add_degrees,
     dim_piece,
-    ones,
     segre_ring,
     unit_degree,
     veronese_ring,
 )
-from .ideals import expand, min_generators, variable_multiples
-from .linalg import Matrix, Subspace
+from .ideals import expand, min_generators, span_from_below, variable_multiples
+from .linalg import Matrix, Subspace, rank
 from .transfer import Certificate, tensor_digest
 
 
@@ -98,8 +99,38 @@ def _require_concise_symmetric(f) -> SymTensor:
 
 
 def min_generators_degree_one(f) -> int:
-    """Minimal generators of Ann(F) in degree (1,...,1)."""
-    return min_generators(segre_ring(f.n, f.order), ones(f.order), partial(ann_piece, f), f.field)
+    """Minimal generators of Ann(F) in degree (1,...,1), counted on the short side.
+
+    Ann(F)_{1-e_i} is the orthogonal complement of R_i, the span of F's slices
+    along factor i, so the from-below part B = sum_i S_{e_i} Ann(F)_{1-e_i} has
+    B^perp = {T : every slice T_{i=j} lies in R_i}.  As Ann(F)_{1,...,1} = F^perp
+    and F lies in B^perp, the count is dim B^perp - [F != 0].  B^perp is solved
+    for inside C^n (x) R_0, one unknown per variable of factor 0 and basis row
+    of R_0, under the constraints of R_1, ..., R_{d-1}, on integer rows.
+    """
+    n, d, field = f.n, f.order, f.field
+    rests = list(itertools.product(range(n), repeat=d - 1))
+    cols = {t: c for c, t in enumerate(rests)}
+    basis = Subspace.from_rows(len(cols), flattening(f, 0, cols)).sparse
+    # unknown a * dim R_0 + b stands for e_a (x) (basis row b), an integer tensor
+    unknowns = [{(a,) + rests[c]: x for c, x in field.integer_row(row)}
+                for a in range(n) for row in basis]
+    rows = []
+    for i in range(1, d):
+        cons = [dict(field.integer_row(row)) for row in
+                Subspace.from_rows(len(cols), flattening(f, i, cols)).constraints().sparse]
+        # block[j][q] is the row of <cons[q], T_{i=j}> in the unknowns
+        block = [[{} for _ in cons] for _ in range(n)]
+        for t, tensor in enumerate(unknowns):
+            for idx, x in tensor.items():
+                k = cols[idx[:i] + idx[i + 1:]]
+                for q, con in enumerate(cons):
+                    if k in con:
+                        acc = block[idx[i]][q]
+                        acc[t] = acc.get(t, 0) + con[k] * x
+        rows += [[(t, x) for t, x in acc.items() if x] for per_j in block for acc in per_j]
+    dim_perp = len(unknowns) - rank(Matrix.of_sparse(len(unknowns), rows, field))
+    return dim_perp - (not f.is_zero)
 
 
 def min_generators_sym_in_degree(p, k: int) -> int:
@@ -127,9 +158,10 @@ def is_sharp(f) -> Certificate:
     cond1 = gens == n - 1
     cert.add(stage="degree-one-generators", count=gens, want=n - 1, ok=cond1)
 
+    box = {u: ann_piece(f, u) for u in proper_unit_box_degrees(d)}
     cond2 = True
-    for u in proper_unit_box_degrees(d):
-        hf = ann_piece(f, u).codim
+    for u, piece in box.items():
+        hf = piece.codim
         ok = hf == n
         if not ok:
             cond2 = False
@@ -142,7 +174,7 @@ def is_sharp(f) -> Certificate:
             if i == j:
                 continue
             base_u = tuple(1 if t in (i, j) else 0 for t in range(d))
-            sub = ann_piece(f, base_u)
+            sub = box[base_u]
             for s in range(1, d):
                 deg = tuple(
                     (s if t == i else 0) + (1 if t == j else 0) for t in range(d)
@@ -236,14 +268,32 @@ def proper_degree_annihilator_ideal(f, bound: int):
     return expand(gens, ring, bound, provenance="proper-annihilator", field=f.field)
 
 
+def _proper_ideal_piece(f, u) -> Subspace:
+    """Piece u of `proper_degree_annihilator_ideal`, built from the pieces at
+    the degrees v <= u (componentwise) alone.
+
+    A proper unit-box piece of the ideal is Ann(F)_v itself, since Ann(F) is an
+    ideal; every other piece is spanned from below, as in `expand`."""
+    ring = segre_ring(f.n, f.order)
+    proper = set(proper_unit_box_degrees(f.order))
+    pieces: dict = {}
+
+    def piece_at(v):
+        if v not in pieces:
+            pieces[v] = (ann_piece(f, v) if v in proper else
+                         span_from_below(ring, v, piece_at, f.field, piece=(ring, v)))
+        return pieces[v]
+
+    return piece_at(u)
+
+
 def verify_containment_lemma(f) -> Certificate:
     """pi of the (d-1)e_1 + e_2 piece of the proper-degree annihilator ideal
     lies inside Ann(p_F)_d."""
     f = _require_concise_symmetric(f)
     n, d = f.n, f.order
-    ideal = proper_degree_annihilator_ideal(f, d)
     u = tuple([d - 1, 1] + [0] * (d - 2))
-    lifted = pi_image(n, d, u, ideal.piece(u))
+    lifted = pi_image(n, d, u, _proper_ideal_piece(f, u))
     target = ann_sym_piece(depolarize(f), d)
     ok = target.contains(lifted)
     cert = Certificate(

@@ -202,7 +202,7 @@ def load_ideal_file(path: str, cfg: RunConfig) -> TruncatedIdeal:
         missing = [u for u in degrees_up_to(ring, bound) if u not in pieces]
         if missing:
             raise UsageError(f"{path}: missing pieces for degrees {missing[:4]}...")
-        ideal = TruncatedIdeal(ring, bound, pieces, None, "user", field)
+        ideal = TruncatedIdeal(ring, bound, pieces, "user", field)
         if not is_ideal_closed(ideal):
             raise UsageError(f"{path}: the stored pieces are not ideal-closed")
         return ideal
@@ -350,6 +350,9 @@ def cmd_ann(args, cfg: RunConfig) -> int:
 
 def _ideal_from_args(args, cfg: RunConfig) -> TruncatedIdeal:
     if getattr(args, "diagonal", None):
+        if args.modulus is not None:
+            raise UsageError(
+                "--diagonal builds the diagonal ideal over Q; it does not take --modulus")
         n, d = args.diagonal
         bound = cfg.degree_bound if cfg.degree_bound is not None else d + 1
         return diagonal_ideal(int(n), int(d), bound)

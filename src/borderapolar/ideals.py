@@ -118,7 +118,6 @@ class TruncatedIdeal:
     ring: RingSpec
     bound: int
     pieces: dict
-    generators: list | None = None
     provenance: str = "user"
     field: object = QQ
 
@@ -136,7 +135,7 @@ class TruncatedIdeal:
         u = check_degree(self.ring, u)
         pieces = dict(self.pieces)
         pieces[u] = sub
-        return TruncatedIdeal(self.ring, self.bound, pieces, None, "user", self.field)
+        return TruncatedIdeal(self.ring, self.bound, pieces, "user", self.field)
 
 
 def _piece_tag(ring: RingSpec, u):
@@ -148,7 +147,7 @@ def zero_ideal(ring: RingSpec, bound: int, field=QQ) -> TruncatedIdeal:
         u: Subspace.zero(dim_piece(ring, u), piece=_piece_tag(ring, u), field=field)
         for u in degrees_up_to(ring, bound)
     }
-    return TruncatedIdeal(ring, bound, pieces, [], "zero", field)
+    return TruncatedIdeal(ring, bound, pieces, "zero", field)
 
 
 def expand(generators, ring: RingSpec, bound: int, provenance: str = "user",
@@ -175,7 +174,7 @@ def expand(generators, ring: RingSpec, bound: int, provenance: str = "user",
     for u in degrees_up_to(ring, bound):
         pieces[u] = span_from_below(ring, u, pieces.__getitem__, field,
                                     rows=by_degree.get(u, ()), piece=_piece_tag(ring, u))
-    return TruncatedIdeal(ring, bound, pieces, list(generators), provenance, field)
+    return TruncatedIdeal(ring, bound, pieces, provenance, field)
 
 
 def is_ideal_closed(j: TruncatedIdeal) -> bool:
@@ -309,7 +308,7 @@ def point_ideal(zs: PointSet, bound: int, provenance: str = "point") -> Truncate
         sparse = [[(c, x) for c, x in enumerate(row) if x] for row in rows]
         ker = kernel(Matrix.of_sparse(len(rows[0]), sparse, field))
         pieces[u] = Subspace(len(rows[0]), tuple(ker.sparse), _piece_tag(ring, u), field)
-    return TruncatedIdeal(ring, bound, pieces, None, provenance, field)
+    return TruncatedIdeal(ring, bound, pieces, provenance, field)
 
 
 def diagonal_points(zs: PointSet, d: int) -> PointSet:
@@ -417,9 +416,9 @@ def min_generators_in_degree(j: TruncatedIdeal, u) -> int:
 
 def diagonal_ideal(n: int, d: int, bound: int) -> TruncatedIdeal:
     """The diagonal ideal as a truncated ideal, pieces taken as ker pi per degree."""
-    from .diagonal_maps import ir_generators, ir_piece
+    from .diagonal_maps import ir_piece
     from .grading import segre_ring
 
     ring = segre_ring(n, d)
     pieces = {u: ir_piece(n, d, u) for u in degrees_up_to(ring, bound)}
-    return TruncatedIdeal(ring, bound, pieces, ir_generators(n, d), "diagonal-ideal", QQ)
+    return TruncatedIdeal(ring, bound, pieces, "diagonal-ideal", QQ)

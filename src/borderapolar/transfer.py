@@ -148,7 +148,7 @@ def upsilon(i: TruncatedIdeal, d: int, bound: int | None = None,
         pieces.update(_pi_preimages(n, d, same_total, i.piece(total)))
     if provenance is None:
         provenance = "upsilon-of-point" if i.provenance in ("point", "diagonal-points") else "user"
-    return TruncatedIdeal(ring_s, bound, pieces, None, provenance, i.field)
+    return TruncatedIdeal(ring_s, bound, pieces, provenance, i.field)
 
 
 def _pi_images(j: TruncatedIdeal, degrees) -> dict:
@@ -197,7 +197,7 @@ def sigma(j: TruncatedIdeal) -> TruncatedIdeal:
         u = tuple(a + s for s in stairs[m])
         pieces[total] = _tagged(images[u], ring_v, total, j.field)
     provenance = "point" if j.provenance in ("upsilon-of-point", "diagonal-points") else "user"
-    return TruncatedIdeal(ring_v, j.bound, pieces, None, provenance, j.field)
+    return TruncatedIdeal(ring_v, j.bound, pieces, provenance, j.field)
 
 
 def rho_ideal(j: TruncatedIdeal) -> TruncatedIdeal:
@@ -214,7 +214,7 @@ def rho_ideal(j: TruncatedIdeal) -> TruncatedIdeal:
     provenance = (
         "rho-of-certified" if j.provenance in SLIP_CERTIFIED else "user"
     )
-    return TruncatedIdeal(ring_v, j.bound, pieces, None, provenance, j.field)
+    return TruncatedIdeal(ring_v, j.bound, pieces, provenance, j.field)
 
 
 # -- containment bookkeeping ------------------------------------------------------

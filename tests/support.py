@@ -4,21 +4,23 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import partial
 
-from borderapolar.apolarity import HomPoly, SymTensor, is_concise
+from borderapolar.apolarity import HomPoly, SymTensor, ann_piece, is_concise
 from borderapolar.grading import (
     add_degrees,
     check_degree,
     degree_total,
     dim_piece,
     monomials,
+    ones,
     rank_monomial,
     segre_ring,
     sub_degrees,
     unit_degree,
     veronese_ring,
 )
-from borderapolar.ideals import degrees_up_to
+from borderapolar.ideals import degrees_up_to, min_generators
 from borderapolar.linalg import QQ, Matrix, Subspace, kernel, rank
 from borderapolar.transfer import digest_of
 from borderapolar.selftest import (  # noqa: F401  (the library's model tensors)
@@ -273,3 +275,10 @@ def point_ideal_reference(zs, bound: int) -> dict:
         ker = kernel(Matrix(rows, ncols=len(basis), field=field))
         pieces[u] = Subspace.from_rows(len(basis), ker.rows, field=field)
     return pieces
+
+
+def min_generators_degree_one_reference(f) -> int:
+    """The from-below count of Ann(F)'s generators in degree (1,...,1): dim
+    Ann(F)_{1,...,1} minus dim sum_i S_{e_i} Ann(F)_{1-e_i}, every piece a kernel."""
+    return min_generators(segre_ring(f.n, f.order), ones(f.order), partial(ann_piece, f),
+                          f.field)

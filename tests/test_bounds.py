@@ -1,15 +1,19 @@
 """Tests for Macaulay representations, sharpness, and the supporting identities."""
 
+import itertools
 import math
 import random
 
 import pytest
 
+from borderapolar import bounds, linalg
 from borderapolar.apolarity import (
     GeneralTensor,
+    SymTensor,
     ann_piece,
     ann_sym_piece,
     depolarize,
+    is_concise,
     polarize,
 )
 from borderapolar.bounds import (
@@ -25,11 +29,16 @@ from borderapolar.bounds import (
     verify_gen_count_transfer,
     verify_lemma_1_minus_ed,
 )
-from borderapolar.diagonal_maps import pi_image
+from borderapolar.diagonal_maps import pi_image, proper_unit_box_degrees
 from borderapolar.grading import dim_piece, segre_ring, veronese_ring
-from borderapolar.linalg import Matrix, Subspace
+from borderapolar.linalg import QQ, Matrix, PrimeField, Subspace
 from borderapolar.ideals import multiply_vector_by_variable
-from support import concise_power_sum_instance, diagonal_tensor
+from support import (
+    concise_power_sum_instance,
+    diagonal_tensor,
+    min_generators_degree_one_reference,
+    random_symmetric_tensor,
+)
 
 
 def all_representations(m, a):
@@ -254,3 +263,145 @@ class TestLemmaSuite:
             )
             lifted_b = pi_image(n, d, deg_b, ideal.piece(deg_b))
             assert v1_ann.contains(lifted_b), f"B({s})"
+
+
+# -- elimination counts and the short side -------------------------------------------
+
+@pytest.fixture
+def eliminations(monkeypatch):
+    """The shape of every elimination, in call order."""
+    shapes = []
+    real = linalg.rref_with_pivots
+
+    def counting(m):
+        shapes.append((m.nrows, m.ncols))
+        return real(m)
+
+    monkeypatch.setattr(linalg, "rref_with_pivots", counting)
+    return shapes
+
+
+def _recording(monkeypatch, name):
+    """Patch bounds.<name> to record the degree (second argument) of each call."""
+    seen = []
+    real = getattr(bounds, name)
+
+    def wrapper(*args, **kwargs):
+        seen.append(tuple(args[1]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(bounds, name, wrapper)
+    return seen
+
+
+class TestEliminationCounts:
+    @pytest.mark.parametrize("n,d,count", [(3, 3, 9), (2, 4, 12)])
+    def test_containment_lemma_reads_the_down_set_only(self, monkeypatch, eliminations,
+                                                       n, d, count):
+        # d flattening ranks, the proper pieces at e_1 and e_1 + e_2, the spans
+        # at k e_1 and k e_1 + e_2 for k = 2..d-1, one pi-image and one
+        # catalecticant kernel: 3d eliminations
+        f = concise_power_sum_instance(n, d, random.Random(60 + d))
+        ann = _recording(monkeypatch, "ann_piece")
+        spans = _recording(monkeypatch, "span_from_below")
+        eliminations.clear()
+        assert verify_containment_lemma(f).verdict
+        assert len(eliminations) == count == 3 * d
+        u = (d - 1, 1) + (0,) * (d - 2)
+        built = ann + spans
+        assert all(all(a <= b for a, b in zip(v, u)) for v in built), built
+        assert len(set(built)) == len(built)
+        assert sorted(ann) == sorted([(1, 1) + (0,) * (d - 2), (1,) + (0,) * (d - 1)])
+
+    @pytest.mark.parametrize("n,d", [(2, 3), (3, 3), (2, 4)])
+    def test_is_sharp_builds_each_unit_box_piece_once(self, monkeypatch, n, d):
+        seen = _recording(monkeypatch, "ann_piece")
+        assert is_sharp(concise_power_sum_instance(n, d, random.Random(61))).verdict
+        assert sorted(seen) == sorted(proper_unit_box_degrees(d))
+
+    @pytest.mark.parametrize("check", [is_sharp, verify_gen_count_transfer,
+                                       verify_containment_lemma, is_111_sharp],
+                             ids=lambda fn: fn.__name__)
+    def test_second_call_does_the_same_work(self, eliminations, check):
+        # nothing computed for a tensor may outlive the call that computed it
+        f = concise_power_sum_instance(3, 3, random.Random(62))
+        eliminations.clear()
+        first = check(f).to_dict()
+        shapes = list(eliminations)
+        eliminations.clear()
+        assert check(f).to_dict() == first
+        assert eliminations == shapes and shapes
+
+    def test_degree_one_count_is_one_short_system(self, eliminations):
+        # d slice spans of shape n x n^(d-1), then one system with n dim R_0
+        # unknowns and n (n^(d-1) - dim R_i) rows per factor i >= 1
+        f = concise_power_sum_instance(4, 3, random.Random(63))
+        eliminations.clear()
+        assert min_generators_degree_one(f) == 3
+        assert eliminations == [(4, 16)] * 3 + [(96, 16)]
+
+
+def _random_tensor(n, d, rng, field, symmetric):
+    """A random tensor with entries in [-2, 2], a random share of them zero."""
+    if symmetric:
+        f = random_symmetric_tensor(n, d, rng)
+        return SymTensor(n, d, f.entries, field=field)
+    density = rng.choice((0.2, 0.5, 1.0))
+    entries = {idx: rng.randint(-2, 2) for idx in itertools.product(range(n), repeat=d)
+               if rng.random() < density}
+    return GeneralTensor(n, d, entries, field=field)
+
+
+def _not_concise(n, d, rng, field):
+    """Two tensors that are not concise: one supported on the first n-1
+    coordinates of every factor, and one whose last slice along factor 0
+    repeats its first, so that its raw slices are dependent."""
+    small = {idx: rng.randint(1, 3) for idx in itertools.product(range(n - 1), repeat=d)}
+    slices = [_random_tensor(n, d - 1, rng, field, False).entries for _ in range(n - 1)]
+    slices.append(slices[0])
+    repeated = {(a,) + idx: x for a, s in enumerate(slices) for idx, x in s.items()}
+    return [GeneralTensor(n, d, small, field=field), GeneralTensor(n, d, repeated, field=field)]
+
+
+class TestShortSideCount:
+    @pytest.mark.parametrize("field", [QQ, PrimeField(2147483647)], ids=["QQ", "GFp"])
+    def test_agrees_with_the_from_below_oracle(self, field):
+        rng = random.Random(64)
+        tensors = []
+        for n in (1, 2, 3):
+            for d in (2, 3, 4):
+                tensors.append(GeneralTensor(n, d, {}, field=field))
+                for symmetric in (True, False):
+                    tensors += [_random_tensor(n, d, rng, field, symmetric) for _ in range(2)]
+                if n > 1:
+                    tensors += _not_concise(n, d, rng, field)
+        concise = [f for f in tensors if is_concise(f)]
+        assert len(tensors) == 57 and 10 < len(concise) < 50
+        for f in tensors:
+            assert min_generators_degree_one(f) == min_generators_degree_one_reference(f), f
+
+    def test_power_sums_and_diagonals(self):
+        rng = random.Random(65)
+        for n, d in ((2, 3), (3, 3), (2, 4), (3, 4), (4, 3)):
+            for f in (diagonal_tensor(n, d), concise_power_sum_instance(n, d, rng)):
+                assert min_generators_degree_one(f) == n - 1
+                assert min_generators_degree_one_reference(f) == n - 1
+
+
+class TestDownSetPiece:
+    @pytest.mark.parametrize("field", [QQ, PrimeField(2147483647)], ids=["QQ", "GFp"])
+    def test_equals_the_piece_of_the_full_ideal(self, monkeypatch, field):
+        captured = []
+        real = bounds.pi_image
+        monkeypatch.setattr(bounds, "pi_image",
+                            lambda n, d, u, sub: captured.append((u, sub)) or real(n, d, u, sub))
+        rng = random.Random(66)
+        for n, d in ((2, 3), (3, 3), (2, 4), (3, 4)):
+            for f in (diagonal_tensor(n, d), concise_power_sum_instance(n, d, rng)):
+                f = SymTensor(n, d, f.entries, field=field)
+                captured.clear()
+                assert verify_containment_lemma(f).verdict
+                (u, sub), = captured
+                assert u == (d - 1, 1) + (0,) * (d - 2)
+                assert sub == proper_degree_annihilator_ideal(f, d).piece(u)
+                assert sub.field == field and not sub.is_zero

@@ -87,6 +87,19 @@ class TestHf:
         assert code == 0
         assert out.split()[-1] == "3"
 
+    def test_builtin_diagonal_refuses_modulus(self, capsys, monkeypatch):
+        # the diagonal ideal is always built over Q, so a modulus would be ignored
+        code = cli.main(["hf", "--diagonal", "2", "2", "1,1", "--modulus", "2147483647"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == ("error: --diagonal builds the diagonal ideal over Q; "
+                                "it does not take --modulus\n")
+        # an environment default is not a conflict: the flag is what is refused
+        monkeypatch.setenv("BORDERAPOLAR_MODULUS", "2147483647")
+        code, out = run(["hf", "--diagonal", "2", "2", "1,1"], capsys)
+        assert (code, out) == (0, "(1, 1)  3\n")
+
     def test_zero_ideal_file(self, tmp_path, capsys):
         zf = write(tmp_path, "z.json", {"ring": "V", "n": 2, "bound": 3, "generators": []})
         code, out = run(["hf", zf, "0", "1", "2", "3"], capsys)
