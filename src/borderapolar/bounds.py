@@ -23,14 +23,13 @@ from .apolarity import (
 )
 from .diagonal_maps import pi_image, proper_unit_box_degrees
 from .grading import (
-    PieceElement,
     add_degrees,
     dim_piece,
     segre_ring,
     unit_degree,
     veronese_ring,
 )
-from .ideals import expand, min_generators, span_from_below, variable_multiples
+from .ideals import min_generators, span_from_below, variable_multiples
 from .linalg import Matrix, Subspace, rank
 from .transfer import Certificate, tensor_digest
 
@@ -257,20 +256,10 @@ def verify_gen_count_transfer(f) -> Certificate:
     return cert
 
 
-def proper_degree_annihilator_ideal(f, bound: int):
-    """The ideal generated by every Ann(F)_u with u strictly inside the unit box."""
-    n, d = f.n, f.order
-    ring = segre_ring(n, d)
-    gens = []
-    for u in proper_unit_box_degrees(d):
-        for b in ann_piece(f, u).basis:
-            gens.append(PieceElement(ring, u, tuple(b)))
-    return expand(gens, ring, bound, provenance="proper-annihilator", field=f.field)
-
-
 def _proper_ideal_piece(f, u) -> Subspace:
-    """Piece u of `proper_degree_annihilator_ideal`, built from the pieces at
-    the degrees v <= u (componentwise) alone.
+    """Piece u of the ideal generated by every Ann(F)_v with v strictly inside
+    the unit box, built from the pieces at the degrees v <= u (componentwise)
+    alone.
 
     A proper unit-box piece of the ideal is Ann(F)_v itself, since Ann(F) is an
     ideal; every other piece is spanned from below, as in `expand`."""

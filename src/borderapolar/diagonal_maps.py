@@ -17,10 +17,14 @@ drops the rows that collapse to zero and eliminates the rest once, on V_|u|;
 
 Because of the split, every subspace of S_u that contains (I_R)_u is the
 pi-preimage of its pi-image: (I_R)_u + psi_u(W) = pi^{-1}(W) for any W inside
-V_|u|.  `pi_preimage` writes that subspace down as sparse RREF rows from the
-table, eliminating only W, in the column order `order`, so most rows are
-e_c - e_top with two entries; `ir_piece` is the case W = 0 and `upsilon` the
-case W = I_|u|, which it reduces once per distinct order within a total.
+V_|u|.  One generator, `_preimage_rows`, yields that subspace's sparse RREF
+rows from the table, one at a time, given W reduced in the column order
+`order`, so most rows are e_c - e_top with two entries.  `pi_preimage` stores
+them, with `ir_piece` the case W = 0; a truncated ideal kept by its Veronese
+pieces (`ideals.TruncatedIdeal.pi_preimage`, which `upsilon` returns with
+W = I_|u|) builds its Segre pieces from them when they are read, reducing
+each W once per distinct order within a total, and `ideal_digest` hashes
+them without storing them.
 """
 
 from __future__ import annotations
@@ -176,8 +180,15 @@ def pi_preimage(n: int, d: int, u: tuple, w: Subspace) -> Subspace:
     its row.  A non-top row whose top is a pivot adds the top's row, which
     clears the top entry.  Only w is eliminated, never S_u.
     """
-    u = check_degree(segre_ring(n, d), u)
-    return _pi_preimages(n, d, [u], w)[u]
+    ring_s = segre_ring(n, d)
+    u = check_degree(ring_s, u)
+    fib = pi_fibres(n, d, u)
+    if w.ambient_dim != len(fib.top):
+        raise ValueError(
+            f"subspace ambient {w.ambient_dim} is not dim V_{degree_total(u)} = {len(fib.top)}"
+        )
+    rows = _preimage_rows(fib, _reduced_in_order(w, fib.order), w.field.one)
+    return Subspace(len(fib.f), tuple(rows), (ring_s, u), w.field)
 
 
 def _reduced_in_order(w: Subspace, order: tuple):
@@ -191,38 +202,27 @@ def _reduced_in_order(w: Subspace, order: tuple):
     return _rref_permuted(w.sparse, pos, w.field)
 
 
-def _pi_preimages(n: int, d: int, degrees, w: Subspace) -> dict:
-    """{u: pi^{-1}(w) in S_u} for degrees u of one total, reducing w once per
-    distinct fibre order among them (never in the identity order)."""
-    ring_s = segre_ring(n, d)
-    field, one = w.field, w.field.one
-    reduced, out = {}, {}
-    for u in degrees:
-        fib = pi_fibres(n, d, u)
-        if w.ambient_dim != len(fib.top):
-            raise ValueError(
-                f"subspace ambient {w.ambient_dim} is not dim V_{degree_total(u)} = {len(fib.top)}"
-            )
-        if fib.order not in reduced:
-            reduced[fib.order] = _reduced_in_order(w, fib.order)
-        red, pivots = reduced[fib.order]
-        # `order` ascends in the top column, so each lifted row ascends too
-        tops = [fib.top[m] for m in fib.order]
-        lifted = {fib.order[p]: tuple([(tops[k], a) for k, a in row])
-                  for row, p in zip(red, pivots)}
-        rows = []
-        for c, m in enumerate(fib.f):
-            t = fib.top[m]
-            top_row = lifted.get(m)
-            if c == t:
-                if top_row is not None:
-                    rows.append(top_row)
-            elif top_row is None:
-                rows.append(((c, one), (t, -one)))
-            else:
-                rows.append(((c, one),) + top_row[1:])
-        out[u] = Subspace(len(fib.f), tuple(rows), (ring_s, u), field)
-    return out
+def _preimage_rows(fib: PiFibres, reduced, one):
+    """The RREF rows of pi^{-1}(w) in S_u, one at a time, in order, where
+    `reduced` is w reduced in the column order `fib.order` (`_reduced_in_order`).
+
+    Both `pi_preimage` and a truncated ideal kept by its Veronese pieces build
+    their pieces from these rows, and `ideal_digest` hashes them unstored."""
+    red, pivots = reduced
+    # `order` ascends in the top column, so each lifted row ascends too
+    tops = [fib.top[m] for m in fib.order]
+    lifted = {fib.order[p]: tuple([(tops[k], a) for k, a in row])
+              for row, p in zip(red, pivots)}
+    for c, m in enumerate(fib.f):
+        t = fib.top[m]
+        top_row = lifted.get(m)
+        if c == t:
+            if top_row is not None:
+                yield top_row
+        elif top_row is None:
+            yield ((c, one), (t, -one))
+        else:
+            yield ((c, one),) + top_row[1:]
 
 
 @lru_cache(maxsize=None)

@@ -1,12 +1,19 @@
 """Truncated homogeneous ideals: one subspace per degree up to a total-degree bound.
 
-An ideal is stored extensionally, degree by degree, with the closure
-invariant that multiplying any stored piece by a variable lands inside the
-piece one degree up.  Saturated ideals of finite point sets are computed as
-kernels of evaluation maps, evaluated on integer representatives of the
-points, so elimination receives integer rows; no generator normal forms or
-global saturation are ever needed.  Multiplication by a variable is a cached
-index map folded from per-factor monomial ranks.
+An ideal is given degree by degree, with the closure invariant that
+multiplying any piece by a variable lands inside the piece one degree up.  It
+is held in one of two ways.  Most ideals store every piece.  An ideal on the
+Segre side that contains the diagonal ideal I_R is J_u = pi^{-1}(W_|u|) for
+subspaces W_k of V_k, since S_u = (I_R)_u + psi_u(V_|u|); such an ideal
+(`TruncatedIdeal.pi_preimage`, made by `upsilon`) keeps only the W_k.  Its
+dimensions, its saturation test and every certificate stage read W_k, and a
+Segre piece is built from the pi-fibre table only when something reads it.
+
+Saturated ideals of finite point sets are computed as kernels of evaluation
+maps, evaluated on integer representatives of the points, so elimination
+receives integer rows; no generator normal forms or global saturation are
+ever needed.  Multiplication by a variable is a cached index map folded from
+per-factor monomial ranks.
 """
 
 from __future__ import annotations
@@ -14,8 +21,10 @@ from __future__ import annotations
 import itertools
 import random
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 
 from .grading import (
     RingSpec,
@@ -28,8 +37,10 @@ from .grading import (
     rank_monomial,
     sub_degrees,
     unit_degree,
+    segre_ring,
     veronese_ring,
 )
+from .diagonal_maps import _preimage_rows, _reduced_in_order, pi_fibres
 from .linalg import QQ, Matrix, Subspace, kernel
 
 
@@ -106,9 +117,61 @@ def span_from_below(ring: RingSpec, u, piece_at, field=QQ, rows=(), piece=None) 
     return Subspace.from_rows(dim, Matrix.of_sparse(dim, rows, field), piece=piece)
 
 
-@dataclass
+class _Preimages(Mapping):
+    """The Segre pieces J_u = pi^{-1}(W_|u|) of an ideal kept by its Veronese
+    pieces `w` = {k: W_k}, read-only.
+
+    A piece is built from the pi-fibre table the first time it is read and then
+    kept; W_k is reduced once per fibre order among the degrees of total k.
+    `rows` streams a piece's RREF rows without keeping it.
+    """
+
+    def __init__(self, ring: RingSpec, bound: int, w):
+        self.ring, self.w = ring, w
+        self._degrees = degrees_up_to(ring, bound)
+        self._known = frozenset(self._degrees)
+        self._built, self._reduced = {}, {}
+
+    def rows(self, u):
+        """The RREF rows of J_u, in order."""
+        if u in self._built:
+            return self._built[u].sparse
+        fib = pi_fibres(self.ring.n, self.ring.d, u)
+        k = degree_total(u)
+        if (k, fib.order) not in self._reduced:
+            self._reduced[k, fib.order] = _reduced_in_order(self.w[k], fib.order)
+        return _preimage_rows(fib, self._reduced[k, fib.order], self.w[k].field.one)
+
+    def __getitem__(self, u):
+        if u not in self._built:
+            if u not in self._known:
+                raise KeyError(u)
+            self._built[u] = Subspace(dim_piece(self.ring, u), tuple(self.rows(u)),
+                                      _piece_tag(self.ring, u), self.w[degree_total(u)].field)
+        return self._built[u]
+
+    def __contains__(self, u):
+        return u in self._known
+
+    def __iter__(self):
+        return iter(self._degrees)
+
+    def __len__(self):
+        return len(self._degrees)
+
+    def __repr__(self):
+        return f"pi^-1({dict(self.w)!r})"
+
+
+@dataclass(frozen=True)
 class TruncatedIdeal:
     """Degree-indexed family of subspaces, ideal-closed within the bound.
+
+    `pieces` is a read-only mapping from each degree to its subspace.  An ideal
+    made by `TruncatedIdeal.pi_preimage` is kept by its Veronese pieces W_k
+    (`veronese`) and builds a Segre piece only when `pieces[u]` or `piece(u)`
+    reads it; `piece_dim` and the certificate stages read W_k directly.  Every
+    other ideal stores its pieces.
 
     `provenance` records how the ideal arose ("point", "upsilon-of-point", ...)
     so that downstream certificates can state honestly whether membership in
@@ -117,18 +180,46 @@ class TruncatedIdeal:
 
     ring: RingSpec
     bound: int
-    pieces: dict
+    pieces: Mapping
     provenance: str = "user"
     field: object = QQ
+
+    def __post_init__(self):
+        if not isinstance(self.pieces, _Preimages):
+            object.__setattr__(self, "pieces", MappingProxyType(dict(self.pieces)))
+
+    @classmethod
+    def pi_preimage(cls, ring: RingSpec, bound: int, w, provenance: str = "user",
+                    field=QQ) -> "TruncatedIdeal":
+        """The ideal J_u = pi^{-1}(W_|u|) = (I_R)_u + psi_u(W_|u|) on the Segre
+        ring, kept by its Veronese pieces w = {k: W_k}, k <= bound."""
+        w = MappingProxyType({k: w[k] for k in range(bound + 1)})
+        return cls(ring, bound, _Preimages(ring, bound, w), provenance, field)
+
+    @property
+    def veronese(self):
+        """{k: W_k} when every piece is pi^{-1}(W_|u|) by construction, else None."""
+        return self.pieces.w if isinstance(self.pieces, _Preimages) else None
 
     def degrees(self) -> list:
         return degrees_up_to(self.ring, self.bound)
 
-    def piece(self, u) -> Subspace:
+    def _checked(self, u):
         u = check_degree(self.ring, u)
         if degree_total(u) > self.bound:
             raise ValueError(f"degree {u} exceeds the truncation bound {self.bound}")
-        return self.pieces[u]
+        return u
+
+    def piece(self, u) -> Subspace:
+        return self.pieces[self._checked(u)]
+
+    def piece_dim(self, u) -> int:
+        """dim J_u; on the Veronese side dim S_u - dim V_k + dim W_k, k = |u|."""
+        u = self._checked(u)
+        if self.veronese is None:
+            return self.pieces[u].dim
+        w = self.veronese[degree_total(u)]
+        return dim_piece(self.ring, u) - w.ambient_dim + w.dim
 
     def with_piece(self, u, sub: Subspace) -> "TruncatedIdeal":
         """Copy with one piece replaced (used to build adversarial examples)."""
@@ -190,7 +281,7 @@ def is_ideal_closed(j: TruncatedIdeal) -> bool:
 
 def hilbert_function(j: TruncatedIdeal, u) -> int:
     u = check_degree(j.ring, u)
-    return dim_piece(j.ring, u) - j.piece(u).dim
+    return dim_piece(j.ring, u) - j.piece_dim(u)
 
 
 def generic_hf(r: int, ring: RingSpec, u) -> int:
@@ -315,8 +406,6 @@ def diagonal_points(zs: PointSet, d: int) -> PointSet:
     """Image of a Veronese point set under the diagonal embedding into d factors."""
     if zs.ring.is_multigraded:
         raise ValueError("expected points on the Veronese target")
-    from .grading import segre_ring
-
     return PointSet(
         segre_ring(zs.ring.n, d),
         tuple(tuple(p for _ in range(d)) for p in zs.points),
@@ -360,11 +449,26 @@ def very_general_points(ring: RingSpec, r: int, bound: int, rng: random.Random,
 
 # -- degreewise tests -----------------------------------------------------------------
 
-def _multilinear_monomial_sets(ring: RingSpec):
-    """Index tuples (one variable per factor) generating the irrelevant ideal."""
-    if ring.is_multigraded:
-        return list(itertools.product(range(ring.n), repeat=ring.d))
-    return [(j,) for j in range(ring.n)]
+def _colon(ring: RingSpec, u, upper: Subspace, monomials_steps, field) -> Subspace:
+    """(upper : M)_u, the f of degree u with f * m in `upper` for every m in M,
+    each m given as its (factor, variable) steps: the kernel of the
+    constraints of `upper` pulled back along the index maps of the steps."""
+    cons = [dict(row) for row in upper.constraints().sparse]
+    dim_u = dim_piece(ring, u)
+    stacked = []
+    for steps in monomials_steps:
+        idx_map = list(range(dim_u))
+        deg = u
+        for i, var in steps:
+            step_map = _var_index_map(ring, deg, i, var)
+            idx_map = [step_map[t] for t in idx_map]
+            deg = add_degrees(deg, unit_degree(ring.d, i)) if ring.is_multigraded else deg + 1
+        for crow in cons:
+            stacked.append([(t, crow[c]) for t, c in enumerate(idx_map) if c in crow])
+    if not stacked:
+        return Subspace.full(dim_u, field=field)
+    return Subspace(dim_u, tuple(kernel(Matrix.of_sparse(dim_u, stacked, field)).sparse),
+                    None, field)
 
 
 def is_saturated_degreewise(j: TruncatedIdeal, u) -> bool:
@@ -372,7 +476,10 @@ def is_saturated_degreewise(j: TruncatedIdeal, u) -> bool:
 
     This is the degreewise content of saturation with respect to the
     irrelevant ideal; it needs the pieces one multilinear step up, so the
-    bound must cover |u| + d (or |u| + 1 on the Veronese side).
+    bound must cover |u| + d (or |u| + 1 on the Veronese side).  An ideal
+    kept by its Veronese pieces is J = pi^{-1}(W), and pi is a ring map that
+    sends the multilinear monomials onto the monomials of V_d, so the test at
+    u is (W_{k+d} : V_d)_k = W_k with k = |u|, the same for every u of total k.
     """
     ring = j.ring
     u = check_degree(ring, u)
@@ -381,26 +488,20 @@ def is_saturated_degreewise(j: TruncatedIdeal, u) -> bool:
         raise ValueError(
             f"bound {j.bound} too small to test saturation at degree {u}"
         )
-    target = add_degrees(u, tuple([1] * ring.d)) if ring.is_multigraded else u + 1
-    upper = j.pieces[target]
-    cons = [dict(row) for row in upper.constraints().sparse]
-    dim_u = dim_piece(ring, u)
-    stacked = []
-    for combo in _multilinear_monomial_sets(ring):
-        idx_map = list(range(dim_u))
-        deg = u
-        for i, var in enumerate(combo):
-            step_map = _var_index_map(ring, deg, i if ring.is_multigraded else 0, var)
-            idx_map = [step_map[t] for t in idx_map]
-            deg = add_degrees(deg, unit_degree(ring.d, i)) if ring.is_multigraded else deg + 1
-        for crow in cons:
-            stacked.append([(t, crow[c]) for t, c in enumerate(idx_map) if c in crow])
-    if not stacked:
-        pre = Subspace.full(dim_u, field=j.field)
+    w = j.veronese
+    if w is not None:
+        k = degree_total(u)
+        monos = itertools.combinations_with_replacement(range(ring.n), ring.d)
+        colon = _colon(veronese_ring(ring.n), k, w[k + ring.d],
+                       ([(0, var) for var in m] for m in monos), j.field)
+        return colon == w[k]
+    if ring.is_multigraded:
+        target = add_degrees(u, tuple([1] * ring.d))
+        monos = (list(enumerate(m)) for m in itertools.product(range(ring.n), repeat=ring.d))
     else:
-        ker = kernel(Matrix.of_sparse(dim_u, stacked, j.field))
-        pre = Subspace(dim_u, tuple(ker.sparse), None, j.field)
-    return pre == j.pieces[u]
+        target = u + 1
+        monos = ([(0, var)] for var in range(ring.n))
+    return _colon(ring, u, j.pieces[target], monos, j.field) == j.pieces[u]
 
 
 def min_generators(ring: RingSpec, u, piece_at, field=QQ) -> int:
@@ -415,10 +516,7 @@ def min_generators_in_degree(j: TruncatedIdeal, u) -> int:
 
 
 def diagonal_ideal(n: int, d: int, bound: int) -> TruncatedIdeal:
-    """The diagonal ideal as a truncated ideal, pieces taken as ker pi per degree."""
-    from .diagonal_maps import ir_piece
-    from .grading import segre_ring
-
-    ring = segre_ring(n, d)
-    pieces = {u: ir_piece(n, d, u) for u in degrees_up_to(ring, bound)}
-    return TruncatedIdeal(ring, bound, pieces, "diagonal-ideal", QQ)
+    """The diagonal ideal I_R = pi^{-1}(0), kept by its zero Veronese pieces."""
+    ring_v = veronese_ring(n)
+    w = {k: Subspace.zero(dim_piece(ring_v, k), _piece_tag(ring_v, k)) for k in range(bound + 1)}
+    return TruncatedIdeal.pi_preimage(segre_ring(n, d), bound, w, "diagonal-ideal", QQ)

@@ -1,18 +1,26 @@
 """Transport of truncated ideals between the Veronese and Segre settings.
 
 Desymmetrization adds the diagonal ideal and the psi-images of the input
-pieces; symmetrization collects pi-images along the staircase degrees; the
-first-factor restriction rho recovers a Z-graded ideal.  The certificate
-checkers decide the containment conditions under which a border rank
-decomposition on the Segre side descends to the Veronese side, and record
-witness dimensions plus an honest statement of what was and was not tested.
+pieces, J_u = (I_R)_u + psi_u(I_|u|) = pi^{-1}(I_|u|), and keeps the result
+by its Veronese pieces I_k (see `ideals`); symmetrization collects pi-images
+along the staircase degrees; the first-factor restriction rho recovers a
+Z-graded ideal.  On an ideal kept by its Veronese pieces W_k, pi(J_u) is W_|u|,
+so `sigma` and `rho_ideal` return W_k with no elimination.
+
+The certificate checkers decide the containment conditions under which a
+border rank decomposition on the Segre side descends to the Veronese side,
+and record witness dimensions plus an honest statement of what was and was
+not tested.  On an ideal kept by W_k every stage reads W_k: diagonal and
+pi-containment hold by construction, apolarity with a symmetric tensor F is
+W_k inside Ann(p_F)_k, and saturation is one colon ideal per total degree.
+A certificate digests its inputs only when `inputs_digest` is first read.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from itertools import groupby
 
 from .apolarity import (
@@ -23,7 +31,7 @@ from .apolarity import (
     depolarize,
     flattening_ranks,
 )
-from .diagonal_maps import _pi_preimages, pi_image, staircase_degrees
+from .diagonal_maps import pi_image, staircase_degrees
 from .grading import (
     RingKind,
     degree_total,
@@ -35,7 +43,6 @@ from .grading import (
 from .linalg import Subspace
 from .ideals import (
     TruncatedIdeal,
-    degrees_up_to,
     first_non_generic,
     generic_hf,
     hilbert_function,
@@ -52,17 +59,31 @@ def slip_label(provenance: str) -> str:
     return f"Slip-unknown ({provenance} ideal)"
 
 
-@dataclass
 class Certificate:
-    """Structured verdict of one checker: what was tested, at which degrees."""
+    """Structured verdict of one checker: what was tested, at which degrees.
 
-    check: str
-    inputs_digest: str
-    verdict: bool
-    witnesses: list = dc_field(default_factory=list)
-    tested_bound: int | None = None
-    slip_provenance: str | None = None
-    failure: str | None = None
+    `inputs_digest` is either given or hashed from `digest_parts` the first
+    time it is read, an ideal among the parts entering through
+    `ideal_digest`; a caller that reads only the verdict never digests an ideal.
+    """
+
+    def __init__(self, check: str, inputs_digest: str | None = None, verdict: bool = False,
+                 tested_bound: int | None = None, slip_provenance: str | None = None,
+                 failure: str | None = None, digest_parts: tuple = ()):
+        self.check = check
+        self.verdict = verdict
+        self.witnesses = []
+        self.tested_bound = tested_bound
+        self.slip_provenance = slip_provenance
+        self.failure = failure
+        self.digest_parts = tuple(digest_parts)
+        if inputs_digest is not None:
+            self.__dict__["inputs_digest"] = inputs_digest
+
+    @cached_property
+    def inputs_digest(self) -> str:
+        return digest_of(*(ideal_digest(p) if isinstance(p, TruncatedIdeal) else p
+                           for p in self.digest_parts))
 
     def add(self, **kw):
         self.witnesses.append(kw)
@@ -99,13 +120,18 @@ def ideal_digest(j: TruncatedIdeal) -> str:
     """digest_of(j.ring, j.bound, [(u, j.pieces[u].basis) for u in j.degrees()]).
 
     The repr of the dense bases is streamed from the sparse rows, one row at a
-    time, with each run of zeros written as one repeated string.
+    time, with each run of zeros written as one repeated string.  An ideal kept
+    by its Veronese pieces streams each piece's rows from W and the fibre
+    table, and stores no piece it has not built already.
     """
     h = hashlib.sha256(f"{j.ring!r}\x00{j.bound!r}\x00[".encode())
     for k, u in enumerate(j.degrees()):
-        sub = j.pieces[u]
-        n, rows = sub.ambient_dim, sub.sparse
-        zero = f"{sub.field.zero!r}, ".encode()
+        if j.veronese is None:
+            sub = j.pieces[u]
+            n, count, rows, field = sub.ambient_dim, sub.dim, sub.sparse, sub.field
+        else:
+            n, count, rows, field = dim_piece(j.ring, u), j.piece_dim(u), j.pieces.rows(u), j.field
+        zero = f"{field.zero!r}, ".encode()
         h.update(f"{', ' if k else ''}({u!r}, (".encode())
         for r, row in enumerate(rows):
             parts = [b", (" if r else b"("]
@@ -117,7 +143,7 @@ def ideal_digest(j: TruncatedIdeal) -> str:
             line = b"".join(parts)
             h.update(memoryview(line)[:-2])  # the separator after the last entry
             h.update(b",)" if n == 1 else b")")
-        h.update(b",))" if len(rows) == 1 else b"))")
+        h.update(b",))" if count == 1 else b"))")
     h.update(b"]\x00")
     return h.hexdigest()[:16]
 
@@ -132,29 +158,33 @@ def upsilon(i: TruncatedIdeal, d: int, bound: int | None = None,
             provenance: str | None = None) -> TruncatedIdeal:
     """Desymmetrize a Z-graded ideal: piece at u is (I_R)_u + psi_u(I_{|u|}).
 
-    That sum is pi^{-1}(I_{|u|}), which `pi_preimage` builds in closed form;
-    the degrees of one total share I_{|u|}, which is reduced once for each
-    distinct fibre order among them.
+    That sum is pi^{-1}(I_{|u|}), so the result is kept by the pieces I_k
+    alone (`TruncatedIdeal.pi_preimage`), and a Segre piece is built only
+    when it is read.
     """
     if i.ring.kind is not RingKind.VERONESE_COORD:
         raise ValueError("desymmetrization expects an ideal in the Veronese ring")
     bound = i.bound if bound is None else bound
     if bound > i.bound:
         raise ValueError(f"requested bound {bound} exceeds the input bound {i.bound}")
-    n = i.ring.n
-    ring_s = segre_ring(n, d)
-    pieces = {}
-    for total, same_total in groupby(degrees_up_to(ring_s, bound), degree_total):
-        pieces.update(_pi_preimages(n, d, same_total, i.piece(total)))
+    ring_v = veronese_ring(i.ring.n)
+    w = {k: _tagged(i.piece(k), ring_v, k, i.field) for k in range(bound + 1)}
     if provenance is None:
         provenance = "upsilon-of-point" if i.provenance in ("point", "diagonal-points") else "user"
-    return TruncatedIdeal(ring_s, bound, pieces, provenance, i.field)
+    return TruncatedIdeal.pi_preimage(segre_ring(i.ring.n, d), bound, w, provenance, i.field)
+
+
+def _pi_image(j: TruncatedIdeal, u) -> Subspace:
+    """pi(J_u): W_|u| on an ideal kept by its Veronese pieces, else one
+    elimination on V_|u|."""
+    if j.veronese is not None:
+        return j.veronese[degree_total(u)]
+    return pi_image(j.ring.n, j.ring.d, u, j.pieces[u])
 
 
 def _pi_images(j: TruncatedIdeal, degrees) -> dict:
     """pi(J_u) for each degree u, in the given order."""
-    ring = j.ring
-    return {u: pi_image(ring.n, ring.d, u, j.pieces[u]) for u in degrees}
+    return {u: _pi_image(j, u) for u in degrees}
 
 
 def _first_without_diagonal(j: TruncatedIdeal, images: dict):
@@ -165,7 +195,7 @@ def _first_without_diagonal(j: TruncatedIdeal, images: dict):
     agree exactly when J_u contains (I_R)_u.
     """
     for u, im in images.items():
-        if j.pieces[u].dim - im.dim != dim_piece(j.ring, u) - im.ambient_dim:
+        if j.piece_dim(u) - im.dim != dim_piece(j.ring, u) - im.ambient_dim:
             return u
     return None
 
@@ -183,7 +213,8 @@ def sigma(j: TruncatedIdeal) -> TruncatedIdeal:
     ring = j.ring
     if ring.kind is not RingKind.SEGRE_COORD:
         raise ValueError("symmetrization expects an ideal in the Segre coordinate ring")
-    images = _pi_images(j, j.degrees())
+    # an ideal kept by its Veronese pieces contains I_R by construction
+    images = {} if j.veronese is not None else _pi_images(j, j.degrees())
     if _first_without_diagonal(j, images) is not None:
         raise ValueError(
             "symmetrization is undefined: the ideal does not contain the diagonal ideal"
@@ -195,7 +226,8 @@ def sigma(j: TruncatedIdeal) -> TruncatedIdeal:
     for total in range(j.bound + 1):
         a, m = divmod(total, d)
         u = tuple(a + s for s in stairs[m])
-        pieces[total] = _tagged(images[u], ring_v, total, j.field)
+        image = images[u] if u in images else _pi_image(j, u)
+        pieces[total] = _tagged(image, ring_v, total, j.field)
     provenance = "point" if j.provenance in ("upsilon-of-point", "diagonal-points") else "user"
     return TruncatedIdeal(ring_v, j.bound, pieces, provenance, j.field)
 
@@ -205,12 +237,11 @@ def rho_ideal(j: TruncatedIdeal) -> TruncatedIdeal:
     ring = j.ring
     if ring.kind is not RingKind.SEGRE_COORD:
         raise ValueError("rho expects an ideal in the Segre coordinate ring")
-    n, d = ring.n, ring.d
-    ring_v = veronese_ring(n)
+    ring_v = veronese_ring(ring.n)
     pieces = {}
     for k in range(j.bound + 1):
-        u = tuple([k] + [0] * (d - 1))
-        pieces[k] = _tagged(pi_image(n, d, u, j.piece(u)), ring_v, k, j.field)
+        u = tuple([k] + [0] * (ring.d - 1))
+        pieces[k] = _tagged(_pi_image(j, u), ring_v, k, j.field)
     provenance = (
         "rho-of-certified" if j.provenance in SLIP_CERTIFIED else "user"
     )
@@ -221,23 +252,37 @@ def rho_ideal(j: TruncatedIdeal) -> TruncatedIdeal:
 
 def _ideal_certificate(check: str, j: TruncatedIdeal, tested_bound: int, *parts) -> Certificate:
     """A not-yet-passed certificate on J, its inputs digested from `parts`."""
-    return Certificate(check=check, inputs_digest=digest_of(*parts), verdict=False,
-                       tested_bound=tested_bound, slip_provenance=slip_label(j.provenance))
+    return Certificate(check=check, verdict=False, tested_bound=tested_bound,
+                       slip_provenance=slip_label(j.provenance), digest_parts=parts)
 
 
 def _apolarity_stage(cert: Certificate, j: TruncatedIdeal, f: GeneralTensor,
                      up_to: int) -> bool:
     """Degreewise containment J_u in Ann(F)_u for |u| <= up_to; pieces above the
-    unit box are full, so only 0/1 degrees need a kernel computation."""
+    unit box are full, so only 0/1 degrees need a kernel computation.
+
+    A symmetric F is annihilated by I_R, and pi(Ann(F)_u) = Ann(p_F)_k with
+    k = |u|.  So on an ideal kept by its Veronese pieces the test is W_k inside
+    Ann(p_F)_k, one kernel per total degree, and both witness dimensions are
+    dim S_u - dim V_k plus the Veronese one.
+    """
+    w = j.veronese if isinstance(f, SymTensor) else None
+    p = None if w is None else depolarize(f)
+    sym = {}
     first_failure = None
     for u in j.degrees():
-        if degree_total(u) > up_to:
+        if degree_total(u) > up_to or any(x > 1 for x in u):
             continue
-        if any(x > 1 for x in u):
-            continue
-        ann = ann_piece(f, u)
-        ok = ann.contains(j.pieces[u])
-        cert.add(degree=u, dim_ideal=j.pieces[u].dim, dim_ann=ann.dim, ok=ok)
+        if w is None:
+            ann, piece = ann_piece(f, u), j.pieces[u]
+        else:
+            k = degree_total(u)
+            if k not in sym:
+                sym[k] = ann_sym_piece(p, k)
+            ann, piece = sym[k], w[k]
+        ok = ann.contains(piece)
+        lift = dim_piece(j.ring, u) - piece.ambient_dim
+        cert.add(degree=u, dim_ideal=lift + piece.dim, dim_ann=lift + ann.dim, ok=ok)
         if not ok and first_failure is None:
             first_failure = u
     if first_failure is not None:
@@ -247,10 +292,10 @@ def _apolarity_stage(cert: Certificate, j: TruncatedIdeal, f: GeneralTensor,
 
 def _pi_containment_stage(cert: Certificate, j: TruncatedIdeal, with_degree: bool) -> bool:
     """pi(J_{(d,0,...,0)}) inside pi(J_{(1,...,1)})."""
-    n, d = j.ring.n, j.ring.d
+    d = j.ring.d
     u_first = tuple([d] + [0] * (d - 1))
-    lhs = pi_image(n, d, u_first, j.piece(u_first))
-    rhs = pi_image(n, d, ones(d), j.piece(ones(d)))
+    lhs = _pi_image(j, u_first)
+    rhs = _pi_image(j, ones(d))
     ok = rhs.contains(lhs)
     witness = {"stage": "pi-containment"}
     if with_degree:
@@ -271,7 +316,7 @@ def check_condition_iii(j: TruncatedIdeal, f: GeneralTensor) -> Certificate:
     """pi(J_{(d,0,...,0)}) inside pi(J_1), after verifying J is apolar to F."""
     d = j.ring.d
     _require_bound(j, d)
-    cert = _ideal_certificate("condition-iii", j, j.bound, tensor_digest(f), ideal_digest(j))
+    cert = _ideal_certificate("condition-iii", j, j.bound, tensor_digest(f), j)
     if _apolarity_stage(cert, j, f, d):
         cert.verdict = _pi_containment_stage(cert, j, with_degree=True)
     return cert
@@ -282,7 +327,7 @@ def check_condition_ii(j: TruncatedIdeal, f: GeneralTensor,
     """I_R inside J and pi(J_u) independent of u within each total degree."""
     d = j.ring.d
     bound = j.bound if bound is None else min(bound, j.bound)
-    cert = _ideal_certificate("condition-ii", j, bound, tensor_digest(f), ideal_digest(j), bound)
+    cert = _ideal_certificate("condition-ii", j, bound, tensor_digest(f), j, bound)
     if not _apolarity_stage(cert, j, f, d):
         return cert
     images = _pi_images(j, [u for u in j.degrees() if degree_total(u) <= bound])
@@ -326,7 +371,7 @@ def comon_certificate(f: SymTensor, r: int, j: TruncatedIdeal) -> Certificate:
             f"r={r} outside the admissible range [{n}, {math.comb(n + 1, 2)}]"
         )
     _require_bound(j, d)
-    cert = _ideal_certificate("comon-transfer", j, j.bound, tensor_digest(f), r, ideal_digest(j))
+    cert = _ideal_certificate("comon-transfer", j, j.bound, tensor_digest(f), r, j)
     ranks = flattening_ranks(f)
     concise = all(rk == n for rk in ranks)
     cert.add(stage="conciseness", flattening_ranks=ranks, ok=concise)
@@ -349,7 +394,10 @@ def comon_certificate(f: SymTensor, r: int, j: TruncatedIdeal) -> Certificate:
     if not _apolarity_stage(cert, j, f, d):
         return cert
     sat_degrees = [u for u in j.degrees() if degree_total(u) + d <= j.bound]
-    sat_ok = all(is_saturated_degreewise(j, u) for u in sat_degrees)
+    # on the Veronese side the test reads W_|u| alone: one degree per total decides it
+    read = (sat_degrees if j.veronese is None
+            else [next(same) for _, same in groupby(sat_degrees, degree_total)])
+    sat_ok = all(is_saturated_degreewise(j, u) for u in read)
     cert.add(stage="saturation", tested_degrees=len(sat_degrees), ok=sat_ok)
     if not sat_ok:
         cert.failure = "a testable degree fails the degreewise saturation check"

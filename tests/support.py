@@ -8,6 +8,7 @@ from functools import partial
 
 from borderapolar.apolarity import HomPoly, SymTensor, ann_piece, is_concise
 from borderapolar.grading import (
+    PieceElement,
     add_degrees,
     check_degree,
     degree_total,
@@ -20,7 +21,8 @@ from borderapolar.grading import (
     unit_degree,
     veronese_ring,
 )
-from borderapolar.ideals import degrees_up_to, min_generators
+from borderapolar.diagonal_maps import proper_unit_box_degrees
+from borderapolar.ideals import degrees_up_to, expand, min_generators
 from borderapolar.linalg import QQ, Matrix, Subspace, kernel, rank
 from borderapolar.transfer import digest_of
 from borderapolar.selftest import (  # noqa: F401  (the library's model tensors)
@@ -282,3 +284,14 @@ def min_generators_degree_one_reference(f) -> int:
     Ann(F)_{1,...,1} minus dim sum_i S_{e_i} Ann(F)_{1-e_i}, every piece a kernel."""
     return min_generators(segre_ring(f.n, f.order), ones(f.order), partial(ann_piece, f),
                           f.field)
+
+
+def proper_degree_annihilator_ideal(f, bound: int):
+    """The ideal generated by every Ann(F)_u with u strictly inside the unit box,
+    expanded to the bound: the oracle for `bounds._proper_ideal_piece`."""
+    ring = segre_ring(f.n, f.order)
+    gens = []
+    for u in proper_unit_box_degrees(f.order):
+        for b in ann_piece(f, u).basis:
+            gens.append(PieceElement(ring, u, tuple(b)))
+    return expand(gens, ring, bound, provenance="proper-annihilator", field=f.field)

@@ -24,7 +24,6 @@ from borderapolar.bounds import (
     macaulay_rep,
     min_generators_degree_one,
     min_generators_sym_in_degree,
-    proper_degree_annihilator_ideal,
     verify_containment_lemma,
     verify_gen_count_transfer,
     verify_lemma_1_minus_ed,
@@ -37,6 +36,7 @@ from support import (
     concise_power_sum_instance,
     diagonal_tensor,
     min_generators_degree_one_reference,
+    proper_degree_annihilator_ideal,
     random_symmetric_tensor,
 )
 

@@ -17,7 +17,10 @@ ROOT = Path(__file__).resolve().parent.parent
      "restricted ideal dimensions: [0, 0, 2, 6, 11]"),
     (["sharpness_survey.py", "--samples", "2"],
      "sharp iff 111-sharp on 2/2 instances"),
-], ids=["transfer_demo", "sharpness_survey"])
+    # each instance is held to 2 s of wall time, so both certify within it
+    (["frontier.py", "--shapes", "3,3", "4,3", "--wall", "2"],
+     "largest certified within 2 s and 2048 MB: (4, 3)"),
+], ids=["transfer_demo", "sharpness_survey", "frontier"])
 def test_script_runs(args, summary):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(

@@ -21,6 +21,7 @@ from borderapolar.diagonal_maps import (
 from borderapolar.grading import dim_piece, ones, segre_ring, veronese_ring
 from borderapolar.ideals import (
     PointSet,
+    TruncatedIdeal,
     degrees_up_to,
     diagonal_points,
     expand,
@@ -264,7 +265,9 @@ class TestDiagonalContainment:
 
 
 class TestEliminationCount:
-    """pi-images eliminate once per piece, on V_|u|; psi-images not at all."""
+    """On stored pieces, pi-images eliminate once per piece, on V_|u|; psi-images
+    not at all.  On an ideal kept by its Veronese pieces, transport eliminates
+    nothing, and reading its pieces reduces W once per fibre order."""
 
     @pytest.fixture
     def shapes(self, monkeypatch):
@@ -279,9 +282,15 @@ class TestEliminationCount:
         return calls
 
     @pytest.fixture
-    def lifted(self):
+    def kept(self):
         z = very_general_points(V3, 4, 4, random.Random(36))
         return upsilon(point_ideal(z, 4), 3, 4)
+
+    @pytest.fixture
+    def lifted(self, kept):
+        """The same ideal with every piece stored."""
+        return TruncatedIdeal(kept.ring, kept.bound, dict(kept.pieces), kept.provenance,
+                              kept.field)
 
     def test_sigma_eliminates_once_per_piece(self, shapes, lifted):
         """One elimination per piece, of the rows whose pi-image is nonzero:
@@ -298,18 +307,24 @@ class TestEliminationCount:
     @pytest.mark.parametrize("field", [QQ, PrimeField(2147483647)], ids=repr)
     @pytest.mark.parametrize("n, r, eliminations", [(2, 3, 0), (3, 4, 10)])
     def test_upsilon_reduces_once_per_fibre_order(self, shapes, field, n, r, eliminations):
-        """One elimination of W = I_k per distinct fibre order among the degrees
-        of total k, none in the identity order (every order when n = 2) and
-        none when W = 0."""
+        """upsilon itself eliminates nothing; reading its pieces reduces W = I_k
+        once per distinct fibre order among the degrees of total k, none in the
+        identity order (every order when n = 2) and none when W = 0."""
         z = very_general_points(veronese_ring(n), r, 4, random.Random(36))
         ideal = point_ideal(PointSet(z.ring, z.points, field=field), 4)
         shapes.clear()
         lifted = upsilon(ideal, 3, 4)
+        assert shapes == []
+        for u in lifted.degrees():
+            lifted.piece(u)
         orders = {(sum(u), pi_fibres(n, 3, u).order) for u in lifted.degrees()}
         want = [(ideal.piece(k).dim, dim_piece(veronese_ring(n), k)) for k, order in orders
                 if order != tuple(range(len(order))) and ideal.piece(k).dim]
         assert sorted(shapes) == sorted(want)
         assert len(shapes) == eliminations
+        shapes.clear()
+        transfer.ideal_digest(lifted)
+        assert shapes == []
 
     def test_contains_diagonal_ideal_eliminates_once_per_piece(self, shapes, lifted):
         shapes.clear()
@@ -327,6 +342,17 @@ class TestEliminationCount:
         for u in lifted.degrees():
             assert psi_image(3, 3, u).dim == dim_piece(V3, sum(u))
         assert shapes == []
+
+    def test_transport_of_a_kept_ideal_does_not_eliminate(self, shapes, kept):
+        """sigma, rho and the diagonal test read W_k: no elimination, no Segre
+        piece built, and the same ideals as from the stored pieces."""
+        shapes.clear()
+        assert contains_diagonal_ideal(kept)
+        back, twisted = rho_ideal(kept), sigma(kept)
+        assert shapes == [] and kept.pieces._built == {}
+        stored = TruncatedIdeal(kept.ring, kept.bound, dict(kept.pieces), kept.provenance,
+                                kept.field)
+        assert back == rho_ideal(stored) and twisted == sigma(stored)
 
 
 class TestConditionChecks:
