@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Frontier sweep of the certificate pipeline over the paper's range n <= d + 1.
 
-Each (n, d) runs in its own child process, under a wall-time budget and an
-address-space cap (which bounds the resident set from above), both set with
-`resource.setrlimit` in the child; the parent also stops a child that overruns
-the wall budget.  The child runs point_ideal -> upsilon -> comon_certificate
+Each (n, d) runs in its own child process, under an address-space cap of
+RSS_MB megabytes (which bounds the resident set from above) set with
+`resource.setrlimit` in the child; the parent stops a child that overruns the
+wall budget.  The child runs point_ideal -> upsilon -> comon_certificate
 at bound d + 1 on the diagonal tensor and its n coordinate points (r = n),
 reading the verdict only, so the ideal is never digested.  It reports the
 time of each stage, the number of eliminations, the peak RSS, the largest
@@ -16,7 +16,6 @@ Segre piece (from closed-form dimensions; it is never built) and the verdict.
 
 import argparse
 import json
-import math
 import os
 import platform
 import resource
@@ -24,7 +23,8 @@ import subprocess
 import sys
 import time
 
-SHAPES = ((3, 3), (4, 3), (4, 4), (5, 4), (5, 5), (6, 5), (7, 6))
+SHAPES = ((3, 3), (4, 3), (4, 4), (5, 4), (5, 5), (6, 5), (7, 6), (8, 7))
+RSS_MB = 2048
 
 
 def run_instance(n: int, d: int) -> dict:
@@ -66,11 +66,9 @@ def run_instance(n: int, d: int) -> dict:
     }
 
 
-def child(n: int, d: int, wall: float, rss_mb: int):
-    cap = rss_mb << 20
+def child(n: int, d: int):
+    cap = RSS_MB << 20
     resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
-    cpu = math.ceil(wall) + 1
-    resource.setrlimit(resource.RLIMIT_CPU, (cpu, cpu))
     try:
         out = {"status": "ok", **run_instance(n, d)}
     except MemoryError:
@@ -78,9 +76,8 @@ def child(n: int, d: int, wall: float, rss_mb: int):
     print(json.dumps(out))
 
 
-def measure(n: int, d: int, wall: float, rss_mb: int) -> dict:
-    cmd = [sys.executable, os.path.abspath(__file__), "--child", str(n), str(d),
-           str(wall), str(rss_mb)]
+def measure(n: int, d: int, wall: float) -> dict:
+    cmd = [sys.executable, os.path.abspath(__file__), "--child", str(n), str(d)]
     head = {"n": n, "d": d, "r": n, "bound": d + 1}
     t0 = time.perf_counter()
     try:
@@ -100,18 +97,16 @@ def main():
     ap.add_argument("--shapes", nargs="+", default=[f"{n},{d}" for n, d in SHAPES],
                     help="instances as n,d (default: %(default)s)")
     ap.add_argument("--wall", type=float, default=60.0, help="wall seconds per instance")
-    ap.add_argument("--rss-mb", type=int, default=2048, help="address-space cap per instance")
     ap.add_argument("--out", help="write the results here as JSON")
-    ap.add_argument("--child", nargs=4, help=argparse.SUPPRESS)
+    ap.add_argument("--child", nargs=2, type=int, help=argparse.SUPPRESS)
     args = ap.parse_args()
     if args.child:
-        n, d, wall, rss_mb = args.child
-        child(int(n), int(d), float(wall), int(rss_mb))
+        child(*args.child)
         return
     rows = []
     for shape in args.shapes:
         n, d = (int(x) for x in shape.split(","))
-        row = measure(n, d, args.wall, args.rss_mb)
+        row = measure(n, d, args.wall)
         rows.append(row)
         secs = row.get("seconds", {}).get("upsilon_and_certificate")
         print(f"({n}, {d}, {n}) diag: {row['status']}, verdict {row.get('verdict')}, "
@@ -123,14 +118,14 @@ def main():
     if args.out:
         result = {"pipeline": "point_ideal -> upsilon -> comon_certificate at bound d + 1, "
                               "diagonal tensor, r = n, verdict only",
-                  "budget": {"wall_s": args.wall, "rss_mb": args.rss_mb},
+                  "budget": {"wall_s": args.wall, "rss_mb": RSS_MB},
                   "machine": {"python": platform.python_version(),
                               "platform": platform.platform(), "cpus": os.cpu_count()},
                   "instances": rows, "headline": headline}
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(result, fh, indent=1)
             fh.write("\n")
-    print(f"largest certified within {args.wall:g} s and {args.rss_mb} MB: {headline}")
+    print(f"largest certified within {args.wall:g} s and {RSS_MB} MB: {headline}")
 
 
 if __name__ == "__main__":

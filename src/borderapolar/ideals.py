@@ -221,6 +221,14 @@ class TruncatedIdeal:
         w = self.veronese[degree_total(u)]
         return dim_piece(self.ring, u) - w.ambient_dim + w.dim
 
+    def piece_rows(self, u):
+        """The RREF rows of J_u, in order; an unbuilt piece of an ideal kept by
+        its Veronese pieces is streamed and not kept."""
+        u = self._checked(u)
+        if self.veronese is None:
+            return self.pieces[u].sparse
+        return self.pieces.rows(u)
+
     def with_piece(self, u, sub: Subspace) -> "TruncatedIdeal":
         """Copy with one piece replaced (used to build adversarial examples)."""
         u = check_degree(self.ring, u)

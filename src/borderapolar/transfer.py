@@ -125,15 +125,11 @@ def ideal_digest(j: TruncatedIdeal) -> str:
     table, and stores no piece it has not built already.
     """
     h = hashlib.sha256(f"{j.ring!r}\x00{j.bound!r}\x00[".encode())
+    zero = f"{j.field.zero!r}, ".encode()
     for k, u in enumerate(j.degrees()):
-        if j.veronese is None:
-            sub = j.pieces[u]
-            n, count, rows, field = sub.ambient_dim, sub.dim, sub.sparse, sub.field
-        else:
-            n, count, rows, field = dim_piece(j.ring, u), j.piece_dim(u), j.pieces.rows(u), j.field
-        zero = f"{field.zero!r}, ".encode()
+        n, count = dim_piece(j.ring, u), j.piece_dim(u)
         h.update(f"{', ' if k else ''}({u!r}, (".encode())
-        for r, row in enumerate(rows):
+        for r, row in enumerate(j.piece_rows(u)):
             parts = [b", (" if r else b"("]
             at = 0
             for c, x in row:
@@ -190,10 +186,13 @@ def _pi_images(j: TruncatedIdeal, degrees) -> dict:
 def _first_without_diagonal(j: TruncatedIdeal, images: dict):
     """The first degree u whose piece misses (I_R)_u, or None.
 
-    J_u meets ker pi = (I_R)_u in a subspace of dimension dim J_u - dim pi(J_u),
-    and pi is onto, so dim (I_R)_u = dim S_u - dim V_|u|: the two dimensions
-    agree exactly when J_u contains (I_R)_u.
+    An ideal kept by its Veronese pieces contains I_R by construction.
+    Otherwise J_u meets ker pi = (I_R)_u in a subspace of dimension
+    dim J_u - dim pi(J_u), and pi is onto, so dim (I_R)_u = dim S_u - dim V_|u|:
+    the two dimensions agree exactly when J_u contains (I_R)_u.
     """
+    if j.veronese is not None:
+        return None
     for u, im in images.items():
         if j.piece_dim(u) - im.dim != dim_piece(j.ring, u) - im.ambient_dim:
             return u
@@ -213,8 +212,7 @@ def sigma(j: TruncatedIdeal) -> TruncatedIdeal:
     ring = j.ring
     if ring.kind is not RingKind.SEGRE_COORD:
         raise ValueError("symmetrization expects an ideal in the Segre coordinate ring")
-    # an ideal kept by its Veronese pieces contains I_R by construction
-    images = {} if j.veronese is not None else _pi_images(j, j.degrees())
+    images = _pi_images(j, j.degrees())
     if _first_without_diagonal(j, images) is not None:
         raise ValueError(
             "symmetrization is undefined: the ideal does not contain the diagonal ideal"
@@ -226,8 +224,7 @@ def sigma(j: TruncatedIdeal) -> TruncatedIdeal:
     for total in range(j.bound + 1):
         a, m = divmod(total, d)
         u = tuple(a + s for s in stairs[m])
-        image = images[u] if u in images else _pi_image(j, u)
-        pieces[total] = _tagged(image, ring_v, total, j.field)
+        pieces[total] = _tagged(images[u], ring_v, total, j.field)
     provenance = "point" if j.provenance in ("upsilon-of-point", "diagonal-points") else "user"
     return TruncatedIdeal(ring_v, j.bound, pieces, provenance, j.field)
 
@@ -256,19 +253,32 @@ def _ideal_certificate(check: str, j: TruncatedIdeal, tested_bound: int, *parts)
                        slip_provenance=slip_label(j.provenance), digest_parts=parts)
 
 
+class _SymAnnihilator(dict):
+    """k -> Ann(p_F)_k for a symmetric tensor F, each piece computed when first read."""
+
+    def __init__(self, f: SymTensor):
+        super().__init__()
+        self.p = depolarize(f)
+
+    def __missing__(self, k):
+        self[k] = ann_sym_piece(self.p, k)
+        return self[k]
+
+
 def _apolarity_stage(cert: Certificate, j: TruncatedIdeal, f: GeneralTensor,
-                     up_to: int) -> bool:
+                     up_to: int, sym: _SymAnnihilator | None = None) -> bool:
     """Degreewise containment J_u in Ann(F)_u for |u| <= up_to; pieces above the
     unit box are full, so only 0/1 degrees need a kernel computation.
 
     A symmetric F is annihilated by I_R, and pi(Ann(F)_u) = Ann(p_F)_k with
     k = |u|.  So on an ideal kept by its Veronese pieces the test is W_k inside
-    Ann(p_F)_k, one kernel per total degree, and both witness dimensions are
-    dim S_u - dim V_k plus the Veronese one.
+    Ann(p_F)_k, read from `sym` (made here unless the caller passes one to
+    reuse), and both witness dimensions are dim S_u - dim V_k plus the
+    Veronese one.
     """
     w = j.veronese if isinstance(f, SymTensor) else None
-    p = None if w is None else depolarize(f)
-    sym = {}
+    if w is not None and sym is None:
+        sym = _SymAnnihilator(f)
     first_failure = None
     for u in j.degrees():
         if degree_total(u) > up_to or any(x > 1 for x in u):
@@ -277,8 +287,6 @@ def _apolarity_stage(cert: Certificate, j: TruncatedIdeal, f: GeneralTensor,
             ann, piece = ann_piece(f, u), j.pieces[u]
         else:
             k = degree_total(u)
-            if k not in sym:
-                sym[k] = ann_sym_piece(p, k)
             ann, piece = sym[k], w[k]
         ok = ann.contains(piece)
         lift = dim_piece(j.ring, u) - piece.ambient_dim
@@ -391,8 +399,11 @@ def comon_certificate(f: SymTensor, r: int, j: TruncatedIdeal) -> Certificate:
         cert.failure = "Hilbert function differs from the generic one"
         return cert
     cert.add(stage="hilbert-function", ok=True)
-    if not _apolarity_stage(cert, j, f, d):
+    sym = _SymAnnihilator(f)
+    if not _apolarity_stage(cert, j, f, d, sym):
         return cert
+    for k in range(d):
+        sym.pop(k, None)  # only Ann(p_F)_d is read again, by the rho check
     sat_degrees = [u for u in j.degrees() if degree_total(u) + d <= j.bound]
     # on the Veronese side the test reads W_|u| alone: one degree per total decides it
     read = (sat_degrees if j.veronese is None
@@ -405,8 +416,7 @@ def comon_certificate(f: SymTensor, r: int, j: TruncatedIdeal) -> Certificate:
     if not _pi_containment_stage(cert, j, with_degree=False):
         return cert
     restricted = rho_ideal(j)
-    p = depolarize(f)
-    ann_d = ann_sym_piece(p, d)
+    ann_d = sym[d]
     apolar = ann_d.contains(restricted.piece(d))
     cert.add(stage="rho-apolarity", degree=d, dim=restricted.piece(d).dim,
              dim_ann=ann_d.dim, ok=apolar)

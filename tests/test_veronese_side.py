@@ -258,14 +258,13 @@ class TestEliminationCount:
     """Eliminations of the pipeline on r very general points, counted by
     patching `linalg.rref_with_pivots`.  upsilon makes none; the verdict-only
     certificate makes the flattening ranks, one Veronese annihilator per total
-    degree up to d, one colon per testable total degree and the Veronese-side
-    annihilator of the rho check; reading the digest adds W's reduction once
-    per fibre order."""
+    degree up to d (the rho check reuses Ann(p_F)_d) and one colon per testable
+    total degree; reading the digest adds W's reduction once per fibre order."""
 
     @pytest.mark.parametrize("n, d, r, cert_shapes", [
-        (3, 3, 4, [(1, 10), (1, 10), (3, 6), (3, 9), (3, 9), (3, 9), (6, 3), (10, 1),
+        (3, 3, 4, [(1, 10), (3, 6), (3, 9), (3, 9), (3, 9), (6, 3), (10, 1),
                    (40, 1), (40, 3)]),
-        (4, 3, 4, [(1, 20), (1, 20), (4, 10), (4, 16), (4, 16), (4, 16), (10, 4), (20, 1),
+        (4, 3, 4, [(1, 20), (4, 10), (4, 16), (4, 16), (4, 16), (10, 4), (20, 1),
                    (80, 1), (80, 4)]),
     ])
     def test_pipeline_counts(self, monkeypatch, n, d, r, cert_shapes):
