@@ -19,7 +19,6 @@ from .apolarity import (
     ann_sym_piece,
     depolarize,
     flattening,
-    is_concise,
 )
 from .diagonal_maps import pi_image, proper_unit_box_degrees
 from .grading import (
@@ -31,7 +30,7 @@ from .grading import (
 )
 from .ideals import min_generators, span_from_below, variable_multiples
 from .linalg import Matrix, Subspace, rank
-from .transfer import Certificate, tensor_digest
+from .transfer import Certificate, tensor_digest_parts
 
 
 # -- Macaulay representations -----------------------------------------------------
@@ -89,16 +88,34 @@ def macaulay_bound(m: int, a: int) -> int:
 
 # -- minimal generator counts for annihilators --------------------------------------
 
-def _require_concise_symmetric(f) -> SymTensor:
+def _slice_spans(f) -> list:
+    """R_i, the span of F's slices along factor i, for each factor i: column c
+    stands for the c-th index of the other d-1 factors in `product` order."""
+    cols = {t: c for c, t in enumerate(itertools.product(range(f.n), repeat=f.order - 1))}
+    return [Subspace.from_rows(len(cols), flattening(f, i, cols)) for i in range(f.order)]
+
+
+def _concise_spans(f, what: str) -> list:
+    """F's slice spans; F is concise exactly when every one has dimension n."""
+    spans = _slice_spans(f)
+    if any(span.dim != f.n for span in spans):
+        raise ValueError(f"{what} is defined for concise tensors")
+    return spans
+
+
+def _require_concise_symmetric(f) -> list:
     if not isinstance(f, SymTensor):
         raise ValueError("sharpness is defined for symmetric tensors")
-    if not is_concise(f):
-        raise ValueError("sharpness is defined for concise tensors")
-    return f
+    return _concise_spans(f, "sharpness")
 
 
 def min_generators_degree_one(f) -> int:
-    """Minimal generators of Ann(F) in degree (1,...,1), counted on the short side.
+    """Minimal generators of Ann(F) in degree (1,...,1), counted on the short side."""
+    return _degree_one_generators(f, _slice_spans(f))
+
+
+def _degree_one_generators(f, spans) -> int:
+    """`min_generators_degree_one` from F's slice spans R_i (`_slice_spans`).
 
     Ann(F)_{1-e_i} is the orthogonal complement of R_i, the span of F's slices
     along factor i, so the from-below part B = sum_i S_{e_i} Ann(F)_{1-e_i} has
@@ -110,14 +127,12 @@ def min_generators_degree_one(f) -> int:
     n, d, field = f.n, f.order, f.field
     rests = list(itertools.product(range(n), repeat=d - 1))
     cols = {t: c for c, t in enumerate(rests)}
-    basis = Subspace.from_rows(len(cols), flattening(f, 0, cols)).sparse
     # unknown a * dim R_0 + b stands for e_a (x) (basis row b), an integer tensor
     unknowns = [{(a,) + rests[c]: x for c, x in field.integer_row(row)}
-                for a in range(n) for row in basis]
+                for a in range(n) for row in spans[0].sparse]
     rows = []
     for i in range(1, d):
-        cons = [dict(field.integer_row(row)) for row in
-                Subspace.from_rows(len(cols), flattening(f, i, cols)).constraints().sparse]
+        cons = [dict(field.integer_row(row)) for row in spans[i].constraints().sparse]
         # block[j][q] is the row of <cons[q], T_{i=j}> in the unknowns
         block = [[{} for _ in cons] for _ in range(n)]
         for t, tensor in enumerate(unknowns):
@@ -143,17 +158,13 @@ def is_sharp(f) -> Certificate:
     """Three exact conditions: n-1 degree-one minimal generators, Hilbert value n
     on the proper 0/1 degrees, and Hilbert value n along s e_i + e_j for the
     ideal generated by the single piece Ann(F)_{e_i+e_j}."""
-    f = _require_concise_symmetric(f)
+    spans = _require_concise_symmetric(f)
     n, d = f.n, f.order
     if d < 3:
         raise ValueError("sharpness needs at least three factors")
     ring = segre_ring(n, d)
-    cert = Certificate(
-        check="sharp",
-        inputs_digest=tensor_digest(f),
-        verdict=False,
-    )
-    gens = min_generators_degree_one(f)
+    cert = Certificate(check="sharp", digest_parts=tensor_digest_parts(f))
+    gens = _degree_one_generators(f, spans)
     cond1 = gens == n - 1
     cert.add(stage="degree-one-generators", count=gens, want=n - 1, ok=cond1)
 
@@ -199,15 +210,9 @@ def is_111_sharp(f) -> Certificate:
     """Exactly n-1 minimal generators of multidegree (1,1,1); three factors only."""
     if f.order != 3:
         raise ValueError("the 111 test is defined for three-factor tensors")
-    if not is_concise(f):
-        raise ValueError("the 111 test is defined for concise tensors")
-    gens = min_generators_degree_one(f)
+    gens = _degree_one_generators(f, _concise_spans(f, "the 111 test"))
     ok = gens == f.n - 1
-    cert = Certificate(
-        check="111-sharp",
-        inputs_digest=tensor_digest(f),
-        verdict=ok,
-    )
+    cert = Certificate(check="111-sharp", verdict=ok, digest_parts=tensor_digest_parts(f))
     cert.add(stage="degree-111-generators", count=gens, want=f.n - 1, ok=ok)
     if not ok:
         cert.failure = f"found {gens} minimal generators, expected {f.n - 1}"
@@ -219,18 +224,15 @@ def is_111_sharp(f) -> Certificate:
 def verify_lemma_1_minus_ed(f) -> Certificate:
     """Compare pi(Ann(F)_{1-e_d}) with Ann(p_F)_{d-1}: containment always
     reported, equality recorded separately (it holds under sharpness)."""
-    f = _require_concise_symmetric(f)
+    _require_concise_symmetric(f)
     n, d = f.n, f.order
     u = tuple(1 if t < d - 1 else 0 for t in range(d))
     lifted = pi_image(n, d, u, ann_piece(f, u))
     target = ann_sym_piece(depolarize(f), d - 1)
     contained = target.contains(lifted)
     equal = lifted == target
-    cert = Certificate(
-        check="image-of-degree-one-minus-last",
-        inputs_digest=tensor_digest(f),
-        verdict=contained,
-    )
+    cert = Certificate(check="image-of-degree-one-minus-last", verdict=contained,
+                       digest_parts=tensor_digest_parts(f))
     cert.add(degree=u, dim_image=lifted.dim, dim_target=target.dim,
              contained=contained, equal=equal)
     if not contained:
@@ -240,16 +242,11 @@ def verify_lemma_1_minus_ed(f) -> Certificate:
 
 def verify_gen_count_transfer(f) -> Certificate:
     """Minimal generators of Ann(p_F) in degree d vs Ann(F) in degree (1,...,1)."""
-    f = _require_concise_symmetric(f)
-    p = depolarize(f)
-    s_tensor = min_generators_degree_one(f)
-    s_poly = min_generators_sym_in_degree(p, f.order)
+    s_tensor = _degree_one_generators(f, _require_concise_symmetric(f))
+    s_poly = min_generators_sym_in_degree(depolarize(f), f.order)
     ok = s_tensor == s_poly
-    cert = Certificate(
-        check="generator-count-transfer",
-        inputs_digest=tensor_digest(f),
-        verdict=ok,
-    )
+    cert = Certificate(check="generator-count-transfer", verdict=ok,
+                       digest_parts=tensor_digest_parts(f))
     cert.add(tensor_side=s_tensor, form_side=s_poly, ok=ok)
     if not ok:
         cert.failure = f"generator counts differ: {s_tensor} vs {s_poly}"
@@ -279,17 +276,14 @@ def _proper_ideal_piece(f, u) -> Subspace:
 def verify_containment_lemma(f) -> Certificate:
     """pi of the (d-1)e_1 + e_2 piece of the proper-degree annihilator ideal
     lies inside Ann(p_F)_d."""
-    f = _require_concise_symmetric(f)
+    _require_concise_symmetric(f)
     n, d = f.n, f.order
     u = tuple([d - 1, 1] + [0] * (d - 2))
     lifted = pi_image(n, d, u, _proper_ideal_piece(f, u))
     target = ann_sym_piece(depolarize(f), d)
     ok = target.contains(lifted)
-    cert = Certificate(
-        check="proper-ideal-containment",
-        inputs_digest=tensor_digest(f),
-        verdict=ok,
-    )
+    cert = Certificate(check="proper-ideal-containment", verdict=ok,
+                       digest_parts=tensor_digest_parts(f))
     cert.add(degree=u, dim_image=lifted.dim, dim_target=target.dim, ok=ok,
              vacuous=lifted.is_zero)
     if not ok:

@@ -29,7 +29,6 @@ from .apolarity import (
 )
 from .grading import (
     PieceElement,
-    RingKind,
     RingSpec,
     check_degree,
     degree_total,
@@ -392,20 +391,11 @@ def cmd_hf(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _transport(args, cfg: RunConfig, fn_name: str) -> int:
+def _transport(args, cfg: RunConfig, fn, *extra) -> int:
+    """Print fn(ideal, *extra) for the ideal file; a ValueError from the map exits 2."""
     ideal = load_ideal_file(args.ideal, cfg)
     try:
-        if fn_name == "upsilon":
-            if ideal.ring.kind is not RingKind.VERONESE_COORD:
-                raise UsageError("desymmetrization expects an ideal in the V ring")
-            bound = cfg.degree_bound if cfg.degree_bound is not None else ideal.bound
-            out = upsilon(ideal, args.factors, bound)
-        elif fn_name == "sigma":
-            out = sigma(ideal)
-        else:
-            if ideal.ring.kind is not RingKind.SEGRE_COORD:
-                raise UsageError("the restriction expects an ideal in the S ring")
-            out = rho_ideal(ideal)
+        out = fn(ideal, *extra)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     payload = dump_ideal(out)
@@ -581,9 +571,9 @@ def main(argv=None) -> int:
         handler = {
             "ann": cmd_ann,
             "hf": cmd_hf,
-            "upsilon": lambda a, c: _transport(a, c, "upsilon"),
-            "sigma": lambda a, c: _transport(a, c, "sigma"),
-            "rho": lambda a, c: _transport(a, c, "rho"),
+            "upsilon": lambda a, c: _transport(a, c, upsilon, a.factors, c.degree_bound),
+            "sigma": lambda a, c: _transport(a, c, sigma),
+            "rho": lambda a, c: _transport(a, c, rho_ideal),
             "check": cmd_check,
             "selftest": cmd_selftest,
         }[args.command]

@@ -5,9 +5,14 @@ multiplying any piece by a variable lands inside the piece one degree up.  It
 is held in one of two ways.  Most ideals store every piece.  An ideal on the
 Segre side that contains the diagonal ideal I_R is J_u = pi^{-1}(W_|u|) for
 subspaces W_k of V_k, since S_u = (I_R)_u + psi_u(V_|u|); such an ideal
-(`TruncatedIdeal.pi_preimage`, made by `upsilon`) keeps only the W_k.  Its
-dimensions, its saturation test and every certificate stage read W_k, and a
+(`TruncatedIdeal.pi_preimage`, made by `upsilon`) keeps only the W_k, and a
 Segre piece is built from the pi-fibre table only when something reads it.
+
+This module is the only one that knows how an ideal is held.  Readers outside
+it get the same answers from either kind: `piece_dim`, `pi_image` (pi(J_u),
+which is W_|u| on a kept ideal and one elimination on V_|u| otherwise),
+`piece_rows`, `first_without_diagonal` and `saturation_degrees`, so each
+transport map and certificate stage has one path.
 
 Saturated ideals of finite point sets are computed as kernels of evaluation
 maps, evaluated on integer representatives of the points, so elimination
@@ -40,7 +45,7 @@ from .grading import (
     segre_ring,
     veronese_ring,
 )
-from .diagonal_maps import _preimage_rows, _reduced_in_order, pi_fibres
+from .diagonal_maps import _preimage_rows, _reduced_in_order, pi_fibres, pi_image
 from .linalg import QQ, Matrix, Subspace, kernel
 
 
@@ -170,8 +175,8 @@ class TruncatedIdeal:
     `pieces` is a read-only mapping from each degree to its subspace.  An ideal
     made by `TruncatedIdeal.pi_preimage` is kept by its Veronese pieces W_k
     (`veronese`) and builds a Segre piece only when `pieces[u]` or `piece(u)`
-    reads it; `piece_dim` and the certificate stages read W_k directly.  Every
-    other ideal stores its pieces.
+    reads it; `piece_dim`, `pi_image` and `piece_rows` read W_k directly.
+    Every other ideal stores its pieces.
 
     `provenance` records how the ideal arose ("point", "upsilon-of-point", ...)
     so that downstream certificates can state honestly whether membership in
@@ -220,6 +225,13 @@ class TruncatedIdeal:
             return self.pieces[u].dim
         w = self.veronese[degree_total(u)]
         return dim_piece(self.ring, u) - w.ambient_dim + w.dim
+
+    def pi_image(self, u) -> Subspace:
+        """pi(J_u) inside V_|u|: W_|u| on an ideal kept by its Veronese pieces,
+        else one elimination on V_|u|."""
+        if self.veronese is None:
+            return pi_image(self.ring.n, self.ring.d, u, self.pieces[u])
+        return self.veronese[degree_total(u)]
 
     def piece_rows(self, u):
         """The RREF rows of J_u, in order; an unbuilt piece of an ideal kept by
@@ -303,6 +315,36 @@ def first_non_generic(j: TruncatedIdeal, r: int):
     """The first degree where J's Hilbert function is not `generic_hf(r, ...)`, or None."""
     return next((u for u in j.degrees()
                  if hilbert_function(j, u) != generic_hf(r, j.ring, u)), None)
+
+
+def first_without_diagonal(j: TruncatedIdeal, images: dict):
+    """The first degree u of `images`, {u: pi(J_u)}, whose piece misses
+    (I_R)_u, or None.
+
+    An ideal kept by its Veronese pieces contains I_R by construction.
+    Otherwise J_u meets ker pi = (I_R)_u in a subspace of dimension
+    dim J_u - dim pi(J_u), and pi is onto, so dim (I_R)_u = dim S_u - dim V_|u|:
+    the two dimensions agree exactly when J_u contains (I_R)_u.
+    """
+    if j.veronese is not None:
+        return None
+    for u, im in images.items():
+        if j.piece_dim(u) - im.dim != dim_piece(j.ring, u) - im.ambient_dim:
+            return u
+    return None
+
+
+def saturation_degrees(j: TruncatedIdeal) -> tuple:
+    """(testable, deciding): the degrees u whose bound covers
+    `is_saturated_degreewise` at u, and those of them whose tests decide all of
+    them.  On an ideal kept by its Veronese pieces the test at u reads W_|u|
+    alone, so the first degree of each total decides; otherwise every one does.
+    """
+    step = j.ring.d if j.ring.is_multigraded else 1
+    testable = [u for u in j.degrees() if degree_total(u) + step <= j.bound]
+    if j.veronese is None:
+        return testable, testable
+    return testable, [next(same) for _, same in itertools.groupby(testable, degree_total)]
 
 
 # -- point sets and their saturated ideals ------------------------------------------

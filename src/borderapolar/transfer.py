@@ -4,15 +4,16 @@ Desymmetrization adds the diagonal ideal and the psi-images of the input
 pieces, J_u = (I_R)_u + psi_u(I_|u|) = pi^{-1}(I_|u|), and keeps the result
 by its Veronese pieces I_k (see `ideals`); symmetrization collects pi-images
 along the staircase degrees; the first-factor restriction rho recovers a
-Z-graded ideal.  On an ideal kept by its Veronese pieces W_k, pi(J_u) is W_|u|,
-so `sigma` and `rho_ideal` return W_k with no elimination.
+Z-graded ideal.  Each map reads pi(J_u) through `TruncatedIdeal.pi_image`,
+which is W_|u| with no elimination on an ideal kept by its Veronese pieces.
 
 The certificate checkers decide the containment conditions under which a
 border rank decomposition on the Segre side descends to the Veronese side,
 and record witness dimensions plus an honest statement of what was and was
-not tested.  On an ideal kept by W_k every stage reads W_k: diagonal and
-pi-containment hold by construction, apolarity with a symmetric tensor F is
-W_k inside Ann(p_F)_k, and saturation is one colon ideal per total degree.
+not tested.  Each stage has one path, whichever way the ideal is held: what
+depends on that is answered by `ideals`.  A symmetric tensor F is annihilated
+by I_R, so Ann(F)_u = pi^{-1}(Ann(p_F)_|u|) at every 0/1 degree u, and
+apolarity is pi(J_u) inside Ann(p_F)_|u|; a general tensor reads Ann(F)_u.
 A certificate digests its inputs only when `inputs_digest` is first read.
 """
 
@@ -21,7 +22,6 @@ from __future__ import annotations
 import hashlib
 import math
 from functools import cached_property
-from itertools import groupby
 
 from .apolarity import (
     GeneralTensor,
@@ -31,7 +31,7 @@ from .apolarity import (
     depolarize,
     flattening_ranks,
 )
-from .diagonal_maps import pi_image, staircase_degrees
+from .diagonal_maps import staircase_degrees
 from .grading import (
     RingKind,
     degree_total,
@@ -44,9 +44,11 @@ from .linalg import Subspace
 from .ideals import (
     TruncatedIdeal,
     first_non_generic,
+    first_without_diagonal,
     generic_hf,
     hilbert_function,
     is_saturated_degreewise,
+    saturation_degrees,
     _piece_tag,
 )
 
@@ -62,14 +64,14 @@ def slip_label(provenance: str) -> str:
 class Certificate:
     """Structured verdict of one checker: what was tested, at which degrees.
 
-    `inputs_digest` is either given or hashed from `digest_parts` the first
-    time it is read, an ideal among the parts entering through
-    `ideal_digest`; a caller that reads only the verdict never digests an ideal.
+    `inputs_digest` is hashed from `digest_parts` the first time it is read,
+    an ideal among the parts entering through `ideal_digest`; a caller that
+    reads only the verdict never digests an ideal.
     """
 
-    def __init__(self, check: str, inputs_digest: str | None = None, verdict: bool = False,
-                 tested_bound: int | None = None, slip_provenance: str | None = None,
-                 failure: str | None = None, digest_parts: tuple = ()):
+    def __init__(self, check: str, verdict: bool = False, tested_bound: int | None = None,
+                 slip_provenance: str | None = None, failure: str | None = None,
+                 digest_parts: tuple = ()):
         self.check = check
         self.verdict = verdict
         self.witnesses = []
@@ -77,8 +79,6 @@ class Certificate:
         self.slip_provenance = slip_provenance
         self.failure = failure
         self.digest_parts = tuple(digest_parts)
-        if inputs_digest is not None:
-            self.__dict__["inputs_digest"] = inputs_digest
 
     @cached_property
     def inputs_digest(self) -> str:
@@ -144,8 +144,14 @@ def ideal_digest(j: TruncatedIdeal) -> str:
     return h.hexdigest()[:16]
 
 
+def tensor_digest_parts(f: GeneralTensor) -> tuple:
+    """What a tensor's digest hashes; the sorted entries are a list, as in every
+    digest made so far."""
+    return f.n, f.order, sorted(f.entries.items())
+
+
 def tensor_digest(f: GeneralTensor) -> str:
-    return digest_of(f.n, f.order, sorted(f.entries.items()))
+    return digest_of(*tensor_digest_parts(f))
 
 
 # -- the three transport maps ---------------------------------------------------
@@ -170,37 +176,8 @@ def upsilon(i: TruncatedIdeal, d: int, bound: int | None = None,
     return TruncatedIdeal.pi_preimage(segre_ring(i.ring.n, d), bound, w, provenance, i.field)
 
 
-def _pi_image(j: TruncatedIdeal, u) -> Subspace:
-    """pi(J_u): W_|u| on an ideal kept by its Veronese pieces, else one
-    elimination on V_|u|."""
-    if j.veronese is not None:
-        return j.veronese[degree_total(u)]
-    return pi_image(j.ring.n, j.ring.d, u, j.pieces[u])
-
-
-def _pi_images(j: TruncatedIdeal, degrees) -> dict:
-    """pi(J_u) for each degree u, in the given order."""
-    return {u: _pi_image(j, u) for u in degrees}
-
-
-def _first_without_diagonal(j: TruncatedIdeal, images: dict):
-    """The first degree u whose piece misses (I_R)_u, or None.
-
-    An ideal kept by its Veronese pieces contains I_R by construction.
-    Otherwise J_u meets ker pi = (I_R)_u in a subspace of dimension
-    dim J_u - dim pi(J_u), and pi is onto, so dim (I_R)_u = dim S_u - dim V_|u|:
-    the two dimensions agree exactly when J_u contains (I_R)_u.
-    """
-    if j.veronese is not None:
-        return None
-    for u, im in images.items():
-        if j.piece_dim(u) - im.dim != dim_piece(j.ring, u) - im.ambient_dim:
-            return u
-    return None
-
-
 def contains_diagonal_ideal(j: TruncatedIdeal) -> bool:
-    return _first_without_diagonal(j, _pi_images(j, j.degrees())) is None
+    return first_without_diagonal(j, {u: j.pi_image(u) for u in j.degrees()}) is None
 
 
 def _tagged(sub: Subspace, ring_v, k: int, field) -> Subspace:
@@ -212,8 +189,8 @@ def sigma(j: TruncatedIdeal) -> TruncatedIdeal:
     ring = j.ring
     if ring.kind is not RingKind.SEGRE_COORD:
         raise ValueError("symmetrization expects an ideal in the Segre coordinate ring")
-    images = _pi_images(j, j.degrees())
-    if _first_without_diagonal(j, images) is not None:
+    images = {u: j.pi_image(u) for u in j.degrees()}
+    if first_without_diagonal(j, images) is not None:
         raise ValueError(
             "symmetrization is undefined: the ideal does not contain the diagonal ideal"
         )
@@ -238,7 +215,7 @@ def rho_ideal(j: TruncatedIdeal) -> TruncatedIdeal:
     pieces = {}
     for k in range(j.bound + 1):
         u = tuple([k] + [0] * (ring.d - 1))
-        pieces[k] = _tagged(_pi_image(j, u), ring_v, k, j.field)
+        pieces[k] = _tagged(j.pi_image(u), ring_v, k, j.field)
     provenance = (
         "rho-of-certified" if j.provenance in SLIP_CERTIFIED else "user"
     )
@@ -253,44 +230,35 @@ def _ideal_certificate(check: str, j: TruncatedIdeal, tested_bound: int, *parts)
                        slip_provenance=slip_label(j.provenance), digest_parts=parts)
 
 
-class _SymAnnihilator(dict):
-    """k -> Ann(p_F)_k for a symmetric tensor F, each piece computed when first read."""
-
-    def __init__(self, f: SymTensor):
-        super().__init__()
-        self.p = depolarize(f)
-
-    def __missing__(self, k):
-        self[k] = ann_sym_piece(self.p, k)
-        return self[k]
+def _sym_annihilator(f: SymTensor, top: int) -> dict:
+    """{k: Ann(p_F)_k} for k <= top, from one depolarization of F."""
+    p = depolarize(f)
+    return {k: ann_sym_piece(p, k) for k in range(top + 1)}
 
 
 def _apolarity_stage(cert: Certificate, j: TruncatedIdeal, f: GeneralTensor,
-                     up_to: int, sym: _SymAnnihilator | None = None) -> bool:
+                     up_to: int, ann: dict | None = None) -> bool:
     """Degreewise containment J_u in Ann(F)_u for |u| <= up_to; pieces above the
     unit box are full, so only 0/1 degrees need a kernel computation.
 
-    A symmetric F is annihilated by I_R, and pi(Ann(F)_u) = Ann(p_F)_k with
-    k = |u|.  So on an ideal kept by its Veronese pieces the test is W_k inside
-    Ann(p_F)_k, read from `sym` (made here unless the caller passes one to
-    reuse), and both witness dimensions are dim S_u - dim V_k plus the
-    Veronese one.
+    A symmetric F is annihilated by I_R, so Ann(F)_u = pi^{-1}(Ann(p_F)_k) with
+    k = |u|, and J_u lies in it exactly when pi(J_u) lies in Ann(p_F)_k, read
+    from `ann` (made here unless the caller passes it to reuse); then dim_ann is
+    dim S_u - dim V_k + dim Ann(p_F)_k.  A general tensor reads Ann(F)_u.
     """
-    w = j.veronese if isinstance(f, SymTensor) else None
-    if w is not None and sym is None:
-        sym = _SymAnnihilator(f)
+    if ann is None and isinstance(f, SymTensor):
+        ann = _sym_annihilator(f, min(up_to, j.bound))
     first_failure = None
     for u in j.degrees():
         if degree_total(u) > up_to or any(x > 1 for x in u):
             continue
-        if w is None:
-            ann, piece = ann_piece(f, u), j.pieces[u]
+        if ann is None:
+            a, piece = ann_piece(f, u), j.pieces[u]
         else:
-            k = degree_total(u)
-            ann, piece = sym[k], w[k]
-        ok = ann.contains(piece)
-        lift = dim_piece(j.ring, u) - piece.ambient_dim
-        cert.add(degree=u, dim_ideal=lift + piece.dim, dim_ann=lift + ann.dim, ok=ok)
+            a, piece = ann[degree_total(u)], j.pi_image(u)
+        ok = a.contains(piece)
+        cert.add(degree=u, dim_ideal=j.piece_dim(u),
+                 dim_ann=dim_piece(j.ring, u) - a.ambient_dim + a.dim, ok=ok)
         if not ok and first_failure is None:
             first_failure = u
     if first_failure is not None:
@@ -302,8 +270,8 @@ def _pi_containment_stage(cert: Certificate, j: TruncatedIdeal, with_degree: boo
     """pi(J_{(d,0,...,0)}) inside pi(J_{(1,...,1)})."""
     d = j.ring.d
     u_first = tuple([d] + [0] * (d - 1))
-    lhs = _pi_image(j, u_first)
-    rhs = _pi_image(j, ones(d))
+    lhs = j.pi_image(u_first)
+    rhs = j.pi_image(ones(d))
     ok = rhs.contains(lhs)
     witness = {"stage": "pi-containment"}
     if with_degree:
@@ -338,8 +306,8 @@ def check_condition_ii(j: TruncatedIdeal, f: GeneralTensor,
     cert = _ideal_certificate("condition-ii", j, bound, tensor_digest(f), j, bound)
     if not _apolarity_stage(cert, j, f, d):
         return cert
-    images = _pi_images(j, [u for u in j.degrees() if degree_total(u) <= bound])
-    missing = _first_without_diagonal(j, images)
+    images = {u: j.pi_image(u) for u in j.degrees() if degree_total(u) <= bound}
+    missing = first_without_diagonal(j, images)
     if missing is not None:
         cert.add(stage="diagonal-containment", degree=missing, ok=False)
         cert.failure = f"the diagonal ideal is not inside J at degree {missing}"
@@ -399,24 +367,20 @@ def comon_certificate(f: SymTensor, r: int, j: TruncatedIdeal) -> Certificate:
         cert.failure = "Hilbert function differs from the generic one"
         return cert
     cert.add(stage="hilbert-function", ok=True)
-    sym = _SymAnnihilator(f)
-    if not _apolarity_stage(cert, j, f, d, sym):
+    ann = _sym_annihilator(f, d)
+    if not _apolarity_stage(cert, j, f, d, ann):
         return cert
-    for k in range(d):
-        sym.pop(k, None)  # only Ann(p_F)_d is read again, by the rho check
-    sat_degrees = [u for u in j.degrees() if degree_total(u) + d <= j.bound]
-    # on the Veronese side the test reads W_|u| alone: one degree per total decides it
-    read = (sat_degrees if j.veronese is None
-            else [next(same) for _, same in groupby(sat_degrees, degree_total)])
-    sat_ok = all(is_saturated_degreewise(j, u) for u in read)
-    cert.add(stage="saturation", tested_degrees=len(sat_degrees), ok=sat_ok)
+    ann_d = ann[d]  # only Ann(p_F)_d is read again, by the rho check
+    del ann
+    testable, deciding = saturation_degrees(j)
+    sat_ok = all(is_saturated_degreewise(j, u) for u in deciding)
+    cert.add(stage="saturation", tested_degrees=len(testable), ok=sat_ok)
     if not sat_ok:
         cert.failure = "a testable degree fails the degreewise saturation check"
         return cert
     if not _pi_containment_stage(cert, j, with_degree=False):
         return cert
     restricted = rho_ideal(j)
-    ann_d = sym[d]
     apolar = ann_d.contains(restricted.piece(d))
     cert.add(stage="rho-apolarity", degree=d, dim=restricted.piece(d).dim,
              dim_ann=ann_d.dim, ok=apolar)

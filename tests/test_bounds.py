@@ -32,6 +32,7 @@ from borderapolar.diagonal_maps import pi_image, proper_unit_box_degrees
 from borderapolar.grading import dim_piece, segre_ring, veronese_ring
 from borderapolar.linalg import QQ, Matrix, PrimeField, Subspace
 from borderapolar.ideals import multiply_vector_by_variable
+from borderapolar.transfer import tensor_digest
 from support import (
     concise_power_sum_instance,
     diagonal_tensor,
@@ -39,6 +40,16 @@ from support import (
     proper_degree_annihilator_ideal,
     random_symmetric_tensor,
 )
+
+
+def test_every_certificate_digests_the_tensor():
+    """Each certificate here digests F as `tensor_digest` does, byte for byte as
+    before: the sorted entries are hashed as a list."""
+    f = concise_power_sum_instance(3, 3, random.Random(64))
+    checks = (is_sharp, is_111_sharp, verify_lemma_1_minus_ed, verify_gen_count_transfer,
+              verify_containment_lemma)
+    assert {check(f).inputs_digest for check in checks} == {tensor_digest(f)}
+    assert is_sharp(diagonal_tensor(3, 3)).inputs_digest == "c7fc4eedcadb168b"
 
 
 def all_representations(m, a):
@@ -331,6 +342,19 @@ class TestEliminationCounts:
         eliminations.clear()
         assert check(f).to_dict() == first
         assert eliminations == shapes and shapes
+
+    @pytest.mark.parametrize("check,count", [(is_111_sharp, 4), (verify_gen_count_transfer, 7),
+                                             (is_sharp, 16)],
+                             ids=lambda v: getattr(v, "__name__", str(v)))
+    def test_slice_spans_are_reduced_once(self, eliminations, check, count):
+        # conciseness is read off the d slice spans the degree-one count uses:
+        # 3 spans and the short system, then 3 Veronese-side eliminations for
+        # the generator-count transfer and 6 unit-box pieces and 6 growth steps
+        # for sharpness; reducing the flattenings again would add 3 to each
+        f = concise_power_sum_instance(4, 3, random.Random(63))
+        eliminations.clear()
+        assert check(f).verdict
+        assert len(eliminations) == count
 
     def test_degree_one_count_is_one_short_system(self, eliminations):
         # d slice spans of shape n x n^(d-1), then one system with n dim R_0

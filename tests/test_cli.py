@@ -28,6 +28,13 @@ PRINCIPAL_V = {
     ],
 }
 
+LINEAR_S = {
+    "ring": "S", "n": 2, "d": 2, "bound": 3,
+    "generators": [
+        {"degree": [1, 0], "terms": [{"monomial": [[1, 0], [0, 0]], "coeff": "1"}]}
+    ],
+}
+
 
 def write(tmp_path, name, payload):
     path = tmp_path / name
@@ -150,17 +157,22 @@ class TestTransportCommands:
         assert json.load(open(up))["pieces"] == diag["pieces"]
 
     def test_sigma_refusal(self, tmp_path, capsys):
-        sf = write(tmp_path, "s.json", {
-            "ring": "S", "n": 2, "d": 2, "bound": 3,
-            "generators": [
-                {"degree": [1, 0],
-                 "terms": [{"monomial": [[1, 0], [0, 0]], "coeff": "1"}]}
-            ],
-        })
+        sf = write(tmp_path, "s.json", LINEAR_S)
         code = cli.main(["sigma", sf])
         err = capsys.readouterr().err
         assert code == 2
         assert "diagonal" in err
+
+    @pytest.mark.parametrize("command, payload, message", [
+        (["upsilon", "--factors", "3"], LINEAR_S,
+         "desymmetrization expects an ideal in the Veronese ring"),
+        (["rho"], PRINCIPAL_V, "rho expects an ideal in the Segre coordinate ring"),
+    ], ids=["upsilon-of-S", "rho-of-V"])
+    def test_wrong_ring_exits_two(self, tmp_path, capsys, command, payload, message):
+        path = write(tmp_path, "ideal.json", payload)
+        code = cli.main([command[0], path, *command[1:]])
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 class TestCheck:

@@ -65,3 +65,15 @@ def test_every_public_function_has_a_caller():
                     and node.name not in used):
                 dead.append(f"{path.stem}.{node.name}")
     assert dead == []
+
+
+def test_only_ideals_knows_how_an_ideal_is_held():
+    """Whether an ideal is kept by its Veronese pieces or stored piece by piece
+    is known to `ideals` alone: no other package module reads `veronese` or
+    `_Preimages`."""
+    held = {"veronese", "_Preimages"}
+    leaks = [f"{path.stem}.{name}"
+             for path in sorted((ROOT / "src" / "borderapolar").glob("*.py"))
+             if path.stem != "ideals"
+             for name in sorted(_used_names(path) & held)]
+    assert leaks == []

@@ -25,6 +25,7 @@ from borderapolar.ideals import (
     degrees_up_to,
     diagonal_points,
     expand,
+    first_without_diagonal,
     hilbert_function,
     is_ideal_closed,
     is_saturated_degreewise,
@@ -249,7 +250,7 @@ class TestDiagonalContainment:
                 key = (n, d, u, id(sub))
                 if key not in verdicts:
                     image = pi_image(n, d, u, sub)
-                    by_rank = transfer._first_without_diagonal(j, {u: image}) is None
+                    by_rank = first_without_diagonal(j, {u: image}) is None
                     verdicts[key] = sub, sub.contains(ir_piece(n, d, u, field))
                     assert by_rank == verdicts[key][1], (j.ring, u)
             assert contains_diagonal_ideal(j) == all(
@@ -486,7 +487,7 @@ class TestComonCertificate:
             raise AssertionError("a stage ran on an ideal truncated below the order")
 
         for name in ("flattening_ranks", "first_non_generic", "hilbert_function",
-                     "_apolarity_stage", "is_saturated_degreewise",
+                     "_apolarity_stage", "saturation_degrees", "is_saturated_degreewise",
                      "_pi_containment_stage", "rho_ideal", "ideal_digest"):
             monkeypatch.setattr(transfer, name, unreachable)
         with pytest.raises(ValueError, match=r"^need the truncation bound >= 3, got 2$"):

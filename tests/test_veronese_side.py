@@ -6,17 +6,22 @@ must give exactly what it gives on the stored pieces, which take the explicit
 path: verdicts, witnesses and digests alike.  The stored copies are built
 from the kept ideal's own pieces, and ideals loaded from a file and
 `with_piece` copies, which miss I_R, go through the same comparison.
+
+Both kinds take one path through each certificate stage.  With a symmetric
+tensor F the apolarity stage reads pi(J_u) alone, which rests on
+Ann(F)_u = pi^{-1}(Ann(p_F)_|u|) at every 0/1 degree u.
 """
 
+import itertools
 import json
 import random
 
 import pytest
 
 from borderapolar import ideals, linalg, transfer
-from borderapolar.apolarity import GeneralTensor, SymTensor
+from borderapolar.apolarity import GeneralTensor, SymTensor, ann_piece, ann_sym_piece, depolarize
 from borderapolar.cli import RunConfig, load_ideal_file
-from borderapolar.diagonal_maps import ir_piece
+from borderapolar.diagonal_maps import ir_piece, pi_preimage
 from borderapolar.grading import PieceElement, degree_total, dim_piece, monomials, veronese_ring
 from borderapolar.ideals import (
     PointSet,
@@ -117,6 +122,57 @@ def test_kept_and_stored_ideals_agree(field, n, d, bound):
     assert verdicts == {"pass", "fail"}, seen
 
 
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@pytest.mark.parametrize("n, d", [(1, 3), (2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4)])
+def test_symmetric_annihilator_is_a_pi_preimage(field, n, d):
+    """Ann(F)_u = pi^{-1}(Ann(p_F)_|u|) at every 0/1 degree u, for the zero
+    tensor, a power and random symmetric tensors, against `ann_piece`."""
+    rng = random.Random(f"ann/{n}/{d}")
+    fs = [SymTensor(n, d, {}), SymTensor(n, d, {(0,) * d: 1})]
+    fs += [random_symmetric_tensor(n, d, rng) for _ in range(3)]
+    for f in (in_field(f, field) for f in fs):
+        p = depolarize(f)
+        for u in itertools.product((0, 1), repeat=d):
+            assert ann_piece(f, u) == pi_preimage(n, d, u, ann_sym_piece(p, sum(u))), (f, u)
+
+
+def test_symmetric_tensor_reads_no_segre_annihilator(monkeypatch):
+    """With a symmetric tensor no stage calls `ann_piece`, on kept and on stored
+    ideals, passing or failing; a general tensor still reads it."""
+    def unreachable(*args):
+        raise AssertionError("ann_piece was called")
+
+    monkeypatch.setattr(transfer, "ann_piece", unreachable)
+    for n, d in ((2, 3), (3, 3), (2, 4)):
+        z = very_general_points(veronese_ring(n), n + 1, d + 1, random.Random(n * d))
+        kept = upsilon(point_ideal(z, d + 1), d)
+        for f, passes in ((sum_of_powers_tensor(n, d, z.points), True),
+                          (diagonal_tensor(n, d), False)):
+            for j in (kept, stored(kept)):
+                assert comon_certificate(f, n + 1, j).verdict == passes
+                assert check_condition_ii(j, f).verdict == passes
+                assert check_condition_iii(j, f).verdict == passes
+    with pytest.raises(AssertionError, match="ann_piece was called"):
+        check_condition_iii(kept, GeneralTensor(n, d, dict(diagonal_tensor(n, d).entries)))
+
+
+def test_symmetric_witnesses_equal_the_segre_ones():
+    """One point of P^1 against the concise diagonal F: J_1 = W_1 is not in
+    Ann(p_F)_1 = 0, so both checkers fail first at degree (1, 0, 0).  Kept or
+    stored, the witnesses at every 0/1 degree equal those read off Ann(F)_u
+    itself, as for a general tensor."""
+    j = upsilon(point_ideal(PointSet(veronese_ring(2), ((1, 0),)), 4), 3)
+    f = diagonal_tensor(2, 3)
+    general = GeneralTensor(2, 3, dict(f.entries))
+    for check in (check_condition_ii, check_condition_iii):
+        want = check(stored(j), general)
+        assert want.failure == "ideal is not apolar to the tensor at degree (1, 0, 0)"
+        assert len(want.witnesses) == 8
+        for ideal in (j, stored(j)):
+            got = check(ideal, f)
+            assert (got.failure, got.witnesses) == (want.failure, want.witnesses)
+
+
 def test_non_saturated_ideal_is_caught_on_both_paths():
     """(x^2, xy) has saturation (x): the colon test fails at total degree 1."""
     ring = veronese_ring(2)
@@ -213,12 +269,6 @@ def test_verdict_only_certificate_never_digests_the_ideal(monkeypatch):
     assert digest == transfer.digest_of(transfer.tensor_digest(f), 3, real(j))
 
 
-def test_certificate_with_a_ready_digest():
-    cert = transfer.Certificate(check="sharp", inputs_digest="0123456789abcdef", verdict=True)
-    assert cert.inputs_digest == "0123456789abcdef"
-    assert cert.to_dict()["inputs_digest"] == "0123456789abcdef"
-
-
 def test_pipeline_builds_no_segre_piece(monkeypatch):
     """upsilon -> comon_certificate reads W alone: the lazy builder never runs
     unless the digest or a piece is read."""
@@ -261,16 +311,9 @@ class TestEliminationCount:
     degree up to d (the rho check reuses Ann(p_F)_d) and one colon per testable
     total degree; reading the digest adds W's reduction once per fibre order."""
 
-    @pytest.mark.parametrize("n, d, r, cert_shapes", [
-        (3, 3, 4, [(1, 10), (3, 6), (3, 9), (3, 9), (3, 9), (6, 3), (10, 1),
-                   (40, 1), (40, 3)]),
-        (4, 3, 4, [(1, 20), (4, 10), (4, 16), (4, 16), (4, 16), (10, 4), (20, 1),
-                   (80, 1), (80, 4)]),
-    ])
-    def test_pipeline_counts(self, monkeypatch, n, d, r, cert_shapes):
-        z = very_general_points(veronese_ring(n), r, d + 1, random.Random(7))
-        f = sum_of_powers_tensor(n, d, z.points)
-        i = point_ideal(z, d + 1)
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """The shape of every elimination from here on."""
         calls = []
         real = linalg.rref_with_pivots
 
@@ -279,6 +322,19 @@ class TestEliminationCount:
             return real(m)
 
         monkeypatch.setattr(linalg, "rref_with_pivots", counted)
+        return calls
+
+    @pytest.mark.parametrize("n, d, r, cert_shapes", [
+        (3, 3, 4, [(1, 10), (3, 6), (3, 9), (3, 9), (3, 9), (6, 3), (10, 1),
+                   (40, 1), (40, 3)]),
+        (4, 3, 4, [(1, 20), (4, 10), (4, 16), (4, 16), (4, 16), (10, 4), (20, 1),
+                   (80, 1), (80, 4)]),
+    ])
+    def test_pipeline_counts(self, calls, n, d, r, cert_shapes):
+        z = very_general_points(veronese_ring(n), r, d + 1, random.Random(7))
+        f = sum_of_powers_tensor(n, d, z.points)
+        i = point_ideal(z, d + 1)
+        calls.clear()
         j = upsilon(i, d, d + 1)
         assert calls == []
         cert = comon_certificate(f, r, j)
@@ -287,3 +343,26 @@ class TestEliminationCount:
         calls.clear()
         cert.inputs_digest
         assert len(calls) == 10
+
+    @pytest.mark.parametrize("n, d, r, shapes", [
+        (3, 3, 4, [(0, 1), (0, 1), (0, 3), (0, 3), (0, 3), (0, 3), (1, 10), (2, 6), (3, 6),
+                   (3, 6), (3, 6), (3, 6), (3, 9), (3, 9), (3, 9), (6, 3), (6, 10), (6, 10),
+                   (10, 1), (11, 15), (17, 10), (17, 10), (108, 1), (108, 3), (108, 3),
+                   (108, 3)]),
+        (4, 3, 4, [(0, 1), (0, 1), (0, 4), (0, 4), (0, 4), (0, 4), (1, 20), (4, 10), (4, 16),
+                   (4, 16), (4, 16), (6, 10), (9, 10), (9, 10), (9, 10), (10, 4), (16, 20),
+                   (16, 20), (20, 1), (31, 35), (54, 20), (54, 20), (256, 1), (256, 4),
+                   (256, 4), (256, 4)]),
+    ])
+    def test_stored_copy_counts(self, calls, n, d, r, shapes):
+        """On the stored copy: the flattening ranks, one Veronese annihilator per
+        total degree up to d, one pi-image per 0/1 degree, the two of the
+        pi-containment and those of rho(J), and one colon per testable degree."""
+        z = very_general_points(veronese_ring(n), r, d + 1, random.Random(7))
+        f = sum_of_powers_tensor(n, d, z.points)
+        kept = upsilon(point_ideal(z, d + 1), d, d + 1)
+        explicit = stored(kept)
+        calls.clear()
+        cert = comon_certificate(f, r, explicit)
+        assert sorted(calls) == shapes
+        assert cert.to_dict() == comon_certificate(f, r, kept).to_dict()
