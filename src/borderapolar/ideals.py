@@ -10,7 +10,7 @@ Segre piece is built from the pi-fibre table only when something reads it.
 
 This module is the only one that knows how an ideal is held.  Readers outside
 it get the same answers from either kind: `piece_dim`, `pi_image` (pi(J_u),
-which is W_|u| on a kept ideal and one elimination on V_|u| otherwise),
+which is W_|u| on a kept ideal and otherwise made once, on V_|u|),
 `piece_rows`, `first_without_diagonal` and `saturation_degrees`, so each
 transport map and certificate stage has one path.
 
@@ -176,7 +176,7 @@ class TruncatedIdeal:
     made by `TruncatedIdeal.pi_preimage` is kept by its Veronese pieces W_k
     (`veronese`) and builds a Segre piece only when `pieces[u]` or `piece(u)`
     reads it; `piece_dim`, `pi_image` and `piece_rows` read W_k directly.
-    Every other ideal stores its pieces.
+    Every other ideal stores its pieces, and keeps each pi-image it computes.
 
     `provenance` records how the ideal arose ("point", "upsilon-of-point", ...)
     so that downstream certificates can state honestly whether membership in
@@ -192,6 +192,7 @@ class TruncatedIdeal:
     def __post_init__(self):
         if not isinstance(self.pieces, _Preimages):
             object.__setattr__(self, "pieces", MappingProxyType(dict(self.pieces)))
+            object.__setattr__(self, "_images", {})
 
     @classmethod
     def pi_preimage(cls, ring: RingSpec, bound: int, w, provenance: str = "user",
@@ -228,10 +229,14 @@ class TruncatedIdeal:
 
     def pi_image(self, u) -> Subspace:
         """pi(J_u) inside V_|u|: W_|u| on an ideal kept by its Veronese pieces,
-        else one elimination on V_|u|."""
-        if self.veronese is None:
-            return pi_image(self.ring.n, self.ring.d, u, self.pieces[u])
-        return self.veronese[degree_total(u)]
+        else one elimination on V_|u| (none for a zero piece), made once."""
+        if self.veronese is not None:
+            return self.veronese[degree_total(u)]
+        if u not in self._images:
+            n, p = self.ring.n, self.pieces[u]
+            self._images[u] = (pi_image(n, self.ring.d, u, p) if p.sparse else Subspace.zero(
+                dim_piece(veronese_ring(n), degree_total(u)), field=p.field))
+        return self._images[u]
 
     def piece_rows(self, u):
         """The RREF rows of J_u, in order; an unbuilt piece of an ideal kept by

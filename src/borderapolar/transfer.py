@@ -282,18 +282,22 @@ def _pi_containment_stage(cert: Certificate, j: TruncatedIdeal, with_degree: boo
     return ok
 
 
-def _require_bound(j: TruncatedIdeal, d: int):
-    """Both pi-containment checks read J_{(d,0,...,0)}, so J must reach degree d."""
-    if j.bound < d:
-        raise ValueError(f"need the truncation bound >= {d}, got {j.bound}")
+def _require_inputs(j: TruncatedIdeal, f: GeneralTensor, reach_order: bool = True):
+    """J must be an ideal of F's ring S(n, d) and, where the pi-containment check
+    reads J_{(d,0,...,0)}, reach degree d."""
+    if j.ring != segre_ring(f.n, f.order):
+        factors = f", d={j.ring.d}" if j.ring.is_multigraded else ""
+        raise ValueError(f"the ideal's ring {j.ring.kind.value}(n={j.ring.n}{factors}) is "
+                         f"not the tensor's Segre ring S(n={f.n}, d={f.order})")
+    if reach_order and j.bound < f.order:
+        raise ValueError(f"need the truncation bound >= {f.order}, got {j.bound}")
 
 
 def check_condition_iii(j: TruncatedIdeal, f: GeneralTensor) -> Certificate:
     """pi(J_{(d,0,...,0)}) inside pi(J_1), after verifying J is apolar to F."""
-    d = j.ring.d
-    _require_bound(j, d)
+    _require_inputs(j, f)
     cert = _ideal_certificate("condition-iii", j, j.bound, tensor_digest(f), j)
-    if _apolarity_stage(cert, j, f, d):
+    if _apolarity_stage(cert, j, f, f.order):
         cert.verdict = _pi_containment_stage(cert, j, with_degree=True)
     return cert
 
@@ -301,10 +305,10 @@ def check_condition_iii(j: TruncatedIdeal, f: GeneralTensor) -> Certificate:
 def check_condition_ii(j: TruncatedIdeal, f: GeneralTensor,
                        bound: int | None = None) -> Certificate:
     """I_R inside J and pi(J_u) independent of u within each total degree."""
-    d = j.ring.d
+    _require_inputs(j, f, reach_order=False)
     bound = j.bound if bound is None else min(bound, j.bound)
     cert = _ideal_certificate("condition-ii", j, bound, tensor_digest(f), j, bound)
-    if not _apolarity_stage(cert, j, f, d):
+    if not _apolarity_stage(cert, j, f, f.order):
         return cert
     images = {u: j.pi_image(u) for u in j.degrees() if degree_total(u) <= bound}
     missing = first_without_diagonal(j, images)
@@ -313,17 +317,15 @@ def check_condition_ii(j: TruncatedIdeal, f: GeneralTensor,
         cert.failure = f"the diagonal ideal is not inside J at degree {missing}"
         return cert
     cert.add(stage="diagonal-containment", ok=True)
-    verdict = True
     for total in range(bound + 1):
         same_total = [im for u, im in images.items() if degree_total(u) == total]
         same = all(im == same_total[0] for im in same_total[1:])
         cert.add(stage="pi-image-equality", total_degree=total,
                  dims=tuple(im.dim for im in same_total), ok=same)
         if not same:
-            verdict = False
             cert.failure = f"pi-images differ within total degree {total}"
-            break
-    cert.verdict = verdict
+            return cert
+    cert.verdict = True
     return cert
 
 
@@ -336,8 +338,8 @@ def comon_certificate(f: SymTensor, r: int, j: TruncatedIdeal) -> Certificate:
     Hilbert function, apolarity, degreewise saturation where the bound allows,
     and the pi-containment condition; on success it also produces rho(J) and
     verifies that it is apolar to the corresponding form with the expected
-    Hilbert function.  An ideal truncated below total degree d is refused with
-    a ValueError before any stage runs.
+    Hilbert function.  An ideal outside F's Segre ring S(n, d), or truncated
+    below total degree d, is refused with a ValueError before any stage runs.
     """
     if not isinstance(f, SymTensor):
         raise TypeError("the transfer pipeline requires a symmetric tensor")
@@ -346,7 +348,7 @@ def comon_certificate(f: SymTensor, r: int, j: TruncatedIdeal) -> Certificate:
         raise ValueError(
             f"r={r} outside the admissible range [{n}, {math.comb(n + 1, 2)}]"
         )
-    _require_bound(j, d)
+    _require_inputs(j, f)
     cert = _ideal_certificate("comon-transfer", j, j.bound, tensor_digest(f), r, j)
     ranks = flattening_ranks(f)
     concise = all(rk == n for rk in ranks)

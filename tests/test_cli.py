@@ -315,6 +315,32 @@ class TestIdealBelowOrder:
         assert captured.err == "error: need the truncation bound >= 3, got 2\n"
 
 
+class TestIdealOutsideTheTensorRing:
+    """check --ideal FILE with an ideal outside the tensor's Segre ring exits 2
+    before any stage runs, also where the two rings share every V_k."""
+
+    @pytest.mark.parametrize("factors, ring", [("4", "S(n=2, d=4)"), (None, "V(n=2)")],
+                             ids=["upsilon-with-other-factors", "veronese-file"])
+    def test_exits_two(self, tmp_path, capsys, factors, ring):
+        from borderapolar.grading import veronese_ring
+        from borderapolar.ideals import PointSet, point_ideal
+
+        z = PointSet(veronese_ring(2), ((1, 0), (0, 1)))
+        path = write(tmp_path, "v.json", cli.dump_ideal(point_ideal(z, 5)))
+        if factors is not None:
+            dumped = str(tmp_path / "up.json")
+            assert cli.main(["upsilon", path, "--factors", factors, "--format", "json",
+                             "--output", dumped]) == 0
+            path = dumped
+        tf = write(tmp_path, "t.json", FERMAT)
+        capsys.readouterr()
+        code = cli.main(["check", tf, "2", "--ideal", path])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == (f"error: the ideal's ring {ring} is not the tensor's "
+                                "Segre ring S(n=2, d=3)\n")
+
+
 class TestFlagsPerSubcommand:
     """--modulus and --degree-bound exist only on the subcommands that read them."""
 

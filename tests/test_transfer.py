@@ -1,6 +1,7 @@
 """Tests for desymmetrization, symmetrization, restriction, and the checkers."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -266,8 +267,8 @@ class TestDiagonalContainment:
 
 
 class TestEliminationCount:
-    """On stored pieces, pi-images eliminate once per piece, on V_|u|; psi-images
-    not at all.  On an ideal kept by its Veronese pieces, transport eliminates
+    """On stored pieces, pi-images eliminate once per nonzero piece, on V_|u|;
+    psi-images not at all.  On an ideal kept by its Veronese pieces, transport eliminates
     nothing, and reading its pieces reduces W once per fibre order."""
 
     @pytest.fixture
@@ -294,15 +295,17 @@ class TestEliminationCount:
                               kept.field)
 
     def test_sigma_eliminates_once_per_piece(self, shapes, lifted):
-        """One elimination per piece, of the rows whose pi-image is nonzero:
-        the e_c - e_top rows of the upsilon pieces never reach it."""
+        """One elimination per nonzero piece, of the rows whose pi-image is
+        nonzero: the e_c - e_top rows of the upsilon pieces never reach it, and
+        a zero piece has the zero image without one."""
         def surviving(u):
             m = pi_matrix_reference(3, 3, u)
             return sum(1 for row in lifted.pieces[u].basis if any(mat_vec(m, row)))
 
         shapes.clear()
         sigma(lifted)
-        assert shapes == [(surviving(u), dim_piece(V3, sum(u))) for u in lifted.degrees()]
+        assert shapes == [(surviving(u), dim_piece(V3, sum(u))) for u in lifted.degrees()
+                          if lifted.pieces[u].dim]
         assert sum(rows for rows, _ in shapes) < sum(p.dim for p in lifted.pieces.values())
 
     @pytest.mark.parametrize("field", [QQ, PrimeField(2147483647)], ids=repr)
@@ -330,13 +333,13 @@ class TestEliminationCount:
     def test_contains_diagonal_ideal_eliminates_once_per_piece(self, shapes, lifted):
         shapes.clear()
         assert contains_diagonal_ideal(lifted)
-        assert len(shapes) == len(lifted.degrees())
+        assert len(shapes) == sum(1 for u in lifted.degrees() if lifted.pieces[u].dim)
 
     def test_rho_ideal_eliminates_once_per_piece(self, shapes, lifted):
         shapes.clear()
         rho_ideal(lifted)
         assert shapes == [(lifted.piece((k, 0, 0)).dim, dim_piece(V3, k))
-                          for k in range(lifted.bound + 1)]
+                          for k in range(lifted.bound + 1) if lifted.piece((k, 0, 0)).dim]
 
     def test_psi_image_does_not_eliminate(self, shapes, lifted):
         shapes.clear()
@@ -495,6 +498,38 @@ class TestComonCertificate:
                 comon_certificate(f, 2, j)
             else:
                 check_condition_iii(j, f)
+
+    @pytest.mark.parametrize("checker", [comon_certificate, check_condition_ii,
+                                         check_condition_iii], ids=lambda c: c.__name__)
+    @pytest.mark.parametrize("ring, held", [
+        ("S(n=2, d=4)", "kept"), ("S(n=2, d=4)", "stored"),
+        ("S(n=3, d=3)", "kept"), ("S(n=3, d=3)", "stored"), ("V(n=2)", "stored"),
+    ])
+    def test_ideal_outside_the_tensor_ring_raises_before_any_stage(
+            self, monkeypatch, checker, ring, held):
+        """With the same n, S(n, 4) and S(n, 3) share every V_k, so only the
+        ring check keeps the stages from reading one against the other."""
+        f = diagonal_tensor(2, 3)
+        if ring == "V(n=2)":
+            j = point_ideal(coordinate_points(2), 4)
+        else:
+            n, d = (2, 4) if ring == "S(n=2, d=4)" else (3, 3)
+            j = upsilon(point_ideal(coordinate_points(n), d + 1), d, d + 1)
+            if held == "stored":
+                j = TruncatedIdeal(j.ring, j.bound, dict(j.pieces), j.provenance, j.field)
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a stage ran on an ideal outside the tensor's ring")
+
+        for name in ("flattening_ranks", "first_non_generic", "_apolarity_stage",
+                     "saturation_degrees", "_pi_containment_stage", "rho_ideal"):
+            monkeypatch.setattr(transfer, name, unreachable)
+        message = f"the ideal's ring {ring} is not the tensor's Segre ring S(n=2, d=3)"
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+            if checker is comon_certificate:
+                checker(f, 2, j)
+            else:
+                checker(j, f)
 
     def test_non_symmetric_rejected(self):
         g = GeneralTensor(2, 3, {(0, 0, 1): 1})

@@ -345,19 +345,18 @@ class TestEliminationCount:
         assert len(calls) == 10
 
     @pytest.mark.parametrize("n, d, r, shapes", [
-        (3, 3, 4, [(0, 1), (0, 1), (0, 3), (0, 3), (0, 3), (0, 3), (1, 10), (2, 6), (3, 6),
-                   (3, 6), (3, 6), (3, 6), (3, 9), (3, 9), (3, 9), (6, 3), (6, 10), (6, 10),
-                   (10, 1), (11, 15), (17, 10), (17, 10), (108, 1), (108, 3), (108, 3),
+        (3, 3, 4, [(1, 10), (2, 6), (3, 6), (3, 6), (3, 6), (3, 6), (3, 9), (3, 9), (3, 9),
+                   (6, 3), (6, 10), (10, 1), (11, 15), (17, 10), (108, 1), (108, 3), (108, 3),
                    (108, 3)]),
-        (4, 3, 4, [(0, 1), (0, 1), (0, 4), (0, 4), (0, 4), (0, 4), (1, 20), (4, 10), (4, 16),
-                   (4, 16), (4, 16), (6, 10), (9, 10), (9, 10), (9, 10), (10, 4), (16, 20),
-                   (16, 20), (20, 1), (31, 35), (54, 20), (54, 20), (256, 1), (256, 4),
+        (4, 3, 4, [(1, 20), (4, 10), (4, 16), (4, 16), (4, 16), (6, 10), (9, 10), (9, 10),
+                   (9, 10), (10, 4), (16, 20), (20, 1), (31, 35), (54, 20), (256, 1), (256, 4),
                    (256, 4), (256, 4)]),
     ])
     def test_stored_copy_counts(self, calls, n, d, r, shapes):
         """On the stored copy: the flattening ranks, one Veronese annihilator per
-        total degree up to d, one pi-image per 0/1 degree, the two of the
-        pi-containment and those of rho(J), and one colon per testable degree."""
+        total degree up to d, one pi-image per nonzero piece read (each made
+        once, for apolarity, pi-containment and rho(J) together), and one colon
+        per testable degree."""
         z = very_general_points(veronese_ring(n), r, d + 1, random.Random(7))
         f = sum_of_powers_tensor(n, d, z.points)
         kept = upsilon(point_ideal(z, d + 1), d, d + 1)
