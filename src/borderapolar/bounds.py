@@ -4,6 +4,9 @@ The growth bound machinery is purely arithmetic: the a-th Macaulay
 representation of an integer and its degree-shifted sum.  The sharpness
 tests count minimal generators of annihilator ideals degreewise and compare
 Hilbert function values, with a separate quick test in the three-factor case.
+They take a symmetric F, and permuting the factors maps Ann(F)_u onto
+Ann(F)_{σu}, so `is_sharp` computes each Hilbert value once per orbit of
+degrees under that permutation.
 """
 
 from __future__ import annotations
@@ -20,14 +23,8 @@ from .apolarity import (
     depolarize,
     flattening,
 )
-from .diagonal_maps import pi_image, proper_unit_box_degrees
-from .grading import (
-    add_degrees,
-    dim_piece,
-    segre_ring,
-    unit_degree,
-    veronese_ring,
-)
+from .diagonal_maps import pi_image, proper_unit_box_degrees, staircase_degrees
+from .grading import dim_piece, segre_ring, veronese_ring
 from .ideals import min_generators, span_from_below, variable_multiples
 from .linalg import Matrix, Subspace, rank
 from .transfer import Certificate, tensor_digest_parts
@@ -157,7 +154,11 @@ def min_generators_sym_in_degree(p, k: int) -> int:
 def is_sharp(f) -> Certificate:
     """Three exact conditions: n-1 degree-one minimal generators, Hilbert value n
     on the proper 0/1 degrees, and Hilbert value n along s e_i + e_j for the
-    ideal generated by the single piece Ann(F)_{e_i+e_j}."""
+    ideal generated by the single piece Ann(F)_{e_i+e_j}.
+
+    F is symmetric, so permuting the factors maps Ann(F)_u onto Ann(F)_{σu}:
+    one piece per weight w, at (1^w, 0^(d-w)), gives every unit-box value, and
+    the growth chain for (i, j) = (0, 1) gives the values of every pair."""
     spans = _require_concise_symmetric(f)
     n, d = f.n, f.order
     if d < 3:
@@ -168,37 +169,27 @@ def is_sharp(f) -> Certificate:
     cond1 = gens == n - 1
     cert.add(stage="degree-one-generators", count=gens, want=n - 1, ok=cond1)
 
-    box = {u: ann_piece(f, u) for u in proper_unit_box_degrees(d)}
-    cond2 = True
-    for u, piece in box.items():
-        hf = piece.codim
-        ok = hf == n
-        if not ok:
-            cond2 = False
+    by_weight = {sum(u): ann_piece(f, u) for u in staircase_degrees(d)[1:]}
+    for u in proper_unit_box_degrees(d):
+        hf = by_weight[sum(u)].codim
+        if hf != n:
             cert.add(stage="unit-box-hilbert", degree=u, have=hf, want=n, ok=False)
+    cond2 = all(piece.codim == n for piece in by_weight.values())
     cert.add(stage="unit-box-hilbert", ok=cond2)
 
-    cond3 = True
-    for i in range(d):
-        for j in range(d):
-            if i == j:
-                continue
-            base_u = tuple(1 if t in (i, j) else 0 for t in range(d))
-            sub = box[base_u]
-            for s in range(1, d):
-                deg = tuple(
-                    (s if t == i else 0) + (1 if t == j else 0) for t in range(d)
-                )
-                hf = dim_piece(ring, deg) - sub.dim
-                ok = hf == n
-                if not ok:
-                    cond3 = False
-                    cert.add(stage="two-factor-growth", i=i, j=j, s=s,
-                             have=hf, want=n, ok=False)
-                if s < d - 1:
-                    dim = dim_piece(ring, add_degrees(deg, unit_degree(d, i)))
-                    rows = variable_multiples(ring, deg, sub.sparse, i)
-                    sub = Subspace.from_rows(dim, Matrix.of_sparse(dim, rows, f.field))
+    sub, growth = by_weight[2], []
+    for s in range(1, d):
+        deg = (s, 1) + (0,) * (d - 2)
+        growth.append(dim_piece(ring, deg) - sub.dim)
+        if s < d - 1:
+            dim = dim_piece(ring, (s + 1, 1) + (0,) * (d - 2))
+            rows = variable_multiples(ring, deg, sub.sparse, 0)
+            sub = Subspace.from_rows(dim, Matrix.of_sparse(dim, rows, f.field))
+    for (i, j), (s, hf) in itertools.product(itertools.permutations(range(d), 2),
+                                             enumerate(growth, 1)):
+        if hf != n:
+            cert.add(stage="two-factor-growth", i=i, j=j, s=s, have=hf, want=n, ok=False)
+    cond3 = all(hf == n for hf in growth)
     cert.add(stage="two-factor-growth", ok=cond3)
     cert.verdict = cond1 and cond2 and cond3
     if not cert.verdict:

@@ -90,16 +90,29 @@ def parse_scalar(raw, where: str) -> Fraction:
         raise UsageError(f"bad coefficient at {where}: {raw!r} ({exc})") from exc
 
 
+def parse_int(raw, where: str) -> int:
+    """An integer field of an input file: a JSON integer or a string of one."""
+    try:
+        if isinstance(raw, (int, str)) and not isinstance(raw, bool):
+            return int(raw)
+    except ValueError:
+        pass
+    raise UsageError(f"{where}: expected an integer, got {raw!r}")
+
+
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    if not isinstance(data, dict):
+        raise UsageError(f"{path}: expected a JSON object, got {type(data).__name__}")
+    return data
 
 
 def load_tensor_file(path: str, cfg: RunConfig):
@@ -108,7 +121,8 @@ def load_tensor_file(path: str, cfg: RunConfig):
     for key in ("n", "d", "representation"):
         if key not in data:
             raise UsageError(f"{path}: missing field {key!r}")
-    n, d = int(data["n"]), int(data["d"])
+    ring = _ring_from_header(data, path, "S")
+    n, d = ring.n, ring.d
     rep = data["representation"]
     field = cfg.field
     if rep == "poly":
@@ -119,7 +133,7 @@ def load_tensor_file(path: str, cfg: RunConfig):
             if not isinstance(exps, list) or len(exps) != n:
                 raise UsageError(f"{where}: exps must be a length-{n} list")
             c = parse_scalar(item.get("coeff", 0), where + ".coeff")
-            key = tuple(int(e) for e in exps)
+            key = tuple(parse_int(e, where + ".exps") for e in exps)
             if sum(key) != d:
                 raise UsageError(f"{where}: exponents sum to {sum(key)}, expected {d}")
             terms[key] = terms.get(key, Fraction(0)) + c
@@ -135,7 +149,7 @@ def load_tensor_file(path: str, cfg: RunConfig):
             if not isinstance(idx, list) or len(idx) != d:
                 raise UsageError(f"{where}: idx must be a length-{d} list")
             c = parse_scalar(item.get("coeff", 0), where + ".coeff")
-            key = tuple(int(i) - 1 for i in idx)
+            key = tuple(parse_int(i, where + ".idx") - 1 for i in idx)
             if any(not 0 <= i < n for i in key):
                 raise UsageError(f"{where}: indices must lie in 1..{n}")
             entries[key] = entries.get(key, Fraction(0)) + c
@@ -152,18 +166,22 @@ def tensor_from_file(path: str, cfg: RunConfig):
     return polarize(obj) if kind == "poly" else obj
 
 
-def _ring_from_header(data: dict, path: str) -> RingSpec:
-    kind = data.get("ring")
-    n = int(data.get("n", 0))
-    d = int(data.get("d", 1))
-    if kind == "S":
-        return segre_ring(n, d)
-    if kind == "V":
-        return veronese_ring(n, d)
-    raise UsageError(f"{path}: ring must be 'S' or 'V', got {kind!r}")
+def _ring_from_header(data: dict, path: str, kind=None) -> RingSpec:
+    kind = kind or data.get("ring")
+    make = {"S": segre_ring, "V": veronese_ring}.get(kind)
+    if make is None:
+        raise UsageError(f"{path}: ring must be 'S' or 'V', got {kind!r}")
+    n = parse_int(data.get("n", 0), f"{path}:n")
+    d = parse_int(data.get("d", 1), f"{path}:d")
+    try:
+        return make(n, d)
+    except ValueError as exc:
+        raise UsageError(f"{path}: {exc}") from exc
 
 
 def _parse_degree(ring: RingSpec, raw, where: str):
+    if isinstance(raw, str):  # "3" or "1,1,0", as given on the command line
+        raw = [parse_int(x, where) for x in raw.split(",")] if "," in raw else parse_int(raw, where)
     try:
         return check_degree(ring, raw)
     except (TypeError, ValueError) as exc:
@@ -177,7 +195,7 @@ def load_ideal_file(path: str, cfg: RunConfig) -> TruncatedIdeal:
     ring = _ring_from_header(data, path)
     if "bound" not in data:
         raise UsageError(f"{path}: missing field 'bound'")
-    file_bound = int(data["bound"])
+    file_bound = parse_int(data["bound"], f"{path}:bound")
     bound = file_bound
     if cfg.degree_bound is not None:
         bound = min(bound, cfg.degree_bound)
@@ -217,10 +235,12 @@ def load_ideal_file(path: str, cfg: RunConfig) -> TruncatedIdeal:
         for s, term in enumerate(item.get("terms", [])):
             mono = term.get("monomial")
             c = parse_scalar(term.get("coeff", 0), f"{where}.terms[{s}].coeff")
-            if ring.is_multigraded:
-                mono = tuple(tuple(int(e) for e in row) for row in mono)
-            else:
-                mono = tuple(int(e) for e in mono)
+            at = f"{where}.terms[{s}].monomial"
+            rows = mono if ring.is_multigraded and isinstance(mono, list) else [mono]
+            if not all(isinstance(row, list) for row in rows):
+                raise UsageError(f"{at}: bad monomial {mono!r}")
+            mono = tuple(tuple(parse_int(e, at) for e in row) for row in rows)
+            mono = mono if ring.is_multigraded else mono[0]
             terms[mono] = terms.get(mono, Fraction(0)) + c
         try:
             gens.append(PieceElement.from_terms(ring, u, terms, field=field))
@@ -304,25 +324,18 @@ def cmd_ann(args, cfg: RunConfig) -> int:
     obj, kind = load_tensor_file(args.tensor, cfg)
     raw = args.degree
     if "," in raw:
-        degree = tuple(int(x) for x in raw.split(","))
         f = polarize(obj) if kind == "poly" else obj
         ring = segre_ring(f.n, f.order)
-        u = _parse_degree(ring, degree, "--degree")
+        u = _parse_degree(ring, raw, "--degree")
         sub = ann_piece(f, u)
     else:
-        k = int(raw)
-        if kind == "poly":
-            p = obj
-        else:
-            try:
-                p = depolarize(as_symmetric(obj))
-            except ValueError as exc:
-                raise UsageError(
-                    f"a Veronese-side degree needs a symmetric tensor: {exc}"
-                ) from exc
+        try:
+            p = obj if kind == "poly" else depolarize(as_symmetric(obj))
+        except ValueError as exc:
+            raise UsageError(f"a Veronese-side degree needs a symmetric tensor: {exc}") from exc
         ring = veronese_ring(p.n)
-        u = _parse_degree(ring, k, "--degree")
-        sub = ann_sym_piece(p, k)
+        u = _parse_degree(ring, raw, "--degree")
+        sub = ann_sym_piece(p, u)
     ring_desc = f"ring S, n={ring.n}, d={ring.d}" if ring.is_multigraded else f"ring V, n={ring.n}"
     lines = [
         ring_desc,
@@ -370,10 +383,7 @@ def cmd_hf(args, cfg: RunConfig) -> int:
     ring = ideal.ring
     rows = []
     for raw in degrees:
-        u = _parse_degree(
-            ring, tuple(int(x) for x in raw.split(",")) if "," in raw else int(raw),
-            "degree",
-        )
+        u = _parse_degree(ring, raw, "degree")
         if degree_total(u) > ideal.bound:
             raise UsageError(
                 f"degree {u} exceeds the truncation bound {ideal.bound}"
@@ -484,12 +494,7 @@ def cmd_selftest(args, cfg: RunConfig) -> int:
 
 def _env_int(name: str):
     raw = os.environ.get(name)
-    if raw is None or raw == "":
-        return None
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise UsageError(f"environment variable {name} must be an integer") from exc
+    return parse_int(raw, f"environment variable {name}") if raw else None
 
 
 def _add_common(sp, modulus: bool = True, degree_bound: bool = True):

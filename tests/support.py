@@ -22,9 +22,9 @@ from borderapolar.grading import (
     veronese_ring,
 )
 from borderapolar.diagonal_maps import proper_unit_box_degrees
-from borderapolar.ideals import degrees_up_to, expand, min_generators
+from borderapolar.ideals import degrees_up_to, expand, min_generators, variable_multiples
 from borderapolar.linalg import QQ, Matrix, Subspace, kernel, rank
-from borderapolar.transfer import digest_of
+from borderapolar.transfer import Certificate, digest_of, tensor_digest_parts
 from borderapolar.selftest import (  # noqa: F401  (the library's model tensors)
     diagonal_tensor,
     random_form,
@@ -295,3 +295,51 @@ def proper_degree_annihilator_ideal(f, bound: int):
         for b in ann_piece(f, u).basis:
             gens.append(PieceElement(ring, u, tuple(b)))
     return expand(gens, ring, bound, provenance="proper-annihilator", field=f.field)
+
+
+def is_sharp_reference(f) -> Certificate:
+    """`bounds.is_sharp` with no use of F's symmetry: a kernel for every proper
+    unit-box degree, and a growth chain for every ordered pair (i, j)."""
+    if not isinstance(f, SymTensor):
+        raise ValueError("sharpness is defined for symmetric tensors")
+    if not is_concise(f):
+        raise ValueError("sharpness is defined for concise tensors")
+    n, d = f.n, f.order
+    if d < 3:
+        raise ValueError("sharpness needs at least three factors")
+    ring = segre_ring(n, d)
+    cert = Certificate(check="sharp", digest_parts=tensor_digest_parts(f))
+    gens = min_generators_degree_one_reference(f)
+    cond1 = gens == n - 1
+    cert.add(stage="degree-one-generators", count=gens, want=n - 1, ok=cond1)
+
+    box = {u: ann_piece(f, u) for u in proper_unit_box_degrees(d)}
+    cond2 = True
+    for u, piece in box.items():
+        if piece.codim != n:
+            cond2 = False
+            cert.add(stage="unit-box-hilbert", degree=u, have=piece.codim, want=n, ok=False)
+    cert.add(stage="unit-box-hilbert", ok=cond2)
+
+    cond3 = True
+    for i in range(d):
+        for j in range(d):
+            if i == j:
+                continue
+            sub = box[tuple(1 if t in (i, j) else 0 for t in range(d))]
+            for s in range(1, d):
+                deg = tuple((s if t == i else 0) + (1 if t == j else 0) for t in range(d))
+                hf = dim_piece(ring, deg) - sub.dim
+                if hf != n:
+                    cond3 = False
+                    cert.add(stage="two-factor-growth", i=i, j=j, s=s,
+                             have=hf, want=n, ok=False)
+                if s < d - 1:
+                    dim = dim_piece(ring, add_degrees(deg, unit_degree(d, i)))
+                    rows = variable_multiples(ring, deg, sub.sparse, i)
+                    sub = Subspace.from_rows(dim, Matrix.of_sparse(dim, rows, f.field))
+    cert.add(stage="two-factor-growth", ok=cond3)
+    cert.verdict = cond1 and cond2 and cond3
+    if not cert.verdict:
+        cert.failure = "a sharpness condition fails (see witnesses)"
+    return cert

@@ -3,12 +3,14 @@
 import itertools
 import math
 import random
+from fractions import Fraction as F
 
 import pytest
 
 from borderapolar import bounds, linalg
 from borderapolar.apolarity import (
     GeneralTensor,
+    HomPoly,
     SymTensor,
     ann_piece,
     ann_sym_piece,
@@ -29,16 +31,20 @@ from borderapolar.bounds import (
     verify_lemma_1_minus_ed,
 )
 from borderapolar.diagonal_maps import pi_image, proper_unit_box_degrees
-from borderapolar.grading import dim_piece, segre_ring, veronese_ring
+from borderapolar.grading import dim_piece, monomials, segre_ring, veronese_ring
 from borderapolar.linalg import QQ, Matrix, PrimeField, Subspace
 from borderapolar.ideals import multiply_vector_by_variable
+from borderapolar.selftest import random_forms
 from borderapolar.transfer import tensor_digest
 from support import (
     concise_power_sum_instance,
     diagonal_tensor,
+    independent_forms,
+    is_sharp_reference,
     min_generators_degree_one_reference,
     proper_degree_annihilator_ideal,
     random_symmetric_tensor,
+    sum_of_powers_tensor,
 )
 
 
@@ -156,8 +162,6 @@ class TestSharpness:
         rng = random.Random(41)
         for n in (2, 3):
             f = concise_power_sum_instance(n, 3, rng)
-            from borderapolar.diagonal_maps import proper_unit_box_degrees
-
             for u in proper_unit_box_degrees(3):
                 assert ann_piece(f, u).codim == n
 
@@ -172,9 +176,16 @@ class TestSharpness:
         for n in range(2, 6):
             assert is_111_sharp(diagonal_tensor(n, 3)).verdict
 
+    @pytest.mark.parametrize("check", [is_sharp, verify_lemma_1_minus_ed,
+                                       verify_gen_count_transfer, verify_containment_lemma],
+                             ids=lambda fn: fn.__name__)
+    def test_a_concise_tensor_that_is_not_symmetric_is_refused(self, check):
+        f = GeneralTensor(2, 3, {(0, 0, 0): 1, (1, 1, 1): 1, (0, 1, 1): 1})
+        assert is_concise(f)
+        with pytest.raises(ValueError, match="^sharpness is defined for symmetric tensors$"):
+            check(f)
+
     def test_guards(self):
-        with pytest.raises(ValueError):
-            is_sharp(GeneralTensor(2, 3, {(0, 0, 0): 1}))  # not symmetric
         with pytest.raises(ValueError):
             is_111_sharp(diagonal_tensor(2, 4))  # d != 3
         from borderapolar.apolarity import SymTensor
@@ -309,7 +320,7 @@ class TestEliminationCounts:
     @pytest.mark.parametrize("n,d,count", [(3, 3, 9), (2, 4, 12)])
     def test_containment_lemma_reads_the_down_set_only(self, monkeypatch, eliminations,
                                                        n, d, count):
-        # d flattening ranks, the proper pieces at e_1 and e_1 + e_2, the spans
+        # d slice spans, the proper pieces at e_1 and e_1 + e_2, the spans
         # at k e_1 and k e_1 + e_2 for k = 2..d-1, one pi-image and one
         # catalecticant kernel: 3d eliminations
         f = concise_power_sum_instance(n, d, random.Random(60 + d))
@@ -324,11 +335,11 @@ class TestEliminationCounts:
         assert len(set(built)) == len(built)
         assert sorted(ann) == sorted([(1, 1) + (0,) * (d - 2), (1,) + (0,) * (d - 1)])
 
-    @pytest.mark.parametrize("n,d", [(2, 3), (3, 3), (2, 4)])
-    def test_is_sharp_builds_each_unit_box_piece_once(self, monkeypatch, n, d):
+    @pytest.mark.parametrize("n,d", [(2, 3), (3, 3), (2, 4), (2, 5)])
+    def test_is_sharp_builds_one_unit_box_piece_per_weight(self, monkeypatch, n, d):
         seen = _recording(monkeypatch, "ann_piece")
         assert is_sharp(concise_power_sum_instance(n, d, random.Random(61))).verdict
-        assert sorted(seen) == sorted(proper_unit_box_degrees(d))
+        assert seen == [(1,) * w + (0,) * (d - w) for w in range(1, d)]
 
     @pytest.mark.parametrize("check", [is_sharp, verify_gen_count_transfer,
                                        verify_containment_lemma, is_111_sharp],
@@ -344,17 +355,27 @@ class TestEliminationCounts:
         assert eliminations == shapes and shapes
 
     @pytest.mark.parametrize("check,count", [(is_111_sharp, 4), (verify_gen_count_transfer, 7),
-                                             (is_sharp, 16)],
+                                             (is_sharp, 7)],
                              ids=lambda v: getattr(v, "__name__", str(v)))
     def test_slice_spans_are_reduced_once(self, eliminations, check, count):
         # conciseness is read off the d slice spans the degree-one count uses:
         # 3 spans and the short system, then 3 Veronese-side eliminations for
-        # the generator-count transfer and 6 unit-box pieces and 6 growth steps
+        # the generator-count transfer and 2 unit-box pieces and 1 growth step
         # for sharpness; reducing the flattenings again would add 3 to each
         f = concise_power_sum_instance(4, 3, random.Random(63))
         eliminations.clear()
         assert check(f).verdict
         assert len(eliminations) == count
+
+    @pytest.mark.parametrize("n,d,count", [(4, 3, 7), (2, 4, 10), (2, 5, 13)])
+    def test_is_sharp_uses_one_piece_per_weight_and_one_growth_chain(self, eliminations,
+                                                                    n, d, count):
+        # d slice spans and the short system, d-1 unit-box pieces and d-2
+        # growth steps, for (i, j) = (0, 1) alone: 3d - 2 eliminations
+        f = concise_power_sum_instance(n, d, random.Random(63))
+        eliminations.clear()
+        assert is_sharp(f).verdict
+        assert len(eliminations) == count == 3 * d - 2
 
     def test_degree_one_count_is_one_short_system(self, eliminations):
         # d slice spans of shape n x n^(d-1), then one system with n dim R_0
@@ -429,3 +450,41 @@ class TestDownSetPiece:
                 assert u == (d - 1, 1) + (0,) * (d - 2)
                 assert sub == proper_degree_annihilator_ideal(f, d).piece(u)
                 assert sub.field == field and not sub.is_zero
+
+
+def _sparse_symmetric_tensor(n, d, rng):
+    """The polarization of a form with n + 1 random monomials, coefficients +-1, +-2."""
+    monos = monomials(veronese_ring(n), d)
+    terms = {m: F(rng.choice((-2, -1, 1, 2))) for m in rng.sample(monos, min(len(monos), n + 1))}
+    return polarize(HomPoly(n, d, terms))
+
+
+class TestSharpnessAgainstReference:
+    @pytest.mark.parametrize("field", [QQ, PrimeField(2147483647)], ids=["QQ", "GFp"])
+    def test_certificates_equal_the_per_degree_per_pair_oracle(self, field):
+        rng = random.Random(67)
+        tensors = [GeneralTensor(2, 3, {(0, 0, 0): 1, (1, 1, 1): 1, (0, 1, 1): 1}),
+                   SymTensor(2, 4, {(0,) * 4: 1})]
+        for n, d in ((1, 3), (2, 2), (2, 3), (3, 3), (4, 3), (2, 4), (3, 4), (2, 5)):
+            tensors += [sum_of_powers_tensor(n, d, independent_forms(n, rng)),
+                        sum_of_powers_tensor(n, d, random_forms(n, n + 1, rng)),
+                        random_symmetric_tensor(n, d, rng), _sparse_symmetric_tensor(n, d, rng)]
+        outcomes, failing = set(), set()
+        for f in tensors:
+            kind = SymTensor if isinstance(f, SymTensor) else GeneralTensor
+            f = kind(f.n, f.order, f.entries, field=field)
+            results = []
+            for check in (is_sharp, is_sharp_reference):
+                try:
+                    results.append(check(f).to_dict())
+                except ValueError as exc:
+                    results.append(str(exc))
+            assert results[0] == results[1], f
+            got = results[0]
+            outcomes.add(got if isinstance(got, str) else got["verdict"])
+            if isinstance(got, dict):
+                failing |= {w["stage"] for w in got["witnesses"] if w.get("ok") is False}
+        assert outcomes == {"pass", "fail", "sharpness is defined for symmetric tensors",
+                            "sharpness is defined for concise tensors",
+                            "sharpness needs at least three factors"}
+        assert failing == {"degree-one-generators", "unit-box-hilbert", "two-factor-growth"}

@@ -130,6 +130,71 @@ class TestHf:
         assert "exceeds" in err
 
 
+BAD_TENSORS = {
+    "n-not-integer": dict(FERMAT, n="two"),
+    "d-not-integer": dict(FERMAT, d=[3]),
+    "exps-entry-not-integer": dict(FERMAT, terms=[{"exps": ["a", 3], "coeff": "1"}]),
+    "idx-entry-not-integer": {"n": 2, "d": 3, "representation": "tensor",
+                              "entries": [{"idx": [1, "b", 1], "coeff": "1"}]},
+    "n-zero": dict(FERMAT, n=0, terms=[]),
+    "not-an-object": [FERMAT],
+}
+
+BAD_IDEALS = {
+    "n-not-integer": dict(PRINCIPAL_V, n="two"),
+    "bound-not-integer": dict(PRINCIPAL_V, bound=3.5),
+    "n-zero": dict(PRINCIPAL_V, n=0),
+    "monomial-not-a-list": dict(PRINCIPAL_V, generators=[
+        {"degree": 2, "terms": [{"monomial": 5, "coeff": "1"}]}]),
+    "monomial-rows-not-lists": dict(LINEAR_S, generators=[
+        {"degree": [1, 0], "terms": [{"monomial": [1, 0], "coeff": "1"}]}]),
+    "not-an-object": "V",
+}
+
+
+class TestMalformedFiles:
+    """A file that does not parse exits 2 with a message naming it, never 1
+    (for `check`, a failed certificate) and never with a traceback."""
+
+    def _assert_refused(self, args, path, capsys):
+        code = cli.main(args)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.startswith(f"error: {path}"), captured.err
+
+    @pytest.mark.parametrize("case", sorted(BAD_TENSORS))
+    @pytest.mark.parametrize("command", ["ann", "check"])
+    def test_tensor_file(self, tmp_path, capsys, command, case):
+        tf = write(tmp_path, "t.json", BAD_TENSORS[case])
+        args = (["ann", tf, "2"] if command == "ann" else
+                ["check", tf, "2", "--points", write(tmp_path, "p.json", POINTS2)])
+        self._assert_refused(args, tf, capsys)
+
+    @pytest.mark.parametrize("case", sorted(BAD_IDEALS))
+    @pytest.mark.parametrize("command", ["hf", "check"])
+    def test_ideal_file(self, tmp_path, capsys, command, case):
+        jf = write(tmp_path, "i.json", BAD_IDEALS[case])
+        args = (["hf", jf, "1"] if command == "hf" else
+                ["check", write(tmp_path, "t.json", FERMAT), "2", "--ideal", jf])
+        self._assert_refused(args, jf, capsys)
+
+    @pytest.mark.parametrize("command,degree,where", [
+        ("ann", "x", "--degree"), ("ann", "1,x,0", "--degree"),
+        ("hf", "x", "degree"), ("hf", "1,x", "degree")])
+    def test_degree_argument(self, tmp_path, capsys, command, degree, where):
+        path = write(tmp_path, "f.json", FERMAT if command == "ann" else PRINCIPAL_V)
+        code = cli.main([command, path, degree])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"error: {where}: expected an integer, got 'x'\n"
+
+    def test_environment_integer(self, capsys, monkeypatch):
+        monkeypatch.setenv("BORDERAPOLAR_SEED", "x")
+        assert cli.main(["selftest"]) == 2
+        assert capsys.readouterr().err == (
+            "error: environment variable BORDERAPOLAR_SEED: expected an integer, got 'x'\n")
+
+
 class TestTransportCommands:
     def test_upsilon_rho_file_round_trip(self, tmp_path, capsys):
         vf = write(tmp_path, "i.json", PRINCIPAL_V)
