@@ -117,13 +117,22 @@ class SymTensor(GeneralTensor):
 
     def __init__(self, n: int, order: int, entries: dict, field=QQ, factors=None):
         super().__init__(n, order, entries, field=field, factors=factors)
+        # Stored entries are nonzero, so F is symmetric iff each permutation
+        # orbit it touches is stored whole, with one value.
+        orbits = {}
         for idx, c in self.entries.items():
+            orbits.setdefault(tuple(sorted(idx)), []).append(c)
+        fac = math.factorial(self.order)
+        bad = {key for key, values in orbits.items()
+               if len(values) != fac // _gamma_factorial(map(key.count, set(key)))
+               or any(c != values[0] for c in values)}
+        if bad:  # name the first failing entry's first differing permutation
+            idx = next(idx for idx in self.entries if tuple(sorted(idx)) in bad)
+            c = self.entries[idx]
             for perm in itertools.permutations(idx):
-                if self.entries.get(perm, self.field.zero) != c:
-                    raise ValueError(
-                        f"not symmetric: entry at {idx} is {c}, at {perm} is "
-                        f"{self.entries.get(perm, self.field.zero)}"
-                    )
+                other = self.entries.get(perm, self.field.zero)
+                if other != c:
+                    raise ValueError(f"not symmetric: entry at {idx} is {c}, at {perm} is {other}")
 
 
 def as_symmetric(f: GeneralTensor) -> SymTensor:

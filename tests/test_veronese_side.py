@@ -20,7 +20,7 @@ import pytest
 
 from borderapolar import ideals, linalg, transfer
 from borderapolar.apolarity import GeneralTensor, SymTensor, ann_piece, ann_sym_piece, depolarize
-from borderapolar.cli import RunConfig, load_ideal_file
+from borderapolar.cli import load_ideal_file
 from borderapolar.diagonal_maps import ir_piece, pi_preimage
 from borderapolar.grading import PieceElement, degree_total, dim_piece, monomials, veronese_ring
 from borderapolar.ideals import (
@@ -209,8 +209,7 @@ def test_loaded_and_with_piece_ideals(tmp_path, field):
     f = in_field(sum_of_powers_tensor(n, d, z.points), field)
     path = tmp_path / "ideal.json"
     write_ideal_file(path, kept)
-    modulus = None if field is QQ else field.p
-    loaded = load_ideal_file(str(path), RunConfig(modulus=modulus))
+    loaded = load_ideal_file(str(path), field, None)
     assert loaded.veronese is None and loaded.provenance == "user"
     got, want = comon_certificate(f, 3, loaded).to_dict(), comon_certificate(f, 3, kept).to_dict()
     assert got["slip_provenance"].startswith("Slip-unknown")
