@@ -87,9 +87,22 @@ def macaulay_bound(m: int, a: int) -> int:
 
 def _slice_spans(f) -> list:
     """R_i, the span of F's slices along factor i, for each factor i: column c
-    stands for the c-th index of the other d-1 factors in `product` order."""
+    stands for the c-th index of the other d-1 factors in `product` order.
+
+    Each distinct flattening is reduced once, told apart by its sorted sparse
+    rows: all d of them agree when F is symmetric.  The rows are compared, not
+    hashed, since hashing a Fraction costs more than comparing two."""
     cols = {t: c for c, t in enumerate(itertools.product(range(f.n), repeat=f.order - 1))}
-    return [Subspace.from_rows(len(cols), flattening(f, i, cols)) for i in range(f.order)]
+    reduced, spans = [], []  # reduced: (sorted rows, span) per distinct flattening
+    for i in range(f.order):
+        m = flattening(f, i, cols)
+        rows = [sorted(row) for row in m.sparse]
+        span = next((span for seen, span in reduced if seen == rows), None)
+        if span is None:
+            span = Subspace.from_rows(len(cols), m)
+            reduced.append((rows, span))
+        spans.append(span)
+    return spans
 
 
 def _concise_spans(f, what: str) -> list:
@@ -129,16 +142,19 @@ def _degree_one_generators(f, spans) -> int:
                 for a in range(n) for row in spans[0].sparse]
     rows = []
     for i in range(1, d):
-        cons = [dict(field.integer_row(row)) for row in spans[i].constraints().sparse]
+        cons = spans[i].constraints().sparse
+        at = [[] for _ in cols]  # at[k]: (q, entry) for each constraint q with an entry at k
+        for q, row in enumerate(cons):
+            for k, y in field.integer_row(row):
+                at[k].append((q, y))
         # block[j][q] is the row of <cons[q], T_{i=j}> in the unknowns
         block = [[{} for _ in cons] for _ in range(n)]
         for t, tensor in enumerate(unknowns):
             for idx, x in tensor.items():
-                k = cols[idx[:i] + idx[i + 1:]]
-                for q, con in enumerate(cons):
-                    if k in con:
-                        acc = block[idx[i]][q]
-                        acc[t] = acc.get(t, 0) + con[k] * x
+                block_j = block[idx[i]]
+                for q, y in at[cols[idx[:i] + idx[i + 1:]]]:
+                    acc = block_j[q]
+                    acc[t] = acc.get(t, 0) + y * x
         rows += [[(t, x) for t, x in acc.items() if x] for per_j in block for acc in per_j]
     dim_perp = len(unknowns) - rank(Matrix.of_sparse(len(unknowns), rows, field))
     return dim_perp - (not f.is_zero)

@@ -273,8 +273,11 @@ def _emit_payload(payload: dict, text_lines: list, args):
         text = "\n".join(text_lines)
     text = text if text.endswith("\n") else text + "\n"
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.output}: {exc}") from exc
     else:
         sys.stdout.write(text)
 

@@ -341,6 +341,14 @@ def rref(m: Matrix) -> Matrix:
 
 
 def rank(m: Matrix) -> int:
+    """Rank of m from one elimination of its shorter side: a tall m is
+    transposed first, as rank m^T = rank m over any field."""
+    if m.nrows > m.ncols:
+        cols = [[] for _ in range(m.ncols)]
+        for r, row in enumerate(m.sparse):
+            for c, x in row:
+                cols[c].append((r, x))
+        m = Matrix.of_sparse(m.nrows, cols, m.field)
     return len(rref_with_pivots(m)[1])
 
 

@@ -7,7 +7,7 @@ import random
 from fractions import Fraction
 from functools import partial
 
-from borderapolar.apolarity import HomPoly, SymTensor, ann_piece, is_concise
+from borderapolar.apolarity import HomPoly, SymTensor, ann_piece, flattening, is_concise
 from borderapolar.grading import (
     PieceElement,
     add_degrees,
@@ -296,6 +296,13 @@ def min_generators_degree_one_reference(f) -> int:
     Ann(F)_{1,...,1} minus dim sum_i S_{e_i} Ann(F)_{1-e_i}, every piece a kernel."""
     return min_generators(segre_ring(f.n, f.order), ones(f.order), partial(ann_piece, f),
                           f.field)
+
+
+def slice_spans_reference(f) -> list:
+    """R_i for each factor i by d separate reductions, one per flattening:
+    column c stands for the c-th index of the other d-1 factors in `product` order."""
+    cols = {t: c for c, t in enumerate(itertools.product(range(f.n), repeat=f.order - 1))}
+    return [Subspace.from_rows(len(cols), flattening(f, i, cols)) for i in range(f.order)]
 
 
 def proper_degree_annihilator_ideal(f, bound: int):

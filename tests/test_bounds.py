@@ -44,6 +44,7 @@ from support import (
     min_generators_degree_one_reference,
     proper_degree_annihilator_ideal,
     random_symmetric_tensor,
+    slice_spans_reference,
     sum_of_powers_tensor,
 )
 
@@ -317,18 +318,19 @@ def _recording(monkeypatch, name):
 
 
 class TestEliminationCounts:
-    @pytest.mark.parametrize("n,d,count", [(3, 3, 9), (2, 4, 12)])
+    @pytest.mark.parametrize("n,d,count", [(3, 3, 7), (2, 4, 9)])
     def test_containment_lemma_reads_the_down_set_only(self, monkeypatch, eliminations,
                                                        n, d, count):
-        # d slice spans, the proper pieces at e_1 and e_1 + e_2, the spans
-        # at k e_1 and k e_1 + e_2 for k = 2..d-1, one pi-image and one
-        # catalecticant kernel: 3d eliminations
+        # one slice span (F's d flattenings are equal), the proper pieces at
+        # e_1 and e_1 + e_2, the spans at k e_1 and k e_1 + e_2 for
+        # k = 2..d-1, one pi-image and one catalecticant kernel: 2d + 1
+        # eliminations
         f = concise_power_sum_instance(n, d, random.Random(60 + d))
         ann = _recording(monkeypatch, "ann_piece")
         spans = _recording(monkeypatch, "span_from_below")
         eliminations.clear()
         assert verify_containment_lemma(f).verdict
-        assert len(eliminations) == count == 3 * d
+        assert len(eliminations) == count == 2 * d + 1
         u = (d - 1, 1) + (0,) * (d - 2)
         built = ann + spans
         assert all(all(a <= b for a, b in zip(v, u)) for v in built), built
@@ -354,36 +356,39 @@ class TestEliminationCounts:
         assert check(f).to_dict() == first
         assert eliminations == shapes and shapes
 
-    @pytest.mark.parametrize("check,count", [(is_111_sharp, 4), (verify_gen_count_transfer, 7),
-                                             (is_sharp, 7)],
+    @pytest.mark.parametrize("check,count", [(is_111_sharp, 2), (verify_gen_count_transfer, 5),
+                                             (is_sharp, 5)],
                              ids=lambda v: getattr(v, "__name__", str(v)))
     def test_slice_spans_are_reduced_once(self, eliminations, check, count):
-        # conciseness is read off the d slice spans the degree-one count uses:
-        # 3 spans and the short system, then 3 Veronese-side eliminations for
-        # the generator-count transfer and 2 unit-box pieces and 1 growth step
-        # for sharpness; reducing the flattenings again would add 3 to each
+        # conciseness is read off the slice spans the degree-one count uses,
+        # and F's 3 flattenings are equal: 1 span and the short system, then
+        # 3 Veronese-side eliminations for the generator-count transfer and
+        # 2 unit-box pieces and 1 growth step for sharpness; reducing each
+        # flattening would add 2 to each
         f = concise_power_sum_instance(4, 3, random.Random(63))
         eliminations.clear()
         assert check(f).verdict
         assert len(eliminations) == count
 
-    @pytest.mark.parametrize("n,d,count", [(4, 3, 7), (2, 4, 10), (2, 5, 13)])
+    @pytest.mark.parametrize("n,d,count", [(4, 3, 5), (2, 4, 7), (2, 5, 9)])
     def test_is_sharp_uses_one_piece_per_weight_and_one_growth_chain(self, eliminations,
                                                                     n, d, count):
-        # d slice spans and the short system, d-1 unit-box pieces and d-2
-        # growth steps, for (i, j) = (0, 1) alone: 3d - 2 eliminations
+        # one slice span and the short system, d-1 unit-box pieces and d-2
+        # growth steps, for (i, j) = (0, 1) alone: 2d - 1 eliminations
         f = concise_power_sum_instance(n, d, random.Random(63))
         eliminations.clear()
         assert is_sharp(f).verdict
-        assert len(eliminations) == count == 3 * d - 2
+        assert len(eliminations) == count == 2 * d - 1
 
     def test_degree_one_count_is_one_short_system(self, eliminations):
-        # d slice spans of shape n x n^(d-1), then one system with n dim R_0
-        # unknowns and n (n^(d-1) - dim R_i) rows per factor i >= 1
+        # one slice span of shape n x n^(d-1) (F's d flattenings are equal),
+        # then one system with n dim R_0 unknowns and n (n^(d-1) - dim R_i)
+        # rows per factor i >= 1, 96 x 16, whose rank is taken on its
+        # transpose
         f = concise_power_sum_instance(4, 3, random.Random(63))
         eliminations.clear()
         assert min_generators_degree_one(f) == 3
-        assert eliminations == [(4, 16)] * 3 + [(96, 16)]
+        assert eliminations == [(4, 16), (16, 96)]
 
 
 def _random_tensor(n, d, rng, field, symmetric):
@@ -431,6 +436,45 @@ class TestShortSideCount:
             for f in (diagonal_tensor(n, d), concise_power_sum_instance(n, d, rng)):
                 assert min_generators_degree_one(f) == n - 1
                 assert min_generators_degree_one_reference(f) == n - 1
+
+
+def _distinct_flattenings(f) -> int:
+    """How many of F's d flattenings differ, each read as its set of
+    ((slice index, other indices), value) entries."""
+    return len({frozenset(((idx[i],) + idx[:i] + idx[i + 1:], x) for idx, x in f.entries.items())
+                for i in range(f.order)})
+
+
+class TestSliceSpans:
+    @pytest.mark.parametrize("field", [QQ, PrimeField(2147483647)], ids=["QQ", "GFp"])
+    def test_equal_the_per_factor_reductions(self, eliminations, field):
+        # each distinct flattening is reduced once: 1 elimination when all d
+        # agree (F symmetric, whatever its type), d when all differ
+        rng = random.Random(68)
+        tensors = []
+        for n, d in ((1, 2), (2, 2), (2, 3), (3, 3), (4, 3), (2, 4), (3, 4)):
+            sym = random_symmetric_tensor(n, d, rng).entries
+            # symmetric in the last d-1 factors only: d-1 equal flattenings
+            last = {(a,) + idx: x for a in range(n)
+                    for idx, x in random_symmetric_tensor(n, d - 1, rng).entries.items()}
+            tensors += [("symmetric", SymTensor(n, d, sym, field=field)),
+                        ("symmetric", GeneralTensor(n, d, sym, field=field)),
+                        ("other", GeneralTensor(n, d, last, field=field)),
+                        ("other", _random_tensor(n, d, rng, field, False))]
+            if n > 1:
+                tensors += [("other", f) for f in _not_concise(n, d, rng, field)]
+        seen = set()
+        for kind, f in tensors:
+            eliminations.clear()
+            spans = bounds._slice_spans(f)
+            count = len(eliminations)
+            assert spans == slice_spans_reference(f), f
+            assert all(span.field == field for span in spans)
+            assert count == _distinct_flattenings(f), f
+            if kind == "symmetric":
+                assert count == 1, f
+            seen.add("one" if count == 1 else "all" if count == f.order else "some")
+        assert len(tensors) == 40 and seen == {"one", "some", "all"}
 
 
 class TestDownSetPiece:

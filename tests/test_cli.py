@@ -203,6 +203,24 @@ class TestMalformedFiles:
         assert (code, captured.out) == (2, "")
         assert captured.err == f"error: {where}: expected an integer, got 'x'\n"
 
+    @pytest.mark.parametrize("command", ["check", "hf", "upsilon"])
+    def test_unwritable_output(self, tmp_path, capsys, command):
+        # the report is computed, then refused like an unreadable input
+        if command == "check":
+            args = ["check", write(tmp_path, "t.json", FERMAT), "2",
+                    "--points", write(tmp_path, "p.json", POINTS2)]
+        elif command == "hf":
+            args = ["hf", "--diagonal", "2", "2", "1,1"]
+        else:
+            args = ["upsilon", write(tmp_path, "i.json", PRINCIPAL_V), "--factors", "3"]
+        out = str(tmp_path / "missing" / "x.txt")
+        code = cli.main(args + ["--output", out])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == (f"error: cannot write {out}: [Errno 2] "
+                                f"No such file or directory: '{out}'\n")
+        assert not (tmp_path / "missing").exists()
+
     def test_environment_integer(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("BORDERAPOLAR_SEED", "x")
         assert cli.main(["selftest"]) == 2

@@ -386,6 +386,33 @@ class TestSubspace:
         assert a.codim == 3
 
 
+class TestRank:
+    """rank(m) is the pivot count of m's RREF, whichever side it eliminates."""
+
+    @pytest.mark.parametrize("field", FIELDS, ids=repr)
+    @given(m=rational_matrices())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_pivot_count(self, field, m):
+        m = Matrix(m.rows, ncols=m.ncols, field=field)
+        assert rank(m) == len(rref_with_pivots(m)[1])
+
+    @pytest.mark.parametrize("field", FIELDS, ids=repr)
+    def test_tall_wide_square_empty_and_zero(self, field):
+        rng = random.Random(16)
+        for nrows, ncols in ((9, 3), (3, 9), (5, 5), (0, 4), (4, 0), (0, 0)):
+            for k in range(min(nrows, ncols) + 1):
+                # nrows integer combinations of k random rows: rank at most k
+                basis = [[rng.randint(-9, 9) for _ in range(ncols)] for _ in range(k)]
+                rows = []
+                for _ in range(nrows):
+                    cs = [rng.randint(-3, 3) for _ in basis]
+                    rows.append([sum(c * b[j] for c, b in zip(cs, basis)) for j in range(ncols)])
+                m = Matrix(rows, ncols=ncols, field=field)
+                assert rank(m) == len(rref_with_pivots(m)[1]) <= k
+            zero = Matrix([[0] * ncols for _ in range(nrows)], ncols=ncols, field=field)
+            assert rank(zero) == len(rref_with_pivots(zero)[1]) == 0
+
+
 class TestEliminationCount:
     """Each kernel and annihilator costs at most one elimination, in each field."""
 
@@ -406,6 +433,15 @@ class TestEliminationCount:
             shapes.clear()
             kernel(Matrix([[1, 2, 3, 4], [2, 4, 6, 9]], field=field))
             assert shapes == [(2, 4)]
+
+    def test_rank_eliminates_the_short_side_once(self, shapes):
+        # a tall matrix is transposed first
+        for field in FIELDS:
+            for nrows, ncols in ((9, 3), (3, 9), (5, 5), (4, 0)):
+                shapes.clear()
+                rank(Matrix([[i + 2 * j for j in range(ncols)] for i in range(nrows)],
+                            ncols=ncols, field=field))
+                assert shapes == [(min(nrows, ncols), max(nrows, ncols))]
 
     def test_constraints_do_not_eliminate(self, shapes):
         for field in FIELDS:
