@@ -4,7 +4,8 @@ The coordinate rings act on their graded duals by partial differentiation:
 a Segre-side variable contracts one tensor factor against the dual basis,
 and a Veronese-side variable differentiates a form.  Annihilator pieces are
 kernels of the induced linear maps, so any nonzero rescaling of the pairing
-yields the same subspaces.
+yields the same subspaces.  A `SymTensor` keeps its form p_F, made in the
+pass that checks its symmetry; flattenings are read by `slice_spans` alone.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from types import MappingProxyType
 
 from .grading import (
     PieceElement,
@@ -22,11 +24,11 @@ from .grading import (
     segre_ring,
     veronese_ring,
 )
-from .linalg import QQ, Matrix, Subspace, kernel, rank
+from .linalg import QQ, Matrix, Subspace, kernel
 
 
 class HomPoly:
-    """Homogeneous degree-d form in n dual variables, sparse exact coefficients."""
+    """Homogeneous degree-d form in n dual variables; `terms` is read-only."""
 
     __slots__ = ("n", "d", "terms", "field")
 
@@ -44,7 +46,7 @@ class HomPoly:
             c = field.of(c)
             if c:
                 clean[exps] = c
-        self.terms = clean
+        self.terms = MappingProxyType(clean)
 
     @property
     def is_zero(self) -> bool:
@@ -113,7 +115,11 @@ class GeneralTensor:
 
 
 class SymTensor(GeneralTensor):
-    """Symmetric tensor: every stored entry is constant on its permutation orbit."""
+    """Symmetric tensor: every stored entry is constant on its permutation orbit.
+    `form` is p_F: its coefficient of b^gamma is the sum of the orbit's d!/gamma!
+    entries."""
+
+    __slots__ = ("form",)
 
     def __init__(self, n: int, order: int, entries: dict, field=QQ, factors=None):
         super().__init__(n, order, entries, field=field, factors=factors)
@@ -123,16 +129,21 @@ class SymTensor(GeneralTensor):
         for idx, c in self.entries.items():
             orbits.setdefault(tuple(sorted(idx)), []).append(c)
         fac = math.factorial(self.order)
-        bad = {key for key, values in orbits.items()
-               if len(values) != fac // _gamma_factorial(map(key.count, set(key)))
-               or any(c != values[0] for c in values)}
-        if bad:  # name the first failing entry's first differing permutation
-            idx = next(idx for idx in self.entries if tuple(sorted(idx)) in bad)
+        terms = {}  # the form's terms, from the orbits that pass
+        for key, values in orbits.items():
+            gamma = tuple(map(key.count, range(self.n)))
+            size = fac // _gamma_factorial(gamma)
+            if len(values) == size and all(c == values[0] for c in values):
+                terms[gamma] = values[0] * self.field.of(size)
+        if len(terms) < len(orbits):  # name the first bad entry's first differing permutation
+            idx = next(idx for idx in self.entries
+                       if tuple(map(idx.count, range(self.n))) not in terms)
             c = self.entries[idx]
             for perm in itertools.permutations(idx):
                 other = self.entries.get(perm, self.field.zero)
                 if other != c:
                     raise ValueError(f"not symmetric: entry at {idx} is {c}, at {perm} is {other}")
+        self.form = HomPoly(self.n, self.order, terms, field=self.field)
 
 
 def as_symmetric(f: GeneralTensor) -> SymTensor:
@@ -163,16 +174,8 @@ def polarize(p: HomPoly) -> SymTensor:
 
 
 def depolarize(f: GeneralTensor) -> HomPoly:
-    """Inverse of polarize; requires a symmetric input."""
-    f = as_symmetric(f)
-    fac_d = math.factorial(f.order)
-    terms = {}
-    for idx, c in f.entries.items():
-        if tuple(sorted(idx)) != idx:
-            continue
-        exps = tuple(idx.count(j) for j in range(f.n))
-        terms[exps] = c * f.field.of(Fraction(fac_d, _gamma_factorial(exps)))
-    return HomPoly(f.n, f.order, terms, field=f.field)
+    """Inverse of polarize: the form a symmetric F keeps (`SymTensor.form`)."""
+    return as_symmetric(f).form
 
 
 # -- contraction ----------------------------------------------------------------
@@ -322,33 +325,46 @@ def ann_sym_piece(p: HomPoly, k: int) -> Subspace:
 
 # -- flattenings ------------------------------------------------------------------
 
-def flattening(f: GeneralTensor, i: int, cols=None) -> Matrix:
-    """F's flattening along factor i, as sparse rows: row j is the slice F_{i=j}.
-
-    The index on the other factors goes to column cols[index]; `cols` is a
-    dict, by default empty, and an index not in it gets the next column."""
+def flattening(f: GeneralTensor, i: int, cols: dict) -> Matrix:
+    """F's flattening along factor i, as sparse rows: row j is the slice F_{i=j},
+    and the index on the other factors goes to column cols[index]."""
     _require_full_tensor(f)
-    cols = {} if cols is None else cols
     rows = [[] for _ in range(f.n)]
     for idx, x in f.entries.items():
-        rows[idx[i]].append((cols.setdefault(idx[:i] + idx[i + 1:], len(cols)), x))
-    return Matrix.of_sparse(max(len(cols), 1), rows, f.field)
+        rows[idx[i]].append((cols[idx[:i] + idx[i + 1:]], x))
+    return Matrix.of_sparse(len(cols), rows, f.field)
+
+
+def slice_spans(f: GeneralTensor) -> list:
+    """R_i, the span of F's slices along factor i, for each factor i: column c
+    stands for the c-th index of the other d-1 factors in `product` order.
+
+    Each distinct flattening is reduced once, told apart by its sorted sparse
+    rows: all d of them agree when F is symmetric.  The rows are compared, not
+    hashed, since hashing a Fraction costs more than comparing two."""
+    cols = {t: c for c, t in enumerate(itertools.product(range(f.n), repeat=f.order - 1))}
+    reduced, spans = [], []  # reduced: (sorted rows, span) per distinct flattening
+    for i in range(f.order):
+        m = flattening(f, i, cols)
+        rows = [sorted(row) for row in m.sparse]
+        span = next((span for seen, span in reduced if seen == rows), None)
+        if span is None:
+            span = Subspace.from_rows(len(cols), m)
+            reduced.append((rows, span))
+        spans.append(span)
+    return spans
 
 
 def flattening_ranks(f: GeneralTensor) -> tuple:
-    """Rank of each one-factor flattening C^n -> tensor on the other factors."""
-    return tuple(rank(flattening(f, i)) for i in range(f.order))
+    """Rank of each one-factor flattening: the dimension of its slice span."""
+    return tuple(span.dim for span in slice_spans(f))
 
 
 def is_concise(f: GeneralTensor) -> bool:
     """True when every one-factor flattening has full rank n."""
-    if f.is_zero:
-        return False
-    return all(r == f.n for r in flattening_ranks(f))
+    return not f.is_zero and all(r == f.n for r in flattening_ranks(f))
 
 
 def flattening_lower_bound(f: GeneralTensor) -> int:
     """max flattening rank: a lower bound for the border rank."""
-    if f.is_zero:
-        return 0
-    return max(flattening_ranks(f))
+    return max(flattening_ranks(f), default=0)

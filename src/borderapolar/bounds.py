@@ -21,7 +21,7 @@ from .apolarity import (
     ann_piece,
     ann_sym_piece,
     depolarize,
-    flattening,
+    slice_spans,
 )
 from .diagonal_maps import pi_image, proper_unit_box_degrees, staircase_degrees
 from .grading import dim_piece, segre_ring, veronese_ring
@@ -85,29 +85,9 @@ def macaulay_bound(m: int, a: int) -> int:
 
 # -- minimal generator counts for annihilators --------------------------------------
 
-def _slice_spans(f) -> list:
-    """R_i, the span of F's slices along factor i, for each factor i: column c
-    stands for the c-th index of the other d-1 factors in `product` order.
-
-    Each distinct flattening is reduced once, told apart by its sorted sparse
-    rows: all d of them agree when F is symmetric.  The rows are compared, not
-    hashed, since hashing a Fraction costs more than comparing two."""
-    cols = {t: c for c, t in enumerate(itertools.product(range(f.n), repeat=f.order - 1))}
-    reduced, spans = [], []  # reduced: (sorted rows, span) per distinct flattening
-    for i in range(f.order):
-        m = flattening(f, i, cols)
-        rows = [sorted(row) for row in m.sparse]
-        span = next((span for seen, span in reduced if seen == rows), None)
-        if span is None:
-            span = Subspace.from_rows(len(cols), m)
-            reduced.append((rows, span))
-        spans.append(span)
-    return spans
-
-
 def _concise_spans(f, what: str) -> list:
     """F's slice spans; F is concise exactly when every one has dimension n."""
-    spans = _slice_spans(f)
+    spans = slice_spans(f)
     if any(span.dim != f.n for span in spans):
         raise ValueError(f"{what} is defined for concise tensors")
     return spans
@@ -121,11 +101,11 @@ def _require_concise_symmetric(f) -> list:
 
 def min_generators_degree_one(f) -> int:
     """Minimal generators of Ann(F) in degree (1,...,1), counted on the short side."""
-    return _degree_one_generators(f, _slice_spans(f))
+    return _degree_one_generators(f, slice_spans(f))
 
 
 def _degree_one_generators(f, spans) -> int:
-    """`min_generators_degree_one` from F's slice spans R_i (`_slice_spans`).
+    """`min_generators_degree_one` from F's slice spans R_i (`slice_spans`).
 
     Ann(F)_{1-e_i} is the orthogonal complement of R_i, the span of F's slices
     along factor i, so the from-below part B = sum_i S_{e_i} Ann(F)_{1-e_i} has

@@ -225,7 +225,6 @@ def _preimage_rows(fib: PiFibres, reduced, one):
             yield ((c, one),) + top_row[1:]
 
 
-@lru_cache(maxsize=None)
 def ir_piece(n: int, d: int, u: tuple, field=QQ) -> Subspace:
     """Degree-u piece of the diagonal ideal: ker pi = pi^{-1}(0) on S_u."""
     return pi_preimage(n, d, u, Subspace.zero(len(pi_fibres(n, d, u).top), field=field))
@@ -270,15 +269,6 @@ def direct_sum_check(n: int, d: int, u) -> bool:
 
 
 # -- degree enumerators used by the transfer pipeline ------------------------------
-
-def two_ones_degrees(d: int) -> list:
-    """All 0/1 degree vectors with exactly two ones (where I_R has its generators)."""
-    out = []
-    for i in range(d):
-        for k in range(i + 1, d):
-            out.append(tuple(1 if t in (i, k) else 0 for t in range(d)))
-    return out
-
 
 def staircase_degrees(d: int) -> list:
     """The staircase 0, e_1, e_1+e_2, ..., e_1+...+e_{d-1}."""

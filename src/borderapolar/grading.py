@@ -212,12 +212,6 @@ def monomial_degree(ring: RingSpec, mono):
     return sum(mono)
 
 
-def multiply_monomials(ring: RingSpec, a, b):
-    if ring.is_multigraded:
-        return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-    return tuple(x + y for x, y in zip(a, b))
-
-
 # -- elements of a single graded piece -----------------------------------------
 
 @dataclass(frozen=True)
@@ -279,27 +273,6 @@ class PieceElement:
             raise ValueError(
                 f"graded piece mismatch: {self.ring}@{self.degree} vs {other.ring}@{other.degree}"
             )
-
-
-def multiply(a: PieceElement, b: PieceElement) -> PieceElement:
-    """Product of two piece elements, landing in the sum of their degrees."""
-    if a.ring != b.ring:
-        raise ValueError("elements live in different rings")
-    ring = a.ring
-    w = add_degrees(a.degree, b.degree)
-    zero = a.coords[0] * 0
-    out = [zero] * dim_piece(ring, w)
-    basis_a = monomials(ring, a.degree)
-    basis_b = monomials(ring, b.degree)
-    for ia, ca in enumerate(a.coords):
-        if not ca:
-            continue
-        for ib, cb in enumerate(b.coords):
-            if not cb:
-                continue
-            m = multiply_monomials(ring, basis_a[ia], basis_b[ib])
-            out[rank_monomial(ring, m)] += ca * cb
-    return PieceElement(ring, w, tuple(out))
 
 
 # -- plain-text formatting ------------------------------------------------------

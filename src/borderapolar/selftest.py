@@ -81,18 +81,14 @@ def diagonal_tensor(n: int, d: int) -> SymTensor:
 
 
 def sum_of_powers_tensor(n: int, d: int, forms) -> SymTensor:
-    """sum_j l_j^{tensor d} for linear forms given by coefficient vectors."""
-    entries = {}
-    for idx in itertools.product(range(n), repeat=d):
-        val = Fraction(0)
-        for l in forms:
-            term = Fraction(1)
-            for i in idx:
-                term *= l[i]
-            val += term
-        if val:
-            entries[idx] = val
-    return SymTensor(n, d, entries)
+    """sum_j l_j^{tensor d} for linear forms given by coefficient vectors: the
+    polarization of sum_j l_j^d, whose coefficient of b^gamma is
+    (d!/gamma!) sum_j l_j^gamma."""
+    fac = math.factorial(d)
+    terms = {gamma: fac // math.prod(map(math.factorial, gamma))
+             * sum(math.prod(c ** e for c, e in zip(l, gamma)) for l in forms)
+             for gamma in monomials(veronese_ring(n), d)}
+    return polarize(HomPoly(n, d, terms))
 
 
 def random_forms(n: int, count: int, rng: random.Random, bound: int = 5):

@@ -14,7 +14,8 @@ not tested.  Each stage has one path, whichever way the ideal is held: what
 depends on that is answered by `ideals`.  A symmetric tensor F is annihilated
 by I_R, so Ann(F)_u = pi^{-1}(Ann(p_F)_|u|) at every 0/1 degree u, and
 apolarity is pi(J_u) inside Ann(p_F)_|u|; a general tensor reads Ann(F)_u.
-A certificate digests its inputs only when `inputs_digest` is first read.
+Every flattening of F has rank n - dim Ann(p_F)_1, so conciseness is read off
+p_F too.  A certificate digests F and J only when `inputs_digest` is read.
 """
 
 from __future__ import annotations
@@ -28,8 +29,6 @@ from .apolarity import (
     SymTensor,
     ann_piece,
     ann_sym_piece,
-    depolarize,
-    flattening_ranks,
 )
 from .diagonal_maps import staircase_degrees
 from .grading import (
@@ -65,8 +64,8 @@ class Certificate:
     """Structured verdict of one checker: what was tested, at which degrees.
 
     `inputs_digest` is hashed from `digest_parts` the first time it is read,
-    an ideal among the parts entering through `ideal_digest`; a caller that
-    reads only the verdict never digests an ideal.
+    an ideal among the parts entering through `ideal_digest` and a tensor
+    through `tensor_digest`; a caller reading only the verdict digests neither.
     """
 
     def __init__(self, check: str, verdict: bool = False, tested_bound: int | None = None,
@@ -82,7 +81,8 @@ class Certificate:
 
     @cached_property
     def inputs_digest(self) -> str:
-        return digest_of(*(ideal_digest(p) if isinstance(p, TruncatedIdeal) else p
+        return digest_of(*(ideal_digest(p) if isinstance(p, TruncatedIdeal)
+                           else tensor_digest(p) if isinstance(p, GeneralTensor) else p
                            for p in self.digest_parts))
 
     def add(self, **kw):
@@ -176,10 +176,6 @@ def upsilon(i: TruncatedIdeal, d: int, bound: int | None = None,
     return TruncatedIdeal.pi_preimage(segre_ring(i.ring.n, d), bound, w, provenance, i.field)
 
 
-def contains_diagonal_ideal(j: TruncatedIdeal) -> bool:
-    return first_without_diagonal(j, {u: j.pi_image(u) for u in j.degrees()}) is None
-
-
 def _tagged(sub: Subspace, ring_v, k: int, field) -> Subspace:
     return Subspace(sub.ambient_dim, sub.sparse, _piece_tag(ring_v, k), field)
 
@@ -230,12 +226,6 @@ def _ideal_certificate(check: str, j: TruncatedIdeal, tested_bound: int, *parts)
                        slip_provenance=slip_label(j.provenance), digest_parts=parts)
 
 
-def _sym_annihilator(f: SymTensor, top: int) -> dict:
-    """{k: Ann(p_F)_k} for k <= top, from one depolarization of F."""
-    p = depolarize(f)
-    return {k: ann_sym_piece(p, k) for k in range(top + 1)}
-
-
 def _apolarity_stage(cert: Certificate, j: TruncatedIdeal, f: GeneralTensor,
                      up_to: int, ann: dict | None = None) -> bool:
     """Degreewise containment J_u in Ann(F)_u for |u| <= up_to; pieces above the
@@ -247,7 +237,7 @@ def _apolarity_stage(cert: Certificate, j: TruncatedIdeal, f: GeneralTensor,
     dim S_u - dim V_k + dim Ann(p_F)_k.  A general tensor reads Ann(F)_u.
     """
     if ann is None and isinstance(f, SymTensor):
-        ann = _sym_annihilator(f, min(up_to, j.bound))
+        ann = {k: ann_sym_piece(f.form, k) for k in range(min(up_to, j.bound) + 1)}
     first_failure = None
     for u in j.degrees():
         if degree_total(u) > up_to or any(x > 1 for x in u):
@@ -296,7 +286,7 @@ def _require_inputs(j: TruncatedIdeal, f: GeneralTensor, reach_order: bool = Tru
 def check_condition_iii(j: TruncatedIdeal, f: GeneralTensor) -> Certificate:
     """pi(J_{(d,0,...,0)}) inside pi(J_1), after verifying J is apolar to F."""
     _require_inputs(j, f)
-    cert = _ideal_certificate("condition-iii", j, j.bound, tensor_digest(f), j)
+    cert = _ideal_certificate("condition-iii", j, j.bound, f, j)
     if _apolarity_stage(cert, j, f, f.order):
         cert.verdict = _pi_containment_stage(cert, j, with_degree=True)
     return cert
@@ -307,7 +297,7 @@ def check_condition_ii(j: TruncatedIdeal, f: GeneralTensor,
     """I_R inside J and pi(J_u) independent of u within each total degree."""
     _require_inputs(j, f, reach_order=False)
     bound = j.bound if bound is None else min(bound, j.bound)
-    cert = _ideal_certificate("condition-ii", j, bound, tensor_digest(f), j, bound)
+    cert = _ideal_certificate("condition-ii", j, bound, f, j, bound)
     if not _apolarity_stage(cert, j, f, f.order):
         return cert
     images = {u: j.pi_image(u) for u in j.degrees() if degree_total(u) <= bound}
@@ -334,12 +324,13 @@ def check_condition_ii(j: TruncatedIdeal, f: GeneralTensor,
 def comon_certificate(f: SymTensor, r: int, j: TruncatedIdeal) -> Certificate:
     """Run the full transfer pipeline for a symmetric tensor and a candidate ideal.
 
-    Checks conciseness, the flattening lower bound against r, the generic
-    Hilbert function, apolarity, degreewise saturation where the bound allows,
-    and the pi-containment condition; on success it also produces rho(J) and
-    verifies that it is apolar to the corresponding form with the expected
-    Hilbert function.  An ideal outside F's Segre ring S(n, d), or truncated
-    below total degree d, is refused with a ValueError before any stage runs.
+    Checks conciseness (read off Ann(p_F)_1), the flattening lower bound
+    against r, the generic Hilbert function, apolarity, degreewise saturation
+    where the bound allows, and the pi-containment condition; on success it
+    also produces rho(J) and verifies that it is apolar to the corresponding
+    form with the expected Hilbert function.  An ideal outside F's Segre ring
+    S(n, d), or truncated below total degree d, is refused with a ValueError
+    before any stage runs.
     """
     if not isinstance(f, SymTensor):
         raise TypeError("the transfer pipeline requires a symmetric tensor")
@@ -349,10 +340,11 @@ def comon_certificate(f: SymTensor, r: int, j: TruncatedIdeal) -> Certificate:
             f"r={r} outside the admissible range [{n}, {math.comb(n + 1, 2)}]"
         )
     _require_inputs(j, f)
-    cert = _ideal_certificate("comon-transfer", j, j.bound, tensor_digest(f), r, j)
-    ranks = flattening_ranks(f)
-    concise = all(rk == n for rk in ranks)
-    cert.add(stage="conciseness", flattening_ranks=ranks, ok=concise)
+    cert = _ideal_certificate("comon-transfer", j, j.bound, f, r, j)
+    ann = {k: ann_sym_piece(f.form, k) for k in range(d + 1)}  # Ann(p_F)_k
+    rank = n - ann[1].dim  # the rank of each of F's d flattenings
+    concise = rank == n
+    cert.add(stage="conciseness", flattening_ranks=(rank,) * d, ok=concise)
     if not concise:
         cert.failure = "tensor is not concise"
         return cert
@@ -366,7 +358,6 @@ def comon_certificate(f: SymTensor, r: int, j: TruncatedIdeal) -> Certificate:
         cert.failure = "Hilbert function differs from the generic one"
         return cert
     cert.add(stage="hilbert-function", ok=True)
-    ann = _sym_annihilator(f, d)
     if not _apolarity_stage(cert, j, f, d, ann):
         return cert
     ann_d = ann[d]  # only Ann(p_F)_d is read again, by the rho check

@@ -7,7 +7,17 @@ import random
 from fractions import Fraction
 from functools import partial
 
-from borderapolar.apolarity import HomPoly, SymTensor, ann_piece, flattening, is_concise
+import math
+
+from borderapolar.apolarity import (
+    GeneralTensor,
+    HomPoly,
+    SymTensor,
+    ann_piece,
+    as_symmetric,
+    flattening,
+    is_concise,
+)
 from borderapolar.grading import (
     PieceElement,
     add_degrees,
@@ -23,7 +33,14 @@ from borderapolar.grading import (
     veronese_ring,
 )
 from borderapolar.diagonal_maps import proper_unit_box_degrees
-from borderapolar.ideals import degrees_up_to, expand, min_generators, variable_multiples
+from borderapolar.ideals import (
+    TruncatedIdeal,
+    degrees_up_to,
+    expand,
+    first_without_diagonal,
+    min_generators,
+    variable_multiples,
+)
 from borderapolar.linalg import QQ, Matrix, Subspace, kernel, rank
 from borderapolar.transfer import Certificate, digest_of, tensor_digest_parts
 from borderapolar.selftest import (  # noqa: F401  (the library's model tensors)
@@ -65,8 +82,6 @@ def concise_power_sum_instance(n: int, d: int, rng: random.Random) -> SymTensor:
 
 def power_of_form(coords, d: int) -> HomPoly:
     """(c_1 y_1 + ... + c_n y_n)^d expanded exactly."""
-    import math
-
     n = len(coords)
     terms = {}
     for mono in monomials(veronese_ring(n), d):
@@ -89,6 +104,63 @@ def symmetry_error_reference(entries: dict, zero):
                 return (f"not symmetric: entry at {idx} is {c}, at {perm} is "
                         f"{entries.get(perm, zero)}")
     return None
+
+
+def depolarize_reference(f: GeneralTensor) -> HomPoly:
+    """The form of a symmetric F from a scan of its entries: each sorted index
+    carries its value times d!/gamma!."""
+    f = as_symmetric(f)
+    fac_d = math.factorial(f.order)
+    terms = {}
+    for idx, c in f.entries.items():
+        if tuple(sorted(idx)) != idx:
+            continue
+        exps = tuple(idx.count(j) for j in range(f.n))
+        gamma_fac = math.prod(map(math.factorial, exps))
+        terms[exps] = c * f.field.of(Fraction(fac_d, gamma_fac))
+    return HomPoly(f.n, f.order, terms, field=f.field)
+
+
+# -- helpers that only the tests read ------------------------------------------------
+
+def multiply_monomials(ring, a, b):
+    if ring.is_multigraded:
+        return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def multiply(a: PieceElement, b: PieceElement) -> PieceElement:
+    """Product of two piece elements, landing in the sum of their degrees."""
+    if a.ring != b.ring:
+        raise ValueError("elements live in different rings")
+    ring = a.ring
+    w = add_degrees(a.degree, b.degree)
+    zero = a.coords[0] * 0
+    out = [zero] * dim_piece(ring, w)
+    basis_a = monomials(ring, a.degree)
+    basis_b = monomials(ring, b.degree)
+    for ia, ca in enumerate(a.coords):
+        if not ca:
+            continue
+        for ib, cb in enumerate(b.coords):
+            if not cb:
+                continue
+            m = multiply_monomials(ring, basis_a[ia], basis_b[ib])
+            out[rank_monomial(ring, m)] += ca * cb
+    return PieceElement(ring, w, tuple(out))
+
+
+def two_ones_degrees(d: int) -> list:
+    """All 0/1 degree vectors with exactly two ones (where I_R has its generators)."""
+    out = []
+    for i in range(d):
+        for k in range(i + 1, d):
+            out.append(tuple(1 if t in (i, k) else 0 for t in range(d)))
+    return out
+
+
+def contains_diagonal_ideal(j: TruncatedIdeal) -> bool:
+    return first_without_diagonal(j, {u: j.pi_image(u) for u in j.degrees()}) is None
 
 
 # -- dense 0/1 matrices of pi and psi, the reference for the fibre-table maps --------

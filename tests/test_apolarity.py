@@ -24,13 +24,13 @@ from borderapolar.grading import (
     PieceElement,
     dim_piece,
     monomials,
-    multiply,
     segre_ring,
     veronese_ring,
 )
 from borderapolar.linalg import QQ, PrimeField
-from support import (diagonal_tensor, random_form, random_symmetric_tensor,
-                     symmetry_error_reference)
+from borderapolar.selftest import random_forms
+from support import (depolarize_reference, diagonal_tensor, multiply, random_form,
+                     random_symmetric_tensor, sum_of_powers_tensor, symmetry_error_reference)
 
 
 class TestPolarize:
@@ -105,6 +105,50 @@ class TestPolarize:
                 SymTensor(n, d, entries, field=field)
             assert str(exc.value) == want
         assert {kind for kind, *_ in cases} == {"symmetric", "missing", "wrong", "random"}
+
+
+class TestForm:
+    """A SymTensor keeps its form p_F, built in the orbit pass of its symmetry
+    check; depolarize reads it, and conciseness can be read off Ann(p_F)_1."""
+
+    @staticmethod
+    def _tensors(rng):
+        """Dense and sparse random forms, power sums of n and n + 1 forms, x^d
+        and the zero tensor, as (n, d, entries)."""
+        out = []
+        for n, d in ((1, 3), (2, 3), (3, 3), (4, 3), (3, 4), (2, 5)):
+            monos = monomials(veronese_ring(n), d)
+            sparse = {m: rng.choice((-2, -1, 1, 2))
+                      for m in rng.sample(monos, min(len(monos), n + 1))}
+            for f in (random_symmetric_tensor(n, d, rng), polarize(HomPoly(n, d, sparse)),
+                      sum_of_powers_tensor(n, d, random_forms(n, n, rng)),
+                      sum_of_powers_tensor(n, d, random_forms(n, n + 1, rng)),
+                      polarize(HomPoly(n, d, {(d,) + (0,) * (n - 1): 1}))):
+                out.append((n, d, f.entries))
+            out.append((n, d, {}))
+        return out
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(2**31 - 1)], ids=["QQ", "GFp"])
+    def test_form_matches_the_entry_scan_and_the_flattening_ranks(self, field):
+        ranks = set()
+        for n, d, entries in self._tensors(random.Random(12)):
+            f = SymTensor(n, d, entries, field=field)
+            p = depolarize(f)
+            assert p is f.form and p.field == field
+            assert p == depolarize_reference(f), (n, d, entries)
+            assert depolarize(GeneralTensor(n, d, entries, field=field)) == p
+            rank = n - ann_sym_piece(p, 1).dim
+            assert flattening_ranks(f) == (rank,) * d, (n, d, entries)
+            ranks.add("zero" if not rank else "full" if rank == n else "partial")
+        assert ranks == {"zero", "partial", "full"}
+
+    def test_form_is_read_only(self):
+        f = polarize(HomPoly(2, 3, {(2, 1): 3}))
+        with pytest.raises(TypeError):
+            depolarize(f).terms[(2, 1)] = 1
+        with pytest.raises(TypeError):
+            depolarize(f).terms[(3, 0)] = 1
+        assert depolarize(f) == HomPoly(2, 3, {(2, 1): 3})
 
 
 class TestContractTensor:

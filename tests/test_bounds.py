@@ -17,6 +17,7 @@ from borderapolar.apolarity import (
     depolarize,
     is_concise,
     polarize,
+    slice_spans,
 )
 from borderapolar.bounds import (
     MacaulayRep,
@@ -466,7 +467,7 @@ class TestSliceSpans:
         seen = set()
         for kind, f in tensors:
             eliminations.clear()
-            spans = bounds._slice_spans(f)
+            spans = slice_spans(f)
             count = len(eliminations)
             assert spans == slice_spans_reference(f), f
             assert all(span.field == field for span in spans)

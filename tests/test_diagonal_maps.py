@@ -22,7 +22,6 @@ from borderapolar.diagonal_maps import (
     rho,
     staircase_degrees,
     tau,
-    two_ones_degrees,
 )
 from borderapolar.grading import (
     PieceElement,
@@ -41,6 +40,7 @@ from support import (
     preimage_reference,
     psi_matrix_reference,
     random_symmetric_tensor,
+    two_ones_degrees,
 )
 
 FIELDS = [QQ, PrimeField(2147483647)]

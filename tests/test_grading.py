@@ -11,12 +11,12 @@ from borderapolar.grading import (
     dim_piece,
     format_monomial,
     monomials,
-    multiply,
     rank_monomial,
     segre_ring,
     unrank_monomial,
     veronese_ring,
 )
+from support import multiply
 
 
 def nondecreasing_sequences(n, r):

@@ -40,13 +40,13 @@ from borderapolar.transfer import (
     check_condition_ii,
     check_condition_iii,
     comon_certificate,
-    contains_diagonal_ideal,
     rho_ideal,
     sigma,
     slip_label,
     upsilon,
 )
-from support import diagonal_tensor, mat_vec, pi_matrix_reference, power_of_form
+from support import (contains_diagonal_ideal, diagonal_tensor, mat_vec,
+                     pi_matrix_reference, power_of_form)
 
 
 V2 = veronese_ring(2)
@@ -490,9 +490,9 @@ class TestComonCertificate:
         def unreachable(*args, **kwargs):
             raise AssertionError("a stage ran on an ideal truncated below the order")
 
-        for name in ("flattening_ranks", "first_non_generic", "hilbert_function",
-                     "_apolarity_stage", "saturation_degrees", "is_saturated_degreewise",
-                     "_pi_containment_stage", "rho_ideal", "ideal_digest"):
+        for name in ("first_non_generic", "hilbert_function", "_apolarity_stage",
+                     "saturation_degrees", "is_saturated_degreewise", "_pi_containment_stage",
+                     "rho_ideal", "ideal_digest", "tensor_digest"):
             monkeypatch.setattr(transfer, name, unreachable)
         with pytest.raises(ValueError, match=r"^need the truncation bound >= 3, got 2$"):
             if checker == "comon_certificate":
@@ -522,8 +522,8 @@ class TestComonCertificate:
         def unreachable(*args, **kwargs):
             raise AssertionError("a stage ran on an ideal outside the tensor's ring")
 
-        for name in ("flattening_ranks", "first_non_generic", "_apolarity_stage",
-                     "saturation_degrees", "_pi_containment_stage", "rho_ideal"):
+        for name in ("first_non_generic", "_apolarity_stage", "saturation_degrees",
+                     "_pi_containment_stage", "rho_ideal", "tensor_digest"):
             monkeypatch.setattr(transfer, name, unreachable)
         message = f"the ideal's ring {ring} is not the tensor's Segre ring S(n=2, d=3)"
         with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):

@@ -18,8 +18,15 @@ import random
 
 import pytest
 
-from borderapolar import ideals, linalg, transfer
-from borderapolar.apolarity import GeneralTensor, SymTensor, ann_piece, ann_sym_piece, depolarize
+from borderapolar import apolarity, ideals, linalg, transfer
+from borderapolar.apolarity import (
+    GeneralTensor,
+    SymTensor,
+    ann_piece,
+    ann_sym_piece,
+    depolarize,
+    is_concise,
+)
 from borderapolar.cli import load_ideal_file
 from borderapolar.diagonal_maps import ir_piece, pi_preimage
 from borderapolar.grading import PieceElement, degree_total, dim_piece, monomials, veronese_ring
@@ -250,22 +257,29 @@ def coordinate_points(n: int) -> PointSet:
 
 
 def test_verdict_only_certificate_never_digests_the_ideal(monkeypatch):
+    """Neither the ideal nor the tensor is digested before `inputs_digest` is
+    read, and each is digested once when it is."""
     calls = []
-    real = transfer.ideal_digest
+    real, real_tensor = transfer.ideal_digest, transfer.tensor_digest
 
     def counted(j):
         calls.append(j)
         return real(j)
 
+    def counted_tensor(f):
+        calls.append(f)
+        return real_tensor(f)
+
     monkeypatch.setattr(transfer, "ideal_digest", counted)
+    monkeypatch.setattr(transfer, "tensor_digest", counted_tensor)
     f = diagonal_tensor(3, 3)
     j = upsilon(point_ideal(coordinate_points(3), 4), 3, 4)
     cert = comon_certificate(f, 3, j)
     assert cert.verdict and calls == []
     digest = cert.inputs_digest
-    assert calls == [j]
-    assert cert.to_dict()["inputs_digest"] == digest and calls == [j]
-    assert digest == transfer.digest_of(transfer.tensor_digest(f), 3, real(j))
+    assert calls == [f, j]
+    assert cert.to_dict()["inputs_digest"] == digest and calls == [f, j]
+    assert digest == transfer.digest_of(real_tensor(f), 3, real(j))
 
 
 def test_pipeline_builds_no_segre_piece(monkeypatch):
@@ -306,9 +320,10 @@ def test_pieces_are_read_only_and_built_once():
 class TestEliminationCount:
     """Eliminations of the pipeline on r very general points, counted by
     patching `linalg.rref_with_pivots`.  upsilon makes none; the verdict-only
-    certificate makes the flattening ranks, one Veronese annihilator per total
-    degree up to d (the rho check reuses Ann(p_F)_d) and one colon per testable
-    total degree; reading the digest adds W's reduction once per fibre order."""
+    certificate makes one Veronese annihilator per total degree up to d
+    (conciseness reads Ann(p_F)_1 and the rho check Ann(p_F)_d, so no flattening
+    is reduced) and one colon per testable total degree; reading the digest adds
+    W's reduction once per fibre order."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -324,12 +339,19 @@ class TestEliminationCount:
         return calls
 
     @pytest.mark.parametrize("n, d, r, cert_shapes", [
-        (3, 3, 4, [(1, 10), (3, 6), (3, 9), (3, 9), (3, 9), (6, 3), (10, 1),
-                   (40, 1), (40, 3)]),
-        (4, 3, 4, [(1, 20), (4, 10), (4, 16), (4, 16), (4, 16), (10, 4), (20, 1),
-                   (80, 1), (80, 4)]),
+        (3, 3, 4, [(1, 10), (3, 6), (6, 3), (10, 1), (40, 1), (40, 3)]),
+        (4, 3, 4, [(1, 20), (4, 10), (10, 4), (20, 1), (80, 1), (80, 4)]),
     ])
-    def test_pipeline_counts(self, calls, n, d, r, cert_shapes):
+    def test_pipeline_counts(self, monkeypatch, calls, n, d, r, cert_shapes):
+        """No flattening is built and F is not digested until `inputs_digest`
+        is read."""
+        def unreachable(*args):
+            raise AssertionError("a flattening was built")
+
+        digested = []
+        real = transfer.tensor_digest
+        monkeypatch.setattr(apolarity, "flattening", unreachable)
+        monkeypatch.setattr(transfer, "tensor_digest", lambda f: digested.append(f) or real(f))
         z = very_general_points(veronese_ring(n), r, d + 1, random.Random(7))
         f = sum_of_powers_tensor(n, d, z.points)
         i = point_ideal(z, d + 1)
@@ -337,25 +359,33 @@ class TestEliminationCount:
         j = upsilon(i, d, d + 1)
         assert calls == []
         cert = comon_certificate(f, r, j)
-        assert cert.verdict
+        assert cert.verdict and digested == []
+        assert cert.witnesses[0] == {"stage": "conciseness", "flattening_ranks": (n,) * d,
+                                     "ok": True}
         assert sorted(calls) == cert_shapes
         calls.clear()
         cert.inputs_digest
-        assert len(calls) == 10
+        assert len(calls) == 10 and digested == [f]
+
+    @pytest.mark.parametrize("n, d", [(2, 3), (3, 3), (4, 3), (3, 4)])
+    def test_is_concise_reduces_one_flattening(self, calls, n, d):
+        """A symmetric F's d flattenings are equal, so one is reduced."""
+        z = very_general_points(veronese_ring(n), n, d + 1, random.Random(7))
+        f = sum_of_powers_tensor(n, d, z.points)
+        calls.clear()
+        assert is_concise(f)
+        assert calls == [(n, n ** (d - 1))]
 
     @pytest.mark.parametrize("n, d, r, shapes", [
-        (3, 3, 4, [(1, 10), (2, 6), (3, 6), (3, 6), (3, 6), (3, 6), (3, 9), (3, 9), (3, 9),
-                   (6, 3), (6, 10), (10, 1), (11, 15), (17, 10), (108, 1), (108, 3), (108, 3),
-                   (108, 3)]),
-        (4, 3, 4, [(1, 20), (4, 10), (4, 16), (4, 16), (4, 16), (6, 10), (9, 10), (9, 10),
-                   (9, 10), (10, 4), (16, 20), (20, 1), (31, 35), (54, 20), (256, 1), (256, 4),
-                   (256, 4), (256, 4)]),
+        (3, 3, 4, [(1, 10), (2, 6), (3, 6), (3, 6), (3, 6), (3, 6), (6, 3), (6, 10),
+                   (10, 1), (11, 15), (17, 10), (108, 1), (108, 3), (108, 3), (108, 3)]),
+        (4, 3, 4, [(1, 20), (4, 10), (6, 10), (9, 10), (9, 10), (9, 10), (10, 4), (16, 20),
+                   (20, 1), (31, 35), (54, 20), (256, 1), (256, 4), (256, 4), (256, 4)]),
     ])
     def test_stored_copy_counts(self, calls, n, d, r, shapes):
-        """On the stored copy: the flattening ranks, one Veronese annihilator per
-        total degree up to d, one pi-image per nonzero piece read (each made
-        once, for apolarity, pi-containment and rho(J) together), and one colon
-        per testable degree."""
+        """On the stored copy: one Veronese annihilator per total degree up to d,
+        one pi-image per nonzero piece read (each made once, for apolarity,
+        pi-containment and rho(J) together), and one colon per testable degree."""
         z = very_general_points(veronese_ring(n), r, d + 1, random.Random(7))
         f = sum_of_powers_tensor(n, d, z.points)
         kept = upsilon(point_ideal(z, d + 1), d, d + 1)
