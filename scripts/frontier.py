@@ -4,11 +4,13 @@
 Each (n, d) runs in its own child process, under an address-space cap of
 RSS_MB megabytes (which bounds the resident set from above) set with
 `resource.setrlimit` in the child; the parent stops a child that overruns the
-wall budget.  The child runs point_ideal -> upsilon -> comon_certificate
-at bound d + 1 on the diagonal tensor and its n coordinate points (r = n),
-reading the verdict only, so the ideal is never digested.  It reports the
-time of each stage, the number of eliminations, the peak RSS, the largest
-Segre piece (from closed-form dimensions; it is never built) and the verdict.
+wall budget.  The child draws r = n very general points with integer
+coordinates in [-5, 5] (seed 1), builds F = sum of the d-th powers of their
+linear forms with `sum_of_powers_tensor`, and runs point_ideal -> upsilon ->
+comon_certificate at bound d + 1, reading the verdict only, so neither F nor
+the ideal is digested.  It reports the time of each stage (building F is one),
+the number of eliminations, the peak RSS, the largest Segre piece (from
+closed-form dimensions; it is never built) and the verdict.
 
     python scripts/frontier.py --out BENCH_frontier.json
     python scripts/frontier.py --shapes 3,3 4,3 --wall 2
@@ -18,6 +20,7 @@ import argparse
 import json
 import os
 import platform
+import random
 import resource
 import subprocess
 import sys
@@ -31,8 +34,8 @@ def run_instance(n: int, d: int) -> dict:
     """The pipeline on one instance, in this process."""
     from borderapolar import linalg
     from borderapolar.grading import dim_piece, veronese_ring
-    from borderapolar.ideals import PointSet, point_ideal
-    from borderapolar.selftest import diagonal_tensor
+    from borderapolar.ideals import point_ideal, very_general_points
+    from borderapolar.selftest import sum_of_powers_tensor
     from borderapolar.transfer import comon_certificate, upsilon
 
     eliminations = [0]
@@ -44,21 +47,22 @@ def run_instance(n: int, d: int) -> dict:
 
     linalg.rref_with_pivots = counted
     bound = d + 1
-    points = PointSet(veronese_ring(n), tuple(tuple(int(j == t) for j in range(n))
-                                              for t in range(n)))
+    zs = very_general_points(veronese_ring(n), n, bound, random.Random(1), coord_bound=5)
     t0 = time.perf_counter()
-    ideal = point_ideal(points, bound)
+    f = sum_of_powers_tensor(n, d, zs.points)
     t1 = time.perf_counter()
-    lifted = upsilon(ideal, d, bound)
+    ideal = point_ideal(zs, bound)
     t2 = time.perf_counter()
-    cert = comon_certificate(diagonal_tensor(n, d), n, lifted)
+    lifted = upsilon(ideal, d, bound)
     t3 = time.perf_counter()
+    cert = comon_certificate(f, n, lifted)
+    t4 = time.perf_counter()
     u = max(lifted.degrees(), key=lambda v: dim_piece(lifted.ring, v))
     return {
         "verdict": "pass" if cert.verdict else "fail",
         "failure": cert.failure,
-        "seconds": {"point_ideal": t1 - t0, "upsilon": t2 - t1, "certificate": t3 - t2,
-                    "upsilon_and_certificate": t3 - t1},
+        "seconds": {"tensor": t1 - t0, "point_ideal": t2 - t1, "upsilon": t3 - t2,
+                    "certificate": t4 - t3, "upsilon_and_certificate": t4 - t2},
         "eliminations": eliminations[0],
         "largest_piece": {"degree": list(u), "dim_ambient": dim_piece(lifted.ring, u),
                           "dim": lifted.piece_dim(u)},
@@ -108,16 +112,18 @@ def main():
         n, d = (int(x) for x in shape.split(","))
         row = measure(n, d, args.wall)
         rows.append(row)
-        secs = row.get("seconds", {}).get("upsilon_and_certificate")
-        print(f"({n}, {d}, {n}) diag: {row['status']}, verdict {row.get('verdict')}, "
-              + ("" if secs is None else f"upsilon + certificate {secs:.3f} s, ")
+        secs = row.get("seconds")
+        print(f"({n}, {d}, {n}) pow: {row['status']}, verdict {row.get('verdict')}, "
+              + ("" if secs is None else f"F {secs['tensor']:.3f} s, upsilon + certificate "
+                                         f"{secs['upsilon_and_certificate']:.3f} s, ")
               + f"peak RSS {row.get('peak_rss_mb', 0):.0f} MB")
     certified = [(r["n"], r["d"]) for r in rows
                  if r["status"] == "ok" and r["verdict"] == "pass"]
     headline = max(certified, default=None)
     if args.out:
-        result = {"pipeline": "point_ideal -> upsilon -> comon_certificate at bound d + 1, "
-                              "diagonal tensor, r = n, verdict only",
+        result = {"pipeline": "sum_of_powers_tensor -> point_ideal -> upsilon -> "
+                              "comon_certificate at bound d + 1, r = n very general points "
+                              "(seed 1, coordinates in [-5, 5]), verdict only",
                   "budget": {"wall_s": args.wall, "rss_mb": RSS_MB},
                   "machine": {"python": platform.python_version(),
                               "platform": platform.platform(), "cpus": os.cpu_count()},

@@ -4,8 +4,10 @@ The coordinate rings act on their graded duals by partial differentiation:
 a Segre-side variable contracts one tensor factor against the dual basis,
 and a Veronese-side variable differentiates a form.  Annihilator pieces are
 kernels of the induced linear maps, so any nonzero rescaling of the pairing
-yields the same subspaces.  A `SymTensor` keeps its form p_F, made in the
-pass that checks its symmetry; flattenings are read by `slice_spans` alone.
+yields the same subspaces.  A `SymTensor` holds F by its form p_F, which
+`polarize` is given and an entry-built tensor makes as it checks symmetry; the
+entries of a polarized F are written on first read.  `entries` is read-only on
+every tensor, and flattenings are read by `slice_spans` alone.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from functools import cached_property
 from types import MappingProxyType
 
 from .grading import (
@@ -90,7 +93,7 @@ class GeneralTensor:
             c = field.of(c)
             if c:
                 clean[idx] = c
-        self.entries = clean
+        self.entries = MappingProxyType(clean)
 
     @property
     def d(self) -> int:
@@ -115,11 +118,9 @@ class GeneralTensor:
 
 
 class SymTensor(GeneralTensor):
-    """Symmetric tensor: every stored entry is constant on its permutation orbit.
-    `form` is p_F: its coefficient of b^gamma is the sum of the orbit's d!/gamma!
-    entries."""
-
-    __slots__ = ("form",)
+    """Symmetric tensor held by its form p_F, whose coefficient of b^gamma is the
+    sum of the orbit's d!/gamma! entries.  Built from entries, it keeps them and
+    checks each orbit; built by `polarize`, it writes them on first read."""
 
     def __init__(self, n: int, order: int, entries: dict, field=QQ, factors=None):
         super().__init__(n, order, entries, field=field, factors=factors)
@@ -145,6 +146,18 @@ class SymTensor(GeneralTensor):
                     raise ValueError(f"not symmetric: entry at {idx} is {c}, at {perm} is {other}")
         self.form = HomPoly(self.n, self.order, terms, field=self.field)
 
+    @cached_property
+    def entries(self):
+        p = self.form
+        scale_den = math.factorial(p.d)
+        entries = {}
+        for exps, a in p.terms.items():
+            c = a * p.field.of(Fraction(_gamma_factorial(exps), scale_den))
+            base = tuple(j for j, e in enumerate(exps) for _ in range(e))
+            for idx in set(itertools.permutations(base)):
+                entries[idx] = c
+        return MappingProxyType(entries)
+
 
 def as_symmetric(f: GeneralTensor) -> SymTensor:
     if isinstance(f, SymTensor):
@@ -162,15 +175,11 @@ def _gamma_factorial(exps) -> int:
 
 
 def polarize(p: HomPoly) -> SymTensor:
-    """Symmetric tensor of a form: each orbit carries coeff * gamma!/d!."""
-    scale_den = math.factorial(p.d)
-    entries = {}
-    for exps, a in p.terms.items():
-        c = a * p.field.of(Fraction(_gamma_factorial(exps), scale_den))
-        base = tuple(j for j, e in enumerate(exps) for _ in range(e))
-        for idx in set(itertools.permutations(base)):
-            entries[idx] = c
-    return SymTensor(p.n, p.d, entries, field=p.field)
+    """F held by p: no entry is written and, F being symmetric by construction, no
+    symmetry check runs.  Each orbit's entries will be coeff * gamma!/d!."""
+    f = SymTensor.__new__(SymTensor)
+    f.n, f.order, f.field, f.factors, f.form = p.n, p.d, p.field, tuple(range(p.d)), p
+    return f
 
 
 def depolarize(f: GeneralTensor) -> HomPoly:

@@ -27,7 +27,7 @@ from .diagonal_maps import pi_image, proper_unit_box_degrees, staircase_degrees
 from .grading import dim_piece, segre_ring, veronese_ring
 from .ideals import min_generators, span_from_below, variable_multiples
 from .linalg import Matrix, Subspace, rank
-from .transfer import Certificate, tensor_digest_parts
+from .transfer import Certificate, tensor_digest
 
 
 # -- Macaulay representations -----------------------------------------------------
@@ -160,7 +160,7 @@ def is_sharp(f) -> Certificate:
     if d < 3:
         raise ValueError("sharpness needs at least three factors")
     ring = segre_ring(n, d)
-    cert = Certificate(check="sharp", digest_parts=tensor_digest_parts(f))
+    cert = Certificate("sharp", partial(tensor_digest, f))
     gens = _degree_one_generators(f, spans)
     cond1 = gens == n - 1
     cert.add(stage="degree-one-generators", count=gens, want=n - 1, ok=cond1)
@@ -199,7 +199,7 @@ def is_111_sharp(f) -> Certificate:
         raise ValueError("the 111 test is defined for three-factor tensors")
     gens = _degree_one_generators(f, _concise_spans(f, "the 111 test"))
     ok = gens == f.n - 1
-    cert = Certificate(check="111-sharp", verdict=ok, digest_parts=tensor_digest_parts(f))
+    cert = Certificate("111-sharp", partial(tensor_digest, f), verdict=ok)
     cert.add(stage="degree-111-generators", count=gens, want=f.n - 1, ok=ok)
     if not ok:
         cert.failure = f"found {gens} minimal generators, expected {f.n - 1}"
@@ -218,8 +218,8 @@ def verify_lemma_1_minus_ed(f) -> Certificate:
     target = ann_sym_piece(depolarize(f), d - 1)
     contained = target.contains(lifted)
     equal = lifted == target
-    cert = Certificate(check="image-of-degree-one-minus-last", verdict=contained,
-                       digest_parts=tensor_digest_parts(f))
+    cert = Certificate("image-of-degree-one-minus-last", partial(tensor_digest, f),
+                       verdict=contained)
     cert.add(degree=u, dim_image=lifted.dim, dim_target=target.dim,
              contained=contained, equal=equal)
     if not contained:
@@ -232,8 +232,7 @@ def verify_gen_count_transfer(f) -> Certificate:
     s_tensor = _degree_one_generators(f, _require_concise_symmetric(f))
     s_poly = min_generators_sym_in_degree(depolarize(f), f.order)
     ok = s_tensor == s_poly
-    cert = Certificate(check="generator-count-transfer", verdict=ok,
-                       digest_parts=tensor_digest_parts(f))
+    cert = Certificate("generator-count-transfer", partial(tensor_digest, f), verdict=ok)
     cert.add(tensor_side=s_tensor, form_side=s_poly, ok=ok)
     if not ok:
         cert.failure = f"generator counts differ: {s_tensor} vs {s_poly}"
@@ -269,8 +268,7 @@ def verify_containment_lemma(f) -> Certificate:
     lifted = pi_image(n, d, u, _proper_ideal_piece(f, u))
     target = ann_sym_piece(depolarize(f), d)
     ok = target.contains(lifted)
-    cert = Certificate(check="proper-ideal-containment", verdict=ok,
-                       digest_parts=tensor_digest_parts(f))
+    cert = Certificate("proper-ideal-containment", partial(tensor_digest, f), verdict=ok)
     cert.add(degree=u, dim_image=lifted.dim, dim_target=target.dim, ok=ok,
              vacuous=lifted.is_zero)
     if not ok:

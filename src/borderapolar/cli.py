@@ -112,8 +112,8 @@ def _objects(raw, at: str):
         yield f"{at}[{t}]", item
 
 
-def load_tensor_file(path: str, field):
-    """Returns (data, kind) where kind is 'poly' or 'tensor'."""
+def tensor_from_file(path: str, field):
+    """The tensor of a 'tensor' file, or the polarization of a 'poly' file."""
     data = _load_json(path)
     for key in ("n", "d", "representation"):
         if key not in data:
@@ -140,15 +140,11 @@ def load_tensor_file(path: str, field):
                 raise UsageError(f"{where}: indices must lie in 1..{n}")
         coeffs[key] = coeffs.get(key, Fraction(0)) + c
     try:
-        return (HomPoly if poly else GeneralTensor)(n, d, coeffs, field=field), rep
+        if poly:
+            return polarize(HomPoly(n, d, coeffs, field=field))
+        return GeneralTensor(n, d, coeffs, field=field)
     except ValueError as exc:
         raise UsageError(f"{path}: {exc}") from exc
-
-
-def tensor_from_file(path: str, field):
-    """A tensor in T_1, polarizing a 'poly' file."""
-    obj, kind = load_tensor_file(path, field)
-    return polarize(obj) if kind == "poly" else obj
 
 
 def _ring_from_header(data: dict, path: str, kind=None) -> RingSpec:
@@ -265,6 +261,14 @@ def load_points(path: str, n: int, field) -> PointSet:
 
 # -- output ------------------------------------------------------------------------
 
+def _write_output(path: str, text: str, mode: str = "w"):
+    try:
+        with open(path, mode, encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
+
+
 def _emit_payload(payload: dict, text_lines: list, args):
     """The report in `--format`, to `--output` or stdout."""
     if args.format == "json":
@@ -273,11 +277,7 @@ def _emit_payload(payload: dict, text_lines: list, args):
         text = "\n".join(text_lines)
     text = text if text.endswith("\n") else text + "\n"
     if args.output:
-        try:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise UsageError(f"cannot write {args.output}: {exc}") from exc
+        _write_output(args.output, text)
     else:
         sys.stdout.write(text)
 
@@ -303,16 +303,15 @@ def certificate_lines(cert: Certificate) -> list:
 # -- subcommands ----------------------------------------------------------------------
 
 def cmd_ann(args, field) -> int:
-    obj, kind = load_tensor_file(args.tensor, field)
+    f = tensor_from_file(args.tensor, field)
     raw = args.degree
     if "," in raw:
-        f = polarize(obj) if kind == "poly" else obj
         ring = segre_ring(f.n, f.order)
         u = _parse_degree(ring, raw, "--degree")
         sub = ann_piece(f, u)
     else:
         try:
-            p = obj if kind == "poly" else depolarize(as_symmetric(obj))
+            p = depolarize(f)
         except ValueError as exc:
             raise UsageError(f"a Veronese-side degree needs a symmetric tensor: {exc}") from exc
         ring = veronese_ring(p.n)
@@ -553,6 +552,8 @@ def main(argv=None) -> int:
                 field = field_for_modulus(modulus)
             except ValueError as exc:
                 raise UsageError(str(exc)) from exc
+        if args.output:  # refused before any work; appending nothing keeps a file's contents
+            _write_output(args.output, "", "a")
         handler = {
             "ann": cmd_ann,
             "hf": cmd_hf,

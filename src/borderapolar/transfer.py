@@ -15,7 +15,8 @@ depends on that is answered by `ideals`.  A symmetric tensor F is annihilated
 by I_R, so Ann(F)_u = pi^{-1}(Ann(p_F)_|u|) at every 0/1 degree u, and
 apolarity is pi(J_u) inside Ann(p_F)_|u|; a general tensor reads Ann(F)_u.
 Every flattening of F has rank n - dim Ann(p_F)_1, so conciseness is read off
-p_F too.  A certificate digests F and J only when `inputs_digest` is read.
+p_F too.  A certificate is given a function that digests F and J, called the
+first time `inputs_digest` is read: the verdict writes no entry of a polarized F.
 """
 
 from __future__ import annotations
@@ -63,27 +64,24 @@ def slip_label(provenance: str) -> str:
 class Certificate:
     """Structured verdict of one checker: what was tested, at which degrees.
 
-    `inputs_digest` is hashed from `digest_parts` the first time it is read,
-    an ideal among the parts entering through `ideal_digest` and a tensor
-    through `tensor_digest`; a caller reading only the verdict digests neither.
+    `digest` is called, with no arguments, the first time `inputs_digest` is
+    read; a caller reading only the verdict digests no input.
     """
 
-    def __init__(self, check: str, verdict: bool = False, tested_bound: int | None = None,
-                 slip_provenance: str | None = None, failure: str | None = None,
-                 digest_parts: tuple = ()):
+    def __init__(self, check: str, digest, verdict: bool = False,
+                 tested_bound: int | None = None, slip_provenance: str | None = None,
+                 failure: str | None = None):
         self.check = check
         self.verdict = verdict
         self.witnesses = []
         self.tested_bound = tested_bound
         self.slip_provenance = slip_provenance
         self.failure = failure
-        self.digest_parts = tuple(digest_parts)
+        self._digest = digest
 
     @cached_property
     def inputs_digest(self) -> str:
-        return digest_of(*(ideal_digest(p) if isinstance(p, TruncatedIdeal)
-                           else tensor_digest(p) if isinstance(p, GeneralTensor) else p
-                           for p in self.digest_parts))
+        return self._digest()
 
     def add(self, **kw):
         self.witnesses.append(kw)
@@ -144,14 +142,9 @@ def ideal_digest(j: TruncatedIdeal) -> str:
     return h.hexdigest()[:16]
 
 
-def tensor_digest_parts(f: GeneralTensor) -> tuple:
-    """What a tensor's digest hashes; the sorted entries are a list, as in every
-    digest made so far."""
-    return f.n, f.order, sorted(f.entries.items())
-
-
 def tensor_digest(f: GeneralTensor) -> str:
-    return digest_of(*tensor_digest_parts(f))
+    """The sorted entries are hashed as a list, as in every digest made so far."""
+    return digest_of(f.n, f.order, sorted(f.entries.items()))
 
 
 # -- the three transport maps ---------------------------------------------------
@@ -220,12 +213,6 @@ def rho_ideal(j: TruncatedIdeal) -> TruncatedIdeal:
 
 # -- containment bookkeeping ------------------------------------------------------
 
-def _ideal_certificate(check: str, j: TruncatedIdeal, tested_bound: int, *parts) -> Certificate:
-    """A not-yet-passed certificate on J, its inputs digested from `parts`."""
-    return Certificate(check=check, verdict=False, tested_bound=tested_bound,
-                       slip_provenance=slip_label(j.provenance), digest_parts=parts)
-
-
 def _apolarity_stage(cert: Certificate, j: TruncatedIdeal, f: GeneralTensor,
                      up_to: int, ann: dict | None = None) -> bool:
     """Degreewise containment J_u in Ann(F)_u for |u| <= up_to; pieces above the
@@ -286,7 +273,8 @@ def _require_inputs(j: TruncatedIdeal, f: GeneralTensor, reach_order: bool = Tru
 def check_condition_iii(j: TruncatedIdeal, f: GeneralTensor) -> Certificate:
     """pi(J_{(d,0,...,0)}) inside pi(J_1), after verifying J is apolar to F."""
     _require_inputs(j, f)
-    cert = _ideal_certificate("condition-iii", j, j.bound, f, j)
+    cert = Certificate("condition-iii", lambda: digest_of(tensor_digest(f), ideal_digest(j)),
+                       tested_bound=j.bound, slip_provenance=slip_label(j.provenance))
     if _apolarity_stage(cert, j, f, f.order):
         cert.verdict = _pi_containment_stage(cert, j, with_degree=True)
     return cert
@@ -297,7 +285,8 @@ def check_condition_ii(j: TruncatedIdeal, f: GeneralTensor,
     """I_R inside J and pi(J_u) independent of u within each total degree."""
     _require_inputs(j, f, reach_order=False)
     bound = j.bound if bound is None else min(bound, j.bound)
-    cert = _ideal_certificate("condition-ii", j, bound, f, j, bound)
+    cert = Certificate("condition-ii", lambda: digest_of(tensor_digest(f), ideal_digest(j), bound),
+                       tested_bound=bound, slip_provenance=slip_label(j.provenance))
     if not _apolarity_stage(cert, j, f, f.order):
         return cert
     images = {u: j.pi_image(u) for u in j.degrees() if degree_total(u) <= bound}
@@ -340,7 +329,8 @@ def comon_certificate(f: SymTensor, r: int, j: TruncatedIdeal) -> Certificate:
             f"r={r} outside the admissible range [{n}, {math.comb(n + 1, 2)}]"
         )
     _require_inputs(j, f)
-    cert = _ideal_certificate("comon-transfer", j, j.bound, f, r, j)
+    cert = Certificate("comon-transfer", lambda: digest_of(tensor_digest(f), r, ideal_digest(j)),
+                       tested_bound=j.bound, slip_provenance=slip_label(j.provenance))
     ann = {k: ann_sym_piece(f.form, k) for k in range(d + 1)}  # Ann(p_F)_k
     rank = n - ann[1].dim  # the rank of each of F's d flattenings
     concise = rank == n

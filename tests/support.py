@@ -42,7 +42,7 @@ from borderapolar.ideals import (
     variable_multiples,
 )
 from borderapolar.linalg import QQ, Matrix, Subspace, kernel, rank
-from borderapolar.transfer import Certificate, digest_of, tensor_digest_parts
+from borderapolar.transfer import Certificate, digest_of, tensor_digest
 from borderapolar.selftest import (  # noqa: F401  (the library's model tensors)
     diagonal_tensor,
     random_form,
@@ -399,7 +399,7 @@ def is_sharp_reference(f) -> Certificate:
     if d < 3:
         raise ValueError("sharpness needs at least three factors")
     ring = segre_ring(n, d)
-    cert = Certificate(check="sharp", digest_parts=tensor_digest_parts(f))
+    cert = Certificate("sharp", lambda: tensor_digest(f))
     gens = min_generators_degree_one_reference(f)
     cond1 = gens == n - 1
     cert.add(stage="degree-one-generators", count=gens, want=n - 1, ok=cond1)

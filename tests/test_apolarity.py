@@ -19,6 +19,14 @@ from borderapolar.apolarity import (
     flattening_ranks,
     is_concise,
     polarize,
+    slice_spans,
+)
+from borderapolar.bounds import (
+    is_111_sharp,
+    is_sharp,
+    verify_containment_lemma,
+    verify_gen_count_transfer,
+    verify_lemma_1_minus_ed,
 )
 from borderapolar.grading import (
     PieceElement,
@@ -29,6 +37,7 @@ from borderapolar.grading import (
 )
 from borderapolar.linalg import QQ, PrimeField
 from borderapolar.selftest import random_forms
+from borderapolar.transfer import tensor_digest
 from support import (depolarize_reference, diagonal_tensor, multiply, random_form,
                      random_symmetric_tensor, sum_of_powers_tensor, symmetry_error_reference)
 
@@ -149,6 +158,51 @@ class TestForm:
         with pytest.raises(TypeError):
             depolarize(f).terms[(3, 0)] = 1
         assert depolarize(f) == HomPoly(2, 3, {(2, 1): 3})
+
+    def test_entries_are_read_only(self):
+        entries = {(0, 0, 1): 1, (0, 1, 0): 1, (1, 0, 0): 1}
+        for f in (GeneralTensor(2, 3, entries), SymTensor(2, 3, entries),
+                  polarize(HomPoly(2, 3, {(2, 1): 3}))):
+            with pytest.raises(TypeError):
+                f.entries[(0, 0, 1)] = 2
+            with pytest.raises(TypeError):
+                f.entries[(1, 1, 1)] = 1
+            assert f.entries == entries
+
+
+def _outcome(check, f):
+    """A certificate as a dict, or the message of the ValueError refusing F."""
+    try:
+        return check(f).to_dict()
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestHeldByForm:
+    """polarize(p) holds F by p alone and writes its entries on first read; it
+    reads exactly as the SymTensor built from those entries, whichever reader
+    comes first."""
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(2**31 - 1)], ids=["QQ", "GFp"])
+    def test_polarized_reads_as_entry_built(self, field):
+        checks = (is_sharp, is_111_sharp, verify_lemma_1_minus_ed, verify_gen_count_transfer,
+                  verify_containment_lemma)
+        concise = 0
+        for n, d, entries in TestForm._tensors(random.Random(17)):
+            p = SymTensor(n, d, entries, field=field).form
+            f = polarize(p)
+            assert f.form is p and "entries" not in vars(f)
+            g = SymTensor(n, d, dict(f.entries), field=field)
+            assert f.entries == g.entries == SymTensor(n, d, entries, field=field).entries
+            assert polarize(p) == g and g == polarize(p)
+            assert slice_spans(polarize(p)) == slice_spans(g)
+            for u in itertools.product((0, 1), repeat=d):
+                assert ann_piece(polarize(p), u) == ann_piece(g, u), (n, d, u)
+            assert tensor_digest(polarize(p)) == tensor_digest(g)
+            for check in checks:
+                assert _outcome(check, polarize(p)) == _outcome(check, g), (check, n, d)
+            concise += is_concise(g)
+        assert concise  # the certificates are compared on concise tensors too
 
 
 class TestContractTensor:

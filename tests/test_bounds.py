@@ -50,13 +50,21 @@ from support import (
 )
 
 
-def test_every_certificate_digests_the_tensor():
+def test_every_certificate_digests_the_tensor(monkeypatch):
     """Each certificate here digests F as `tensor_digest` does, byte for byte as
-    before: the sorted entries are hashed as a list."""
+    before (the sorted entries are hashed as a list), and only when
+    `inputs_digest` is read."""
     f = concise_power_sum_instance(3, 3, random.Random(64))
-    checks = (is_sharp, is_111_sharp, verify_lemma_1_minus_ed, verify_gen_count_transfer,
-              verify_containment_lemma)
-    assert {check(f).inputs_digest for check in checks} == {tensor_digest(f)}
+    digested = []
+    monkeypatch.setattr(bounds, "tensor_digest",
+                        lambda g: digested.append(g) or tensor_digest(g))
+    for check in (is_sharp, is_111_sharp, verify_lemma_1_minus_ed, verify_gen_count_transfer,
+                  verify_containment_lemma):
+        cert = check(f)
+        assert cert.verdict and digested == []
+        assert cert.inputs_digest == tensor_digest(f) and digested == [f]
+        assert cert.to_dict()["inputs_digest"] == tensor_digest(f) and digested == [f]
+        digested.clear()
     assert is_sharp(diagonal_tensor(3, 3)).inputs_digest == "c7fc4eedcadb168b"
 
 

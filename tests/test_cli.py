@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from borderapolar import cli
+from borderapolar.apolarity import GeneralTensor, SymTensor
 from borderapolar.linalg import QQ
 from borderapolar.selftest import SCALES, SUITES, run_selftest, suite_pi_kernel_direct_sum
 import borderapolar.diagonal_maps as dmaps
@@ -204,8 +205,12 @@ class TestMalformedFiles:
         assert captured.err == f"error: {where}: expected an integer, got 'x'\n"
 
     @pytest.mark.parametrize("command", ["check", "hf", "upsilon"])
-    def test_unwritable_output(self, tmp_path, capsys, command):
-        # the report is computed, then refused like an unreadable input
+    def test_unwritable_output(self, tmp_path, capsys, monkeypatch, command):
+        # refused before any handler runs, like an unreadable input
+        def unreachable(*args):
+            raise AssertionError("the certificate was computed")
+
+        monkeypatch.setattr(cli, "comon_certificate", unreachable)
         if command == "check":
             args = ["check", write(tmp_path, "t.json", FERMAT), "2",
                     "--points", write(tmp_path, "p.json", POINTS2)]
@@ -220,6 +225,18 @@ class TestMalformedFiles:
         assert captured.err == (f"error: cannot write {out}: [Errno 2] "
                                 f"No such file or directory: '{out}'\n")
         assert not (tmp_path / "missing").exists()
+
+    def test_output_checked_without_truncating(self, tmp_path, capsys):
+        """The early check leaves an existing file as it is when the run later
+        exits 2; the report is written at the end."""
+        out = tmp_path / "report.txt"
+        out.write_text("old\n")
+        args = ["check", write(tmp_path, "t.json", FERMAT), "2", "--output", str(out)]
+        assert cli.main(args + ["--points", str(tmp_path / "none.json")]) == 2
+        assert out.read_text() == "old\n"
+        assert cli.main(args + ["--points", write(tmp_path, "p.json", POINTS2)]) == 0
+        assert out.read_text().startswith("check:      comon-transfer\n")
+        assert capsys.readouterr().out == ""
 
     def test_environment_integer(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("BORDERAPOLAR_SEED", "x")
@@ -625,12 +642,9 @@ class TestSelftest:
 
 class TestSerializationRoundTrips:
     def test_tensor_poly_round_trip(self, tmp_path):
-        p, kind = cli.load_tensor_file(write(tmp_path, "t.json", FERMAT), QQ)
-        assert kind == "poly"
+        f = cli.tensor_from_file(write(tmp_path, "t.json", FERMAT), QQ)
+        assert type(f) is SymTensor
         # re-serialize through the tensor representation and reload
-        from borderapolar.apolarity import polarize
-
-        f = polarize(p)
         payload = {
             "n": f.n, "d": f.order, "representation": "tensor",
             "entries": [
@@ -638,8 +652,8 @@ class TestSerializationRoundTrips:
                 for idx, c in sorted(f.entries.items())
             ],
         }
-        g, kind2 = cli.load_tensor_file(write(tmp_path, "t2.json", payload), QQ)
-        assert kind2 == "tensor"
+        g = cli.tensor_from_file(write(tmp_path, "t2.json", payload), QQ)
+        assert type(g) is GeneralTensor
         assert g.entries == f.entries
 
     def test_ideal_round_trip(self, tmp_path):

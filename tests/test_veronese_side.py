@@ -12,6 +12,7 @@ tensor F the apolarity stage reads pi(J_u) alone, which rests on
 Ann(F)_u = pi^{-1}(Ann(p_F)_|u|) at every 0/1 degree u.
 """
 
+import functools
 import itertools
 import json
 import random
@@ -280,6 +281,29 @@ def test_verdict_only_certificate_never_digests_the_ideal(monkeypatch):
     assert calls == [f, j]
     assert cert.to_dict()["inputs_digest"] == digest and calls == [f, j]
     assert digest == transfer.digest_of(real_tensor(f), 3, real(j))
+
+
+def test_verdict_only_certificate_writes_no_entries(monkeypatch):
+    """A polarized F is held by its form through a verdict-only certificate:
+    no entry is written and F is not digested.  Reading `inputs_digest` writes
+    the entries once."""
+    written, digested = [], []
+    write = apolarity.SymTensor.entries.func
+    entries = functools.cached_property(lambda f: written.append(f) or write(f))
+    entries.__set_name__(apolarity.SymTensor, "entries")
+    monkeypatch.setattr(apolarity.SymTensor, "entries", entries)
+    real = transfer.tensor_digest
+    monkeypatch.setattr(transfer, "tensor_digest", lambda f: digested.append(f) or real(f))
+    z = very_general_points(veronese_ring(3), 4, 4, random.Random(7))
+    f = sum_of_powers_tensor(3, 3, z.points)
+    j = upsilon(point_ideal(z, 4), 3, 4)
+    cert = comon_certificate(f, 4, j)
+    assert cert.verdict and written == [] and digested == []
+    digest = cert.inputs_digest
+    assert written == [f] and digested == [f]
+    assert digest == transfer.digest_of(real(f), 4, ideal_digest(j))
+    assert cert.to_dict()["inputs_digest"] == digest
+    assert written == [f] and digested == [f]
 
 
 def test_pipeline_builds_no_segre_piece(monkeypatch):
