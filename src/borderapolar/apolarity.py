@@ -6,8 +6,12 @@ and a Veronese-side variable differentiates a form.  Annihilator pieces are
 kernels of the induced linear maps, so any nonzero rescaling of the pairing
 yields the same subspaces.  A `SymTensor` holds F by its form p_F, which
 `polarize` is given and an entry-built tensor makes as it checks symmetry; the
-entries of a polarized F are written on first read.  `entries` is read-only on
-every tensor, and flattenings are read by `slice_spans` alone.
+entries of a polarized F are written on first read, and `entries` is read-only
+on every tensor.  A multilinear F is read through one contraction map: at a 0/1
+degree u, each entry lands in the row named by its indices off u and the column
+of its indices on u, in one pass over the entries.  `ann_piece` is its kernel,
+`slice_spans` its row spans at the degrees 1 - e_i, and `contract_tensor`
+applies an element of S_u to it.
 """
 
 from __future__ import annotations
@@ -55,9 +59,6 @@ class HomPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coeff(self, exps):
-        return self.terms.get(tuple(exps), self.field.zero)
-
     def __eq__(self, other):
         return (
             isinstance(other, HomPoly)
@@ -96,15 +97,8 @@ class GeneralTensor:
         self.entries = MappingProxyType(clean)
 
     @property
-    def d(self) -> int:
-        return self.order
-
-    @property
     def is_zero(self) -> bool:
         return not self.entries
-
-    def entry(self, idx):
-        return self.entries.get(tuple(idx), self.field.zero)
 
     def __eq__(self, other):
         return (
@@ -199,39 +193,39 @@ def _check_segre_element(theta: PieceElement, n: int, d: int):
         )
 
 
+def _contraction_rows(f: GeneralTensor, picked) -> dict:
+    """F's contraction by the square-free monomials on the positions `picked`,
+    as sparse rows keyed by the indices off `picked`, in one pass over F's
+    entries.  An entry sits in column c, the mixed-radix rank of its indices on
+    `picked` with the first most significant: the rank of the contracting
+    monomial in its graded piece when `picked` follows slot order."""
+    n, off = f.n, [k for k in range(f.order) if k not in picked]
+    rows: dict = {}
+    for idx, x in f.entries.items():
+        c = 0
+        for k in picked:
+            c = c * n + idx[k]
+        rows.setdefault(tuple([idx[k] for k in off]), []).append((c, x))
+    return rows
+
+
 def contract_tensor(theta: PieceElement, f: GeneralTensor) -> GeneralTensor:
     """Apply a Segre-side element to a multilinear tensor.
 
-    Degrees above (1,...,1) on the surviving factors kill everything; a
-    square-free monomial selects one index per contracted factor and slices.
+    Degrees above (1,...,1) on the surviving factors kill everything; at a 0/1
+    degree each row of F's contraction map meets theta once.
     """
     d = theta.ring.d
     _check_segre_element(theta, f.n, d)
     u = theta.degree
-    live = set(f.factors)
-    selected = [i for i in range(d) if u[i] >= 1]
     remaining = tuple(i for i in f.factors if u[i] == 0)
     pos_of = {i: k for k, i in enumerate(f.factors)}
-    dead = any(u[i] > 1 for i in range(d)) or any(i not in live for i in selected)
     out: dict = {}
-    if not dead:
-        basis = monomials(theta.ring, u)
-        for col, c in enumerate(theta.coords):
-            if not c:
-                continue
-            row_sel = {}
-            for i in selected:
-                row = basis[col][i]
-                row_sel[i] = next(j for j, e in enumerate(row) if e)
-            for idx, val in f.entries.items():
-                if any(idx[pos_of[i]] != row_sel[i] for i in selected):
-                    continue
-                key = tuple(idx[pos_of[i]] for i in remaining)
-                acc = out.get(key, f.field.zero) + c * val
-                if acc:
-                    out[key] = acc
-                else:
-                    out.pop(key, None)
+    if all(u[i] == 0 or (u[i] == 1 and i in pos_of) for i in range(d)):
+        # slot order, not position order, sets the column order
+        picked = [pos_of[i] for i in range(d) if u[i]]
+        for key, row in _contraction_rows(f, picked).items():
+            out[key] = sum((theta.coords[c] * x for c, x in row), f.field.zero)
     return GeneralTensor(f.n, len(remaining), out, field=f.field, factors=remaining)
 
 
@@ -273,7 +267,8 @@ def _require_full_tensor(f: GeneralTensor):
 
 
 def ann_piece(f: GeneralTensor, u) -> Subspace:
-    """Degree-u piece of the apolar ideal of a multilinear tensor."""
+    """Degree-u piece of the apolar ideal of a multilinear tensor: the kernel
+    of F's contraction map at u."""
     _require_full_tensor(f)
     ring = segre_ring(f.n, f.order)
     u = check_degree(ring, u)
@@ -281,26 +276,8 @@ def ann_piece(f: GeneralTensor, u) -> Subspace:
     tag = (ring, u)
     if any(ui > 1 for ui in u):
         return Subspace.full(dim, piece=tag, field=f.field)
-    selected = [i for i, ui in enumerate(u) if ui == 1]
-    remaining = [i for i, ui in enumerate(u) if ui == 0]
-    basis = monomials(ring, u)
-    selectors = []
-    for mono in basis:
-        selectors.append({i: next(j for j, e in enumerate(mono[i]) if e) for i in selected})
-    rows = []
-    for tail in itertools.product(range(f.n), repeat=len(remaining)):
-        row = []
-        for c, sel in enumerate(selectors):
-            idx = [0] * f.order
-            for i, j in sel.items():
-                idx[i] = j
-            for i, j in zip(remaining, tail):
-                idx[i] = j
-            x = f.entries.get(tuple(idx))
-            if x is not None:
-                row.append((c, x))
-        rows.append(row)
-    ker = kernel(Matrix.of_sparse(dim, rows, f.field))
+    rows = _contraction_rows(f, [i for i, ui in enumerate(u) if ui])
+    ker = kernel(Matrix.of_sparse(dim, list(rows.values()), f.field))
     return Subspace(dim, tuple(ker.sparse), tag, f.field)
 
 
@@ -334,31 +311,23 @@ def ann_sym_piece(p: HomPoly, k: int) -> Subspace:
 
 # -- flattenings ------------------------------------------------------------------
 
-def flattening(f: GeneralTensor, i: int, cols: dict) -> Matrix:
-    """F's flattening along factor i, as sparse rows: row j is the slice F_{i=j},
-    and the index on the other factors goes to column cols[index]."""
-    _require_full_tensor(f)
-    rows = [[] for _ in range(f.n)]
-    for idx, x in f.entries.items():
-        rows[idx[i]].append((cols[idx[:i] + idx[i + 1:]], x))
-    return Matrix.of_sparse(len(cols), rows, f.field)
-
-
 def slice_spans(f: GeneralTensor) -> list:
-    """R_i, the span of F's slices along factor i, for each factor i: column c
-    stands for the c-th index of the other d-1 factors in `product` order.
+    """R_i, the span of F's slices along factor i, for each factor i: the row
+    space of F's contraction map at 1 - e_i, whose column c stands for the c-th
+    index of the other d-1 factors in `product` order.
 
     Each distinct flattening is reduced once, told apart by its sorted sparse
     rows: all d of them agree when F is symmetric.  The rows are compared, not
     hashed, since hashing a Fraction costs more than comparing two."""
-    cols = {t: c for c, t in enumerate(itertools.product(range(f.n), repeat=f.order - 1))}
+    _require_full_tensor(f)
+    ncols = f.n ** (f.order - 1)
     reduced, spans = [], []  # reduced: (sorted rows, span) per distinct flattening
     for i in range(f.order):
-        m = flattening(f, i, cols)
-        rows = [sorted(row) for row in m.sparse]
+        slices = sorted(_contraction_rows(f, [k for k in range(f.order) if k != i]).items())
+        rows = [sorted(row) for _, row in slices]
         span = next((span for seen, span in reduced if seen == rows), None)
         if span is None:
-            span = Subspace.from_rows(len(cols), m)
+            span = Subspace.from_rows(ncols, Matrix.of_sparse(ncols, rows, f.field))
             reduced.append((rows, span))
         spans.append(span)
     return spans

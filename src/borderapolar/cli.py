@@ -151,11 +151,10 @@ def _ring_from_header(data: dict, path: str, kind=None) -> RingSpec:
     kind = kind or data.get("ring")
     if kind not in ("S", "V"):
         raise UsageError(f"{path}: ring must be 'S' or 'V', got {kind!r}")
-    make = segre_ring if kind == "S" else veronese_ring
     n = parse_int(data.get("n", 0), f"{path}:n")
-    d = parse_int(data.get("d", 1), f"{path}:d")
+    d = parse_int(data.get("d", 1), f"{path}:d")  # checked on both sides, read by S alone
     try:
-        return make(n, d)
+        return segre_ring(n, d) if kind == "S" else veronese_ring(n)
     except ValueError as exc:
         raise UsageError(f"{path}: {exc}") from exc
 

@@ -46,8 +46,8 @@ def segre_ring(n: int, d: int) -> RingSpec:
     return RingSpec(n, d, RingKind.SEGRE_COORD)
 
 
-def veronese_ring(n: int, d: int = 1) -> RingSpec:
-    return RingSpec(n, d, RingKind.VERONESE_COORD)
+def veronese_ring(n: int) -> RingSpec:
+    return RingSpec(n, 1, RingKind.VERONESE_COORD)
 
 
 # -- degree arithmetic --------------------------------------------------------
@@ -230,12 +230,6 @@ class PieceElement:
             )
 
     @classmethod
-    def zero(cls, ring: RingSpec, u, field=None):
-        u = check_degree(ring, u)
-        z = field.zero if field is not None else Fraction(0)
-        return cls(ring, u, (z,) * dim_piece(ring, u))
-
-    @classmethod
     def from_terms(cls, ring: RingSpec, u, terms: dict, field=None):
         u = check_degree(ring, u)
         coords = [Fraction(0) if field is None else field.zero] * dim_piece(ring, u)
@@ -258,15 +252,6 @@ class PieceElement:
         return PieceElement(
             self.ring, self.degree, tuple(a + b for a, b in zip(self.coords, other.coords))
         )
-
-    def __sub__(self, other: "PieceElement") -> "PieceElement":
-        self._check_same_piece(other)
-        return PieceElement(
-            self.ring, self.degree, tuple(a - b for a, b in zip(self.coords, other.coords))
-        )
-
-    def scale(self, c) -> "PieceElement":
-        return PieceElement(self.ring, self.degree, tuple(c * x for x in self.coords))
 
     def _check_same_piece(self, other: "PieceElement"):
         if self.ring != other.ring or self.degree != other.degree:

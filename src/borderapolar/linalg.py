@@ -40,7 +40,6 @@ class RationalField:
 
     zero = Fraction(0)
     one = Fraction(1)
-    is_rational = True
 
     def of(self, x):
         if isinstance(x, Fraction):
@@ -174,8 +173,6 @@ class Mod:
 
 class PrimeField:
     """Z/p for a configured prime p > 2^20 (verdicts over Z/p are probabilistic)."""
-
-    is_rational = False
 
     def __init__(self, p: int):
         if p <= 1 << 20:

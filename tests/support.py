@@ -15,7 +15,6 @@ from borderapolar.apolarity import (
     SymTensor,
     ann_piece,
     as_symmetric,
-    flattening,
     is_concise,
 )
 from borderapolar.grading import (
@@ -370,11 +369,70 @@ def min_generators_degree_one_reference(f) -> int:
                           f.field)
 
 
+def flattening(f: GeneralTensor, i: int, cols: dict) -> Matrix:
+    """F's flattening along factor i, as sparse rows: row j is the slice F_{i=j},
+    and the index on the other factors goes to column cols[index]."""
+    rows = [[] for _ in range(f.n)]
+    for idx, x in f.entries.items():
+        rows[idx[i]].append((cols[idx[:i] + idx[i + 1:]], x))
+    return Matrix.of_sparse(len(cols), rows, f.field)
+
+
 def slice_spans_reference(f) -> list:
     """R_i for each factor i by d separate reductions, one per flattening:
     column c stands for the c-th index of the other d-1 factors in `product` order."""
     cols = {t: c for c, t in enumerate(itertools.product(range(f.n), repeat=f.order - 1))}
     return [Subspace.from_rows(len(cols), flattening(f, i, cols)) for i in range(f.order)]
+
+
+def ann_piece_reference(f: GeneralTensor, u) -> Subspace:
+    """`apolarity.ann_piece` by a lookup of every index tuple: one row per index
+    on the factors off u, one column per monomial of S_u."""
+    ring = segre_ring(f.n, f.order)
+    u = check_degree(ring, u)
+    dim, tag = dim_piece(ring, u), (ring, u)
+    if any(ui > 1 for ui in u):
+        return Subspace.full(dim, piece=tag, field=f.field)
+    selected = [i for i, ui in enumerate(u) if ui == 1]
+    remaining = [i for i, ui in enumerate(u) if ui == 0]
+    selectors = [{i: mono[i].index(1) for i in selected} for mono in monomials(ring, u)]
+    rows = []
+    for tail in itertools.product(range(f.n), repeat=len(remaining)):
+        row = []
+        for c, sel in enumerate(selectors):
+            idx = [0] * f.order
+            for i, j in sel.items():
+                idx[i] = j
+            for i, j in zip(remaining, tail):
+                idx[i] = j
+            x = f.entries.get(tuple(idx))
+            if x is not None:
+                row.append((c, x))
+        rows.append(row)
+    ker = kernel(Matrix.of_sparse(dim, rows, f.field))
+    return Subspace(dim, tuple(ker.sparse), tag, f.field)
+
+
+def contract_tensor_reference(theta: PieceElement, f: GeneralTensor) -> GeneralTensor:
+    """`apolarity.contract_tensor` by a scan of F's entries for every nonzero
+    coordinate of theta, each naming one index per contracted factor."""
+    u, d = theta.degree, theta.ring.d
+    selected = [i for i in range(d) if u[i] >= 1]
+    remaining = tuple(i for i in f.factors if u[i] == 0)
+    pos_of = {i: k for k, i in enumerate(f.factors)}
+    out: dict = {}
+    if all(ui <= 1 for ui in u) and all(i in pos_of for i in selected):
+        basis = monomials(theta.ring, u)
+        for col, c in enumerate(theta.coords):
+            if not c:
+                continue
+            row_sel = {i: basis[col][i].index(1) for i in selected}
+            for idx, val in f.entries.items():
+                if any(idx[pos_of[i]] != row_sel[i] for i in selected):
+                    continue
+                key = tuple(idx[pos_of[i]] for i in remaining)
+                out[key] = out.get(key, f.field.zero) + c * val
+    return GeneralTensor(f.n, len(remaining), out, field=f.field, factors=remaining)
 
 
 def proper_degree_annihilator_ideal(f, bound: int):

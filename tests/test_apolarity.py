@@ -38,8 +38,9 @@ from borderapolar.grading import (
 from borderapolar.linalg import QQ, PrimeField
 from borderapolar.selftest import random_forms
 from borderapolar.transfer import tensor_digest
-from support import (depolarize_reference, diagonal_tensor, multiply, random_form,
-                     random_symmetric_tensor, sum_of_powers_tensor, symmetry_error_reference)
+from support import (ann_piece_reference, contract_tensor_reference, depolarize_reference,
+                     diagonal_tensor, multiply, random_form, random_symmetric_tensor,
+                     slice_spans_reference, sum_of_powers_tensor, symmetry_error_reference)
 
 
 class TestPolarize:
@@ -256,6 +257,76 @@ class TestContractTensor:
         via_steps = contract_tensor(theta1, contract_tensor(theta2, f))
         assert via_product.entries == via_steps.entries
         assert via_product.factors == via_steps.factors
+
+
+def _random_entries(n, d, rng, count=None):
+    """Nonzero entries at `count` random index tuples, or at all n^d of them."""
+    idx = list(itertools.product(range(n), repeat=d))
+    if count is not None:
+        idx = rng.sample(idx, min(count, len(idx)))
+    return {i: rng.choice((-3, -1, 1, 2, Fraction(1, 2))) for i in idx}
+
+
+def _random_element(ring, u, rng, field):
+    """An element of S_u with coordinates in -3..3, zeros included."""
+    return PieceElement(ring, u, tuple(field.of(rng.randint(-3, 3))
+                                       for _ in range(dim_piece(ring, u))))
+
+
+class _IterateOnly(dict):
+    """Entries that can be iterated but not looked up."""
+
+    def get(self, *args):
+        raise AssertionError("an entry was looked up")
+
+    def __getitem__(self, key):
+        raise AssertionError("an entry was looked up")
+
+
+class TestContractionMap:
+    """`ann_piece`, `slice_spans` and `contract_tensor` read F through one pass
+    over its entries; the references look each entry up by its index tuple."""
+
+    @staticmethod
+    def _tensors(rng, field):
+        """Dense, sparse, symmetric and zero tensors."""
+        out = []
+        for n, d in ((1, 3), (2, 3), (3, 3), (2, 4), (3, 4)):
+            out += [GeneralTensor(n, d, _random_entries(n, d, rng), field=field),
+                    GeneralTensor(n, d, _random_entries(n, d, rng, n), field=field),
+                    polarize(HomPoly(n, d, random_form(n, d, rng).terms, field=field)),
+                    GeneralTensor(n, d, {}, field=field)]
+        return out
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(2**31 - 1)], ids=["QQ", "GFp"])
+    def test_matches_the_index_lookups(self, field):
+        rng = random.Random(18)
+        for f in self._tensors(rng, field):
+            ring = segre_ring(f.n, f.order)
+            for u in itertools.product((0, 1), repeat=f.order):
+                got, want = ann_piece(f, u), ann_piece_reference(f, u)
+                assert got == want and got.piece == want.piece, (f, u)
+                theta = _random_element(ring, u, rng, field)
+                assert contract_tensor(theta, f) == contract_tensor_reference(theta, f), (f, u)
+        # F on slots (2, 0) of three: the columns follow slot order, not position order
+        part = GeneralTensor(3, 2, _random_entries(3, 2, rng), field=field, factors=(2, 0))
+        for u in itertools.product((0, 1), repeat=3):
+            theta = _random_element(segre_ring(3, 3), u, rng, field)
+            got = contract_tensor(theta, part)
+            assert got == contract_tensor_reference(theta, part), u
+            assert got.factors == tuple(i for i in (2, 0) if not u[i])
+
+    def test_entries_are_only_iterated(self):
+        rng = random.Random(19)
+        for f in self._tensors(rng, QQ):
+            g = GeneralTensor(f.n, f.order, {}, field=f.field)
+            g.entries = _IterateOnly(f.entries)
+            ring = segre_ring(f.n, f.order)
+            for u in itertools.product((0, 1), repeat=f.order):
+                assert ann_piece(g, u) == ann_piece_reference(f, u), (f, u)
+                theta = _random_element(ring, u, rng, QQ)
+                assert contract_tensor(theta, g) == contract_tensor_reference(theta, f), (f, u)
+            assert slice_spans(g) == slice_spans_reference(f), f
 
 
 class TestContractPoly:

@@ -268,6 +268,27 @@ class TestLemmaSuite:
         cert = verify_containment_lemma(f)
         assert "vacuous" in cert.witnesses[0]
 
+    @pytest.mark.parametrize("check, patched, fake, failure, witness", [
+        (verify_lemma_1_minus_ed, "ann_sym_piece",
+         lambda p, k: Subspace.zero(dim_piece(veronese_ring(p.n), k), field=p.field),
+         "the projected annihilator piece is not apolar to the form",
+         {"degree": (1, 1, 0), "dim_image": 3, "dim_target": 0, "contained": False,
+          "equal": False}),
+        (verify_gen_count_transfer, "min_generators_sym_in_degree", lambda p, k: 3,
+         "generator counts differ: 2 vs 3", {"tensor_side": 2, "form_side": 3, "ok": False}),
+        (verify_containment_lemma, "ann_sym_piece",
+         lambda p, k: Subspace.zero(dim_piece(veronese_ring(p.n), k), field=p.field),
+         "the projected piece escapes the form's annihilator",
+         {"degree": (2, 1, 0), "dim_image": 7, "dim_target": 0, "ok": False, "vacuous": False}),
+    ], ids=["lemma_1_minus_ed", "gen_count_transfer", "containment_lemma"])
+    def test_each_check_can_fail(self, monkeypatch, check, patched, fake, failure, witness):
+        """Each identity holds for every concise symmetric F, so its failing
+        verdict is driven by a wrong form side: an empty Ann(p_F) piece, or a
+        generator count off by one."""
+        monkeypatch.setattr(bounds, patched, fake)
+        cert = check(diagonal_tensor(3, 3))
+        assert (cert.verdict, cert.failure, cert.witnesses[-1]) == (False, failure, witness)
+
     def test_intermediate_claims_n2_d4(self):
         """The stepwise containments behind the proper-ideal lemma, s = 1..d-2."""
         n, d = 2, 4

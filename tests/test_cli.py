@@ -8,7 +8,9 @@ from pathlib import Path
 import pytest
 
 from borderapolar import cli
-from borderapolar.apolarity import GeneralTensor, SymTensor
+from borderapolar.apolarity import GeneralTensor, HomPoly, SymTensor, ann_sym_piece
+from borderapolar.grading import veronese_ring
+from borderapolar.ideals import PointSet, point_ideal
 from borderapolar.linalg import QQ
 from borderapolar.selftest import SCALES, SUITES, run_selftest, suite_pi_kernel_direct_sum
 import borderapolar.diagonal_maps as dmaps
@@ -153,6 +155,7 @@ BAD_IDEALS = {
     "n-not-integer": dict(PRINCIPAL_V, n="two"),
     "bound-not-integer": dict(PRINCIPAL_V, bound=3.5),
     "n-zero": dict(PRINCIPAL_V, n=0),
+    "d-not-integer": dict(PRINCIPAL_V, d="three"),
     "monomial-not-a-list": dict(PRINCIPAL_V, generators=[
         {"degree": 2, "terms": [{"monomial": 5, "coeff": "1"}]}]),
     "monomial-rows-not-lists": dict(LINEAR_S, generators=[
@@ -661,6 +664,16 @@ class TestSerializationRoundTrips:
         payload = cli.dump_ideal(ideal)
         reloaded = cli.load_ideal_file(write(tmp_path, "i2.json", payload), QQ, None)
         assert cli.dump_ideal(reloaded) == payload
+
+    @pytest.mark.parametrize("d", [3, 0])
+    def test_veronese_file_loads_in_the_veronese_ring(self, tmp_path, d):
+        """A V file's `d` is parsed but read by nothing: its pieces are tagged
+        with veronese_ring(n), like every V-side piece the library makes."""
+        z = PointSet(veronese_ring(2), ((1, 0), (0, 1)))
+        payload = dict(cli.dump_ideal(point_ideal(z, 3)), d=d)
+        ideal = cli.load_ideal_file(write(tmp_path, "i.json", payload), QQ, None)
+        assert ideal.ring == veronese_ring(2)
+        assert ann_sym_piece(HomPoly(2, 3, {(3, 0): 1, (0, 3): 1}), 2).contains(ideal.piece(2))
 
     def test_certificate_round_trip(self, tmp_path, capsys):
         tf = write(tmp_path, "t.json", FERMAT)

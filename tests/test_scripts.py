@@ -78,3 +78,16 @@ def test_only_ideals_knows_how_an_ideal_is_held():
              if path.stem != "ideals"
              for name in sorted(_used_names(path) & held)]
     assert leaks == []
+
+
+def test_only_apolarity_reads_a_tensors_entries():
+    """A multilinear F is read through `apolarity`'s contraction map: no other
+    package module reads `.entries`, except `transfer.tensor_digest`, which
+    hashes them."""
+    readers = [f"{path.stem}.{getattr(top, 'name', '')}"
+               for path in sorted((ROOT / "src" / "borderapolar").glob("*.py"))
+               if path.stem != "apolarity"
+               for top in ast.parse(path.read_text(encoding="utf-8")).body
+               if any(isinstance(node, ast.Attribute) and node.attr == "entries"
+                      for node in ast.walk(top))]
+    assert readers == ["transfer.tensor_digest"]

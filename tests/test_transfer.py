@@ -532,19 +532,36 @@ class TestComonCertificate:
             else:
                 checker(j, f)
 
-    @pytest.mark.parametrize("stage", ["conciseness", "saturation", "pi-image-equality"])
-    def test_each_stage_can_fail(self, stage):
+    @pytest.mark.parametrize("stage", ["conciseness", "saturation", "pi-image-equality",
+                                       "pi-containment", "rho"])
+    def test_each_stage_can_fail(self, monkeypatch, stage):
         """A stored copy of the two-point ideal, with one piece replaced by the
-        span of the first monomial, stops at the named stage; F = x^3 is not
-        concise."""
+        span of the given monomials, stops at the named stage; F = x^3 is not
+        concise.  Once pi-containment passes, rho(J) passes the Veronese-side
+        checks, so that stage is driven by the ideal of two other points."""
         z = PointSet(V2, ((1, 0), (0, 1)))
         j = upsilon(point_ideal(z, 5), 3, 5)
         pieces = dict(j.pieces)
-        replaced = {"saturation": (2, 0, 0), "pi-image-equality": (0, 2, 0)}.get(stage)
+        replaced = {"saturation": ((2, 0, 0), [(1, 0, 0)]),
+                    "pi-image-equality": ((0, 2, 0), [(1, 0, 0)]),
+                    "pi-containment": ((3, 0, 0), [(1, 0, 0, 0), (0, 0, 0, 1)])}.get(stage)
         if replaced is not None:
-            pieces[replaced] = Subspace.from_rows(3, [(1, 0, 0)])
+            u, rows = replaced
+            pieces[u] = Subspace.from_rows(len(rows[0]), rows)
         j = TruncatedIdeal(j.ring, j.bound, pieces, j.provenance, j.field)
-        if stage == "pi-image-equality":
+        if stage == "rho":
+            others = point_ideal(PointSet(V2, ((1, 1), (1, -1))), 5)
+            monkeypatch.setattr(transfer, "rho_ideal", lambda j: others)
+            cert = comon_certificate(diagonal_tensor(2, 3), 2, j)
+            failure = "the restricted ideal fails the Veronese-side checks"
+            assert cert.witnesses[-2] == {"stage": "rho-apolarity", "degree": 3, "dim": 2,
+                                          "dim_ann": 3, "ok": False}
+            last = {"stage": "rho-hilbert-function", "ok": True}
+        elif stage == "pi-containment":
+            cert = comon_certificate(diagonal_tensor(2, 3), 2, j)
+            failure = "pi(J_(3, 0, 0)) is not inside pi(J_(1, 1, 1))"
+            last = {"stage": stage, "dim_lhs": 2, "dim_rhs": 2, "ok": False}
+        elif stage == "pi-image-equality":
             cert = check_condition_ii(j, diagonal_tensor(2, 3))
             failure = "pi-images differ within total degree 2"
             last = {"stage": stage, "total_degree": 2, "dims": (1,) * 6, "ok": False}

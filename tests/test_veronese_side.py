@@ -306,6 +306,28 @@ def test_verdict_only_certificate_writes_no_entries(monkeypatch):
     assert written == [f] and digested == [f]
 
 
+@pytest.mark.parametrize("n, d", [(2, 3), (3, 3), (3, 4)])
+def test_apolarity_stage_tests_each_distinct_pair_once(monkeypatch, n, d):
+    """On a kept ideal pi(J_u) is W_|u| for every 0/1 degree u, so a verdict-only
+    certificate makes one containment test per total degree k <= d in the
+    apolarity stage, inside Ann(p_F)_k, then one for pi-containment and one for
+    rho.  The stored copy, with one pi-image per degree, gives the same
+    witnesses from one test per 0/1 degree."""
+    calls = []
+    real = Subspace.contains
+    monkeypatch.setattr(Subspace, "contains",
+                        lambda a, b: calls.append(a.ambient_dim) or real(a, b))
+    z = very_general_points(veronese_ring(n), n, d + 1, random.Random(7))
+    f = sum_of_powers_tensor(n, d, z.points)
+    kept = upsilon(point_ideal(z, d + 1), d, d + 1)
+    cert = comon_certificate(f, n, kept)
+    dims = [dim_piece(veronese_ring(n), k) for k in range(d + 1)]
+    assert cert.verdict and calls == dims + [dims[d], dims[d]]
+    calls.clear()
+    assert comon_certificate(f, n, stored(kept)).witnesses == cert.witnesses
+    assert len(calls) == 2 ** d + 2
+
+
 def test_pipeline_builds_no_segre_piece(monkeypatch):
     """upsilon -> comon_certificate reads W alone: the lazy builder never runs
     unless the digest or a piece is read."""
@@ -370,11 +392,11 @@ class TestEliminationCount:
         """No flattening is built and F is not digested until `inputs_digest`
         is read."""
         def unreachable(*args):
-            raise AssertionError("a flattening was built")
+            raise AssertionError("F's contraction map was built")
 
         digested = []
         real = transfer.tensor_digest
-        monkeypatch.setattr(apolarity, "flattening", unreachable)
+        monkeypatch.setattr(apolarity, "_contraction_rows", unreachable)
         monkeypatch.setattr(transfer, "tensor_digest", lambda f: digested.append(f) or real(f))
         z = very_general_points(veronese_ring(n), r, d + 1, random.Random(7))
         f = sum_of_powers_tensor(n, d, z.points)
