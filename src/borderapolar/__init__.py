@@ -67,13 +67,28 @@ from .transfer import (
     sigma,
     upsilon,
 )
-from .bounds import (
-    MacaulayRep,
-    is_111_sharp,
-    is_sharp,
-    macaulay_bound,
-    macaulay_rep,
-    verify_containment_lemma,
-    verify_gen_count_transfer,
-    verify_lemma_1_minus_ed,
-)
+
+
+def _bounds_exports() -> dict:
+    """The names the package exports from `bounds`, by name."""
+    from .bounds import (
+        MacaulayRep,
+        is_111_sharp,
+        is_sharp,
+        macaulay_bound,
+        macaulay_rep,
+        verify_containment_lemma,
+        verify_gen_count_transfer,
+        verify_lemma_1_minus_ed,
+    )
+
+    return locals()
+
+
+def __getattr__(name):
+    """An export of `bounds`, imported on first access (PEP 562): importing the
+    package, as every CLI command does, compiles no sharpness check."""
+    try:
+        return _bounds_exports()[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None

@@ -9,12 +9,16 @@ compare equal.  Both fields run one fraction-free Gauss-Jordan loop on dense
 integer rows built from the nonzeros.  The field supplies the rest: how a row
 becomes integers (primitive integers over Q, residues over GF(p)), how a row is
 kept small after each update (divided by its content over Q, reduced mod p over
-GF(p)) and how a finished row becomes field elements.  Those are made once, at
-the end, one per nonzero entry.  So the rows handed to elimination (a Matrix,
-and through it `kernel` and `Subspace.from_rows`) may hold plain ints in place
-of field elements, each standing for its image in the field: producers that
-know a row only up to a scalar, such as an evaluation at a point or a row
-pushed through an index map, pass integers and make no field element at all.
+GF(p)) and how an integer row divided by one of its entries becomes field
+elements.  Elimination hands back the integer rows and their pivots, and each
+consumer makes the field elements it keeps: `rref` and `kernel` one per
+nonzero entry of the reduced rows, with no second pass to negate them, and
+`rank` none.  As elimination reads only integers, the rows handed to it (a
+Matrix, and through it `kernel` and `Subspace.from_rows`) may hold plain ints
+in place of field elements, each standing for its image in the field:
+producers that know a row only up to a scalar, such as an evaluation at a
+point or a row pushed through an index map, pass integers and make no field
+element at all.
 
 A kernel costs one elimination and an annihilator none.  Both come from a
 basis whose pivot columns are clean: the annihilator of such a basis has one
@@ -22,7 +26,8 @@ row e_c - sum_i row_i[c] e_{p_i} per non-pivot column c.  A Subspace applies
 this to its stored RREF basis (the rows span the annihilator but are not in
 RREF).  `kernel` applies it to the RREF of m with its columns reversed, where
 each pivot is the last nonzero column of its row, and there the rows come out
-already in RREF.
+already in RREF; it divides each integer row by minus its pivot entry, so the
+entries of the annihilator are made directly.
 """
 
 from __future__ import annotations
@@ -68,7 +73,7 @@ class RationalField:
         return [v // g for v in ints] if g > 1 else ints
 
     def from_ints(self, ints, pivot) -> tuple:
-        """The integer row divided by its pivot entry, as a sparse row."""
+        """The integer row divided by `pivot`, as a sparse row."""
         return tuple([(c, Fraction(v, pivot)) for c, v in enumerate(ints) if v])
 
     def __repr__(self):
@@ -214,7 +219,7 @@ class PrimeField:
         return [v % p for v in ints]
 
     def from_ints(self, ints, pivot) -> tuple:
-        """The row of residues times the inverse of its pivot entry, as a sparse row."""
+        """The row of residues times the inverse of `pivot`, as a sparse row."""
         p = self.p
         inv = pow(pivot, -1, p)
         return tuple([(c, Mod(v * inv, p)) for c, v in enumerate(ints) if v])
@@ -248,7 +253,7 @@ class Matrix:
 
     Each row of `sparse` is a sequence of (column, value) pairs with distinct
     columns.  A value is a field element or a plain int, which stands for its
-    image in the field; elimination reads both and returns field elements.
+    image in the field; elimination reads both.
     The constructor takes dense rows and `rows` gives them back.
     """
 
@@ -299,10 +304,16 @@ def _eliminate(row, pivot_row, c, normalize) -> list:
 
 
 def rref_with_pivots(m: Matrix):
+    """The reduced rows of m as integers, and their pivot columns.
+
+    Row i is a dense integer row (primitive over Q, residues over GF(p)) that
+    is zero in every pivot column but pivots[i]; divided by its entry there it
+    is row i of the RREF.  No field element is made: each caller makes the
+    ones it keeps.
+    """
     # Gauss-Jordan on dense integer rows that the field keeps small after
     # every update: primitive over Q, so entries never outgrow the line they
-    # span, and reduced mod p over GF(p).  The only field elements made are
-    # the nonzero entries of the result.
+    # span, and reduced mod p over GF(p).
     field = m.field
     normalize = field.normalize
     rows = [field.to_ints(row, m.ncols) for row in m.sparse]
@@ -328,18 +339,25 @@ def rref_with_pivots(m: Matrix):
         for k in range(i):
             if rows[k][c]:
                 rows[k] = _eliminate(rows[k], pivot_row, c, normalize)
-    out = [field.from_ints(row, row[c]) for row, c in zip(rows, pivots)]
-    return Matrix.of_sparse(m.ncols, out, field), pivots
+    return rows, pivots
+
+
+def _reduced(m: Matrix):
+    """The RREF of m as sparse field rows, one element per nonzero, and its pivots."""
+    rows, pivots = rref_with_pivots(m)
+    from_ints = m.field.from_ints
+    return [from_ints(row, row[c]) for row, c in zip(rows, pivots)], pivots
 
 
 def rref(m: Matrix) -> Matrix:
     """Unique reduced row echelon form, zero rows dropped."""
-    return rref_with_pivots(m)[0]
+    return Matrix.of_sparse(m.ncols, _reduced(m)[0], m.field)
 
 
 def rank(m: Matrix) -> int:
     """Rank of m from one elimination of its shorter side: a tall m is
-    transposed first, as rank m^T = rank m over any field."""
+    transposed first, as rank m^T = rank m over any field.  No field element
+    is made."""
     if m.nrows > m.ncols:
         cols = [[] for _ in range(m.ncols)]
         for r, row in enumerate(m.sparse):
@@ -354,44 +372,45 @@ def _rref_permuted(rows, pos, field):
 
     Returns (reduced sparse rows, pivots), both in the moved coordinates.
     """
-    m = Matrix.of_sparse(len(pos), [[(pos[c], x) for c, x in row] for row in rows], field)
-    red, pivots = rref_with_pivots(m)
-    return red.sparse, pivots
+    return _reduced(Matrix.of_sparse(len(pos), [[(pos[c], x) for c, x in row] for row in rows],
+                                     field))
 
 
-def _annihilator(ncols: int, rows, field) -> list:
-    """The right kernel of sparse rows whose pivot comes first and is clean.
+def _annihilator(ncols: int, negated, field) -> list:
+    """The right kernel of a basis whose pivots are clean, from `negated`:
+    for each basis row, its pivot column p_i and the (column, -entry) pairs of
+    its other entries, the row scaled to a 1 at p_i.
 
-    Each row has a 1 at its first column p_i and no other row has an entry
-    there.  For each non-pivot column c the kernel gets the row
-    e_c - sum_i rows[i][c] e_{p_i}; these rows are a basis of the kernel, in
-    ascending c, and with the rows in ascending pivot order their entries
-    ascend too.
+    No other row has an entry at p_i.  For each non-pivot column c the kernel
+    gets the row e_c - sum_i row_i[c] e_{p_i}, led by (c, 1) and then its
+    pivot entries in the order of `negated`; these rows are a basis of the
+    kernel, in ascending c.
     """
     ann = [[] for _ in range(ncols)]
-    for row in rows:
-        p = row[0][0]
+    for p, row in negated:
         ann[p] = None
-        for c, a in row[1:]:
-            ann[c].append((p, -a))
+        for c, a in row:
+            ann[c].append((p, a))
     one = field.one
-    return [tuple(a) + ((c, one),) for c, a in enumerate(ann) if a is not None]
+    return [((c, one),) + tuple(a) for c, a in enumerate(ann) if a is not None]
 
 
 def kernel(m: Matrix) -> Matrix:
     """RREF basis of the right kernel {v : m v = 0}, from one elimination.
 
-    m is row-reduced with its columns reversed, where each pivot is the last
-    nonzero column of its row in the original order.  Read off that RREF and
-    turned back, the kernel row of a non-pivot column c starts at c and has
-    its other entries at pivots q > c, so the rows, in ascending c, are
-    already the reduced row echelon form.
+    m is row-reduced with its columns reversed, so that, turned back, each
+    reduced row ends at its pivot q.  The kernel row of a non-pivot column c
+    then starts at c and has its other entries at pivots q > c, so with the
+    reduced rows taken in ascending q the kernel rows, in ascending c, are
+    already the reduced row echelon form.  Each integer row is divided by
+    minus its pivot entry, so every kernel entry is made once.
     """
-    n = m.ncols
-    red, _ = _rref_permuted(m.sparse, range(n - 1, -1, -1), m.field)
-    rows = [tuple((n - 1 - c, x) for c, x in reversed(row))
-            for row in reversed(_annihilator(n, red, m.field))]
-    return Matrix.of_sparse(n, rows, m.field)
+    n, field = m.ncols, m.field
+    rev = Matrix.of_sparse(n, [[(n - 1 - c, x) for c, x in row] for row in m.sparse], field)
+    ints, pivots = rref_with_pivots(rev)
+    negated = [(n - 1 - p, field.from_ints(row[::-1], -row[p])[:-1])
+               for row, p in zip(reversed(ints), reversed(pivots))]
+    return Matrix.of_sparse(n, _annihilator(n, negated, field), field)
 
 
 # -- subspaces ------------------------------------------------------------------
@@ -472,10 +491,12 @@ class Subspace:
         """Rows spanning the linear functionals that vanish on this subspace.
 
         Read off the RREF basis with no elimination: for each non-pivot column
-        f, the row e_f - sum_i basis[i][f] e_{p_i}.  There are codim rows and
-        they span the annihilator, but they are not in RREF.
+        f, the row e_f - sum_i basis[i][f] e_{p_i}, led by its entry at f.
+        There are codim rows and they span the annihilator, but they are not
+        in RREF.
         """
-        rows = _annihilator(self.ambient_dim, self.sparse, self.field)
+        negated = [(row[0][0], [(c, -a) for c, a in row[1:]]) for row in self.sparse]
+        rows = _annihilator(self.ambient_dim, negated, self.field)
         return Matrix.of_sparse(self.ambient_dim, rows, self.field)
 
     def intersect(self, other: "Subspace") -> "Subspace":

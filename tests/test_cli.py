@@ -2,7 +2,10 @@
 
 import argparse
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -566,6 +569,12 @@ class TestDenominatorDivisibleByModulus:
 
 
 class TestSelftest:
+    def test_scale_choices_are_the_selftest_scales(self):
+        commands = next(a for a in cli.build_parser()._actions
+                        if isinstance(a, argparse._SubParsersAction))
+        scale = next(a for a in commands.choices["selftest"]._actions if a.dest == "scale")
+        assert list(scale.choices) == sorted(SCALES)
+
     def test_desk_scale_passes(self, capsys):
         code, out = run(["selftest", "--scale", "desk"], capsys)
         assert code == 0
@@ -681,3 +690,91 @@ class TestSerializationRoundTrips:
         _, out = run(["check", tf, "2", "--points", pf, "--format", "json"], capsys)
         data = json.loads(out)
         assert json.loads(json.dumps(data)) == data
+
+
+# The text report of `check FERMAT 2 --points POINTS2 --sharp-check`, pinned:
+# loading `bounds` only when `--sharp-check` asks for it changes no byte.
+FERMAT_SHARP_REPORT = """\
+check:      comon-transfer
+inputs:     5a443dd6bdcb7992
+verdict:    pass
+membership: Slip-certified (upsilon-of-point)
+tested up to total degree 4
+  - stage=conciseness, flattening_ranks=(2, 2, 2), ok=True
+  - stage=flattening-lower-bound, bound=2, r=2, ok=True
+  - stage=hilbert-function, ok=True
+  - degree=(0, 0, 0), dim_ideal=0, dim_ann=0, ok=True
+  - degree=(1, 0, 0), dim_ideal=0, dim_ann=0, ok=True
+  - degree=(0, 1, 0), dim_ideal=0, dim_ann=0, ok=True
+  - degree=(0, 0, 1), dim_ideal=0, dim_ann=0, ok=True
+  - degree=(1, 1, 0), dim_ideal=2, dim_ann=2, ok=True
+  - degree=(1, 0, 1), dim_ideal=2, dim_ann=2, ok=True
+  - degree=(0, 1, 1), dim_ideal=2, dim_ann=2, ok=True
+  - degree=(1, 1, 1), dim_ideal=6, dim_ann=7, ok=True
+  - stage=saturation, tested_degrees=4, ok=True
+  - stage=pi-containment, dim_lhs=2, dim_rhs=2, ok=True
+  - stage=rho-apolarity, degree=3, dim=2, dim_ann=3, ok=True
+  - stage=rho-hilbert-function, ok=True
+
+check:      sharp
+inputs:     e9a2ee95dbd71c01
+verdict:    pass
+  - stage=degree-one-generators, count=1, want=1, ok=True
+  - stage=unit-box-hilbert, ok=True
+  - stage=two-factor-growth, ok=True
+
+check:      111-sharp
+inputs:     e9a2ee95dbd71c01
+verdict:    pass
+  - stage=degree-111-generators, count=1, want=1, ok=True
+"""
+
+# Runs `main(argv)` after `import borderapolar.cli`, then reports on stderr
+# which of `bounds` and `selftest` the run compiled.
+STARTUP_PROBE = """\
+import sys
+import borderapolar.cli
+code = borderapolar.cli.main(sys.argv[1:])
+print([m for m in ("borderapolar.bounds", "borderapolar.selftest") if m in sys.modules],
+      file=sys.stderr)
+sys.exit(code)
+"""
+
+
+class TestStartup:
+    """`check` compiles neither `bounds` nor `selftest`; the package's `bounds`
+    exports resolve on first access."""
+
+    @staticmethod
+    def probe(tmp_path, *flags):
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+                   PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        argv = ["check", write(tmp_path, "t.json", FERMAT), "2",
+                "--points", write(tmp_path, "p.json", POINTS2), *flags]
+        proc = subprocess.run([sys.executable, "-c", STARTUP_PROBE, *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        return proc.returncode, proc.stdout, proc.stderr.strip().splitlines()[-1]
+
+    def test_check_loads_neither(self, tmp_path):
+        code, out, loaded = self.probe(tmp_path)
+        assert code == 0
+        assert out == FERMAT_SHARP_REPORT.split("\n\n")[0] + "\n"
+        assert loaded == "[]"
+
+    def test_sharp_check_loads_bounds_and_prints_the_same_bytes(self, tmp_path):
+        code, out, loaded = self.probe(tmp_path, "--sharp-check")
+        assert code == 0
+        assert out == FERMAT_SHARP_REPORT
+        assert loaded == "['borderapolar.bounds']"
+
+    def test_bounds_exports_resolve_to_the_same_objects(self):
+        import borderapolar
+        from borderapolar import bounds
+
+        names = ["MacaulayRep", "is_111_sharp", "is_sharp", "macaulay_bound", "macaulay_rep",
+                 "verify_containment_lemma", "verify_gen_count_transfer",
+                 "verify_lemma_1_minus_ed"]
+        for name in names:
+            assert getattr(borderapolar, name) is getattr(bounds, name)
+        with pytest.raises(AttributeError, match="no_such_name"):
+            borderapolar.no_such_name

@@ -66,7 +66,7 @@ def shaped_matrix_strategy():
 
 def kernel_reference(m: Matrix) -> Matrix:
     """The former kernel: forward RREF, fill the free columns, RREF again."""
-    red, pivots = rref_with_pivots(m)
+    red, pivots = rref(m), rref_with_pivots(m)[1]
     field = m.field
     pivot_set = set(pivots)
     vecs = []
@@ -174,7 +174,7 @@ def assert_matches_reference(m: Matrix, field=QQ):
     Gauss-Jordan over GF(p)."""
     m = Matrix(m.rows, ncols=m.ncols, field=field)
     before = repr(m.rows)
-    red, pivots = rref_with_pivots(m)
+    red, pivots = rref(m), rref_with_pivots(m)[1]
     ref_rows, ref_pivots = rref_reference(m) if field is QQ else rref_gf_reference(m)
     assert pivots == ref_pivots
     # repr also tells Fraction from int, checks lowest terms and reduced residues
@@ -251,8 +251,10 @@ class TestRref:
                 [(0, 2 * 2147483647), (3, 7)]]
         for field in REF_FIELDS:
             as_field = [[(c, field.of(x)) for c, x in row] for row in rows]
-            want, want_pivots = rref_with_pivots(Matrix.of_sparse(4, as_field, field))
-            got, pivots = rref_with_pivots(Matrix.of_sparse(4, rows, field))
+            want = Matrix.of_sparse(4, as_field, field)
+            got = Matrix.of_sparse(4, rows, field)
+            want, want_pivots = rref(want), rref_with_pivots(want)[1]
+            got, pivots = rref(got), rref_with_pivots(got)[1]
             assert repr(got.sparse) == repr(want.sparse) and pivots == want_pivots
 
     def test_hilbert_matrix(self):
@@ -299,8 +301,11 @@ class TestKernel:
     def test_matches_two_elimination_reference(self, field, rows):
         m = Matrix(rows, field=field)
         ker = kernel(m)
+        ref = kernel_reference(m)
         assert ker.ncols == m.ncols
-        assert ker.rows == kernel_reference(m).rows
+        assert ker.rows == ref.rows
+        # the sparse rows are canonical too: ascending columns, pivot first
+        assert repr(ker.sparse) == repr(ref.sparse)
         assert_rref(ker.rows)
 
     @pytest.mark.parametrize("field", FIELDS, ids=repr)
@@ -509,3 +514,64 @@ class TestPrimeField:
         b = Subspace.from_rows(3, [[1, 2, 3], [0, 1, 0]], field=gf)
         assert b.contains(a)
         assert a.sum(b) == b
+
+
+class TestFieldElementsMade:
+    """Elimination hands back integer rows: `rank` makes no field element and
+    `kernel` turns each reduced row into field elements once."""
+
+    @staticmethod
+    def matrices(field, seed):
+        rng = random.Random(seed)
+        ms = []
+        for _ in range(40):
+            nrows, ncols = rng.randint(0, 9), rng.randint(0, 9)
+            ms.append(Matrix([[rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(ncols)]
+                              for _ in range(nrows)], ncols=ncols, field=field))
+        return ms
+
+    @pytest.mark.parametrize("field", FIELDS, ids=repr)
+    def test_elimination_returns_integer_rows(self, field):
+        """Each row is primitive over Q (residues over GF(p)), zero at every
+        other pivot, and divided by its pivot entry it is the RREF row."""
+        for m in self.matrices(field, 29):
+            rows, pivots = rref_with_pivots(m)
+            assert len(rows) == len(pivots)
+            for row, p in zip(rows, pivots):
+                assert len(row) == m.ncols and all(type(v) is int for v in row)
+                assert [c for c in pivots if row[c]] == [p]
+                if field is QQ:
+                    assert gcd(*row) == 1
+                else:
+                    assert all(0 <= v < field.p for v in row)
+            assert repr([field.from_ints(row, row[p]) for row, p in zip(rows, pivots)]) \
+                == repr(list(rref(m).sparse))
+
+    @pytest.mark.parametrize("field", FIELDS, ids=repr)
+    def test_rank_makes_no_field_element(self, field, monkeypatch):
+        ms = self.matrices(field, 19)
+        want = [rref(m).nrows for m in ms]
+
+        def refuse(self, ints, pivot):
+            raise AssertionError("rank made a field element")
+
+        monkeypatch.setattr(type(field), "from_ints", refuse)
+        assert [rank(m) for m in ms] == want
+
+    @pytest.mark.parametrize("field", FIELDS, ids=repr)
+    def test_kernel_converts_each_pivot_row_once(self, field, monkeypatch):
+        real = type(field).from_ints
+        calls = []
+
+        def counted(self, ints, pivot):
+            calls.append(pivot)
+            return real(self, ints, pivot)
+
+        for m in self.matrices(field, 23):
+            want, r = kernel_reference(m).rows, rank(m)
+            calls.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(type(field), "from_ints", counted)
+                got = kernel(m)
+            assert len(calls) == r
+            assert got.rows == want
