@@ -11,7 +11,9 @@ on every tensor.  A multilinear F is read through one contraction map: at a 0/1
 degree u, each entry lands in the row named by its indices off u and the column
 of its indices on u, in one pass over the entries.  `ann_piece` is its kernel,
 `slice_spans` its row spans at the degrees 1 - e_i, and `contract_tensor`
-applies an element of S_u to it.
+applies an element of S_u to it.  A form's catalecticant is read off the
+two-factor pi-fibre table, which is monomial multiplication: `ann_sym_piece` is
+its kernel and `contract_poly` pairs an element of V_k with its rows.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .grading import (
     segre_ring,
     veronese_ring,
 )
+from .diagonal_maps import pi_fibres
 from .linalg import QQ, Matrix, Subspace, kernel
 
 
@@ -230,7 +233,8 @@ def contract_tensor(theta: PieceElement, f: GeneralTensor) -> GeneralTensor:
 
 
 def contract_poly(g: PieceElement, p: HomPoly) -> HomPoly:
-    """Apply a Veronese-side element to a form by iterated differentiation."""
+    """Apply a Veronese-side element to a form by iterated differentiation:
+    g paired with each catalecticant row, divided by the row's mu!."""
     if g.ring.kind is not RingKind.VERONESE_COORD:
         raise ValueError(f"expected an element of the Veronese coordinate ring, got {g.ring}")
     if g.ring.n != p.n:
@@ -238,24 +242,11 @@ def contract_poly(g: PieceElement, p: HomPoly) -> HomPoly:
     k = g.degree
     if k > p.d:
         return HomPoly(p.n, max(p.d - k, 0), {}, field=p.field)
-    basis = monomials(g.ring, k)
     out: dict = {}
-    for col, b in enumerate(g.coords):
-        if not b:
-            continue
-        delta = basis[col]
-        for gamma, a in p.terms.items():
-            if any(dj > gj for dj, gj in zip(delta, gamma)):
-                continue
-            fall = 1
-            for dj, gj in zip(delta, gamma):
-                fall *= math.factorial(gj) // math.factorial(gj - dj)
-            mu = tuple(gj - dj for gj, dj in zip(gamma, delta))
-            acc = out.get(mu, p.field.zero) + a * b * fall
-            if acc:
-                out[mu] = acc
-            else:
-                out.pop(mu, None)
+    for mu, row in zip(monomials(g.ring, p.d - k), _catalecticant_rows(p, k)):
+        x = sum((g.coords[c] * y for c, y in row), p.field.zero)
+        if x:
+            out[mu] = x / _gamma_factorial(mu)
     return HomPoly(p.n, p.d - k, out, field=p.field)
 
 
@@ -281,8 +272,23 @@ def ann_piece(f: GeneralTensor, u) -> Subspace:
     return Subspace(dim, tuple(ker.sparse), tag, f.field)
 
 
+def _catalecticant_rows(p: HomPoly, k: int) -> list:
+    """p's catalecticant V_k -> V_{d-k} as sparse rows, one per mu of V_{d-k} in
+    order, empty ones kept, with row mu scaled by mu!: the entry at delta is
+    a_gamma * gamma!, gamma = mu + delta, read off the two-factor pi-fibre table,
+    which is the multiplication V_{d-k} x V_k -> V_d."""
+    ring = veronese_ring(p.n)
+    zero = p.field.zero
+    weights = [p.terms.get(m, zero) * _gamma_factorial(m) for m in monomials(ring, p.d)]
+    width = dim_piece(ring, k)
+    f = pi_fibres(p.n, 2, (p.d - k, k)).f
+    return [[(c, x) for c, x in enumerate(map(weights.__getitem__, f[r:r + width])) if x]
+            for r in range(0, len(f), width)]
+
+
 def ann_sym_piece(p: HomPoly, k: int) -> Subspace:
-    """Degree-k piece of the apolar ideal of a form: the catalecticant kernel."""
+    """Degree-k piece of the apolar ideal of a form: the catalecticant kernel,
+    which the rows' mu! scales leave alone."""
     ring = veronese_ring(p.n)
     k = int(k)
     if k < 0:
@@ -291,21 +297,7 @@ def ann_sym_piece(p: HomPoly, k: int) -> Subspace:
     tag = (ring, k)
     if k > p.d:
         return Subspace.full(dim, piece=tag, field=p.field)
-    cod = monomials(ring, p.d - k)
-    dom = monomials(ring, k)
-    rows = []
-    for mu in cod:
-        row = []
-        for c, delta in enumerate(dom):
-            gamma = tuple(m + dl for m, dl in zip(mu, delta))
-            a = p.terms.get(gamma)
-            if a is not None:
-                fall = 1
-                for gj, dj in zip(gamma, delta):
-                    fall *= math.factorial(gj) // math.factorial(gj - dj)
-                row.append((c, a * fall))
-        rows.append(row)
-    ker = kernel(Matrix.of_sparse(dim, rows, p.field))
+    ker = kernel(Matrix.of_sparse(dim, _catalecticant_rows(p, k), p.field))
     return Subspace(dim, tuple(ker.sparse), tag, p.field)
 
 

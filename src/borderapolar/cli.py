@@ -345,7 +345,10 @@ def _ideal_from_args(args, field) -> TruncatedIdeal:
                 "--diagonal builds the diagonal ideal over Q; it does not take --modulus")
         n, d = args.diagonal
         bound = args.degree_bound if args.degree_bound is not None else d + 1
-        return diagonal_ideal(int(n), int(d), bound)
+        try:
+            return diagonal_ideal(int(n), int(d), bound)
+        except ValueError as exc:  # n or d below 1
+            raise UsageError(str(exc)) from exc
     if not args.ideal:
         raise UsageError("provide an ideal file or --diagonal N D")
     return load_ideal_file(args.ideal, field, args.degree_bound)

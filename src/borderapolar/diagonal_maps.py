@@ -126,14 +126,13 @@ def rho(theta: PieceElement) -> PieceElement:
 def tau(g: PieceElement, d: int) -> PieceElement:
     """The inclusion b_j -> a(1,j), landing in degree (k,0,...,0)."""
     _require_kind(g, RingKind.VERONESE_COORD, "tau")
-    return psi(tuple([g.degree] + [0] * (d - 1)), g, d=d)
+    return psi(tuple([g.degree] + [0] * (d - 1)), g)
 
 
-def psi(u, g: PieceElement, d: int | None = None) -> PieceElement:
+def psi(u, g: PieceElement) -> PieceElement:
     """Section of pi on the degree-u piece, by block-splitting sorted monomials."""
     _require_kind(g, RingKind.VERONESE_COORD, "psi")
-    if d is None:
-        d = len(tuple(u))
+    d = len(tuple(u))
     ring_s = segre_ring(g.ring.n, d)
     u = check_degree(ring_s, u)
     if degree_total(u) != g.degree:

@@ -18,7 +18,9 @@ Saturated ideals of finite point sets are computed as kernels of evaluation
 maps, evaluated on integer representatives of the points, so elimination
 receives integer rows; no generator normal forms or global saturation are
 ever needed.  Multiplication by a variable is a cached index map folded from
-per-factor monomial ranks.
+per-factor steps, each read off the two-factor pi-fibre table (monomial
+multiplication), and point evaluation inverts those maps, so this module
+multiplies and ranks no monomial itself.
 """
 
 from __future__ import annotations
@@ -38,8 +40,6 @@ from .grading import (
     check_degree,
     degree_total,
     dim_piece,
-    monomials,
-    rank_monomial,
     sub_degrees,
     unit_degree,
     segre_ring,
@@ -69,21 +69,18 @@ def _var_index_map(ring: RingSpec, u, i: int, j: int) -> tuple:
 
     As in `pi_fibres`, the columns of a Segre piece are the mixed-radix
     products of per-factor monomial ranks, so the map folds in one factor at a
-    time: factor i's rank moves along the one-variable step from V_{u_i} to
-    V_{u_i+1}, read off a {monomial: rank} dict, and every other factor's rank
-    stays.  The Veronese ring is the one-factor case.
+    time: factor i's rank moves along the step from V_{u_i} to V_{u_i+1} that
+    multiplies by b_j, read off the two-factor table pi_fibres(n, 2, (u_i, 1)),
+    which is the multiplication V_{u_i} x V_1 -> V_{u_i+1}; every other
+    factor's rank stays.  The Veronese ring is the one-factor case.
     """
     ring_v = veronese_ring(ring.n)
     degs = u if ring.is_multigraded else (u,)
-    ranks = {m: r for r, m in enumerate(monomials(ring_v, degs[i] + 1))}
-    step = [ranks[m[:j] + (m[j] + 1,) + m[j + 1:]] for m in monomials(ring_v, degs[i])]
+    step = pi_fibres(ring.n, 2, (degs[i], 1)).f[j::ring.n]
     out = [0]
     for f, uf in enumerate(degs):
-        if f == i:
-            width, digits = len(ranks), step
-        else:
-            width = dim_piece(ring_v, uf)
-            digits = range(width)
+        width = dim_piece(ring_v, uf + (f == i))
+        digits = step if f == i else range(width)
         out = [o * width + s for o in out for s in digits]
     return tuple(out)
 
@@ -411,15 +408,15 @@ class PointSet:
 def _predecessors(ring: RingSpec, u) -> tuple:
     """(u - e_i, i, steps) for a degree u above zero, where i is the first
     factor with u_i >= 1: monomial c of degree u is monomial steps[c][0] of
-    degree u - e_i times variable steps[c][1] of factor i, its first one."""
+    degree u - e_i times variable steps[c][1] of factor i, its first one.
+
+    It inverts the variable index maps, written from the highest variable to
+    the lowest, so the lowest variable is the one kept."""
     i, below = _degrees_below(ring, u)[0]
-    steps = []
-    for mono in monomials(ring, u):
-        row = list(mono[i] if ring.is_multigraded else mono)
-        j = next(v for v, e in enumerate(row) if e)
-        row[j] -= 1
-        prev = (mono[:i] + (tuple(row),) + mono[i + 1:]) if ring.is_multigraded else row
-        steps.append((rank_monomial(ring, prev), j))
+    steps = [None] * dim_piece(ring, u)
+    for j in reversed(range(ring.n)):
+        for prev, c in enumerate(_var_index_map(ring, below, i, j)):
+            steps[c] = (prev, j)
     return below, i, tuple(steps)
 
 

@@ -149,8 +149,7 @@ def tensor_digest(f: GeneralTensor) -> str:
 
 # -- the three transport maps ---------------------------------------------------
 
-def upsilon(i: TruncatedIdeal, d: int, bound: int | None = None,
-            provenance: str | None = None) -> TruncatedIdeal:
+def upsilon(i: TruncatedIdeal, d: int, bound: int | None = None) -> TruncatedIdeal:
     """Desymmetrize a Z-graded ideal: piece at u is (I_R)_u + psi_u(I_{|u|}).
 
     That sum is pi^{-1}(I_{|u|}), so the result is kept by the pieces I_k
@@ -164,8 +163,7 @@ def upsilon(i: TruncatedIdeal, d: int, bound: int | None = None,
         raise ValueError(f"requested bound {bound} exceeds the input bound {i.bound}")
     ring_v = veronese_ring(i.ring.n)
     w = {k: _tagged(i.piece(k), ring_v, k, i.field) for k in range(bound + 1)}
-    if provenance is None:
-        provenance = "upsilon-of-point" if i.provenance in ("point", "diagonal-points") else "user"
+    provenance = "upsilon-of-point" if i.provenance in ("point", "diagonal-points") else "user"
     return TruncatedIdeal.pi_preimage(segre_ring(i.ring.n, d), bound, w, provenance, i.field)
 
 

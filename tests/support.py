@@ -435,6 +435,52 @@ def contract_tensor_reference(theta: PieceElement, f: GeneralTensor) -> GeneralT
     return GeneralTensor(f.n, len(remaining), out, field=f.field, factors=remaining)
 
 
+def ann_sym_piece_reference(p: HomPoly, k: int) -> Subspace:
+    """`apolarity.ann_sym_piece` by a lookup of every (mu, delta) pair of
+    V_{d-k} x V_k, each entry a_gamma times the falling factorial gamma!/mu!."""
+    ring = veronese_ring(p.n)
+    dim, tag = dim_piece(ring, k), (ring, k)
+    if k > p.d:
+        return Subspace.full(dim, piece=tag, field=p.field)
+    rows = []
+    for mu in monomials(ring, p.d - k):
+        row = []
+        for c, delta in enumerate(monomials(ring, k)):
+            gamma = tuple(m + dl for m, dl in zip(mu, delta))
+            a = p.terms.get(gamma)
+            if a is not None:
+                fall = 1
+                for gj, dj in zip(gamma, delta):
+                    fall *= math.factorial(gj) // math.factorial(gj - dj)
+                row.append((c, a * fall))
+        rows.append(row)
+    ker = kernel(Matrix.of_sparse(dim, rows, p.field))
+    return Subspace(dim, tuple(ker.sparse), tag, p.field)
+
+
+def contract_poly_reference(g: PieceElement, p: HomPoly) -> HomPoly:
+    """`apolarity.contract_poly` by differentiating each term of p by each
+    monomial of g, term by term."""
+    k = g.degree
+    if k > p.d:
+        return HomPoly(p.n, max(p.d - k, 0), {}, field=p.field)
+    basis = monomials(g.ring, k)
+    out: dict = {}
+    for col, b in enumerate(g.coords):
+        if not b:
+            continue
+        delta = basis[col]
+        for gamma, a in p.terms.items():
+            if any(dj > gj for dj, gj in zip(delta, gamma)):
+                continue
+            fall = 1
+            for dj, gj in zip(delta, gamma):
+                fall *= math.factorial(gj) // math.factorial(gj - dj)
+            mu = tuple(gj - dj for gj, dj in zip(gamma, delta))
+            out[mu] = out.get(mu, p.field.zero) + a * b * fall
+    return HomPoly(p.n, p.d - k, out, field=p.field)
+
+
 def proper_degree_annihilator_ideal(f, bound: int):
     """The ideal generated by every Ann(F)_u with u strictly inside the unit box,
     expanded to the bound: the oracle for `bounds._proper_ideal_piece`."""

@@ -38,9 +38,10 @@ from borderapolar.grading import (
 from borderapolar.linalg import QQ, PrimeField
 from borderapolar.selftest import random_forms
 from borderapolar.transfer import tensor_digest
-from support import (ann_piece_reference, contract_tensor_reference, depolarize_reference,
-                     diagonal_tensor, multiply, random_form, random_symmetric_tensor,
-                     slice_spans_reference, sum_of_powers_tensor, symmetry_error_reference)
+from support import (ann_piece_reference, ann_sym_piece_reference, contract_poly_reference,
+                     contract_tensor_reference, depolarize_reference, diagonal_tensor,
+                     multiply, random_form, random_symmetric_tensor, slice_spans_reference,
+                     sum_of_powers_tensor, symmetry_error_reference)
 
 
 class TestPolarize:
@@ -421,6 +422,37 @@ class TestAnnSymPiece:
     def test_above_degree_full(self):
         p = HomPoly(2, 3, {(3, 0): 1})
         assert ann_sym_piece(p, 4).is_full
+
+
+class TestCatalecticant:
+    """`ann_sym_piece` and `contract_poly` read the catalecticant off the
+    two-factor pi-fibre table; the references look up every (mu, delta) pair."""
+
+    @staticmethod
+    def _forms(rng, field):
+        for n, d in itertools.product((1, 2, 3, 4), (1, 2, 3, 4)):
+            monos = monomials(veronese_ring(n), d)
+            dense = {m: Fraction(rng.randint(1, 9), rng.choice((1, 2, 3))) * rng.choice((1, -1))
+                     for m in monos}
+            sparse = {m: rng.randint(-5, 5) for m in rng.sample(monos, min(2, len(monos)))}
+            power = {(d,) + (0,) * (n - 1): 1}
+            for terms in (dense, sparse, {}, power):
+                yield HomPoly(n, d, terms, field=field)
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(2**31 - 1)], ids=["QQ", "GFp"])
+    def test_matches_the_pair_lookup(self, field):
+        rng = random.Random(20)
+        for p in self._forms(rng, field):
+            ring = veronese_ring(p.n)
+            for k in range(p.d + 2):
+                got, want = ann_sym_piece(p, k), ann_sym_piece_reference(p, k)
+                assert repr(got.sparse) == repr(want.sparse), (p.terms, k)
+                assert got == want
+                g = _random_element(ring, k, rng, field)
+                got, want = contract_poly(g, p), contract_poly_reference(g, p)
+                assert (got.n, got.d, got.field) == (want.n, want.d, want.field)
+                assert repr(sorted(got.terms.items())) == repr(sorted(want.terms.items())), (
+                    p.terms, g.coords)
 
 
 class TestFlattenings:

@@ -117,6 +117,15 @@ class TestHf:
         code, out = run(["hf", "--diagonal", "2", "2", "1,1"], capsys)
         assert (code, out) == (0, "(1, 1)  3\n")
 
+    @pytest.mark.parametrize("diagonal, degree, message", [
+        (("0", "3"), "1,1,1", "need n >= 1, got 0"),
+        (("2", "0"), "1", "need d >= 1, got 0"),
+    ], ids=["n0", "d0"])
+    def test_builtin_diagonal_refuses_empty_shape(self, capsys, diagonal, degree, message):
+        code = cli.main(["hf", "--diagonal", *diagonal, degree])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
+
     def test_zero_ideal_file(self, tmp_path, capsys):
         zf = write(tmp_path, "z.json", {"ring": "V", "n": 2, "bound": 3, "generators": []})
         code, out = run(["hf", zf, "0", "1", "2", "3"], capsys)

@@ -43,7 +43,7 @@ def reference_upsilon(i: TruncatedIdeal, d: int, bound: int) -> TruncatedIdeal:
 
 
 def assert_same_lift(i: TruncatedIdeal, d: int, bound: int):
-    got = upsilon(i, d, bound, provenance="user")
+    got = upsilon(i, d, bound)
     want = reference_upsilon(i, d, bound)
     for u in want.degrees():
         assert got.piece(u).basis == want.piece(u).basis, u

@@ -80,6 +80,18 @@ def test_only_ideals_knows_how_an_ideal_is_held():
     assert leaks == []
 
 
+def test_only_grading_ranks_a_monomial():
+    """Monomial products are read off the pi-fibre table: no package module
+    outside `grading` calls `rank_monomial`."""
+    callers = [path.stem
+               for path in sorted((ROOT / "src" / "borderapolar").glob("*.py"))
+               if path.stem != "grading"
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.Call)
+               and getattr(node.func, "id", getattr(node.func, "attr", None)) == "rank_monomial"]
+    assert callers == []
+
+
 def test_only_apolarity_reads_a_tensors_entries():
     """A multilinear F is read through `apolarity`'s contraction map: no other
     package module reads `.entries`, except `transfer.tensor_digest`, which

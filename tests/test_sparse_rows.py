@@ -168,6 +168,9 @@ class TestAgainstDenseReferences:
             z = very_general_points(veronese_ring(n), r, bound, random.Random(5 + n))
             zs = PointSet(z.ring, z.points, field=field)
             cases += [(zs, bound), (diagonal_points(zs, 3), 3)]
+        # a Segre point set with distinct factors, so each factor's coordinates count
+        z = very_general_points(segre_ring(3, 2), 4, 3, random.Random(9))
+        cases.append((PointSet(z.ring, z.points, field=field), 3))
         cases += [(PointSet(veronese_ring(3), RATIONAL_POINTS, field=field), 4),
                   (PointSet(segre_ring(2, 3), RATIONAL_SEGRE_POINTS, field=field), 4)]
         for points, b in cases:
