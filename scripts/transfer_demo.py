@@ -9,11 +9,10 @@ pipeline.
 import argparse
 import math
 import random
-from fractions import Fraction
 
-from borderapolar.apolarity import HomPoly, polarize
 from borderapolar.grading import veronese_ring
 from borderapolar.ideals import point_ideal, very_general_points
+from borderapolar.selftest import sum_of_powers_tensor
 from borderapolar.transfer import (
     check_condition_ii,
     check_condition_iii,
@@ -22,30 +21,6 @@ from borderapolar.transfer import (
     upsilon,
 )
 from borderapolar.cli import certificate_lines
-
-
-def power_sum_form(points, d):
-    terms = {}
-    for pt in points:
-        for mono, c in _power_of_form(pt, d).terms.items():
-            terms[mono] = terms.get(mono, Fraction(0)) + c
-    return terms
-
-
-def _power_of_form(coords, d):
-    from borderapolar.grading import monomials
-
-    n = len(coords)
-    terms = {}
-    for mono in monomials(veronese_ring(n), d):
-        coef = Fraction(math.factorial(d))
-        for e in mono:
-            coef /= math.factorial(e)
-        for c, e in zip(coords, mono):
-            coef *= Fraction(c) ** e
-        if coef:
-            terms[mono] = coef
-    return HomPoly(n, d, terms)
 
 
 def main():
@@ -67,8 +42,7 @@ def main():
     for p in zs.points:
         print("  ", tuple(str(x) for x in p))
 
-    p = HomPoly(n, d, power_sum_form(zs.points, d))
-    f = polarize(p)
+    f = sum_of_powers_tensor(n, d, zs.points)
     ideal = point_ideal(zs, bound)
     lifted = upsilon(ideal, d, bound)
 

@@ -193,7 +193,7 @@ def load_ideal_file(path: str, field, degree_bound) -> TruncatedIdeal:
         missing = [u for u in degrees_up_to(ring, bound) if u not in pieces]
         if missing:
             raise UsageError(f"{path}: missing pieces for degrees {missing[:4]}...")
-        ideal = TruncatedIdeal(ring, bound, pieces, "user", field)
+        ideal = TruncatedIdeal(ring, bound, pieces, "user")
         if not is_ideal_closed(ideal):
             raise UsageError(f"{path}: the stored pieces are not ideal-closed")
         return ideal

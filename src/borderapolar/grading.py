@@ -14,8 +14,9 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from functools import lru_cache
+
+from .linalg import QQ
 
 
 class RingKind(Enum):
@@ -230,13 +231,13 @@ class PieceElement:
             )
 
     @classmethod
-    def from_terms(cls, ring: RingSpec, u, terms: dict, field=None):
+    def from_terms(cls, ring: RingSpec, u, terms: dict, field=QQ):
         u = check_degree(ring, u)
-        coords = [Fraction(0) if field is None else field.zero] * dim_piece(ring, u)
+        coords = [field.zero] * dim_piece(ring, u)
         for mono, c in terms.items():
             if monomial_degree(ring, mono) != u:
                 raise ValueError(f"monomial {mono} not of degree {u}")
-            coords[rank_monomial(ring, mono)] += c if field is None else field.of(c)
+            coords[rank_monomial(ring, mono)] += field.of(c)
         return cls(ring, u, tuple(coords))
 
     def terms(self) -> dict:

@@ -17,10 +17,10 @@ transport map and certificate stage has one path.
 Saturated ideals of finite point sets are computed as kernels of evaluation
 maps, evaluated on integer representatives of the points, so elimination
 receives integer rows; no generator normal forms or global saturation are
-ever needed.  Multiplication by a variable is a cached index map folded from
-per-factor steps, each read off the two-factor pi-fibre table (monomial
-multiplication), and point evaluation inverts those maps, so this module
-multiplies and ranks no monomial itself.
+ever needed.  Every monomial product is read off one cached table S_u x S_v
+-> S_{u+v} (`_product_map`, the pi-fibre table on V, folded per factor on S):
+variable multiples at v = e_i, point evaluation by inverting that, and the
+saturation test as one colon (J_{u+v} : S_v)_u, so no monomial is ranked here.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import itertools
 import random
 import warnings
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache
 from types import MappingProxyType
 
@@ -40,6 +40,7 @@ from .grading import (
     check_degree,
     degree_total,
     dim_piece,
+    ones,
     sub_degrees,
     unit_degree,
     segre_ring,
@@ -64,25 +65,31 @@ def degrees_up_to(ring: RingSpec, bound: int) -> list:
 
 
 @lru_cache(maxsize=None)
-def _var_index_map(ring: RingSpec, u, i: int, j: int) -> tuple:
-    """Monomial index map for multiplication by the (i,j) variable: u -> u+e_i.
+def _product_map(ring: RingSpec, u, v) -> tuple:
+    """The monomial product table S_u x S_v -> S_{u+v}: entry c * dim S_v + m is
+    the column of (monomial c of S_u) * (monomial m of S_v).
 
-    As in `pi_fibres`, the columns of a Segre piece are the mixed-radix
-    products of per-factor monomial ranks, so the map folds in one factor at a
-    time: factor i's rank moves along the step from V_{u_i} to V_{u_i+1} that
-    multiplies by b_j, read off the two-factor table pi_fibres(n, 2, (u_i, 1)),
-    which is the multiplication V_{u_i} x V_1 -> V_{u_i+1}; every other
-    factor's rank stays.  The Veronese ring is the one-factor case.
+    On the Veronese ring it is the two-factor table pi_fibres(n, 2, (u, v)),
+    the multiplication V_u x V_v -> V_{u+v}.  As in `pi_fibres`, the columns of
+    a Segre piece are the mixed-radix products of per-factor monomial ranks, so
+    there the table folds in those two-factor tables one factor at a time.
     """
+    u, v = check_degree(ring, u), check_degree(ring, v)
+    if not ring.is_multigraded:
+        return pi_fibres(ring.n, 2, (u, v)).f
     ring_v = veronese_ring(ring.n)
-    degs = u if ring.is_multigraded else (u,)
-    step = pi_fibres(ring.n, 2, (degs[i], 1)).f[j::ring.n]
-    out = [0]
-    for f, uf in enumerate(degs):
-        width = dim_piece(ring_v, uf + (f == i))
-        digits = step if f == i else range(width)
-        out = [o * width + s for o in out for s in digits]
-    return tuple(out)
+    table = [[0]]  # table[c][m] over the factors folded so far
+    for uf, vf in zip(u, v):
+        f, width = pi_fibres(ring.n, 2, (uf, vf)).f, dim_piece(ring_v, vf)
+        steps = [f[a:a + width] for a in range(0, len(f), width)]
+        wide = dim_piece(ring_v, uf + vf)
+        table = [[o * wide + s for o in row for s in step] for row in table for step in steps]
+    return tuple(x for row in table for x in row)
+
+
+def _variable_table(ring: RingSpec, u, i: int) -> tuple:
+    """`_product_map(ring, u, e_i)`; variable j of factor i is monomial j of S_{e_i}."""
+    return _product_map(ring, check_degree(ring, u), (0,) * i + (1,) + (0,) * (ring.d - 1 - i))
 
 
 def multiply_vector_by_variable(ring: RingSpec, u, row, i: int, j: int) -> list:
@@ -91,8 +98,8 @@ def multiply_vector_by_variable(ring: RingSpec, u, row, i: int, j: int) -> list:
     Multiplying by a variable maps monomials one to one and keeps their order,
     so each (column, value) pair just moves to its new column.
     """
-    idx_map = _var_index_map(ring, check_degree(ring, u), i, j)
-    return [(idx_map[c], x) for c, x in row]
+    table, n = _variable_table(ring, u, i), ring.n
+    return [(table[c * n + j], x) for c, x in row]
 
 
 def variable_multiples(ring: RingSpec, u, rows, i: int):
@@ -177,27 +184,32 @@ class TruncatedIdeal:
 
     `provenance` records how the ideal arose ("point", "upsilon-of-point", ...)
     so that downstream certificates can state honestly whether membership in
-    the closure of point ideals is known.
+    the closure of point ideals is known.  `field` is read off the pieces (W_0
+    on a kept ideal), which must all lie in one field.
     """
 
     ring: RingSpec
     bound: int
     pieces: Mapping
     provenance: str = "user"
-    field: object = QQ
+    field: object = dataclass_field(init=False, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.pieces, _Preimages):
             object.__setattr__(self, "pieces", MappingProxyType(dict(self.pieces)))
             object.__setattr__(self, "_images", {})
+        fields = list(dict.fromkeys(sub.field for sub in (self.veronese or self.pieces).values()))
+        if len(fields) > 1:
+            raise ValueError(f"pieces in two fields: {fields[0]!r} and {fields[1]!r}")
+        object.__setattr__(self, "field", fields[0] if fields else QQ)
 
     @classmethod
-    def pi_preimage(cls, ring: RingSpec, bound: int, w, provenance: str = "user",
-                    field=QQ) -> "TruncatedIdeal":
+    def pi_preimage(cls, ring: RingSpec, bound: int, w,
+                    provenance: str = "user") -> "TruncatedIdeal":
         """The ideal J_u = pi^{-1}(W_|u|) = (I_R)_u + psi_u(W_|u|) on the Segre
         ring, kept by its Veronese pieces w = {k: W_k}, k <= bound."""
         w = MappingProxyType({k: w[k] for k in range(bound + 1)})
-        return cls(ring, bound, _Preimages(ring, bound, w), provenance, field)
+        return cls(ring, bound, _Preimages(ring, bound, w), provenance)
 
     @property
     def veronese(self):
@@ -245,10 +257,8 @@ class TruncatedIdeal:
 
     def with_piece(self, u, sub: Subspace) -> "TruncatedIdeal":
         """Copy with one piece replaced (used to build adversarial examples)."""
-        u = check_degree(self.ring, u)
-        pieces = dict(self.pieces)
-        pieces[u] = sub
-        return TruncatedIdeal(self.ring, self.bound, pieces, "user", self.field)
+        pieces = {**self.pieces, check_degree(self.ring, u): sub}
+        return TruncatedIdeal(self.ring, self.bound, pieces, "user")
 
 
 def _piece_tag(ring: RingSpec, u):
@@ -260,7 +270,7 @@ def zero_ideal(ring: RingSpec, bound: int, field=QQ) -> TruncatedIdeal:
         u: Subspace.zero(dim_piece(ring, u), piece=_piece_tag(ring, u), field=field)
         for u in degrees_up_to(ring, bound)
     }
-    return TruncatedIdeal(ring, bound, pieces, "zero", field)
+    return TruncatedIdeal(ring, bound, pieces, "zero")
 
 
 def expand(generators, ring: RingSpec, bound: int, provenance: str = "user",
@@ -287,7 +297,7 @@ def expand(generators, ring: RingSpec, bound: int, provenance: str = "user",
     for u in degrees_up_to(ring, bound):
         pieces[u] = span_from_below(ring, u, pieces.__getitem__, field,
                                     rows=by_degree.get(u, ()), piece=_piece_tag(ring, u))
-    return TruncatedIdeal(ring, bound, pieces, provenance, field)
+    return TruncatedIdeal(ring, bound, pieces, provenance)
 
 
 def is_ideal_closed(j: TruncatedIdeal) -> bool:
@@ -336,13 +346,18 @@ def first_without_diagonal(j: TruncatedIdeal, images: dict):
     return None
 
 
+def _multilinear(ring: RingSpec):
+    """The degree v that saturation multiplies by: (1,...,1), or 1 on V."""
+    return ones(ring.d) if ring.is_multigraded else 1
+
+
 def saturation_degrees(j: TruncatedIdeal) -> tuple:
     """(testable, deciding): the degrees u whose bound covers
     `is_saturated_degreewise` at u, and those of them whose tests decide all of
     them.  On an ideal kept by its Veronese pieces the test at u reads W_|u|
     alone, so the first degree of each total decides; otherwise every one does.
     """
-    step = j.ring.d if j.ring.is_multigraded else 1
+    step = degree_total(_multilinear(j.ring))
     testable = [u for u in j.degrees() if degree_total(u) + step <= j.bound]
     if j.veronese is None:
         return testable, testable
@@ -410,13 +425,14 @@ def _predecessors(ring: RingSpec, u) -> tuple:
     factor with u_i >= 1: monomial c of degree u is monomial steps[c][0] of
     degree u - e_i times variable steps[c][1] of factor i, its first one.
 
-    It inverts the variable index maps, written from the highest variable to
-    the lowest, so the lowest variable is the one kept."""
+    It inverts the product table of S_{u-e_i} x S_{e_i}, written from the
+    highest variable to the lowest, so the lowest variable is the one kept."""
     i, below = _degrees_below(ring, u)[0]
+    table, n = _variable_table(ring, below, i), ring.n
     steps = [None] * dim_piece(ring, u)
-    for j in reversed(range(ring.n)):
-        for prev, c in enumerate(_var_index_map(ring, below, i, j)):
-            steps[c] = (prev, j)
+    for j in reversed(range(n)):
+        for prev in range(dim_piece(ring, below)):
+            steps[table[prev * n + j]] = (prev, j)
     return below, i, tuple(steps)
 
 
@@ -451,7 +467,7 @@ def point_ideal(zs: PointSet, bound: int, provenance: str = "point") -> Truncate
         sparse = [[(c, x) for c, x in enumerate(row) if x] for row in rows]
         ker = kernel(Matrix.of_sparse(len(rows[0]), sparse, field))
         pieces[u] = Subspace(len(rows[0]), tuple(ker.sparse), _piece_tag(ring, u), field)
-    return TruncatedIdeal(ring, bound, pieces, provenance, field)
+    return TruncatedIdeal(ring, bound, pieces, provenance)
 
 
 def diagonal_points(zs: PointSet, d: int) -> PointSet:
@@ -501,59 +517,40 @@ def very_general_points(ring: RingSpec, r: int, bound: int, rng: random.Random,
 
 # -- degreewise tests -----------------------------------------------------------------
 
-def _colon(ring: RingSpec, u, upper: Subspace, monomials_steps, field) -> Subspace:
-    """(upper : M)_u, the f of degree u with f * m in `upper` for every m in M,
-    each m given as its (factor, variable) steps: the kernel of the
-    constraints of `upper` pulled back along the index maps of the steps."""
+def _colon(ring: RingSpec, u, v, upper: Subspace) -> Subspace:
+    """(upper : S_v)_u, the f of degree u with f * m in `upper` (degree u + v)
+    for every monomial m of S_v: the kernel of the constraints of `upper`
+    pulled back along the product table, monomial by monomial."""
+    table, dim_v = _product_map(ring, u, v), dim_piece(ring, v)
     cons = [dict(row) for row in upper.constraints().sparse]
+    stacked = [[(t, row[c]) for t, c in enumerate(table[m::dim_v]) if c in row]
+               for m in range(dim_v) for row in cons]
     dim_u = dim_piece(ring, u)
-    stacked = []
-    for steps in monomials_steps:
-        idx_map = list(range(dim_u))
-        deg = u
-        for i, var in steps:
-            step_map = _var_index_map(ring, deg, i, var)
-            idx_map = [step_map[t] for t in idx_map]
-            deg = add_degrees(deg, unit_degree(ring.d, i)) if ring.is_multigraded else deg + 1
-        for crow in cons:
-            stacked.append([(t, crow[c]) for t, c in enumerate(idx_map) if c in crow])
     if not stacked:
-        return Subspace.full(dim_u, field=field)
-    return Subspace(dim_u, tuple(kernel(Matrix.of_sparse(dim_u, stacked, field)).sparse),
-                    None, field)
+        return Subspace.full(dim_u, field=upper.field)
+    return Subspace(dim_u, tuple(kernel(Matrix.of_sparse(dim_u, stacked, upper.field)).sparse),
+                    None, upper.field)
 
 
 def is_saturated_degreewise(j: TruncatedIdeal, u) -> bool:
     """Whether f * (every multilinear monomial) in J forces f in J, at degree u.
 
     This is the degreewise content of saturation with respect to the
-    irrelevant ideal; it needs the pieces one multilinear step up, so the
-    bound must cover |u| + d (or |u| + 1 on the Veronese side).  An ideal
-    kept by its Veronese pieces is J = pi^{-1}(W), and pi is a ring map that
-    sends the multilinear monomials onto the monomials of V_d, so the test at
-    u is (W_{k+d} : V_d)_k = W_k with k = |u|, the same for every u of total k.
+    irrelevant ideal, (J_{u+v} : S_v)_u = J_u with v = (1,...,1) (v = 1 on the
+    Veronese side), so the bound must cover |u| + |v|.  An ideal kept by its
+    Veronese pieces is J = pi^{-1}(W), and pi is a ring map that sends the
+    multilinear monomials onto the monomials of V_d, so the test at u is
+    (W_{k+d} : V_d)_k = W_k with k = |u|, the same for every u of total k.
     """
     ring = j.ring
-    u = check_degree(ring, u)
-    step = ring.d if ring.is_multigraded else 1
-    if degree_total(u) + step > j.bound:
-        raise ValueError(
-            f"bound {j.bound} too small to test saturation at degree {u}"
-        )
+    u, v = check_degree(ring, u), _multilinear(ring)
+    if degree_total(u) + degree_total(v) > j.bound:
+        raise ValueError(f"bound {j.bound} too small to test saturation at degree {u}")
     w = j.veronese
     if w is not None:
-        k = degree_total(u)
-        monos = itertools.combinations_with_replacement(range(ring.n), ring.d)
-        colon = _colon(veronese_ring(ring.n), k, w[k + ring.d],
-                       ([(0, var) for var in m] for m in monos), j.field)
-        return colon == w[k]
-    if ring.is_multigraded:
-        target = add_degrees(u, tuple([1] * ring.d))
-        monos = (list(enumerate(m)) for m in itertools.product(range(ring.n), repeat=ring.d))
-    else:
-        target = u + 1
-        monos = ([(0, var)] for var in range(ring.n))
-    return _colon(ring, u, j.pieces[target], monos, j.field) == j.pieces[u]
+        k, d = degree_total(u), degree_total(v)
+        return _colon(veronese_ring(ring.n), k, d, w[k + d]) == w[k]
+    return _colon(ring, u, v, j.pieces[add_degrees(u, v)]) == j.pieces[u]
 
 
 def min_generators(ring: RingSpec, u, piece_at, field=QQ) -> int:
@@ -571,4 +568,4 @@ def diagonal_ideal(n: int, d: int, bound: int) -> TruncatedIdeal:
     """The diagonal ideal I_R = pi^{-1}(0), kept by its zero Veronese pieces."""
     ring_v = veronese_ring(n)
     w = {k: Subspace.zero(dim_piece(ring_v, k), _piece_tag(ring_v, k)) for k in range(bound + 1)}
-    return TruncatedIdeal.pi_preimage(segre_ring(n, d), bound, w, "diagonal-ideal", QQ)
+    return TruncatedIdeal.pi_preimage(segre_ring(n, d), bound, w, "diagonal-ideal")

@@ -433,6 +433,8 @@ class Subspace:
     def from_rows(cls, ambient_dim: int, rows, piece=None, field=QQ) -> "Subspace":
         """The span of `rows`: dense rows over `field`, or a Matrix."""
         m = rows if isinstance(rows, Matrix) else Matrix(rows, ncols=ambient_dim, field=field)
+        if m.ncols != ambient_dim:
+            raise ValueError(f"rows of width {m.ncols} in an ambient of dimension {ambient_dim}")
         return cls(ambient_dim, tuple(rref(m).sparse), piece, m.field)
 
     @classmethod

@@ -91,20 +91,19 @@ def sum_of_powers_tensor(n: int, d: int, forms) -> SymTensor:
     return polarize(HomPoly(n, d, terms))
 
 
-def random_forms(n: int, count: int, rng: random.Random, bound: int = 5):
+def random_forms(n: int, count: int, rng: random.Random):
+    """`count` nonzero linear forms with integer coefficients in [-5, 5]."""
     while True:
-        forms = [
-            tuple(Fraction(rng.randint(-bound, bound)) for _ in range(n))
-            for _ in range(count)
-        ]
+        forms = [tuple(Fraction(rng.randint(-5, 5)) for _ in range(n)) for _ in range(count)]
         if all(any(f) for f in forms):
             return forms
 
 
-def random_form(n: int, d: int, rng: random.Random, coeff_bound: int = 5) -> HomPoly:
+def random_form(n: int, d: int, rng: random.Random) -> HomPoly:
+    """A nonzero form of degree d with integer coefficients in [-5, 5]."""
     terms = {}
     for mono in monomials(veronese_ring(n), d):
-        c = rng.randint(-coeff_bound, coeff_bound)
+        c = rng.randint(-5, 5)
         if c:
             terms[mono] = Fraction(c)
     if not terms:

@@ -162,13 +162,13 @@ def upsilon(i: TruncatedIdeal, d: int, bound: int | None = None) -> TruncatedIde
     if bound > i.bound:
         raise ValueError(f"requested bound {bound} exceeds the input bound {i.bound}")
     ring_v = veronese_ring(i.ring.n)
-    w = {k: _tagged(i.piece(k), ring_v, k, i.field) for k in range(bound + 1)}
+    w = {k: _tagged(i.piece(k), ring_v, k) for k in range(bound + 1)}
     provenance = "upsilon-of-point" if i.provenance in ("point", "diagonal-points") else "user"
-    return TruncatedIdeal.pi_preimage(segre_ring(i.ring.n, d), bound, w, provenance, i.field)
+    return TruncatedIdeal.pi_preimage(segre_ring(i.ring.n, d), bound, w, provenance)
 
 
-def _tagged(sub: Subspace, ring_v, k: int, field) -> Subspace:
-    return Subspace(sub.ambient_dim, sub.sparse, _piece_tag(ring_v, k), field)
+def _tagged(sub: Subspace, ring_v, k: int) -> Subspace:
+    return Subspace(sub.ambient_dim, sub.sparse, _piece_tag(ring_v, k), sub.field)
 
 
 def sigma(j: TruncatedIdeal) -> TruncatedIdeal:
@@ -188,9 +188,9 @@ def sigma(j: TruncatedIdeal) -> TruncatedIdeal:
     for total in range(j.bound + 1):
         a, m = divmod(total, d)
         u = tuple(a + s for s in stairs[m])
-        pieces[total] = _tagged(images[u], ring_v, total, j.field)
+        pieces[total] = _tagged(images[u], ring_v, total)
     provenance = "point" if j.provenance in ("upsilon-of-point", "diagonal-points") else "user"
-    return TruncatedIdeal(ring_v, j.bound, pieces, provenance, j.field)
+    return TruncatedIdeal(ring_v, j.bound, pieces, provenance)
 
 
 def rho_ideal(j: TruncatedIdeal) -> TruncatedIdeal:
@@ -202,11 +202,11 @@ def rho_ideal(j: TruncatedIdeal) -> TruncatedIdeal:
     pieces = {}
     for k in range(j.bound + 1):
         u = tuple([k] + [0] * (ring.d - 1))
-        pieces[k] = _tagged(j.pi_image(u), ring_v, k, j.field)
+        pieces[k] = _tagged(j.pi_image(u), ring_v, k)
     provenance = (
         "rho-of-certified" if j.provenance in SLIP_CERTIFIED else "user"
     )
-    return TruncatedIdeal(ring_v, j.bound, pieces, provenance, j.field)
+    return TruncatedIdeal(ring_v, j.bound, pieces, provenance)
 
 
 # -- containment bookkeeping ------------------------------------------------------

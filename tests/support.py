@@ -323,6 +323,52 @@ def multiply_vector_by_variable_reference(ring, u, coords, i: int, j: int) -> li
     return out
 
 
+def variable_step_reference(ring, u, i: int, j: int) -> list:
+    """The column of (variable i,j) * each monomial of degree u, ranked one by one."""
+    if ring.is_multigraded:
+        var = tuple(tuple(int(f == i and t == j) for t in range(ring.n)) for f in range(ring.d))
+    else:
+        var = tuple(int(t == j) for t in range(ring.n))
+    return [rank_monomial(ring, multiply_monomials(ring, mono, var))
+            for mono in monomials(ring, u)]
+
+
+def colon_rows_reference(ring, u, v, upper: Subspace) -> list:
+    """The rows whose kernel is (upper : S_v)_u, as the colon first stacked
+    them: each monomial of S_v as its (factor, variable) steps, V_v as
+    combinations with replacement and S_(1,...,1) as a product, and the ranked
+    index maps of the steps composed monomial by monomial."""
+    u, n = check_degree(ring, u), ring.n
+    if ring.is_multigraded:
+        if v != ones(ring.d):
+            raise ValueError("the reference colon multiplies S by S_(1,...,1) only")
+        monos = (list(enumerate(m)) for m in itertools.product(range(n), repeat=ring.d))
+    else:
+        monos = ([(0, var) for var in m]
+                 for m in itertools.combinations_with_replacement(range(n), v))
+    cons = [dict(row) for row in upper.constraints().sparse]
+    stacked = []
+    for steps in monos:
+        idx_map, deg = list(range(dim_piece(ring, u))), u
+        for i, var in steps:
+            step_map = variable_step_reference(ring, deg, i, var)
+            idx_map = [step_map[t] for t in idx_map]
+            deg = add_degrees(deg, unit_degree(ring.d, i)) if ring.is_multigraded else deg + 1
+        for crow in cons:
+            stacked.append([(t, crow[c]) for t, c in enumerate(idx_map) if c in crow])
+    return stacked
+
+
+def colon_reference(ring, u, v, upper: Subspace) -> Subspace:
+    """(upper : S_v)_u: the kernel of `colon_rows_reference`, full when there
+    are no rows; its field is `upper`'s."""
+    stacked, dim_u = colon_rows_reference(ring, u, v, upper), dim_piece(ring, u)
+    if not stacked:
+        return Subspace.full(dim_u, field=upper.field)
+    return Subspace(dim_u, tuple(kernel(Matrix.of_sparse(dim_u, stacked, upper.field)).sparse),
+                    None, upper.field)
+
+
 def expand_reference(generators, ring, bound: int, field=QQ) -> dict:
     """The pieces of the ideal the generators span: in each degree, the dense
     generators of that degree and every variable multiple of the pieces below."""

@@ -39,7 +39,7 @@ def reference_upsilon(i: TruncatedIdeal, d: int, bound: int) -> TruncatedIdeal:
             dim_piece(ring_s, u), list(base.rows) + list(lifted.basis),
             piece=(ring_s, u), field=i.field,
         )
-    return TruncatedIdeal(ring_s, bound, pieces, "user", i.field)
+    return TruncatedIdeal(ring_s, bound, pieces, "user")
 
 
 def assert_same_lift(i: TruncatedIdeal, d: int, bound: int):
@@ -54,7 +54,7 @@ def assert_same_lift(i: TruncatedIdeal, d: int, bound: int):
 def full_ideal(ring, bound, field):
     pieces = {k: Subspace.full(dim_piece(ring, k), piece=(ring, k), field=field)
               for k in degrees_up_to(ring, bound)}
-    return TruncatedIdeal(ring, bound, pieces, "user", field)
+    return TruncatedIdeal(ring, bound, pieces, "user")
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)

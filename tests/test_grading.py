@@ -126,6 +126,13 @@ class TestPieceElement:
         el = PieceElement.from_terms(ring, 2, {(1, 1): 3, (2, 0): -1})
         assert el.terms() == {(1, 1): 3, (2, 0): -1}
 
+    def test_from_terms_is_over_q_by_default(self):
+        ring = veronese_ring(2)
+        el = PieceElement.from_terms(ring, 1, {(1, 0): 3})
+        assert repr(el.coords) == "(Fraction(3, 1), Fraction(0, 1))"
+        with pytest.raises(TypeError, match="cannot coerce 0.5 into Q"):
+            PieceElement.from_terms(ring, 1, {(1, 0): 0.5})
+
     def test_degree_mismatch(self):
         ring = veronese_ring(2)
         with pytest.raises(ValueError):

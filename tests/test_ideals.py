@@ -8,18 +8,22 @@ from fractions import Fraction
 import pytest
 
 from borderapolar.diagonal_maps import ir_generators
+from borderapolar import ideals
 from borderapolar.grading import (
     PieceElement,
+    add_degrees,
     dim_piece,
     monomials,
     ones,
     rank_monomial,
     segre_ring,
+    unit_degree,
     veronese_ring,
 )
 from borderapolar.ideals import (
     GenericityError,
     PointSet,
+    TruncatedIdeal,
     degrees_up_to,
     diagonal_ideal,
     diagonal_points,
@@ -33,14 +37,17 @@ from borderapolar.ideals import (
     point_ideal,
     very_general_points,
     zero_ideal,
-    _var_index_map,
+    _colon,
+    _product_map,
 )
-from borderapolar.linalg import Subspace
-from support import diagonal_tensor
+from borderapolar.linalg import QQ, PrimeField, Subspace, kernel
+from borderapolar.transfer import ideal_digest, upsilon
+from support import colon_reference, colon_rows_reference, diagonal_tensor, multiply_monomials
 
 
 V2 = veronese_ring(2)
 V3 = veronese_ring(3)
+GF = PrimeField(2147483647)
 
 
 def principal_ideal(coeffs_by_mono, ring, degree, bound):
@@ -66,8 +73,9 @@ class TestDegreeEnumeration:
         assert degrees_up_to(V3, 3) == [0, 1, 2, 3]
 
 
-class TestVariableIndexMaps:
-    """The folded multiplication maps against ranking every product monomial."""
+class TestProductMap:
+    """The folded product tables against ranking every product monomial, for
+    v = e_i (multiplication by a variable), (1,...,1) and d (saturation)."""
 
     @pytest.mark.parametrize("ring, bound", [
         (veronese_ring(1), 4), (V2, 5), (V3, 4), (veronese_ring(4), 3),
@@ -75,18 +83,83 @@ class TestVariableIndexMaps:
         (segre_ring(2, 4), 3),
     ], ids=repr)
     def test_matches_rank_monomial(self, ring, bound):
+        if ring.is_multigraded:
+            vs = [unit_degree(ring.d, i) for i in range(ring.d)] + [ones(ring.d)]
+        else:
+            vs = [1, 2, 3]
         for u in degrees_up_to(ring, bound):
-            for i in range(ring.d if ring.is_multigraded else 1):
-                for j in range(ring.n):
-                    want = []
-                    for mono in monomials(ring, u):
-                        if ring.is_multigraded:
-                            new = tuple(tuple(e + (f == i and v == j) for v, e in enumerate(row))
-                                        for f, row in enumerate(mono))
-                        else:
-                            new = tuple(e + (v == j) for v, e in enumerate(mono))
-                        want.append(rank_monomial(ring, new))
-                    assert _var_index_map(ring, u, i, j) == tuple(want), (u, i, j)
+            for v in vs:
+                want = [rank_monomial(ring, multiply_monomials(ring, a, b))
+                        for a in monomials(ring, u) for b in monomials(ring, v)]
+                assert _product_map(ring, u, v) == tuple(want), (u, v)
+
+
+class TestColon:
+    """`_colon` against the colon that composes one variable step at a time:
+    the same stacked rows, in the same order, and the same subspace."""
+
+    @staticmethod
+    def cases(field):
+        """(ring, u, v, upper) on kept Veronese, stored Segre and stored
+        Veronese ideals, and on a full and a zero `upper`."""
+        rng = random.Random(f"colon/{field!r}")
+        for n, r in ((2, 2), (3, 4)):
+            z = very_general_points(veronese_ring(n), r, 4, rng)
+            i = point_ideal(PointSet(veronese_ring(n), z.points, field=field), 4)
+            for k in range(3):
+                yield i.ring, k, 1, i.pieces[k + 1]
+            w = upsilon(i, 3, 4).veronese
+            for k in range(2):
+                yield i.ring, k, 3, w[k + 3]
+        for n, d in ((2, 2), (2, 3), (3, 2)):
+            z = very_general_points(segre_ring(n, d), 3, d + 1, rng)
+            j = point_ideal(PointSet(z.ring, z.points, field=field), d + 1)
+            for u in degrees_up_to(j.ring, 1):
+                yield j.ring, u, ones(d), j.pieces[add_degrees(u, ones(d))]
+        for ring, u, v in ((V3, 1, 2), (segre_ring(2, 3), (1, 0, 0), ones(3))):
+            dim = dim_piece(ring, add_degrees(u, v))
+            yield ring, u, v, Subspace.full(dim, field=field)
+            yield ring, u, v, Subspace.zero(dim, field=field)
+
+    @pytest.mark.parametrize("field", [QQ, GF], ids=repr)
+    def test_matches_reference(self, monkeypatch, field):
+        stacked = []
+
+        def recording(m):
+            stacked.append(m.sparse)
+            return kernel(m)
+
+        monkeypatch.setattr(ideals, "kernel", recording)
+        for ring, u, v, upper in self.cases(field):
+            stacked.clear()
+            got, want = _colon(ring, u, v, upper), colon_reference(ring, u, v, upper)
+            assert got == want and got.field == want.field == field, (ring, u, v)
+            assert repr(got.sparse) == repr(want.sparse), (ring, u, v)
+            rows = colon_rows_reference(ring, u, v, upper)
+            assert stacked == ([rows] if rows else []), (ring, u, v)
+        full = Subspace.full(dim_piece(V3, 3), field=field)
+        assert _colon(V3, 1, 2, full) == Subspace.full(dim_piece(V3, 1), field=field)
+
+
+class TestFieldFromPieces:
+    """An ideal's field is its pieces' field."""
+
+    def test_rebuilt_prime_field_ideal(self):
+        j = point_ideal(PointSet(V2, ((1, 0), (0, 1), (1, 1)), field=GF), 3)
+        rebuilt = TruncatedIdeal(V2, 3, j.pieces)
+        assert rebuilt.field == GF
+        assert ideal_digest(rebuilt) == ideal_digest(j) == "8e6789cd1a1aeafb"
+        assert is_saturated_degreewise(rebuilt, 1)
+        kept = upsilon(j, 2, 3)
+        assert TruncatedIdeal.pi_preimage(kept.ring, 3, kept.veronese).field == GF
+
+    def test_pieces_in_two_fields_refused(self):
+        j = point_ideal(PointSet(V2, ((1, 0), (0, 1), (1, 1)), field=GF), 3)
+        with pytest.raises(ValueError, match="pieces in two fields"):
+            j.with_piece(2, Subspace.zero(dim_piece(V2, 2)))
+        w = {k: Subspace.zero(dim_piece(V2, k), field=GF if k else QQ) for k in range(3)}
+        with pytest.raises(ValueError, match="pieces in two fields"):
+            TruncatedIdeal.pi_preimage(segre_ring(2, 2), 2, w)
 
 
 class TestExpand:

@@ -349,6 +349,14 @@ class TestSubspace:
         with pytest.raises(ValueError):
             a.sum(b)
 
+    def test_rows_of_another_width_refused(self):
+        message = "rows of width 4 in an ambient of dimension 3"
+        with pytest.raises(ValueError, match=message):
+            Subspace.from_rows(3, [[1, 0, 0, 1]])
+        message = "rows of width 5 in an ambient of dimension 3"
+        with pytest.raises(ValueError, match=message):
+            Subspace.from_rows(3, Matrix.of_sparse(5, [[(4, 1)]]))
+
     def test_grassmann_identity(self):
         rng = random.Random(3)
         for _ in range(50):

@@ -96,10 +96,10 @@ class TestDigest:
                   1: Subspace.from_rows(2, [[0, 3]], field=field),
                   2: Subspace.zero(3, field=field),
                   3: Subspace.full(4, field=field)}
-        j = TruncatedIdeal(ring, 3, pieces, field=field)
+        j = TruncatedIdeal(ring, 3, pieces)
         assert ideal_digest(j) == ideal_digest_reference(j)
         line = TruncatedIdeal(veronese_ring(1), 2, {k: Subspace.full(1, field=field)
-                                                     for k in range(3)}, field=field)
+                                                     for k in range(3)})
         assert ideal_digest(line) == ideal_digest_reference(line)
         for bound in (0, 2):
             zero = zero_ideal(segre_ring(2, 2), bound, field)

@@ -292,8 +292,7 @@ class TestEliminationCount:
     @pytest.fixture
     def lifted(self, kept):
         """The same ideal with every piece stored."""
-        return TruncatedIdeal(kept.ring, kept.bound, dict(kept.pieces), kept.provenance,
-                              kept.field)
+        return TruncatedIdeal(kept.ring, kept.bound, dict(kept.pieces), kept.provenance)
 
     def test_sigma_eliminates_once_per_piece(self, shapes, lifted):
         """One elimination per nonzero piece, of the rows whose pi-image is
@@ -355,8 +354,7 @@ class TestEliminationCount:
         assert contains_diagonal_ideal(kept)
         back, twisted = rho_ideal(kept), sigma(kept)
         assert shapes == [] and kept.pieces._built == {}
-        stored = TruncatedIdeal(kept.ring, kept.bound, dict(kept.pieces), kept.provenance,
-                                kept.field)
+        stored = TruncatedIdeal(kept.ring, kept.bound, dict(kept.pieces), kept.provenance)
         assert back == rho_ideal(stored) and twisted == sigma(stored)
 
 
@@ -517,7 +515,7 @@ class TestComonCertificate:
             n, d = (2, 4) if ring == "S(n=2, d=4)" else (3, 3)
             j = upsilon(point_ideal(coordinate_points(n), d + 1), d, d + 1)
             if held == "stored":
-                j = TruncatedIdeal(j.ring, j.bound, dict(j.pieces), j.provenance, j.field)
+                j = TruncatedIdeal(j.ring, j.bound, dict(j.pieces), j.provenance)
 
         def unreachable(*args, **kwargs):
             raise AssertionError("a stage ran on an ideal outside the tensor's ring")
@@ -548,7 +546,7 @@ class TestComonCertificate:
         if replaced is not None:
             u, rows = replaced
             pieces[u] = Subspace.from_rows(len(rows[0]), rows)
-        j = TruncatedIdeal(j.ring, j.bound, pieces, j.provenance, j.field)
+        j = TruncatedIdeal(j.ring, j.bound, pieces, j.provenance)
         if stage == "rho":
             others = point_ideal(PointSet(V2, ((1, 1), (1, -1))), 5)
             monkeypatch.setattr(transfer, "rho_ideal", lambda j: others)

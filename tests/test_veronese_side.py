@@ -65,7 +65,7 @@ SHAPES = [(2, 3, 4), (2, 4, 5), (3, 3, 4), (3, 4, 4)]
 
 def stored(j: TruncatedIdeal) -> TruncatedIdeal:
     """The same ideal with every piece stored."""
-    return TruncatedIdeal(j.ring, j.bound, dict(j.pieces), j.provenance, j.field)
+    return TruncatedIdeal(j.ring, j.bound, dict(j.pieces), j.provenance)
 
 
 def in_field(f: SymTensor, field) -> SymTensor:
