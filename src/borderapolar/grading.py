@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -54,19 +55,40 @@ def veronese_ring(n: int) -> RingSpec:
 # -- degree arithmetic --------------------------------------------------------
 
 def check_degree(ring: RingSpec, u):
-    """Normalize a degree for `ring`: a length-d tuple, or an int for Veronese."""
+    """Normalize a degree for `ring`: a length-d tuple, or an int for Veronese.
+
+    Entries must be integers (2.0 counts as 2); anything else, such as 1.5 or
+    a bare int on the Segre ring, raises ValueError rather than being
+    truncated or reaching a TypeError."""
     if ring.is_multigraded:
-        u = tuple(int(x) for x in u)
-        if len(u) != ring.d:
-            raise ValueError(f"degree vector {u} has length {len(u)}, expected {ring.d}")
-        if any(x < 0 for x in u):
-            raise ValueError(f"negative degree in {u}")
-        return u
+        if type(u) is not tuple:
+            if isinstance(u, str) or not isinstance(u, Iterable):
+                raise ValueError(f"S(n={ring.n}, d={ring.d}) takes a degree of {ring.d} parts, "
+                                 f"got {u!r}")
+            u = tuple(u)
+        try:
+            t = tuple(map(int, u))
+        except (TypeError, ValueError, OverflowError):
+            t = None
+        if t != u:  # int(x) == x only for an integral x
+            raise ValueError(f"degree {u!r} has an entry that is not an integer")
+        if len(t) != ring.d:
+            raise ValueError(f"degree vector {t} has length {len(t)}, expected {ring.d}")
+        if min(t) < 0:
+            raise ValueError(f"negative degree in {t}")
+        return t
     if isinstance(u, (tuple, list)):
         if len(u) != 1:
             raise ValueError(f"single grading expects an integer degree, got {u}")
         u = u[0]
-    u = int(u)
+    if type(u) is not int:
+        try:
+            k = int(u)
+        except (TypeError, ValueError, OverflowError):
+            k = None
+        if k != u:
+            raise ValueError(f"degree {u!r} is not an integer")
+        u = k
     if u < 0:
         raise ValueError(f"negative degree {u}")
     return u

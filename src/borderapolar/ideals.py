@@ -16,9 +16,13 @@ transport map and certificate stage has one path.
 
 Saturated ideals of finite point sets are computed as kernels of evaluation
 maps, evaluated on integer representatives of the points, so elimination
-receives integer rows; no generator normal forms or global saturation are
-ever needed.  Every monomial product is read off one cached table S_u x S_v
--> S_{u+v} (`_product_map`, the pi-fibre table on V, folded per factor on S):
+receives integer rows; equal evaluation matrices (as at diagonal points,
+whose matrix at u depends only on the nonzero parts of u, in order) are
+reduced once per call.  No generator normal forms or global saturation are
+ever needed.
+
+Every monomial product is read off one cached table S_u x S_v -> S_{u+v}
+(`_product_map`, the pi-fibre table on V, folded per factor on S):
 variable multiples at v = e_i, point evaluation by inverting that, and the
 saturation test as one colon (J_{u+v} : S_v)_u, so no monomial is ranked here.
 """
@@ -444,7 +448,13 @@ def point_ideal(zs: PointSet, bound: int, provenance: str = "point") -> Truncate
     on integer coordinates: primitive integers over Q (per factor on the Segre
     side) and residues over GF(p).  Each monomial takes one multiplication,
     from the value of its predecessor one degree down; the field's `normalize`
-    keeps each row small, and the integer rows go to `kernel` as they are."""
+    keeps each row small, and the integer rows go to `kernel` as they are.
+
+    Equal evaluation matrices are reduced once per call.  On the Segre side the
+    matrix at u depends only on the nonzero parts of u and the factor points
+    they fall on, so when factor points repeat (diagonal points, say) many
+    degrees share one matrix: those pieces share its kernel's rows, and each
+    keeps its own (ring, u) tag."""
     ring = zs.ring
     field = zs.field
 
@@ -455,6 +465,7 @@ def point_ideal(zs: PointSet, bound: int, provenance: str = "point") -> Truncate
               for p in zs.points]
     values = {}
     pieces = {}
+    kernels = {}  # evaluation matrix -> its kernel's rows, for this call only
     for u in degrees_up_to(ring, bound):
         if degree_total(u) == 0:
             rows = [[1] for _ in points]
@@ -464,9 +475,11 @@ def point_ideal(zs: PointSet, bound: int, provenance: str = "point") -> Truncate
             rows = [field.normalize([prev[t] * x[j] for t, j in steps])
                     for prev, x in zip(values[below], coords)]
         values[u] = rows
-        sparse = [[(c, x) for c, x in enumerate(row) if x] for row in rows]
-        ker = kernel(Matrix.of_sparse(len(rows[0]), sparse, field))
-        pieces[u] = Subspace(len(rows[0]), tuple(ker.sparse), _piece_tag(ring, u), field)
+        key = tuple(map(tuple, rows))
+        if key not in kernels:
+            sparse = [[(c, x) for c, x in enumerate(row) if x] for row in rows]
+            kernels[key] = tuple(kernel(Matrix.of_sparse(len(rows[0]), sparse, field)).sparse)
+        pieces[u] = Subspace(len(rows[0]), kernels[key], _piece_tag(ring, u), field)
     return TruncatedIdeal(ring, bound, pieces, provenance)
 
 

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from borderapolar import bounds, linalg
+from borderapolar import bounds
 from borderapolar.apolarity import (
     GeneralTensor,
     HomPoly,
@@ -319,20 +319,6 @@ class TestLemmaSuite:
 
 
 # -- elimination counts and the short side -------------------------------------------
-
-@pytest.fixture
-def eliminations(monkeypatch):
-    """The shape of every elimination, in call order."""
-    shapes = []
-    real = linalg.rref_with_pivots
-
-    def counting(m):
-        shapes.append((m.nrows, m.ncols))
-        return real(m)
-
-    monkeypatch.setattr(linalg, "rref_with_pivots", counting)
-    return shapes
-
 
 def _recording(monkeypatch, name):
     """Patch bounds.<name> to record the degree (second argument) of each call."""

@@ -126,6 +126,12 @@ class TestHf:
         captured = capsys.readouterr()
         assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
 
+    def test_builtin_diagonal_refuses_a_bare_integer_degree(self, capsys):
+        code = cli.main(["hf", "--diagonal", "2", "2", "0"])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (
+            2, "", "error: degree: bad degree 0 (S(n=2, d=2) takes a degree of 2 parts, got 0)\n")
+
     def test_zero_ideal_file(self, tmp_path, capsys):
         zf = write(tmp_path, "z.json", {"ring": "V", "n": 2, "bound": 3, "generators": []})
         code, out = run(["hf", zf, "0", "1", "2", "3"], capsys)

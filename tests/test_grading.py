@@ -2,12 +2,14 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from borderapolar.grading import (
     PieceElement,
+    check_degree,
     dim_piece,
     format_monomial,
     monomials,
@@ -53,6 +55,49 @@ class TestDimPiece:
     def test_bad_degree_length(self):
         with pytest.raises(ValueError):
             dim_piece(segre_ring(2, 3), (1, 1))
+
+
+class TestCheckDegree:
+    @pytest.mark.parametrize("ring, u, want", [
+        (veronese_ring(2), 3, 3), (veronese_ring(2), [3], 3), (veronese_ring(2), 2.0, 2),
+        (veronese_ring(2), Fraction(4, 2), 2), (segre_ring(2, 3), (1, 0, 2), (1, 0, 2)),
+        (segre_ring(2, 3), [1, 0, 2], (1, 0, 2)), (segre_ring(2, 2), (1.0, 2), (1, 2)),
+    ])
+    def test_integral_degrees_are_normalized(self, ring, u, want):
+        got = check_degree(ring, u)
+        assert got == want and type(got) is type(want)
+        assert all(type(x) is int for x in (got if isinstance(got, tuple) else (got,)))
+
+    @pytest.mark.parametrize("u", [0, 3, "11", None])
+    def test_segre_degree_needs_parts(self, u):
+        with pytest.raises(ValueError, match=r"S\(n=2, d=2\) takes a degree of 2 parts"):
+            check_degree(segre_ring(2, 2), u)
+
+    @pytest.mark.parametrize("ring, u", [
+        (veronese_ring(2), 1.5), (veronese_ring(3), 2.9), (veronese_ring(2), Fraction(3, 2)),
+        (veronese_ring(2), [0.5]), (veronese_ring(2), "3"), (veronese_ring(2), float("nan")),
+        (veronese_ring(2), float("inf")), (segre_ring(2, 2), (1.7, 0.2)),
+        (segre_ring(2, 2), (1, Fraction(1, 2))), (segre_ring(2, 2), (1, None)),
+        (segre_ring(2, 2), ("1", 1)),
+    ])
+    def test_non_integral_entries_are_refused(self, ring, u):
+        with pytest.raises(ValueError, match="not an integer"):
+            check_degree(ring, u)
+
+    def test_refused_before_any_count(self):
+        with pytest.raises(ValueError):
+            dim_piece(veronese_ring(3), 2.9)
+        with pytest.raises(ValueError):
+            dim_piece(segre_ring(2, 2), 2)
+
+    @pytest.mark.parametrize("ring, u, message", [
+        (segre_ring(2, 2), (1, -1), "negative degree"),
+        (veronese_ring(2), -1, "negative degree"),
+        (veronese_ring(2), (1, 1), "single grading expects an integer degree"),
+    ])
+    def test_sign_and_single_grading_are_checked(self, ring, u, message):
+        with pytest.raises(ValueError, match=message):
+            check_degree(ring, u)
 
 
 class TestMonomials:

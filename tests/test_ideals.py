@@ -313,6 +313,29 @@ class TestPointIdeal:
             for u in degrees_up_to(ring, bound):
                 assert hilbert_function(j, u) == generic_hf(r, ring, u)
 
+    @pytest.mark.parametrize("field", [QQ, GF], ids=repr)
+    @pytest.mark.parametrize("n, d, r, bound, count", [(3, 3, 5, 4, 15), (2, 4, 3, 4, 16)])
+    def test_diagonal_points_reduce_each_distinct_matrix_once(self, eliminations, field,
+                                                              n, d, r, bound, count):
+        # the evaluation matrix of diagonal points at u is fixed by the nonzero
+        # parts of u, in order: 15 such sequences of total at most 4 in 3
+        # parts, 16 in 4 parts, against 35 and 70 degrees
+        z = very_general_points(veronese_ring(n), r, bound, random.Random(21))
+        zs = diagonal_points(PointSet(z.ring, z.points, field=field), d)
+        eliminations.clear()
+        j = point_ideal(zs, bound)
+        assert len(eliminations) == count < len(j.degrees())
+        assert all(j.pieces[u].piece == (zs.ring, u) for u in j.degrees())
+
+    @pytest.mark.parametrize("field", [QQ, GF], ids=repr)
+    def test_distinct_factors_reduce_once_per_degree(self, eliminations, field):
+        for ring, r in ((segre_ring(3, 3), 5), (V3, 5)):
+            z = very_general_points(ring, r, 4, random.Random(22))
+            eliminations.clear()
+            j = point_ideal(PointSet(ring, z.points, field=field), 4)
+            assert len(eliminations) == len(j.degrees())
+            assert eliminations == [(r, dim_piece(ring, u)) for u in j.degrees()]
+
     def test_diagonal_points(self):
         z = PointSet(V2, ((1, 0), (1, 1)))
         dz = diagonal_points(z, 3)

@@ -173,10 +173,21 @@ class TestAgainstDenseReferences:
         cases.append((PointSet(z.ring, z.points, field=field), 3))
         cases += [(PointSet(veronese_ring(3), RATIONAL_POINTS, field=field), 4),
                   (PointSet(segre_ring(2, 3), RATIONAL_SEGRE_POINTS, field=field), 4)]
+        # repeated factors, whose degrees share evaluation matrices: factor 0
+        # equal to factor 2 but not to factor 1, and diagonal points whose
+        # factors are scaled differently
+        cases.append((PointSet(segre_ring(2, 3), tuple((p[0], p[1], p[0])
+                                                       for p in RATIONAL_SEGRE_POINTS),
+                               field=field), 4))
+        z = very_general_points(veronese_ring(3), 4, 3, random.Random(11))
+        scaled = tuple((p, tuple(2 * x for x in p), tuple(Fraction(-x, 3) for x in p))
+                       for p in z.points)
+        cases.append((PointSet(segre_ring(3, 3), scaled, field=field), 3))
         for points, b in cases:
             got = point_ideal(points, b)
             want = point_ideal_reference(points, b)
             for u in got.degrees():
+                assert got.pieces[u].piece == (points.ring, u)
                 assert_canonical(got.pieces[u])
                 assert repr(got.pieces[u].basis) == repr(want[u].basis)
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from borderapolar import linalg, transfer
+from borderapolar import transfer
 from borderapolar.apolarity import (
     GeneralTensor,
     HomPoly,
@@ -273,18 +273,6 @@ class TestEliminationCount:
     nothing, and reading its pieces reduces W once per fibre order."""
 
     @pytest.fixture
-    def shapes(self, monkeypatch):
-        calls = []
-        real = linalg.rref_with_pivots
-
-        def counted(m):
-            calls.append((m.nrows, m.ncols))
-            return real(m)
-
-        monkeypatch.setattr(linalg, "rref_with_pivots", counted)
-        return calls
-
-    @pytest.fixture
     def kept(self):
         z = very_general_points(V3, 4, 4, random.Random(36))
         return upsilon(point_ideal(z, 4), 3, 4)
@@ -294,7 +282,7 @@ class TestEliminationCount:
         """The same ideal with every piece stored."""
         return TruncatedIdeal(kept.ring, kept.bound, dict(kept.pieces), kept.provenance)
 
-    def test_sigma_eliminates_once_per_piece(self, shapes, lifted):
+    def test_sigma_eliminates_once_per_piece(self, eliminations, lifted):
         """One elimination per nonzero piece, of the rows whose pi-image is
         nonzero: the e_c - e_top rows of the upsilon pieces never reach it, and
         a zero piece has the zero image without one."""
@@ -302,58 +290,58 @@ class TestEliminationCount:
             m = pi_matrix_reference(3, 3, u)
             return sum(1 for row in lifted.pieces[u].basis if any(mat_vec(m, row)))
 
-        shapes.clear()
+        eliminations.clear()
         sigma(lifted)
-        assert shapes == [(surviving(u), dim_piece(V3, sum(u))) for u in lifted.degrees()
+        assert eliminations == [(surviving(u), dim_piece(V3, sum(u))) for u in lifted.degrees()
                           if lifted.pieces[u].dim]
-        assert sum(rows for rows, _ in shapes) < sum(p.dim for p in lifted.pieces.values())
+        assert sum(rows for rows, _ in eliminations) < sum(p.dim for p in lifted.pieces.values())
 
     @pytest.mark.parametrize("field", [QQ, PrimeField(2147483647)], ids=repr)
-    @pytest.mark.parametrize("n, r, eliminations", [(2, 3, 0), (3, 4, 10)])
-    def test_upsilon_reduces_once_per_fibre_order(self, shapes, field, n, r, eliminations):
+    @pytest.mark.parametrize("n, r, count", [(2, 3, 0), (3, 4, 10)])
+    def test_upsilon_reduces_once_per_fibre_order(self, eliminations, field, n, r, count):
         """upsilon itself eliminates nothing; reading its pieces reduces W = I_k
         once per distinct fibre order among the degrees of total k, none in the
         identity order (every order when n = 2) and none when W = 0."""
         z = very_general_points(veronese_ring(n), r, 4, random.Random(36))
         ideal = point_ideal(PointSet(z.ring, z.points, field=field), 4)
-        shapes.clear()
+        eliminations.clear()
         lifted = upsilon(ideal, 3, 4)
-        assert shapes == []
+        assert eliminations == []
         for u in lifted.degrees():
             lifted.piece(u)
         orders = {(sum(u), pi_fibres(n, 3, u).order) for u in lifted.degrees()}
         want = [(ideal.piece(k).dim, dim_piece(veronese_ring(n), k)) for k, order in orders
                 if order != tuple(range(len(order))) and ideal.piece(k).dim]
-        assert sorted(shapes) == sorted(want)
-        assert len(shapes) == eliminations
-        shapes.clear()
+        assert sorted(eliminations) == sorted(want)
+        assert len(eliminations) == count
+        eliminations.clear()
         transfer.ideal_digest(lifted)
-        assert shapes == []
+        assert eliminations == []
 
-    def test_contains_diagonal_ideal_eliminates_once_per_piece(self, shapes, lifted):
-        shapes.clear()
+    def test_contains_diagonal_ideal_eliminates_once_per_piece(self, eliminations, lifted):
+        eliminations.clear()
         assert contains_diagonal_ideal(lifted)
-        assert len(shapes) == sum(1 for u in lifted.degrees() if lifted.pieces[u].dim)
+        assert len(eliminations) == sum(1 for u in lifted.degrees() if lifted.pieces[u].dim)
 
-    def test_rho_ideal_eliminates_once_per_piece(self, shapes, lifted):
-        shapes.clear()
+    def test_rho_ideal_eliminates_once_per_piece(self, eliminations, lifted):
+        eliminations.clear()
         rho_ideal(lifted)
-        assert shapes == [(lifted.piece((k, 0, 0)).dim, dim_piece(V3, k))
+        assert eliminations == [(lifted.piece((k, 0, 0)).dim, dim_piece(V3, k))
                           for k in range(lifted.bound + 1) if lifted.piece((k, 0, 0)).dim]
 
-    def test_psi_image_does_not_eliminate(self, shapes, lifted):
-        shapes.clear()
+    def test_psi_image_does_not_eliminate(self, eliminations, lifted):
+        eliminations.clear()
         for u in lifted.degrees():
             assert psi_image(3, 3, u).dim == dim_piece(V3, sum(u))
-        assert shapes == []
+        assert eliminations == []
 
-    def test_transport_of_a_kept_ideal_does_not_eliminate(self, shapes, kept):
+    def test_transport_of_a_kept_ideal_does_not_eliminate(self, eliminations, kept):
         """sigma, rho and the diagonal test read W_k: no elimination, no Segre
         piece built, and the same ideals as from the stored pieces."""
-        shapes.clear()
+        eliminations.clear()
         assert contains_diagonal_ideal(kept)
         back, twisted = rho_ideal(kept), sigma(kept)
-        assert shapes == [] and kept.pieces._built == {}
+        assert eliminations == [] and kept.pieces._built == {}
         stored = TruncatedIdeal(kept.ring, kept.bound, dict(kept.pieces), kept.provenance)
         assert back == rho_ideal(stored) and twisted == sigma(stored)
 

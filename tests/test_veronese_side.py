@@ -371,24 +371,11 @@ class TestEliminationCount:
     is reduced) and one colon per testable total degree; reading the digest adds
     W's reduction once per fibre order."""
 
-    @pytest.fixture
-    def calls(self, monkeypatch):
-        """The shape of every elimination from here on."""
-        calls = []
-        real = linalg.rref_with_pivots
-
-        def counted(m):
-            calls.append((m.nrows, m.ncols))
-            return real(m)
-
-        monkeypatch.setattr(linalg, "rref_with_pivots", counted)
-        return calls
-
     @pytest.mark.parametrize("n, d, r, cert_shapes", [
         (3, 3, 4, [(1, 10), (3, 6), (6, 3), (10, 1), (40, 1), (40, 3)]),
         (4, 3, 4, [(1, 20), (4, 10), (10, 4), (20, 1), (80, 1), (80, 4)]),
     ])
-    def test_pipeline_counts(self, monkeypatch, calls, n, d, r, cert_shapes):
+    def test_pipeline_counts(self, monkeypatch, eliminations, n, d, r, cert_shapes):
         """No flattening is built and F is not digested until `inputs_digest`
         is read."""
         def unreachable(*args):
@@ -401,26 +388,26 @@ class TestEliminationCount:
         z = very_general_points(veronese_ring(n), r, d + 1, random.Random(7))
         f = sum_of_powers_tensor(n, d, z.points)
         i = point_ideal(z, d + 1)
-        calls.clear()
+        eliminations.clear()
         j = upsilon(i, d, d + 1)
-        assert calls == []
+        assert eliminations == []
         cert = comon_certificate(f, r, j)
         assert cert.verdict and digested == []
         assert cert.witnesses[0] == {"stage": "conciseness", "flattening_ranks": (n,) * d,
                                      "ok": True}
-        assert sorted(calls) == cert_shapes
-        calls.clear()
+        assert sorted(eliminations) == cert_shapes
+        eliminations.clear()
         cert.inputs_digest
-        assert len(calls) == 10 and digested == [f]
+        assert len(eliminations) == 10 and digested == [f]
 
     @pytest.mark.parametrize("n, d", [(2, 3), (3, 3), (4, 3), (3, 4)])
-    def test_is_concise_reduces_one_flattening(self, calls, n, d):
+    def test_is_concise_reduces_one_flattening(self, eliminations, n, d):
         """A symmetric F's d flattenings are equal, so one is reduced."""
         z = very_general_points(veronese_ring(n), n, d + 1, random.Random(7))
         f = sum_of_powers_tensor(n, d, z.points)
-        calls.clear()
+        eliminations.clear()
         assert is_concise(f)
-        assert calls == [(n, n ** (d - 1))]
+        assert eliminations == [(n, n ** (d - 1))]
 
     @pytest.mark.parametrize("n, d, r, shapes", [
         (3, 3, 4, [(1, 10), (2, 6), (3, 6), (3, 6), (3, 6), (3, 6), (6, 3), (6, 10),
@@ -428,7 +415,7 @@ class TestEliminationCount:
         (4, 3, 4, [(1, 20), (4, 10), (6, 10), (9, 10), (9, 10), (9, 10), (10, 4), (16, 20),
                    (20, 1), (31, 35), (54, 20), (256, 1), (256, 4), (256, 4), (256, 4)]),
     ])
-    def test_stored_copy_counts(self, calls, n, d, r, shapes):
+    def test_stored_copy_counts(self, eliminations, n, d, r, shapes):
         """On the stored copy: one Veronese annihilator per total degree up to d,
         one pi-image per nonzero piece read (each made once, for apolarity,
         pi-containment and rho(J) together), and one colon per testable degree."""
@@ -436,7 +423,7 @@ class TestEliminationCount:
         f = sum_of_powers_tensor(n, d, z.points)
         kept = upsilon(point_ideal(z, d + 1), d, d + 1)
         explicit = stored(kept)
-        calls.clear()
+        eliminations.clear()
         cert = comon_certificate(f, r, explicit)
-        assert sorted(calls) == shapes
+        assert sorted(eliminations) == shapes
         assert cert.to_dict() == comon_certificate(f, r, kept).to_dict()
