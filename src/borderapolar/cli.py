@@ -219,7 +219,7 @@ def load_ideal_file(path: str, field, degree_bound) -> TruncatedIdeal:
             gens.append(PieceElement.from_terms(ring, u, terms, field=field))
         except (ValueError, IndexError) as exc:
             raise UsageError(f"{where}: {exc}") from exc
-    return expand(gens, ring, bound, provenance="user", field=field)
+    return expand(gens, ring, bound, field=field)
 
 
 def dump_ideal(ideal: TruncatedIdeal) -> dict:
@@ -400,6 +400,8 @@ def _transport(args, field, fn, *extra) -> int:
 
 
 def cmd_check(args, field) -> int:
+    if args.points and args.ideal:
+        raise UsageError("give one candidate ideal: --points or --ideal, not both")
     f = tensor_from_file(args.tensor, field)
     try:
         f = as_symmetric(f)

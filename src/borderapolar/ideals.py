@@ -277,8 +277,7 @@ def zero_ideal(ring: RingSpec, bound: int, field=QQ) -> TruncatedIdeal:
     return TruncatedIdeal(ring, bound, pieces, "zero")
 
 
-def expand(generators, ring: RingSpec, bound: int, provenance: str = "user",
-           field=QQ) -> TruncatedIdeal:
+def expand(generators, ring: RingSpec, bound: int, field=QQ) -> TruncatedIdeal:
     """Span the ideal generated by homogeneous elements, degree by degree.
 
     Each piece is the span of the new generators of that degree together with
@@ -301,7 +300,7 @@ def expand(generators, ring: RingSpec, bound: int, provenance: str = "user",
     for u in degrees_up_to(ring, bound):
         pieces[u] = span_from_below(ring, u, pieces.__getitem__, field,
                                     rows=by_degree.get(u, ()), piece=_piece_tag(ring, u))
-    return TruncatedIdeal(ring, bound, pieces, provenance)
+    return TruncatedIdeal(ring, bound, pieces)
 
 
 def is_ideal_closed(j: TruncatedIdeal) -> bool:
@@ -501,6 +500,9 @@ def very_general_points(ring: RingSpec, r: int, bound: int, rng: random.Random,
     Genericity failures over the rationals are measure-zero-like but possible
     on integer draws: one resample is attempted before giving up.
     """
+    if r < 1:
+        raise ValueError(f"need at least one point, got r={r}")
+
     def draw_factor():
         while True:
             v = tuple(rng.randint(-coord_bound, coord_bound) for _ in range(ring.n))

@@ -11,12 +11,14 @@ The certificate checkers decide the containment conditions under which a
 border rank decomposition on the Segre side descends to the Veronese side,
 and record witness dimensions plus an honest statement of what was and was
 not tested.  Each stage has one path, whichever way the ideal is held: what
-depends on that is answered by `ideals`.  A symmetric tensor F is annihilated
-by I_R, so Ann(F)_u = pi^{-1}(Ann(p_F)_|u|) at every 0/1 degree u, and
-apolarity is pi(J_u) inside Ann(p_F)_|u|; a general tensor reads Ann(F)_u.
-Every flattening of F has rank n - dim Ann(p_F)_1, so conciseness is read off
-p_F too.  A certificate is given a function that digests F and J, called the
-first time `inputs_digest` is read: the verdict writes no entry of a polarized F.
+depends on that is answered by `ideals`.  Each fact is decided once, so the
+rho(J) witnesses of `comon_certificate` are read off the stages that proved
+them.  A symmetric tensor F is annihilated by I_R, so Ann(F)_u =
+pi^{-1}(Ann(p_F)_|u|) at every 0/1 degree u, and apolarity is pi(J_u) inside
+Ann(p_F)_|u|; a general tensor reads Ann(F)_u.  Every flattening of F has rank
+n - dim Ann(p_F)_1, so conciseness is read off p_F too.  A certificate is
+given a function that digests F and J, called the first time `inputs_digest`
+is read: the verdict writes no entry of a polarized F.
 """
 
 from __future__ import annotations
@@ -265,12 +267,14 @@ def _pi_containment_stage(cert: Certificate, j: TruncatedIdeal, with_degree: boo
 
 
 def _require_inputs(j: TruncatedIdeal, f: GeneralTensor, reach_order: bool = True):
-    """J must be an ideal of F's ring S(n, d) and, where the pi-containment check
-    reads J_{(d,0,...,0)}, reach degree d."""
+    """J must be an ideal of F's ring S(n, d) over F's field and, where the
+    pi-containment check reads J_{(d,0,...,0)}, reach degree d."""
     if j.ring != segre_ring(f.n, f.order):
         factors = f", d={j.ring.d}" if j.ring.is_multigraded else ""
         raise ValueError(f"the ideal's ring {j.ring.kind.value}(n={j.ring.n}{factors}) is "
                          f"not the tensor's Segre ring S(n={f.n}, d={f.order})")
+    if j.field != f.field:
+        raise ValueError(f"the ideal is over {j.field!r} but the tensor over {f.field!r}")
     if reach_order and j.bound < f.order:
         raise ValueError(f"need the truncation bound >= {f.order}, got {j.bound}")
 
@@ -318,11 +322,13 @@ def comon_certificate(f: SymTensor, r: int, j: TruncatedIdeal) -> Certificate:
 
     Checks conciseness (read off Ann(p_F)_1), the flattening lower bound
     against r, the generic Hilbert function, apolarity, degreewise saturation
-    where the bound allows, and the pi-containment condition; on success it
-    also produces rho(J) and verifies that it is apolar to the corresponding
-    form with the expected Hilbert function.  An ideal outside F's Segre ring
-    S(n, d), or truncated below total degree d, is refused with a ValueError
-    before any stage runs.
+    where the bound allows, and pi-containment; an ideal outside F's Segre ring
+    S(n, d) or field, or truncated below degree d, is refused with a ValueError
+    first.  rho(J) then passes the Veronese-side checks, and is not built: pi is
+    the identity on S_(k,0,...,0), so rho(J)_k has the rows of J_(k,0,...,0),
+    whose Hilbert function was checked, and rho(J)_d = pi(J_(d,0,...,0)) lies
+    in pi(J_(1,...,1)) (pi-containment), inside Ann(p_F)_d (apolarity at
+    (1,...,1), tested as d <= bound).
     """
     if not isinstance(f, SymTensor):
         raise TypeError("the transfer pipeline requires a symmetric tensor")
@@ -335,7 +341,7 @@ def comon_certificate(f: SymTensor, r: int, j: TruncatedIdeal) -> Certificate:
     cert = Certificate("comon-transfer", lambda: digest_of(tensor_digest(f), r, ideal_digest(j)),
                        tested_bound=j.bound, slip_provenance=slip_label(j.provenance))
     ann = {k: ann_sym_piece(f.form, k) for k in range(d + 1)}  # Ann(p_F)_k
-    rank = n - ann[1].dim  # the rank of each of F's d flattenings
+    rank, dim_ann_d = n - ann[1].dim, ann[d].dim  # each flattening's rank; dim Ann(p_F)_d
     concise = rank == n
     cert.add(stage="conciseness", flattening_ranks=(rank,) * d, ok=concise)
     if not concise:
@@ -353,23 +359,16 @@ def comon_certificate(f: SymTensor, r: int, j: TruncatedIdeal) -> Certificate:
     cert.add(stage="hilbert-function", ok=True)
     if not _apolarity_stage(cert, j, f, d, ann):
         return cert
-    ann_d = ann[d]  # only Ann(p_F)_d is read again, by the rho check
-    del ann
+    del ann  # every Ann(p_F)_k is freed before saturation
     testable, deciding = saturation_degrees(j)
     sat_ok = all(is_saturated_degreewise(j, u) for u in deciding)
     cert.add(stage="saturation", tested_degrees=len(testable), ok=sat_ok)
     if not sat_ok:
         cert.failure = "a testable degree fails the degreewise saturation check"
         return cert
-    if not _pi_containment_stage(cert, j, with_degree=False):
-        return cert
-    restricted = rho_ideal(j)
-    apolar = ann_d.contains(restricted.piece(d))
-    cert.add(stage="rho-apolarity", degree=d, dim=restricted.piece(d).dim,
-             dim_ann=ann_d.dim, ok=apolar)
-    hf_v = first_non_generic(restricted, r) is None
-    cert.add(stage="rho-hilbert-function", ok=hf_v)
-    cert.verdict = apolar and hf_v
-    if not cert.verdict:
-        cert.failure = "the restricted ideal fails the Veronese-side checks"
+    if _pi_containment_stage(cert, j, with_degree=False):
+        cert.add(stage="rho-apolarity", degree=d, dim=j.piece_dim((d,) + (0,) * (d - 1)),
+                 dim_ann=dim_ann_d, ok=True)
+        cert.add(stage="rho-hilbert-function", ok=True)
+        cert.verdict = True
     return cert

@@ -14,6 +14,7 @@ from borderapolar.apolarity import (
     HomPoly,
     SymTensor,
     ann_piece,
+    ann_sym_piece,
     as_symmetric,
     is_concise,
 )
@@ -36,12 +37,13 @@ from borderapolar.ideals import (
     TruncatedIdeal,
     degrees_up_to,
     expand,
+    first_non_generic,
     first_without_diagonal,
     min_generators,
     variable_multiples,
 )
 from borderapolar.linalg import QQ, Matrix, Subspace, kernel, rank
-from borderapolar.transfer import Certificate, digest_of, tensor_digest
+from borderapolar.transfer import Certificate, digest_of, rho_ideal, tensor_digest
 from borderapolar.selftest import (  # noqa: F401  (the library's model tensors)
     diagonal_tensor,
     random_form,
@@ -535,7 +537,20 @@ def proper_degree_annihilator_ideal(f, bound: int):
     for u in proper_unit_box_degrees(f.order):
         for b in ann_piece(f, u).basis:
             gens.append(PieceElement(ring, u, tuple(b)))
-    return expand(gens, ring, bound, provenance="proper-annihilator", field=f.field)
+    return expand(gens, ring, bound, field=f.field)
+
+
+def rho_stages_reference(f: SymTensor, r: int, j: TruncatedIdeal) -> tuple:
+    """(witnesses, verdict) of the rho stages of `comon_certificate`, computed
+    on rho(J) itself: rho(J)_d inside Ann(p_F)_d, and the generic Hilbert
+    function of r points on every rho(J)_k."""
+    d = f.order
+    restricted, ann_d = rho_ideal(j), ann_sym_piece(f.form, d)
+    apolar = ann_d.contains(restricted.piece(d))
+    hf = first_non_generic(restricted, r) is None
+    return ([{"stage": "rho-apolarity", "degree": d, "dim": restricted.piece(d).dim,
+              "dim_ann": ann_d.dim, "ok": apolar},
+             {"stage": "rho-hilbert-function", "ok": hf}], apolar and hf)
 
 
 def is_sharp_reference(f) -> Certificate:

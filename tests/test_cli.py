@@ -338,6 +338,16 @@ class TestCheck:
         assert code == 1
         assert "FAIL" in out
 
+    def test_points_and_ideal_together_refused_before_reading(self, tmp_path, capsys):
+        """The zero ideal fails on its own; given with --points, neither the
+        tensor nor either candidate file is read."""
+        missing = [str(tmp_path / name) for name in ("t.json", "p.json", "z.json")]
+        code = cli.main(["check", missing[0], "2", "--points", missing[1],
+                         "--ideal", missing[2]])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == "error: give one candidate ideal: --points or --ideal, not both\n"
+
     def test_r_out_of_range(self, tmp_path, capsys):
         tf = write(tmp_path, "t.json", {
             "n": 3, "d": 3, "representation": "poly",

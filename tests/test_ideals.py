@@ -435,3 +435,12 @@ class TestGenericity:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 very_general_points(V2, 3, 2, RiggedRandom())
+
+    @pytest.mark.parametrize("r", [0, -1])
+    def test_no_points_refused_up_front(self, r):
+        class UnusedRandom(random.Random):
+            def randint(self, a, b):
+                raise AssertionError("drew a coordinate for no points")
+
+        with pytest.raises(ValueError, match=rf"^need at least one point, got r={r}$"):
+            very_general_points(veronese_ring(2), r, 3, UnusedRandom())

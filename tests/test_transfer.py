@@ -10,6 +10,7 @@ from borderapolar import transfer
 from borderapolar.apolarity import (
     GeneralTensor,
     HomPoly,
+    SymTensor,
     ann_sym_piece,
     polarize,
 )
@@ -518,13 +519,37 @@ class TestComonCertificate:
             else:
                 checker(j, f)
 
+    @pytest.mark.parametrize("checker", [comon_certificate, check_condition_ii,
+                                         check_condition_iii], ids=lambda c: c.__name__)
+    @pytest.mark.parametrize("tensor_field, ideal_field", [
+        (PrimeField(2147483647), QQ), (QQ, PrimeField(2147483647))], ids=repr)
+    def test_ideal_over_another_field_raises_before_any_stage(
+            self, monkeypatch, checker, tensor_field, ideal_field):
+        f = SymTensor(2, 3, {(0, 0, 0): 1, (1, 1, 1): 1}, field=tensor_field)
+        z = PointSet(V2, ((1, 0), (0, 1)), field=ideal_field)
+        j = upsilon(point_ideal(z, 4), 3, 4)
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a stage ran on an ideal over another field")
+
+        for name in ("ann_sym_piece", "first_non_generic", "_apolarity_stage",
+                     "saturation_degrees", "_pi_containment_stage", "rho_ideal",
+                     "tensor_digest"):
+            monkeypatch.setattr(transfer, name, unreachable)
+        message = f"the ideal is over {ideal_field!r} but the tensor over {tensor_field!r}"
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+            if checker is comon_certificate:
+                checker(f, 2, j)
+            else:
+                checker(j, f)
+
     @pytest.mark.parametrize("stage", ["conciseness", "saturation", "pi-image-equality",
-                                       "pi-containment", "rho"])
-    def test_each_stage_can_fail(self, monkeypatch, stage):
+                                       "pi-containment"])
+    def test_each_stage_can_fail(self, stage):
         """A stored copy of the two-point ideal, with one piece replaced by the
         span of the given monomials, stops at the named stage; F = x^3 is not
         concise.  Once pi-containment passes, rho(J) passes the Veronese-side
-        checks, so that stage is driven by the ideal of two other points."""
+        checks, so no rho stage can fail."""
         z = PointSet(V2, ((1, 0), (0, 1)))
         j = upsilon(point_ideal(z, 5), 3, 5)
         pieces = dict(j.pieces)
@@ -535,15 +560,7 @@ class TestComonCertificate:
             u, rows = replaced
             pieces[u] = Subspace.from_rows(len(rows[0]), rows)
         j = TruncatedIdeal(j.ring, j.bound, pieces, j.provenance)
-        if stage == "rho":
-            others = point_ideal(PointSet(V2, ((1, 1), (1, -1))), 5)
-            monkeypatch.setattr(transfer, "rho_ideal", lambda j: others)
-            cert = comon_certificate(diagonal_tensor(2, 3), 2, j)
-            failure = "the restricted ideal fails the Veronese-side checks"
-            assert cert.witnesses[-2] == {"stage": "rho-apolarity", "degree": 3, "dim": 2,
-                                          "dim_ann": 3, "ok": False}
-            last = {"stage": "rho-hilbert-function", "ok": True}
-        elif stage == "pi-containment":
+        if stage == "pi-containment":
             cert = comon_certificate(diagonal_tensor(2, 3), 2, j)
             failure = "pi(J_(3, 0, 0)) is not inside pi(J_(1, 1, 1))"
             last = {"stage": stage, "dim_lhs": 2, "dim_rhs": 2, "ok": False}

@@ -54,6 +54,7 @@ from support import (
     diagonal_tensor,
     ideal_digest_reference,
     random_symmetric_tensor,
+    rho_stages_reference,
     sum_of_powers_tensor,
 )
 
@@ -310,9 +311,9 @@ def test_verdict_only_certificate_writes_no_entries(monkeypatch):
 def test_apolarity_stage_tests_each_distinct_pair_once(monkeypatch, n, d):
     """On a kept ideal pi(J_u) is W_|u| for every 0/1 degree u, so a verdict-only
     certificate makes one containment test per total degree k <= d in the
-    apolarity stage, inside Ann(p_F)_k, then one for pi-containment and one for
-    rho.  The stored copy, with one pi-image per degree, gives the same
-    witnesses from one test per 0/1 degree."""
+    apolarity stage, inside Ann(p_F)_k, then one for pi-containment; the rho
+    witnesses make none.  The stored copy, with one pi-image per degree, gives
+    the same witnesses from one test per 0/1 degree."""
     calls = []
     real = Subspace.contains
     monkeypatch.setattr(Subspace, "contains",
@@ -322,10 +323,10 @@ def test_apolarity_stage_tests_each_distinct_pair_once(monkeypatch, n, d):
     kept = upsilon(point_ideal(z, d + 1), d, d + 1)
     cert = comon_certificate(f, n, kept)
     dims = [dim_piece(veronese_ring(n), k) for k in range(d + 1)]
-    assert cert.verdict and calls == dims + [dims[d], dims[d]]
+    assert cert.verdict and calls == dims + [dims[d]]
     calls.clear()
     assert comon_certificate(f, n, stored(kept)).witnesses == cert.witnesses
-    assert len(calls) == 2 ** d + 2
+    assert len(calls) == 2 ** d + 1
 
 
 def test_pipeline_builds_no_segre_piece(monkeypatch):
@@ -363,13 +364,35 @@ def test_pieces_are_read_only_and_built_once():
         explicit.pieces[(1, 0, 0)] = None
 
 
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@pytest.mark.parametrize("n, d, r", [(2, 3, 2), (3, 3, 4), (4, 3, 4), (5, 4, 5)])
+def test_rho_witnesses_match_the_restriction(monkeypatch, field, n, d, r):
+    """The rho-apolarity and rho-hilbert-function witnesses, read off earlier
+    stages, equal those of rho(J) built and checked, on the kept ideal and on a
+    stored copy; the certificate itself builds no rho(J)."""
+    ring = veronese_ring(n)
+    z = very_general_points(ring, r, d + 1, random.Random(7))
+    f = in_field(sum_of_powers_tensor(n, d, z.points), field)
+    kept = upsilon(point_ideal(PointSet(ring, z.points, field=field), d + 1), d, d + 1)
+    want = [rho_stages_reference(f, r, j) for j in (kept, stored(kept))]
+    assert [verdict for _, verdict in want] == [True, True]
+
+    def unreachable(*args):
+        raise AssertionError("the certificate built rho(J)")
+
+    monkeypatch.setattr(transfer, "rho_ideal", unreachable)
+    for j, (witnesses, _) in zip((kept, stored(kept)), want):
+        got = comon_certificate(f, r, j).to_dict()
+        assert (got["verdict"], got["witnesses"][-2:]) == ("pass", witnesses)
+
+
 class TestEliminationCount:
     """Eliminations of the pipeline on r very general points, counted by
     patching `linalg.rref_with_pivots`.  upsilon makes none; the verdict-only
     certificate makes one Veronese annihilator per total degree up to d
-    (conciseness reads Ann(p_F)_1 and the rho check Ann(p_F)_d, so no flattening
-    is reduced) and one colon per testable total degree; reading the digest adds
-    W's reduction once per fibre order."""
+    (conciseness reads Ann(p_F)_1, so no flattening is reduced) and one colon
+    per testable total degree; reading the digest adds W's reduction once per
+    fibre order."""
 
     @pytest.mark.parametrize("n, d, r, cert_shapes", [
         (3, 3, 4, [(1, 10), (3, 6), (6, 3), (10, 1), (40, 1), (40, 3)]),
@@ -410,15 +433,16 @@ class TestEliminationCount:
         assert eliminations == [(n, n ** (d - 1))]
 
     @pytest.mark.parametrize("n, d, r, shapes", [
-        (3, 3, 4, [(1, 10), (2, 6), (3, 6), (3, 6), (3, 6), (3, 6), (6, 3), (6, 10),
-                   (10, 1), (11, 15), (17, 10), (108, 1), (108, 3), (108, 3), (108, 3)]),
-        (4, 3, 4, [(1, 20), (4, 10), (6, 10), (9, 10), (9, 10), (9, 10), (10, 4), (16, 20),
-                   (20, 1), (31, 35), (54, 20), (256, 1), (256, 4), (256, 4), (256, 4)]),
+        (3, 3, 4, [(1, 10), (3, 6), (3, 6), (3, 6), (3, 6), (6, 3), (6, 10),
+                   (10, 1), (17, 10), (108, 1), (108, 3), (108, 3), (108, 3)]),
+        (4, 3, 4, [(1, 20), (4, 10), (9, 10), (9, 10), (9, 10), (10, 4), (16, 20),
+                   (20, 1), (54, 20), (256, 1), (256, 4), (256, 4), (256, 4)]),
     ])
     def test_stored_copy_counts(self, eliminations, n, d, r, shapes):
         """On the stored copy: one Veronese annihilator per total degree up to d,
-        one pi-image per nonzero piece read (each made once, for apolarity,
-        pi-containment and rho(J) together), and one colon per testable degree."""
+        one pi-image per nonzero piece read (each made once, for apolarity and
+        pi-containment together; rho(J) is not built), and one colon per
+        testable degree."""
         z = very_general_points(veronese_ring(n), r, d + 1, random.Random(7))
         f = sum_of_powers_tensor(n, d, z.points)
         kept = upsilon(point_ideal(z, d + 1), d, d + 1)
