@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from borderapolar.apolarity import is_concise
 from borderapolar.bounds import is_111_sharp, is_sharp, min_generators_degree_one
-from borderapolar.linalg import Matrix, rank
+from borderapolar.linalg import rank
 from borderapolar.selftest import sum_of_powers_tensor
 
 
@@ -24,7 +24,7 @@ def draw_instance(n, rng, coeff_bound):
             tuple(Fraction(rng.randint(-coeff_bound, coeff_bound)) for _ in range(n))
             for _ in range(n)
         ]
-        if rank(Matrix([list(f) for f in forms], ncols=n)) < n:
+        if rank(n, [[(c, x) for c, x in enumerate(f) if x] for f in forms]) < n:
             continue
         f = sum_of_powers_tensor(n, 3, forms)
         if is_concise(f):

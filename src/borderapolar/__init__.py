@@ -20,7 +20,7 @@ from .grading import (
     unrank_monomial,
     veronese_ring,
 )
-from .linalg import QQ, Matrix, PrimeField, Subspace, kernel, rref
+from .linalg import QQ, PrimeField, Subspace, kernel
 from .apolarity import (
     GeneralTensor,
     HomPoly,

@@ -34,7 +34,7 @@ from .grading import (
     veronese_ring,
 )
 from .diagonal_maps import pi_fibres
-from .linalg import QQ, Matrix, Subspace, kernel
+from .linalg import QQ, Subspace, kernel
 
 
 class HomPoly:
@@ -268,8 +268,7 @@ def ann_piece(f: GeneralTensor, u) -> Subspace:
     if any(ui > 1 for ui in u):
         return Subspace.full(dim, piece=tag, field=f.field)
     rows = _contraction_rows(f, [i for i, ui in enumerate(u) if ui])
-    ker = kernel(Matrix.of_sparse(dim, list(rows.values()), f.field))
-    return Subspace(dim, tuple(ker.sparse), tag, f.field)
+    return kernel(dim, rows.values(), tag, f.field)
 
 
 def _catalecticant_rows(p: HomPoly, k: int) -> list:
@@ -297,8 +296,7 @@ def ann_sym_piece(p: HomPoly, k: int) -> Subspace:
     tag = (ring, k)
     if k > p.d:
         return Subspace.full(dim, piece=tag, field=p.field)
-    ker = kernel(Matrix.of_sparse(dim, _catalecticant_rows(p, k), p.field))
-    return Subspace(dim, tuple(ker.sparse), tag, p.field)
+    return kernel(dim, _catalecticant_rows(p, k), tag, p.field)
 
 
 # -- flattenings ------------------------------------------------------------------
@@ -319,7 +317,7 @@ def slice_spans(f: GeneralTensor) -> list:
         rows = [sorted(row) for _, row in slices]
         span = next((span for seen, span in reduced if seen == rows), None)
         if span is None:
-            span = Subspace.from_rows(ncols, Matrix.of_sparse(ncols, rows, f.field))
+            span = Subspace.from_rows(ncols, rows, field=f.field)
             reduced.append((rows, span))
         spans.append(span)
     return spans

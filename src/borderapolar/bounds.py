@@ -26,7 +26,7 @@ from .apolarity import (
 from .diagonal_maps import pi_image, proper_unit_box_degrees, staircase_degrees
 from .grading import dim_piece, segre_ring, veronese_ring
 from .ideals import min_generators, span_from_below, variable_multiples
-from .linalg import Matrix, Subspace, rank
+from .linalg import Subspace, rank
 from .transfer import Certificate, tensor_digest
 
 
@@ -122,7 +122,7 @@ def _degree_one_generators(f, spans) -> int:
                 for a in range(n) for row in spans[0].sparse]
     rows = []
     for i in range(1, d):
-        cons = spans[i].constraints().sparse
+        cons = spans[i].constraints()
         at = [[] for _ in cols]  # at[k]: (q, entry) for each constraint q with an entry at k
         for q, row in enumerate(cons):
             for k, y in field.integer_row(row):
@@ -136,7 +136,7 @@ def _degree_one_generators(f, spans) -> int:
                     acc = block_j[q]
                     acc[t] = acc.get(t, 0) + y * x
         rows += [[(t, x) for t, x in acc.items() if x] for per_j in block for acc in per_j]
-    dim_perp = len(unknowns) - rank(Matrix.of_sparse(len(unknowns), rows, field))
+    dim_perp = len(unknowns) - rank(len(unknowns), rows, field)
     return dim_perp - (not f.is_zero)
 
 
@@ -180,7 +180,7 @@ def is_sharp(f) -> Certificate:
         if s < d - 1:
             dim = dim_piece(ring, (s + 1, 1) + (0,) * (d - 2))
             rows = variable_multiples(ring, deg, sub.sparse, 0)
-            sub = Subspace.from_rows(dim, Matrix.of_sparse(dim, rows, f.field))
+            sub = Subspace.from_rows(dim, rows, field=f.field)
     for (i, j), (s, hf) in itertools.product(itertools.permutations(range(d), 2),
                                              enumerate(growth, 1)):
         if hf != n:

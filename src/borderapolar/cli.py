@@ -167,15 +167,23 @@ def _parse_degree(ring: RingSpec, raw, where: str):
 
 
 def load_ideal_file(path: str, field, degree_bound) -> TruncatedIdeal:
-    """Generators are expanded to the bound, lowered to `degree_bound` when that
-    is given; explicit pieces are trusted but validated for closure.  Loaded
-    ideals carry unknown provenance."""
+    """The ideal of a file, truncated at the file's bound, or at `degree_bound`
+    when that is given; a `degree_bound` above the file's bound is refused, as
+    the file says nothing past its own.  Generators are expanded to the bound;
+    explicit pieces are trusted but validated for closure.  Dense basis rows
+    become sparse rows of field elements once their lengths are checked.
+    Loaded ideals carry unknown provenance."""
     data = _load_json(path)
     ring = _ring_from_header(data, path)
     if "bound" not in data:
         raise UsageError(f"{path}: missing field 'bound'")
     file_bound = parse_int(data["bound"], f"{path}:bound")
-    bound = file_bound if degree_bound is None else min(file_bound, degree_bound)
+    if file_bound < 0:
+        raise UsageError(f"{path}: bound must be nonnegative, got {file_bound}")
+    if degree_bound is not None and degree_bound > file_bound:
+        raise UsageError(
+            f"{path}: --degree-bound {degree_bound} exceeds the file's bound {file_bound}")
+    bound = file_bound if degree_bound is None else degree_bound
     if "pieces" in data:
         pieces = {}
         for where, item in _objects(data["pieces"], f"{path}:pieces"):
@@ -187,7 +195,8 @@ def load_ideal_file(path: str, field, degree_bound) -> TruncatedIdeal:
             if any(len(row) != dim for row in rows):
                 raise UsageError(f"{where}: basis rows must have length {dim}")
             try:
-                pieces[u] = Subspace.from_rows(dim, rows, piece=(ring, u), field=field)
+                rows = [[(c, x) for c, x in enumerate(map(field.of, row)) if x] for row in rows]
+                pieces[u] = Subspace.from_rows(dim, rows, (ring, u), field)
             except ValueError as exc:
                 raise UsageError(f"{where}: {exc}") from exc
         missing = [u for u in degrees_up_to(ring, bound) if u not in pieces]
@@ -560,12 +569,14 @@ def main(argv=None) -> int:
                 field = field_for_modulus(modulus)
             except ValueError as exc:
                 raise UsageError(str(exc)) from exc
+        if getattr(args, "degree_bound", None) is not None and args.degree_bound < 0:
+            raise UsageError(f"--degree-bound must be nonnegative, got {args.degree_bound}")
         if args.output:  # refused before any work; appending nothing keeps a file's contents
             _write_output(args.output, "", "a")
         handler = {
             "ann": cmd_ann,
             "hf": cmd_hf,
-            "upsilon": lambda a, k: _transport(a, k, upsilon, a.factors, a.degree_bound),
+            "upsilon": lambda a, k: _transport(a, k, upsilon, a.factors),
             "sigma": lambda a, k: _transport(a, k, sigma),
             "rho": lambda a, k: _transport(a, k, rho_ideal),
             "check": cmd_check,

@@ -43,7 +43,7 @@ from .grading import (
     segre_ring,
     veronese_ring,
 )
-from .linalg import QQ, Matrix, Subspace, _dense, _rref_permuted
+from .linalg import QQ, Subspace, _dense, _rref_permuted
 
 
 def _require_kind(el: PieceElement, kind: RingKind, what: str):
@@ -248,7 +248,7 @@ def pi_image(n: int, d: int, u: tuple, sub: Subspace) -> Subspace:
         ints = [(t, v) for t, v in zip(pushed, field.normalize(list(pushed.values()))) if v]
         if ints:
             rows.append(ints)
-    return Subspace.from_rows(len(fib.top), Matrix.of_sparse(len(fib.top), rows, field))
+    return Subspace.from_rows(len(fib.top), rows, field=field)
 
 
 def psi_image(n: int, d: int, u: tuple, field=QQ) -> Subspace:

@@ -51,7 +51,7 @@ from .grading import (
     veronese_ring,
 )
 from .diagonal_maps import _preimage_rows, _reduced_in_order, pi_fibres, pi_image
-from .linalg import QQ, Matrix, Subspace, kernel
+from .linalg import QQ, Subspace, kernel
 
 
 class GenericityError(RuntimeError):
@@ -127,7 +127,7 @@ def span_from_below(ring: RingSpec, u, piece_at, field=QQ, rows=(), piece=None) 
     for i, prev in _degrees_below(ring, u):
         rows.extend(variable_multiples(ring, prev, piece_at(prev).sparse, i))
     dim = dim_piece(ring, u)
-    return Subspace.from_rows(dim, Matrix.of_sparse(dim, rows, field), piece=piece)
+    return Subspace.from_rows(dim, rows, piece, field)
 
 
 class _Preimages(Mapping):
@@ -189,7 +189,8 @@ class TruncatedIdeal:
     `provenance` records how the ideal arose ("point", "upsilon-of-point", ...)
     so that downstream certificates can state honestly whether membership in
     the closure of point ideals is known.  `field` is read off the pieces (W_0
-    on a kept ideal), which must all lie in one field.
+    on a kept ideal), which must all lie in one field.  The bound is at least
+    0, so there is a piece to read it off.
     """
 
     ring: RingSpec
@@ -199,6 +200,8 @@ class TruncatedIdeal:
     field: object = dataclass_field(init=False, repr=False)
 
     def __post_init__(self):
+        if self.bound < 0:
+            raise ValueError(f"negative truncation bound {self.bound}")
         if not isinstance(self.pieces, _Preimages):
             object.__setattr__(self, "pieces", MappingProxyType(dict(self.pieces)))
             object.__setattr__(self, "_images", {})
@@ -477,7 +480,7 @@ def point_ideal(zs: PointSet, bound: int, provenance: str = "point") -> Truncate
         key = tuple(map(tuple, rows))
         if key not in kernels:
             sparse = [[(c, x) for c, x in enumerate(row) if x] for row in rows]
-            kernels[key] = tuple(kernel(Matrix.of_sparse(len(rows[0]), sparse, field)).sparse)
+            kernels[key] = kernel(len(rows[0]), sparse, field=field).sparse
         pieces[u] = Subspace(len(rows[0]), kernels[key], _piece_tag(ring, u), field)
     return TruncatedIdeal(ring, bound, pieces, provenance)
 
@@ -537,14 +540,13 @@ def _colon(ring: RingSpec, u, v, upper: Subspace) -> Subspace:
     for every monomial m of S_v: the kernel of the constraints of `upper`
     pulled back along the product table, monomial by monomial."""
     table, dim_v = _product_map(ring, u, v), dim_piece(ring, v)
-    cons = [dict(row) for row in upper.constraints().sparse]
+    cons = [dict(row) for row in upper.constraints()]
     stacked = [[(t, row[c]) for t, c in enumerate(table[m::dim_v]) if c in row]
                for m in range(dim_v) for row in cons]
     dim_u = dim_piece(ring, u)
     if not stacked:
         return Subspace.full(dim_u, field=upper.field)
-    return Subspace(dim_u, tuple(kernel(Matrix.of_sparse(dim_u, stacked, upper.field)).sparse),
-                    None, upper.field)
+    return kernel(dim_u, stacked, field=upper.field)
 
 
 def is_saturated_degreewise(j: TruncatedIdeal, u) -> bool:

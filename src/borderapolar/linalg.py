@@ -1,33 +1,35 @@
 """Exact linear algebra over Q, or over a large prime field for fast re-checks.
 
-Vectors are rows, and matrices and subspaces hold them sparsely, as the
-(column, value) pairs of their nonzero entries; dense rows are built only on
-demand, for dumps and tests.  A Subspace stores the unique reduced row echelon
-basis of its row span, each row in ascending column order with its pivot
-first, so two subspaces are equal as sets exactly when their stored rows
-compare equal.  Both fields run one fraction-free Gauss-Jordan loop on dense
-integer rows built from the nonzeros.  The field supplies the rest: how a row
-becomes integers (primitive integers over Q, residues over GF(p)), how a row is
-kept small after each update (divided by its content over Q, reduced mod p over
-GF(p)) and how an integer row divided by one of its entries becomes field
-elements.  Elimination hands back the integer rows and their pivots, and each
-consumer makes the field elements it keeps: `rref` and `kernel` one per
-nonzero entry of the reduced rows, with no second pass to negate them, and
-`rank` none.  As elimination reads only integers, the rows handed to it (a
-Matrix, and through it `kernel` and `Subspace.from_rows`) may hold plain ints
-in place of field elements, each standing for its image in the field:
-producers that know a row only up to a scalar, such as an evaluation at a
-point or a row pushed through an index map, pass integers and make no field
-element at all.
+Vectors are rows, held sparsely as the (column, value) pairs of their nonzero
+entries; dense rows are built only on demand, for dumps and tests.  Elimination
+takes a column count and any iterable of such rows and returns a Subspace
+(`Subspace.from_rows`, `kernel`) or a number (`rank`).  A Subspace stores the
+unique reduced row echelon basis of its row span, each row in ascending column
+order with its pivot first, so two subspaces are equal as sets exactly when
+their stored rows compare equal.  Both fields run one fraction-free
+Gauss-Jordan loop, `rref_with_pivots`, on dense integer rows built from the
+nonzeros; the `Matrix` it reads is only the record of the rows, their width
+and their field, and is made in this module alone.  The field supplies the
+rest: how a row becomes integers (primitive integers over Q, residues over
+GF(p)), how a row is kept small after each update (divided by its content over
+Q, reduced mod p over GF(p)) and how an integer row divided by one of its
+entries becomes field elements.  Elimination hands back the integer rows and
+their pivots, and each consumer makes the field elements it keeps:
+`Subspace.from_rows` and `kernel` one per nonzero entry of the reduced rows,
+with no second pass to negate them, and `rank` none.  As elimination reads
+only integers, the rows may hold plain ints in place of field elements, each
+standing for its image in the field: producers that know a row only up to a
+scalar, such as an evaluation at a point or a row pushed through an index map,
+pass integers and make no field element at all.
 
 A kernel costs one elimination and an annihilator none.  Both come from a
 basis whose pivot columns are clean: the annihilator of such a basis has one
 row e_c - sum_i row_i[c] e_{p_i} per non-pivot column c.  A Subspace applies
-this to its stored RREF basis (the rows span the annihilator but are not in
-RREF).  `kernel` applies it to the RREF of m with its columns reversed, where
-each pivot is the last nonzero column of its row, and there the rows come out
-already in RREF; it divides each integer row by minus its pivot entry, so the
-entries of the annihilator are made directly.
+this to its stored RREF basis (`constraints`: the rows span the annihilator
+but are not in RREF).  `kernel` applies it to the RREF of its rows with the
+columns reversed, where each pivot is the last nonzero column of its row, and
+there the rows come out already in RREF; it divides each integer row by minus
+its pivot entry, so the entries of the annihilator are made directly.
 """
 
 from __future__ import annotations
@@ -249,34 +251,17 @@ def _dense(row, ncols: int, zero) -> list:
 
 
 class Matrix:
-    """Rectangular matrix over a fixed field, held as sparse rows.
+    """What `rref_with_pivots` reads: `ncols` columns and the `sparse` rows.
 
-    Each row of `sparse` is a sequence of (column, value) pairs with distinct
-    columns.  A value is a field element or a plain int, which stands for its
-    image in the field; elimination reads both.
-    The constructor takes dense rows and `rows` gives them back.
+    Each row is a sequence of (column, value) pairs with distinct columns.  A
+    value is a field element or a plain int, which stands for its image in the
+    field; elimination reads both.  `rows` gives the dense rows.
     """
 
-    __slots__ = ("sparse", "ncols", "field")
+    __slots__ = ("ncols", "sparse", "field")
 
-    def __init__(self, rows, ncols=None, field=QQ):
-        rows = [list(r) for r in rows]
-        if rows:
-            ncols = len(rows[0])
-            if any(len(r) != ncols for r in rows):
-                raise ValueError("ragged rows")
-        elif ncols is None:
-            raise ValueError("empty matrix needs an explicit column count")
-        self.sparse = [[(c, x) for c, x in enumerate(map(field.of, r)) if x] for r in rows]
-        self.ncols = ncols
-        self.field = field
-
-    @classmethod
-    def of_sparse(cls, ncols: int, rows, field=QQ) -> "Matrix":
-        """The matrix with the given sparse rows, whose values lie in `field`."""
-        m = cls.__new__(cls)
-        m.sparse, m.ncols, m.field = list(rows), ncols, field
-        return m
+    def __init__(self, ncols: int, sparse, field=QQ):
+        self.ncols, self.sparse, self.field = ncols, sparse, field
 
     @property
     def rows(self) -> list:
@@ -349,22 +334,18 @@ def _reduced(m: Matrix):
     return [from_ints(row, row[c]) for row, c in zip(rows, pivots)], pivots
 
 
-def rref(m: Matrix) -> Matrix:
-    """Unique reduced row echelon form, zero rows dropped."""
-    return Matrix.of_sparse(m.ncols, _reduced(m)[0], m.field)
-
-
-def rank(m: Matrix) -> int:
-    """Rank of m from one elimination of its shorter side: a tall m is
-    transposed first, as rank m^T = rank m over any field.  No field element
-    is made."""
-    if m.nrows > m.ncols:
-        cols = [[] for _ in range(m.ncols)]
-        for r, row in enumerate(m.sparse):
+def rank(ncols: int, rows, field=QQ) -> int:
+    """Rank of the sparse `rows` from one elimination of their shorter side:
+    tall rows are transposed first, as rank m^T = rank m over any field.  No
+    field element is made."""
+    rows = list(rows)
+    if len(rows) > ncols:
+        cols = [[] for _ in range(ncols)]
+        for r, row in enumerate(rows):
             for c, x in row:
                 cols[c].append((r, x))
-        m = Matrix.of_sparse(m.nrows, cols, m.field)
-    return len(rref_with_pivots(m)[1])
+        rows, ncols = cols, len(rows)
+    return len(rref_with_pivots(Matrix(ncols, rows, field))[1])
 
 
 def _rref_permuted(rows, pos, field):
@@ -372,11 +353,10 @@ def _rref_permuted(rows, pos, field):
 
     Returns (reduced sparse rows, pivots), both in the moved coordinates.
     """
-    return _reduced(Matrix.of_sparse(len(pos), [[(pos[c], x) for c, x in row] for row in rows],
-                                     field))
+    return _reduced(Matrix(len(pos), [[(pos[c], x) for c, x in row] for row in rows], field))
 
 
-def _annihilator(ncols: int, negated, field) -> list:
+def _annihilator(ncols: int, negated, field) -> tuple:
     """The right kernel of a basis whose pivots are clean, from `negated`:
     for each basis row, its pivot column p_i and the (column, -entry) pairs of
     its other entries, the row scaled to a 1 at p_i.
@@ -392,25 +372,26 @@ def _annihilator(ncols: int, negated, field) -> list:
         for c, a in row:
             ann[c].append((p, a))
     one = field.one
-    return [((c, one),) + tuple(a) for c, a in enumerate(ann) if a is not None]
+    return tuple([((c, one),) + tuple(a) for c, a in enumerate(ann) if a is not None])
 
 
-def kernel(m: Matrix) -> Matrix:
-    """RREF basis of the right kernel {v : m v = 0}, from one elimination.
+def kernel(ncols: int, rows, piece=None, field=QQ) -> "Subspace":
+    """The right kernel {v : row . v = 0 for every row} of the sparse `rows`,
+    from one elimination.
 
-    m is row-reduced with its columns reversed, so that, turned back, each
-    reduced row ends at its pivot q.  The kernel row of a non-pivot column c
-    then starts at c and has its other entries at pivots q > c, so with the
-    reduced rows taken in ascending q the kernel rows, in ascending c, are
-    already the reduced row echelon form.  Each integer row is divided by
-    minus its pivot entry, so every kernel entry is made once.
+    The rows are reduced with their columns reversed, so that, turned back,
+    each reduced row ends at its pivot q.  The kernel row of a non-pivot
+    column c then starts at c and has its other entries at pivots q > c, so
+    with the reduced rows taken in ascending q the kernel rows, in ascending
+    c, are already the reduced row echelon form.  Each integer row is divided
+    by minus its pivot entry, so every kernel entry is made once.
     """
-    n, field = m.ncols, m.field
-    rev = Matrix.of_sparse(n, [[(n - 1 - c, x) for c, x in row] for row in m.sparse], field)
+    n = ncols
+    rev = Matrix(n, [[(n - 1 - c, x) for c, x in row] for row in rows], field)
     ints, pivots = rref_with_pivots(rev)
     negated = [(n - 1 - p, field.from_ints(row[::-1], -row[p])[:-1])
                for row, p in zip(reversed(ints), reversed(pivots))]
-    return Matrix.of_sparse(n, _annihilator(n, negated, field), field)
+    return Subspace(n, _annihilator(n, negated, field), piece, field)
 
 
 # -- subspaces ------------------------------------------------------------------
@@ -431,11 +412,12 @@ class Subspace:
 
     @classmethod
     def from_rows(cls, ambient_dim: int, rows, piece=None, field=QQ) -> "Subspace":
-        """The span of `rows`: dense rows over `field`, or a Matrix."""
-        m = rows if isinstance(rows, Matrix) else Matrix(rows, ncols=ambient_dim, field=field)
-        if m.ncols != ambient_dim:
-            raise ValueError(f"rows of width {m.ncols} in an ambient of dimension {ambient_dim}")
-        return cls(ambient_dim, tuple(rref(m).sparse), piece, m.field)
+        """The span of the sparse `rows` over `field`, from one elimination."""
+        rows = list(rows)
+        bad = next((c for row in rows for c, _ in row if not 0 <= c < ambient_dim), None)
+        if bad is not None:
+            raise ValueError(f"column {bad} outside an ambient of dimension {ambient_dim}")
+        return cls(ambient_dim, tuple(_reduced(Matrix(ambient_dim, rows, field))[0]), piece, field)
 
     @classmethod
     def zero(cls, ambient_dim: int, piece=None, field=QQ) -> "Subspace":
@@ -482,14 +464,15 @@ class Subspace:
             raise ValueError(f"graded piece mismatch: {self.piece} vs {other.piece}")
 
     def matrix(self) -> Matrix:
-        return Matrix.of_sparse(self.ambient_dim, self.sparse, self.field)
+        """The basis rows as the record elimination reads."""
+        return Matrix(self.ambient_dim, self.sparse, self.field)
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)
-        both = Matrix.of_sparse(self.ambient_dim, self.sparse + other.sparse, self.field)
-        return Subspace.from_rows(self.ambient_dim, both, piece=self.piece or other.piece)
+        return Subspace.from_rows(self.ambient_dim, self.sparse + other.sparse,
+                                  self.piece or other.piece, self.field)
 
-    def constraints(self) -> Matrix:
+    def constraints(self) -> tuple:
         """Rows spanning the linear functionals that vanish on this subspace.
 
         Read off the RREF basis with no elimination: for each non-pivot column
@@ -498,16 +481,12 @@ class Subspace:
         in RREF.
         """
         negated = [(row[0][0], [(c, -a) for c, a in row[1:]]) for row in self.sparse]
-        rows = _annihilator(self.ambient_dim, negated, self.field)
-        return Matrix.of_sparse(self.ambient_dim, rows, self.field)
+        return _annihilator(self.ambient_dim, negated, self.field)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)
-        stacked = Matrix.of_sparse(
-            self.ambient_dim, self.constraints().sparse + other.constraints().sparse, self.field
-        )
-        return Subspace(self.ambient_dim, tuple(kernel(stacked).sparse),
-                        self.piece or other.piece, self.field)
+        return kernel(self.ambient_dim, self.constraints() + other.constraints(),
+                      self.piece or other.piece, self.field)
 
     @cached_property
     def _row_at(self) -> dict:

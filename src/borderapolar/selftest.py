@@ -261,11 +261,9 @@ def suite_negative_controls(cfg: ScaleConfig, rng: random.Random):
     lifted = upsilon(ideal, d, d + 1)
     u_first = (d, 0, 0)
     ring = lifted.ring
-    bad_rows = list(lifted.piece(u_first).basis)
+    bad_rows = list(lifted.piece(u_first).sparse)
     # swap in a vector that is visibly not apolar: the pure power monomial
-    bad_rows[0] = tuple(
-        1 if i == 0 else 0 for i in range(dim_piece(ring, u_first))
-    )
+    bad_rows[0] = ((0, 1),)
     perturbed = lifted.with_piece(
         u_first,
         Subspace.from_rows(dim_piece(ring, u_first), bad_rows),

@@ -69,7 +69,7 @@ def independent_forms(n: int, rng: random.Random, bound: int = 5):
             tuple(Fraction(rng.randint(-bound, bound)) for _ in range(n))
             for _ in range(n)
         ]
-        if rank(Matrix([list(f) for f in forms], ncols=n)) == n:
+        if rank(n, sparse_rows(forms)) == n:
             return forms
 
 
@@ -124,6 +124,12 @@ def depolarize_reference(f: GeneralTensor) -> HomPoly:
 
 # -- helpers that only the tests read ------------------------------------------------
 
+def sparse_rows(rows, field=QQ) -> list:
+    """Dense rows as sparse rows of field elements, zeros dropped: the rows
+    that elimination takes."""
+    return [[(c, x) for c, x in enumerate(map(field.of, row)) if x] for row in rows]
+
+
 def multiply_monomials(ring, a, b):
     if ring.is_multigraded:
         return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
@@ -175,7 +181,7 @@ def pi_matrix_reference(n: int, d: int, u, field=QQ) -> Matrix:
     rows = [[0] * len(cols) for _ in range(dim_piece(ring_v, degree_total(u)))]
     for c, mono in enumerate(cols):
         rows[rank_monomial(ring_v, tuple(map(sum, zip(*mono))))][c] = 1
-    return Matrix(rows, ncols=len(cols), field=field)
+    return Matrix(len(cols), sparse_rows(rows, field), field)
 
 
 def psi_matrix_reference(n: int, d: int, u, field=QQ) -> Matrix:
@@ -191,7 +197,7 @@ def psi_matrix_reference(n: int, d: int, u, field=QQ) -> Matrix:
         blocks = tuple(tuple(idx[a:a + ut].count(j) for j in range(n))
                        for a, ut in zip(starts, u))
         rows[rank_monomial(ring_s, blocks)][m] = 1
-    return Matrix(rows, ncols=len(dom), field=field)
+    return Matrix(len(dom), sparse_rows(rows, field), field)
 
 
 def mat_vec(m: Matrix, v) -> list:
@@ -203,8 +209,9 @@ def mat_vec(m: Matrix, v) -> list:
 def matmul(a: Matrix, b: Matrix) -> Matrix:
     assert a.ncols == b.nrows
     cols = list(zip(*b.rows)) if b.rows else [()] * b.ncols
-    return Matrix([[sum((x * y for x, y in zip(ra, cb) if x and y), a.field.zero) for cb in cols]
-                   for ra in a.rows], ncols=b.ncols, field=a.field)
+    rows = [[sum((x * y for x, y in zip(ra, cb) if x and y), a.field.zero) for cb in cols]
+            for ra in a.rows]
+    return Matrix(b.ncols, sparse_rows(rows, a.field), a.field)
 
 
 def rref_gf_reference(m: Matrix):
@@ -236,17 +243,18 @@ def rref_gf_reference(m: Matrix):
 def image_reference(m: Matrix, a: Subspace) -> Subspace:
     """The image of `a` under m, row-reduced on the codomain."""
     assert m.ncols == a.ambient_dim
-    return Subspace.from_rows(m.nrows, [mat_vec(m, r) for r in a.basis], field=a.field)
+    rows = sparse_rows([mat_vec(m, r) for r in a.basis], a.field)
+    return Subspace.from_rows(m.nrows, rows, field=a.field)
 
 
 def preimage_reference(m: Matrix, w: Subspace) -> Subspace:
     """{x : m x in w}: the kernel of (annihilator of w) . m."""
     assert m.nrows == w.ambient_dim
     cons = w.constraints()
-    if not cons.nrows:
+    if not cons:
         return Subspace.full(m.ncols, field=m.field)
-    ker = kernel(matmul(cons, m))
-    return Subspace.from_rows(m.ncols, ker.rows, field=m.field)
+    return kernel(m.ncols, matmul(Matrix(w.ambient_dim, cons, w.field), m).sparse,
+                  field=m.field)
 
 
 # -- dense references for the sparse-row subspace calculus ---------------------------
@@ -290,14 +298,13 @@ def constraints_reference(sub: Subspace) -> Matrix:
             if row[c]:
                 v[p] = -row[c]
         rows.append(v)
-    return Matrix(rows, ncols=n, field=field)
+    return Matrix(n, sparse_rows(rows, field), field)
 
 
 def intersect_reference(a: Subspace, b: Subspace) -> Subspace:
     """The kernel of both dense constraint matrices stacked."""
     stacked = constraints_reference(a).rows + constraints_reference(b).rows
-    ker = kernel(Matrix(stacked, ncols=a.ambient_dim, field=a.field))
-    return Subspace.from_rows(a.ambient_dim, ker.rows, field=a.field)
+    return kernel(a.ambient_dim, sparse_rows(stacked, a.field), field=a.field)
 
 
 def reduce_vector_reference(sub: Subspace, v) -> list:
@@ -348,7 +355,7 @@ def colon_rows_reference(ring, u, v, upper: Subspace) -> list:
     else:
         monos = ([(0, var) for var in m]
                  for m in itertools.combinations_with_replacement(range(n), v))
-    cons = [dict(row) for row in upper.constraints().sparse]
+    cons = [dict(row) for row in upper.constraints()]
     stacked = []
     for steps in monos:
         idx_map, deg = list(range(dim_piece(ring, u))), u
@@ -367,8 +374,7 @@ def colon_reference(ring, u, v, upper: Subspace) -> Subspace:
     stacked, dim_u = colon_rows_reference(ring, u, v, upper), dim_piece(ring, u)
     if not stacked:
         return Subspace.full(dim_u, field=upper.field)
-    return Subspace(dim_u, tuple(kernel(Matrix.of_sparse(dim_u, stacked, upper.field)).sparse),
-                    None, upper.field)
+    return kernel(dim_u, stacked, field=upper.field)
 
 
 def expand_reference(generators, ring, bound: int, field=QQ) -> dict:
@@ -384,7 +390,7 @@ def expand_reference(generators, ring, bound: int, field=QQ) -> dict:
         for i, prev in below:
             rows += [multiply_vector_by_variable_reference(ring, prev, b, i, j)
                      for b in pieces[prev].basis for j in range(ring.n)]
-        pieces[u] = Subspace.from_rows(dim_piece(ring, u), rows, field=field)
+        pieces[u] = Subspace.from_rows(dim_piece(ring, u), sparse_rows(rows, field), field=field)
     return pieces
 
 
@@ -405,8 +411,7 @@ def point_ideal_reference(zs, bound: int) -> dict:
                         val = val * c ** e
                 row.append(val)
             rows.append(row)
-        ker = kernel(Matrix(rows, ncols=len(basis), field=field))
-        pieces[u] = Subspace.from_rows(len(basis), ker.rows, field=field)
+        pieces[u] = kernel(len(basis), sparse_rows(rows, field), field=field)
     return pieces
 
 
@@ -417,20 +422,21 @@ def min_generators_degree_one_reference(f) -> int:
                           f.field)
 
 
-def flattening(f: GeneralTensor, i: int, cols: dict) -> Matrix:
+def flattening(f: GeneralTensor, i: int, cols: dict) -> list:
     """F's flattening along factor i, as sparse rows: row j is the slice F_{i=j},
     and the index on the other factors goes to column cols[index]."""
     rows = [[] for _ in range(f.n)]
     for idx, x in f.entries.items():
         rows[idx[i]].append((cols[idx[:i] + idx[i + 1:]], x))
-    return Matrix.of_sparse(len(cols), rows, f.field)
+    return rows
 
 
 def slice_spans_reference(f) -> list:
     """R_i for each factor i by d separate reductions, one per flattening:
     column c stands for the c-th index of the other d-1 factors in `product` order."""
     cols = {t: c for c, t in enumerate(itertools.product(range(f.n), repeat=f.order - 1))}
-    return [Subspace.from_rows(len(cols), flattening(f, i, cols)) for i in range(f.order)]
+    return [Subspace.from_rows(len(cols), flattening(f, i, cols), field=f.field)
+            for i in range(f.order)]
 
 
 def ann_piece_reference(f: GeneralTensor, u) -> Subspace:
@@ -457,8 +463,7 @@ def ann_piece_reference(f: GeneralTensor, u) -> Subspace:
             if x is not None:
                 row.append((c, x))
         rows.append(row)
-    ker = kernel(Matrix.of_sparse(dim, rows, f.field))
-    return Subspace(dim, tuple(ker.sparse), tag, f.field)
+    return kernel(dim, rows, tag, f.field)
 
 
 def contract_tensor_reference(theta: PieceElement, f: GeneralTensor) -> GeneralTensor:
@@ -502,8 +507,7 @@ def ann_sym_piece_reference(p: HomPoly, k: int) -> Subspace:
                     fall *= math.factorial(gj) // math.factorial(gj - dj)
                 row.append((c, a * fall))
         rows.append(row)
-    ker = kernel(Matrix.of_sparse(dim, rows, p.field))
-    return Subspace(dim, tuple(ker.sparse), tag, p.field)
+    return kernel(dim, rows, tag, p.field)
 
 
 def contract_poly_reference(g: PieceElement, p: HomPoly) -> HomPoly:
@@ -593,7 +597,7 @@ def is_sharp_reference(f) -> Certificate:
                 if s < d - 1:
                     dim = dim_piece(ring, add_degrees(deg, unit_degree(d, i)))
                     rows = variable_multiples(ring, deg, sub.sparse, i)
-                    sub = Subspace.from_rows(dim, Matrix.of_sparse(dim, rows, f.field))
+                    sub = Subspace.from_rows(dim, rows, field=f.field)
     cert.add(stage="two-factor-growth", ok=cond3)
     cert.verdict = cond1 and cond2 and cond3
     if not cert.verdict:

@@ -59,6 +59,7 @@ from support import (
     diagonal_tensor,
     power_of_form,
     random_symmetric_tensor,
+    sparse_rows,
 )
 from test_bounds import all_representations
 
@@ -293,7 +294,7 @@ def test_criterion_11_negative_controls():
     dim = dim_piece(lifted.ring, u_first)
     rows = list(lifted.piece(u_first).basis)
     rows[0] = tuple(1 if i == 0 else 0 for i in range(dim))
-    bad = lifted.with_piece(u_first, Subspace.from_rows(dim, rows))
+    bad = lifted.with_piece(u_first, Subspace.from_rows(dim, sparse_rows(rows)))
     cert = check_condition_iii(bad, f)
     perturbed_fails = (not cert.verdict) and str(u_first) in (cert.failure or "")
 

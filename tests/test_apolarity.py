@@ -41,7 +41,7 @@ from borderapolar.transfer import tensor_digest
 from support import (ann_piece_reference, ann_sym_piece_reference, contract_poly_reference,
                      contract_tensor_reference, depolarize_reference, diagonal_tensor,
                      multiply, random_form, random_symmetric_tensor, slice_spans_reference,
-                     sum_of_powers_tensor, symmetry_error_reference)
+                     sparse_rows, sum_of_powers_tensor, symmetry_error_reference)
 
 
 class TestPolarize:
@@ -407,7 +407,7 @@ class TestAnnPiece:
             relabeled.append(out)
         from borderapolar.linalg import Subspace
 
-        assert Subspace.from_rows(dim_piece(ring, (0, 1, 1)), relabeled) == sub_b
+        assert Subspace.from_rows(dim_piece(ring, (0, 1, 1)), sparse_rows(relabeled)) == sub_b
 
 
 class TestAnnSymPiece:

@@ -33,7 +33,7 @@ from borderapolar.bounds import (
 )
 from borderapolar.diagonal_maps import pi_image, proper_unit_box_degrees
 from borderapolar.grading import dim_piece, monomials, segre_ring, veronese_ring
-from borderapolar.linalg import QQ, Matrix, PrimeField, Subspace
+from borderapolar.linalg import QQ, PrimeField, Subspace
 from borderapolar.ideals import multiply_vector_by_variable
 from borderapolar.selftest import random_forms
 from borderapolar.transfer import tensor_digest
@@ -298,11 +298,11 @@ class TestLemmaSuite:
         ring = segre_ring(n, d)
         ann_dm1 = ann_sym_piece(p, d - 1)
         dim = dim_piece(veronese_ring(n), d)
-        v1_ann = Subspace.from_rows(dim, Matrix.of_sparse(dim, [
+        v1_ann = Subspace.from_rows(dim, [
             multiply_vector_by_variable(veronese_ring(n), d - 1, b, 0, j)
             for b in ann_dm1.sparse
             for j in range(n)
-        ]))
+        ])
         for s in range(1, d - 1):
             deg_a = tuple(
                 (s if t == 0 else 0) + (1 if 1 <= t <= d - s - 1 else 0)

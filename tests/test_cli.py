@@ -422,7 +422,7 @@ class TestCheck:
 class TestDegreeBoundBelowOrder:
     """check --degree-bound B with B < d exits 2 before any ideal is built."""
 
-    @pytest.mark.parametrize("bound", ["-1", "0", "2"])
+    @pytest.mark.parametrize("bound", ["0", "2"])
     @pytest.mark.parametrize("source", ["points", "ideal"])
     def test_rejected_up_front(self, tmp_path, capsys, monkeypatch, bound, source):
         def unreachable(*args, **kwargs):
@@ -449,6 +449,60 @@ class TestDegreeBoundBelowOrder:
         code, out = run(["check", tf, "2", "--points", pf, "--degree-bound", "3"], capsys)
         assert code == 0
         assert "tested up to total degree 3" in out
+
+
+class TestDegreeBoundRules:
+    """A negative --degree-bound exits 2 before any file is read, and one above
+    an ideal file's own bound exits 2 on every subcommand that reads the file."""
+
+    @pytest.mark.parametrize("command", [
+        ["hf", "missing.json", "0"],
+        ["hf", "--diagonal", "2", "3", "0"],
+        ["upsilon", "missing.json", "--factors", "2"],
+        ["sigma", "missing.json"],
+        ["rho", "missing.json"],
+        ["check", "missing.json", "2", "--points", "missing.json"],
+        ["check", "missing.json", "2", "--ideal", "missing.json"],
+    ], ids=["hf", "hf-diagonal", "upsilon", "sigma", "rho", "check-points", "check-ideal"])
+    def test_negative_bound_refused_before_reading(self, tmp_path, capsys, monkeypatch,
+                                                   command):
+        monkeypatch.chdir(tmp_path)
+        code = cli.main([*command, "--degree-bound", "-1"])
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (2, "", "error: --degree-bound must be nonnegative, got -1\n")
+
+    def test_negative_file_bound_refused(self, tmp_path, capsys):
+        path = write(tmp_path, "v.json", {**PRINCIPAL_V, "bound": -1})
+        code = cli.main(["upsilon", path, "--factors", "2"])
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (2, "", f"error: {path}: bound must be nonnegative, got -1\n")
+
+    @pytest.mark.parametrize("command, ring", [
+        (["hf", "IDEAL", "2"], "V"),
+        (["upsilon", "IDEAL", "--factors", "2"], "V"),
+        (["sigma", "IDEAL"], "S"),
+        (["rho", "IDEAL"], "S"),
+        (["check", "TENSOR", "2", "--ideal", "IDEAL"], "S"),
+    ], ids=["hf", "upsilon", "sigma", "rho", "check"])
+    def test_bound_above_the_file_refused(self, tmp_path, capsys, command, ring):
+        from borderapolar.transfer import upsilon
+
+        payload = PRINCIPAL_V
+        if ring == "S":  # the bound-4 upsilon of the two coordinate points
+            z = PointSet(veronese_ring(2), ((1, 0), (0, 1)))
+            payload = cli.dump_ideal(upsilon(point_ideal(z, 4), 3, 4))
+        path = write(tmp_path, "i.json", payload)
+        files = {"IDEAL": path, "TENSOR": write(tmp_path, "t.json", FERMAT)}
+        args = [files.get(a, a) for a in command]
+        bound = payload["bound"]
+        code = cli.main([*args, "--degree-bound", "9"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: --degree-bound 9 exceeds the file's bound {bound}\n"
+        # the file's own bound is accepted, and so is a lower one
+        for ok in (str(bound), "3"):
+            assert cli.main([*args, "--degree-bound", ok]) == 0
+            capsys.readouterr()
 
 
 class TestIdealBelowOrder:

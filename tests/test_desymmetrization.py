@@ -33,10 +33,11 @@ def reference_upsilon(i: TruncatedIdeal, d: int, bound: int) -> TruncatedIdeal:
     ring_s = segre_ring(n, d)
     pieces = {}
     for u in degrees_up_to(ring_s, bound):
-        base = kernel(pi_matrix_reference(n, d, u, i.field))
+        pi_u = pi_matrix_reference(n, d, u, i.field)
+        base = kernel(pi_u.ncols, pi_u.sparse, field=i.field)
         lifted = image_reference(psi_matrix_reference(n, d, u, i.field), i.piece(sum(u)))
         pieces[u] = Subspace.from_rows(
-            dim_piece(ring_s, u), list(base.rows) + list(lifted.basis),
+            dim_piece(ring_s, u), base.sparse + lifted.sparse,
             piece=(ring_s, u), field=i.field,
         )
     return TruncatedIdeal(ring_s, bound, pieces, "user")

@@ -42,7 +42,8 @@ from borderapolar.ideals import (
 )
 from borderapolar.linalg import QQ, PrimeField, Subspace, kernel
 from borderapolar.transfer import ideal_digest, upsilon
-from support import colon_reference, colon_rows_reference, diagonal_tensor, multiply_monomials
+from support import (colon_reference, colon_rows_reference, diagonal_tensor, multiply_monomials,
+                     sparse_rows)
 
 
 V2 = veronese_ring(2)
@@ -125,9 +126,9 @@ class TestColon:
     def test_matches_reference(self, monkeypatch, field):
         stacked = []
 
-        def recording(m):
-            stacked.append(m.sparse)
-            return kernel(m)
+        def recording(ncols, rows, piece=None, field=QQ):
+            stacked.append(rows)
+            return kernel(ncols, rows, piece, field)
 
         monkeypatch.setattr(ideals, "kernel", recording)
         for ring, u, v, upper in self.cases(field):
@@ -406,7 +407,7 @@ class TestMinGenerators:
                 new_rows = [list(g.coords) for g in gens if g.degree == deg]
                 if below is not None:
                     merged = Subspace.from_rows(
-                        dim_piece(V3, deg), list(below.basis) + new_rows
+                        dim_piece(V3, deg), sparse_rows(list(below.basis) + new_rows)
                     )
                     independent = merged.dim - below.dim
                 assert min_generators_in_degree(j, deg) == independent

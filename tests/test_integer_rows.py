@@ -23,6 +23,7 @@ from support import (
     image_reference,
     mat_vec,
     pi_matrix_reference,
+    sparse_rows,
 )
 
 FIELDS = [QQ, PrimeField(2147483647)]
@@ -74,8 +75,9 @@ class TestPiImage:
         for n, d, u in ((2, 2, (1, 1)), (2, 3, (2, 1, 0)), (3, 2, (2, 1)), (3, 3, (1, 1, 1))):
             m = pi_matrix_reference(n, d, u, field)
             dim, rows = collapsing_rows(n, d, u, field, rng)
-            w = Subspace.from_rows(m.nrows, [[F(rng.randint(-5, 5), rng.randint(1, 6))
-                                              for _ in range(m.nrows)]], field=field)
+            w = Subspace.from_rows(m.nrows, sparse_rows([[F(rng.randint(-5, 5), rng.randint(1, 6))
+                                                          for _ in range(m.nrows)]], field),
+                                   field=field)
             # rows that are not an RREF, a pi-preimage whose e_c - e_top rows all
             # collapse, and a diagonal piece whose image is zero
             for sub in (Subspace(dim, tuple(rows), None, field), pi_preimage(n, d, u, w),

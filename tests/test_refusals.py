@@ -1,0 +1,180 @@
+"""The input checks of each package module: every refusal raises its own
+message, one group of cases per module."""
+
+import pytest
+
+from borderapolar.apolarity import (
+    GeneralTensor,
+    HomPoly,
+    ann_piece,
+    ann_sym_piece,
+    contract_poly,
+)
+from borderapolar.bounds import MacaulayRep, macaulay_rep
+from borderapolar.diagonal_maps import pi_preimage
+from borderapolar.grading import (
+    PieceElement,
+    rank_monomial,
+    segre_ring,
+    sub_degrees,
+    unit_degree,
+    veronese_ring,
+)
+from borderapolar.ideals import (
+    PointSet,
+    diagonal_ideal,
+    diagonal_points,
+    expand,
+    point_ideal,
+    zero_ideal,
+)
+from borderapolar.linalg import Mod, PrimeField, Subspace
+from borderapolar.selftest import run_selftest
+from borderapolar.transfer import upsilon
+
+P, Q = 2147483647, 1048583
+V2, V3, S22 = veronese_ring(2), veronese_ring(3), segre_ring(2, 2)
+X2 = HomPoly(2, 2, {(2, 0): 1})
+
+
+def refused(call, exc, match):
+    with pytest.raises(exc, match=match):
+        call()
+
+
+LINALG = {
+    "graded-piece-mismatch": (lambda: Subspace.zero(2, piece="a").sum(Subspace.zero(2, piece="b")),
+                              ValueError, "graded piece mismatch: a vs b"),
+    "mixed-moduli-arithmetic": (lambda: Mod(1, P) + Mod(1, Q), ValueError, "mixed moduli"),
+    "mixed-moduli-coercion": (lambda: PrimeField(P).of(Mod(1, Q)), ValueError, "mixed moduli"),
+    "division-by-zero": (lambda: Mod(1, P) / 0, ZeroDivisionError,
+                         "division by zero in prime field"),
+    "vector-length": (lambda: Subspace.zero(3).reduce_vector([1, 2]), ValueError,
+                      "vector length mismatch"),
+}
+
+IDEALS = {
+    "expand-ring": (lambda: expand([PieceElement(V2, 1, (1, 0))], V3, 2), ValueError,
+                    r"generator ring .* does not match"),
+    "no-points": (lambda: PointSet(V2, ()), ValueError, "need at least one point"),
+    "factor-count": (lambda: PointSet(segre_ring(2, 3), (((1, 0), (0, 1)),)), ValueError,
+                     r"point .* does not have 3 factors"),
+    "factor-length": (lambda: PointSet(S22, (((1, 0, 0), (0, 1)),)), ValueError,
+                      "factor coordinate length mismatch"),
+    "zero-factor": (lambda: PointSet(S22, (((0, 0), (0, 1)),)), ValueError,
+                    r"point .* has an all-zero factor"),
+    "coordinate-length": (lambda: PointSet(V2, ((1, 2, 3),)), ValueError,
+                          "coordinate length mismatch"),
+    "zero-point": (lambda: PointSet(V2, ((0, 0),)), ValueError, "zero point"),
+    "diagonal-of-segre-points": (lambda: diagonal_points(PointSet(S22, (((1, 0), (0, 1)),)), 2),
+                                 ValueError, "expected points on the Veronese target"),
+}
+
+APOLARITY = {
+    "exponent-length": (lambda: HomPoly(2, 2, {(1, 1, 0): 1}), ValueError,
+                        r"bad exponent vector \(1, 1, 0\)"),
+    "negative-exponent": (lambda: HomPoly(2, 2, {(3, -1): 1}), ValueError,
+                          r"bad exponent vector \(3, -1\)"),
+    "exponent-sum": (lambda: HomPoly(2, 2, {(1, 0): 1}), ValueError,
+                     r"exponents \(1, 0\) do not sum to degree 2"),
+    "factor-labels": (lambda: GeneralTensor(2, 2, {}, factors=(0,)), ValueError,
+                      "factor labels do not match the tensor order"),
+    "index-range": (lambda: GeneralTensor(2, 2, {(0, 2): 1}), ValueError,
+                    r"index tuple \(0, 2\) out of range"),
+    "contract-segre-element": (lambda: contract_poly(PieceElement(S22, (1, 0), (1, 0)), X2),
+                               ValueError, "expected an element of the Veronese coordinate ring"),
+    "contract-variable-count": (lambda: contract_poly(PieceElement(V3, 1, (1, 0, 0)), X2),
+                                ValueError, "variable count mismatch"),
+    "ann-of-a-contraction": (lambda: ann_piece(GeneralTensor(2, 2, {(0, 0): 1}, factors=(0, 2)),
+                                               (1, 0)),
+                             ValueError, "on all original factors"),
+    "negative-sym-degree": (lambda: ann_sym_piece(X2, -1), ValueError, "negative degree"),
+}
+
+GRADING = {
+    "unit-degree-factor": (lambda: unit_degree(2, 2), ValueError,
+                           "factor index 2 out of range for d=2"),
+    "negative-multidegree": (lambda: sub_degrees((1, 0), (0, 1)), ValueError,
+                             r"\(1, 0\) - \(0, 1\) is not a valid degree"),
+    "negative-degree": (lambda: sub_degrees(1, 2), ValueError, "1 - 2 is not a valid degree"),
+    "veronese-monomial": (lambda: rank_monomial(V2, (3, -1)), ValueError,
+                          r"bad monomial \(3, -1\)"),
+    "segre-monomial-shape": (lambda: rank_monomial(S22, ((1, 0),)), ValueError,
+                             "bad monomial shape"),
+}
+
+BOUNDS = {
+    "term-below-its-index": (lambda: MacaulayRep(1, 2, ((1, 2),)), ValueError,
+                             r"need k_i >= i >= 1 in every term"),
+    "lower-indices-skip": (lambda: MacaulayRep(5, 3, ((4, 3), (2, 1))), ValueError,
+                           "lower indices must run a, a-1, ... consecutively"),
+    "negative-m": (lambda: macaulay_rep(-1, 1), ValueError, "need m >= 0 and a >= 1"),
+    "zero-a": (lambda: macaulay_rep(3, 0), ValueError, "need m >= 0 and a >= 1"),
+}
+
+SELFTEST = {
+    "unknown-scale": (lambda: run_selftest(scale="huge"), ValueError,
+                      r"unknown scale 'huge'; choose from \['deep', 'desk'\]"),
+}
+
+DIAGONAL_MAPS = {
+    "preimage-ambient": (lambda: pi_preimage(2, 2, (1, 1), Subspace.zero(5)), ValueError,
+                         r"subspace ambient 5 is not dim V_2 = 3"),
+}
+
+
+def cases(group: dict):
+    return pytest.mark.parametrize("call, exc, match", group.values(), ids=list(group))
+
+
+@cases(LINALG)
+def test_linalg_refuses(call, exc, match):
+    refused(call, exc, match)
+
+
+@cases(IDEALS)
+def test_ideals_refuses(call, exc, match):
+    refused(call, exc, match)
+
+
+@cases(APOLARITY)
+def test_apolarity_refuses(call, exc, match):
+    refused(call, exc, match)
+
+
+@cases(GRADING)
+def test_grading_refuses(call, exc, match):
+    refused(call, exc, match)
+
+
+@cases(BOUNDS)
+def test_bounds_refuses(call, exc, match):
+    refused(call, exc, match)
+
+
+@cases(SELFTEST)
+def test_selftest_refuses(call, exc, match):
+    refused(call, exc, match)
+
+
+@cases(DIAGONAL_MAPS)
+def test_diagonal_maps_refuses(call, exc, match):
+    refused(call, exc, match)
+
+
+GF_POINTS = PointSet(V2, ((1, 2), (3, 4)), field=PrimeField(P))
+
+NEGATIVE_BOUND = {
+    "zero-ideal": lambda: zero_ideal(V2, -1),
+    "expand": lambda: expand([], V2, -1),
+    "point-ideal-over-gf": lambda: point_ideal(GF_POINTS, -1),
+    "diagonal-ideal": lambda: diagonal_ideal(2, 3, -1),
+    "upsilon": lambda: upsilon(point_ideal(GF_POINTS, 2), 3, -1),
+}
+
+
+@pytest.mark.parametrize("call", NEGATIVE_BOUND.values(), ids=list(NEGATIVE_BOUND))
+def test_negative_truncation_bound_refused(call):
+    """A truncated ideal has a piece in degree 0 at least, so no constructor
+    makes one with a negative bound."""
+    refused(call, ValueError, "negative truncation bound -1")

@@ -92,6 +92,17 @@ def test_only_grading_ranks_a_monomial():
     assert callers == []
 
 
+def test_only_linalg_builds_a_matrix():
+    """Elimination takes sparse rows and returns a Subspace or a rank: no
+    package module outside `linalg`, and no script, names `Matrix`, the record
+    that `rref_with_pivots` reads."""
+    paths = [*sorted((ROOT / "src" / "borderapolar").glob("*.py")),
+             *sorted((ROOT / "scripts").glob("*.py"))]
+    namers = [path.stem for path in paths
+              if path.stem != "linalg" and "Matrix" in _used_names(path)]
+    assert namers == []
+
+
 def test_only_apolarity_reads_a_tensors_entries():
     """A multilinear F is read through `apolarity`'s contraction map: no other
     package module reads `.entries`, except `transfer.tensor_digest`, which

@@ -34,7 +34,7 @@ from borderapolar.ideals import (
     very_general_points,
     zero_ideal,
 )
-from borderapolar.linalg import QQ, PrimeField, Subspace
+from borderapolar.linalg import QQ, Matrix, PrimeField, Subspace
 from borderapolar.transfer import ideal_digest, upsilon
 from support import (
     RATIONAL_POINTS,
@@ -47,6 +47,7 @@ from support import (
     multiply_vector_by_variable_reference,
     point_ideal_reference,
     reduce_vector_reference,
+    sparse_rows,
 )
 
 FIELDS = [QQ, PrimeField(2147483647)]
@@ -61,12 +62,13 @@ def sample_subspaces(field, rng):
     """Zero, full, single-row and one-column subspaces, then random ones."""
     yield Subspace.zero(5, field=field)
     yield Subspace.full(5, field=field)
-    yield Subspace.from_rows(5, [[0, 2, 0, -1, 3]], field=field)
-    yield Subspace.from_rows(1, [[4]], field=field)
+    yield Subspace.from_rows(5, sparse_rows([[0, 2, 0, -1, 3]], field), field=field)
+    yield Subspace.from_rows(1, sparse_rows([[4]], field), field=field)
     yield Subspace.zero(1, field=field)
     for _ in range(40):
         dim = rng.randint(1, 9)
-        yield Subspace.from_rows(dim, random_rows(rng, rng.randint(0, dim + 1), dim), field=field)
+        rows = random_rows(rng, rng.randint(0, dim + 1), dim)
+        yield Subspace.from_rows(dim, sparse_rows(rows, field), field=field)
 
 
 class TestCanonicalRows:
@@ -74,11 +76,13 @@ class TestCanonicalRows:
     def test_rows_are_canonical_and_round_trip(self, field):
         for sub in sample_subspaces(field, random.Random(1)):
             assert_canonical(sub)
-            assert Subspace.from_rows(sub.ambient_dim, sub.basis, field=field) == sub
+            assert Subspace.from_rows(sub.ambient_dim, sparse_rows(sub.basis, field),
+                                      field=field) == sub
+            assert Subspace.from_rows(sub.ambient_dim, sub.sparse, field=field) == sub
             assert sub.matrix().rows == [list(row) for row in sub.basis]
 
     def test_stored_rows_cannot_be_reassigned(self):
-        sub = Subspace.from_rows(3, [[1, 2, 0], [0, 0, 5]])
+        sub = Subspace.from_rows(3, sparse_rows([[1, 2, 0], [0, 0, 5]]))
         assert sub.sparse == (((0, 1), (1, 2)), ((2, 1),))
         with pytest.raises(FrozenInstanceError):
             sub.sparse = ()
@@ -93,7 +97,7 @@ class TestDigest:
         and bases are 1-tuples written with a trailing comma."""
         ring = veronese_ring(2)
         pieces = {0: Subspace.full(1, field=field),
-                  1: Subspace.from_rows(2, [[0, 3]], field=field),
+                  1: Subspace.from_rows(2, sparse_rows([[0, 3]], field), field=field),
                   2: Subspace.zero(3, field=field),
                   3: Subspace.full(4, field=field)}
         j = TruncatedIdeal(ring, 3, pieces)
@@ -123,7 +127,8 @@ class TestAgainstDenseReferences:
         subs = list(sample_subspaces(field, rng))
         for a in subs:
             cons = a.constraints()
-            assert repr(cons.rows) == repr(constraints_reference(a).rows)
+            assert repr(Matrix(a.ambient_dim, cons, field).rows) \
+                == repr(constraints_reference(a).rows)
             for b in subs:
                 if b.ambient_dim == a.ambient_dim:
                     got = a.intersect(b)

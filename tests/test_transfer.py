@@ -47,7 +47,7 @@ from borderapolar.transfer import (
     upsilon,
 )
 from support import (contains_diagonal_ideal, diagonal_tensor, mat_vec,
-                     pi_matrix_reference, power_of_form)
+                     pi_matrix_reference, power_of_form, sparse_rows)
 
 
 V2 = veronese_ring(2)
@@ -232,11 +232,11 @@ def diagonal_fixtures(field):
             rows = list(sub.basis)
             if rows:
                 del rows[rng.randrange(len(rows))]
-                yield lifted.with_piece(u, Subspace.from_rows(sub.ambient_dim, rows,
-                                                              field=field))
+                yield lifted.with_piece(u, Subspace.from_rows(
+                    sub.ambient_dim, sparse_rows(rows, field), field=field))
             extra = [rng.randint(-3, 3) for _ in range(sub.ambient_dim)]
             yield lifted.with_piece(u, Subspace.from_rows(
-                sub.ambient_dim, list(sub.basis) + [extra], field=field))
+                sub.ambient_dim, sparse_rows(list(sub.basis) + [extra], field), field=field))
 
 
 class TestDiagonalContainment:
@@ -382,7 +382,7 @@ class TestConditionChecks:
         dim = dim_piece(j.ring, u_first)
         rows = list(j.piece(u_first).basis)
         rows[0] = tuple(1 if i == 0 else 0 for i in range(dim))  # pure power monomial
-        bad = j.with_piece(u_first, Subspace.from_rows(dim, rows))
+        bad = j.with_piece(u_first, Subspace.from_rows(dim, sparse_rows(rows)))
         cert = check_condition_iii(bad, f)
         assert not cert.verdict
         assert str(u_first) in (cert.failure or "")
@@ -558,7 +558,7 @@ class TestComonCertificate:
                     "pi-containment": ((3, 0, 0), [(1, 0, 0, 0), (0, 0, 0, 1)])}.get(stage)
         if replaced is not None:
             u, rows = replaced
-            pieces[u] = Subspace.from_rows(len(rows[0]), rows)
+            pieces[u] = Subspace.from_rows(len(rows[0]), sparse_rows(rows))
         j = TruncatedIdeal(j.ring, j.bound, pieces, j.provenance)
         if stage == "pi-containment":
             cert = comon_certificate(diagonal_tensor(2, 3), 2, j)

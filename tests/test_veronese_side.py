@@ -55,6 +55,7 @@ from support import (
     ideal_digest_reference,
     random_symmetric_tensor,
     rho_stages_reference,
+    sparse_rows,
     sum_of_powers_tensor,
 )
 
@@ -229,7 +230,7 @@ def test_loaded_and_with_piece_ideals(tmp_path, field):
     ir = ir_piece(n, d, u, field)
     rows = [row for row in kept.piece(u).basis if not ir.contains_vector(row)]
     rows += list(ir.basis[1:])
-    missing = Subspace.from_rows(dim_piece(kept.ring, u), rows, field=field)
+    missing = Subspace.from_rows(dim_piece(kept.ring, u), sparse_rows(rows, field), field=field)
     for base in (kept, stored(kept)):
         j = base.with_piece(u, missing)
         assert j.veronese is None
