@@ -16,10 +16,12 @@ transport map and certificate stage has one path.
 
 Saturated ideals of finite point sets are computed as kernels of evaluation
 maps, evaluated on integer representatives of the points, so elimination
-receives integer rows; equal evaluation matrices (as at diagonal points,
-whose matrix at u depends only on the nonzero parts of u, in order) are
-reduced once per call.  No generator normal forms or global saturation are
-ever needed.
+receives integer rows.  A degree whose evaluation matrix an earlier degree
+already has (as at diagonal points, whose matrix at u depends only on the
+nonzero parts of u, in order) is neither evaluated nor reduced again, and
+equal columns of a matrix (at diagonal points, the monomials with one image
+under pi) are reduced once, the kernel rows of the copies written directly.
+No generator normal forms or global saturation are ever needed.
 
 Every monomial product is read off one cached table S_u x S_v -> S_{u+v}
 (`_product_map`, the pi-fibre table on V, folded per factor on S):
@@ -285,8 +287,11 @@ def expand(generators, ring: RingSpec, bound: int, field=QQ) -> TruncatedIdeal:
 
     Each piece is the span of the new generators of that degree together with
     all variable multiples of the pieces one degree down, so closure holds by
-    construction.  Generators beyond the bound are skipped with a warning.
+    construction.  Generators beyond the bound are skipped with a warning; a
+    negative bound is refused before any generator is read.
     """
+    if bound < 0:
+        raise ValueError(f"negative truncation bound {bound}")
     by_degree: dict = {}
     for g in generators:
         if g.ring != ring:
@@ -442,6 +447,34 @@ def _predecessors(ring: RingSpec, u) -> tuple:
     return below, i, tuple(steps)
 
 
+def _evaluation_kernel(rows, field) -> tuple:
+    """The RREF rows of the right kernel of the integer `rows`, from one
+    elimination of their distinct columns.
+
+    Let top(c) be the last column equal to column c.  `kernel` reduces the
+    columns in reverse, so a copy comes after its top, is never a pivot and
+    reduces to the same column as its top: its kernel row is (c, 1) followed
+    by the tail of top(c)'s kernel row when top(c) has one, and e_c - e_top(c)
+    when top(c) is a pivot.  So only the tops, in ascending order, are
+    reduced, and the rows come out as `kernel` would make them on every column.
+    """
+    cols = list(zip(*rows))
+    top = {col: c for c, col in enumerate(cols)}  # a later c overwrites
+    tops = sorted(top.values())
+    merged = kernel(len(tops), [[(m, row[t]) for m, t in enumerate(tops) if row[t]]
+                                for row in rows], field=field).sparse
+    tails = {tops[row[0][0]]: tuple((tops[m], x) for m, x in row[1:]) for row in merged}
+    one, minus_one = field.one, -field.one
+    out = []
+    for c, col in enumerate(cols):
+        t = top[col]
+        if t in tails:
+            out.append(((c, one),) + tails[t])
+        elif c != t:
+            out.append(((c, one), (t, minus_one)))
+    return tuple(out)
+
+
 def point_ideal(zs: PointSet, bound: int, provenance: str = "point") -> TruncatedIdeal:
     """Saturated ideal of a reduced point set, degreewise: ker of evaluation.
 
@@ -452,11 +485,13 @@ def point_ideal(zs: PointSet, bound: int, provenance: str = "point") -> Truncate
     from the value of its predecessor one degree down; the field's `normalize`
     keeps each row small, and the integer rows go to `kernel` as they are.
 
-    Equal evaluation matrices are reduced once per call.  On the Segre side the
-    matrix at u depends only on the nonzero parts of u and the factor points
-    they fall on, so when factor points repeat (diagonal points, say) many
-    degrees share one matrix: those pieces share its kernel's rows, and each
-    keeps its own (ring, u) tag."""
+    Each distinct evaluation matrix is evaluated and reduced once per call.  On
+    the Segre side the matrix at u is fixed by the pairs (u_i, first factor
+    with factor i's integer coordinates) over the u_i > 0, so when factor
+    points repeat (diagonal points, say) many degrees share one matrix: those
+    pieces share its kernel's rows, and each keeps its own (ring, u) tag.
+    Equal columns of a matrix (at diagonal points, the monomials with one
+    image under pi) are reduced once, by `_evaluation_kernel`."""
     ring = zs.ring
     field = zs.field
 
@@ -465,23 +500,31 @@ def point_ideal(zs: PointSet, bound: int, provenance: str = "point") -> Truncate
 
     points = [tuple(map(integers, p)) if ring.is_multigraded else integers(p)
               for p in zs.points]
-    values = {}
+    factors = list(zip(*points)) if ring.is_multigraded else []
+    first = [factors.index(f) for f in factors]
+
+    def key_of(u):
+        """What fixes the evaluation matrix at u: u itself on V."""
+        if not ring.is_multigraded:
+            return u
+        return tuple((ui, first[i]) for i, ui in enumerate(u) if ui)
+
+    values = {}  # matrix key -> its integer rows
+    kernels = {}  # matrix key -> its kernel's rows, for this call only
     pieces = {}
-    kernels = {}  # evaluation matrix -> its kernel's rows, for this call only
     for u in degrees_up_to(ring, bound):
-        if degree_total(u) == 0:
-            rows = [[1] for _ in points]
-        else:
-            below, i, steps = _predecessors(ring, u)
-            coords = (p[i] if ring.is_multigraded else p for p in points)
-            rows = [field.normalize([prev[t] * x[j] for t, j in steps])
-                    for prev, x in zip(values[below], coords)]
-        values[u] = rows
-        key = tuple(map(tuple, rows))
+        key = key_of(u)
         if key not in kernels:
-            sparse = [[(c, x) for c, x in enumerate(row) if x] for row in rows]
-            kernels[key] = kernel(len(rows[0]), sparse, field=field).sparse
-        pieces[u] = Subspace(len(rows[0]), kernels[key], _piece_tag(ring, u), field)
+            if degree_total(u) == 0:
+                rows = [[1] for _ in points]
+            else:
+                below, i, steps = _predecessors(ring, u)
+                coords = (p[i] if ring.is_multigraded else p for p in points)
+                rows = [field.normalize([prev[t] * x[j] for t, j in steps])
+                        for prev, x in zip(values[key_of(below)], coords)]
+            values[key] = rows
+            kernels[key] = _evaluation_kernel(rows, field)
+        pieces[u] = Subspace(len(values[key][0]), kernels[key], _piece_tag(ring, u), field)
     return TruncatedIdeal(ring, bound, pieces, provenance)
 
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from borderapolar.diagonal_maps import ir_generators
-from borderapolar import ideals
+from borderapolar import diagonal_maps, ideals
 from borderapolar.grading import (
     PieceElement,
     add_degrees,
@@ -43,7 +43,7 @@ from borderapolar.ideals import (
 from borderapolar.linalg import QQ, PrimeField, Subspace, kernel
 from borderapolar.transfer import ideal_digest, upsilon
 from support import (colon_reference, colon_rows_reference, diagonal_tensor, multiply_monomials,
-                     sparse_rows)
+                     point_ideal_reference, sparse_rows)
 
 
 V2 = veronese_ring(2)
@@ -54,6 +54,16 @@ GF = PrimeField(2147483647)
 def principal_ideal(coeffs_by_mono, ring, degree, bound):
     gen = PieceElement.from_terms(ring, degree, coeffs_by_mono)
     return expand([gen], ring, bound)
+
+
+def scaled_factor_points(field):
+    """Four Segre points (p, 2p, -p/3) with p general in P^2: projectively one
+    factor three times, whose primitive integers over Q are p, p and -p, and
+    whose residues over GF(p) all differ."""
+    z = very_general_points(V3, 4, 3, random.Random(33))
+    return PointSet(segre_ring(3, 3), tuple((p, tuple(2 * x for x in p),
+                                             tuple(Fraction(-x, 3) for x in p))
+                                            for p in z.points), field=field)
 
 
 class TestDegreeEnumeration:
@@ -198,6 +208,21 @@ class TestExpand:
             j = expand([g], V2, 2)
         assert all(j.piece(k).is_zero for k in range(3))
 
+    def test_negative_bound_refused_before_any_generator(self):
+        read = []
+
+        def generators():
+            for g in (PieceElement.from_terms(V2, 1, {(1, 0): 1}),
+                      PieceElement.from_terms(V2, 2, {(0, 2): 1})):
+                read.append(g)
+                yield g
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="negative truncation bound -1"):
+                expand(generators(), V2, -1)
+        assert read == []
+
     def test_hand_built_hole_is_not_closed(self):
         j = principal_ideal({(1, 0): 1}, V2, 1, 3)
         broken = j.with_piece(2, Subspace.zero(dim_piece(V2, 2)))
@@ -327,6 +352,10 @@ class TestPointIdeal:
         j = point_ideal(zs, bound)
         assert len(eliminations) == count < len(j.degrees())
         assert all(j.pieces[u].piece == (zs.ring, u) for u in j.degrees())
+        # each matrix is reduced on its distinct columns, one per monomial of
+        # V_|u|, as the columns of S_u with one image under pi are equal
+        parts = dict.fromkeys(tuple(x for x in u if x) for u in j.degrees())
+        assert eliminations == [(r, dim_piece(veronese_ring(n), sum(p))) for p in parts]
 
     @pytest.mark.parametrize("field", [QQ, GF], ids=repr)
     def test_distinct_factors_reduce_once_per_degree(self, eliminations, field):
@@ -336,6 +365,69 @@ class TestPointIdeal:
             j = point_ideal(PointSet(ring, z.points, field=field), 4)
             assert len(eliminations) == len(j.degrees())
             assert eliminations == [(r, dim_piece(ring, u)) for u in j.degrees()]
+
+    @pytest.mark.parametrize("field", [QQ, GF], ids=repr)
+    def test_matches_unmerged_reference(self, field):
+        # `point_ideal_reference` runs `kernel` on every column of every degree
+        cases = []
+        for n, r, bound, d in ((2, 3, 4, 2), (3, 5, 4, 3), (2, 3, 4, 4)):
+            z = very_general_points(veronese_ring(n), r, bound, random.Random(30 + d))
+            zs = PointSet(z.ring, z.points, field=field)
+            cases += [(zs, bound), (diagonal_points(zs, d), bound)]
+        rng = random.Random(31)
+        z = very_general_points(segre_ring(2, 2), 4, 3, rng)
+        # only some factor columns repeat: factor 0 twice, factor 1 once
+        cases.append((PointSet(segre_ring(2, 3), tuple((p[0], p[1], p[0]) for p in z.points),
+                               field=field), 3))
+        # zero coordinates, so some columns of every degree are zero
+        zeros = ((1, 0, 0), (0, 2, 0), (3, -1, 0), (1, 1, 0))
+        cases += [(PointSet(V3, zeros, field=field), 4),
+                  (diagonal_points(PointSet(V3, zeros, field=field), 3), 3),
+                  (PointSet(segre_ring(3, 2), (((1, 0, 0), (0, 2, 5)), ((0, 1, 0), (0, 0, 3))),
+                            field=field), 3)]
+        # a single point, where every column of a diagonal degree is equal
+        single = PointSet(V3, ((2, -3, 5),), field=field)
+        cases += [(single, 3), (diagonal_points(single, 3), 3)]
+        # more points than dim S_u in the low degrees
+        many = very_general_points(V2, 7, 3, random.Random(32))
+        many = PointSet(V2, many.points, field=field)
+        cases += [(many, 3), (diagonal_points(many, 3), 3)]
+        cases.append((scaled_factor_points(field), 3))
+        for points, b in cases:
+            got, want = point_ideal(points, b), point_ideal_reference(points, b)
+            for u in got.degrees():
+                assert got.pieces[u].piece == (points.ring, u)
+                assert repr(got.pieces[u].sparse) == repr(want[u].sparse), (points, u)
+
+    def test_scaled_factors_are_not_merged_over_gf(self, eliminations):
+        # over GF(p) the factors p, 2p and -p/3 have different residues, so
+        # each of the 20 degrees has its own matrix; over Q the first two are
+        # one factor, so the nonzero (u_i, factor) pairs of the 20 degrees
+        # take 14 values
+        for field, count in ((GF, 20), (QQ, 14)):
+            points = scaled_factor_points(field)
+            eliminations.clear()
+            j = point_ideal(points, 3)
+            assert len(eliminations) == count <= len(j.degrees())
+
+    def test_diagonal_points_never_read_the_pi_fibre_preimage(self, monkeypatch):
+        # upsilon(I_Z) is checked against the ideal of the diagonal points, so
+        # that ideal must not be built by the preimage that upsilon uses
+        z = very_general_points(V3, 5, 4, random.Random(34))
+        zs = diagonal_points(z, 3)
+        want = point_ideal(zs, 4)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the pi-fibre preimage was read")
+
+        monkeypatch.setattr(diagonal_maps, "_preimage_rows", refuse)
+        monkeypatch.setattr(ideals, "_preimage_rows", refuse)
+        monkeypatch.setattr(TruncatedIdeal, "pi_preimage", refuse)
+        got = point_ideal(zs, 4)
+        assert got.veronese is None
+        assert all(repr(got.pieces[u].sparse) == repr(want.pieces[u].sparse)
+                   for u in got.degrees())
+        assert ideal_digest(got) == ideal_digest(want)
 
     def test_diagonal_points(self):
         z = PointSet(V2, ((1, 0), (1, 1)))
