@@ -11,9 +11,9 @@ on every tensor.  A multilinear F is read through one contraction map: at a 0/1
 degree u, each entry lands in the row named by its indices off u and the column
 of its indices on u, in one pass over the entries.  `ann_piece` is its kernel,
 `slice_spans` its row spans at the degrees 1 - e_i, and `contract_tensor`
-applies an element of S_u to it.  A form's catalecticant is read off the
-two-factor pi-fibre table, which is monomial multiplication: `ann_sym_piece` is
-its kernel and `contract_poly` pairs an element of V_k with its rows.
+applies an element of S_u to it.  A form's catalecticant is read off
+`grading`'s monomial product table: `ann_sym_piece` is its kernel and
+`contract_poly` pairs an element of V_k with its rows.
 """
 
 from __future__ import annotations
@@ -27,13 +27,13 @@ from types import MappingProxyType
 from .grading import (
     PieceElement,
     RingKind,
+    _product_map,
     check_degree,
     dim_piece,
     monomials,
     segre_ring,
     veronese_ring,
 )
-from .diagonal_maps import pi_fibres
 from .linalg import QQ, Subspace, kernel
 
 
@@ -274,13 +274,13 @@ def ann_piece(f: GeneralTensor, u) -> Subspace:
 def _catalecticant_rows(p: HomPoly, k: int) -> list:
     """p's catalecticant V_k -> V_{d-k} as sparse rows, one per mu of V_{d-k} in
     order, empty ones kept, with row mu scaled by mu!: the entry at delta is
-    a_gamma * gamma!, gamma = mu + delta, read off the two-factor pi-fibre table,
-    which is the multiplication V_{d-k} x V_k -> V_d."""
+    a_gamma * gamma!, gamma = mu + delta, read off the product table
+    V_{d-k} x V_k -> V_d."""
     ring = veronese_ring(p.n)
     zero = p.field.zero
     weights = [p.terms.get(m, zero) * _gamma_factorial(m) for m in monomials(ring, p.d)]
     width = dim_piece(ring, k)
-    f = pi_fibres(p.n, 2, (p.d - k, k)).f
+    f = _product_map(ring, p.d - k, k)
     return [[(c, x) for c, x in enumerate(map(weights.__getitem__, f[r:r + width])) if x]
             for r in range(0, len(f), width)]
 

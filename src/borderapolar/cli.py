@@ -226,7 +226,7 @@ def load_ideal_file(path: str, field, degree_bound) -> TruncatedIdeal:
             terms[mono] = terms.get(mono, Fraction(0)) + c
         try:
             gens.append(PieceElement.from_terms(ring, u, terms, field=field))
-        except (ValueError, IndexError) as exc:
+        except ValueError as exc:
             raise UsageError(f"{where}: {exc}") from exc
     return expand(gens, ring, bound, field=field)
 

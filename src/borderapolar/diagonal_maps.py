@@ -7,10 +7,10 @@ sizes u_1,...,u_d and is a section of pi, giving the decomposition
 S_u = (I_R)_u + psi_u(V_|u|) with zero intersection.
 
 Both maps only merge or pick monomials, so both are read off one cached
-pi-fibre table of S_u (`pi_fibres`), folded factor by factor from per-degree
-monomial ranks: `f[c]` is the V-monomial that column c collapses to, `top[m]`
-the largest column in the fibre of m, `order` the V-monomials sorted by `top`,
-and `section[m]` the smallest, which is the column psi_u sends m to.
+pi-fibre table of S_u (`pi_fibres`), folded factor by factor from `grading`'s
+monomial product table: `f[c]` is the V-monomial that column c collapses to,
+`top[m]` the largest column in the fibre of m, `order` the V-monomials sorted
+by `top`, and `section[m]` the smallest, which is the column psi_u sends m to.
 `pi_image` scales each row to integers once, adds them into their fibres,
 drops the rows that collapse to zero and eliminates the rest once, on V_|u|;
 `psi_image` is a set of unit rows and needs no elimination.
@@ -31,15 +31,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import add
 
 from .grading import (
     PieceElement,
     RingKind,
+    _product_map,
     check_degree,
     degree_total,
+    degrees_up_to,
     dim_piece,
-    monomials,
     segre_ring,
     veronese_ring,
 )
@@ -71,14 +71,12 @@ def pi_fibres(n: int, d: int, u: tuple) -> PiFibres:
     ring_v = veronese_ring(n)
     u = check_degree(segre_ring(n, d), u)
     # The columns of S_u are the mixed-radix products of per-factor monomials,
-    # so f folds in one factor at a time: the rank of a partial collapse in
-    # V_k and a monomial of V_ui give the rank of their sum in V_{k+ui}.
+    # so f folds in one factor at a time: a partial collapse in V_k times a
+    # monomial of V_ui is read off the product table V_k x V_ui -> V_{k+ui}.
     f, k = [0], 0
     for ui in u:
-        ranks = {m: r for r, m in enumerate(monomials(ring_v, k + ui))}
-        sums = [[ranks[tuple(map(add, a, b))] for b in monomials(ring_v, ui)]
-                for a in monomials(ring_v, k)]
-        f = [m for r in f for m in sums[r]]
+        table, width = _product_map(ring_v, k, ui), dim_piece(ring_v, ui)
+        f = [table[r * width + b] for r in f for b in range(width)]
         k += ui
     # pi is onto (psi is a section), so every fibre is nonempty; the last
     # write leaves the largest column of each fibre in `top` and the smallest
@@ -275,9 +273,6 @@ def staircase_degrees(d: int) -> list:
 
 
 def proper_unit_box_degrees(d: int) -> list:
-    """All 0/1 degree vectors strictly between 0 and (1,...,1)."""
-    out = []
-    for mask in range(1, (1 << d) - 1):
-        out.append(tuple((mask >> t) & 1 for t in range(d)))
-    out.sort(key=lambda u: (sum(u), tuple(-x for x in u)))
-    return out
+    """All 0/1 degree vectors strictly between 0 and (1,...,1), in the order
+    of `degrees_up_to`."""
+    return [u for u in degrees_up_to(segre_ring(1, d), d - 1) if max(u) == 1]

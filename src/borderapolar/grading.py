@@ -2,20 +2,27 @@
 
 Two polynomial rings appear throughout: the Z^d-graded coordinate ring of
 the d-factor Segre product and the Z-graded coordinate ring of the Veronese
-target.  Every graded piece gets one
-canonical monomial order (lexicographic on the flattened exponent table,
-within a fixed degree), so that coefficient vectors, and hence row-reduced
-subspace bases, are bit-for-bit comparable.
+target.  Every graded piece gets one canonical monomial order, lexicographically
+decreasing on the flattened exponent table, so that coefficient vectors, and
+hence row-reduced subspace bases, are bit-for-bit comparable.
+
+This module owns that order, and every other module reads it from here:
+`monomials` enumerates it, `rank_monomial` and `unrank_monomial` look
+positions up in that enumeration, `degrees_up_to` lists degrees the same way,
+and `_product_map`, the table S_u x S_v -> S_{u+v}, is the only place
+monomials are multiplied.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left
 from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from operator import add
 
 from .linalg import QQ
 
@@ -128,21 +135,10 @@ def sub_degrees(u, v):
 
 # -- dimension counts and enumeration -----------------------------------------
 
-def _vdim(nvars: int, k: int) -> int:
-    if nvars < 1:
-        return 1 if k == 0 else 0
-    return math.comb(nvars + k - 1, k)
-
-
 def dim_piece(ring: RingSpec, u) -> int:
     """Number of monomials of `ring` in degree `u`."""
     u = check_degree(ring, u)
-    if ring.is_multigraded:
-        out = 1
-        for ui in u:
-            out *= _vdim(ring.n, ui)
-        return out
-    return _vdim(ring.n, u)
+    return math.prod(math.comb(ring.n + k - 1, k) for k in (u if ring.is_multigraded else (u,)))
 
 
 def _compositions_desc(total: int, parts: int):
@@ -155,61 +151,55 @@ def _compositions_desc(total: int, parts: int):
             yield (first,) + rest
 
 
+def degrees_up_to(ring: RingSpec, bound: int) -> list:
+    """All degrees of total degree <= bound, sorted by (total, reverse-lex).
+
+    Each total's block is its weak compositions into d parts, enumerated in
+    lexicographically decreasing order, the order of a piece's monomials."""
+    if not ring.is_multigraded:
+        return list(range(bound + 1))
+    return [u for total in range(bound + 1) for u in _compositions_desc(total, ring.d)]
+
+
 @lru_cache(maxsize=None)
 def monomials(ring: RingSpec, u) -> tuple:
     """Canonically ordered monomial basis of the graded piece.
 
-    Veronese monomials are length-n exponent tuples; Segre monomials are
-    d x n exponent tables (row i sums to u_i).
+    Veronese monomials are length-n exponent tuples, in lexicographically
+    decreasing order; Segre monomials are d x n exponent tables (row i sums to
+    u_i), the product of the Veronese blocks of the u_i, first factor slowest.
     """
     u = check_degree(ring, u)
     if not ring.is_multigraded:
         return tuple(_compositions_desc(u, ring.n))
-    per_factor = [tuple(_compositions_desc(ui, ring.n)) for ui in u]
-    return tuple(itertools.product(*per_factor))
-
-
-def _rank_composition(exps: tuple) -> int:
-    n = len(exps)
-    r = 0
-    rem = sum(exps)
-    for j in range(n - 1):
-        for t in range(rem, exps[j], -1):
-            r += _vdim(n - 1 - j, rem - t)
-        rem -= exps[j]
-    return r
-
-
-def _unrank_composition(n: int, k: int, idx: int) -> tuple:
-    exps = []
-    rem = k
-    for j in range(n - 1):
-        for t in range(rem, -1, -1):
-            block = _vdim(n - 1 - j, rem - t)
-            if idx < block:
-                exps.append(t)
-                rem -= t
-                break
-            idx -= block
-        else:  # pragma: no cover - guarded by callers
-            raise ValueError("index out of range")
-    exps.append(rem)
-    return tuple(exps)
+    ring_v = veronese_ring(ring.n)
+    return tuple(itertools.product(*[monomials(ring_v, ui) for ui in u]))
 
 
 def rank_monomial(ring: RingSpec, mono) -> int:
-    """Position of `mono` in the canonical order of its graded piece."""
-    if not ring.is_multigraded:
-        mono = tuple(mono)
-        if len(mono) != ring.n or any(e < 0 for e in mono):
-            raise ValueError(f"bad monomial {mono}")
-        return _rank_composition(mono)
-    rows = tuple(tuple(row) for row in mono)
-    if len(rows) != ring.d or any(len(row) != ring.n for row in rows):
-        raise ValueError(f"bad monomial shape {mono}")
+    """Position of `mono` in the canonical order of its graded piece.
+
+    Each exponent row is found by bisection in its block `monomials(V, |row|)`,
+    which is lexicographically decreasing; on the Segre ring the rank is the
+    mixed-radix number of those positions, first factor most significant.  A
+    row in no block, with a negative or a non-integral exponent, is refused."""
+    if ring.is_multigraded:
+        rows = tuple(tuple(row) for row in mono)
+        if len(rows) != ring.d or any(len(row) != ring.n for row in rows):
+            raise ValueError(f"bad monomial shape {mono}")
+        ring_v = veronese_ring(ring.n)
+    else:
+        rows, ring_v = (tuple(mono),), ring
     idx = 0
     for row in rows:
-        idx = idx * _vdim(ring.n, sum(row)) + _rank_composition(row)
+        try:
+            block = monomials(ring_v, sum(row))
+        except ValueError:  # a negative or non-integral total
+            block = ()
+        pos = bisect_left(block, [-e for e in row], key=lambda m: [-e for e in m])
+        if block[pos:pos + 1] != (row,):
+            raise ValueError(f"bad monomial {rows if ring.is_multigraded else rows[0]}")
+        idx = idx * len(block) + pos
     return idx
 
 
@@ -220,13 +210,37 @@ def unrank_monomial(ring: RingSpec, u, index: int):
     if not 0 <= index < total:
         raise ValueError(f"index {index} out of range for piece of dimension {total}")
     if not ring.is_multigraded:
-        return _unrank_composition(ring.n, u, index)
+        return monomials(ring, u)[index]
     rows = []
-    for ui in reversed(u):
-        block = _vdim(ring.n, ui)
-        index, rem = divmod(index, block)
-        rows.append(_unrank_composition(ring.n, ui, rem))
+    for block in reversed([monomials(veronese_ring(ring.n), ui) for ui in u]):
+        index, rem = divmod(index, len(block))
+        rows.append(block[rem])
     return tuple(reversed(rows))
+
+
+@lru_cache(maxsize=None)
+def _product_map(ring: RingSpec, u, v) -> tuple:
+    """The monomial product table S_u x S_v -> S_{u+v}: entry c * dim S_v + m is
+    the column of (monomial c of S_u) * (monomial m of S_v).
+
+    On the Veronese ring each product is looked up among the monomials of
+    V_{u+v}.  The columns of a Segre piece are the mixed-radix products of
+    per-factor monomial positions, so there the table folds in the Veronese
+    tables one factor at a time.
+    """
+    u, v = check_degree(ring, u), check_degree(ring, v)
+    if not ring.is_multigraded:
+        position = {m: r for r, m in enumerate(monomials(ring, u + v))}
+        return tuple(position[tuple(map(add, a, b))]
+                     for a in monomials(ring, u) for b in monomials(ring, v))
+    ring_v = veronese_ring(ring.n)
+    table = [[0]]  # table[c][m] over the factors folded so far
+    for uf, vf in zip(u, v):
+        f, width = _product_map(ring_v, uf, vf), dim_piece(ring_v, vf)
+        steps = [f[a:a + width] for a in range(0, len(f), width)]
+        wide = dim_piece(ring_v, uf + vf)
+        table = [[o * wide + s for o in row for s in step] for row in table for step in steps]
+    return tuple(x for row in table for x in row)
 
 
 def monomial_degree(ring: RingSpec, mono):

@@ -23,10 +23,10 @@ equal columns of a matrix (at diagonal points, the monomials with one image
 under pi) are reduced once, the kernel rows of the copies written directly.
 No generator normal forms or global saturation are ever needed.
 
-Every monomial product is read off one cached table S_u x S_v -> S_{u+v}
-(`_product_map`, the pi-fibre table on V, folded per factor on S):
-variable multiples at v = e_i, point evaluation by inverting that, and the
-saturation test as one colon (J_{u+v} : S_v)_u, so no monomial is ranked here.
+Every monomial product is read off `grading`'s cached table
+S_u x S_v -> S_{u+v} (`_product_map`): variable multiples at v = e_i, point
+evaluation by inverting that, and the saturation test as one colon
+(J_{u+v} : S_v)_u, so no monomial is ranked or multiplied here.
 """
 
 from __future__ import annotations
@@ -41,10 +41,11 @@ from types import MappingProxyType
 
 from .grading import (
     RingSpec,
-    _compositions_desc,
+    _product_map,
     add_degrees,
     check_degree,
     degree_total,
+    degrees_up_to,
     dim_piece,
     ones,
     sub_degrees,
@@ -60,42 +61,11 @@ class GenericityError(RuntimeError):
     """Randomly drawn points failed to be in general position twice in a row."""
 
 
-def degrees_up_to(ring: RingSpec, bound: int) -> list:
-    """All degrees of total degree <= bound, sorted by (total, reverse-lex).
-
-    Each total's block is its weak compositions into d parts, enumerated in
-    lexicographically decreasing order."""
-    if not ring.is_multigraded:
-        return list(range(bound + 1))
-    return [u for total in range(bound + 1) for u in _compositions_desc(total, ring.d)]
-
-
-@lru_cache(maxsize=None)
-def _product_map(ring: RingSpec, u, v) -> tuple:
-    """The monomial product table S_u x S_v -> S_{u+v}: entry c * dim S_v + m is
-    the column of (monomial c of S_u) * (monomial m of S_v).
-
-    On the Veronese ring it is the two-factor table pi_fibres(n, 2, (u, v)),
-    the multiplication V_u x V_v -> V_{u+v}.  As in `pi_fibres`, the columns of
-    a Segre piece are the mixed-radix products of per-factor monomial ranks, so
-    there the table folds in those two-factor tables one factor at a time.
-    """
-    u, v = check_degree(ring, u), check_degree(ring, v)
-    if not ring.is_multigraded:
-        return pi_fibres(ring.n, 2, (u, v)).f
-    ring_v = veronese_ring(ring.n)
-    table = [[0]]  # table[c][m] over the factors folded so far
-    for uf, vf in zip(u, v):
-        f, width = pi_fibres(ring.n, 2, (uf, vf)).f, dim_piece(ring_v, vf)
-        steps = [f[a:a + width] for a in range(0, len(f), width)]
-        wide = dim_piece(ring_v, uf + vf)
-        table = [[o * wide + s for o in row for s in step] for row in table for step in steps]
-    return tuple(x for row in table for x in row)
-
-
 def _variable_table(ring: RingSpec, u, i: int) -> tuple:
-    """`_product_map(ring, u, e_i)`; variable j of factor i is monomial j of S_{e_i}."""
-    return _product_map(ring, check_degree(ring, u), (0,) * i + (1,) + (0,) * (ring.d - 1 - i))
+    """`_product_map(ring, u, e_i)`; variable j of factor i is monomial j of S_{e_i}.
+    On the Veronese ring e_0 is the int 1, the key `pi_fibres` caches the table by."""
+    e_i = (0,) * i + (1,) + (0,) * (ring.d - 1 - i) if ring.is_multigraded else 1
+    return _product_map(ring, check_degree(ring, u), e_i)
 
 
 def multiply_vector_by_variable(ring: RingSpec, u, row, i: int, j: int) -> list:
@@ -216,8 +186,14 @@ class TruncatedIdeal:
     def pi_preimage(cls, ring: RingSpec, bound: int, w,
                     provenance: str = "user") -> "TruncatedIdeal":
         """The ideal J_u = pi^{-1}(W_|u|) = (I_R)_u + psi_u(W_|u|) on the Segre
-        ring, kept by its Veronese pieces w = {k: W_k}, k <= bound."""
+        ring, kept by its Veronese pieces w = {k: W_k}, k <= bound, each of
+        them a subspace of V_k."""
         w = MappingProxyType({k: w[k] for k in range(bound + 1)})
+        ring_v = veronese_ring(ring.n)
+        for k, wk in w.items():
+            if wk.ambient_dim != dim_piece(ring_v, k):
+                raise ValueError(f"W_{k}: subspace ambient {wk.ambient_dim} "
+                                 f"is not dim V_{k} = {dim_piece(ring_v, k)}")
         return cls(ring, bound, _Preimages(ring, bound, w), provenance)
 
     @property
@@ -248,6 +224,7 @@ class TruncatedIdeal:
     def pi_image(self, u) -> Subspace:
         """pi(J_u) inside V_|u|: W_|u| on an ideal kept by its Veronese pieces,
         else one elimination on V_|u| (none for a zero piece), made once."""
+        u = self._checked(u)
         if self.veronese is not None:
             return self.veronese[degree_total(u)]
         if u not in self._images:

@@ -2,8 +2,9 @@
 
 Vectors are rows, held sparsely as the (column, value) pairs of their nonzero
 entries; dense rows are built only on demand, for dumps and tests.  Elimination
-takes a column count and any iterable of such rows and returns a Subspace
-(`Subspace.from_rows`, `kernel`) or a number (`rank`).  A Subspace stores the
+takes a column count and any iterable of such rows, refusing a column outside
+that count, and returns a Subspace (`Subspace.from_rows`, `kernel`) or a number
+(`rank`).  A Subspace stores the
 unique reduced row echelon basis of its row span, each row in ascending column
 order with its pivot first, so two subspaces are equal as sets exactly when
 their stored rows compare equal.  Both fields run one fraction-free
@@ -275,6 +276,16 @@ class Matrix:
         return f"Matrix({self.nrows}x{self.ncols} over {self.field})"
 
 
+def _in_range(ncols: int, rows) -> list:
+    """The sparse `rows` as a list, refused if an entry's column lies outside
+    range(ncols): past the end, or negative, which indexing would wrap."""
+    rows = list(rows)
+    bad = next((c for row in rows for c, _ in row if not 0 <= c < ncols), None)
+    if bad is not None:
+        raise ValueError(f"column {bad} outside an ambient of dimension {ncols}")
+    return rows
+
+
 def _eliminate(row, pivot_row, c, normalize) -> list:
     """Clear column c of an integer row against pivot_row.
 
@@ -338,7 +349,7 @@ def rank(ncols: int, rows, field=QQ) -> int:
     """Rank of the sparse `rows` from one elimination of their shorter side:
     tall rows are transposed first, as rank m^T = rank m over any field.  No
     field element is made."""
-    rows = list(rows)
+    rows = _in_range(ncols, rows)
     if len(rows) > ncols:
         cols = [[] for _ in range(ncols)]
         for r, row in enumerate(rows):
@@ -387,7 +398,7 @@ def kernel(ncols: int, rows, piece=None, field=QQ) -> "Subspace":
     by minus its pivot entry, so every kernel entry is made once.
     """
     n = ncols
-    rev = Matrix(n, [[(n - 1 - c, x) for c, x in row] for row in rows], field)
+    rev = Matrix(n, [[(n - 1 - c, x) for c, x in row] for row in _in_range(n, rows)], field)
     ints, pivots = rref_with_pivots(rev)
     negated = [(n - 1 - p, field.from_ints(row[::-1], -row[p])[:-1])
                for row, p in zip(reversed(ints), reversed(pivots))]
@@ -413,10 +424,7 @@ class Subspace:
     @classmethod
     def from_rows(cls, ambient_dim: int, rows, piece=None, field=QQ) -> "Subspace":
         """The span of the sparse `rows` over `field`, from one elimination."""
-        rows = list(rows)
-        bad = next((c for row in rows for c, _ in row if not 0 <= c < ambient_dim), None)
-        if bad is not None:
-            raise ValueError(f"column {bad} outside an ambient of dimension {ambient_dim}")
+        rows = _in_range(ambient_dim, rows)
         return cls(ambient_dim, tuple(_reduced(Matrix(ambient_dim, rows, field))[0]), piece, field)
 
     @classmethod

@@ -425,8 +425,8 @@ class TestAnnSymPiece:
 
 
 class TestCatalecticant:
-    """`ann_sym_piece` and `contract_poly` read the catalecticant off the
-    two-factor pi-fibre table; the references look up every (mu, delta) pair."""
+    """`ann_sym_piece` and `contract_poly` read the catalecticant off
+    `grading`'s product table; the references look up every (mu, delta) pair."""
 
     @staticmethod
     def _forms(rng, field):

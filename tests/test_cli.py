@@ -215,6 +215,14 @@ class TestMalformedFiles:
                 ["check", write(tmp_path, "t.json", FERMAT), "2", "--ideal", jf])
         self._assert_refused(args, jf, capsys)
 
+    def test_negative_exponent_refused(self, tmp_path, capsys):
+        """A generator term whose rows sum to the degree but hold a negative
+        exponent names no monomial, so `hf` exits 2 rather than reading it as
+        another monomial of the piece."""
+        jf = write(tmp_path, "s.json", dict(LINEAR_S, generators=[
+            {"degree": [2, 1], "terms": [{"monomial": [[3, -1], [1, 0]], "coeff": "1"}]}]))
+        self._assert_refused(["hf", jf, "2,1"], jf, capsys)
+
     @pytest.mark.parametrize("command,degree,where", [
         ("ann", "x", "--degree"), ("ann", "1,x,0", "--degree"),
         ("hf", "x", "degree"), ("hf", "1,x", "degree")])

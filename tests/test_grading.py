@@ -165,6 +165,33 @@ class TestRankUnrank:
             assert unrank_monomial(ring, k, i) == mono
 
 
+def _pieces(max_n=4, max_d=3, max_total=4):
+    """Every piece with n <= 4, d <= 3 and total degree <= 4, on both rings."""
+    for n in range(1, max_n + 1):
+        for k in range(max_total + 1):
+            yield veronese_ring(n), k
+        for d in range(1, max_d + 1):
+            for u in itertools.product(range(max_total + 1), repeat=d):
+                if sum(u) <= max_total:
+                    yield segre_ring(n, d), u
+
+
+@pytest.mark.parametrize("ring, u", list(_pieces()), ids=repr)
+def test_rank_and_unrank_are_positions_in_monomials(ring, u):
+    """The one monomial order: `monomials` is the lexicographically decreasing
+    order of the exponent tables, and rank and unrank are positions in it."""
+    n = ring.n
+    rows = ([[e for e in itertools.product(range(ui + 1), repeat=n) if sum(e) == ui]
+             for ui in u] if ring.is_multigraded else
+            [[e for e in itertools.product(range(u + 1), repeat=n) if sum(e) == u]])
+    want = sorted(itertools.product(*rows), reverse=True)
+    basis = monomials(ring, u)
+    assert list(basis) == (want if ring.is_multigraded else [m for (m,) in want])
+    for i, mono in enumerate(basis):
+        assert rank_monomial(ring, mono) == i
+        assert unrank_monomial(ring, u, i) == mono
+
+
 class TestPieceElement:
     def test_from_terms_and_back(self):
         ring = veronese_ring(2)

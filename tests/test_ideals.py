@@ -11,6 +11,7 @@ from borderapolar.diagonal_maps import ir_generators
 from borderapolar import diagonal_maps, ideals
 from borderapolar.grading import (
     PieceElement,
+    _product_map,
     add_degrees,
     dim_piece,
     monomials,
@@ -38,7 +39,6 @@ from borderapolar.ideals import (
     very_general_points,
     zero_ideal,
     _colon,
-    _product_map,
 )
 from borderapolar.linalg import QQ, PrimeField, Subspace, kernel
 from borderapolar.transfer import ideal_digest, upsilon
@@ -171,6 +171,18 @@ class TestFieldFromPieces:
         w = {k: Subspace.zero(dim_piece(V2, k), field=GF if k else QQ) for k in range(3)}
         with pytest.raises(ValueError, match="pieces in two fields"):
             TruncatedIdeal.pi_preimage(segre_ring(2, 2), 2, w)
+
+
+class TestPiImageDegree:
+    """`pi_image` reads its degree as `piece` does, on a kept ideal and on a
+    stored one alike."""
+
+    def test_list_degree_is_the_tuple(self):
+        kept = diagonal_ideal(2, 3, 4)
+        stored = TruncatedIdeal(kept.ring, kept.bound, dict(kept.pieces))
+        for j in (kept, stored):
+            assert j.pi_image([1, 0, 0]) == j.pi_image((1, 0, 0)) == Subspace.zero(2)
+            assert j.pi_image([2, 1, 0]) == j.pi_image((2, 1, 0)) == Subspace.zero(4)
 
 
 class TestExpand:

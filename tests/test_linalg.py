@@ -378,12 +378,21 @@ class TestSubspace:
         with pytest.raises(ValueError):
             a.sum(b)
 
-    @pytest.mark.parametrize("column", [3, 4, -1])
-    def test_columns_outside_the_ambient_refused(self, column):
-        """A column past the end, and a negative one that indexing would wrap."""
+    @pytest.mark.parametrize("field", FIELDS, ids=repr)
+    @pytest.mark.parametrize("column", [3, 4, 5, -1, -4])
+    @pytest.mark.parametrize("eliminate", [
+        lambda rows, field: Subspace.from_rows(3, rows, field=field),
+        lambda rows, field: kernel(3, rows, field=field),
+        lambda rows, field: rank(3, rows, field=field),
+        lambda rows, field: rank(3, rows * 3, field=field),  # tall: transposed
+    ], ids=["from_rows", "kernel", "rank", "rank-tall"])
+    def test_columns_outside_the_ambient_refused(self, eliminate, column, field):
+        """A column past the end, and a negative one that indexing would wrap,
+        named as the caller gave it, before kernel reverses the columns or rank
+        transposes them."""
         message = f"column {column} outside an ambient of dimension 3"
         with pytest.raises(ValueError, match=message):
-            Subspace.from_rows(3, [[(0, 1)], [(1, 2), (column, 1)]])
+            eliminate([[(0, 1)], [(1, 2), (column, 1)]], field)
 
     def test_grassmann_identity(self):
         rng = random.Random(3)

@@ -22,6 +22,7 @@ from borderapolar.grading import (
 )
 from borderapolar.ideals import (
     PointSet,
+    TruncatedIdeal,
     diagonal_ideal,
     diagonal_points,
     expand,
@@ -68,6 +69,15 @@ IDEALS = {
     "zero-point": (lambda: PointSet(V2, ((0, 0),)), ValueError, "zero point"),
     "diagonal-of-segre-points": (lambda: diagonal_points(PointSet(S22, (((1, 0), (0, 1)),)), 2),
                                  ValueError, "expected points on the Veronese target"),
+    "pi-image-degree-length": (lambda: diagonal_ideal(2, 3, 4).pi_image((1, 1)), ValueError,
+                               r"degree vector \(1, 1\) has length 2, expected 3"),
+    "pi-image-degree-above-bound": (lambda: diagonal_ideal(2, 3, 4).pi_image((9, 0, 0)),
+                                    ValueError, "exceeds the truncation bound 4"),
+    "pi-image-of-a-stored-ideal": (lambda: zero_ideal(S22, 2).pi_image((3, 0)), ValueError,
+                                   "exceeds the truncation bound 2"),
+    "kept-piece-ambient": (lambda: TruncatedIdeal.pi_preimage(
+        segre_ring(2, 3), 1, {0: Subspace.zero(1), 1: Subspace.zero(5)}), ValueError,
+        r"W_1: subspace ambient 5 is not dim V_1 = 2"),
 }
 
 APOLARITY = {
@@ -101,6 +111,16 @@ GRADING = {
                           r"bad monomial \(3, -1\)"),
     "segre-monomial-shape": (lambda: rank_monomial(S22, ((1, 0),)), ValueError,
                              "bad monomial shape"),
+    "veronese-negative-total": (lambda: rank_monomial(V2, (-1, 0)), ValueError,
+                                r"bad monomial \(-1, 0\)"),
+    "veronese-non-integral-exponent": (lambda: rank_monomial(V2, (1.5, 0.5)), ValueError,
+                                       r"bad monomial \(1.5, 0.5\)"),
+    "segre-negative-exponent": (lambda: rank_monomial(S22, ((3, -1), (1, 0))), ValueError,
+                                r"bad monomial \(\(3, -1\), \(1, 0\)\)"),
+    "segre-non-integral-exponent": (lambda: rank_monomial(S22, ((1, 0), (0.5, 0.5))),
+                                    ValueError, r"bad monomial \(\(1, 0\), \(0.5, 0.5\)\)"),
+    "segre-non-integral-total": (lambda: rank_monomial(S22, ((1, 0), (0.5, 0))), ValueError,
+                                 r"bad monomial \(\(1, 0\), \(0.5, 0\)\)"),
 }
 
 BOUNDS = {

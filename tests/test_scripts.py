@@ -80,16 +80,45 @@ def test_only_ideals_knows_how_an_ideal_is_held():
     assert leaks == []
 
 
+def _calls(node, name: str) -> bool:
+    return (isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == name)
+
+
+def _imported(node) -> set:
+    """The dotted names an import statement brings in, relative ones undotted."""
+    if isinstance(node, ast.Import):
+        return {alias.name for alias in node.names}
+    if isinstance(node, ast.ImportFrom):
+        module = node.module or ""
+        return {module} | {f"{module}.{alias.name}".lstrip(".") for alias in node.names}
+    return set()
+
+
 def test_only_grading_ranks_a_monomial():
-    """Monomial products are read off the pi-fibre table: no package module
-    outside `grading` calls `rank_monomial`."""
-    callers = [path.stem
-               for path in sorted((ROOT / "src" / "borderapolar").glob("*.py"))
-               if path.stem != "grading"
-               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-               if isinstance(node, ast.Call)
-               and getattr(node.func, "id", getattr(node.func, "attr", None)) == "rank_monomial"]
-    assert callers == []
+    """`grading` owns the monomial order and the monomial product: no other
+    package module calls `rank_monomial`, builds a position index of
+    `monomials` (enumerates it or calls `.index` on it) or imports
+    `operator.add`, and `apolarity` reads the catalecticant off `grading`'s
+    product table without importing `diagonal_maps`."""
+    offences = []
+    for path in sorted((ROOT / "src" / "borderapolar").glob("*.py")):
+        if path.stem == "grading":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if _calls(node, "rank_monomial"):
+                offences.append(f"{path.stem} ranks a monomial")
+            if ((_calls(node, "enumerate") and node.args and _calls(node.args[0], "monomials"))
+                    or (_calls(node, "index") and _calls(node.func.value, "monomials"))):
+                offences.append(f"{path.stem} indexes monomial positions")
+            if "operator.add" in _imported(node) or (
+                    isinstance(node, ast.Attribute) and node.attr == "add"
+                    and getattr(node.value, "id", None) == "operator"):
+                offences.append(f"{path.stem} adds exponent vectors")
+            if path.stem == "apolarity" and any(
+                    "diagonal_maps" in name.split(".") for name in _imported(node)):
+                offences.append("apolarity imports diagonal_maps")
+    assert offences == []
 
 
 def test_only_linalg_builds_a_matrix():
