@@ -11,9 +11,9 @@ on every tensor.  A multilinear F is read through one contraction map: at a 0/1
 degree u, each entry lands in the row named by its indices off u and the column
 of its indices on u, in one pass over the entries.  `ann_piece` is its kernel,
 `slice_spans` its row spans at the degrees 1 - e_i, and `contract_tensor`
-applies an element of S_u to it.  A form's catalecticant is read off
-`grading`'s monomial product table: `ann_sym_piece` is its kernel and
-`contract_poly` pairs an element of V_k with its rows.
+applies an element of S_u to it.  A form is a functional on V_d, and its
+catalecticant rows are its `grading.contractions`: `ann_sym_piece` is their
+`grading.colon` and `contract_poly` pairs an element of V_k with them.
 """
 
 from __future__ import annotations
@@ -27,8 +27,9 @@ from types import MappingProxyType
 from .grading import (
     PieceElement,
     RingKind,
-    _product_map,
     check_degree,
+    colon,
+    contractions,
     dim_piece,
     monomials,
     segre_ring,
@@ -234,7 +235,7 @@ def contract_tensor(theta: PieceElement, f: GeneralTensor) -> GeneralTensor:
 
 def contract_poly(g: PieceElement, p: HomPoly) -> HomPoly:
     """Apply a Veronese-side element to a form by iterated differentiation:
-    g paired with each catalecticant row, divided by the row's mu!."""
+    g paired with the contraction of p by each mu of V_{d-k}, divided by mu!."""
     if g.ring.kind is not RingKind.VERONESE_COORD:
         raise ValueError(f"expected an element of the Veronese coordinate ring, got {g.ring}")
     if g.ring.n != p.n:
@@ -243,7 +244,8 @@ def contract_poly(g: PieceElement, p: HomPoly) -> HomPoly:
     if k > p.d:
         return HomPoly(p.n, max(p.d - k, 0), {}, field=p.field)
     out: dict = {}
-    for mu, row in zip(monomials(g.ring, p.d - k), _catalecticant_rows(p, k)):
+    rows = contractions(g.ring, k, p.d - k, [_functional(p)])
+    for mu, row in zip(monomials(g.ring, p.d - k), rows):
         x = sum((g.coords[c] * y for c, y in row), p.field.zero)
         if x:
             out[mu] = x / _gamma_factorial(mu)
@@ -271,32 +273,22 @@ def ann_piece(f: GeneralTensor, u) -> Subspace:
     return kernel(dim, rows.values(), tag, f.field)
 
 
-def _catalecticant_rows(p: HomPoly, k: int) -> list:
-    """p's catalecticant V_k -> V_{d-k} as sparse rows, one per mu of V_{d-k} in
-    order, empty ones kept, with row mu scaled by mu!: the entry at delta is
-    a_gamma * gamma!, gamma = mu + delta, read off the product table
-    V_{d-k} x V_k -> V_d."""
-    ring = veronese_ring(p.n)
-    zero = p.field.zero
-    weights = [p.terms.get(m, zero) * _gamma_factorial(m) for m in monomials(ring, p.d)]
-    width = dim_piece(ring, k)
-    f = _product_map(ring, p.d - k, k)
-    return [[(c, x) for c, x in enumerate(map(weights.__getitem__, f[r:r + width])) if x]
-            for r in range(0, len(f), width)]
+def _functional(p: HomPoly) -> list:
+    """p as a sparse row on V_d, a_gamma * gamma! at gamma: the catalecticant's entries."""
+    weights = [p.terms.get(m, 0) * _gamma_factorial(m)
+               for m in monomials(veronese_ring(p.n), p.d)]
+    return [(c, x) for c, x in enumerate(weights) if x]
 
 
 def ann_sym_piece(p: HomPoly, k: int) -> Subspace:
-    """Degree-k piece of the apolar ideal of a form: the catalecticant kernel,
-    which the rows' mu! scales leave alone."""
-    ring = veronese_ring(p.n)
-    k = int(k)
+    """Degree-k piece of the apolar ideal of a form, (p^perp : V_{d-k})_k: the
+    catalecticant kernel, which the rows' mu! scales leave alone."""
+    ring, k = veronese_ring(p.n), int(k)
     if k < 0:
         raise ValueError("negative degree")
-    dim = dim_piece(ring, k)
-    tag = (ring, k)
     if k > p.d:
-        return Subspace.full(dim, piece=tag, field=p.field)
-    return kernel(dim, _catalecticant_rows(p, k), tag, p.field)
+        return Subspace.full(dim_piece(ring, k), piece=(ring, k), field=p.field)
+    return colon(ring, k, p.d - k, [_functional(p)], (ring, k), p.field)
 
 
 # -- flattenings ------------------------------------------------------------------

@@ -41,7 +41,6 @@ from .grading import (
 from .ideals import (
     PointSet,
     TruncatedIdeal,
-    degrees_up_to,
     diagonal_ideal,
     expand,
     hilbert_function,
@@ -199,10 +198,10 @@ def load_ideal_file(path: str, field, degree_bound) -> TruncatedIdeal:
                 pieces[u] = Subspace.from_rows(dim, rows, (ring, u), field)
             except ValueError as exc:
                 raise UsageError(f"{where}: {exc}") from exc
-        missing = [u for u in degrees_up_to(ring, bound) if u not in pieces]
-        if missing:
-            raise UsageError(f"{path}: missing pieces for degrees {missing[:4]}...")
-        ideal = TruncatedIdeal(ring, bound, pieces, "user")
+        try:
+            ideal = TruncatedIdeal(ring, bound, pieces, "user")
+        except ValueError as exc:  # a degree up to the bound without a piece
+            raise UsageError(f"{path}: {exc}") from exc
         if not is_ideal_closed(ideal):
             raise UsageError(f"{path}: the stored pieces are not ideal-closed")
         return ideal
@@ -241,10 +240,10 @@ def dump_ideal(ideal: TruncatedIdeal) -> dict:
         "pieces": [
             {
                 "degree": list(u) if isinstance(u, tuple) else u,
-                "dim": ideal.pieces[u].dim,
-                "basis": [list(map(str, row)) for row in ideal.pieces[u].basis],
+                "dim": piece.dim,
+                "basis": [list(map(str, row)) for row in piece.basis],
             }
-            for u in ideal.degrees()
+            for u in ideal.degrees() for piece in (ideal.pieces[u],)
         ],
     }
 

@@ -10,7 +10,8 @@ This module owns that order, and every other module reads it from here:
 `monomials` enumerates it, `rank_monomial` and `unrank_monomial` look
 positions up in that enumeration, `degrees_up_to` lists degrees the same way,
 and `_product_map`, the table S_u x S_v -> S_{u+v}, is the only place
-monomials are multiplied.
+monomials are multiplied.  `contractions` and `colon` read it to contract
+functionals by monomials, for the apolar ideal of a form and the saturation test.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from enum import Enum
 from functools import lru_cache
 from operator import add
 
-from .linalg import QQ
+from .linalg import QQ, Subspace, kernel
 
 
 class RingKind(Enum):
@@ -154,11 +155,12 @@ def _compositions_desc(total: int, parts: int):
 def degrees_up_to(ring: RingSpec, bound: int) -> list:
     """All degrees of total degree <= bound, sorted by (total, reverse-lex).
 
-    Each total's block is its weak compositions into d parts, enumerated in
-    lexicographically decreasing order, the order of a piece's monomials."""
+    Each total's block is its weak compositions into d parts in lexicographically
+    decreasing order, read off the cached monomials of that degree in d variables."""
     if not ring.is_multigraded:
         return list(range(bound + 1))
-    return [u for total in range(bound + 1) for u in _compositions_desc(total, ring.d)]
+    ring_d = veronese_ring(ring.d)
+    return [u for total in range(bound + 1) for u in monomials(ring_d, total)]
 
 
 @lru_cache(maxsize=None)
@@ -241,6 +243,25 @@ def _product_map(ring: RingSpec, u, v) -> tuple:
         wide = dim_piece(ring_v, uf + vf)
         table = [[o * wide + s for o in row for s in step] for row in table for step in steps]
     return tuple(x for row in table for x in row)
+
+
+def contractions(ring: RingSpec, u, v, functionals) -> list:
+    """Each sparse-row functional phi on S_{u+v} contracted by each monomial m
+    of S_v, m first: the sparse row t -> phi(t * m) on S_u, empty ones kept."""
+    table, dim_v = _product_map(ring, u, v), dim_piece(ring, v)
+    phis = [dict(phi) for phi in functionals]
+    return [[(t, phi[c]) for t, c in enumerate(table[m::dim_v]) if c in phi]
+            for m in range(dim_v) for phi in phis]
+
+
+def colon(ring: RingSpec, u, v, functionals, piece=None, field=QQ) -> Subspace:
+    """(H : S_v)_u, the f of degree u with f * m in H for every monomial m of
+    S_v, where H is cut out of S_{u+v} by the sparse-row `functionals` (any
+    iterable): the kernel of their `contractions`, the full piece when there is none."""
+    rows = contractions(ring, u, v, functionals)
+    if not rows:
+        return Subspace.full(dim_piece(ring, u), piece, field)
+    return kernel(dim_piece(ring, u), rows, piece, field)
 
 
 def monomial_degree(ring: RingSpec, mono):

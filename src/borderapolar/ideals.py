@@ -24,14 +24,15 @@ under pi) are reduced once, the kernel rows of the copies written directly.
 No generator normal forms or global saturation are ever needed.
 
 Every monomial product is read off `grading`'s cached table
-S_u x S_v -> S_{u+v} (`_product_map`): variable multiples at v = e_i, point
-evaluation by inverting that, and the saturation test as one colon
-(J_{u+v} : S_v)_u, so no monomial is ranked or multiplied here.
+S_u x S_v -> S_{u+v} (`_product_map`): variable multiples at v = e_i and point
+evaluation by inverting that; the saturation test (J_{u+v} : S_v)_u is
+`grading.colon`, so no monomial is ranked or multiplied here.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import warnings
 from collections.abc import Mapping
@@ -44,6 +45,7 @@ from .grading import (
     _product_map,
     add_degrees,
     check_degree,
+    colon,
     degree_total,
     degrees_up_to,
     dim_piece,
@@ -106,21 +108,19 @@ class _Preimages(Mapping):
     """The Segre pieces J_u = pi^{-1}(W_|u|) of an ideal kept by its Veronese
     pieces `w` = {k: W_k}, read-only.
 
-    A piece is built from the pi-fibre table the first time it is read and then
+    A piece is built from the pi-fibre table each time it is read, and none is
     kept; W_k is reduced once per fibre order among the degrees of total k.
-    `rows` streams a piece's RREF rows without keeping it.
+    `rows` streams a piece's RREF rows.
     """
 
     def __init__(self, ring: RingSpec, bound: int, w):
         self.ring, self.w = ring, w
         self._degrees = degrees_up_to(ring, bound)
         self._known = frozenset(self._degrees)
-        self._built, self._reduced = {}, {}
+        self._reduced = {}
 
     def rows(self, u):
         """The RREF rows of J_u, in order."""
-        if u in self._built:
-            return self._built[u].sparse
         fib = pi_fibres(self.ring.n, self.ring.d, u)
         k = degree_total(u)
         if (k, fib.order) not in self._reduced:
@@ -128,12 +128,10 @@ class _Preimages(Mapping):
         return _preimage_rows(fib, self._reduced[k, fib.order], self.w[k].field.one)
 
     def __getitem__(self, u):
-        if u not in self._built:
-            if u not in self._known:
-                raise KeyError(u)
-            self._built[u] = Subspace(dim_piece(self.ring, u), tuple(self.rows(u)),
-                                      _piece_tag(self.ring, u), self.w[degree_total(u)].field)
-        return self._built[u]
+        if u not in self._known:
+            raise KeyError(u)
+        return Subspace(dim_piece(self.ring, u), tuple(self.rows(u)),
+                        _piece_tag(self.ring, u), self.w[degree_total(u)].field)
 
     def __contains__(self, u):
         return u in self._known
@@ -154,15 +152,18 @@ class TruncatedIdeal:
 
     `pieces` is a read-only mapping from each degree to its subspace.  An ideal
     made by `TruncatedIdeal.pi_preimage` is kept by its Veronese pieces W_k
-    (`veronese`) and builds a Segre piece only when `pieces[u]` or `piece(u)`
-    reads it; `piece_dim`, `pi_image` and `piece_rows` read W_k directly.
+    (`veronese`) and builds a Segre piece afresh each time `pieces[u]` or
+    `piece(u)` reads it; `piece_dim`, `pi_image` and `piece_rows` read W_k
+    directly.
     Every other ideal stores its pieces, and keeps each pi-image it computes.
 
     `provenance` records how the ideal arose ("point", "upsilon-of-point", ...)
     so that downstream certificates can state honestly whether membership in
     the closure of point ideals is known.  `field` is read off the pieces (W_0
     on a kept ideal), which must all lie in one field.  The bound is at least
-    0, so there is a piece to read it off.
+    0, so there is a piece to read it off.  Every degree at or below the bound
+    has a piece of the right ambient dimension (W_k in V_k on a kept ideal);
+    stored pieces above the bound are allowed.
     """
 
     ring: RingSpec
@@ -177,7 +178,19 @@ class TruncatedIdeal:
         if not isinstance(self.pieces, _Preimages):
             object.__setattr__(self, "pieces", MappingProxyType(dict(self.pieces)))
             object.__setattr__(self, "_images", {})
-        fields = list(dict.fromkeys(sub.field for sub in (self.veronese or self.pieces).values()))
+        ring, pieces, name = self.ring, self.pieces, "J"
+        if self.veronese is not None:
+            ring, pieces, name = veronese_ring(ring.n), self.veronese, "W"
+        dims = [math.comb(ring.n + k - 1, k) for k in range(self.bound + 1)]  # dim V_k
+        for u in degrees_up_to(ring, self.bound):
+            if u not in pieces:
+                raise ValueError(f"missing piece {name}_{u}: every degree up to the bound "
+                                 f"{self.bound} needs one")
+            dim = math.prod(map(dims.__getitem__, u)) if ring.is_multigraded else dims[u]
+            if pieces[u].ambient_dim != dim:  # dim S_u is the product of the dim V_{u_i}
+                raise ValueError(f"{name}_{u}: subspace ambient {pieces[u].ambient_dim} "
+                                 f"is not dim {ring.kind.value}_{u} = {dim}")
+        fields = list(dict.fromkeys(sub.field for sub in pieces.values()))
         if len(fields) > 1:
             raise ValueError(f"pieces in two fields: {fields[0]!r} and {fields[1]!r}")
         object.__setattr__(self, "field", fields[0] if fields else QQ)
@@ -189,11 +202,6 @@ class TruncatedIdeal:
         ring, kept by its Veronese pieces w = {k: W_k}, k <= bound, each of
         them a subspace of V_k."""
         w = MappingProxyType({k: w[k] for k in range(bound + 1)})
-        ring_v = veronese_ring(ring.n)
-        for k, wk in w.items():
-            if wk.ambient_dim != dim_piece(ring_v, k):
-                raise ValueError(f"W_{k}: subspace ambient {wk.ambient_dim} "
-                                 f"is not dim V_{k} = {dim_piece(ring_v, k)}")
         return cls(ring, bound, _Preimages(ring, bound, w), provenance)
 
     @property
@@ -234,8 +242,8 @@ class TruncatedIdeal:
         return self._images[u]
 
     def piece_rows(self, u):
-        """The RREF rows of J_u, in order; an unbuilt piece of an ideal kept by
-        its Veronese pieces is streamed and not kept."""
+        """The RREF rows of J_u, in order; a piece of an ideal kept by its
+        Veronese pieces is streamed."""
         u = self._checked(u)
         if self.veronese is None:
             return self.pieces[u].sparse
@@ -317,18 +325,19 @@ def first_non_generic(j: TruncatedIdeal, r: int):
                  if hilbert_function(j, u) != generic_hf(r, j.ring, u)), None)
 
 
-def first_without_diagonal(j: TruncatedIdeal, images: dict):
-    """The first degree u of `images`, {u: pi(J_u)}, whose piece misses
-    (I_R)_u, or None.
+def first_without_diagonal(j: TruncatedIdeal):
+    """The first degree u whose piece J_u misses (I_R)_u, or None.
 
-    An ideal kept by its Veronese pieces contains I_R by construction.
-    Otherwise J_u meets ker pi = (I_R)_u in a subspace of dimension
-    dim J_u - dim pi(J_u), and pi is onto, so dim (I_R)_u = dim S_u - dim V_|u|:
-    the two dimensions agree exactly when J_u contains (I_R)_u.
+    An ideal kept by its Veronese pieces contains I_R by construction, and no
+    pi-image is read.  Otherwise J_u meets ker pi = (I_R)_u in a subspace of
+    dimension dim J_u - dim pi(J_u), and pi is onto, so
+    dim (I_R)_u = dim S_u - dim V_|u|: the two dimensions agree exactly when
+    J_u contains (I_R)_u.  Each pi(J_u) read is kept with the ideal.
     """
     if j.veronese is not None:
         return None
-    for u, im in images.items():
+    for u in j.degrees():
+        im = j.pi_image(u)
         if j.piece_dim(u) - im.dim != dim_piece(j.ring, u) - im.ambient_dim:
             return u
     return None
@@ -555,20 +564,6 @@ def very_general_points(ring: RingSpec, r: int, bound: int, rng: random.Random,
 
 # -- degreewise tests -----------------------------------------------------------------
 
-def _colon(ring: RingSpec, u, v, upper: Subspace) -> Subspace:
-    """(upper : S_v)_u, the f of degree u with f * m in `upper` (degree u + v)
-    for every monomial m of S_v: the kernel of the constraints of `upper`
-    pulled back along the product table, monomial by monomial."""
-    table, dim_v = _product_map(ring, u, v), dim_piece(ring, v)
-    cons = [dict(row) for row in upper.constraints()]
-    stacked = [[(t, row[c]) for t, c in enumerate(table[m::dim_v]) if c in row]
-               for m in range(dim_v) for row in cons]
-    dim_u = dim_piece(ring, u)
-    if not stacked:
-        return Subspace.full(dim_u, field=upper.field)
-    return kernel(dim_u, stacked, field=upper.field)
-
-
 def is_saturated_degreewise(j: TruncatedIdeal, u) -> bool:
     """Whether f * (every multilinear monomial) in J forces f in J, at degree u.
 
@@ -583,11 +578,12 @@ def is_saturated_degreewise(j: TruncatedIdeal, u) -> bool:
     u, v = check_degree(ring, u), _multilinear(ring)
     if degree_total(u) + degree_total(v) > j.bound:
         raise ValueError(f"bound {j.bound} too small to test saturation at degree {u}")
-    w = j.veronese
-    if w is not None:
-        k, d = degree_total(u), degree_total(v)
-        return _colon(veronese_ring(ring.n), k, d, w[k + d]) == w[k]
-    return _colon(ring, u, v, j.pieces[add_degrees(u, v)]) == j.pieces[u]
+    pieces = j.pieces
+    if j.veronese is not None:
+        ring, u, v, pieces = veronese_ring(ring.n), degree_total(u), degree_total(v), j.veronese
+    upper = pieces[add_degrees(u, v)]
+    # an iterator, so the constraint rows are freed before the elimination
+    return colon(ring, u, v, iter(upper.constraints()), field=upper.field) == pieces[u]
 
 
 def min_generators(ring: RingSpec, u, piece_at, field=QQ) -> int:

@@ -470,6 +470,8 @@ class Subspace:
             )
         if self.piece is not None and other.piece is not None and self.piece != other.piece:
             raise ValueError(f"graded piece mismatch: {self.piece} vs {other.piece}")
+        if self.field != other.field:
+            raise ValueError(f"field mismatch: {self.field!r} vs {other.field!r}")
 
     def matrix(self) -> Matrix:
         """The basis rows as the record elimination reads."""

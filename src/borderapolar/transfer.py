@@ -178,8 +178,7 @@ def sigma(j: TruncatedIdeal) -> TruncatedIdeal:
     ring = j.ring
     if ring.kind is not RingKind.SEGRE_COORD:
         raise ValueError("symmetrization expects an ideal in the Segre coordinate ring")
-    images = {u: j.pi_image(u) for u in j.degrees()}
-    if first_without_diagonal(j, images) is not None:
+    if first_without_diagonal(j) is not None:
         raise ValueError(
             "symmetrization is undefined: the ideal does not contain the diagonal ideal"
         )
@@ -190,7 +189,7 @@ def sigma(j: TruncatedIdeal) -> TruncatedIdeal:
     for total in range(j.bound + 1):
         a, m = divmod(total, d)
         u = tuple(a + s for s in stairs[m])
-        pieces[total] = _tagged(images[u], ring_v, total)
+        pieces[total] = _tagged(j.pi_image(u), ring_v, total)
     provenance = "point" if j.provenance in ("upsilon-of-point", "diagonal-points") else "user"
     return TruncatedIdeal(ring_v, j.bound, pieces, provenance)
 
@@ -296,13 +295,13 @@ def check_condition_ii(j: TruncatedIdeal, f: GeneralTensor) -> Certificate:
                        tested_bound=j.bound, slip_provenance=slip_label(j.provenance))
     if not _apolarity_stage(cert, j, f, f.order):
         return cert
-    images = {u: j.pi_image(u) for u in j.degrees()}
-    missing = first_without_diagonal(j, images)
+    missing = first_without_diagonal(j)
     if missing is not None:
         cert.add(stage="diagonal-containment", degree=missing, ok=False)
         cert.failure = f"the diagonal ideal is not inside J at degree {missing}"
         return cert
     cert.add(stage="diagonal-containment", ok=True)
+    images = {u: j.pi_image(u) for u in j.degrees()}
     for total in range(j.bound + 1):
         same_total = [im for u, im in images.items() if degree_total(u) == total]
         same = all(im == same_total[0] for im in same_total[1:])

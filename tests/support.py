@@ -167,7 +167,7 @@ def two_ones_degrees(d: int) -> list:
 
 
 def contains_diagonal_ideal(j: TruncatedIdeal) -> bool:
-    return first_without_diagonal(j, {u: j.pi_image(u) for u in j.degrees()}) is None
+    return first_without_diagonal(j) is None
 
 
 # -- dense 0/1 matrices of pi and psi, the reference for the fibre-table maps --------

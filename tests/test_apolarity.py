@@ -1,6 +1,7 @@
 """Tests for polarization, contraction, annihilator pieces, and flattenings."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -35,13 +36,14 @@ from borderapolar.grading import (
     segre_ring,
     veronese_ring,
 )
-from borderapolar.linalg import QQ, PrimeField
+from borderapolar.linalg import QQ, PrimeField, kernel
 from borderapolar.selftest import random_forms
 from borderapolar.transfer import tensor_digest
-from support import (ann_piece_reference, ann_sym_piece_reference, contract_poly_reference,
-                     contract_tensor_reference, depolarize_reference, diagonal_tensor,
-                     multiply, random_form, random_symmetric_tensor, slice_spans_reference,
-                     sparse_rows, sum_of_powers_tensor, symmetry_error_reference)
+from support import (ann_piece_reference, ann_sym_piece_reference, colon_reference,
+                     contract_poly_reference, contract_tensor_reference, depolarize_reference,
+                     diagonal_tensor, multiply, power_of_form, random_form,
+                     random_symmetric_tensor, slice_spans_reference, sparse_rows,
+                     sum_of_powers_tensor, symmetry_error_reference)
 
 
 class TestPolarize:
@@ -425,8 +427,9 @@ class TestAnnSymPiece:
 
 
 class TestCatalecticant:
-    """`ann_sym_piece` and `contract_poly` read the catalecticant off
-    `grading`'s product table; the references look up every (mu, delta) pair."""
+    """`ann_sym_piece` and `contract_poly` read the catalecticant through
+    `grading.contractions`; the references look up every (mu, delta) pair, or
+    compose the colon one variable step at a time."""
 
     @staticmethod
     def _forms(rng, field):
@@ -453,6 +456,25 @@ class TestCatalecticant:
                 assert (got.n, got.d, got.field) == (want.n, want.d, want.field)
                 assert repr(sorted(got.terms.items())) == repr(sorted(want.terms.items())), (
                     p.terms, g.coords)
+
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(2**31 - 1)], ids=["QQ", "GFp"])
+    def test_is_the_colon_of_the_hyperplane(self, field):
+        """Ann(p)_k = (p^perp : V_{d-k})_k, where p^perp is the hyperplane of V_d
+        that the pairing with p cuts out (all of V_d for p = 0)."""
+        rng = random.Random(27)
+        for n, d in itertools.product((1, 2, 3), (1, 2, 3, 4)):
+            ring = veronese_ring(n)
+            forms = ({}, power_of_form(random_forms(n, 1, rng)[0], d).terms,
+                     random_form(n, d, rng).terms)
+            for terms in forms:
+                p = HomPoly(n, d, terms, field=field)
+                pairing = [(c, p.terms[m] * math.prod(map(math.factorial, m)))
+                           for c, m in enumerate(monomials(ring, d)) if m in p.terms]
+                hyperplane = kernel(dim_piece(ring, d), [pairing], field=field)
+                for k in range(d + 1):
+                    got, want = ann_sym_piece(p, k), colon_reference(ring, k, d - k, hyperplane)
+                    assert got == want and got.field == want.field == field, (terms, k)
 
 
 class TestFlattenings:

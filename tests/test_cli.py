@@ -512,6 +512,20 @@ class TestDegreeBoundRules:
             assert cli.main([*args, "--degree-bound", ok]) == 0
             capsys.readouterr()
 
+    def test_missing_piece_refused(self, tmp_path, capsys):
+        """A piece file needs every degree up to the bound in use; pieces above
+        a lower --degree-bound are read and allowed."""
+        z = PointSet(veronese_ring(2), ((1, 0), (0, 1)))
+        payload = cli.dump_ideal(point_ideal(z, 3))
+        del payload["pieces"][2]
+        path = write(tmp_path, "i.json", payload)
+        code = cli.main(["hf", path, "2"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err == (f"error: {path}: missing piece J_2: every degree up to the bound 3 "
+                       "needs one\n")
+        assert cli.main(["hf", path, "1", "--degree-bound", "1"]) == 0
+
 
 class TestIdealBelowOrder:
     """check --ideal FILE with a file bound below d exits 2 before any stage runs."""

@@ -8,11 +8,12 @@ from fractions import Fraction
 import pytest
 
 from borderapolar.diagonal_maps import ir_generators
-from borderapolar import diagonal_maps, ideals
+from borderapolar import diagonal_maps, grading, ideals
 from borderapolar.grading import (
     PieceElement,
     _product_map,
     add_degrees,
+    colon,
     dim_piece,
     monomials,
     ones,
@@ -38,7 +39,6 @@ from borderapolar.ideals import (
     point_ideal,
     very_general_points,
     zero_ideal,
-    _colon,
 )
 from borderapolar.linalg import QQ, PrimeField, Subspace, kernel
 from borderapolar.transfer import ideal_digest, upsilon
@@ -106,8 +106,9 @@ class TestProductMap:
 
 
 class TestColon:
-    """`_colon` against the colon that composes one variable step at a time:
-    the same stacked rows, in the same order, and the same subspace."""
+    """`colon` of the constraints of `upper` against the colon that composes
+    one variable step at a time: the same stacked rows, in the same order, and
+    the same subspace."""
 
     @staticmethod
     def cases(field):
@@ -140,20 +141,29 @@ class TestColon:
             stacked.append(rows)
             return kernel(ncols, rows, piece, field)
 
-        monkeypatch.setattr(ideals, "kernel", recording)
+        monkeypatch.setattr(grading, "kernel", recording)
         for ring, u, v, upper in self.cases(field):
             stacked.clear()
-            got, want = _colon(ring, u, v, upper), colon_reference(ring, u, v, upper)
+            got = colon(ring, u, v, upper.constraints(), field=upper.field)
+            want = colon_reference(ring, u, v, upper)
             assert got == want and got.field == want.field == field, (ring, u, v)
             assert repr(got.sparse) == repr(want.sparse), (ring, u, v)
             rows = colon_rows_reference(ring, u, v, upper)
             assert stacked == ([rows] if rows else []), (ring, u, v)
         full = Subspace.full(dim_piece(V3, 3), field=field)
-        assert _colon(V3, 1, 2, full) == Subspace.full(dim_piece(V3, 1), field=field)
+        assert colon(V3, 1, 2, full.constraints(), field=field) == Subspace.full(
+            dim_piece(V3, 1), field=field)
 
 
 class TestFieldFromPieces:
     """An ideal's field is its pieces' field."""
+
+    def test_pieces_above_the_bound_are_allowed(self):
+        """Every degree up to the bound needs a piece; one above it is kept,
+        as a file's pieces are under a lower --degree-bound."""
+        j = point_ideal(PointSet(V2, ((1, 0), (0, 1))), 3)
+        low = TruncatedIdeal(V2, 1, j.pieces)
+        assert low.degrees() == [0, 1] and hilbert_function(low, 1) == 2
 
     def test_rebuilt_prime_field_ideal(self):
         j = point_ideal(PointSet(V2, ((1, 0), (0, 1), (1, 1)), field=GF), 3)

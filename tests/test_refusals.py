@@ -36,6 +36,7 @@ from borderapolar.transfer import upsilon
 P, Q = 2147483647, 1048583
 V2, V3, S22 = veronese_ring(2), veronese_ring(3), segre_ring(2, 2)
 X2 = HomPoly(2, 2, {(2, 0): 1})
+GF_FULL = Subspace.full(3, field=PrimeField(P))
 
 
 def refused(call, exc, match):
@@ -52,6 +53,12 @@ LINALG = {
                          "division by zero in prime field"),
     "vector-length": (lambda: Subspace.zero(3).reduce_vector([1, 2]), ValueError,
                       "vector length mismatch"),
+    "mixed-fields-contains": (lambda: Subspace.full(3).contains(GF_FULL), ValueError,
+                              r"field mismatch: QQ vs GF\(2147483647\)"),
+    "mixed-fields-sum": (lambda: Subspace.full(3).sum(GF_FULL), ValueError,
+                         r"field mismatch: QQ vs GF\(2147483647\)"),
+    "mixed-fields-intersect": (lambda: GF_FULL.intersect(Subspace.full(3)), ValueError,
+                               r"field mismatch: GF\(2147483647\) vs QQ"),
 }
 
 IDEALS = {
@@ -78,6 +85,16 @@ IDEALS = {
     "kept-piece-ambient": (lambda: TruncatedIdeal.pi_preimage(
         segre_ring(2, 3), 1, {0: Subspace.zero(1), 1: Subspace.zero(5)}), ValueError,
         r"W_1: subspace ambient 5 is not dim V_1 = 2"),
+    "stored-piece-missing": (lambda: TruncatedIdeal(V2, 2, {0: Subspace.zero(1),
+                                                            1: Subspace.zero(2)}),
+                             ValueError, "missing piece J_2: every degree up to the bound 2"),
+    "stored-piece-ambient": (lambda: zero_ideal(V2, 2).with_piece(1, Subspace.zero(5)),
+                             ValueError, "J_1: subspace ambient 5 is not dim V_1 = 2"),
+    "segre-piece-ambient": (lambda: TruncatedIdeal(S22, 1, {(0, 0): Subspace.zero(1),
+                                                            (1, 0): Subspace.zero(2),
+                                                            (0, 1): Subspace.zero(3)}),
+                            ValueError,
+                            r"J_\(0, 1\): subspace ambient 3 is not dim S_\(0, 1\) = 2"),
 }
 
 APOLARITY = {

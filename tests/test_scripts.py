@@ -99,8 +99,8 @@ def test_only_grading_ranks_a_monomial():
     """`grading` owns the monomial order and the monomial product: no other
     package module calls `rank_monomial`, builds a position index of
     `monomials` (enumerates it or calls `.index` on it) or imports
-    `operator.add`, and `apolarity` reads the catalecticant off `grading`'s
-    product table without importing `diagonal_maps`."""
+    `operator.add`, and `apolarity` reads the catalecticant through
+    `grading.contractions` without importing `diagonal_maps`."""
     offences = []
     for path in sorted((ROOT / "src" / "borderapolar").glob("*.py")):
         if path.stem == "grading":
@@ -118,6 +118,42 @@ def test_only_grading_ranks_a_monomial():
             if path.stem == "apolarity" and any(
                     "diagonal_maps" in name.split(".") for name in _imported(node)):
                 offences.append("apolarity imports diagonal_maps")
+    assert offences == []
+
+
+def _sliced_product_tables(tree) -> list:
+    """The lines where a product table, a `_product_map` call or a name bound to
+    one, is sliced: a whole row or a strided column read at once."""
+    tables = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                pairs = (zip(target.elts, node.value.elts)
+                         if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple)
+                         else [(target, node.value)])
+                tables |= {t.id for t, value in pairs
+                           if isinstance(t, ast.Name) and _calls(value, "_product_map")}
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Slice)
+            and (_calls(node.value, "_product_map") or getattr(node.value, "id", None) in tables)]
+
+
+def test_only_grading_contracts():
+    """A functional is contracted by monomials in `grading.contractions` alone:
+    no other package module slices a product table, and `apolarity` imports
+    no private name from `grading`."""
+    offences = []
+    for path in sorted((ROOT / "src" / "borderapolar").glob("*.py")):
+        if path.stem == "grading":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        offences += [f"{path.stem}:{line} slices a product table"
+                     for line in _sliced_product_tables(tree)]
+        if path.stem == "apolarity":
+            offences += [f"apolarity imports grading.{alias.name}"
+                         for node in ast.walk(tree)
+                         if isinstance(node, ast.ImportFrom) and node.module == "grading"
+                         for alias in node.names if alias.name.startswith("_")]
     assert offences == []
 
 
