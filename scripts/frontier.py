@@ -26,7 +26,7 @@ import subprocess
 import sys
 import time
 
-SHAPES = ((3, 3), (4, 3), (4, 4), (5, 4), (5, 5), (6, 5), (7, 6), (8, 7))
+SHAPES = ((3, 3), (4, 3), (4, 4), (5, 4), (5, 5), (6, 5), (7, 6), (8, 7), (9, 8))
 RSS_MB = 2048
 
 

@@ -31,6 +31,7 @@ from .grading import (
     colon,
     contractions,
     dim_piece,
+    integer,
     monomials,
     segre_ring,
     veronese_ring,
@@ -44,12 +45,12 @@ class HomPoly:
     __slots__ = ("n", "d", "terms", "field")
 
     def __init__(self, n: int, d: int, terms: dict, field=QQ):
-        self.n = int(n)
-        self.d = int(d)
+        self.n = integer(n, "n")
+        self.d = integer(d, "degree")
         self.field = field
         clean = {}
         for exps, c in terms.items():
-            exps = tuple(int(e) for e in exps)
+            exps = tuple(integer(e, "exponent") for e in exps)
             if len(exps) != self.n or any(e < 0 for e in exps):
                 raise ValueError(f"bad exponent vector {exps}")
             if sum(exps) != self.d:
@@ -84,15 +85,15 @@ class GeneralTensor:
     __slots__ = ("n", "order", "entries", "field", "factors")
 
     def __init__(self, n: int, order: int, entries: dict, field=QQ, factors=None):
-        self.n = int(n)
-        self.order = int(order)
+        self.n = integer(n, "n")
+        self.order = integer(order, "order")
         self.field = field
-        self.factors = tuple(range(order)) if factors is None else tuple(factors)
+        self.factors = tuple(range(self.order)) if factors is None else tuple(factors)
         if len(self.factors) != self.order:
             raise ValueError("factor labels do not match the tensor order")
         clean = {}
         for idx, c in entries.items():
-            idx = tuple(int(i) for i in idx)
+            idx = tuple(integer(i, "index") for i in idx)
             if len(idx) != self.order or any(not 0 <= i < self.n for i in idx):
                 raise ValueError(f"index tuple {idx} out of range")
             c = field.of(c)
@@ -283,9 +284,8 @@ def _functional(p: HomPoly) -> list:
 def ann_sym_piece(p: HomPoly, k: int) -> Subspace:
     """Degree-k piece of the apolar ideal of a form, (p^perp : V_{d-k})_k: the
     catalecticant kernel, which the rows' mu! scales leave alone."""
-    ring, k = veronese_ring(p.n), int(k)
-    if k < 0:
-        raise ValueError("negative degree")
+    ring = veronese_ring(p.n)
+    k = check_degree(ring, k)
     if k > p.d:
         return Subspace.full(dim_piece(ring, k), piece=(ring, k), field=p.field)
     return colon(ring, k, p.d - k, [_functional(p)], (ring, k), p.field)

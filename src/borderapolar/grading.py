@@ -62,6 +62,17 @@ def veronese_ring(n: int) -> RingSpec:
 
 # -- degree arithmetic --------------------------------------------------------
 
+def integer(x, what: str) -> int:
+    """x as an int when it is integral (2.0 counts as 2); anything else, such
+    as 2.5 or "2", raises ValueError naming `what` rather than being read."""
+    try:
+        if int(x) == x:  # only for an integral number
+            return int(x)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{what} {x!r} is not an integer")
+
+
 def check_degree(ring: RingSpec, u):
     """Normalize a degree for `ring`: a length-d tuple, or an int for Veronese.
 
@@ -90,13 +101,7 @@ def check_degree(ring: RingSpec, u):
             raise ValueError(f"single grading expects an integer degree, got {u}")
         u = u[0]
     if type(u) is not int:
-        try:
-            k = int(u)
-        except (TypeError, ValueError, OverflowError):
-            k = None
-        if k != u:
-            raise ValueError(f"degree {u!r} is not an integer")
-        u = k
+        u = integer(u, "degree")
     if u < 0:
         raise ValueError(f"negative degree {u}")
     return u

@@ -534,6 +534,8 @@ def very_general_points(ring: RingSpec, r: int, bound: int, rng: random.Random,
     """
     if r < 1:
         raise ValueError(f"need at least one point, got r={r}")
+    if coord_bound < 1:  # every draw would be zero
+        raise ValueError(f"coord_bound must be at least 1, got {coord_bound}")
 
     def draw_factor():
         while True:

@@ -4,21 +4,23 @@ Vectors are rows, held sparsely as the (column, value) pairs of their nonzero
 entries; dense rows are built only on demand, for dumps and tests.  Elimination
 takes a column count and any iterable of such rows, refusing a column outside
 that count, and returns a Subspace (`Subspace.from_rows`, `kernel`) or a number
-(`rank`).  A Subspace stores the
-unique reduced row echelon basis of its row span, each row in ascending column
-order with its pivot first, so two subspaces are equal as sets exactly when
-their stored rows compare equal.  Both fields run one fraction-free
-Gauss-Jordan loop, `rref_with_pivots`, on dense integer rows built from the
-nonzeros; the `Matrix` it reads is only the record of the rows, their width
-and their field, and is made in this module alone.  The field supplies the
-rest: how a row becomes integers (primitive integers over Q, residues over
-GF(p)), how a row is kept small after each update (divided by its content over
-Q, reduced mod p over GF(p)) and how an integer row divided by one of its
-entries becomes field elements.  Elimination hands back the integer rows and
-their pivots, and each consumer makes the field elements it keeps:
+(`rank`).  A Subspace stores the unique reduced row echelon basis of its row
+span, each row in ascending column order with its pivot first, so two subspaces
+over one field are equal as sets exactly when their stored rows compare equal.
+Both fields run one fraction-free Gauss-Jordan pass, `rref_with_pivots`: it
+makes each row a dense integer row only when it reads it, clears the row at
+every pivot it keeps, keeps a nonzero remainder as a new pivot row and clears
+that column from the others, and stops at full column rank, so at most rank
+dense rows are held at once.  The `Matrix` it reads is only the record of the
+rows, their width and their field, and is made in this module alone.  The field
+supplies the rest: how a row becomes integers (primitive integers over Q,
+residues over GF(p)), how a row is kept small after each update (divided by its
+content over Q, reduced mod p over GF(p)) and how an integer row divided by one
+of its entries becomes field elements.  Elimination hands back the integer rows
+and their pivots, and each consumer makes the field elements it keeps:
 `Subspace.from_rows` and `kernel` one per nonzero entry of the reduced rows,
-with no second pass to negate them, and `rank` none.  As elimination reads
-only integers, the rows may hold plain ints in place of field elements, each
+with no second pass to negate them, and `rank` none.  As elimination reads only
+integers, the rows may hold plain ints in place of field elements, each
 standing for its image in the field: producers that know a row only up to a
 scalar, such as an evaluation at a point or a row pushed through an index map,
 pass integers and make no field element at all.
@@ -35,7 +37,7 @@ its pivot entry, so the entries of the annihilator are made directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -304,38 +306,32 @@ def rref_with_pivots(m: Matrix):
 
     Row i is a dense integer row (primitive over Q, residues over GF(p)) that
     is zero in every pivot column but pivots[i]; divided by its entry there it
-    is row i of the RREF.  No field element is made: each caller makes the
+    is row i of the RREF.  The rows of m are read once, in order, and none
+    past full column rank.  No field element is made: each caller makes the
     ones it keeps.
     """
-    # Gauss-Jordan on dense integer rows that the field keeps small after
-    # every update: primitive over Q, so entries never outgrow the line they
-    # span, and reduced mod p over GF(p).
-    field = m.field
+    # The field keeps each row small after every update: primitive over Q,
+    # so entries never outgrow the line they span, and reduced mod p over
+    # GF(p).  `kept` maps each pivot to its row, zero at every other pivot.
+    field, ncols = m.field, m.ncols
     normalize = field.normalize
-    rows = [field.to_ints(row, m.ncols) for row in m.sparse]
-    nrows = len(rows)
-    pivots = []
-    for c in range(m.ncols):
-        r = len(pivots)
-        pr = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if pr is None:
+    kept = {}
+    for row in m.sparse:
+        ints = field.to_ints(row, ncols)
+        for c, pivot_row in kept.items():
+            if ints[c]:
+                ints = _eliminate(ints, pivot_row, c, normalize)
+        c = next((c for c, v in enumerate(ints) if v), None)
+        if c is None:
             continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        pivot_row = rows[r]
-        for i in range(r + 1, nrows):
-            if rows[i][c]:
-                rows[i] = _eliminate(rows[i], pivot_row, c, normalize)
-        pivots.append(c)
-        if r + 1 == nrows:
-            break
-    del rows[len(pivots):]
-    for i in reversed(range(len(rows))):
-        pivot_row = rows[i]
-        c = pivots[i]
-        for k in range(i):
-            if rows[k][c]:
-                rows[k] = _eliminate(rows[k], pivot_row, c, normalize)
-    return rows, pivots
+        for p, other in kept.items():
+            if other[c]:
+                kept[p] = _eliminate(other, ints, c, normalize)
+        kept[c] = ints
+        if len(kept) == ncols:
+            break  # full column rank: every later row is in the span
+    pivots = sorted(kept)
+    return [kept[c] for c in pivots], pivots
 
 
 def _reduced(m: Matrix):
@@ -407,7 +403,7 @@ def kernel(ncols: int, rows, piece=None, field=QQ) -> "Subspace":
 
 # -- subspaces ------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Subspace:
     """A linear subspace given by its RREF row basis inside a fixed ambient piece.
 
@@ -418,7 +414,7 @@ class Subspace:
 
     ambient_dim: int
     sparse: tuple
-    piece: object = None
+    piece: object = dataclass_field(default=None, compare=False)
     field: object = QQ
 
     @classmethod
@@ -532,14 +528,6 @@ class Subspace:
             self._check_compatible(other)
             return not any(self._remainder(row) for row in other.sparse)
         return self.contains_vector(other)
-
-    def __eq__(self, other):
-        if not isinstance(other, Subspace):
-            return NotImplemented
-        return self.ambient_dim == other.ambient_dim and self.sparse == other.sparse
-
-    def __hash__(self):
-        return hash((self.ambient_dim, self.sparse))
 
     def __repr__(self):
         tag = f" @ {self.piece}" if self.piece is not None else ""

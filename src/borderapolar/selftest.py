@@ -84,6 +84,9 @@ def sum_of_powers_tensor(n: int, d: int, forms) -> SymTensor:
     """sum_j l_j^{tensor d} for linear forms given by coefficient vectors: the
     polarization of sum_j l_j^d, whose coefficient of b^gamma is
     (d!/gamma!) sum_j l_j^gamma."""
+    bad = next((l for l in forms if len(l) != n), None)
+    if bad is not None:
+        raise ValueError(f"form {bad!r} has {len(bad)} coordinates, expected n={n}")
     fac = math.factorial(d)
     terms = {gamma: fac // math.prod(map(math.factorial, gamma))
              * sum(math.prod(c ** e for c, e in zip(l, gamma)) for l in forms)

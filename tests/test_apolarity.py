@@ -425,6 +425,16 @@ class TestAnnSymPiece:
         p = HomPoly(2, 3, {(3, 0): 1})
         assert ann_sym_piece(p, 4).is_full
 
+    def test_integral_floats_read_as_ints(self):
+        """2.0 reads as 2 wherever an integer is read (tests/test_refusals.py
+        has the values that are refused)."""
+        p = HomPoly(2.0, 3.0, {(3.0, 0): 1, (0, 3): 1})
+        assert p == HomPoly(2, 3, {(3, 0): 1, (0, 3): 1})
+        assert (p.n, p.d) == (2, 3) and type(p.n) is int
+        assert ann_sym_piece(p, 2.0) == ann_sym_piece(p, 2)
+        f = GeneralTensor(2.0, 2.0, {(1.0, 0): 1})
+        assert f == GeneralTensor(2, 2, {(1, 0): 1}) and list(f.entries) == [(1, 0)]
+
 
 class TestCatalecticant:
     """`ann_sym_piece` and `contract_poly` read the catalecticant through

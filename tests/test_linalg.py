@@ -297,6 +297,71 @@ class TestRref:
             assert pivots == list(range(6))
 
 
+def rows_of_rank(rng, nrows: int, ncols: int, r: int) -> list:
+    """r random rows with some fractional entries, then nrows - r integer
+    combinations of them: rank r for the seeds used here."""
+    basis = [[Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3))) for _ in range(ncols)]
+             for _ in range(r)]
+    coeffs = [[rng.randint(-3, 3) for _ in basis] for _ in range(nrows - r)]
+    return basis + [[sum(c * b[j] for c, b in zip(cs, basis)) for j in range(ncols)]
+                    for cs in coeffs]
+
+
+class _ReadOnce:
+    """Rows that raise once iteration passes the first `allowed` of them."""
+
+    def __init__(self, rows, allowed: int):
+        self.rows, self.allowed = rows, allowed
+
+    def __iter__(self):
+        for i, row in enumerate(self.rows):
+            if i == self.allowed:
+                raise AssertionError(f"row {i} was read after full column rank")
+            yield row
+
+
+class TestOnePass:
+    """`rref_with_pivots` reads each row once, in order, and stops at full
+    column rank; its rows divided by their pivots are the references' RREF."""
+
+    # (nrows, ncols, rank): tall, wide and square, each of full and of
+    # deficient rank, all-zero and empty
+    SHAPES = [(40, 5, 5), (40, 5, 3), (3, 9, 3), (6, 9, 2), (6, 6, 6), (6, 6, 4),
+              (7, 4, 0), (0, 4, 0), (5, 0, 0), (0, 0, 0)]
+
+    @pytest.mark.parametrize("field", FIELDS, ids=repr)
+    @pytest.mark.parametrize("nrows, ncols, r", SHAPES)
+    def test_matches_the_references_in_any_row_order(self, field, nrows, ncols, r):
+        rng = random.Random(100 * nrows + 10 * ncols + r)
+        rows = rows_of_rank(rng, nrows, ncols, r) + [[0] * ncols] * (nrows > r)
+        for _ in range(4):
+            rng.shuffle(rows)
+            m = matrix(rows, ncols, field)
+            ints, pivots = rref_with_pivots(m)
+            ref_rows, ref_pivots = rref_reference(m) if field is QQ else rref_gf_reference(m)
+            assert pivots == ref_pivots and len(pivots) == r
+            got = [[dict(field.from_ints(row, row[c])).get(j, field.zero) for j in range(ncols)]
+                   for row, c in zip(ints, pivots)]
+            assert repr(got) == repr(ref_rows)
+            assert all(type(v) is int for row in ints for v in row)
+            assert_matches_reference(m, field)
+
+    @pytest.mark.parametrize("field", FIELDS, ids=repr)
+    def test_stops_at_full_column_rank(self, field):
+        """Once ncols pivots are held no later row is read: here the first
+        five rows have full rank, the sixth raises when it is reached."""
+        rng = random.Random(5)
+        rows = sparse_rows(rows_of_rank(rng, 12, 4, 4)[:3] + [[0, 0, 0, 0]]
+                           + rows_of_rank(rng, 8, 4, 4), field)
+        assert rank(4, rows[:5], field) == 4
+        ints, pivots = rref_with_pivots(Matrix(4, _ReadOnce(rows, 5), field))
+        assert pivots == [0, 1, 2, 3]
+        assert repr(field.from_ints(ints[2], ints[2][2])) == repr(((2, field.one),))
+        # a rank-deficient prefix reads on
+        with pytest.raises(AssertionError, match="row 3 was read"):
+            rref_with_pivots(Matrix(4, _ReadOnce(rows, 3), field))
+
+
 class TestKernel:
     def test_line(self):
         assert listed(kernel_of(matrix([[1, 1]])).basis) == [[1, -1]]
@@ -365,6 +430,14 @@ class TestSubspace:
         b = Subspace.from_rows(3, sparse_rows(rows2))
         assert a == b
         assert a.basis == b.basis
+
+    def test_equality_includes_the_field_but_not_the_piece(self):
+        for make in (Subspace.zero, Subspace.full):
+            over_q, over_gf = make(3), make(3, field=GF)
+            assert over_q != over_gf and len({over_q, over_gf}) == 2
+            assert over_gf == make(3, field=PrimeField(GF.p))
+            labelled = make(3, piece="a")
+            assert labelled == over_q and hash(labelled) == hash(over_q)
 
     def test_contains_vector_and_subspace(self):
         a = Subspace.from_rows(3, sparse_rows([[1, 0, 1], [0, 1, 0]]))

@@ -1,6 +1,8 @@
 """The input checks of each package module: every refusal raises its own
 message, one group of cases per module."""
 
+import random
+
 import pytest
 
 from borderapolar.apolarity import (
@@ -27,10 +29,11 @@ from borderapolar.ideals import (
     diagonal_points,
     expand,
     point_ideal,
+    very_general_points,
     zero_ideal,
 )
 from borderapolar.linalg import Mod, PrimeField, Subspace
-from borderapolar.selftest import run_selftest
+from borderapolar.selftest import run_selftest, sum_of_powers_tensor
 from borderapolar.transfer import upsilon
 
 P, Q = 2147483647, 1048583
@@ -42,6 +45,21 @@ GF_FULL = Subspace.full(3, field=PrimeField(P))
 def refused(call, exc, match):
     with pytest.raises(exc, match=match):
         call()
+
+
+class FewDraws(random.Random):
+    """An rng whose `randint` raises after 1,000 draws, so that a loop which
+    never stops drawing fails instead of hanging."""
+
+    def __init__(self):
+        super().__init__(0)
+        self.left = 1000
+
+    def randint(self, a, b):
+        self.left -= 1
+        if self.left < 0:
+            raise RuntimeError("drew 1,000 times")
+        return super().randint(a, b)
 
 
 LINALG = {
@@ -74,6 +92,8 @@ IDEALS = {
     "coordinate-length": (lambda: PointSet(V2, ((1, 2, 3),)), ValueError,
                           "coordinate length mismatch"),
     "zero-point": (lambda: PointSet(V2, ((0, 0),)), ValueError, "zero point"),
+    "zero-coord-bound": (lambda: very_general_points(V2, 1, 2, FewDraws(), coord_bound=0),
+                         ValueError, "coord_bound must be at least 1, got 0"),
     "diagonal-of-segre-points": (lambda: diagonal_points(PointSet(S22, (((1, 0), (0, 1)),)), 2),
                                  ValueError, "expected points on the Veronese target"),
     "pi-image-degree-length": (lambda: diagonal_ideal(2, 3, 4).pi_image((1, 1)), ValueError,
@@ -116,6 +136,27 @@ APOLARITY = {
                                                (1, 0)),
                              ValueError, "on all original factors"),
     "negative-sym-degree": (lambda: ann_sym_piece(X2, -1), ValueError, "negative degree"),
+    "non-integral-sym-degree": (lambda: ann_sym_piece(X2, 1.5), ValueError,
+                                "degree 1.5 is not an integer"),
+    "negative-non-integral-sym-degree": (lambda: ann_sym_piece(X2, -0.5), ValueError,
+                                         "degree -0.5 is not an integer"),
+    "string-sym-degree": (lambda: ann_sym_piece(X2, "2"), ValueError,
+                          "degree '2' is not an integer"),
+    "non-integral-exponent": (lambda: HomPoly(2, 2, {(2.5, -0.5): 1}), ValueError,
+                              "exponent 2.5 is not an integer"),
+    "negative-non-integral-exponent": (lambda: HomPoly(2, 2, {(2, -0.5): 1}), ValueError,
+                                       "exponent -0.5 is not an integer"),
+    "string-exponent": (lambda: HomPoly(2, 2, {("2", 0): 1}), ValueError,
+                        "exponent '2' is not an integer"),
+    "non-integral-form-n": (lambda: HomPoly(2.5, 2, {}), ValueError, "n 2.5 is not an integer"),
+    "string-form-degree": (lambda: HomPoly(2, "2", {}), ValueError,
+                           "degree '2' is not an integer"),
+    "non-integral-index": (lambda: GeneralTensor(2, 2, {(0.5, 1.9): 1}), ValueError,
+                           "index 0.5 is not an integer"),
+    "non-integral-tensor-n": (lambda: GeneralTensor(2.5, 2, {}), ValueError,
+                              "n 2.5 is not an integer"),
+    "non-integral-order": (lambda: GeneralTensor(2, 1.5, {}), ValueError,
+                           "order 1.5 is not an integer"),
 }
 
 GRADING = {
@@ -152,6 +193,8 @@ BOUNDS = {
 SELFTEST = {
     "unknown-scale": (lambda: run_selftest(scale="huge"), ValueError,
                       r"unknown scale 'huge'; choose from \['deep', 'desk'\]"),
+    "form-length": (lambda: sum_of_powers_tensor(3, 2, [(1, 1, 1), (1, 2)]), ValueError,
+                    r"form \(1, 2\) has 2 coordinates, expected n=3"),
 }
 
 DIAGONAL_MAPS = {
