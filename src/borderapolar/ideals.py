@@ -18,10 +18,14 @@ Saturated ideals of finite point sets are computed as kernels of evaluation
 maps, evaluated on integer representatives of the points, so elimination
 receives integer rows.  A degree whose evaluation matrix an earlier degree
 already has (as at diagonal points, whose matrix at u depends only on the
-nonzero parts of u, in order) is neither evaluated nor reduced again, and
-equal columns of a matrix (at diagonal points, the monomials with one image
-under pi) are reduced once, the kernel rows of the copies written directly.
-No generator normal forms or global saturation are ever needed.
+nonzero parts of u, in order) is neither evaluated nor reduced again.  Equal
+columns of a matrix (at diagonal points, the monomials with one image under
+pi) are reduced once, the kernel rows of the copies written directly, and a
+matrix whose distinct columns, in order, an earlier degree's matrix had (at
+diagonal points, degrees of one total whose monomials of V_|u| come in one
+order) shares that reduction: a point ideal costs one elimination per
+distinct matrix of distinct columns.  No generator normal forms or global
+saturation are ever needed.
 
 Every monomial product is read off `grading`'s cached table
 S_u x S_v -> S_{u+v} (`_product_map`): variable multiples at v = e_i and point
@@ -433,9 +437,9 @@ def _predecessors(ring: RingSpec, u) -> tuple:
     return below, i, tuple(steps)
 
 
-def _evaluation_kernel(rows, field) -> tuple:
-    """The RREF rows of the right kernel of the integer `rows`, from one
-    elimination of their distinct columns.
+def _evaluation_kernel(rows, field, merged) -> tuple:
+    """The RREF rows of the right kernel of the integer `rows`, from the
+    kernel of their distinct columns.
 
     Let top(c) be the last column equal to column c.  `kernel` reduces the
     columns in reverse, so a copy comes after its top, is never a pivot and
@@ -443,19 +447,31 @@ def _evaluation_kernel(rows, field) -> tuple:
     by the tail of top(c)'s kernel row when top(c) has one, and e_c - e_top(c)
     when top(c) is a pivot.  So only the tops, in ascending order, are
     reduced, and the rows come out as `kernel` would make them on every column.
+    `merged` maps each matrix of tops reduced so far to its kernel's rows, so
+    a matrix whose distinct columns, in order, an earlier one had is not
+    reduced again.
     """
     cols = list(zip(*rows))
     top = {col: c for c, col in enumerate(cols)}  # a later c overwrites
     tops = sorted(top.values())
-    merged = kernel(len(tops), [[(m, row[t]) for m, t in enumerate(tops) if row[t]]
-                                for row in rows], field=field).sparse
-    tails = {tops[row[0][0]]: tuple((tops[m], x) for m, x in row[1:]) for row in merged}
+    distinct = tuple(zip(*[cols[t] for t in tops]))  # the rows on the tops only
+    reduced = merged.get(distinct)
+    if reduced is None:
+        reduced = merged[distinct] = kernel(
+            len(tops), [[(m, x) for m, x in enumerate(row) if x] for row in distinct],
+            field=field).sparse
+    if len(tops) == len(cols):  # no copies: every column is its own top
+        return reduced
+    tails = dict.fromkeys(tops)  # a pivot top keeps None: it has no kernel row
+    for row in reduced:
+        tails[tops[row[0][0]]] = tuple([(tops[m], x) for m, x in row[1:]])
     one, minus_one = field.one, -field.one
     out = []
     for c, col in enumerate(cols):
         t = top[col]
-        if t in tails:
-            out.append(((c, one),) + tails[t])
+        tail = tails[t]
+        if tail is not None:
+            out.append(((c, one),) + tail)
         elif c != t:
             out.append(((c, one), (t, minus_one)))
     return tuple(out)
@@ -471,46 +487,49 @@ def point_ideal(zs: PointSet, bound: int, provenance: str = "point") -> Truncate
     from the value of its predecessor one degree down; the field's `normalize`
     keeps each row small, and the integer rows go to `kernel` as they are.
 
-    Each distinct evaluation matrix is evaluated and reduced once per call.  On
-    the Segre side the matrix at u is fixed by the pairs (u_i, first factor
-    with factor i's integer coordinates) over the u_i > 0, so when factor
-    points repeat (diagonal points, say) many degrees share one matrix: those
-    pieces share its kernel's rows, and each keeps its own (ring, u) tag.
-    Equal columns of a matrix (at diagonal points, the monomials with one
-    image under pi) are reduced once, by `_evaluation_kernel`."""
-    ring = zs.ring
-    field = zs.field
+    Each distinct evaluation matrix is evaluated once per call, and the call
+    does one elimination per distinct matrix of distinct columns.  On the
+    Segre side the matrix at u is fixed by the pairs (u_i, first factor with
+    factor i's integer coordinates) over the u_i > 0, so when factor points
+    repeat (diagonal points, say) many degrees share one matrix: those pieces
+    share its kernel's rows, and each keeps its own (ring, u) tag.
+    `_evaluation_kernel` reduces only the distinct columns of a matrix (at
+    diagonal points, one per monomial of V_|u|) and writes the kernel rows of
+    the copies directly; a later matrix with the same distinct columns in the
+    same order (at diagonal points, a degree of the same total whose monomials
+    of V_|u| come in the same order) takes that kernel's rows and maps them
+    back through its own columns."""
+    ring, field, multigraded = zs.ring, zs.field, zs.ring.is_multigraded
 
     def integers(coords):
         return field.to_ints(list(enumerate(coords)), len(coords))
 
-    points = [tuple(map(integers, p)) if ring.is_multigraded else integers(p)
-              for p in zs.points]
-    factors = list(zip(*points)) if ring.is_multigraded else []
+    points = [tuple(map(integers, p)) if multigraded else integers(p) for p in zs.points]
+    factors = list(zip(*points)) if multigraded else []
     first = [factors.index(f) for f in factors]
 
     def key_of(u):
         """What fixes the evaluation matrix at u: u itself on V."""
-        if not ring.is_multigraded:
-            return u
-        return tuple((ui, first[i]) for i, ui in enumerate(u) if ui)
+        return tuple([(ui, f) for ui, f in zip(u, first) if ui]) if multigraded else u
 
     values = {}  # matrix key -> its integer rows
-    kernels = {}  # matrix key -> its kernel's rows, for this call only
+    kernels = {}  # matrix key -> (its width, its kernel's rows), for this call only
+    merged = {}  # rows on the distinct columns -> their kernel's rows, for this call only
     pieces = {}
     for u in degrees_up_to(ring, bound):
         key = key_of(u)
-        if key not in kernels:
+        known = kernels.get(key)
+        if known is None:
             if degree_total(u) == 0:
                 rows = [[1] for _ in points]
             else:
                 below, i, steps = _predecessors(ring, u)
-                coords = (p[i] if ring.is_multigraded else p for p in points)
+                coords = [p[i] for p in points] if multigraded else points
                 rows = [field.normalize([prev[t] * x[j] for t, j in steps])
                         for prev, x in zip(values[key_of(below)], coords)]
             values[key] = rows
-            kernels[key] = _evaluation_kernel(rows, field)
-        pieces[u] = Subspace(len(values[key][0]), kernels[key], _piece_tag(ring, u), field)
+            known = kernels[key] = len(rows[0]), _evaluation_kernel(rows, field, merged)
+        pieces[u] = Subspace(known[0], known[1], _piece_tag(ring, u), field)
     return TruncatedIdeal(ring, bound, pieces, provenance)
 
 

@@ -8,15 +8,16 @@ that count, and returns a Subspace (`Subspace.from_rows`, `kernel`) or a number
 span, each row in ascending column order with its pivot first, so two subspaces
 over one field are equal as sets exactly when their stored rows compare equal.
 Both fields run one fraction-free Gauss-Jordan pass, `rref_with_pivots`: it
-makes each row a dense integer row only when it reads it, clears the row at
-every pivot it keeps, keeps a nonzero remainder as a new pivot row and clears
-that column from the others, and stops at full column rank, so at most rank
-dense rows are held at once.  The `Matrix` it reads is only the record of the
-rows, their width and their field, and is made in this module alone.  The field
-supplies the rest: how a row becomes integers (primitive integers over Q,
-residues over GF(p)), how a row is kept small after each update (divided by its
-content over Q, reduced mod p over GF(p)) and how an integer row divided by one
-of its entries becomes field elements.  Elimination hands back the integer rows
+makes each row a dense integer row only when it reads it (the field's
+`to_ints` writes it in one pass, with no sparse integer row between), clears
+the row at every pivot it keeps, keeps a nonzero remainder as a new pivot row
+and clears that column from the others, and stops at full column rank, so at
+most rank dense rows are held at once.  The `Matrix` it reads is only the
+record of the rows, their width and their field, and is made in this module
+alone.  The field supplies the rest: how a row becomes integers (primitive
+integers over Q, residues over GF(p)), how a row is kept small after each
+update (divided by its content over Q, reduced mod p over GF(p)) and how an
+integer row divided by one of its entries becomes field elements.  Elimination hands back the integer rows
 and their pivots, and each consumer makes the field elements it keeps:
 `Subspace.from_rows` and `kernel` one per nonzero entry of the reduced rows,
 with no second pass to negate them, and `rank` none.  As elimination reads only
@@ -32,7 +33,8 @@ this to its stored RREF basis (`constraints`: the rows span the annihilator
 but are not in RREF).  `kernel` applies it to the RREF of its rows with the
 columns reversed, where each pivot is the last nonzero column of its row, and
 there the rows come out already in RREF; it divides each integer row by minus
-its pivot entry, so the entries of the annihilator are made directly.
+its pivot entry and appends each entry to the kernel row of its column, so the
+annihilator is written straight from the integer rows, with no copy of them.
 """
 
 from __future__ import annotations
@@ -68,8 +70,17 @@ class RationalField:
         return [(c, x.numerator * (den // x.denominator)) for c, x in row]
 
     def to_ints(self, row, ncols: int) -> list:
-        """A sparse row as a dense row of primitive integers."""
-        return self.normalize(_dense(self.integer_row(row), ncols, 0))
+        """A sparse row as a dense row of primitive integers, written in one
+        pass once the lcm of its denominators is known."""
+        den = lcm(*[x.denominator for _, x in row])
+        ints = [0] * ncols
+        if den == 1:
+            for c, x in row:
+                ints[c] = x.numerator
+        else:
+            for c, x in row:
+                ints[c] = x.numerator * (den // x.denominator)
+        return self.normalize(ints)
 
     @staticmethod
     def normalize(ints) -> list:
@@ -171,6 +182,8 @@ class Mod:
         return self.v != 0
 
     def __eq__(self, other):
+        if isinstance(other, Mod):  # elements of two prime fields differ; arithmetic raises
+            return self.v == other.v and self.p == other.p
         w = self._lift(other)
         return NotImplemented if w is NotImplemented else self.v == w
 
@@ -215,8 +228,12 @@ class PrimeField:
         return [(c, x.v if isinstance(x, Mod) else x % p) for c, x in row]
 
     def to_ints(self, row, ncols: int) -> list:
-        """A sparse row as a dense row of residues."""
-        return _dense(self.integer_row(row), ncols, 0)
+        """A sparse row as a dense row of residues, written in one pass."""
+        p = self.p
+        ints = [0] * ncols
+        for c, x in row:
+            ints[c] = x.v if isinstance(x, Mod) else x % p
+        return ints
 
     def normalize(self, ints) -> list:
         """Reduce an integer row mod p."""
@@ -282,9 +299,10 @@ def _in_range(ncols: int, rows) -> list:
     """The sparse `rows` as a list, refused if an entry's column lies outside
     range(ncols): past the end, or negative, which indexing would wrap."""
     rows = list(rows)
-    bad = next((c for row in rows for c, _ in row if not 0 <= c < ncols), None)
-    if bad is not None:
-        raise ValueError(f"column {bad} outside an ambient of dimension {ncols}")
+    for row in rows:
+        for c, _ in row:
+            if not 0 <= c < ncols:
+                raise ValueError(f"column {c} outside an ambient of dimension {ncols}")
     return rows
 
 
@@ -314,16 +332,18 @@ def rref_with_pivots(m: Matrix):
     # so entries never outgrow the line they span, and reduced mod p over
     # GF(p).  `kept` maps each pivot to its row, zero at every other pivot.
     field, ncols = m.field, m.ncols
-    normalize = field.normalize
+    to_ints, normalize = field.to_ints, field.normalize
     kept = {}
     for row in m.sparse:
-        ints = field.to_ints(row, ncols)
+        ints = to_ints(row, ncols)
         for c, pivot_row in kept.items():
             if ints[c]:
                 ints = _eliminate(ints, pivot_row, c, normalize)
-        c = next((c for c, v in enumerate(ints) if v), None)
-        if c is None:
-            continue
+        for c, v in enumerate(ints):
+            if v:
+                break
+        else:
+            continue  # zero: the row is in the span of the kept ones
         for p, other in kept.items():
             if other[c]:
                 kept[p] = _eliminate(other, ints, c, normalize)
@@ -363,25 +383,6 @@ def _rref_permuted(rows, pos, field):
     return _reduced(Matrix(len(pos), [[(pos[c], x) for c, x in row] for row in rows], field))
 
 
-def _annihilator(ncols: int, negated, field) -> tuple:
-    """The right kernel of a basis whose pivots are clean, from `negated`:
-    for each basis row, its pivot column p_i and the (column, -entry) pairs of
-    its other entries, the row scaled to a 1 at p_i.
-
-    No other row has an entry at p_i.  For each non-pivot column c the kernel
-    gets the row e_c - sum_i row_i[c] e_{p_i}, led by (c, 1) and then its
-    pivot entries in the order of `negated`; these rows are a basis of the
-    kernel, in ascending c.
-    """
-    ann = [[] for _ in range(ncols)]
-    for p, row in negated:
-        ann[p] = None
-        for c, a in row:
-            ann[c].append((p, a))
-    one = field.one
-    return tuple([((c, one),) + tuple(a) for c, a in enumerate(ann) if a is not None])
-
-
 def kernel(ncols: int, rows, piece=None, field=QQ) -> "Subspace":
     """The right kernel {v : row . v = 0 for every row} of the sparse `rows`,
     from one elimination.
@@ -391,14 +392,22 @@ def kernel(ncols: int, rows, piece=None, field=QQ) -> "Subspace":
     column c then starts at c and has its other entries at pivots q > c, so
     with the reduced rows taken in ascending q the kernel rows, in ascending
     c, are already the reduced row echelon form.  Each integer row is divided
-    by minus its pivot entry, so every kernel entry is made once.
+    by minus its pivot entry, so every kernel entry is made once, and goes
+    straight to the end of the kernel row of its column.
     """
-    n = ncols
-    rev = Matrix(n, [[(n - 1 - c, x) for c, x in row] for row in _in_range(n, rows)], field)
+    last = ncols - 1
+    rev = Matrix(ncols, [[(last - c, x) for c, x in row] for row in _in_range(ncols, rows)],
+                 field)
     ints, pivots = rref_with_pivots(rev)
-    negated = [(n - 1 - p, field.from_ints(row[::-1], -row[p])[:-1])
-               for row, p in zip(reversed(ints), reversed(pivots))]
-    return Subspace(n, _annihilator(n, negated, field), piece, field)
+    one = field.one
+    ann = [[(c, one)] for c in range(ncols)]
+    for row, p in zip(reversed(ints), reversed(pivots)):
+        q, pivot = last - p, -row[p]
+        row[p] = 0  # the row is ours: its other nonzeros are the kernel entries
+        for c, a in field.from_ints(row, pivot):
+            ann[last - c].append((q, a))
+        ann[q] = None
+    return Subspace(ncols, tuple([tuple(a) for a in ann if a is not None]), piece, field)
 
 
 # -- subspaces ------------------------------------------------------------------
@@ -486,8 +495,14 @@ class Subspace:
         There are codim rows and they span the annihilator, but they are not
         in RREF.
         """
-        negated = [(row[0][0], [(c, -a) for c, a in row[1:]]) for row in self.sparse]
-        return _annihilator(self.ambient_dim, negated, self.field)
+        ann = [[] for _ in range(self.ambient_dim)]
+        for row in self.sparse:
+            p = row[0][0]
+            ann[p] = None  # no other basis row has an entry at its pivot
+            for c, a in row[1:]:
+                ann[c].append((p, -a))
+        one = self.field.one
+        return tuple([((c, one),) + tuple(a) for c, a in enumerate(ann) if a is not None])
 
     def intersect(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)

@@ -362,22 +362,52 @@ class TestPointIdeal:
                 assert hilbert_function(j, u) == generic_hf(r, ring, u)
 
     @pytest.mark.parametrize("field", [QQ, GF], ids=repr)
-    @pytest.mark.parametrize("n, d, r, bound, count", [(3, 3, 5, 4, 15), (2, 4, 3, 4, 16)])
+    @pytest.mark.parametrize("n, d, r, bound, count", [(3, 3, 5, 4, 15), (2, 4, 3, 4, 5)])
     def test_diagonal_points_reduce_each_distinct_matrix_once(self, eliminations, field,
                                                               n, d, r, bound, count):
-        # the evaluation matrix of diagonal points at u is fixed by the nonzero
-        # parts of u, in order: 15 such sequences of total at most 4 in 3
-        # parts, 16 in 4 parts, against 35 and 70 degrees
+        # at diagonal points the columns of S_u with one image under pi are
+        # equal, so the distinct columns of the matrix at u are the monomials
+        # of V_|u|, in the order of their last columns in S_u (the pi-fibre
+        # order): 15 pairs (|u|, order) for n = 3, one per sequence of nonzero
+        # parts of u, and 5 for n = 2, where every order is the identity,
+        # against 35 and 70 degrees
         z = very_general_points(veronese_ring(n), r, bound, random.Random(21))
         zs = diagonal_points(PointSet(z.ring, z.points, field=field), d)
         eliminations.clear()
         j = point_ideal(zs, bound)
         assert len(eliminations) == count < len(j.degrees())
         assert all(j.pieces[u].piece == (zs.ring, u) for u in j.degrees())
-        # each matrix is reduced on its distinct columns, one per monomial of
-        # V_|u|, as the columns of S_u with one image under pi are equal
-        parts = dict.fromkeys(tuple(x for x in u if x) for u in j.degrees())
-        assert eliminations == [(r, dim_piece(veronese_ring(n), sum(p))) for p in parts]
+        # each distinct matrix of distinct columns is reduced once, the first
+        # time a degree has it
+        merged = dict.fromkeys((grading.degree_total(u), diagonal_maps.pi_fibres(n, d, u).order)
+                               for u in j.degrees())
+        assert eliminations == [(r, dim_piece(veronese_ring(n), k)) for k, _ in merged]
+
+    @pytest.mark.parametrize("field", [QQ, GF], ids=repr)
+    def test_one_call_never_reduces_a_matrix_twice(self, field, monkeypatch):
+        cases = []
+        for n, r, bound in ((2, 3, 4), (3, 5, 4), (4, 6, 3)):
+            z = very_general_points(veronese_ring(n), r, bound, random.Random(40 + n))
+            cases.append((diagonal_points(PointSet(z.ring, z.points, field=field), 3), bound))
+        z = very_general_points(segre_ring(2, 2), 4, 3, random.Random(43))
+        # a Segre point set whose factor 0 repeats as factor 2
+        cases.append((PointSet(segre_ring(2, 3), tuple((p[0], p[1], p[0]) for p in z.points),
+                               field=field), 3))
+        handed = []
+
+        def spy(ncols, rows, piece=None, field=QQ):
+            rows = tuple(tuple(row) for row in rows)
+            handed.append((ncols, rows))
+            return kernel(ncols, rows, piece, field)
+
+        monkeypatch.setattr(ideals, "kernel", spy)
+        for zs, bound in cases:
+            handed.clear()
+            j = point_ideal(zs, bound)
+            assert handed and len(set(handed)) == len(handed)
+            assert len(handed) < len(j.degrees())
+            want = point_ideal_reference(zs, bound)
+            assert all(repr(j.pieces[u].sparse) == repr(want[u].sparse) for u in j.degrees())
 
     @pytest.mark.parametrize("field", [QQ, GF], ids=repr)
     def test_distinct_factors_reduce_once_per_degree(self, eliminations, field):
@@ -423,10 +453,12 @@ class TestPointIdeal:
 
     def test_scaled_factors_are_not_merged_over_gf(self, eliminations):
         # over GF(p) the factors p, 2p and -p/3 have different residues, so
-        # each of the 20 degrees has its own matrix; over Q the first two are
-        # one factor, so the nonzero (u_i, factor) pairs of the 20 degrees
-        # take 14 values
-        for field, count in ((GF, 20), (QQ, 14)):
+        # each of the 20 degrees has its own matrix, and no two have the same
+        # distinct columns; over Q the first two are one factor, so the
+        # nonzero (u_i, factor) pairs of the 20 degrees take 14 values, and as
+        # (-p)^2 = p^2 the matrices at (0, 0, 2) and (1, 0, 2) have the
+        # distinct columns of those at (2, 0, 0) and (1, 2, 0): 12 eliminations
+        for field, count in ((GF, 20), (QQ, 12)):
             points = scaled_factor_points(field)
             eliminations.clear()
             j = point_ideal(points, 3)

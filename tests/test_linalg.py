@@ -1,5 +1,6 @@
 """Tests for exact elimination, kernels, and the canonical subspace calculus."""
 
+import operator
 import random
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
@@ -649,6 +650,18 @@ class TestPrimeField:
         assert b.contains(a)
         assert a.sum(b) == b
 
+    def test_two_prime_fields_compare_unequal(self):
+        small = PrimeField(1048583)
+        a, b = GF.of(3), small.of(3)
+        assert a != b and not a == b and a == GF.of(3) == 3
+        for make in (Subspace.full, Subspace.from_rows):
+            args = (3,) if make is Subspace.full else (3, [[(0, 1), (2, 5)]])
+            assert make(*args, field=GF) != make(*args, field=small)
+        # arithmetic across moduli still refuses
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            with pytest.raises(ValueError, match="mixed moduli"):
+                op(a, b)
+
 
 class TestFieldElementsMade:
     """Elimination hands back integer rows: `rank` makes no field element and
@@ -709,3 +722,41 @@ class TestFieldElementsMade:
                 got = kernel_of(m)
             assert len(calls) == r
             assert got.basis == want
+
+
+class TestMixedEntries:
+    """Rows that mix plain ints, integral Fractions and fractions with
+    denominators (over GF(p) the fractions enter as their residues): each row
+    is made a dense integer row in one pass, scaled by the lcm of its
+    denominators, and `kernel`, `Subspace.from_rows` and `rank` agree with
+    the references, which read every entry as a field element."""
+
+    @staticmethod
+    def entry(rng):
+        v = rng.randint(-9, 9)
+        return rng.choice((0, v, Fraction(v), Fraction(v, rng.randint(2, 12))))
+
+    @pytest.mark.parametrize("field", FIELDS, ids=repr)
+    def test_kernel_span_and_rank_match_the_references(self, field):
+        rng = random.Random(61)
+        reference = rref_reference if field is QQ else rref_gf_reference
+        for _ in range(80):
+            nrows, ncols = rng.randint(1, 6), rng.randint(1, 8)
+            dense = [[self.entry(rng) for _ in range(ncols)] for _ in range(nrows)]
+            rows = [[(c, x if field is QQ or type(x) is int else field.of(x))
+                     for c, x in enumerate(row) if x] for row in dense]
+            ref_rows, ref_pivots = reference(matrix(dense, ncols, field))
+            assert repr(listed(Subspace.from_rows(ncols, rows, field=field).basis)) \
+                == repr(ref_rows)
+            assert rank(ncols, rows, field) == len(ref_pivots)
+            # the kernel from the reference RREF: e_f - sum_i ref_i[f] e_{p_i}
+            # for each non-pivot column f, reduced by the reference again
+            free = []
+            for f in (f for f in range(ncols) if f not in ref_pivots):
+                v = [field.zero] * ncols
+                v[f] = field.one
+                for row, p in zip(ref_rows, ref_pivots):
+                    v[p] = -row[f]
+                free.append(v)
+            want = reference(matrix(free, ncols, field))[0] if free else []
+            assert repr(listed(kernel(ncols, rows, field=field).basis)) == repr(want)
