@@ -24,7 +24,7 @@ from .apolarity import (
     slice_spans,
 )
 from .diagonal_maps import pi_image, proper_unit_box_degrees, staircase_degrees
-from .grading import dim_piece, segre_ring, veronese_ring
+from .grading import _dim_piece, segre_ring, veronese_ring
 from .ideals import min_generators, span_from_below, variable_multiples
 from .linalg import Subspace, rank
 from .transfer import Certificate, tensor_digest
@@ -176,9 +176,9 @@ def is_sharp(f) -> Certificate:
     sub, growth = by_weight[2], []
     for s in range(1, d):
         deg = (s, 1) + (0,) * (d - 2)
-        growth.append(dim_piece(ring, deg) - sub.dim)
+        growth.append(_dim_piece(ring, deg) - sub.dim)
         if s < d - 1:
-            dim = dim_piece(ring, (s + 1, 1) + (0,) * (d - 2))
+            dim = _dim_piece(ring, (s + 1, 1) + (0,) * (d - 2))
             rows = variable_multiples(ring, deg, sub.sparse, 0)
             sub = Subspace.from_rows(dim, rows, field=f.field)
     for (i, j), (s, hf) in itertools.product(itertools.permutations(range(d), 2),

@@ -29,9 +29,9 @@ from .apolarity import (
 from .grading import (
     PieceElement,
     RingSpec,
+    _dim_piece,
     check_degree,
     degree_total,
-    dim_piece,
     format_element,
     format_monomial,
     monomials,
@@ -187,7 +187,7 @@ def load_ideal_file(path: str, field, degree_bound) -> TruncatedIdeal:
         pieces = {}
         for where, item in _objects(data["pieces"], f"{path}:pieces"):
             u = _parse_degree(ring, item.get("degree"), where)
-            dim = dim_piece(ring, u)
+            dim = _dim_piece(ring, u)
             at = f"{where}.basis"
             rows = [[parse_scalar(x, at) for x in _list(row, at)]
                     for row in _list(item.get("basis", []), at)]
@@ -325,7 +325,7 @@ def cmd_ann(args, field) -> int:
     ring_desc = f"ring S, n={ring.n}, d={ring.d}" if ring.is_multigraded else f"ring V, n={ring.n}"
     lines = [
         ring_desc,
-        f"degree {u}: piece dimension {dim_piece(ring, u)}, annihilator dimension {sub.dim}",
+        f"degree {u}: piece dimension {_dim_piece(ring, u)}, annihilator dimension {sub.dim}",
     ]
     if sub.is_full:
         lines.append("the annihilator is the full graded piece")
@@ -336,7 +336,7 @@ def cmd_ann(args, field) -> int:
         "n": ring.n,
         "d": ring.d,
         "degree": list(u) if isinstance(u, tuple) else u,
-        "dim_piece": dim_piece(ring, u),
+        "dim_piece": _dim_piece(ring, u),
         "dim": sub.dim,
         "full": sub.is_full,
         "monomials": [format_monomial(ring, m) for m in monomials(ring, u)],

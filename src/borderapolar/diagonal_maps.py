@@ -35,11 +35,11 @@ from functools import lru_cache
 from .grading import (
     PieceElement,
     RingKind,
+    _dim_piece,
     _product_map,
     check_degree,
     degree_total,
     degrees_up_to,
-    dim_piece,
     segre_ring,
     veronese_ring,
 )
@@ -68,21 +68,21 @@ class PiFibres:
 
 @lru_cache(maxsize=None)
 def pi_fibres(n: int, d: int, u: tuple) -> PiFibres:
+    """The fibre table of S_u, for a degree u already checked."""
     ring_v = veronese_ring(n)
-    u = check_degree(segre_ring(n, d), u)
     # The columns of S_u are the mixed-radix products of per-factor monomials,
     # so f folds in one factor at a time: a partial collapse in V_k times a
     # monomial of V_ui is read off the product table V_k x V_ui -> V_{k+ui}.
     f, k = [0], 0
     for ui in u:
-        table, width = _product_map(ring_v, k, ui), dim_piece(ring_v, ui)
+        table, width = _product_map(ring_v, k, ui), _dim_piece(ring_v, ui)
         f = [table[r * width + b] for r in f for b in range(width)]
         k += ui
     # pi is onto (psi is a section), so every fibre is nonempty; the last
     # write leaves the largest column of each fibre in `top` and the smallest
     # in `section`.  The smallest is psi's: handing the lowest variables to the
     # first factors gives the lex-largest exponent rows, which rank first.
-    top = [0] * dim_piece(ring_v, k)
+    top = [0] * _dim_piece(ring_v, k)
     section = top[:]
     for c, m in enumerate(f):
         top[m] = c
@@ -105,7 +105,7 @@ def pi(theta: PieceElement) -> PieceElement:
     """Ring-map image under a(i,j) -> b_j, on one graded piece."""
     _require_kind(theta, RingKind.SEGRE_COORD, "pi")
     ring = theta.ring
-    fib = pi_fibres(ring.n, ring.d, check_degree(ring, theta.degree))
+    fib = pi_fibres(ring.n, ring.d, theta.degree)
     zero = theta.coords[0] * 0
     out = _dense(_push(fib.f, enumerate(theta.coords), zero).items(), len(fib.top), zero)
     return PieceElement(veronese_ring(ring.n), degree_total(theta.degree), tuple(out))
@@ -117,7 +117,7 @@ def rho(theta: PieceElement) -> PieceElement:
     u = theta.degree
     if any(u[1:]):
         ring_v = veronese_ring(theta.ring.n)
-        return PieceElement(ring_v, u[0], (theta.coords[0] * 0,) * dim_piece(ring_v, u[0]))
+        return PieceElement(ring_v, u[0], (theta.coords[0] * 0,) * _dim_piece(ring_v, u[0]))
     return pi(theta)  # on a first-factor piece, rho is pi
 
 
@@ -177,15 +177,13 @@ def pi_preimage(n: int, d: int, u: tuple, w: Subspace) -> Subspace:
     its row.  A non-top row whose top is a pivot adds the top's row, which
     clears the top entry.  Only w is eliminated, never S_u.
     """
-    ring_s = segre_ring(n, d)
-    u = check_degree(ring_s, u)
     fib = pi_fibres(n, d, u)
     if w.ambient_dim != len(fib.top):
         raise ValueError(
             f"subspace ambient {w.ambient_dim} is not dim V_{degree_total(u)} = {len(fib.top)}"
         )
     rows = _preimage_rows(fib, _reduced_in_order(w, fib.order), w.field.one)
-    return Subspace(len(fib.f), tuple(rows), (ring_s, u), w.field)
+    return Subspace(len(fib.f), tuple(rows), (segre_ring(n, d), u), w.field)
 
 
 def _reduced_in_order(w: Subspace, order: tuple):
@@ -224,6 +222,7 @@ def _preimage_rows(fib: PiFibres, reduced, one):
 
 def ir_piece(n: int, d: int, u: tuple, field=QQ) -> Subspace:
     """Degree-u piece of the diagonal ideal: ker pi = pi^{-1}(0) on S_u."""
+    u = check_degree(segre_ring(n, d), u)
     return pi_preimage(n, d, u, Subspace.zero(len(pi_fibres(n, d, u).top), field=field))
 
 
@@ -234,10 +233,10 @@ def pi_image(n: int, d: int, u: tuple, sub: Subspace) -> Subspace:
     entries that cancel and rows that collapse to zero, such as every
     e_c - e_top row of a pi-preimage, are dropped before the elimination.
     """
-    fib = pi_fibres(n, d, check_degree(segre_ring(n, d), u))
+    fib = pi_fibres(n, d, u)
     if sub.ambient_dim != len(fib.f):
         raise ValueError(
-            f"subspace ambient {sub.ambient_dim} is not dim S_{tuple(u)} = {len(fib.f)}"
+            f"subspace ambient {sub.ambient_dim} is not dim S_{u} = {len(fib.f)}"
         )
     field = sub.field
     rows = []
@@ -251,18 +250,16 @@ def pi_image(n: int, d: int, u: tuple, sub: Subspace) -> Subspace:
 
 def psi_image(n: int, d: int, u: tuple, field=QQ) -> Subspace:
     """psi_u(V_{|u|}) as a subspace of S_u: the unit rows at the section's columns."""
-    fib = pi_fibres(n, d, check_degree(segre_ring(n, d), u))
+    fib = pi_fibres(n, d, u)
     rows = tuple(((s, field.one),) for s in sorted(set(fib.section)))
     return Subspace(len(fib.f), rows, None, field)
 
 
 def direct_sum_check(n: int, d: int, u) -> bool:
     """(I_R)_u and psi_u(V_{|u|}) meet trivially and fill S_u."""
-    ring_s = segre_ring(n, d)
-    u = check_degree(ring_s, u)
-    a = ir_piece(n, d, u)
-    b = psi_image(n, d, u)
-    return a.intersect(b).dim == 0 and a.dim + b.dim == dim_piece(ring_s, u)
+    u = check_degree(segre_ring(n, d), u)
+    a, b = ir_piece(n, d, u), psi_image(n, d, u)
+    return a.intersect(b).dim == 0 and a.dim + b.dim == a.ambient_dim
 
 
 # -- degree enumerators used by the transfer pipeline ------------------------------

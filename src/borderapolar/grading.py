@@ -9,9 +9,13 @@ hence row-reduced subspace bases, are bit-for-bit comparable.
 This module owns that order, and every other module reads it from here:
 `monomials` enumerates it, `rank_monomial` and `unrank_monomial` look
 positions up in that enumeration, `degrees_up_to` lists degrees the same way,
-and `_product_map`, the table S_u x S_v -> S_{u+v}, is the only place
-monomials are multiplied.  `contractions` and `colon` read it to contract
-functionals by monomials, for the apolar ideal of a form and the saturation test.
+as a cached tuple, and `_product_map`, the table S_u x S_v -> S_{u+v}, is the
+only place monomials are multiplied.  `contractions` and `colon` read it to
+contract functionals by monomials, for the apolar ideal of a form and the
+saturation test.  A degree is checked once, by `check_degree` in the export
+that takes it, and the canonical form that returns (an int on V, a tuple of
+ints on S) is what travels below, to `_dim_piece`, `_product_map` and the
+private helpers of the other modules.
 """
 
 from __future__ import annotations
@@ -143,7 +147,11 @@ def sub_degrees(u, v):
 
 def dim_piece(ring: RingSpec, u) -> int:
     """Number of monomials of `ring` in degree `u`."""
-    u = check_degree(ring, u)
+    return _dim_piece(ring, check_degree(ring, u))
+
+
+def _dim_piece(ring: RingSpec, u) -> int:
+    """`dim_piece` at a degree already checked."""
     return math.prod(math.comb(ring.n + k - 1, k) for k in (u if ring.is_multigraded else (u,)))
 
 
@@ -157,30 +165,37 @@ def _compositions_desc(total: int, parts: int):
             yield (first,) + rest
 
 
-def degrees_up_to(ring: RingSpec, bound: int) -> list:
+@lru_cache(maxsize=None)
+def degrees_up_to(ring: RingSpec, bound: int) -> tuple:
     """All degrees of total degree <= bound, sorted by (total, reverse-lex).
 
     Each total's block is its weak compositions into d parts in lexicographically
     decreasing order, read off the cached monomials of that degree in d variables."""
     if not ring.is_multigraded:
-        return list(range(bound + 1))
+        return tuple(range(bound + 1))
     ring_d = veronese_ring(ring.d)
-    return [u for total in range(bound + 1) for u in monomials(ring_d, total)]
+    return tuple(u for total in range(bound + 1) for u in monomials(ring_d, total))
 
 
-@lru_cache(maxsize=None)
 def monomials(ring: RingSpec, u) -> tuple:
     """Canonically ordered monomial basis of the graded piece.
 
     Veronese monomials are length-n exponent tuples, in lexicographically
     decreasing order; Segre monomials are d x n exponent tables (row i sums to
     u_i), the product of the Veronese blocks of the u_i, first factor slowest.
-    """
-    u = check_degree(ring, u)
+    The degree is checked before the cache is read, so a list is a degree too."""
+    return _monomials(ring, check_degree(ring, u))
+
+
+@lru_cache(maxsize=None)
+def _monomials(ring: RingSpec, u) -> tuple:
     if not ring.is_multigraded:
         return tuple(_compositions_desc(u, ring.n))
     ring_v = veronese_ring(ring.n)
-    return tuple(itertools.product(*[monomials(ring_v, ui) for ui in u]))
+    return tuple(itertools.product(*[_monomials(ring_v, ui) for ui in u]))
+
+
+monomials.cache_info = _monomials.cache_info  # perfbench's tracer counts its hits
 
 
 def rank_monomial(ring: RingSpec, mono) -> int:
@@ -212,17 +227,10 @@ def rank_monomial(ring: RingSpec, mono) -> int:
 
 def unrank_monomial(ring: RingSpec, u, index: int):
     """Inverse of rank_monomial on the piece of degree `u`."""
-    u = check_degree(ring, u)
-    total = dim_piece(ring, u)
-    if not 0 <= index < total:
-        raise ValueError(f"index {index} out of range for piece of dimension {total}")
-    if not ring.is_multigraded:
-        return monomials(ring, u)[index]
-    rows = []
-    for block in reversed([monomials(veronese_ring(ring.n), ui) for ui in u]):
-        index, rem = divmod(index, len(block))
-        rows.append(block[rem])
-    return tuple(reversed(rows))
+    basis = monomials(ring, u)
+    if not 0 <= index < len(basis):
+        raise ValueError(f"index {index} out of range for piece of dimension {len(basis)}")
+    return basis[index]
 
 
 @lru_cache(maxsize=None)
@@ -233,9 +241,8 @@ def _product_map(ring: RingSpec, u, v) -> tuple:
     On the Veronese ring each product is looked up among the monomials of
     V_{u+v}.  The columns of a Segre piece are the mixed-radix products of
     per-factor monomial positions, so there the table folds in the Veronese
-    tables one factor at a time.
+    tables one factor at a time.  Both degrees come checked.
     """
-    u, v = check_degree(ring, u), check_degree(ring, v)
     if not ring.is_multigraded:
         position = {m: r for r, m in enumerate(monomials(ring, u + v))}
         return tuple(position[tuple(map(add, a, b))]
@@ -243,9 +250,9 @@ def _product_map(ring: RingSpec, u, v) -> tuple:
     ring_v = veronese_ring(ring.n)
     table = [[0]]  # table[c][m] over the factors folded so far
     for uf, vf in zip(u, v):
-        f, width = _product_map(ring_v, uf, vf), dim_piece(ring_v, vf)
+        f, width = _product_map(ring_v, uf, vf), _dim_piece(ring_v, vf)
         steps = [f[a:a + width] for a in range(0, len(f), width)]
-        wide = dim_piece(ring_v, uf + vf)
+        wide = _dim_piece(ring_v, uf + vf)
         table = [[o * wide + s for o in row for s in step] for row in table for step in steps]
     return tuple(x for row in table for x in row)
 
@@ -253,7 +260,7 @@ def _product_map(ring: RingSpec, u, v) -> tuple:
 def contractions(ring: RingSpec, u, v, functionals) -> list:
     """Each sparse-row functional phi on S_{u+v} contracted by each monomial m
     of S_v, m first: the sparse row t -> phi(t * m) on S_u, empty ones kept."""
-    table, dim_v = _product_map(ring, u, v), dim_piece(ring, v)
+    table, dim_v = _product_map(ring, u, v), _dim_piece(ring, v)
     phis = [dict(phi) for phi in functionals]
     return [[(t, phi[c]) for t, c in enumerate(table[m::dim_v]) if c in phi]
             for m in range(dim_v) for phi in phis]
@@ -265,8 +272,8 @@ def colon(ring: RingSpec, u, v, functionals, piece=None, field=QQ) -> Subspace:
     iterable): the kernel of their `contractions`, the full piece when there is none."""
     rows = contractions(ring, u, v, functionals)
     if not rows:
-        return Subspace.full(dim_piece(ring, u), piece, field)
-    return kernel(dim_piece(ring, u), rows, piece, field)
+        return Subspace.full(_dim_piece(ring, u), piece, field)
+    return kernel(_dim_piece(ring, u), rows, piece, field)
 
 
 def monomial_degree(ring: RingSpec, mono):
@@ -286,7 +293,8 @@ class PieceElement:
     coords: tuple
 
     def __post_init__(self):
-        expected = dim_piece(self.ring, self.degree)
+        object.__setattr__(self, "degree", check_degree(self.ring, self.degree))  # kept canonical
+        expected = _dim_piece(self.ring, self.degree)
         if len(self.coords) != expected:
             raise ValueError(
                 f"coordinate vector has length {len(self.coords)}, expected {expected}"
@@ -295,7 +303,7 @@ class PieceElement:
     @classmethod
     def from_terms(cls, ring: RingSpec, u, terms: dict, field=QQ):
         u = check_degree(ring, u)
-        coords = [field.zero] * dim_piece(ring, u)
+        coords = [field.zero] * _dim_piece(ring, u)
         for mono, c in terms.items():
             if monomial_degree(ring, mono) != u:
                 raise ValueError(f"monomial {mono} not of degree {u}")
@@ -326,26 +334,17 @@ class PieceElement:
 # -- plain-text formatting ------------------------------------------------------
 
 def format_monomial(ring: RingSpec, mono) -> str:
-    if ring.is_multigraded:
-        parts = []
-        for i, row in enumerate(mono):
-            for j, e in enumerate(row):
-                if e == 1:
-                    parts.append(f"a({i + 1},{j + 1})")
-                elif e > 1:
-                    parts.append(f"a({i + 1},{j + 1})^{e}")
-        return "*".join(parts) if parts else "1"
     parts = []
-    for j, e in enumerate(mono):
-        if e == 1:
-            parts.append(f"b{j + 1}")
-        elif e > 1:
-            parts.append(f"b{j + 1}^{e}")
+    for i, row in enumerate(mono if ring.is_multigraded else (mono,)):
+        for j, e in enumerate(row):
+            name = f"a({i + 1},{j + 1})" if ring.is_multigraded else f"b{j + 1}"
+            if e >= 1:
+                parts.append(name if e == 1 else f"{name}^{e}")
     return "*".join(parts) if parts else "1"
 
 
 def format_element(ring: RingSpec, u, coords) -> str:
-    basis = monomials(ring, check_degree(ring, u))
+    basis = monomials(ring, u)
     parts = []
     for i, c in enumerate(coords):
         if not c:

@@ -36,7 +36,6 @@ evaluation by inverting that; the saturation test (J_{u+v} : S_v)_u is
 from __future__ import annotations
 
 import itertools
-import math
 import random
 import warnings
 from collections.abc import Mapping
@@ -46,6 +45,7 @@ from types import MappingProxyType
 
 from .grading import (
     RingSpec,
+    _dim_piece,
     _product_map,
     add_degrees,
     check_degree,
@@ -71,7 +71,7 @@ def _variable_table(ring: RingSpec, u, i: int) -> tuple:
     """`_product_map(ring, u, e_i)`; variable j of factor i is monomial j of S_{e_i}.
     On the Veronese ring e_0 is the int 1, the key `pi_fibres` caches the table by."""
     e_i = (0,) * i + (1,) + (0,) * (ring.d - 1 - i) if ring.is_multigraded else 1
-    return _product_map(ring, check_degree(ring, u), e_i)
+    return _product_map(ring, u, e_i)
 
 
 def multiply_vector_by_variable(ring: RingSpec, u, row, i: int, j: int) -> list:
@@ -104,8 +104,7 @@ def span_from_below(ring: RingSpec, u, piece_at, field=QQ, rows=(), piece=None) 
     rows = list(rows)
     for i, prev in _degrees_below(ring, u):
         rows.extend(variable_multiples(ring, prev, piece_at(prev).sparse, i))
-    dim = dim_piece(ring, u)
-    return Subspace.from_rows(dim, rows, piece, field)
+    return Subspace.from_rows(_dim_piece(ring, u), rows, piece, field)
 
 
 class _Preimages(Mapping):
@@ -134,7 +133,7 @@ class _Preimages(Mapping):
     def __getitem__(self, u):
         if u not in self._known:
             raise KeyError(u)
-        return Subspace(dim_piece(self.ring, u), tuple(self.rows(u)),
+        return Subspace(_dim_piece(self.ring, u), tuple(self.rows(u)),
                         _piece_tag(self.ring, u), self.w[degree_total(u)].field)
 
     def __contains__(self, u):
@@ -185,13 +184,12 @@ class TruncatedIdeal:
         ring, pieces, name = self.ring, self.pieces, "J"
         if self.veronese is not None:
             ring, pieces, name = veronese_ring(ring.n), self.veronese, "W"
-        dims = [math.comb(ring.n + k - 1, k) for k in range(self.bound + 1)]  # dim V_k
         for u in degrees_up_to(ring, self.bound):
             if u not in pieces:
                 raise ValueError(f"missing piece {name}_{u}: every degree up to the bound "
                                  f"{self.bound} needs one")
-            dim = math.prod(map(dims.__getitem__, u)) if ring.is_multigraded else dims[u]
-            if pieces[u].ambient_dim != dim:  # dim S_u is the product of the dim V_{u_i}
+            dim = _dim_piece(ring, u)
+            if pieces[u].ambient_dim != dim:
                 raise ValueError(f"{name}_{u}: subspace ambient {pieces[u].ambient_dim} "
                                  f"is not dim {ring.kind.value}_{u} = {dim}")
         fields = list(dict.fromkeys(sub.field for sub in pieces.values()))
@@ -213,7 +211,7 @@ class TruncatedIdeal:
         """{k: W_k} when every piece is pi^{-1}(W_|u|) by construction, else None."""
         return self.pieces.w if isinstance(self.pieces, _Preimages) else None
 
-    def degrees(self) -> list:
+    def degrees(self) -> tuple:
         return degrees_up_to(self.ring, self.bound)
 
     def _checked(self, u):
@@ -231,7 +229,7 @@ class TruncatedIdeal:
         if self.veronese is None:
             return self.pieces[u].dim
         w = self.veronese[degree_total(u)]
-        return dim_piece(self.ring, u) - w.ambient_dim + w.dim
+        return _dim_piece(self.ring, u) - w.ambient_dim + w.dim
 
     def pi_image(self, u) -> Subspace:
         """pi(J_u) inside V_|u|: W_|u| on an ideal kept by its Veronese pieces,
@@ -242,7 +240,7 @@ class TruncatedIdeal:
         if u not in self._images:
             n, p = self.ring.n, self.pieces[u]
             self._images[u] = (pi_image(n, self.ring.d, u, p) if p.sparse else Subspace.zero(
-                dim_piece(veronese_ring(n), degree_total(u)), field=p.field))
+                _dim_piece(veronese_ring(n), degree_total(u)), field=p.field))
         return self._images[u]
 
     def piece_rows(self, u):
@@ -265,7 +263,7 @@ def _piece_tag(ring: RingSpec, u):
 
 def zero_ideal(ring: RingSpec, bound: int, field=QQ) -> TruncatedIdeal:
     pieces = {
-        u: Subspace.zero(dim_piece(ring, u), piece=_piece_tag(ring, u), field=field)
+        u: Subspace.zero(_dim_piece(ring, u), piece=_piece_tag(ring, u), field=field)
         for u in degrees_up_to(ring, bound)
     }
     return TruncatedIdeal(ring, bound, pieces, "zero")
@@ -312,8 +310,11 @@ def is_ideal_closed(j: TruncatedIdeal) -> bool:
 
 
 def hilbert_function(j: TruncatedIdeal, u) -> int:
-    u = check_degree(j.ring, u)
-    return dim_piece(j.ring, u) - j.piece_dim(u)
+    """dim S_u - dim J_u: codim J_u, or codim W_|u| on a kept ideal (pi is onto)."""
+    u = j._checked(u)
+    if j.veronese is not None:
+        return j.veronese[degree_total(u)].codim
+    return j.pieces[u].codim
 
 
 def generic_hf(r: int, ring: RingSpec, u) -> int:
@@ -324,9 +325,10 @@ def generic_hf(r: int, ring: RingSpec, u) -> int:
 
 
 def first_non_generic(j: TruncatedIdeal, r: int):
-    """The first degree where J's Hilbert function is not `generic_hf(r, ...)`, or None."""
+    """The first degree where J's Hilbert function is not `generic_hf(r, ...)`,
+    min(r, dim S_u), or None."""
     return next((u for u in j.degrees()
-                 if hilbert_function(j, u) != generic_hf(r, j.ring, u)), None)
+                 if hilbert_function(j, u) != min(r, _dim_piece(j.ring, u))), None)
 
 
 def first_without_diagonal(j: TruncatedIdeal):
@@ -342,7 +344,7 @@ def first_without_diagonal(j: TruncatedIdeal):
         return None
     for u in j.degrees():
         im = j.pi_image(u)
-        if j.piece_dim(u) - im.dim != dim_piece(j.ring, u) - im.ambient_dim:
+        if j.piece_dim(u) - im.dim != _dim_piece(j.ring, u) - im.ambient_dim:
             return u
     return None
 
@@ -430,9 +432,9 @@ def _predecessors(ring: RingSpec, u) -> tuple:
     highest variable to the lowest, so the lowest variable is the one kept."""
     i, below = _degrees_below(ring, u)[0]
     table, n = _variable_table(ring, below, i), ring.n
-    steps = [None] * dim_piece(ring, u)
+    steps = [None] * _dim_piece(ring, u)
     for j in reversed(range(n)):
-        for prev in range(dim_piece(ring, below)):
+        for prev in range(_dim_piece(ring, below)):
             steps[table[prev * n + j]] = (prev, j)
     return below, i, tuple(steps)
 
@@ -615,11 +617,11 @@ def min_generators(ring: RingSpec, u, piece_at, field=QQ) -> int:
 
 def min_generators_in_degree(j: TruncatedIdeal, u) -> int:
     """Minimal generators of J in degree u."""
-    return min_generators(j.ring, check_degree(j.ring, u), j.piece, j.field)
+    return min_generators(j.ring, j._checked(u), j.pieces.__getitem__, j.field)
 
 
 def diagonal_ideal(n: int, d: int, bound: int) -> TruncatedIdeal:
     """The diagonal ideal I_R = pi^{-1}(0), kept by its zero Veronese pieces."""
     ring_v = veronese_ring(n)
-    w = {k: Subspace.zero(dim_piece(ring_v, k), _piece_tag(ring_v, k)) for k in range(bound + 1)}
+    w = {k: Subspace.zero(_dim_piece(ring_v, k), _piece_tag(ring_v, k)) for k in range(bound + 1)}
     return TruncatedIdeal.pi_preimage(segre_ring(n, d), bound, w, "diagonal-ideal")

@@ -31,7 +31,7 @@ from .apolarity import (
     is_concise,
     polarize,
 )
-from .grading import dim_piece, monomials, ones, segre_ring, veronese_ring
+from .grading import _dim_piece, monomials, ones, segre_ring, veronese_ring
 from .ideals import (
     PointSet,
     degrees_up_to,
@@ -146,7 +146,7 @@ def suite_pi_kernel_direct_sum(cfg: ScaleConfig, rng: random.Random):
                 want = dmaps.ir_piece(n, d, u)
                 if expanded.piece(u) != want:
                     yield f"generator expansion differs from ker pi at n={n} d={d} u={u}"
-                elif dim_piece(ring, u) - want.dim != math.comb(n + k - 1, k):
+                elif _dim_piece(ring, u) - want.dim != math.comb(n + k - 1, k):
                     yield f"codimension of the diagonal ideal wrong at n={n} d={d} u={u}"
                 elif not dmaps.direct_sum_check(n, d, u):
                     yield f"direct sum fails at n={n} d={d} u={u}"
@@ -163,7 +163,7 @@ def suite_counting(cfg: ScaleConfig, rng: random.Random):
             )
             if seqs != math.comb(n + r - 1, r):
                 yield f"sequence count mismatch at n={n} r={r}"
-            elif seqs != dim_piece(veronese_ring(n), r):
+            elif seqs != _dim_piece(veronese_ring(n), r):
                 yield f"dimension formula mismatch at n={n} r={r}"
             else:
                 yield ""
@@ -269,7 +269,7 @@ def suite_negative_controls(cfg: ScaleConfig, rng: random.Random):
     bad_rows[0] = ((0, 1),)
     perturbed = lifted.with_piece(
         u_first,
-        Subspace.from_rows(dim_piece(ring, u_first), bad_rows),
+        Subspace.from_rows(_dim_piece(ring, u_first), bad_rows),
     )
     accepted = check_condition_iii(perturbed, f).verdict
     yield "condition iii accepted a piece that is not apolar to the tensor" if accepted else ""

@@ -36,8 +36,8 @@ from .apolarity import (
 from .diagonal_maps import staircase_degrees
 from .grading import (
     RingKind,
+    _dim_piece,
     degree_total,
-    dim_piece,
     ones,
     segre_ring,
     veronese_ring,
@@ -127,7 +127,7 @@ def ideal_digest(j: TruncatedIdeal) -> str:
     h = hashlib.sha256(f"{j.ring!r}\x00{j.bound!r}\x00[".encode())
     zero = f"{j.field.zero!r}, ".encode()
     for k, u in enumerate(j.degrees()):
-        n, count = dim_piece(j.ring, u), j.piece_dim(u)
+        n, count = _dim_piece(j.ring, u), j.piece_dim(u)
         h.update(f"{', ' if k else ''}({u!r}, (".encode())
         for r, row in enumerate(j.piece_rows(u)):
             parts = [b", (" if r else b"("]
@@ -241,7 +241,7 @@ def _apolarity_stage(cert: Certificate, j: TruncatedIdeal, f: GeneralTensor,
                 answers[key] = a.contains(piece)
             ok = answers[key]
         cert.add(degree=u, dim_ideal=j.piece_dim(u),
-                 dim_ann=dim_piece(j.ring, u) - a.ambient_dim + a.dim, ok=ok)
+                 dim_ann=_dim_piece(j.ring, u) - a.ambient_dim + a.dim, ok=ok)
         if not ok and first_failure is None:
             first_failure = u
     if first_failure is not None:

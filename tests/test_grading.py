@@ -7,10 +7,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from borderapolar.diagonal_maps import pi, rho
 from borderapolar.grading import (
     PieceElement,
     check_degree,
     dim_piece,
+    format_element,
     format_monomial,
     monomials,
     rank_monomial,
@@ -223,6 +225,17 @@ class TestPieceElement:
         b = PieceElement.from_terms(ring, 2, {(1, 1): 1})
         with pytest.raises(ValueError):
             a + b
+
+    def test_keeps_the_degree_it_checks(self):
+        """A degree given as a list or an integral float is kept as
+        `check_degree` returns it, so the element's maps read it as a tuple."""
+        ring = segre_ring(2, 2)
+        el = PieceElement(ring, [1, 0], (1, 0))
+        assert el == PieceElement(ring, (1, 0), (1, 0)) and type(el.degree) is tuple
+        assert el.terms() == {((1, 0), (0, 0)): 1}
+        assert pi(el).terms() == rho(el).terms() == {(1, 0): 1}
+        assert format_element(ring, [1, 0], el.coords) == "a(1,1)"
+        assert type(PieceElement(veronese_ring(2), 1.0, (0, 1)).degree) is int
 
 
 def test_format_monomial():

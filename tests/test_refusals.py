@@ -2,6 +2,7 @@
 message, one group of cases per module."""
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -13,13 +14,16 @@ from borderapolar.apolarity import (
     contract_poly,
 )
 from borderapolar.bounds import MacaulayRep, macaulay_rep
-from borderapolar.diagonal_maps import pi_preimage
+from borderapolar.diagonal_maps import direct_sum_check, ir_piece, pi_preimage, psi
 from borderapolar.grading import (
     PieceElement,
+    dim_piece,
+    monomials,
     rank_monomial,
     segre_ring,
     sub_degrees,
     unit_degree,
+    unrank_monomial,
     veronese_ring,
 )
 from borderapolar.ideals import (
@@ -28,6 +32,10 @@ from borderapolar.ideals import (
     diagonal_ideal,
     diagonal_points,
     expand,
+    generic_hf,
+    hilbert_function,
+    is_saturated_degreewise,
+    min_generators_in_degree,
     point_ideal,
     very_general_points,
     zero_ideal,
@@ -258,3 +266,50 @@ def test_negative_truncation_bound_refused(call):
     """A truncated ideal has a piece in degree 0 at least, so no constructor
     makes one with a negative bound."""
     refused(call, ValueError, "negative truncation bound -1")
+
+
+# -- the degree boundary --------------------------------------------------------------
+
+STORED = point_ideal(PointSet(S22, (((1, 0), (0, 1)), ((1, 1), (1, 2)))), 3)
+KEPT = diagonal_ideal(2, 2, 3)
+F22 = GeneralTensor(2, 2, {(0, 0): 1, (1, 1): 1})
+G2 = PieceElement(V2, 2, (1, 2, 3))
+
+# export -> (the export as a function of the degree, a bad degree,
+#            another spelling of a good degree, that degree as `check_degree` returns it)
+DEGREE_BOUNDARY = {
+    "dim_piece": (lambda u: dim_piece(S22, u), (1,), [1, 0], (1, 0)),
+    "monomials": (lambda u: monomials(S22, u), (1, -1), [1, 0], (1, 0)),
+    "unrank_monomial": (lambda u: unrank_monomial(S22, u, 1), (1, 1.5), [1, 1], (1, 1)),
+    "piece-element": (lambda u: PieceElement(S22, u, (1, 2)), (1,), [1, 0], (1, 0)),
+    "from-terms": (lambda u: PieceElement.from_terms(V2, u, {(2, 0): 1}), 1.5, 2.0, 2),
+    "ann_piece": (lambda u: ann_piece(F22, u), (1, 0, 0), [1, 0], (1, 0)),
+    "ann_sym_piece": (lambda u: ann_sym_piece(X2, u), -1, 1.0, 1),
+    "psi": (lambda u: psi(u, G2), (3, -1), [1, 1], (1, 1)),
+    "ir_piece": (lambda u: ir_piece(2, 2, u), (1, 1.5), [1, 1], (1, 1)),
+    "direct_sum_check": (lambda u: direct_sum_check(2, 2, u), (-1, 1), [1, 1], (1, 1)),
+    "hilbert_function": (lambda u: hilbert_function(STORED, u), (1,), [1, 0], (1, 0)),
+    "hilbert_function-kept": (lambda u: hilbert_function(KEPT, u), (1, 1, 0), (2.0, 1), (2, 1)),
+    "generic_hf": (lambda u: generic_hf(3, S22, u), (1, 1, 1), [1, 1], (1, 1)),
+    "is_saturated_degreewise": (lambda u: is_saturated_degreewise(STORED, u), (0.5, 0),
+                                [1, 0], (1, 0)),
+    "min_generators_in_degree": (lambda u: min_generators_in_degree(STORED, u), (1,),
+                                 [1, 1], (1, 1)),
+    "expand": (lambda u: dict(expand([SimpleNamespace(ring=V2, degree=u, coords=(1, 0, 0))],
+                                     V2, 3).pieces), -1, 2.0, 2),
+    "piece": (lambda u: STORED.piece(u), (1, 0, 0), [1, 1], (1, 1)),
+    "piece_dim": (lambda u: KEPT.piece_dim(u), (1, -1), (1.0, 1), (1, 1)),
+    "pi_image": (lambda u: STORED.pi_image(u), 1.5, [1, 1], (1, 1)),
+    "piece_rows": (lambda u: tuple(KEPT.piece_rows(u)), (2,), [2, 0], (2, 0)),
+    "with_piece": (lambda u: dict(zero_ideal(V2, 2).with_piece(u, Subspace.full(2)).pieces),
+                   -1, [1.0], 1),
+}
+
+
+@pytest.mark.parametrize("call, bad, spelled, canonical", DEGREE_BOUNDARY.values(),
+                         ids=list(DEGREE_BOUNDARY))
+def test_each_degree_taking_export_checks_its_degree(call, bad, spelled, canonical):
+    """Every export that takes a degree refuses a bad one, and reads a list or
+    an integral float as the degree `check_degree` makes of it."""
+    refused(lambda: call(bad), ValueError, "degree")
+    assert call(spelled) == call(canonical)

@@ -179,3 +179,32 @@ def test_only_apolarity_reads_a_tensors_entries():
                if any(isinstance(node, ast.Attribute) and node.attr == "entries"
                       for node in ast.walk(top))]
     assert readers == ["transfer.tensor_digest"]
+
+
+DEGREE_BOUNDARY = {
+    "cli._parse_degree",
+    "grading.dim_piece", "grading.monomials", "grading.unrank_monomial",
+    "grading.PieceElement.__post_init__", "grading.PieceElement.from_terms",
+    "apolarity.ann_piece", "apolarity.ann_sym_piece",
+    "diagonal_maps.psi", "diagonal_maps.ir_piece", "diagonal_maps.direct_sum_check",
+    "ideals.expand", "ideals.hilbert_function", "ideals.generic_hf",
+    "ideals.is_saturated_degreewise", "ideals.min_generators_in_degree",
+    # `piece`, `piece_dim`, `pi_image` and `piece_rows` check through `_checked`
+    "ideals.TruncatedIdeal._checked", "ideals.TruncatedIdeal.with_piece",
+}
+
+
+def test_only_the_boundary_checks_a_degree():
+    """A degree is checked once, where it enters the package, and travels
+    below as `check_degree` returned it: no package function outside the
+    boundary (the CLI's parser and the exports that take a degree) calls
+    `check_degree`, or `dim_piece`, which checks; the rest read `_dim_piece`."""
+    callers = set()
+    for path in sorted((ROOT / "src" / "borderapolar").glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = f"{top.name}." if isinstance(top, ast.ClassDef) else ""
+            for node in (top.body if owner else [top]):
+                if any(_calls(sub, "check_degree") or _calls(sub, "dim_piece")
+                       for sub in ast.walk(node)):
+                    callers.add(f"{path.stem}.{owner}{getattr(node, 'name', '<module>')}")
+    assert sorted(callers - DEGREE_BOUNDARY) == []

@@ -355,7 +355,7 @@ def test_pipeline_builds_no_segre_piece(monkeypatch):
 
 def test_pieces_are_read_only_and_built_alike():
     j = upsilon(point_ideal(coordinate_points(2), 4), 3, 4)
-    assert len(j.pieces) == len(j.degrees()) and list(j.pieces) == j.degrees()
+    assert len(j.pieces) == len(j.degrees()) and tuple(j.pieces) == j.degrees()
     assert (1, 0, 0) in j.pieces and (5, 0, 0) not in j.pieces
     with pytest.raises(KeyError):
         j.pieces[(5, 0, 0)]
