@@ -18,17 +18,20 @@ drops the rows that collapse to zero and eliminates the rest once, on V_|u|;
 Because of the split, every subspace of S_u that contains (I_R)_u is the
 pi-preimage of its pi-image: (I_R)_u + psi_u(W) = pi^{-1}(W) for any W inside
 V_|u|.  One generator, `_preimage_rows`, yields that subspace's sparse RREF
-rows from the table, one at a time, given W reduced in the column order
-`order`, so most rows are e_c - e_top with two entries.  `pi_preimage` stores
-them, with `ir_piece` the case W = 0; a truncated ideal kept by its Veronese
-pieces (`ideals.TruncatedIdeal.pi_preimage`, which `upsilon` returns with
-W = I_|u|) builds its Segre pieces from them when they are read, reducing
-each W once per distinct order within a total, and `ideal_digest` hashes
+rows from the table, one at a time, given W's RREF in the column order
+`order`, so most rows are e_c - e_top with two entries.  W is put in that order
+with no second reduction of its basis: it is the `kernel` of W's codim W
+constraint rows with their columns moved (`_reduced_in_order`).  `pi_preimage`
+stores the rows, with `ir_piece` the case W = 0; a truncated ideal kept by its
+Veronese pieces (`ideals.TruncatedIdeal.pi_preimage`, which `upsilon` returns
+with W = I_|u|) builds its Segre pieces from them when they are read, putting
+each W in each distinct order within a total once, and `ideal_digest` hashes
 them without storing them.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -43,7 +46,7 @@ from .grading import (
     segre_ring,
     veronese_ring,
 )
-from .linalg import QQ, Subspace, _dense, _rref_permuted
+from .linalg import QQ, Subspace, _dense, kernel
 
 
 def _require_kind(el: PieceElement, kind: RingKind, what: str):
@@ -122,20 +125,23 @@ def rho(theta: PieceElement) -> PieceElement:
 
 
 def tau(g: PieceElement, d: int) -> PieceElement:
-    """The inclusion b_j -> a(1,j), landing in degree (k,0,...,0)."""
+    """The inclusion b_j -> a(1,j), landing in degree (k,0,...,0) of d parts."""
     _require_kind(g, RingKind.VERONESE_COORD, "tau")
-    return psi(tuple([g.degree] + [0] * (d - 1)), g)
+    ring_s = segre_ring(g.ring.n, d)  # refuses a factor count that is not an integer >= 1
+    return psi((g.degree,) + (0,) * (ring_s.d - 1), g)
 
 
 def psi(u, g: PieceElement) -> PieceElement:
     """Section of pi on the degree-u piece, by block-splitting sorted monomials."""
     _require_kind(g, RingKind.VERONESE_COORD, "psi")
-    d = len(tuple(u))
-    ring_s = segre_ring(g.ring.n, d)
+    if isinstance(u, str) or not isinstance(u, Iterable):
+        raise ValueError(f"psi takes a degree of one part per factor, got {u!r}")
+    u = tuple(u)
+    ring_s = segre_ring(g.ring.n, len(u))
     u = check_degree(ring_s, u)
     if degree_total(u) != g.degree:
         raise ValueError(f"|u| = {degree_total(u)} does not match element degree {g.degree}")
-    fib = pi_fibres(g.ring.n, d, u)
+    fib = pi_fibres(g.ring.n, ring_s.d, u)
     zero = g.coords[0] * 0
     out = _dense(_push(fib.section, enumerate(g.coords), zero).items(), len(fib.f), zero)
     return PieceElement(ring_s, u, tuple(out))
@@ -188,13 +194,16 @@ def pi_preimage(n: int, d: int, u: tuple, w: Subspace) -> Subspace:
 
 def _reduced_in_order(w: Subspace, order: tuple):
     """w's RREF rows and their pivots with the columns of V taken in `order`,
-    in those moved coordinates.  In the identity order that is w as stored."""
+    in those moved coordinates: w as stored in the identity order, else the
+    kernel of w's constraint rows with their columns moved (codim w rows)."""
     if not w.sparse or all(k == m for k, m in enumerate(order)):
         return w.sparse, w.pivots
     pos = [0] * len(order)
     for k, m in enumerate(order):
         pos[m] = k
-    return _rref_permuted(w.sparse, pos, w.field)
+    moved = kernel(len(pos), [[(pos[c], x) for c, x in row] for row in w.constraints()],
+                   field=w.field)
+    return moved.sparse, moved.pivots
 
 
 def _preimage_rows(fib: PiFibres, reduced, one):

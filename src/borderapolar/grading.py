@@ -46,6 +46,8 @@ class RingSpec:
     kind: RingKind
 
     def __post_init__(self):
+        object.__setattr__(self, "n", integer(self.n, "n"))
+        object.__setattr__(self, "d", integer(self.d, "factor count"))
         if self.n < 1:
             raise ValueError(f"need n >= 1, got {self.n}")
         if self.d < 1:

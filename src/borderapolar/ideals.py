@@ -53,6 +53,7 @@ from .grading import (
     degree_total,
     degrees_up_to,
     dim_piece,
+    integer,
     ones,
     sub_degrees,
     unit_degree,
@@ -112,8 +113,9 @@ class _Preimages(Mapping):
     pieces `w` = {k: W_k}, read-only.
 
     A piece is built from the pi-fibre table each time it is read, and none is
-    kept; W_k is reduced once per fibre order among the degrees of total k.
-    `rows` streams a piece's RREF rows.
+    kept; W_k is put once in each fibre order among the degrees of total k (a
+    kernel of its codim W_k constraint rows), and kept in `_reduced`.  `rows`
+    streams a piece's RREF rows.
     """
 
     def __init__(self, ring: RingSpec, bound: int, w):
@@ -319,6 +321,7 @@ def hilbert_function(j: TruncatedIdeal, u) -> int:
 
 def generic_hf(r: int, ring: RingSpec, u) -> int:
     """Hilbert function of r very general points: min(r, dim of the piece)."""
+    r = integer(r, "point count")
     if r < 0:
         raise ValueError("negative point count")
     return min(r, dim_piece(ring, u))

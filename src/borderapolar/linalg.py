@@ -4,37 +4,40 @@ Vectors are rows, held sparsely as the (column, value) pairs of their nonzero
 entries; dense rows are built only on demand, for dumps and tests.  Elimination
 takes a column count and any iterable of such rows, refusing a column outside
 that count, and returns a Subspace (`Subspace.from_rows`, `kernel`) or a number
-(`rank`).  A Subspace stores the unique reduced row echelon basis of its row
-span, each row in ascending column order with its pivot first, so two subspaces
-over one field are equal as sets exactly when their stored rows compare equal.
-Both fields run one fraction-free Gauss-Jordan pass, `rref_with_pivots`: it
-makes each row a dense integer row only when it reads it (the field's
-`to_ints` writes it in one pass, with no sparse integer row between), clears
-the row at every pivot it keeps, keeps a nonzero remainder as a new pivot row
-and clears that column from the others, and stops at full column rank, so at
-most rank dense rows are held at once.  The `Matrix` it reads is only the
-record of the rows, their width and their field, and is made in this module
-alone.  The field supplies the rest: how a row becomes integers (primitive
-integers over Q, residues over GF(p)), how a row is kept small after each
-update (divided by its content over Q, reduced mod p over GF(p)) and how an
-integer row divided by one of its entries becomes field elements.  Elimination hands back the integer rows
-and their pivots, and each consumer makes the field elements it keeps:
-`Subspace.from_rows` and `kernel` one per nonzero entry of the reduced rows,
-with no second pass to negate them, and `rank` none.  As elimination reads only
-integers, the rows may hold plain ints in place of field elements, each
-standing for its image in the field: producers that know a row only up to a
-scalar, such as an evaluation at a point or a row pushed through an index map,
-pass integers and make no field element at all.
+(`rank`); these three are its only entry points.  A Subspace stores the unique
+reduced row echelon basis of its row span, each row in ascending column order
+with its pivot first, so two subspaces over one field are equal as sets exactly
+when their stored rows compare equal.  Both fields run one fraction-free
+Gauss-Jordan pass, `rref_with_pivots`: it makes each row a dense integer row
+only when it reads it (the field's `to_ints` writes it in one pass, with no
+sparse integer row between), clears the row at every pivot it keeps, keeps a
+nonzero remainder as a new pivot row and clears that column from the others,
+and stops at full column rank, so at most rank dense rows are held at once.
+The `Matrix` it reads is only the record of the rows, their width and their
+field, and is made in this module alone.  The field supplies the rest: how a
+row becomes integers (primitive integers over Q, residues over GF(p)), how a
+row is kept small after each update (divided by its content over Q, reduced mod
+p over GF(p)) and how an integer row divided by one of its entries becomes
+field elements.  Elimination hands back the integer rows and their pivots, and
+each consumer makes the field elements it keeps: `Subspace.from_rows` and
+`kernel` one per nonzero entry of the reduced rows, with no second pass to
+negate them, and `rank` none.  As elimination reads only integers, the rows may
+hold plain ints in place of field elements, each standing for its image in the
+field: producers that know a row only up to a scalar, such as an evaluation at
+a point or a row pushed through an index map, pass integers and make no field
+element at all.
 
-A kernel costs one elimination and an annihilator none.  Both come from a
-basis whose pivot columns are clean: the annihilator of such a basis has one
-row e_c - sum_i row_i[c] e_{p_i} per non-pivot column c.  A Subspace applies
-this to its stored RREF basis (`constraints`: the rows span the annihilator
-but are not in RREF).  `kernel` applies it to the RREF of its rows with the
-columns reversed, where each pivot is the last nonzero column of its row, and
-there the rows come out already in RREF; it divides each integer row by minus
-its pivot entry and appends each entry to the kernel row of its column, so the
-annihilator is written straight from the integer rows, with no copy of them.
+A kernel costs one elimination and an annihilator none.  Both come from a basis
+whose pivot columns are clean: the annihilator of such a basis has one row
+e_c - sum_i row_i[c] e_{p_i} per non-pivot column c.  A Subspace applies this
+to its stored RREF basis (`constraints`: the rows span the annihilator but are
+not in RREF), so the subspace in another column order is the `kernel` of those
+rows with their columns moved.  `kernel` applies it to the RREF of its rows
+with the columns reversed, where each pivot is the last nonzero column of its
+row, and there the rows come out already in RREF; it divides each integer row
+by minus its pivot entry and appends each entry to the kernel row of its
+column, so the annihilator is written straight from the integer rows, with no
+copy of them.
 """
 
 from __future__ import annotations
@@ -354,13 +357,6 @@ def rref_with_pivots(m: Matrix):
     return [kept[c] for c in pivots], pivots
 
 
-def _reduced(m: Matrix):
-    """The RREF of m as sparse field rows, one element per nonzero, and its pivots."""
-    rows, pivots = rref_with_pivots(m)
-    from_ints = m.field.from_ints
-    return [from_ints(row, row[c]) for row, c in zip(rows, pivots)], pivots
-
-
 def rank(ncols: int, rows, field=QQ) -> int:
     """Rank of the sparse `rows` from one elimination of their shorter side:
     tall rows are transposed first, as rank m^T = rank m over any field.  No
@@ -373,14 +369,6 @@ def rank(ncols: int, rows, field=QQ) -> int:
                 cols[c].append((r, x))
         rows, ncols = cols, len(rows)
     return len(rref_with_pivots(Matrix(ncols, rows, field))[1])
-
-
-def _rref_permuted(rows, pos, field):
-    """RREF of the sparse `rows` with column c moved to column pos[c].
-
-    Returns (reduced sparse rows, pivots), both in the moved coordinates.
-    """
-    return _reduced(Matrix(len(pos), [[(pos[c], x) for c, x in row] for row in rows], field))
 
 
 def kernel(ncols: int, rows, piece=None, field=QQ) -> "Subspace":
@@ -429,8 +417,9 @@ class Subspace:
     @classmethod
     def from_rows(cls, ambient_dim: int, rows, piece=None, field=QQ) -> "Subspace":
         """The span of the sparse `rows` over `field`, from one elimination."""
-        rows = _in_range(ambient_dim, rows)
-        return cls(ambient_dim, tuple(_reduced(Matrix(ambient_dim, rows, field))[0]), piece, field)
+        ints, pivots = rref_with_pivots(Matrix(ambient_dim, _in_range(ambient_dim, rows), field))
+        rows = tuple([field.from_ints(row, row[c]) for row, c in zip(ints, pivots)])
+        return cls(ambient_dim, rows, piece, field)
 
     @classmethod
     def zero(cls, ambient_dim: int, piece=None, field=QQ) -> "Subspace":

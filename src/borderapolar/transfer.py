@@ -173,41 +173,31 @@ def _tagged(sub: Subspace, ring_v, k: int) -> Subspace:
     return Subspace(sub.ambient_dim, sub.sparse, _piece_tag(ring_v, k), sub.field)
 
 
+def _pi_images(j, what: str, degree_at, provenance: str, needs_diagonal=False) -> TruncatedIdeal:
+    """The Veronese ideal whose degree-k piece is pi(J_{degree_at(k)}), k up to j's bound."""
+    if j.ring.kind is not RingKind.SEGRE_COORD:
+        raise ValueError(f"{what} expects an ideal in the Segre coordinate ring")
+    if needs_diagonal and first_without_diagonal(j) is not None:
+        raise ValueError(f"{what} is undefined: the ideal does not contain the diagonal ideal")
+    ring_v = veronese_ring(j.ring.n)
+    pieces = {k: _tagged(j.pi_image(degree_at(k)), ring_v, k) for k in range(j.bound + 1)}
+    return TruncatedIdeal(ring_v, j.bound, pieces, provenance)
+
+
 def sigma(j: TruncatedIdeal) -> TruncatedIdeal:
     """Symmetrize an ideal containing I_R: degree N = a*d + m collects pi(J_{a1+s_m})."""
-    ring = j.ring
-    if ring.kind is not RingKind.SEGRE_COORD:
-        raise ValueError("symmetrization expects an ideal in the Segre coordinate ring")
-    if first_without_diagonal(j) is not None:
-        raise ValueError(
-            "symmetrization is undefined: the ideal does not contain the diagonal ideal"
-        )
-    d = ring.d
-    ring_v = veronese_ring(ring.n)
+    d = j.ring.d
     stairs = staircase_degrees(d)
-    pieces = {}
-    for total in range(j.bound + 1):
-        a, m = divmod(total, d)
-        u = tuple(a + s for s in stairs[m])
-        pieces[total] = _tagged(j.pi_image(u), ring_v, total)
     provenance = "point" if j.provenance in ("upsilon-of-point", "diagonal-points") else "user"
-    return TruncatedIdeal(ring_v, j.bound, pieces, provenance)
+    return _pi_images(j, "symmetrization", lambda k: tuple(k // d + s for s in stairs[k % d]),
+                      provenance, needs_diagonal=True)
 
 
 def rho_ideal(j: TruncatedIdeal) -> TruncatedIdeal:
     """Restriction to the first factor: degree-k piece is rho(J_{(k,0,...,0)})."""
-    ring = j.ring
-    if ring.kind is not RingKind.SEGRE_COORD:
-        raise ValueError("rho expects an ideal in the Segre coordinate ring")
-    ring_v = veronese_ring(ring.n)
-    pieces = {}
-    for k in range(j.bound + 1):
-        u = tuple([k] + [0] * (ring.d - 1))
-        pieces[k] = _tagged(j.pi_image(u), ring_v, k)
-    provenance = (
-        "rho-of-certified" if j.provenance in SLIP_CERTIFIED else "user"
-    )
-    return TruncatedIdeal(ring_v, j.bound, pieces, provenance)
+    rest = (0,) * (j.ring.d - 1)
+    provenance = "rho-of-certified" if j.provenance in SLIP_CERTIFIED else "user"
+    return _pi_images(j, "rho", lambda k: (k,) + rest, provenance)
 
 
 # -- containment bookkeeping ------------------------------------------------------

@@ -104,6 +104,11 @@ class TestHf:
         assert code == 0
         assert out.split()[-1] == "3"
 
+    def test_builtin_diagonal_several_degrees(self, capsys):
+        """With --diagonal N D, the leading positional is the first degree."""
+        code, out = run(["hf", "--diagonal", "2", "3", "1,1,0", "2,0,0", "3,0,0"], capsys)
+        assert (code, out) == (0, "(1, 1, 0)  3\n(2, 0, 0)  3\n(3, 0, 0)  4\n")
+
     def test_builtin_diagonal_refuses_modulus(self, capsys, monkeypatch):
         # the diagonal ideal is always built over Q, so a modulus would be ignored
         code = cli.main(["hf", "--diagonal", "2", "2", "1,1", "--modulus", "2147483647"])
@@ -278,6 +283,63 @@ class TestMalformedFiles:
         assert run(["hf", write(tmp_path, "i.json", PRINCIPAL_V), "2"], capsys)[0] == 0
         assert run(["check", tf, "2", "--points", write(tmp_path, "p.json", POINTS2)],
                    capsys)[0] == 0
+
+
+NONSYMMETRIC = {"n": 2, "d": 2, "representation": "tensor",
+                "entries": [{"idx": [1, 2], "coeff": "1"}]}
+NOT_SYMMETRIC = "not symmetric: entry at (0, 1) is 1, at (1, 0) is 0"
+
+# case -> (argv with {name} for each file written, the files, the message with {name})
+REFUSALS = {
+    "tensor-field-missing": (["ann", "{t}", "2"], {"t": {"n": 2, "d": 3}},
+                             "{t}: missing field 'representation'"),
+    "tensor-representation": (["ann", "{t}", "2"], {"t": dict(FERMAT, representation="dense")},
+                              "{t}: representation must be 'poly' or 'tensor', got 'dense'"),
+    "exps-length": (["ann", "{t}", "2"],
+                    {"t": dict(FERMAT, terms=[{"exps": [3], "coeff": "1"}])},
+                    "{t}:terms[0]: exps must be a length-2 list"),
+    "exps-sum": (["ann", "{t}", "2"], {"t": dict(FERMAT, terms=[{"exps": [2, 0], "coeff": "1"}])},
+                 "{t}:terms[0]: exponents sum to 2, expected 3"),
+    "index-range": (["ann", "{t}", "1,1,1"],
+                    {"t": {"n": 2, "d": 3, "representation": "tensor",
+                           "entries": [{"idx": [1, 3, 1], "coeff": "1"}]}},
+                    "{t}:entries[0]: indices must lie in 1..2"),
+    "bound-missing": (["hf", "{i}", "1"], {"i": {"ring": "V", "n": 2, "generators": []}},
+                      "{i}: missing field 'bound'"),
+    "basis-row-length": (["hf", "{i}", "1"],
+                         {"i": {"ring": "V", "n": 2, "bound": 1,
+                                "pieces": [{"degree": 0, "basis": []},
+                                           {"degree": 1, "basis": [["1"]]}]}},
+                         "{i}:pieces[1]: basis rows must have length 2"),
+    "pieces-not-closed": (["hf", "{i}", "1"],
+                          {"i": {"ring": "V", "n": 2, "bound": 1,
+                                 "pieces": [{"degree": 0, "basis": [["1"]]},
+                                            {"degree": 1, "basis": []}]}},
+                          "{i}: the stored pieces are not ideal-closed"),
+    "points-empty": (["check", "{t}", "2", "--points", "{p}"],
+                     {"t": FERMAT, "p": {"points": []}},
+                     "{p}: expected a nonempty 'points' list"),
+    "point-length": (["check", "{t}", "2", "--points", "{p}"],
+                     {"t": FERMAT, "p": {"points": [["1"], ["0", "1"]]}},
+                     "{p}:points[0]: expected 2 coordinates"),
+    "ann-veronese-degree-of-nonsymmetric": (
+        ["ann", "{t}", "2"], {"t": NONSYMMETRIC},
+        f"a Veronese-side degree needs a symmetric tensor: {NOT_SYMMETRIC}"),
+    "check-nonsymmetric": (["check", "{t}", "2", "--points", "{p}"],
+                           {"t": NONSYMMETRIC, "p": POINTS2},
+                           f"the check needs a symmetric tensor: {NOT_SYMMETRIC}"),
+    "check-without-candidate": (["check", "{t}", "2"], {"t": FERMAT},
+                                "provide an ideal file or a --points decomposition hint"),
+}
+
+
+@pytest.mark.parametrize("argv, files, message", REFUSALS.values(), ids=list(REFUSALS))
+def test_refusal_message(tmp_path, capsys, argv, files, message):
+    """Each refusal exits 2 with its own message on stderr and nothing on stdout."""
+    paths = {name: write(tmp_path, f"{name}.json", payload) for name, payload in files.items()}
+    code = cli.main([arg.format(**paths) for arg in argv])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (2, "", f"error: {message.format(**paths)}\n")
 
 
 class TestTransportCommands:

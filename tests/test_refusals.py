@@ -14,7 +14,7 @@ from borderapolar.apolarity import (
     contract_poly,
 )
 from borderapolar.bounds import MacaulayRep, macaulay_rep
-from borderapolar.diagonal_maps import direct_sum_check, ir_piece, pi_preimage, psi
+from borderapolar.diagonal_maps import direct_sum_check, ir_piece, pi_preimage, psi, tau
 from borderapolar.grading import (
     PieceElement,
     dim_piece,
@@ -286,6 +286,8 @@ DEGREE_BOUNDARY = {
     "ann_piece": (lambda u: ann_piece(F22, u), (1, 0, 0), [1, 0], (1, 0)),
     "ann_sym_piece": (lambda u: ann_sym_piece(X2, u), -1, 1.0, 1),
     "psi": (lambda u: psi(u, G2), (3, -1), [1, 1], (1, 1)),
+    "psi-int": (lambda u: psi(u, G2), 2, (1.0, 1), (1, 1)),
+    "psi-none": (lambda u: psi(u, G2), None, iter([2, 0]), (2, 0)),
     "ir_piece": (lambda u: ir_piece(2, 2, u), (1, 1.5), [1, 1], (1, 1)),
     "direct_sum_check": (lambda u: direct_sum_check(2, 2, u), (-1, 1), [1, 1], (1, 1)),
     "hilbert_function": (lambda u: hilbert_function(STORED, u), (1,), [1, 0], (1, 0)),
@@ -313,3 +315,35 @@ def test_each_degree_taking_export_checks_its_degree(call, bad, spelled, canonic
     an integral float as the degree `check_degree` makes of it."""
     refused(lambda: call(bad), ValueError, "degree")
     assert call(spelled) == call(canonical)
+
+
+# -- ring sizes and point counts ------------------------------------------------------
+
+RING_SIZES = {
+    "segre-non-integral-n": (lambda: segre_ring(2.5, 3), ValueError, "n 2.5 is not an integer"),
+    "segre-non-integral-d": (lambda: segre_ring(2, 1.5), ValueError,
+                             "factor count 1.5 is not an integer"),
+    "veronese-string-n": (lambda: veronese_ring("3"), ValueError, "n '3' is not an integer"),
+    "generic-hf-non-integral-r": (lambda: generic_hf(1.5, S22, (1, 1)), ValueError,
+                                  "point count 1.5 is not an integer"),
+    "generic-hf-string-r": (lambda: generic_hf("3", S22, (1, 1)), ValueError,
+                            "point count '3' is not an integer"),
+    "tau-non-integral-d": (lambda: tau(G2, 2.5), ValueError, "factor count 2.5 is not an integer"),
+    "tau-no-factors": (lambda: tau(G2, 0), ValueError, "need d >= 1, got 0"),
+}
+
+
+@cases(RING_SIZES)
+def test_ring_sizes_and_point_counts_refused(call, exc, match):
+    refused(call, exc, match)
+
+
+def test_integral_ring_sizes_and_point_counts_are_kept_as_ints():
+    """2.0 counts as 2, as for a degree, and the int is what is kept."""
+    ring = segre_ring(2.0, 3.0)
+    assert ring == segre_ring(2, 3) and (type(ring.n), type(ring.d)) == (int, int)
+    assert dim_piece(ring, (1, 1, 1)) == 8
+    assert type(veronese_ring(3.0).n) is int
+    assert tau(G2, 2.0) == tau(G2, 2) and tau(G2, 2).degree == (2, 0)
+    hf = generic_hf(2.0, S22, (1, 1))
+    assert hf == 2 and type(hf) is int

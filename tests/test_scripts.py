@@ -208,3 +208,17 @@ def test_only_the_boundary_checks_a_degree():
                        for sub in ast.walk(node)):
                     callers.add(f"{path.stem}.{owner}{getattr(node, 'name', '<module>')}")
     assert sorted(callers - DEGREE_BOUNDARY) == []
+
+
+def test_three_ways_into_elimination():
+    """Elimination is entered through `Subspace.from_rows`, `kernel` and
+    `rank` alone: no other package function calls `rref_with_pivots`, so a
+    subspace already held is never reduced again to reorder its columns."""
+    callers = set()
+    for path in sorted((ROOT / "src" / "borderapolar").glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = f"{top.name}." if isinstance(top, ast.ClassDef) else ""
+            for node in (top.body if owner else [top]):
+                if any(_calls(sub, "rref_with_pivots") for sub in ast.walk(node)):
+                    callers.add(f"{path.stem}.{owner}{getattr(node, 'name', '<module>')}")
+    assert sorted(callers) == ["linalg.Subspace.from_rows", "linalg.kernel", "linalg.rank"]

@@ -305,7 +305,8 @@ class TestEliminationCount:
     def test_upsilon_reduces_once_per_fibre_order(self, eliminations, field, n, r, count):
         """upsilon itself eliminates nothing; reading its pieces reduces W = I_k
         once per distinct fibre order among the degrees of total k, none in the
-        identity order (every order when n = 2) and none when W = 0."""
+        identity order (every order when n = 2) and none when W = 0.  Each
+        reduction is the kernel of W's codim W constraint rows."""
         z = very_general_points(veronese_ring(n), r, 4, random.Random(36))
         ideal = point_ideal(PointSet(z.ring, z.points, field=field), 4)
         eliminations.clear()
@@ -314,7 +315,7 @@ class TestEliminationCount:
         for u in lifted.degrees():
             lifted.piece(u)
         orders = {(sum(u), pi_fibres(n, 3, u).order) for u in lifted.degrees()}
-        want = [(ideal.piece(k).dim, dim_piece(veronese_ring(n), k)) for k, order in orders
+        want = [(ideal.piece(k).codim, dim_piece(veronese_ring(n), k)) for k, order in orders
                 if order != tuple(range(len(order))) and ideal.piece(k).dim]
         assert sorted(eliminations) == sorted(want)
         assert len(eliminations) == count
