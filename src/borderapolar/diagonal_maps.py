@@ -9,24 +9,18 @@ S_u = (I_R)_u + psi_u(V_|u|) with zero intersection.
 Both maps only merge or pick monomials, so both are read off one cached
 pi-fibre table of S_u (`pi_fibres`), folded factor by factor from `grading`'s
 monomial product table: `f[c]` is the V-monomial that column c collapses to,
-`top[m]` the largest column in the fibre of m, `order` the V-monomials sorted
-by `top`, and `section[m]` the smallest, which is the column psi_u sends m to.
-`pi_image` scales each row to integers once, adds them into their fibres,
-drops the rows that collapse to zero and eliminates the rest once, on V_|u|;
-`psi_image` is a set of unit rows and needs no elimination.
+and `section[m]` the smallest column in the fibre of m, which is the column
+psi_u sends m to.  `pi_image` scales each row to integers once, adds them into
+their fibres, drops the rows that collapse to zero and eliminates the rest
+once, on V_|u|; `psi_image` is a set of unit rows and needs no elimination.
 
 Because of the split, every subspace of S_u that contains (I_R)_u is the
 pi-preimage of its pi-image: (I_R)_u + psi_u(W) = pi^{-1}(W) for any W inside
-V_|u|.  One generator, `_preimage_rows`, yields that subspace's sparse RREF
-rows from the table, one at a time, given W's RREF in the column order
-`order`, so most rows are e_c - e_top with two entries.  W is put in that order
-with no second reduction of its basis: it is the `kernel` of W's codim W
-constraint rows with their columns moved (`_reduced_in_order`).  `pi_preimage`
-stores the rows, with `ir_piece` the case W = 0; a truncated ideal kept by its
-Veronese pieces (`ideals.TruncatedIdeal.pi_preimage`, which `upsilon` returns
-with W = I_|u|) builds its Segre pieces from them when they are read, putting
-each W in each distinct order within a total once, and `ideal_digest` hashes
-them without storing them.
+V_|u|.  `ir_piece` is the case W = 0, whose rows e_c - e_top (top the largest
+column of c's fibre) it writes from the table with no elimination.  Any other
+W is the business of `ideals`: pi^{-1}(W) is the kernel of W's constraint
+columns pulled back along `f`, a matrix whose columns repeat inside each
+fibre, which `ideals` reduces as it reduces an evaluation matrix.
 """
 
 from __future__ import annotations
@@ -46,7 +40,7 @@ from .grading import (
     segre_ring,
     veronese_ring,
 )
-from .linalg import QQ, Subspace, _dense, kernel
+from .linalg import QQ, Subspace, _dense
 
 
 def _require_kind(el: PieceElement, kind: RingKind, what: str):
@@ -58,14 +52,11 @@ def _require_kind(el: PieceElement, kind: RingKind, what: str):
 class PiFibres:
     """How pi collapses the monomial columns of S_u onto those of V_|u|.
 
-    `f[c]` is the V-monomial that column c collapses to, `top[m]` the largest
-    column in the fibre of m, `order` the V-monomials sorted by `top`, and
-    `section[m]` the column that psi_u sends m to.
+    `f[c]` is the V-monomial that column c collapses to, and `section[m]` the
+    column that psi_u sends m to, so `len(section)` is dim V_|u|.
     """
 
     f: tuple
-    top: tuple
-    order: tuple
     section: tuple
 
 
@@ -82,17 +73,13 @@ def pi_fibres(n: int, d: int, u: tuple) -> PiFibres:
         f = [table[r * width + b] for r in f for b in range(width)]
         k += ui
     # pi is onto (psi is a section), so every fibre is nonempty; the last
-    # write leaves the largest column of each fibre in `top` and the smallest
-    # in `section`.  The smallest is psi's: handing the lowest variables to the
-    # first factors gives the lex-largest exponent rows, which rank first.
-    top = [0] * _dim_piece(ring_v, k)
-    section = top[:]
-    for c, m in enumerate(f):
-        top[m] = c
+    # write leaves the smallest column of each fibre in `section`.  It is
+    # psi's: handing the lowest variables to the first factors gives the
+    # lex-largest exponent rows, which rank first.
+    section = [0] * _dim_piece(ring_v, k)
     for c in reversed(range(len(f))):
         section[f[c]] = c
-    order = tuple(sorted(range(len(top)), key=top.__getitem__))
-    return PiFibres(tuple(f), tuple(top), order, tuple(section))
+    return PiFibres(tuple(f), tuple(section))
 
 
 def _push(index: tuple, row, zero) -> dict:
@@ -110,7 +97,7 @@ def pi(theta: PieceElement) -> PieceElement:
     ring = theta.ring
     fib = pi_fibres(ring.n, ring.d, theta.degree)
     zero = theta.coords[0] * 0
-    out = _dense(_push(fib.f, enumerate(theta.coords), zero).items(), len(fib.top), zero)
+    out = _dense(_push(fib.f, enumerate(theta.coords), zero).items(), len(fib.section), zero)
     return PieceElement(veronese_ring(ring.n), degree_total(theta.degree), tuple(out))
 
 
@@ -174,65 +161,16 @@ def ir_generators(n: int, d: int) -> list:
     return gens
 
 
-def pi_preimage(n: int, d: int, u: tuple, w: Subspace) -> Subspace:
-    """pi^{-1}(w) inside S_u, equal to (I_R)_u + psi_u(w), in RREF.
-
-    Every non-top column c of a fibre is a pivot, with row e_c - e_top; the top
-    of the fibre of m is a pivot exactly when m is a pivot of w reduced in the
-    column order `order`, with that reduced row lifted onto the top columns as
-    its row.  A non-top row whose top is a pivot adds the top's row, which
-    clears the top entry.  Only w is eliminated, never S_u.
-    """
-    fib = pi_fibres(n, d, u)
-    if w.ambient_dim != len(fib.top):
-        raise ValueError(
-            f"subspace ambient {w.ambient_dim} is not dim V_{degree_total(u)} = {len(fib.top)}"
-        )
-    rows = _preimage_rows(fib, _reduced_in_order(w, fib.order), w.field.one)
-    return Subspace(len(fib.f), tuple(rows), (segre_ring(n, d), u), w.field)
-
-
-def _reduced_in_order(w: Subspace, order: tuple):
-    """w's RREF rows and their pivots with the columns of V taken in `order`,
-    in those moved coordinates: w as stored in the identity order, else the
-    kernel of w's constraint rows with their columns moved (codim w rows)."""
-    if not w.sparse or all(k == m for k, m in enumerate(order)):
-        return w.sparse, w.pivots
-    pos = [0] * len(order)
-    for k, m in enumerate(order):
-        pos[m] = k
-    moved = kernel(len(pos), [[(pos[c], x) for c, x in row] for row in w.constraints()],
-                   field=w.field)
-    return moved.sparse, moved.pivots
-
-
-def _preimage_rows(fib: PiFibres, reduced, one):
-    """The RREF rows of pi^{-1}(w) in S_u, one at a time, in order, where
-    `reduced` is w reduced in the column order `fib.order` (`_reduced_in_order`).
-
-    Both `pi_preimage` and a truncated ideal kept by its Veronese pieces build
-    their pieces from these rows, and `ideal_digest` hashes them unstored."""
-    red, pivots = reduced
-    # `order` ascends in the top column, so each lifted row ascends too
-    tops = [fib.top[m] for m in fib.order]
-    lifted = {fib.order[p]: tuple([(tops[k], a) for k, a in row])
-              for row, p in zip(red, pivots)}
-    for c, m in enumerate(fib.f):
-        t = fib.top[m]
-        top_row = lifted.get(m)
-        if c == t:
-            if top_row is not None:
-                yield top_row
-        elif top_row is None:
-            yield ((c, one), (t, -one))
-        else:
-            yield ((c, one),) + top_row[1:]
-
-
 def ir_piece(n: int, d: int, u: tuple, field=QQ) -> Subspace:
-    """Degree-u piece of the diagonal ideal: ker pi = pi^{-1}(0) on S_u."""
+    """Degree-u piece of the diagonal ideal, ker pi = pi^{-1}(0) on S_u, in RREF:
+    one row e_c - e_top per column c below the largest column, top, of its
+    fibre.  No elimination."""
     u = check_degree(segre_ring(n, d), u)
-    return pi_preimage(n, d, u, Subspace.zero(len(pi_fibres(n, d, u).top), field=field))
+    f = pi_fibres(n, d, u).f
+    top = {m: c for c, m in enumerate(f)}  # a later c overwrites
+    one = field.one
+    rows = tuple([((c, one), (top[m], -one)) for c, m in enumerate(f) if c != top[m]])
+    return Subspace(len(f), rows, (segre_ring(n, d), u), field)
 
 
 def pi_image(n: int, d: int, u: tuple, sub: Subspace) -> Subspace:
@@ -254,7 +192,7 @@ def pi_image(n: int, d: int, u: tuple, sub: Subspace) -> Subspace:
         ints = [(t, v) for t, v in zip(pushed, field.normalize(list(pushed.values()))) if v]
         if ints:
             rows.append(ints)
-    return Subspace.from_rows(len(fib.top), rows, field=field)
+    return Subspace.from_rows(len(fib.section), rows, field=field)
 
 
 def psi_image(n: int, d: int, u: tuple, field=QQ) -> Subspace:

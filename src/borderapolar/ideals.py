@@ -6,13 +6,13 @@ is held in one of two ways.  Most ideals store every piece.  An ideal on the
 Segre side that contains the diagonal ideal I_R is J_u = pi^{-1}(W_|u|) for
 subspaces W_k of V_k, since S_u = (I_R)_u + psi_u(V_|u|); such an ideal
 (`TruncatedIdeal.pi_preimage`, made by `upsilon`) keeps only the W_k, and a
-Segre piece is built from the pi-fibre table only when something reads it.
+Segre piece is built only when something reads it.
 
 This module is the only one that knows how an ideal is held.  Readers outside
-it get the same answers from either kind: `piece_dim`, `pi_image` (pi(J_u),
-which is W_|u| on a kept ideal and otherwise made once, on V_|u|),
-`piece_rows`, `first_without_diagonal` and `saturation_degrees`, so each
-transport map and certificate stage has one path.
+it get the same answers from either kind: `pieces`, `piece_dim`, `pi_image`
+(pi(J_u), which is W_|u| on a kept ideal and otherwise made once, on V_|u|),
+`first_without_diagonal` and `saturation_degrees`, so each transport map and
+certificate stage has one path.
 
 Saturated ideals of finite point sets are computed as kernels of evaluation
 maps, evaluated on integer representatives of the points, so elimination
@@ -26,6 +26,10 @@ diagonal points, degrees of one total whose monomials of V_|u| come in one
 order) shares that reduction: a point ideal costs one elimination per
 distinct matrix of distinct columns.  No generator normal forms or global
 saturation are ever needed.
+
+A kept ideal's Segre piece J_u is a kernel of the same kind, as J_u^perp is
+W_|u|^perp pulled back along the pi-fibres: its matrix's column c is column
+f[c] of W_|u|'s integer constraint rows.  `_merged_kernel` reduces both.
 
 Every monomial product is read off `grading`'s cached table
 S_u x S_v -> S_{u+v} (`_product_map`): variable multiples at v = e_i and point
@@ -60,7 +64,7 @@ from .grading import (
     segre_ring,
     veronese_ring,
 )
-from .diagonal_maps import _preimage_rows, _reduced_in_order, pi_fibres, pi_image
+from .diagonal_maps import ir_piece, pi_fibres, pi_image
 from .linalg import QQ, Subspace, kernel
 
 
@@ -112,31 +116,39 @@ class _Preimages(Mapping):
     """The Segre pieces J_u = pi^{-1}(W_|u|) of an ideal kept by its Veronese
     pieces `w` = {k: W_k}, read-only.
 
-    A piece is built from the pi-fibre table each time it is read, and none is
-    kept; W_k is put once in each fibre order among the degrees of total k (a
-    kernel of its codim W_k constraint rows), and kept in `_reduced`.  `rows`
-    streams a piece's RREF rows.
+    A piece is built each time it is read, and none is kept.  J_u is the
+    kernel of W_|u|'s integer constraint columns (made once per k) taken
+    along the pi-fibres, and `_merged_kernel` reduces each distinct matrix of
+    distinct columns once per ideal.  W_k = 0 is `ir_piece`, and the memo
+    starts with the kernel of W_k's own distinct columns, the matrix of every
+    degree whose fibre order is the identity: W_k's rows led by a top, whose
+    entries are all at tops.  Neither eliminates.
     """
 
     def __init__(self, ring: RingSpec, bound: int, w):
         self.ring, self.w = ring, w
         self._degrees = degrees_up_to(ring, bound)
         self._known = frozenset(self._degrees)
-        self._reduced = {}
-
-    def rows(self, u):
-        """The RREF rows of J_u, in order."""
-        fib = pi_fibres(self.ring.n, self.ring.d, u)
-        k = degree_total(u)
-        if (k, fib.order) not in self._reduced:
-            self._reduced[k, fib.order] = _reduced_in_order(self.w[k], fib.order)
-        return _preimage_rows(fib, self._reduced[k, fib.order], self.w[k].field.one)
+        self._cols = {}
+        self._merged = {}
 
     def __getitem__(self, u):
         if u not in self._known:
             raise KeyError(u)
-        return Subspace(_dim_piece(self.ring, u), tuple(self.rows(u)),
-                        _piece_tag(self.ring, u), self.w[degree_total(u)].field)
+        ring, k = self.ring, degree_total(u)
+        w = self.w[k]
+        if not w.sparse:
+            return ir_piece(ring.n, ring.d, u, w.field)
+        if k not in self._cols:
+            rows = [w.field.to_ints(row, w.ambient_dim) for row in w.constraints()]
+            cols = self._cols[k] = list(zip(*rows)) if rows else [()] * w.ambient_dim
+            _, tops, distinct = _distinct_columns(cols)
+            at = {t: i for i, t in enumerate(tops)}
+            self._merged[distinct] = tuple([tuple([(at[c], x) for c, x in row])
+                                            for row in w.sparse if row[0][0] in at])
+        rows = _merged_kernel([self._cols[k][m] for m in pi_fibres(ring.n, ring.d, u).f],
+                              w.field, self._merged)
+        return Subspace(_dim_piece(ring, u), rows, _piece_tag(ring, u), w.field)
 
     def __contains__(self, u):
         return u in self._known
@@ -158,8 +170,7 @@ class TruncatedIdeal:
     `pieces` is a read-only mapping from each degree to its subspace.  An ideal
     made by `TruncatedIdeal.pi_preimage` is kept by its Veronese pieces W_k
     (`veronese`) and builds a Segre piece afresh each time `pieces[u]` or
-    `piece(u)` reads it; `piece_dim`, `pi_image` and `piece_rows` read W_k
-    directly.
+    `piece(u)` reads it; `piece_dim` and `pi_image` read W_k directly.
     Every other ideal stores its pieces, and keeps each pi-image it computes.
 
     `provenance` records how the ideal arose ("point", "upsilon-of-point", ...)
@@ -244,14 +255,6 @@ class TruncatedIdeal:
             self._images[u] = (pi_image(n, self.ring.d, u, p) if p.sparse else Subspace.zero(
                 _dim_piece(veronese_ring(n), degree_total(u)), field=p.field))
         return self._images[u]
-
-    def piece_rows(self, u):
-        """The RREF rows of J_u, in order; a piece of an ideal kept by its
-        Veronese pieces is streamed."""
-        u = self._checked(u)
-        if self.veronese is None:
-            return self.pieces[u].sparse
-        return self.pieces.rows(u)
 
     def with_piece(self, u, sub: Subspace) -> "TruncatedIdeal":
         """Copy with one piece replaced (used to build adversarial examples)."""
@@ -442,9 +445,17 @@ def _predecessors(ring: RingSpec, u) -> tuple:
     return below, i, tuple(steps)
 
 
-def _evaluation_kernel(rows, field, merged) -> tuple:
-    """The RREF rows of the right kernel of the integer `rows`, from the
-    kernel of their distinct columns.
+def _distinct_columns(cols) -> tuple:
+    """(top, tops, rows): the last index of each column, those indices
+    ascending, and the matrix's rows on them alone."""
+    top = {col: c for c, col in enumerate(cols)}  # a later c overwrites
+    tops = sorted(top.values())
+    return top, tops, tuple(zip(*[cols[t] for t in tops]))
+
+
+def _merged_kernel(cols, field, merged) -> tuple:
+    """The RREF rows of the right kernel of the matrix with the integer
+    columns `cols`, from the kernel of its distinct columns.
 
     Let top(c) be the last column equal to column c.  `kernel` reduces the
     columns in reverse, so a copy comes after its top, is never a pivot and
@@ -452,14 +463,11 @@ def _evaluation_kernel(rows, field, merged) -> tuple:
     by the tail of top(c)'s kernel row when top(c) has one, and e_c - e_top(c)
     when top(c) is a pivot.  So only the tops, in ascending order, are
     reduced, and the rows come out as `kernel` would make them on every column.
-    `merged` maps each matrix of tops reduced so far to its kernel's rows, so
-    a matrix whose distinct columns, in order, an earlier one had is not
-    reduced again.
+    `merged` maps each matrix of tops reduced so far, by its rows (a matrix
+    with no rows has one distinct column), to its kernel's rows, so a matrix
+    whose distinct columns, in order, an earlier one had is not reduced again.
     """
-    cols = list(zip(*rows))
-    top = {col: c for c, col in enumerate(cols)}  # a later c overwrites
-    tops = sorted(top.values())
-    distinct = tuple(zip(*[cols[t] for t in tops]))  # the rows on the tops only
+    top, tops, distinct = _distinct_columns(cols)
     reduced = merged.get(distinct)
     if reduced is None:
         reduced = merged[distinct] = kernel(
@@ -498,7 +506,7 @@ def point_ideal(zs: PointSet, bound: int, provenance: str = "point") -> Truncate
     factor i's integer coordinates) over the u_i > 0, so when factor points
     repeat (diagonal points, say) many degrees share one matrix: those pieces
     share its kernel's rows, and each keeps its own (ring, u) tag.
-    `_evaluation_kernel` reduces only the distinct columns of a matrix (at
+    `_merged_kernel` reduces only the distinct columns of a matrix (at
     diagonal points, one per monomial of V_|u|) and writes the kernel rows of
     the copies directly; a later matrix with the same distinct columns in the
     same order (at diagonal points, a degree of the same total whose monomials
@@ -533,7 +541,8 @@ def point_ideal(zs: PointSet, bound: int, provenance: str = "point") -> Truncate
                 rows = [field.normalize([prev[t] * x[j] for t, j in steps])
                         for prev, x in zip(values[key_of(below)], coords)]
             values[key] = rows
-            known = kernels[key] = len(rows[0]), _evaluation_kernel(rows, field, merged)
+            cols = list(zip(*rows))
+            known = kernels[key] = len(cols), _merged_kernel(cols, field, merged)
         pieces[u] = Subspace(known[0], known[1], _piece_tag(ring, u), field)
     return TruncatedIdeal(ring, bound, pieces, provenance)
 
@@ -554,8 +563,10 @@ def very_general_points(ring: RingSpec, r: int, bound: int, rng: random.Random,
     """Draw r random integer points and certify the generic Hilbert function.
 
     Genericity failures over the rationals are measure-zero-like but possible
-    on integer draws: one resample is attempted before giving up.
+    on integer draws: one resample is attempted before giving up.  r is an
+    integer (2.0 counts as 2).
     """
+    r = integer(r, "point count")
     if r < 1:
         raise ValueError(f"need at least one point, got r={r}")
     if coord_bound < 1:  # every draw would be zero

@@ -38,6 +38,7 @@ from .grading import (
     RingKind,
     _dim_piece,
     degree_total,
+    integer,
     ones,
     segre_ring,
     veronese_ring,
@@ -121,15 +122,14 @@ def ideal_digest(j: TruncatedIdeal) -> str:
 
     The repr of the dense bases is streamed from the sparse rows, one row at a
     time, with each run of zeros written as one repeated string.  An ideal kept
-    by its Veronese pieces streams each piece's rows from W and the fibre
-    table, and stores no piece it has not built already.
+    by its Veronese pieces builds each piece as it is read, and keeps none.
     """
     h = hashlib.sha256(f"{j.ring!r}\x00{j.bound!r}\x00[".encode())
     zero = f"{j.field.zero!r}, ".encode()
     for k, u in enumerate(j.degrees()):
-        n, count = _dim_piece(j.ring, u), j.piece_dim(u)
+        n, rows = _dim_piece(j.ring, u), j.pieces[u].sparse
         h.update(f"{', ' if k else ''}({u!r}, (".encode())
-        for r, row in enumerate(j.piece_rows(u)):
+        for r, row in enumerate(rows):
             parts = [b", (" if r else b"("]
             at = 0
             for c, x in row:
@@ -139,7 +139,7 @@ def ideal_digest(j: TruncatedIdeal) -> str:
             line = b"".join(parts)
             h.update(memoryview(line)[:-2])  # the separator after the last entry
             h.update(b",)" if n == 1 else b")")
-        h.update(b",))" if count == 1 else b"))")
+        h.update(b",))" if len(rows) == 1 else b"))")
     h.update(b"]\x00")
     return h.hexdigest()[:16]
 
@@ -310,7 +310,7 @@ def comon_certificate(f: SymTensor, r: int, j: TruncatedIdeal) -> Certificate:
     """Run the full transfer pipeline for a symmetric tensor and a candidate ideal.
 
     Checks conciseness (read off Ann(p_F)_1), the flattening lower bound
-    against r, the generic Hilbert function, apolarity, degreewise saturation
+    against r (an integer; 2.0 counts as 2), the generic Hilbert function, apolarity, degreewise saturation
     where the bound allows, and pi-containment; an ideal outside F's Segre ring
     S(n, d) or field, or truncated below degree d, is refused with a ValueError
     first.  rho(J) then passes the Veronese-side checks, and is not built: pi is
@@ -321,7 +321,7 @@ def comon_certificate(f: SymTensor, r: int, j: TruncatedIdeal) -> Certificate:
     """
     if not isinstance(f, SymTensor):
         raise TypeError("the transfer pipeline requires a symmetric tensor")
-    n, d = f.n, f.order
+    n, d, r = f.n, f.order, integer(r, "point count")
     if not n <= r <= math.comb(n + 1, 2):
         raise ValueError(
             f"r={r} outside the admissible range [{n}, {math.comb(n + 1, 2)}]"

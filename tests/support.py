@@ -32,7 +32,7 @@ from borderapolar.grading import (
     unit_degree,
     veronese_ring,
 )
-from borderapolar.diagonal_maps import proper_unit_box_degrees
+from borderapolar.diagonal_maps import pi_fibres, proper_unit_box_degrees
 from borderapolar.ideals import (
     TruncatedIdeal,
     degrees_up_to,
@@ -255,6 +255,21 @@ def preimage_reference(m: Matrix, w: Subspace) -> Subspace:
         return Subspace.full(m.ncols, field=m.field)
     return kernel(m.ncols, matmul(Matrix(w.ambient_dim, cons, w.field), m).sparse,
                   field=m.field)
+
+
+def fibre_order(n: int, d: int, u: tuple) -> tuple:
+    """The monomials of V_|u| sorted by the last column of S_u in their pi-fibre:
+    the order of the distinct columns of a matrix taken along the fibres."""
+    top = {m: c for c, m in enumerate(pi_fibres(n, d, u).f)}  # a later c overwrites
+    return tuple(sorted(top, key=top.__getitem__))
+
+
+def kept_piece(n: int, d: int, u: tuple, w: Subspace) -> Subspace:
+    """pi^{-1}(w) inside S_u, read as the degree-u piece of an ideal kept by its
+    Veronese pieces, with w at |u| and zero below."""
+    k, ring_v = degree_total(u), veronese_ring(n)
+    pieces = {i: Subspace.zero(dim_piece(ring_v, i), field=w.field) for i in range(k)}
+    return TruncatedIdeal.pi_preimage(segre_ring(n, d), k, {**pieces, k: w}).pieces[u]
 
 
 # -- dense references for the sparse-row subspace calculus ---------------------------

@@ -793,7 +793,7 @@ class TestSelftest:
         assert not result.passed
         assert "direct sum" in result.detail
 
-    def test_corrupted_fibre_top_fails_kernel_suite(self, monkeypatch):
+    def test_corrupted_fibre_table_fails_kernel_suite(self, monkeypatch):
         import dataclasses
         import random
 
@@ -801,13 +801,13 @@ class TestSelftest:
 
         def broken_pi_fibres(n, d, u):
             fib = good_pi_fibres(n, d, u)
-            top = list(fib.top)
-            for m in range(len(top)):
-                fibre = [c for c, x in enumerate(fib.f) if x == m]
-                if len(fibre) > 1:  # a non-maximal column becomes this fibre's top
-                    top[m] = fibre[0]
+            f = list(fib.f)
+            for m in range(len(fib.section)):
+                fibre = [c for c, x in enumerate(f) if x == m]
+                if len(fibre) > 1:  # a column of a larger fibre moves to the next fibre
+                    f[fibre[0]] = (m + 1) % len(fib.section)
                     break
-            return dataclasses.replace(fib, top=tuple(top))
+            return dataclasses.replace(fib, f=tuple(f))
 
         monkeypatch.setattr(dmaps, "pi_fibres", broken_pi_fibres)
         result = suite_pi_kernel_direct_sum(SCALES["desk"], random.Random(0))

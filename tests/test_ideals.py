@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from borderapolar.diagonal_maps import ir_generators
-from borderapolar import diagonal_maps, grading, ideals
+from borderapolar import grading, ideals
 from borderapolar.grading import (
     PieceElement,
     _product_map,
@@ -42,8 +42,9 @@ from borderapolar.ideals import (
 )
 from borderapolar.linalg import QQ, PrimeField, Subspace, kernel
 from borderapolar.transfer import ideal_digest, upsilon
-from support import (colon_reference, colon_rows_reference, diagonal_tensor, multiply_monomials,
-                     point_ideal_reference, sparse_rows)
+from support import (assert_canonical, colon_reference, colon_rows_reference, diagonal_tensor,
+                     fibre_order, multiply_monomials, pi_matrix_reference, point_ideal_reference,
+                     preimage_reference, sparse_rows)
 
 
 V2 = veronese_ring(2)
@@ -379,7 +380,7 @@ class TestPointIdeal:
         assert all(j.pieces[u].piece == (zs.ring, u) for u in j.degrees())
         # each distinct matrix of distinct columns is reduced once, the first
         # time a degree has it
-        merged = dict.fromkeys((grading.degree_total(u), diagonal_maps.pi_fibres(n, d, u).order)
+        merged = dict.fromkeys((grading.degree_total(u), fibre_order(n, d, u))
                                for u in j.degrees())
         assert eliminations == [(r, dim_piece(veronese_ring(n), k)) for k, _ in merged]
 
@@ -474,9 +475,8 @@ class TestPointIdeal:
         def refuse(*args, **kwargs):
             raise AssertionError("the pi-fibre preimage was read")
 
-        monkeypatch.setattr(diagonal_maps, "_preimage_rows", refuse)
-        monkeypatch.setattr(ideals, "_preimage_rows", refuse)
         monkeypatch.setattr(TruncatedIdeal, "pi_preimage", refuse)
+        monkeypatch.setattr(ideals._Preimages, "__getitem__", refuse)
         got = point_ideal(zs, 4)
         assert got.veronese is None
         assert all(repr(got.pieces[u].sparse) == repr(want.pieces[u].sparse)
@@ -488,6 +488,81 @@ class TestPointIdeal:
         dz = diagonal_points(z, 3)
         assert dz.ring == segre_ring(2, 3)
         assert dz.points[0] == ((1, 0), (1, 0), (1, 0))
+
+
+KEPT_KINDS = ("zero", "full", "monomial", "random")
+
+
+def kept_ideal(n: int, d: int, bound: int, kind: str, field, rng) -> TruncatedIdeal:
+    """An ideal kept by Veronese pieces W_k of one kind: zero, full, spanned
+    by monomials, or random, which need not be an ideal's pieces, saturated
+    or not."""
+    ring_v, w = veronese_ring(n), {}
+    for k in range(bound + 1):
+        dim = dim_piece(ring_v, k)
+        if kind in ("zero", "full"):
+            w[k] = (Subspace.zero if kind == "zero" else Subspace.full)(dim, field=field)
+            continue
+        if kind == "monomial":
+            # the constraint columns of the monomials in W are all zero
+            rows = [[int(c == m) for c in range(dim)]
+                    for m in rng.sample(range(dim), dim // 2 + 1)]
+        else:
+            rows = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(dim)]
+                    for _ in range(rng.randint(1, dim))]
+        w[k] = Subspace.from_rows(dim, sparse_rows(rows, field), field=field)
+    return TruncatedIdeal.pi_preimage(segre_ring(n, d), bound, w)
+
+
+class TestKeptPieces:
+    """A kept ideal's Segre piece pi^{-1}(W_|u|) is the kernel of W's
+    constraint columns taken along the pi-fibres, reduced on its distinct
+    columns: it is checked against the dense preimage of `tests/support.py`."""
+
+    SHAPES = ((2, 3, 3), (3, 2, 3), (3, 3, 3))
+
+    @pytest.mark.parametrize("field", [QQ, GF], ids=repr)
+    @pytest.mark.parametrize("kind", KEPT_KINDS)
+    def test_matches_preimage_reference(self, field, kind):
+        rng = random.Random(f"kept/{kind}")
+        for n, d, bound in self.SHAPES:
+            j = kept_ideal(n, d, bound, kind, field, rng)
+            for u in j.degrees():
+                got = j.pieces[u]
+                want = preimage_reference(pi_matrix_reference(n, d, u, field),
+                                          j.veronese[sum(u)])
+                assert_canonical(got)
+                assert got.piece == (j.ring, u)
+                assert repr(got.basis) == repr(want.basis), (n, d, kind, u)
+
+    @pytest.mark.parametrize("field", [QQ, GF], ids=repr)
+    def test_repeated_columns_merge_across_fibres(self, field, eliminations):
+        """With W spanned by monomials, the zero constraint columns of its
+        monomials are one column, so each matrix reduced has one column more
+        than its codim W rows, fewer than dim V_k."""
+        j = kept_ideal(3, 3, 3, "monomial", field, random.Random(61))
+        eliminations.clear()
+        for u in j.degrees():
+            j.pieces[u]
+        assert eliminations
+        assert all(ncols == nrows + 1 for nrows, ncols in eliminations)
+
+    @pytest.mark.parametrize("field", [QQ, GF], ids=repr)
+    @pytest.mark.parametrize("kind", KEPT_KINDS)
+    def test_identity_order_and_zero_do_no_elimination(self, field, kind, eliminations):
+        """A degree whose fibre order is the identity reads the kernel off W
+        (every degree when n = 2), even when W's columns repeat, and W = 0 is
+        `ir_piece`."""
+        rng = random.Random(f"identity/{kind}")
+        for n, d, bound in self.SHAPES:
+            j = kept_ideal(n, d, bound, kind, field, rng)
+            orders = {u: fibre_order(n, d, u) for u in j.degrees()}
+            identity = [u for u, order in orders.items()
+                        if kind == "zero" or order == tuple(sorted(order))]
+            eliminations.clear()
+            for u in identity:
+                j.pieces[u]
+            assert eliminations == [], (n, d, kind)
 
 
 class TestSaturation:

@@ -12,7 +12,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from borderapolar.diagonal_maps import ir_piece, pi_fibres, pi_image, pi_preimage
+from borderapolar.diagonal_maps import ir_piece, pi_fibres, pi_image
 from borderapolar.grading import segre_ring, veronese_ring
 from borderapolar.ideals import PointSet, point_ideal
 from borderapolar.linalg import QQ, PrimeField, Subspace
@@ -21,6 +21,7 @@ from support import (
     RATIONAL_SEGRE_POINTS,
     assert_canonical,
     image_reference,
+    kept_piece,
     mat_vec,
     pi_matrix_reference,
     sparse_rows,
@@ -80,7 +81,7 @@ class TestPiImage:
                                    field=field)
             # rows that are not an RREF, a pi-preimage whose e_c - e_top rows all
             # collapse, and a diagonal piece whose image is zero
-            for sub in (Subspace(dim, tuple(rows), None, field), pi_preimage(n, d, u, w),
+            for sub in (Subspace(dim, tuple(rows), None, field), kept_piece(n, d, u, w),
                         ir_piece(n, d, u, field)):
                 eliminations.clear()
                 got = pi_image(n, d, u, sub)

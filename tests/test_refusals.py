@@ -12,9 +12,10 @@ from borderapolar.apolarity import (
     ann_piece,
     ann_sym_piece,
     contract_poly,
+    contract_tensor,
 )
 from borderapolar.bounds import MacaulayRep, macaulay_rep
-from borderapolar.diagonal_maps import direct_sum_check, ir_piece, pi_preimage, psi, tau
+from borderapolar.diagonal_maps import direct_sum_check, ir_piece, pi_image, psi, tau
 from borderapolar.grading import (
     PieceElement,
     dim_piece,
@@ -42,7 +43,7 @@ from borderapolar.ideals import (
 )
 from borderapolar.linalg import Mod, PrimeField, Subspace
 from borderapolar.selftest import run_selftest, sum_of_powers_tensor
-from borderapolar.transfer import upsilon
+from borderapolar.transfer import comon_certificate, upsilon
 
 P, Q = 2147483647, 1048583
 V2, V3, S22 = veronese_ring(2), veronese_ring(3), segre_ring(2, 2)
@@ -85,6 +86,8 @@ LINALG = {
                          r"field mismatch: QQ vs GF\(2147483647\)"),
     "mixed-fields-intersect": (lambda: GF_FULL.intersect(Subspace.full(3)), ValueError,
                                r"field mismatch: GF\(2147483647\) vs QQ"),
+    "prime-field-float": (lambda: PrimeField(P).of(1.5), TypeError,
+                          r"cannot coerce 1.5 into GF\(2147483647\)"),
 }
 
 IDEALS = {
@@ -140,6 +143,13 @@ APOLARITY = {
                                ValueError, "expected an element of the Veronese coordinate ring"),
     "contract-variable-count": (lambda: contract_poly(PieceElement(V3, 1, (1, 0, 0)), X2),
                                 ValueError, "variable count mismatch"),
+    "contract-tensor-veronese-element": (lambda: contract_tensor(PieceElement(V2, 1, (1, 0)),
+                                                                 GeneralTensor(2, 2, {})),
+                                         ValueError,
+                                         "expected an element of the Segre coordinate ring"),
+    "contract-tensor-ring-shape": (lambda: contract_tensor(
+        PieceElement(segre_ring(3, 2), (1, 0), (1, 0, 0)), GeneralTensor(2, 2, {})), ValueError,
+        r"ring shape mismatch: element has \(n,d\)=\(3,2\), tensor has \(2,2\)"),
     "ann-of-a-contraction": (lambda: ann_piece(GeneralTensor(2, 2, {(0, 0): 1}, factors=(0, 2)),
                                                (1, 0)),
                              ValueError, "on all original factors"),
@@ -187,6 +197,8 @@ GRADING = {
                                     ValueError, r"bad monomial \(\(1, 0\), \(0.5, 0.5\)\)"),
     "segre-non-integral-total": (lambda: rank_monomial(S22, ((1, 0), (0.5, 0))), ValueError,
                                  r"bad monomial \(\(1, 0\), \(0.5, 0\)\)"),
+    "coordinate-count": (lambda: PieceElement(S22, (1, 1), (1, 2)), ValueError,
+                         "coordinate vector has length 2, expected 4"),
 }
 
 BOUNDS = {
@@ -206,8 +218,8 @@ SELFTEST = {
 }
 
 DIAGONAL_MAPS = {
-    "preimage-ambient": (lambda: pi_preimage(2, 2, (1, 1), Subspace.zero(5)), ValueError,
-                         r"subspace ambient 5 is not dim V_2 = 3"),
+    "image-ambient": (lambda: pi_image(2, 2, (1, 1), Subspace.zero(5)), ValueError,
+                      r"subspace ambient 5 is not dim S_\(1, 1\) = 4"),
 }
 
 
@@ -274,6 +286,7 @@ STORED = point_ideal(PointSet(S22, (((1, 0), (0, 1)), ((1, 1), (1, 2)))), 3)
 KEPT = diagonal_ideal(2, 2, 3)
 F22 = GeneralTensor(2, 2, {(0, 0): 1, (1, 1): 1})
 G2 = PieceElement(V2, 2, (1, 2, 3))
+X3 = sum_of_powers_tensor(2, 3, [(1, 0)])
 
 # export -> (the export as a function of the degree, a bad degree,
 #            another spelling of a good degree, that degree as `check_degree` returns it)
@@ -302,7 +315,7 @@ DEGREE_BOUNDARY = {
     "piece": (lambda u: STORED.piece(u), (1, 0, 0), [1, 1], (1, 1)),
     "piece_dim": (lambda u: KEPT.piece_dim(u), (1, -1), (1.0, 1), (1, 1)),
     "pi_image": (lambda u: STORED.pi_image(u), 1.5, [1, 1], (1, 1)),
-    "piece_rows": (lambda u: tuple(KEPT.piece_rows(u)), (2,), [2, 0], (2, 0)),
+    "piece-kept": (lambda u: KEPT.piece(u), (2,), [2, 0], (2, 0)),
     "with_piece": (lambda u: dict(zero_ideal(V2, 2).with_piece(u, Subspace.full(2)).pieces),
                    -1, [1.0], 1),
 }
@@ -330,6 +343,15 @@ RING_SIZES = {
                             "point count '3' is not an integer"),
     "tau-non-integral-d": (lambda: tau(G2, 2.5), ValueError, "factor count 2.5 is not an integer"),
     "tau-no-factors": (lambda: tau(G2, 0), ValueError, "need d >= 1, got 0"),
+    # x^3 is not concise, so a point count read late would give a certificate
+    "comon-non-integral-r": (lambda: comon_certificate(X3, 2.5, diagonal_ideal(2, 3, 3)),
+                             ValueError, "point count 2.5 is not an integer"),
+    "comon-string-r": (lambda: comon_certificate(X3, "2", diagonal_ideal(2, 3, 3)), ValueError,
+                       "point count '2' is not an integer"),
+    "very-general-non-integral-r": (lambda: very_general_points(V2, 1.5, 3, FewDraws()),
+                                    ValueError, "point count 1.5 is not an integer"),
+    "very-general-string-r": (lambda: very_general_points(V2, "x", 3, FewDraws()), ValueError,
+                              "point count 'x' is not an integer"),
 }
 
 
@@ -347,3 +369,7 @@ def test_integral_ring_sizes_and_point_counts_are_kept_as_ints():
     assert tau(G2, 2.0) == tau(G2, 2) and tau(G2, 2).degree == (2, 0)
     hf = generic_hf(2.0, S22, (1, 1))
     assert hf == 2 and type(hf) is int
+    cert = comon_certificate(X3, 2.0, diagonal_ideal(2, 3, 3))
+    assert cert.to_dict() == comon_certificate(X3, 2, diagonal_ideal(2, 3, 3)).to_dict()
+    points = very_general_points(V2, 2.0, 3, random.Random(1))
+    assert points == very_general_points(V2, 2, 3, random.Random(1)) and points.count == 2

@@ -189,7 +189,7 @@ DEGREE_BOUNDARY = {
     "diagonal_maps.psi", "diagonal_maps.ir_piece", "diagonal_maps.direct_sum_check",
     "ideals.expand", "ideals.hilbert_function", "ideals.generic_hf",
     "ideals.is_saturated_degreewise", "ideals.min_generators_in_degree",
-    # `piece`, `piece_dim`, `pi_image` and `piece_rows` check through `_checked`
+    # `piece`, `piece_dim` and `pi_image` check through `_checked`
     "ideals.TruncatedIdeal._checked", "ideals.TruncatedIdeal.with_piece",
 }
 
@@ -222,3 +222,26 @@ def test_three_ways_into_elimination():
                 if any(_calls(sub, "rref_with_pivots") for sub in ast.walk(node)):
                     callers.add(f"{path.stem}.{owner}{getattr(node, 'name', '<module>')}")
     assert sorted(callers) == ["linalg.Subspace.from_rows", "linalg.kernel", "linalg.rank"]
+
+
+def test_only_ideals_reduces_a_preimage():
+    """A subspace of S_u taken along the pi-fibres is reduced by `ideals`
+    alone, as a kernel of merged columns: `diagonal_maps` calls no `kernel`,
+    and no package module reads a private name of `diagonal_maps`, by import
+    or through the module."""
+    aliases = {"diagonal_maps"}
+    offences = []
+    for path in sorted((ROOT / "src" / "borderapolar").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        aliases |= {alias.asname for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                    for alias in node.names if alias.name == "diagonal_maps" and alias.asname}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "diagonal_maps":
+                offences += [f"{path.stem} imports diagonal_maps.{alias.name}"
+                             for alias in node.names if alias.name.startswith("_")]
+            if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                    and getattr(node.value, "id", None) in aliases):
+                offences.append(f"{path.stem} reads diagonal_maps.{node.attr}")
+            if path.stem == "diagonal_maps" and _calls(node, "kernel"):
+                offences.append(f"diagonal_maps calls kernel at line {node.lineno}")
+    assert offences == []

@@ -17,7 +17,6 @@ from borderapolar.apolarity import (
 from borderapolar.diagonal_maps import (
     ir_generators,
     ir_piece,
-    pi_fibres,
     psi_image,
 )
 from borderapolar.grading import dim_piece, ones, segre_ring, veronese_ring
@@ -45,7 +44,7 @@ from borderapolar.transfer import (
     slip_label,
     upsilon,
 )
-from support import (contains_diagonal_ideal, diagonal_tensor, mat_vec,
+from support import (contains_diagonal_ideal, diagonal_tensor, fibre_order, mat_vec,
                      pi_matrix_reference, power_of_form, sparse_rows)
 
 
@@ -306,7 +305,8 @@ class TestEliminationCount:
         """upsilon itself eliminates nothing; reading its pieces reduces W = I_k
         once per distinct fibre order among the degrees of total k, none in the
         identity order (every order when n = 2) and none when W = 0.  Each
-        reduction is the kernel of W's codim W constraint rows."""
+        reduction is the kernel of W's codim W constraint rows taken along the
+        fibres, on its dim V_k distinct columns."""
         z = very_general_points(veronese_ring(n), r, 4, random.Random(36))
         ideal = point_ideal(PointSet(z.ring, z.points, field=field), 4)
         eliminations.clear()
@@ -314,7 +314,7 @@ class TestEliminationCount:
         assert eliminations == []
         for u in lifted.degrees():
             lifted.piece(u)
-        orders = {(sum(u), pi_fibres(n, 3, u).order) for u in lifted.degrees()}
+        orders = {(sum(u), fibre_order(n, 3, u)) for u in lifted.degrees()}
         want = [(ideal.piece(k).codim, dim_piece(veronese_ring(n), k)) for k, order in orders
                 if order != tuple(range(len(order))) and ideal.piece(k).dim]
         assert sorted(eliminations) == sorted(want)
@@ -349,7 +349,7 @@ class TestEliminationCount:
 
         eliminations.clear()
         with monkeypatch.context() as patch:
-            patch.setattr(ideals, "_preimage_rows", unreachable)
+            patch.setattr(ideals._Preimages, "__getitem__", unreachable)
             assert contains_diagonal_ideal(kept)
             back, twisted = rho_ideal(kept), sigma(kept)
         assert eliminations == []

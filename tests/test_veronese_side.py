@@ -29,7 +29,7 @@ from borderapolar.apolarity import (
     is_concise,
 )
 from borderapolar.cli import load_ideal_file
-from borderapolar.diagonal_maps import ir_piece, pi_preimage
+from borderapolar.diagonal_maps import ir_piece
 from borderapolar.grading import PieceElement, degree_total, dim_piece, monomials, veronese_ring
 from borderapolar.ideals import (
     PointSet,
@@ -53,6 +53,7 @@ from borderapolar.transfer import (
 from support import (
     diagonal_tensor,
     ideal_digest_reference,
+    kept_piece,
     random_symmetric_tensor,
     rho_stages_reference,
     sparse_rows,
@@ -143,7 +144,7 @@ def test_symmetric_annihilator_is_a_pi_preimage(field, n, d):
     for f in (in_field(f, field) for f in fs):
         p = depolarize(f)
         for u in itertools.product((0, 1), repeat=d):
-            assert ann_piece(f, u) == pi_preimage(n, d, u, ann_sym_piece(p, sum(u))), (f, u)
+            assert ann_piece(f, u) == kept_piece(n, d, u, ann_sym_piece(p, sum(u))), (f, u)
 
 
 def test_symmetric_tensor_reads_no_segre_annihilator(monkeypatch):
@@ -243,20 +244,14 @@ def test_loaded_and_with_piece_ideals(tmp_path, field):
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
 @pytest.mark.parametrize("n, d", [(2, 3), (3, 3), (2, 4)])
-def test_digest_streams_from_w(monkeypatch, field, n, d):
-    """The streamed digest equals the dense reference and reads no piece;
-    after the pieces are read it is unchanged."""
+def test_digest_streams_from_w(field, n, d):
+    """The digest of a kept ideal, which builds each piece as it reads it,
+    equals the dense reference, and is unchanged when read again."""
     z = very_general_points(veronese_ring(n), n + 1, d + 1, random.Random(n * d))
     kept = upsilon(point_ideal(PointSet(z.ring, z.points, field=field), d + 1), d)
-
-    def unread(self, u):
-        raise AssertionError(f"piece {u} was read")
-
-    with monkeypatch.context() as patch:
-        patch.setattr(ideals._Preimages, "__getitem__", unread)
-        streamed = ideal_digest(kept)
-    assert streamed == ideal_digest_reference(kept)
-    assert ideal_digest(kept) == streamed
+    digest = ideal_digest(kept)
+    assert digest == ideal_digest_reference(kept)
+    assert ideal_digest(kept) == digest
 
 
 def coordinate_points(n: int) -> PointSet:
@@ -341,7 +336,7 @@ def test_pipeline_builds_no_segre_piece(monkeypatch):
     def unreachable(*args):
         raise AssertionError("a Segre piece was built")
 
-    monkeypatch.setattr(ideals, "_preimage_rows", unreachable)
+    monkeypatch.setattr(ideals._Preimages, "__getitem__", unreachable)
     for n, d in ((2, 3), (3, 3), (4, 3), (3, 4)):
         j = upsilon(point_ideal(coordinate_points(n), d + 1), d, d + 1)
         cert = comon_certificate(diagonal_tensor(n, d), n, j)
