@@ -188,16 +188,6 @@ def depolarize(f: GeneralTensor) -> HomPoly:
 
 # -- contraction ----------------------------------------------------------------
 
-def _check_segre_element(theta: PieceElement, n: int, d: int):
-    if theta.ring.kind is not RingKind.SEGRE_COORD:
-        raise ValueError(f"expected an element of the Segre coordinate ring, got {theta.ring}")
-    if theta.ring.n != n or theta.ring.d != d:
-        raise ValueError(
-            f"ring shape mismatch: element has (n,d)=({theta.ring.n},{theta.ring.d}), "
-            f"tensor has ({n},{d})"
-        )
-
-
 def _contraction_rows(f: GeneralTensor, picked) -> dict:
     """F's contraction by the square-free monomials on the positions `picked`,
     as sparse rows keyed by the indices off `picked`, in one pass over F's
@@ -218,10 +208,15 @@ def contract_tensor(theta: PieceElement, f: GeneralTensor) -> GeneralTensor:
     """Apply a Segre-side element to a multilinear tensor.
 
     Degrees above (1,...,1) on the surviving factors kill everything; at a 0/1
-    degree each row of F's contraction map meets theta once.
+    degree each row of F's contraction map meets theta once.  F's slot labels
+    index theta's degree, so theta's ring needs a factor for every slot.
     """
-    d = theta.ring.d
-    _check_segre_element(theta, f.n, d)
+    if theta.ring.kind is not RingKind.SEGRE_COORD:
+        raise ValueError(f"expected an element of the Segre coordinate ring, got {theta.ring}")
+    n, d, slots = theta.ring.n, theta.ring.d, max(f.factors, default=-1) + 1
+    if n != f.n or d < slots:
+        raise ValueError(
+            f"ring shape mismatch: element has (n,d)=({n},{d}), tensor has ({f.n},{slots})")
     u = theta.degree
     remaining = tuple(i for i in f.factors if u[i] == 0)
     pos_of = {i: k for k, i in enumerate(f.factors)}

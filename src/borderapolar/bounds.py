@@ -112,31 +112,35 @@ def _degree_one_generators(f, spans) -> int:
     B^perp = {T : every slice T_{i=j} lies in R_i}.  As Ann(F)_{1,...,1} = F^perp
     and F lies in B^perp, the count is dim B^perp - [F != 0].  B^perp is solved
     for inside C^n (x) R_0, one unknown per variable of factor 0 and basis row
-    of R_0, under the constraints of R_1, ..., R_{d-1}, on integer rows.
+    of R_0, on its short side: one integer row per unknown, whose column
+    offset_i + j codim R_i + q pairs constraint q of R_i with the slice T_{i=j}.
     """
     n, d, field = f.n, f.order, f.field
     rests = list(itertools.product(range(n), repeat=d - 1))
     cols = {t: c for c, t in enumerate(rests)}
-    # unknown a * dim R_0 + b stands for e_a (x) (basis row b), an integer tensor
-    unknowns = [{(a,) + rests[c]: x for c, x in field.integer_row(row)}
-                for a in range(n) for row in spans[0].sparse]
-    rows = []
+    # at[k]: (width + q, entry) for each constraint q of R_i with an entry at k,
+    # width being offset_i, the column count of the factors before i
+    factors, width = [], 0
     for i in range(1, d):
         cons = spans[i].constraints()
-        at = [[] for _ in cols]  # at[k]: (q, entry) for each constraint q with an entry at k
+        at = [[] for _ in cols]
         for q, row in enumerate(cons):
             for k, y in field.integer_row(row):
-                at[k].append((q, y))
-        # block[j][q] is the row of <cons[q], T_{i=j}> in the unknowns
-        block = [[{} for _ in cons] for _ in range(n)]
-        for t, tensor in enumerate(unknowns):
-            for idx, x in tensor.items():
-                block_j = block[idx[i]]
-                for q, y in at[cols[idx[:i] + idx[i + 1:]]]:
-                    acc = block_j[q]
-                    acc[t] = acc.get(t, 0) + y * x
-        rows += [[(t, x) for t, x in acc.items() if x] for per_j in block for acc in per_j]
-    dim_perp = len(unknowns) - rank(len(unknowns), rows, field)
+                at[k].append((width + q, y))
+        factors.append((i, len(cons), at))
+        width += n * len(cons)
+    rows = []
+    for a in range(n):
+        for row in spans[0].sparse:  # the unknown e_a (x) row, an integer tensor
+            acc = {}
+            for c, x in field.integer_row(row):
+                idx = (a,) + rests[c]
+                for i, codim, at in factors:
+                    shift = idx[i] * codim
+                    for col, y in at[cols[idx[:i] + idx[i + 1:]]]:
+                        acc[col + shift] = acc.get(col + shift, 0) + y * x
+            rows.append(sorted([(col, x) for col, x in acc.items() if x]))
+    dim_perp = len(rows) - rank(width, rows, field)
     return dim_perp - (not f.is_zero)
 
 

@@ -148,7 +148,7 @@ class _Preimages(Mapping):
                                             for row in w.sparse if row[0][0] in at])
         rows = _merged_kernel([self._cols[k][m] for m in pi_fibres(ring.n, ring.d, u).f],
                               w.field, self._merged)
-        return Subspace(_dim_piece(ring, u), rows, _piece_tag(ring, u), w.field)
+        return Subspace(_dim_piece(ring, u), rows, (ring, u), w.field)
 
     def __contains__(self, u):
         return u in self._known
@@ -216,7 +216,9 @@ class TruncatedIdeal:
         """The ideal J_u = pi^{-1}(W_|u|) = (I_R)_u + psi_u(W_|u|) on the Segre
         ring, kept by its Veronese pieces w = {k: W_k}, k <= bound, each of
         them a subspace of V_k."""
-        w = MappingProxyType({k: w[k] for k in range(bound + 1)})
+        if not ring.is_multigraded:
+            raise ValueError(f"a kept ideal lives on a Segre ring, got {ring}")
+        w = MappingProxyType({k: w[k] for k in range(bound + 1) if k in w})
         return cls(ring, bound, _Preimages(ring, bound, w), provenance)
 
     @property
@@ -262,13 +264,9 @@ class TruncatedIdeal:
         return TruncatedIdeal(self.ring, self.bound, pieces, "user")
 
 
-def _piece_tag(ring: RingSpec, u):
-    return (ring, u)
-
-
 def zero_ideal(ring: RingSpec, bound: int, field=QQ) -> TruncatedIdeal:
     pieces = {
-        u: Subspace.zero(_dim_piece(ring, u), piece=_piece_tag(ring, u), field=field)
+        u: Subspace.zero(_dim_piece(ring, u), piece=(ring, u), field=field)
         for u in degrees_up_to(ring, bound)
     }
     return TruncatedIdeal(ring, bound, pieces, "zero")
@@ -299,7 +297,7 @@ def expand(generators, ring: RingSpec, bound: int, field=QQ) -> TruncatedIdeal:
     pieces: dict = {}
     for u in degrees_up_to(ring, bound):
         pieces[u] = span_from_below(ring, u, pieces.__getitem__, field,
-                                    rows=by_degree.get(u, ()), piece=_piece_tag(ring, u))
+                                    rows=by_degree.get(u, ()), piece=(ring, u))
     return TruncatedIdeal(ring, bound, pieces)
 
 
@@ -543,7 +541,7 @@ def point_ideal(zs: PointSet, bound: int, provenance: str = "point") -> Truncate
             values[key] = rows
             cols = list(zip(*rows))
             known = kernels[key] = len(cols), _merged_kernel(cols, field, merged)
-        pieces[u] = Subspace(known[0], known[1], _piece_tag(ring, u), field)
+        pieces[u] = Subspace(known[0], known[1], (ring, u), field)
     return TruncatedIdeal(ring, bound, pieces, provenance)
 
 
@@ -637,5 +635,5 @@ def min_generators_in_degree(j: TruncatedIdeal, u) -> int:
 def diagonal_ideal(n: int, d: int, bound: int) -> TruncatedIdeal:
     """The diagonal ideal I_R = pi^{-1}(0), kept by its zero Veronese pieces."""
     ring_v = veronese_ring(n)
-    w = {k: Subspace.zero(_dim_piece(ring_v, k), _piece_tag(ring_v, k)) for k in range(bound + 1)}
+    w = {k: Subspace.zero(_dim_piece(ring_v, k), (ring_v, k)) for k in range(bound + 1)}
     return TruncatedIdeal.pi_preimage(segre_ring(n, d), bound, w, "diagonal-ideal")

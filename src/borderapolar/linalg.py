@@ -4,7 +4,9 @@ Vectors are rows, held sparsely as the (column, value) pairs of their nonzero
 entries; dense rows are built only on demand, for dumps and tests.  Elimination
 takes a column count and any iterable of such rows, refusing a column outside
 that count, and returns a Subspace (`Subspace.from_rows`, `kernel`) or a number
-(`rank`); these three are its only entry points.  A Subspace stores the unique
+(`rank`); these three are its only entry points.  Each eliminates the rows as
+given, so a caller whose system is tall writes it on its short side (the
+degree-one count in `bounds` does).  A Subspace stores the unique
 reduced row echelon basis of its row span, each row in ascending column order
 with its pivot first, so two subspaces over one field are equal as sets exactly
 when their stored rows compare equal.  Both fields run one fraction-free
@@ -358,17 +360,9 @@ def rref_with_pivots(m: Matrix):
 
 
 def rank(ncols: int, rows, field=QQ) -> int:
-    """Rank of the sparse `rows` from one elimination of their shorter side:
-    tall rows are transposed first, as rank m^T = rank m over any field.  No
-    field element is made."""
-    rows = _in_range(ncols, rows)
-    if len(rows) > ncols:
-        cols = [[] for _ in range(ncols)]
-        for r, row in enumerate(rows):
-            for c, x in row:
-                cols[c].append((r, x))
-        rows, ncols = cols, len(rows)
-    return len(rref_with_pivots(Matrix(ncols, rows, field))[1])
+    """Rank of the sparse `rows`, from one elimination of the rows as given.
+    No field element is made."""
+    return len(rref_with_pivots(Matrix(ncols, _in_range(ncols, rows), field))[1])
 
 
 def kernel(ncols: int, rows, piece=None, field=QQ) -> "Subspace":
@@ -429,11 +423,6 @@ class Subspace:
     def full(cls, ambient_dim: int, piece=None, field=QQ) -> "Subspace":
         return cls(ambient_dim, tuple(((i, field.one),) for i in range(ambient_dim)),
                    piece, field)
-
-    @cached_property
-    def pivots(self) -> tuple:
-        """The pivot column of each basis row, ascending."""
-        return tuple(row[0][0] for row in self.sparse)
 
     @property
     def basis(self) -> tuple:

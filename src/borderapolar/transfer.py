@@ -52,7 +52,6 @@ from .ideals import (
     hilbert_function,
     is_saturated_degreewise,
     saturation_degrees,
-    _piece_tag,
 )
 
 SLIP_CERTIFIED = {"point", "upsilon-of-point", "rho-of-certified", "diagonal-points"}
@@ -170,7 +169,7 @@ def upsilon(i: TruncatedIdeal, d: int, bound: int | None = None) -> TruncatedIde
 
 
 def _tagged(sub: Subspace, ring_v, k: int) -> Subspace:
-    return Subspace(sub.ambient_dim, sub.sparse, _piece_tag(ring_v, k), sub.field)
+    return Subspace(sub.ambient_dim, sub.sparse, (ring_v, k), sub.field)
 
 
 def _pi_images(j, what: str, degree_at, provenance: str, needs_diagonal=False) -> TruncatedIdeal:

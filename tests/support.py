@@ -277,11 +277,11 @@ def kept_piece(n: int, d: int, u: tuple, w: Subspace) -> Subspace:
 def assert_canonical(sub: Subspace):
     """The stored rows are tuples of (column, value) pairs with no zero value,
     in ascending column order, each led by a 1 at its pivot, with every pivot
-    column clear in the other rows; `pivots` is the first column of each row."""
+    column clear in the other rows; a row's pivot is its first column."""
     assert isinstance(sub.sparse, tuple)
-    pivots = set(sub.pivots)
-    assert sub.pivots == tuple(row[0][0] for row in sub.sparse)
-    assert list(sub.pivots) == sorted(pivots) and len(pivots) == sub.dim
+    leads = tuple(row[0][0] for row in sub.sparse)
+    pivots = set(leads)
+    assert list(leads) == sorted(pivots) and len(pivots) == sub.dim
     for row in sub.sparse:
         assert isinstance(row, tuple) and all(isinstance(e, tuple) for e in row)
         cols = [c for c, _ in row]

@@ -398,9 +398,8 @@ class TestEliminationCounts:
 
     def test_degree_one_count_is_one_short_system(self, eliminations):
         # one slice span of shape n x n^(d-1) (F's d flattenings are equal),
-        # then one system with n dim R_0 unknowns and n (n^(d-1) - dim R_i)
-        # rows per factor i >= 1, 96 x 16, whose rank is taken on its
-        # transpose
+        # then one system with a row for each of the n dim R_0 unknowns and
+        # n (n^(d-1) - dim R_i) columns per factor i >= 1, 16 x 96
         f = concise_power_sum_instance(4, 3, random.Random(63))
         eliminations.clear()
         assert min_generators_degree_one(f) == 3

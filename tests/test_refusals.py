@@ -116,6 +116,12 @@ IDEALS = {
     "kept-piece-ambient": (lambda: TruncatedIdeal.pi_preimage(
         segre_ring(2, 3), 1, {0: Subspace.zero(1), 1: Subspace.zero(5)}), ValueError,
         r"W_1: subspace ambient 5 is not dim V_1 = 2"),
+    "kept-piece-missing": (lambda: TruncatedIdeal.pi_preimage(
+        S22, 2, {0: Subspace.full(1), 1: Subspace.zero(2)}), ValueError,
+        "missing piece W_2: every degree up to the bound 2 needs one"),
+    "kept-ideal-on-veronese": (lambda: TruncatedIdeal.pi_preimage(
+        V2, 1, {0: Subspace.full(1), 1: Subspace.zero(2)}), ValueError,
+        "a kept ideal lives on a Segre ring, got RingSpec"),
     "stored-piece-missing": (lambda: TruncatedIdeal(V2, 2, {0: Subspace.zero(1),
                                                             1: Subspace.zero(2)}),
                              ValueError, "missing piece J_2: every degree up to the bound 2"),
@@ -150,6 +156,12 @@ APOLARITY = {
     "contract-tensor-ring-shape": (lambda: contract_tensor(
         PieceElement(segre_ring(3, 2), (1, 0), (1, 0, 0)), GeneralTensor(2, 2, {})), ValueError,
         r"ring shape mismatch: element has \(n,d\)=\(3,2\), tensor has \(2,2\)"),
+    "contract-tensor-too-few-factors": (lambda: contract_tensor(
+        PieceElement(segre_ring(2, 1), (1,), (1, 0)), GeneralTensor(2, 2, {(0, 0): 1, (1, 1): 1})),
+        ValueError, r"ring shape mismatch: element has \(n,d\)=\(2,1\), tensor has \(2,2\)"),
+    "contract-tensor-slots-past-the-ring": (lambda: contract_tensor(
+        PieceElement(S22, (1, 0), (1, 0)), GeneralTensor(2, 2, {(0, 0): 1}, factors=(1, 2))),
+        ValueError, r"ring shape mismatch: element has \(n,d\)=\(2,2\), tensor has \(2,3\)"),
     "ann-of-a-contraction": (lambda: ann_piece(GeneralTensor(2, 2, {(0, 0): 1}, factors=(0, 2)),
                                                (1, 0)),
                              ValueError, "on all original factors"),
