@@ -78,8 +78,9 @@ class HomPoly:
 class GeneralTensor:
     """Element of a tensor product of copies of C^n, indexed over `factors`.
 
-    `factors` records which of the original d slots the tensor still lives on;
-    contraction returns tensors on the surviving slots.
+    `factors` records which of the original d slots the tensor still lives on,
+    as distinct non-negative labels; contraction returns tensors on the
+    surviving slots.
     """
 
     __slots__ = ("n", "order", "entries", "field", "factors")
@@ -88,9 +89,13 @@ class GeneralTensor:
         self.n = integer(n, "n")
         self.order = integer(order, "order")
         self.field = field
-        self.factors = tuple(range(self.order)) if factors is None else tuple(factors)
+        labels = range(self.order) if factors is None else factors
+        self.factors = tuple(integer(i, "factor label") for i in labels)
         if len(self.factors) != self.order:
             raise ValueError("factor labels do not match the tensor order")
+        for k, i in enumerate(self.factors):  # a label indexes a degree: no wraparound
+            if i < 0 or i in self.factors[:k]:
+                raise ValueError(f"factor label {i} is {'negative' if i < 0 else 'repeated'}")
         clean = {}
         for idx, c in entries.items():
             idx = tuple(integer(i, "index") for i in idx)
@@ -293,13 +298,19 @@ def slice_spans(f: GeneralTensor) -> list:
     space of F's contraction map at 1 - e_i, whose column c stands for the c-th
     index of the other d-1 factors in `product` order.
 
-    Each distinct flattening is reduced once, told apart by its sorted sparse
-    rows: all d of them agree when F is symmetric.  The rows are compared, not
-    hashed, since hashing a Fraction costs more than comparing two."""
+    A `SymTensor`'s d flattenings are one matrix, so factor 0's is reduced and
+    its span is returned for every factor; no other flattening is built.  Any
+    other tensor has each distinct flattening reduced once, told apart by its
+    sorted sparse rows (all d agree when its entries are symmetric).  The rows
+    are compared, not hashed, since hashing a Fraction costs more than
+    comparing two."""
     _require_full_tensor(f)
     ncols = f.n ** (f.order - 1)
     reduced, spans = [], []  # reduced: (sorted rows, span) per distinct flattening
     for i in range(f.order):
+        if i and isinstance(f, SymTensor):
+            spans.append(spans[0])
+            continue
         slices = sorted(_contraction_rows(f, [k for k in range(f.order) if k != i]).items())
         rows = [sorted(row) for _, row in slices]
         span = next((span for seen, span in reduced if seen == rows), None)

@@ -6,7 +6,9 @@ tests count minimal generators of annihilator ideals degreewise and compare
 Hilbert function values, with a separate quick test in the three-factor case.
 They take a symmetric F, and permuting the factors maps Ann(F)_u onto
 Ann(F)_{σu}, so `is_sharp` computes each Hilbert value once per orbit of
-degrees under that permutation.
+degrees under that permutation.  For the same reason a `SymTensor`'s slice
+spans are one span and its degree-one count writes one block of constraints
+where a general F writes d - 1 (`_degree_one_generators`).
 """
 
 from __future__ import annotations
@@ -114,31 +116,43 @@ def _degree_one_generators(f, spans) -> int:
     for inside C^n (x) R_0, one unknown per variable of factor 0 and basis row
     of R_0, on its short side: one integer row per unknown, whose column
     offset_i + j codim R_i + q pairs constraint q of R_i with the slice T_{i=j}.
+
+    For a `SymTensor` only factor 1's block is written.  Its R_i all equal R_0,
+    which is spanned by slices of F and so holds symmetric (d-1)-tensors only.
+    For an unknown T = e_a (x) s, s in R_0, the slice T_{i=j} is e_a (x) s_j,
+    s_j being s with one index fixed at j, whichever i >= 1 it is: blocks
+    2 ... d-1 repeat block 1 column for column, and the rank is block 1's.
     """
     n, d, field = f.n, f.order, f.field
     rests = list(itertools.product(range(n), repeat=d - 1))
     cols = {t: c for c, t in enumerate(rests)}
-    # at[k]: (width + q, entry) for each constraint q of R_i with an entry at k,
-    # width being offset_i, the column count of the factors before i
-    factors, width = [], 0
-    for i in range(1, d):
-        cons = spans[i].constraints()
-        at = [[] for _ in cols]
-        for q, row in enumerate(cons):
-            for k, y in field.integer_row(row):
-                at[k].append((width + q, y))
-        factors.append((i, len(cons), at))
-        width += n * len(cons)
+    # blocks: (i, offset_i, codim R_i, at) for each factor i written, where
+    # at[k] lists (q, entry) for each constraint q of R_i with an entry at k;
+    # one table per distinct span
+    factors = range(1, d)[:1] if isinstance(f, SymTensor) else range(1, d)
+    blocks, tables, width = [], {}, 0
+    for i in factors:
+        if id(spans[i]) not in tables:
+            cons = spans[i].constraints()
+            at = [[] for _ in cols]
+            for q, row in enumerate(cons):
+                for k, y in field.integer_row(row):
+                    at[k].append((q, y))
+            tables[id(spans[i])] = len(cons), at
+        codim, at = tables[id(spans[i])]
+        blocks.append((i, width, codim, at))
+        width += n * codim
+    basis = [field.integer_row(row) for row in spans[0].sparse]
     rows = []
     for a in range(n):
-        for row in spans[0].sparse:  # the unknown e_a (x) row, an integer tensor
+        for row in basis:  # the unknown e_a (x) row, an integer tensor
             acc = {}
-            for c, x in field.integer_row(row):
+            for c, x in row:
                 idx = (a,) + rests[c]
-                for i, codim, at in factors:
-                    shift = idx[i] * codim
-                    for col, y in at[cols[idx[:i] + idx[i + 1:]]]:
-                        acc[col + shift] = acc.get(col + shift, 0) + y * x
+                for i, offset, codim, at in blocks:
+                    shift = offset + idx[i] * codim
+                    for q, y in at[cols[idx[:i] + idx[i + 1:]]]:
+                        acc[shift + q] = acc.get(shift + q, 0) + y * x
             rows.append(sorted([(col, x) for col, x in acc.items() if x]))
     dim_perp = len(rows) - rank(width, rows, field)
     return dim_perp - (not f.is_zero)
@@ -159,10 +173,10 @@ def is_sharp(f) -> Certificate:
     F is symmetric, so permuting the factors maps Ann(F)_u onto Ann(F)_{σu}:
     one piece per weight w, at (1^w, 0^(d-w)), gives every unit-box value, and
     the growth chain for (i, j) = (0, 1) gives the values of every pair."""
+    if f.order < 3:  # before F's slice spans are read
+        raise ValueError("sharpness needs at least three factors")
     spans = _require_concise_symmetric(f)
     n, d = f.n, f.order
-    if d < 3:
-        raise ValueError("sharpness needs at least three factors")
     ring = segre_ring(n, d)
     cert = Certificate("sharp", partial(tensor_digest, f))
     gens = _degree_one_generators(f, spans)

@@ -575,13 +575,13 @@ def rho_stages_reference(f: SymTensor, r: int, j: TruncatedIdeal) -> tuple:
 def is_sharp_reference(f) -> Certificate:
     """`bounds.is_sharp` with no use of F's symmetry: a kernel for every proper
     unit-box degree, and a growth chain for every ordered pair (i, j)."""
+    n, d = f.n, f.order
+    if d < 3:
+        raise ValueError("sharpness needs at least three factors")
     if not isinstance(f, SymTensor):
         raise ValueError("sharpness is defined for symmetric tensors")
     if not is_concise(f):
         raise ValueError("sharpness is defined for concise tensors")
-    n, d = f.n, f.order
-    if d < 3:
-        raise ValueError("sharpness needs at least three factors")
     ring = segre_ring(n, d)
     cert = Certificate("sharp", lambda: tensor_digest(f))
     gens = min_generators_degree_one_reference(f)

@@ -218,6 +218,13 @@ class TestContractTensor:
         assert out.factors == (1,)
         assert out.entries == {(1,): 1}
 
+    def test_contracted_labels_are_kept_as_ints(self):
+        # labels need not start at 0 or be consecutive, only distinct and >= 0
+        for labels in ((1, 2), (2.0, 0), (0, 3)):
+            f = GeneralTensor(2, 2, {(0, 1): 1}, factors=labels)
+            assert f.factors == tuple(int(i) for i in labels)
+            assert all(type(i) is int for i in f.factors)
+
     def test_wrong_slot_kills(self):
         ring = segre_ring(2, 2)
         theta = PieceElement.from_terms(ring, (1, 0), {((0, 1), (0, 0)): 1})

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from borderapolar import bounds
+from borderapolar import apolarity, bounds
 from borderapolar.apolarity import (
     GeneralTensor,
     HomPoly,
@@ -399,11 +399,18 @@ class TestEliminationCounts:
     def test_degree_one_count_is_one_short_system(self, eliminations):
         # one slice span of shape n x n^(d-1) (F's d flattenings are equal),
         # then one system with a row for each of the n dim R_0 unknowns and
-        # n (n^(d-1) - dim R_i) columns per factor i >= 1, 16 x 96
+        # n (n^(d-1) - dim R_i) columns per factor i >= 1 written: factor 1
+        # alone for a SymTensor (16 x 48), each of the d-1 for a GeneralTensor
+        # with the same entries (16 x 96)
         f = concise_power_sum_instance(4, 3, random.Random(63))
+        for g, shape in ((f, (16, 48)), (GeneralTensor(4, 3, f.entries), (16, 96))):
+            eliminations.clear()
+            assert min_generators_degree_one(g) == 3
+            assert eliminations == [(4, 16), shape]
+        f = concise_power_sum_instance(3, 4, random.Random(63))
         eliminations.clear()
-        assert min_generators_degree_one(f) == 3
-        assert eliminations == [(4, 16), (16, 96)]
+        assert min_generators_degree_one(f) == 2
+        assert eliminations == [(3, 27), (9, 72)]
 
 
 def _random_tensor(n, d, rng, field, symmetric):
@@ -490,6 +497,60 @@ class TestSliceSpans:
                 assert count == 1, f
             seen.add("one" if count == 1 else "all" if count == f.order else "some")
         assert len(tensors) == 40 and seen == {"one", "some", "all"}
+
+
+class TestSymmetricShortcut:
+    """A `SymTensor` reduces one flattening and writes one constraint block;
+    a `GeneralTensor` with the same entries takes the general path."""
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(2147483647)], ids=["QQ", "GFp"])
+    def test_symmetric_and_general_counts_agree(self, field):
+        # the symmetric tensors of TestShortSideCount, drawn as it draws them,
+        # and a few at d = 5
+        rng = random.Random(64)
+        tensors = []
+        for n in (1, 2, 3):
+            for d in (2, 3, 4):
+                tensors.append(SymTensor(n, d, {}, field=field))
+                for symmetric in (True, False):
+                    drawn = [_random_tensor(n, d, rng, field, symmetric) for _ in range(2)]
+                    if symmetric:
+                        tensors += drawn
+                if n > 1:
+                    _not_concise(n, d, rng, field)
+        rng = random.Random(65)
+        for n, d in ((2, 3), (3, 3), (2, 4), (3, 4), (4, 3)):
+            tensors += [diagonal_tensor(n, d), concise_power_sum_instance(n, d, rng)]
+        rng = random.Random(69)
+        for n in (2, 3):
+            tensors += [diagonal_tensor(n, 5), concise_power_sum_instance(n, 5, rng),
+                        random_symmetric_tensor(n, 5, rng), _sparse_symmetric_tensor(n, 5, rng)]
+        counts = set()
+        for f in tensors:
+            sym = SymTensor(f.n, f.order, f.entries, field=field)
+            general = GeneralTensor(f.n, f.order, f.entries, field=field)
+            count = min_generators_degree_one(sym)
+            assert count == min_generators_degree_one(general), f
+            assert count == min_generators_degree_one_reference(sym), f
+            counts.add(count)
+        assert len(tensors) == 45 and len(counts) > 3
+
+    @pytest.mark.parametrize("n,d", [(1, 1), (2, 2), (3, 3), (2, 5)])
+    def test_slice_spans_builds_one_flattening(self, monkeypatch, n, d):
+        built = []
+        real = apolarity._contraction_rows
+        monkeypatch.setattr(apolarity, "_contraction_rows",
+                            lambda f, picked: built.append(list(picked)) or real(f, picked))
+        f = random_symmetric_tensor(n, d, random.Random(70))
+        spans = slice_spans(f)
+        assert built == [list(range(1, d))]
+        assert len(spans) == d and all(span is spans[0] for span in spans)
+        assert spans == slice_spans_reference(f)
+        built.clear()
+        contracted = SymTensor(n, d, f.entries, factors=range(1, d + 1))
+        with pytest.raises(ValueError, match="on all original factors"):
+            slice_spans(contracted)
+        assert built == []
 
 
 class TestDownSetPiece:

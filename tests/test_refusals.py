@@ -9,12 +9,13 @@ import pytest
 from borderapolar.apolarity import (
     GeneralTensor,
     HomPoly,
+    SymTensor,
     ann_piece,
     ann_sym_piece,
     contract_poly,
     contract_tensor,
 )
-from borderapolar.bounds import MacaulayRep, macaulay_rep
+from borderapolar.bounds import MacaulayRep, is_sharp, macaulay_rep
 from borderapolar.diagonal_maps import direct_sum_check, ir_piece, pi_image, psi, tau
 from borderapolar.grading import (
     PieceElement,
@@ -143,6 +144,16 @@ APOLARITY = {
                      r"exponents \(1, 0\) do not sum to degree 2"),
     "factor-labels": (lambda: GeneralTensor(2, 2, {}, factors=(0,)), ValueError,
                       "factor labels do not match the tensor order"),
+    "factor-label-negative": (lambda: GeneralTensor(2, 2, {(0, 1): 1}, factors=(-1, 0)),
+                              ValueError, "factor label -1 is negative"),
+    "factor-label-repeated": (lambda: GeneralTensor(2, 2, {(0, 1): 1}, factors=(0, 0)),
+                              ValueError, "factor label 0 is repeated"),
+    "factor-label-non-integral": (lambda: GeneralTensor(2, 2, {}, factors=(0.5, 1)), ValueError,
+                                  "factor label 0.5 is not an integer"),
+    "factor-label-string": (lambda: GeneralTensor(2, 2, {}, factors="01"), ValueError,
+                            "factor label '0' is not an integer"),
+    "sym-factor-label-repeated": (lambda: SymTensor(2, 2, {(0, 0): 1}, factors=(1, 1)),
+                                  ValueError, "factor label 1 is repeated"),
     "index-range": (lambda: GeneralTensor(2, 2, {(0, 2): 1}), ValueError,
                     r"index tuple \(0, 2\) out of range"),
     "contract-segre-element": (lambda: contract_poly(PieceElement(S22, (1, 0), (1, 0)), X2),
@@ -220,6 +231,9 @@ BOUNDS = {
                            "lower indices must run a, a-1, ... consecutively"),
     "negative-m": (lambda: macaulay_rep(-1, 1), ValueError, "need m >= 0 and a >= 1"),
     "zero-a": (lambda: macaulay_rep(3, 0), ValueError, "need m >= 0 and a >= 1"),
+    # the order is checked before F's slice spans, which would find x^2 not concise
+    "sharp-two-factors-not-concise": (lambda: is_sharp(SymTensor(2, 2, {(0, 0): 1})), ValueError,
+                                      "^sharpness needs at least three factors$"),
 }
 
 SELFTEST = {
