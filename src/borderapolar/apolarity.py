@@ -164,7 +164,7 @@ class SymTensor(GeneralTensor):
 
 
 def as_symmetric(f: GeneralTensor) -> SymTensor:
-    if isinstance(f, SymTensor):
+    if isinstance(f, SymTensor) and f.order:  # an order-0 tensor has no factor
         return f
     return SymTensor(f.n, f.order, f.entries, field=f.field, factors=f.factors)
 
@@ -306,11 +306,11 @@ def slice_spans(f: GeneralTensor) -> list:
     comparing two."""
     _require_full_tensor(f)
     ncols = f.n ** (f.order - 1)
+    if isinstance(f, SymTensor) and f.order:  # an order-0 tensor has no factor
+        rows = [sorted(row) for _, row in sorted(_contraction_rows(f, range(1, f.order)).items())]
+        return [Subspace.from_rows(ncols, rows, field=f.field)] * f.order
     reduced, spans = [], []  # reduced: (sorted rows, span) per distinct flattening
     for i in range(f.order):
-        if i and isinstance(f, SymTensor):
-            spans.append(spans[0])
-            continue
         slices = sorted(_contraction_rows(f, [k for k in range(f.order) if k != i]).items())
         rows = [sorted(row) for _, row in slices]
         span = next((span for seen, span in reduced if seen == rows), None)

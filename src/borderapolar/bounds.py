@@ -126,22 +126,17 @@ def _degree_one_generators(f, spans) -> int:
     n, d, field = f.n, f.order, f.field
     rests = list(itertools.product(range(n), repeat=d - 1))
     cols = {t: c for c, t in enumerate(rests)}
-    # blocks: (i, offset_i, codim R_i, at) for each factor i written, where
-    # at[k] lists (q, entry) for each constraint q of R_i with an entry at k;
-    # one table per distinct span
-    factors = range(1, d)[:1] if isinstance(f, SymTensor) else range(1, d)
-    blocks, tables, width = [], {}, 0
-    for i in factors:
-        if id(spans[i]) not in tables:
-            cons = spans[i].constraints()
-            at = [[] for _ in cols]
-            for q, row in enumerate(cons):
-                for k, y in field.integer_row(row):
-                    at[k].append((q, y))
-            tables[id(spans[i])] = len(cons), at
-        codim, at = tables[id(spans[i])]
-        blocks.append((i, width, codim, at))
-        width += n * codim
+    # at[k]: (width + q, entry) for each constraint q of R_i with an entry at k,
+    # width being offset_i, the column count of the factors before i
+    factors, width = [], 0
+    for i in range(1, d)[:1] if isinstance(f, SymTensor) else range(1, d):
+        cons = spans[i].constraints()
+        at = [[] for _ in cols]
+        for q, row in enumerate(cons):
+            for k, y in field.integer_row(row):
+                at[k].append((width + q, y))
+        factors.append((i, len(cons), at))
+        width += n * len(cons)
     basis = [field.integer_row(row) for row in spans[0].sparse]
     rows = []
     for a in range(n):
@@ -149,10 +144,10 @@ def _degree_one_generators(f, spans) -> int:
             acc = {}
             for c, x in row:
                 idx = (a,) + rests[c]
-                for i, offset, codim, at in blocks:
-                    shift = offset + idx[i] * codim
-                    for q, y in at[cols[idx[:i] + idx[i + 1:]]]:
-                        acc[shift + q] = acc.get(shift + q, 0) + y * x
+                for i, codim, at in factors:
+                    shift = idx[i] * codim
+                    for col, y in at[cols[idx[:i] + idx[i + 1:]]]:
+                        acc[col + shift] = acc.get(col + shift, 0) + y * x
             rows.append(sorted([(col, x) for col, x in acc.items() if x]))
     dim_perp = len(rows) - rank(width, rows, field)
     return dim_perp - (not f.is_zero)

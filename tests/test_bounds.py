@@ -435,18 +435,25 @@ def _not_concise(n, d, rng, field):
     return [GeneralTensor(n, d, small, field=field), GeneralTensor(n, d, repeated, field=field)]
 
 
+def _short_side_tensors(field) -> list:
+    """For each n in 1..3 and d in 2..4: the zero tensor, two random symmetric
+    tensors, two random general ones and, for n > 1, the two of `_not_concise`."""
+    rng = random.Random(64)
+    tensors = []
+    for n in (1, 2, 3):
+        for d in (2, 3, 4):
+            tensors.append(GeneralTensor(n, d, {}, field=field))
+            for symmetric in (True, False):
+                tensors += [_random_tensor(n, d, rng, field, symmetric) for _ in range(2)]
+            if n > 1:
+                tensors += _not_concise(n, d, rng, field)
+    return tensors
+
+
 class TestShortSideCount:
     @pytest.mark.parametrize("field", [QQ, PrimeField(2147483647)], ids=["QQ", "GFp"])
     def test_agrees_with_the_from_below_oracle(self, field):
-        rng = random.Random(64)
-        tensors = []
-        for n in (1, 2, 3):
-            for d in (2, 3, 4):
-                tensors.append(GeneralTensor(n, d, {}, field=field))
-                for symmetric in (True, False):
-                    tensors += [_random_tensor(n, d, rng, field, symmetric) for _ in range(2)]
-                if n > 1:
-                    tensors += _not_concise(n, d, rng, field)
+        tensors = _short_side_tensors(field)
         concise = [f for f in tensors if is_concise(f)]
         assert len(tensors) == 57 and 10 < len(concise) < 50
         for f in tensors:
@@ -505,19 +512,9 @@ class TestSymmetricShortcut:
 
     @pytest.mark.parametrize("field", [QQ, PrimeField(2147483647)], ids=["QQ", "GFp"])
     def test_symmetric_and_general_counts_agree(self, field):
-        # the symmetric tensors of TestShortSideCount, drawn as it draws them,
-        # and a few at d = 5
-        rng = random.Random(64)
-        tensors = []
-        for n in (1, 2, 3):
-            for d in (2, 3, 4):
-                tensors.append(SymTensor(n, d, {}, field=field))
-                for symmetric in (True, False):
-                    drawn = [_random_tensor(n, d, rng, field, symmetric) for _ in range(2)]
-                    if symmetric:
-                        tensors += drawn
-                if n > 1:
-                    _not_concise(n, d, rng, field)
+        # the tensors of TestShortSideCount with symmetric entries, the zero
+        # ones among them, and a few at d = 5
+        tensors = [f for f in _short_side_tensors(field) if isinstance(f, SymTensor) or f.is_zero]
         rng = random.Random(65)
         for n, d in ((2, 3), (3, 3), (2, 4), (3, 4), (4, 3)):
             tensors += [diagonal_tensor(n, d), concise_power_sum_instance(n, d, rng)]
@@ -533,7 +530,7 @@ class TestSymmetricShortcut:
             assert count == min_generators_degree_one(general), f
             assert count == min_generators_degree_one_reference(sym), f
             counts.add(count)
-        assert len(tensors) == 45 and len(counts) > 3
+        assert len(tensors) == 48 and len(counts) > 3
 
     @pytest.mark.parametrize("n,d", [(1, 1), (2, 2), (3, 3), (2, 5)])
     def test_slice_spans_builds_one_flattening(self, monkeypatch, n, d):
@@ -551,6 +548,10 @@ class TestSymmetricShortcut:
         with pytest.raises(ValueError, match="on all original factors"):
             slice_spans(contracted)
         assert built == []
+
+    def test_order_zero_has_no_spans(self):
+        for f in (SymTensor(2, 0, {(): 3}), GeneralTensor(2, 0, {(): 3})):
+            assert slice_spans(f) == []
 
 
 class TestDownSetPiece:
