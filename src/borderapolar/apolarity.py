@@ -30,7 +30,7 @@ from .grading import (
     check_degree,
     colon,
     contractions,
-    dim_piece,
+    full_piece,
     integer,
     monomials,
     segre_ring,
@@ -266,12 +266,12 @@ def ann_piece(f: GeneralTensor, u) -> Subspace:
     _require_full_tensor(f)
     ring = segre_ring(f.n, f.order)
     u = check_degree(ring, u)
-    dim = dim_piece(ring, u)
     tag = (ring, u)
     if any(ui > 1 for ui in u):
-        return Subspace.full(dim, piece=tag, field=f.field)
-    rows = _contraction_rows(f, [i for i, ui in enumerate(u) if ui])
-    return kernel(dim, rows.values(), tag, f.field)
+        return full_piece(ring, u, tag, f.field)
+    picked = [i for i, ui in enumerate(u) if ui]
+    # at a 0/1 degree S_u has n^|u| monomials, the contraction map's columns
+    return kernel(f.n ** len(picked), _contraction_rows(f, picked).values(), tag, f.field)
 
 
 def _functional(p: HomPoly) -> list:
@@ -287,7 +287,7 @@ def ann_sym_piece(p: HomPoly, k: int) -> Subspace:
     ring = veronese_ring(p.n)
     k = check_degree(ring, k)
     if k > p.d:
-        return Subspace.full(dim_piece(ring, k), piece=(ring, k), field=p.field)
+        return full_piece(ring, k, (ring, k), p.field)
     return colon(ring, k, p.d - k, [_functional(p)], (ring, k), p.field)
 
 

@@ -133,14 +133,13 @@ def _degree_one_generators(f, spans) -> int:
         cons = spans[i].constraints()
         at = [[] for _ in cols]
         for q, row in enumerate(cons):
-            for k, y in field.integer_row(row):
+            for k, y in row:
                 at[k].append((width + q, y))
         factors.append((i, len(cons), at))
         width += n * len(cons)
-    basis = [field.integer_row(row) for row in spans[0].sparse]
     rows = []
     for a in range(n):
-        for row in basis:  # the unknown e_a (x) row, an integer tensor
+        for row in spans[0].sparse:  # the unknown e_a (x) row, an integer tensor
             acc = {}
             for c, x in row:
                 idx = (a,) + rests[c]

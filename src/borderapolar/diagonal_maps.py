@@ -131,7 +131,7 @@ def psi(u, g: PieceElement) -> PieceElement:
     fib = pi_fibres(g.ring.n, ring_s.d, u)
     zero = g.coords[0] * 0
     out = _dense(_push(fib.section, enumerate(g.coords), zero).items(), len(fib.f), zero)
-    return PieceElement(ring_s, u, tuple(out))
+    return PieceElement._at_checked(ring_s, u, tuple(out))
 
 
 # -- the diagonal ideal -----------------------------------------------------------
@@ -168,15 +168,15 @@ def ir_piece(n: int, d: int, u: tuple, field=QQ) -> Subspace:
     u = check_degree(segre_ring(n, d), u)
     f = pi_fibres(n, d, u).f
     top = {m: c for c, m in enumerate(f)}  # a later c overwrites
-    one = field.one
-    rows = tuple([((c, one), (top[m], -one)) for c, m in enumerate(f) if c != top[m]])
+    minus_one = field.minus_one
+    rows = tuple([((c, 1), (top[m], minus_one)) for c, m in enumerate(f) if c != top[m]])
     return Subspace(len(f), rows, (segre_ring(n, d), u), field)
 
 
 def pi_image(n: int, d: int, u: tuple, sub: Subspace) -> Subspace:
     """pi(sub) inside V_|u|, from one elimination on V_|u|.
 
-    Each row is pushed through the fibres as integers (`integer_row`), and
+    Each stored integer row is pushed through the fibres as it is, and
     entries that cancel and rows that collapse to zero, such as every
     e_c - e_top row of a pi-preimage, are dropped before the elimination.
     """
@@ -188,7 +188,7 @@ def pi_image(n: int, d: int, u: tuple, sub: Subspace) -> Subspace:
     field = sub.field
     rows = []
     for row in sub.sparse:
-        pushed = _push(fib.f, field.integer_row(row), 0)
+        pushed = _push(fib.f, row, 0)
         ints = [(t, v) for t, v in zip(pushed, field.normalize(list(pushed.values()))) if v]
         if ints:
             rows.append(ints)
@@ -198,14 +198,14 @@ def pi_image(n: int, d: int, u: tuple, sub: Subspace) -> Subspace:
 def psi_image(n: int, d: int, u: tuple, field=QQ) -> Subspace:
     """psi_u(V_{|u|}) as a subspace of S_u: the unit rows at the section's columns."""
     fib = pi_fibres(n, d, u)
-    rows = tuple(((s, field.one),) for s in sorted(set(fib.section)))
+    rows = tuple(((s, 1),) for s in sorted(set(fib.section)))
     return Subspace(len(fib.f), rows, None, field)
 
 
 def direct_sum_check(n: int, d: int, u) -> bool:
     """(I_R)_u and psi_u(V_{|u|}) meet trivially and fill S_u."""
-    u = check_degree(segre_ring(n, d), u)
-    a, b = ir_piece(n, d, u), psi_image(n, d, u)
+    a = ir_piece(n, d, u)  # checks the degree, which its piece tag holds as checked
+    b = psi_image(n, d, a.piece[1])
     return a.intersect(b).dim == 0 and a.dim + b.dim == a.ambient_dim
 
 

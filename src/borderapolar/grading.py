@@ -268,13 +268,18 @@ def contractions(ring: RingSpec, u, v, functionals) -> list:
             for m in range(dim_v) for phi in phis]
 
 
+def full_piece(ring: RingSpec, u, piece=None, field=QQ) -> Subspace:
+    """S_u as a subspace of itself, at a degree already checked."""
+    return Subspace.full(_dim_piece(ring, u), piece, field)
+
+
 def colon(ring: RingSpec, u, v, functionals, piece=None, field=QQ) -> Subspace:
     """(H : S_v)_u, the f of degree u with f * m in H for every monomial m of
     S_v, where H is cut out of S_{u+v} by the sparse-row `functionals` (any
     iterable): the kernel of their `contractions`, the full piece when there is none."""
     rows = contractions(ring, u, v, functionals)
     if not rows:
-        return Subspace.full(_dim_piece(ring, u), piece, field)
+        return full_piece(ring, u, piece, field)
     return kernel(_dim_piece(ring, u), rows, piece, field)
 
 
@@ -310,7 +315,16 @@ class PieceElement:
             if monomial_degree(ring, mono) != u:
                 raise ValueError(f"monomial {mono} not of degree {u}")
             coords[rank_monomial(ring, mono)] += field.of(c)
-        return cls(ring, u, tuple(coords))
+        return cls._at_checked(ring, u, tuple(coords))
+
+    @classmethod
+    def _at_checked(cls, ring: RingSpec, u, coords: tuple) -> "PieceElement":
+        """The element at a degree already checked, whose coords have its
+        piece's length: `__post_init__` does not check the degree again."""
+        el = object.__new__(cls)
+        for name, value in (("ring", ring), ("degree", u), ("coords", coords)):
+            object.__setattr__(el, name, value)
+        return el
 
     def terms(self) -> dict:
         basis = monomials(self.ring, self.degree)

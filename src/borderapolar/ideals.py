@@ -25,7 +25,8 @@ matrix whose distinct columns, in order, an earlier degree's matrix had (at
 diagonal points, degrees of one total whose monomials of V_|u| come in one
 order) shares that reduction: a point ideal costs one elimination per
 distinct matrix of distinct columns.  No generator normal forms or global
-saturation are ever needed.
+saturation are ever needed.  A draw of very general points is certified by
+the ranks of the same evaluation matrices, with no kernel.
 
 A kept ideal's Segre piece J_u is a kernel of the same kind, as J_u^perp is
 W_|u|^perp pulled back along the pi-fibres: its matrix's column c is column
@@ -65,7 +66,7 @@ from .grading import (
     veronese_ring,
 )
 from .diagonal_maps import ir_piece, pi_fibres, pi_image
-from .linalg import QQ, Subspace, kernel
+from .linalg import QQ, Subspace, _dense, kernel, rank
 
 
 class GenericityError(RuntimeError):
@@ -140,7 +141,7 @@ class _Preimages(Mapping):
         if not w.sparse:
             return ir_piece(ring.n, ring.d, u, w.field)
         if k not in self._cols:
-            rows = [w.field.to_ints(row, w.ambient_dim) for row in w.constraints()]
+            rows = [_dense(row, w.ambient_dim, 0) for row in w.constraints()]
             cols = self._cols[k] = list(zip(*rows)) if rows else [()] * w.ambient_dim
             _, tops, distinct = _distinct_columns(cols)
             at = {t: i for i, t in enumerate(tops)}
@@ -305,7 +306,7 @@ def is_ideal_closed(j: TruncatedIdeal) -> bool:
     """Every variable multiple of every stored piece lands in the next piece."""
     ring = j.ring
     return not any(
-        j.pieces[u]._remainder(v)
+        not j.pieces[u]._contains_row(v)
         for u in j.degrees()
         for i, prev in _degrees_below(ring, u)
         for v in variable_multiples(ring, prev, j.pieces[prev].sparse, i)
@@ -457,9 +458,9 @@ def _merged_kernel(cols, field, merged) -> tuple:
 
     Let top(c) be the last column equal to column c.  `kernel` reduces the
     columns in reverse, so a copy comes after its top, is never a pivot and
-    reduces to the same column as its top: its kernel row is (c, 1) followed
-    by the tail of top(c)'s kernel row when top(c) has one, and e_c - e_top(c)
-    when top(c) is a pivot.  So only the tops, in ascending order, are
+    reduces to the same column as its top: its kernel row is top(c)'s with
+    its pivot entry moved to c when top(c) has one, and e_c - e_top(c) when
+    top(c) is a pivot.  So only the tops, in ascending order, are
     reduced, and the rows come out as `kernel` would make them on every column.
     `merged` maps each matrix of tops reduced so far, by its rows (a matrix
     with no rows has one distinct column), to its kernel's rows, so a matrix
@@ -475,41 +476,33 @@ def _merged_kernel(cols, field, merged) -> tuple:
         return reduced
     tails = dict.fromkeys(tops)  # a pivot top keeps None: it has no kernel row
     for row in reduced:
-        tails[tops[row[0][0]]] = tuple([(tops[m], x) for m, x in row[1:]])
-    one, minus_one = field.one, -field.one
+        tails[tops[row[0][0]]] = row[0][1], tuple([(tops[m], x) for m, x in row[1:]])
+    minus_one = field.minus_one
     out = []
     for c, col in enumerate(cols):
         t = top[col]
         tail = tails[t]
         if tail is not None:
-            out.append(((c, one),) + tail)
+            out.append(((c, tail[0]),) + tail[1])
         elif c != t:
-            out.append(((c, one), (t, minus_one)))
+            out.append(((c, 1), (t, minus_one)))
     return tuple(out)
 
 
-def point_ideal(zs: PointSet, bound: int, provenance: str = "point") -> TruncatedIdeal:
-    """Saturated ideal of a reduced point set, degreewise: ker of evaluation.
+def _evaluations(zs: PointSet, bound: int):
+    """(u, key, rows) for each degree u up to the bound, in order: the
+    evaluation matrix at u is fixed by `key`, and `rows` are its integer rows,
+    one per point, the first time that key comes up, and None after.
 
     Rescaling a point, or one factor of a Segre point, scales its row of every
-    evaluation matrix and leaves the kernel alone, so each point is evaluated
-    on integer coordinates: primitive integers over Q (per factor on the Segre
-    side) and residues over GF(p).  Each monomial takes one multiplication,
-    from the value of its predecessor one degree down; the field's `normalize`
-    keeps each row small, and the integer rows go to `kernel` as they are.
-
-    Each distinct evaluation matrix is evaluated once per call, and the call
-    does one elimination per distinct matrix of distinct columns.  On the
-    Segre side the matrix at u is fixed by the pairs (u_i, first factor with
-    factor i's integer coordinates) over the u_i > 0, so when factor points
-    repeat (diagonal points, say) many degrees share one matrix: those pieces
-    share its kernel's rows, and each keeps its own (ring, u) tag.
-    `_merged_kernel` reduces only the distinct columns of a matrix (at
-    diagonal points, one per monomial of V_|u|) and writes the kernel rows of
-    the copies directly; a later matrix with the same distinct columns in the
-    same order (at diagonal points, a degree of the same total whose monomials
-    of V_|u| come in the same order) takes that kernel's rows and maps them
-    back through its own columns."""
+    evaluation matrix, so each point is evaluated on integer coordinates:
+    primitive integers over Q (per factor on the Segre side) and residues over
+    GF(p).  Each monomial takes one multiplication, from the value of its
+    predecessor one degree down, and the field's `normalize` keeps each row
+    small.  On the Segre side the matrix at u is fixed by the pairs (u_i,
+    first factor with factor i's integer coordinates) over the u_i > 0, so
+    when factor points repeat (diagonal points, say) many degrees share one
+    matrix, and it is evaluated once; on V it is fixed by u."""
     ring, field, multigraded = zs.ring, zs.field, zs.ring.is_multigraded
 
     def integers(coords):
@@ -520,29 +513,64 @@ def point_ideal(zs: PointSet, bound: int, provenance: str = "point") -> Truncate
     first = [factors.index(f) for f in factors]
 
     def key_of(u):
-        """What fixes the evaluation matrix at u: u itself on V."""
         return tuple([(ui, f) for ui, f in zip(u, first) if ui]) if multigraded else u
 
     values = {}  # matrix key -> its integer rows
+    for u in degrees_up_to(ring, bound):
+        key = key_of(u)
+        if key in values:
+            yield u, key, None
+            continue
+        if degree_total(u) == 0:
+            rows = [[1] for _ in points]
+        else:
+            below, i, steps = _predecessors(ring, u)
+            coords = [p[i] for p in points] if multigraded else points
+            rows = [field.normalize([prev[t] * x[j] for t, j in steps])
+                    for prev, x in zip(values[key_of(below)], coords)]
+        values[key] = rows
+        yield u, key, rows
+
+
+def point_ideal(zs: PointSet, bound: int, provenance: str = "point") -> TruncatedIdeal:
+    """Saturated ideal of a reduced point set, degreewise: ker of evaluation.
+
+    Rescaling a point, or one factor of a Segre point, leaves each kernel
+    alone, so the integer evaluation rows of `_evaluations` go to `kernel` as
+    they are.  Each distinct evaluation matrix is evaluated once per call, and
+    the call does one elimination per distinct matrix of distinct columns:
+    degrees that share a matrix share its kernel's rows, and each piece keeps
+    its own (ring, u) tag.  `_merged_kernel` reduces only the distinct columns
+    of a matrix (at diagonal points, one per monomial of V_|u|) and writes the
+    kernel rows of the copies directly; a later matrix with the same distinct
+    columns in the same order (at diagonal points, a degree of the same total
+    whose monomials of V_|u| come in the same order) takes that kernel's rows
+    and maps them back through its own columns."""
     kernels = {}  # matrix key -> (its width, its kernel's rows), for this call only
     merged = {}  # rows on the distinct columns -> their kernel's rows, for this call only
     pieces = {}
-    for u in degrees_up_to(ring, bound):
-        key = key_of(u)
-        known = kernels.get(key)
-        if known is None:
-            if degree_total(u) == 0:
-                rows = [[1] for _ in points]
-            else:
-                below, i, steps = _predecessors(ring, u)
-                coords = [p[i] for p in points] if multigraded else points
-                rows = [field.normalize([prev[t] * x[j] for t, j in steps])
-                        for prev, x in zip(values[key_of(below)], coords)]
-            values[key] = rows
+    for u, key, rows in _evaluations(zs, bound):
+        if rows is not None:
             cols = list(zip(*rows))
-            known = kernels[key] = len(cols), _merged_kernel(cols, field, merged)
-        pieces[u] = Subspace(known[0], known[1], (ring, u), field)
-    return TruncatedIdeal(ring, bound, pieces, provenance)
+            kernels[key] = len(cols), _merged_kernel(cols, zs.field, merged)
+        width, known = kernels[key]
+        pieces[u] = Subspace(width, known, (zs.ring, u), zs.field)
+    return TruncatedIdeal(zs.ring, bound, pieces, provenance)
+
+
+def _has_generic_hf(zs: PointSet, bound: int) -> bool:
+    """Whether the points' Hilbert function is min(r, dim S_u) at every degree
+    u up to the bound, read as the rank of their evaluation rows at u, once
+    per distinct matrix; the first degree that misses stops the walk."""
+    ranks = {}  # matrix key -> the rank of its rows
+    for u, key, rows in _evaluations(zs, bound):
+        dim = _dim_piece(zs.ring, u)
+        if rows is not None:
+            ranks[key] = rank(dim, [[(c, x) for c, x in enumerate(row) if x] for row in rows],
+                              zs.field)
+        if ranks[key] != min(zs.count, dim):
+            return False
+    return True
 
 
 def diagonal_points(zs: PointSet, d: int) -> PointSet:
@@ -558,7 +586,8 @@ def diagonal_points(zs: PointSet, d: int) -> PointSet:
 
 def very_general_points(ring: RingSpec, r: int, bound: int, rng: random.Random,
                         coord_bound: int = 100) -> PointSet:
-    """Draw r random integer points and certify the generic Hilbert function.
+    """Draw r random integer points and certify the generic Hilbert function,
+    read as the rank of their evaluation rows (`_has_generic_hf`).
 
     Genericity failures over the rationals are measure-zero-like but possible
     on integer draws: one resample is attempted before giving up.  r is an
@@ -587,7 +616,7 @@ def very_general_points(ring: RingSpec, r: int, bound: int, rng: random.Random,
             zs = PointSet(ring, pts)
         except ValueError:
             continue
-        if first_non_generic(point_ideal(zs, bound), r) is None:
+        if _has_generic_hf(zs, bound):
             return zs
         warnings.warn(
             f"resampling: draw {attempt} was not in general position", stacklevel=2

@@ -2,44 +2,49 @@
 
 Vectors are rows, held sparsely as the (column, value) pairs of their nonzero
 entries; dense rows are built only on demand, for dumps and tests.  Elimination
-takes a column count and any iterable of such rows, refusing a column outside
-that count, and returns a Subspace (`Subspace.from_rows`, `kernel`) or a number
-(`rank`); these three are its only entry points.  Each eliminates the rows as
-given, so a caller whose system is tall writes it on its short side (the
-degree-one count in `bounds` does).  A Subspace stores the unique
-reduced row echelon basis of its row span, each row in ascending column order
-with its pivot first, so two subspaces over one field are equal as sets exactly
-when their stored rows compare equal.  Both fields run one fraction-free
-Gauss-Jordan pass, `rref_with_pivots`: it makes each row a dense integer row
-only when it reads it (the field's `to_ints` writes it in one pass, with no
-sparse integer row between), clears the row at every pivot it keeps, keeps a
-nonzero remainder as a new pivot row and clears that column from the others,
-and stops at full column rank, so at most rank dense rows are held at once.
-The `Matrix` it reads is only the record of the rows, their width and their
-field, and is made in this module alone.  The field supplies the rest: how a
-row becomes integers (primitive integers over Q, residues over GF(p)), how a
-row is kept small after each update (divided by its content over Q, reduced mod
-p over GF(p)) and how an integer row divided by one of its entries becomes
-field elements.  Elimination hands back the integer rows and their pivots, and
-each consumer makes the field elements it keeps: `Subspace.from_rows` and
-`kernel` one per nonzero entry of the reduced rows, with no second pass to
-negate them, and `rank` none.  As elimination reads only integers, the rows may
-hold plain ints in place of field elements, each standing for its image in the
-field: producers that know a row only up to a scalar, such as an evaluation at
-a point or a row pushed through an index map, pass integers and make no field
-element at all.
+takes a column count and any iterable of such rows, refusing a column that is
+not an int inside that count or that a row names twice, and returns a Subspace
+(`Subspace.from_rows`, `kernel`) or a number (`rank`); these three are its
+only entry points.  Each eliminates the rows as given, so a caller whose
+system is tall writes it on its short side (the degree-one count in `bounds`
+does).  Both fields run one fraction-free Gauss-Jordan pass,
+`rref_with_pivots`: it makes each row a dense integer row only when it reads
+it (the field's `to_ints` writes it in one pass, with no sparse integer row
+between), clears the row at every pivot it keeps, keeps a nonzero remainder as
+a new pivot row and clears that column from the others, and stops at full
+column rank, so at most rank dense rows are held at once.  The `Matrix` it
+reads is only the record of the rows, their width and their field, and is
+made in this module alone.  The field supplies the rest: how a row becomes
+integers (primitive integers over Q, residues over GF(p)), how a row is kept
+small after each update (divided by its content over Q, reduced mod p over
+GF(p)) and how a reduced row is stored.
+
+A Subspace stores the unique reduced row echelon basis of its row span as
+integers: each RREF row as its primitive integer multiple with a positive
+pivot entry over Q, and as residues with pivot entry 1 over GF(p), in
+ascending column order with its pivot first.  The form is unique, so two
+subspaces over one field are equal as sets exactly when their stored rows
+compare equal.  As elimination reads only integers, rows may hold plain ints
+in place of field elements, each standing for its image in the field, so the
+stored rows go back into elimination as they are, and producers that know a
+row only up to a scalar, such as an evaluation at a point or a row pushed
+through an index map, pass integers too.  Field elements are made only where
+a row is read out: `basis`, `matrix` and `reduce_vector` divide each stored
+row by its pivot entry (`elements`), and a digest writes the text of those
+elements without making them (`reprs`).  Containment is decided on the
+integers, by cross-multiplication.
 
 A kernel costs one elimination and an annihilator none.  Both come from a basis
 whose pivot columns are clean: the annihilator of such a basis has one row
-e_c - sum_i row_i[c] e_{p_i} per non-pivot column c.  A Subspace applies this
-to its stored RREF basis (`constraints`: the rows span the annihilator but are
-not in RREF), so the subspace in another column order is the `kernel` of those
-rows with their columns moved.  `kernel` applies it to the RREF of its rows
-with the columns reversed, where each pivot is the last nonzero column of its
-row, and there the rows come out already in RREF; it divides each integer row
-by minus its pivot entry and appends each entry to the kernel row of its
-column, so the annihilator is written straight from the integer rows, with no
-copy of them.
+e_c - sum_i (row_i[c] / row_i[p_i]) e_{p_i} per non-pivot column c, written
+as integers once scaled by the lcm of the pivot entries it touches
+(`annihilator_row`).  A Subspace applies this to its stored basis
+(`constraints`: the rows span the annihilator but are not in RREF), so the
+subspace in another column order is the `kernel` of those rows with their
+columns moved.  `kernel` applies it to the reduced rows of its rows with the
+columns reversed, where each pivot is the last nonzero column of its row, and
+there the rows come out already in RREF and in the stored form, written
+straight from the integer rows, with no copy of them.
 """
 
 from __future__ import annotations
@@ -57,6 +62,7 @@ class RationalField:
 
     zero = Fraction(0)
     one = Fraction(1)
+    minus_one = -1  # the stored integer of -1
 
     def of(self, x):
         if isinstance(x, Fraction):
@@ -67,18 +73,18 @@ class RationalField:
             return Fraction(x)
         raise TypeError(f"cannot coerce {x!r} into Q")
 
-    @staticmethod
-    def integer_row(row) -> list:
-        """A sparse row (of Fractions or ints) times the lcm of its
-        denominators: sparse integers on the same line."""
-        den = lcm(*[x.denominator for _, x in row])
-        return [(c, x.numerator * (den // x.denominator)) for c, x in row]
-
     def to_ints(self, row, ncols: int) -> list:
-        """A sparse row as a dense row of primitive integers, written in one
-        pass once the lcm of its denominators is known."""
-        den = lcm(*[x.denominator for _, x in row])
+        """A sparse row as a dense row of primitive integers: a row of ints,
+        such as a stored row, is written as it is read, and any other row in
+        one pass once the lcm of its denominators is known."""
         ints = [0] * ncols
+        for c, x in row:
+            if type(x) is not int:
+                break
+            ints[c] = x
+        else:
+            return self.normalize(ints)
+        den = lcm(*[x.denominator for _, x in row])
         if den == 1:
             for c, x in row:
                 ints[c] = x.numerator
@@ -93,9 +99,36 @@ class RationalField:
         g = gcd(*ints)
         return [v // g for v in ints] if g > 1 else ints
 
-    def from_ints(self, ints, pivot) -> tuple:
-        """The integer row divided by `pivot`, as a sparse row."""
-        return tuple([(c, Fraction(v, pivot)) for c, v in enumerate(ints) if v])
+    @staticmethod
+    def stored(ints, c) -> tuple:
+        """A primitive dense integer row, nonzero at c, as a stored sparse
+        row: its entry at c made positive."""
+        if ints[c] < 0:
+            return tuple([(j, -v) for j, v in enumerate(ints) if v])
+        return tuple([(j, v) for j, v in enumerate(ints) if v])
+
+    @staticmethod
+    def annihilator_row(c, den, entries) -> tuple:
+        """den e_c + sum v e_q over the (q, v) of `entries`, den > 0, as a
+        primitive integer row led by its entry at c."""
+        if den == 1:
+            return ((c, 1),) + tuple(entries)
+        g = gcd(den, *[v for _, v in entries])
+        if g == 1:
+            return ((c, den),) + tuple(entries)
+        return ((c, den // g),) + tuple([(q, v // g) for q, v in entries])
+
+    @staticmethod
+    def elements(row) -> list:
+        """A stored row divided by its pivot entry, as (column, Fraction) pairs."""
+        b = row[0][1]
+        return [(c, Fraction(v, b)) for c, v in row]
+
+    @staticmethod
+    def reprs(row) -> list:
+        """The repr of each of `elements(row)`, written without making it."""
+        b = row[0][1]
+        return [f"Fraction({v // (g := gcd(v, b))}, {b // g})" for _, v in row]
 
     def __repr__(self):
         return "QQ"
@@ -210,6 +243,7 @@ class PrimeField:
         self.p = p
         self.zero = Mod(0, p)
         self.one = Mod(1, p)
+        self.minus_one = p - 1
 
     def of(self, x):
         if isinstance(x, Mod):
@@ -227,11 +261,6 @@ class PrimeField:
             return self.of(Fraction(x))
         raise TypeError(f"cannot coerce {x!r} into GF({self.p})")
 
-    def integer_row(self, row) -> list:
-        """A sparse row (of Mods or ints) as sparse residues."""
-        p = self.p
-        return [(c, x.v if isinstance(x, Mod) else x % p) for c, x in row]
-
     def to_ints(self, row, ncols: int) -> list:
         """A sparse row as a dense row of residues, written in one pass."""
         p = self.p
@@ -245,11 +274,27 @@ class PrimeField:
         p = self.p
         return [v % p for v in ints]
 
-    def from_ints(self, ints, pivot) -> tuple:
-        """The row of residues times the inverse of `pivot`, as a sparse row."""
+    def stored(self, ints, c) -> tuple:
+        """A dense row of residues, nonzero at c, as a stored sparse row: its
+        entry at c made 1."""
         p = self.p
-        inv = pow(pivot, -1, p)
-        return tuple([(c, Mod(v * inv, p)) for c, v in enumerate(ints) if v])
+        inv = pow(ints[c], -1, p)
+        return tuple([(j, v * inv % p) for j, v in enumerate(ints) if v])
+
+    def annihilator_row(self, c, den, entries) -> tuple:
+        """e_c + sum v e_q over the (q, v) of `entries`, as residues; den, the
+        lcm of pivot entries that are all 1, is 1."""
+        p = self.p
+        return ((c, 1),) + tuple([(q, v % p) for q, v in entries])
+
+    def elements(self, row) -> list:
+        """A stored row, whose pivot entry is 1, as (column, Mod) pairs."""
+        p = self.p
+        return [(c, Mod(v, p)) for c, v in row]
+
+    def reprs(self, row) -> list:
+        """The repr of each of `elements(row)`, written without making it."""
+        return [f"{v} (mod {self.p})" for _, v in row]
 
     def __repr__(self):
         return f"GF({self.p})"
@@ -301,14 +346,39 @@ class Matrix:
 
 
 def _in_range(ncols: int, rows) -> list:
-    """The sparse `rows` as a list, refused if an entry's column lies outside
-    range(ncols): past the end, or negative, which indexing would wrap."""
+    """The sparse `rows` as a list, refused if an entry's column is not an int
+    in range(ncols) (past the end, negative, which indexing would wrap, or a
+    float, which no list takes as an index) or if a row names a column twice,
+    where the last entry would silently win.
+
+    One pass marks each column with the last row that has it: a column past
+    the end or a float fails to index the marks, and a negative one is tested.
+    """
     rows = list(rows)
-    for row in rows:
-        for c, _ in row:
-            if not 0 <= c < ncols:
-                raise ValueError(f"column {c} outside an ambient of dimension {ncols}")
+    seen = [-1] * ncols
+    try:
+        for i, row in enumerate(rows):
+            for c, _ in row:
+                if c < 0 or seen[c] == i:
+                    raise IndexError
+                seen[c] = i
+    except (IndexError, TypeError):
+        _refuse(ncols, rows[i])
     return rows
+
+
+def _refuse(ncols: int, row):
+    """Raise the ValueError that names the first column of `row` that
+    `_in_range` refuses."""
+    seen = set()
+    for c, _ in row:
+        if type(c) is not int:
+            raise ValueError(f"column {c!r} is not an integer")
+        if not 0 <= c < ncols:
+            raise ValueError(f"column {c} outside an ambient of dimension {ncols}")
+        if c in seen:
+            raise ValueError(f"column {c} appears twice in one row")
+        seen.add(c)
 
 
 def _eliminate(row, pivot_row, c, normalize) -> list:
@@ -330,8 +400,7 @@ def rref_with_pivots(m: Matrix):
     Row i is a dense integer row (primitive over Q, residues over GF(p)) that
     is zero in every pivot column but pivots[i]; divided by its entry there it
     is row i of the RREF.  The rows of m are read once, in order, and none
-    past full column rank.  No field element is made: each caller makes the
-    ones it keeps.
+    past full column rank.  No field element is made.
     """
     # The field keeps each row small after every update: primitive over Q,
     # so entries never outgrow the line they span, and reduced mod p over
@@ -360,8 +429,7 @@ def rref_with_pivots(m: Matrix):
 
 
 def rank(ncols: int, rows, field=QQ) -> int:
-    """Rank of the sparse `rows`, from one elimination of the rows as given.
-    No field element is made."""
+    """Rank of the sparse `rows`, from one elimination of the rows as given."""
     return len(rref_with_pivots(Matrix(ncols, _in_range(ncols, rows), field))[1])
 
 
@@ -373,23 +441,28 @@ def kernel(ncols: int, rows, piece=None, field=QQ) -> "Subspace":
     each reduced row ends at its pivot q.  The kernel row of a non-pivot
     column c then starts at c and has its other entries at pivots q > c, so
     with the reduced rows taken in ascending q the kernel rows, in ascending
-    c, are already the reduced row echelon form.  Each integer row is divided
-    by minus its pivot entry, so every kernel entry is made once, and goes
-    straight to the end of the kernel row of its column.
+    c, are already the reduced row echelon form.  Each reduced row is stored
+    once (`field.stored`), and each of its entries, scaled to the common
+    denominator den, the lcm of the pivot entries, goes straight to the end
+    of the kernel row of its column; `field.annihilator_row` writes each
+    kernel row as integers.
     """
     last = ncols - 1
     rev = Matrix(ncols, [[(last - c, x) for c, x in row] for row in _in_range(ncols, rows)],
                  field)
     ints, pivots = rref_with_pivots(rev)
-    one = field.one
-    ann = [[(c, one)] for c in range(ncols)]
-    for row, p in zip(reversed(ints), reversed(pivots)):
-        q, pivot = last - p, -row[p]
-        row[p] = 0  # the row is ours: its other nonzeros are the kernel entries
-        for c, a in field.from_ints(row, pivot):
-            ann[last - c].append((q, a))
+    reduced = [field.stored(row, p) for row, p in zip(ints, pivots)]
+    den = lcm(*[row[0][1] for row in reduced])
+    ann = [[] for _ in range(ncols)]
+    for row in reversed(reduced):
+        p, b = row[0]
+        q, f = last - p, -(den // b)
+        for c, a in row[1:]:
+            ann[last - c].append((q, a * f))
         ann[q] = None
-    return Subspace(ncols, tuple([tuple(a) for a in ann if a is not None]), piece, field)
+    make = field.annihilator_row
+    return Subspace(ncols, tuple([make(c, den, a) for c, a in enumerate(ann) if a is not None]),
+                    piece, field)
 
 
 # -- subspaces ------------------------------------------------------------------
@@ -398,9 +471,11 @@ def kernel(ncols: int, rows, piece=None, field=QQ) -> "Subspace":
 class Subspace:
     """A linear subspace given by its RREF row basis inside a fixed ambient piece.
 
-    `sparse` holds each basis row as the (column, value) pairs of its nonzero
-    entries in ascending column order, so the pivot comes first; `basis`
-    builds the dense rows.
+    `sparse` holds each basis row as the (column, integer) pairs of its
+    nonzero entries in ascending column order, so the pivot comes first: the
+    RREF row times its pivot entry, primitive with a positive pivot entry over
+    Q, residues with pivot entry 1 over GF(p).  `basis` builds the dense rows
+    of field elements.
     """
 
     ambient_dim: int
@@ -412,8 +487,9 @@ class Subspace:
     def from_rows(cls, ambient_dim: int, rows, piece=None, field=QQ) -> "Subspace":
         """The span of the sparse `rows` over `field`, from one elimination."""
         ints, pivots = rref_with_pivots(Matrix(ambient_dim, _in_range(ambient_dim, rows), field))
-        rows = tuple([field.from_ints(row, row[c]) for row, c in zip(ints, pivots)])
-        return cls(ambient_dim, rows, piece, field)
+        stored = field.stored
+        return cls(ambient_dim, tuple([stored(row, c) for row, c in zip(ints, pivots)]),
+                   piece, field)
 
     @classmethod
     def zero(cls, ambient_dim: int, piece=None, field=QQ) -> "Subspace":
@@ -421,14 +497,13 @@ class Subspace:
 
     @classmethod
     def full(cls, ambient_dim: int, piece=None, field=QQ) -> "Subspace":
-        return cls(ambient_dim, tuple(((i, field.one),) for i in range(ambient_dim)),
-                   piece, field)
+        return cls(ambient_dim, tuple(((i, 1),) for i in range(ambient_dim)), piece, field)
 
     @property
     def basis(self) -> tuple:
-        """The basis rows as dense tuples."""
-        zero = self.field.zero
-        return tuple(tuple(_dense(row, self.ambient_dim, zero)) for row in self.sparse)
+        """The RREF rows as dense tuples of field elements."""
+        n, zero, elements = self.ambient_dim, self.field.zero, self.field.elements
+        return tuple(tuple(_dense(elements(row), n, zero)) for row in self.sparse)
 
     @property
     def dim(self) -> int:
@@ -457,8 +532,9 @@ class Subspace:
             raise ValueError(f"field mismatch: {self.field!r} vs {other.field!r}")
 
     def matrix(self) -> Matrix:
-        """The basis rows as the record elimination reads."""
-        return Matrix(self.ambient_dim, self.sparse, self.field)
+        """The RREF rows, as field elements, in the record elimination reads."""
+        return Matrix(self.ambient_dim, [self.field.elements(row) for row in self.sparse],
+                      self.field)
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)
@@ -466,21 +542,24 @@ class Subspace:
                                   self.piece or other.piece, self.field)
 
     def constraints(self) -> tuple:
-        """Rows spanning the linear functionals that vanish on this subspace.
+        """Integer rows spanning the linear functionals that vanish on this
+        subspace.
 
-        Read off the RREF basis with no elimination: for each non-pivot column
-        f, the row e_f - sum_i basis[i][f] e_{p_i}, led by its entry at f.
-        There are codim rows and they span the annihilator, but they are not
-        in RREF.
+        Read off the stored basis with no elimination: for each non-pivot
+        column f, the row e_f - sum_i (row_i[f] / row_i[p_i]) e_{p_i} as its
+        primitive integer multiple, led by its entry at f.  There are codim
+        rows and they span the annihilator, but they are not in RREF.
         """
+        den = lcm(*[row[0][1] for row in self.sparse])
         ann = [[] for _ in range(self.ambient_dim)]
         for row in self.sparse:
-            p = row[0][0]
+            p, b = row[0]
             ann[p] = None  # no other basis row has an entry at its pivot
+            f = -(den // b)
             for c, a in row[1:]:
-                ann[c].append((p, -a))
-        one = self.field.one
-        return tuple([((c, one),) + tuple(a) for c, a in enumerate(ann) if a is not None])
+                ann[c].append((p, a * f))
+        make = self.field.annihilator_row
+        return tuple([make(c, den, a) for c, a in enumerate(ann) if a is not None])
 
     def intersect(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)
@@ -491,27 +570,41 @@ class Subspace:
     def _row_at(self) -> dict:
         return {row[0][0]: row for row in self.sparse}
 
-    def _remainder(self, row) -> dict:
-        """{column: value} of a sparse vector's remainder against the basis.
+    def _contains_row(self, row) -> bool:
+        """Whether a sparse integer row (residues over GF(p)) lies in the span.
 
-        Subtracting a basis row leaves every other pivot entry as it is, so
-        each pivot column in the vector's support is cleared once.
+        With den the lcm of the pivot entries of the basis rows whose pivots
+        the row meets, den * row minus (den * row[p] / b) times the basis row
+        with pivot p and pivot entry b, for each such p, is den times the
+        remainder: subtracting a basis row leaves every other pivot entry as
+        it is, so each pivot column is cleared once, in integers.
         """
         v = dict(row)
-        row_at, zero = self._row_at, self.field.zero
-        for p in [p for p in v if p in row_at]:
-            f = v[p]
-            for c, b in row_at[p]:
-                v[c] = v.get(c, zero) - f * b
-        return {c: x for c, x in v.items() if x}
+        row_at = self._row_at
+        hits = [row_at[c] for c in v if c in row_at]
+        den = lcm(*[r[0][1] for r in hits])
+        if den != 1:
+            v = {c: x * den for c, x in v.items()}
+        for r in hits:
+            p, b = r[0]
+            f = v.pop(p) // b
+            for c, x in r[1:]:
+                v[c] = v.get(c, 0) - f * x
+        return not any(self.field.normalize(list(v.values())))
 
     def reduce_vector(self, v) -> list:
-        """Remainder of v after elimination against the RREF basis."""
-        v = [self.field.of(x) for x in v]
+        """Remainder of v after elimination against the RREF basis, as field
+        elements."""
+        field = self.field
+        v = [field.of(x) for x in v]
         if len(v) != self.ambient_dim:
             raise ValueError("vector length mismatch")
-        rem = self._remainder((c, x) for c, x in enumerate(v) if x)
-        return _dense(rem.items(), self.ambient_dim, self.field.zero)
+        for row in self.sparse:
+            f = v[row[0][0]]
+            if f:
+                for c, x in field.elements(row):
+                    v[c] -= f * x
+        return v
 
     def contains_vector(self, v) -> bool:
         return not any(self.reduce_vector(v))
@@ -519,7 +612,7 @@ class Subspace:
     def contains(self, other) -> bool:
         if isinstance(other, Subspace):
             self._check_compatible(other)
-            return not any(self._remainder(row) for row in other.sparse)
+            return all(self._contains_row(row) for row in other.sparse)
         return self.contains_vector(other)
 
     def __repr__(self):

@@ -119,20 +119,22 @@ def digest_of(*parts) -> str:
 def ideal_digest(j: TruncatedIdeal) -> str:
     """digest_of(j.ring, j.bound, [(u, j.pieces[u].basis) for u in j.degrees()]).
 
-    The repr of the dense bases is streamed from the sparse rows, one row at a
-    time, with each run of zeros written as one repeated string.  An ideal kept
-    by its Veronese pieces builds each piece as it is read, and keeps none.
+    The repr of the dense bases is streamed from the stored integer rows, one
+    row at a time, with each entry's text written by the field (`reprs`)
+    without making the element, and each run of zeros written as one repeated
+    string.  An ideal kept by its Veronese pieces builds each piece as it is
+    read, and keeps none.
     """
     h = hashlib.sha256(f"{j.ring!r}\x00{j.bound!r}\x00[".encode())
-    zero = f"{j.field.zero!r}, ".encode()
+    zero, reprs = f"{j.field.zero!r}, ".encode(), j.field.reprs
     for k, u in enumerate(j.degrees()):
         n, rows = _dim_piece(j.ring, u), j.pieces[u].sparse
         h.update(f"{', ' if k else ''}({u!r}, (".encode())
         for r, row in enumerate(rows):
             parts = [b", (" if r else b"("]
             at = 0
-            for c, x in row:
-                parts += (zero * (c - at), f"{x!r}, ".encode())
+            for (c, _), text in zip(row, reprs(row)):
+                parts += (zero * (c - at), f"{text}, ".encode())
                 at = c + 1
             parts.append(zero * (n - at))
             line = b"".join(parts)

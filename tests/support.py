@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import warnings
 from fractions import Fraction
 from functools import partial
 
@@ -34,6 +35,8 @@ from borderapolar.grading import (
 )
 from borderapolar.diagonal_maps import pi_fibres, proper_unit_box_degrees
 from borderapolar.ideals import (
+    GenericityError,
+    PointSet,
     TruncatedIdeal,
     degrees_up_to,
     expand,
@@ -123,6 +126,15 @@ def depolarize_reference(f: GeneralTensor) -> HomPoly:
 
 
 # -- helpers that only the tests read ------------------------------------------------
+
+def integer_row(row, field=QQ) -> tuple:
+    """A sparse row of field elements as integers on the same line: times the
+    lcm of its denominators over Q, as residues over GF(p)."""
+    if field == QQ:
+        den = math.lcm(*[x.denominator for _, x in row])
+        return tuple([(c, x.numerator * (den // x.denominator)) for c, x in row])
+    return tuple([(c, x.v) for c, x in row])
+
 
 def sparse_rows(rows, field=QQ) -> list:
     """Dense rows as sparse rows of field elements, zeros dropped: the rows
@@ -240,6 +252,54 @@ def rref_gf_reference(m: Matrix):
     return rows[:r], pivots
 
 
+class SpanReference:
+    """A subspace held as its dense RREF rows of field elements (Fractions
+    over Q, Mods over GF(p)), every operation done in the field's own
+    arithmetic by textbook Gauss-Jordan (`rref_gf_reference`, which does not
+    care which field it runs in): the reference that the integer rows of
+    `Subspace` are checked against."""
+
+    def __init__(self, ncols: int, rows, field=QQ):
+        self.ncols, self.field = ncols, field
+        m = Matrix(ncols, sparse_rows([list(r) for r in rows], field), field)
+        self.rows, self.pivots = rref_gf_reference(m)
+
+    @classmethod
+    def kernel(cls, ncols: int, rows, field=QQ) -> "SpanReference":
+        return cls(ncols, cls(ncols, rows, field).constraints(), field)
+
+    def constraints(self) -> list:
+        """e_f - sum_i rows[i][f] e_{p_i} for each non-pivot column f, densely."""
+        field, out = self.field, []
+        for f in range(self.ncols):
+            if f not in self.pivots:
+                v = [field.zero] * self.ncols
+                v[f] = field.one
+                for row, p in zip(self.rows, self.pivots):
+                    if row[f]:
+                        v[p] = -row[f]
+                out.append(v)
+        return out
+
+    def sum(self, other: "SpanReference") -> "SpanReference":
+        return SpanReference(self.ncols, self.rows + other.rows, self.field)
+
+    def intersect(self, other: "SpanReference") -> "SpanReference":
+        return SpanReference.kernel(self.ncols, self.constraints() + other.constraints(),
+                                    self.field)
+
+    def reduce(self, v) -> list:
+        v = [self.field.of(x) for x in v]
+        for row, p in zip(self.rows, self.pivots):
+            f = v[p]
+            if f:
+                v = [a - f * b for a, b in zip(v, row)]
+        return v
+
+    def contains(self, other: "SpanReference") -> bool:
+        return not any(x for row in other.rows for x in self.reduce(row))
+
+
 def image_reference(m: Matrix, a: Subspace) -> Subspace:
     """The image of `a` under m, row-reduced on the codomain."""
     assert m.ncols == a.ambient_dim
@@ -275,9 +335,11 @@ def kept_piece(n: int, d: int, u: tuple, w: Subspace) -> Subspace:
 # -- dense references for the sparse-row subspace calculus ---------------------------
 
 def assert_canonical(sub: Subspace):
-    """The stored rows are tuples of (column, value) pairs with no zero value,
-    in ascending column order, each led by a 1 at its pivot, with every pivot
-    column clear in the other rows; a row's pivot is its first column."""
+    """The stored rows are tuples of (column, int) pairs with no zero value, in
+    ascending column order, with every pivot column clear in the other rows; a
+    row's pivot is its first column.  Over Q each row is primitive (content 1)
+    with a positive pivot entry; over GF(p) its entries are residues and its
+    pivot entry is 1."""
     assert isinstance(sub.sparse, tuple)
     leads = tuple(row[0][0] for row in sub.sparse)
     pivots = set(leads)
@@ -286,7 +348,12 @@ def assert_canonical(sub: Subspace):
         assert isinstance(row, tuple) and all(isinstance(e, tuple) for e in row)
         cols = [c for c, _ in row]
         assert cols == sorted(set(cols)) and 0 <= cols[0] and cols[-1] < sub.ambient_dim
-        assert all(x for _, x in row) and row[0][1] == sub.field.one
+        values = [x for _, x in row]
+        assert all(type(x) is int and x for x in values)
+        if sub.field == QQ:
+            assert math.gcd(*values) == 1 and values[0] > 0
+        else:
+            assert values[0] == 1 and all(0 < x < sub.field.p for x in values)
         assert not pivots.intersection(cols[1:])
 
 
@@ -428,6 +495,32 @@ def point_ideal_reference(zs, bound: int) -> dict:
             rows.append(row)
         pieces[u] = kernel(len(basis), sparse_rows(rows, field), field=field)
     return pieces
+
+
+def very_general_points_reference(ring, r: int, bound: int, rng, coord_bound: int = 100):
+    """The draw as first written: a draw of r integer points is kept when the
+    kernels of its evaluation matrices (`point_ideal_reference`) have the
+    generic codimension min(r, dim S_u) at every degree up to the bound, and
+    is redrawn once, with a warning, before GenericityError."""
+    def draw_factor():
+        while True:
+            v = tuple(rng.randint(-coord_bound, coord_bound) for _ in range(ring.n))
+            if any(v):
+                return v
+
+    for attempt in range(2):
+        try:
+            if ring.is_multigraded:
+                pts = tuple(tuple(draw_factor() for _ in range(ring.d)) for _ in range(r))
+            else:
+                pts = tuple(draw_factor() for _ in range(r))
+            zs = PointSet(ring, pts)
+        except ValueError:
+            continue
+        if all(p.codim == min(r, p.ambient_dim) for p in point_ideal_reference(zs, bound).values()):
+            return zs
+        warnings.warn(f"resampling: draw {attempt} was not in general position", stacklevel=2)
+    raise GenericityError(f"failed twice to draw {r} points with the generic Hilbert function")
 
 
 def min_generators_degree_one_reference(f) -> int:

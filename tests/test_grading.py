@@ -7,7 +7,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from borderapolar.diagonal_maps import pi, rho
+from borderapolar import apolarity, diagonal_maps, grading
+from borderapolar.apolarity import HomPoly, ann_piece, ann_sym_piece
+from borderapolar.diagonal_maps import direct_sum_check, pi, psi, rho
+from borderapolar.selftest import sum_of_powers_tensor
 from borderapolar.grading import (
     PieceElement,
     check_degree,
@@ -100,6 +103,33 @@ class TestCheckDegree:
     def test_sign_and_single_grading_are_checked(self, ring, u, message):
         with pytest.raises(ValueError, match=message):
             check_degree(ring, u)
+
+    @pytest.mark.parametrize("ring, call", [
+        (segre_ring(2, 3), lambda f: ann_piece(f, [1, 0, 1])),
+        (segre_ring(2, 3), lambda f: ann_piece(f, (2, 0, 1))),
+        (veronese_ring(2), lambda f: ann_sym_piece(HomPoly(2, 2, {(2, 0): 1}), 3.0)),
+        (segre_ring(2, 3), lambda f: direct_sum_check(2, 3, [1, 1, 0])),
+        (segre_ring(2, 2),
+         lambda f: PieceElement.from_terms(segre_ring(2, 2), [1, 1], {((1, 0), (0, 1)): 3})),
+        (segre_ring(2, 2), lambda f: psi([1, 1], PieceElement(veronese_ring(2), 2, (1, 0, 2)))),
+    ], ids=["ann_piece", "ann_piece-full", "ann_sym_piece-full", "direct_sum_check",
+            "from_terms", "psi"])
+    def test_an_export_checks_its_degree_once(self, ring, call, monkeypatch):
+        """Each export below takes one degree on `ring` from its caller and
+        runs `check_degree` on it once, whatever module the check is bound
+        in; checks on other rings (a monomial's factors, the form's degree)
+        are not counted."""
+        real, seen = grading.check_degree, []
+
+        def counted(r, u):
+            seen.append((r, u))
+            return real(r, u)
+
+        f = sum_of_powers_tensor(2, 3, [(1, 2), (3, -1)])
+        for module in (grading, apolarity, diagonal_maps):
+            monkeypatch.setattr(module, "check_degree", counted)
+        call(f)
+        assert len([u for r, u in seen if r == ring]) == 1, seen
 
 
 class TestMonomials:

@@ -44,7 +44,7 @@ from borderapolar.linalg import QQ, PrimeField, Subspace, kernel
 from borderapolar.transfer import ideal_digest, upsilon
 from support import (assert_canonical, colon_reference, colon_rows_reference, diagonal_tensor,
                      fibre_order, multiply_monomials, pi_matrix_reference, point_ideal_reference,
-                     preimage_reference, sparse_rows)
+                     preimage_reference, sparse_rows, very_general_points_reference)
 
 
 V2 = veronese_ring(2)
@@ -648,6 +648,34 @@ class TestMinGenerators:
 
 
 class TestGenericity:
+    @pytest.mark.parametrize("ring, r, bound, coord_bound", [
+        (V3, 4, 2, 1), (V3, 5, 3, 1), (veronese_ring(2), 3, 2, 1), (segre_ring(2, 2), 3, 2, 1),
+        (segre_ring(3, 2), 4, 2, 1), (V3, 6, 3, 100), (segre_ring(2, 3), 3, 3, 100),
+    ], ids=repr)
+    def test_draws_warnings_and_failures_match_the_kernel_check(self, ring, r, bound,
+                                                                 coord_bound, monkeypatch):
+        """Reading the Hilbert function as ranks of evaluation rows keeps the
+        points drawn, the rng state after, the warnings and GenericityError
+        of checking the codimension of every evaluation kernel, and reduces
+        no kernel.  Coordinates in [-1, 1] give collinear and repeated draws."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("the genericity check reduced a kernel")
+
+        for seed in range(12):
+            outcomes = []
+            for draw in (very_general_points, very_general_points_reference):
+                rng = random.Random(seed)
+                with warnings.catch_warnings(record=True) as seen, monkeypatch.context() as patch:
+                    warnings.simplefilter("always")
+                    if draw is very_general_points:
+                        patch.setattr(ideals, "kernel", refuse)
+                    try:
+                        got = draw(ring, r, bound, rng, coord_bound).points
+                    except GenericityError as exc:
+                        got = str(exc)
+                outcomes.append((got, [str(w.message) for w in seen], rng.getstate()))
+            assert outcomes[0] == outcomes[1], seed
+
     def test_failure_after_retry(self):
         class RiggedRandom(random.Random):
             def randint(self, a, b):  # collinear draws: all points equal

@@ -21,6 +21,7 @@ from support import (
     RATIONAL_SEGRE_POINTS,
     assert_canonical,
     image_reference,
+    integer_row,
     kept_piece,
     mat_vec,
     pi_matrix_reference,
@@ -49,9 +50,10 @@ class TestPointIdeal:
 
 
 def collapsing_rows(n, d, u, field, rng):
-    """Sparse rows over S_u: each pair of columns of one fibre with opposite
-    fractional values, which collapses to zero, the same pair plus one more
-    entry, which partly cancels, and one dense row with denominators."""
+    """Sparse integer rows over S_u, made from rows of field elements: each
+    pair of columns of one fibre with opposite fractional values, which
+    collapses to zero, the same pair plus one more entry, which partly
+    cancels, and one dense row with denominators."""
     fib = pi_fibres(n, d, u)
     dim = len(fib.f)
     fibres = {}
@@ -66,7 +68,8 @@ def collapsing_rows(n, d, u, field, rng):
         rows.append({a: x, b: -x})
         rows.append({a: x, b: -x, rng.randrange(dim): F(rng.randint(1, 9), rng.randint(2, 9))})
     rows.append({c: F(rng.randint(-9, 9), rng.randint(1, 12)) for c in range(dim)})
-    return dim, [tuple((c, field.of(x)) for c, x in sorted(r.items()) if x) for r in rows]
+    return dim, [integer_row([(c, field.of(x)) for c, x in sorted(r.items()) if x], field)
+                 for r in rows]
 
 
 class TestPiImage:
@@ -98,6 +101,7 @@ class TestPiImage:
         n, d, u = 2, 2, (1, 1)
         fib = pi_fibres(n, d, u)
         a, b = [c for c, m in enumerate(fib.f) if m == 1]
-        sub = Subspace(4, (((a, field.of(F(1, 2))), (b, field.of(F(-1, 2)))),), None, field)
+        row = integer_row(((a, field.of(F(1, 2))), (b, field.of(F(-1, 2)))), field)
+        sub = Subspace(4, (row,), None, field)
         assert pi_image(n, d, u, sub).is_zero
         assert [len(rows) for rows in eliminations.rows] == [0]

@@ -18,13 +18,14 @@ from borderapolar.ideals import (
 from borderapolar.linalg import (
     QQ,
     Matrix,
+    Mod,
     PrimeField,
     Subspace,
     kernel,
     rank,
     rref_with_pivots,
 )
-from support import mat_vec, rref_gf_reference, sparse_rows
+from support import SpanReference, assert_canonical, mat_vec, rref_gf_reference, sparse_rows
 
 GF = PrimeField(2147483647)
 FIELDS = [QQ, GF]
@@ -340,8 +341,8 @@ class TestOnePass:
             ints, pivots = rref_with_pivots(m)
             ref_rows, ref_pivots = rref_reference(m) if field is QQ else rref_gf_reference(m)
             assert pivots == ref_pivots and len(pivots) == r
-            got = [[dict(field.from_ints(row, row[c])).get(j, field.zero) for j in range(ncols)]
-                   for row, c in zip(ints, pivots)]
+            got = [[dict(field.elements(field.stored(row, c))).get(j, field.zero)
+                    for j in range(ncols)] for row, c in zip(ints, pivots)]
             assert repr(got) == repr(ref_rows)
             assert all(type(v) is int for row in ints for v in row)
             assert_matches_reference(m, field)
@@ -356,7 +357,7 @@ class TestOnePass:
         assert rank(4, rows[:5], field) == 4
         ints, pivots = rref_with_pivots(Matrix(4, _ReadOnce(rows, 5), field))
         assert pivots == [0, 1, 2, 3]
-        assert repr(field.from_ints(ints[2], ints[2][2])) == repr(((2, field.one),))
+        assert field.stored(ints[2], 2) == ((2, 1),)
         # a rank-deficient prefix reads on
         with pytest.raises(AssertionError, match="row 3 was read"):
             rref_with_pivots(Matrix(4, _ReadOnce(rows, 3), field))
@@ -654,8 +655,9 @@ class TestPrimeField:
 
 
 class TestFieldElementsMade:
-    """Elimination hands back integer rows: `rank` makes no field element and
-    `kernel` turns each reduced row into field elements once."""
+    """Elimination hands back integer rows and a Subspace stores them: `rank`
+    stores no row, `kernel` stores each reduced row once, and `from_rows`,
+    `kernel` and `contains` on integer rows make no field element."""
 
     @staticmethod
     def matrices(field, seed):
@@ -670,7 +672,7 @@ class TestFieldElementsMade:
     @pytest.mark.parametrize("field", FIELDS, ids=repr)
     def test_elimination_returns_integer_rows(self, field):
         """Each row is primitive over Q (residues over GF(p)), zero at every
-        other pivot, and divided by its pivot entry it is the RREF row."""
+        other pivot, and stored it is the subspace's row."""
         for m in self.matrices(field, 29):
             rows, pivots = rref_with_pivots(m)
             assert len(rows) == len(pivots)
@@ -681,37 +683,131 @@ class TestFieldElementsMade:
                     assert gcd(*row) == 1
                 else:
                     assert all(0 <= v < field.p for v in row)
-            assert repr([field.from_ints(row, row[p]) for row, p in zip(rows, pivots)]) \
-                == repr(list(span(m).sparse))
+            assert [field.stored(row, p) for row, p in zip(rows, pivots)] \
+                == list(span(m).sparse)
 
     @pytest.mark.parametrize("field", FIELDS, ids=repr)
-    def test_rank_makes_no_field_element(self, field, monkeypatch):
+    def test_rank_stores_no_row(self, field, monkeypatch):
         ms = self.matrices(field, 19)
         want = [span(m).dim for m in ms]
 
-        def refuse(self, ints, pivot):
-            raise AssertionError("rank made a field element")
+        def refuse(self, ints, c):
+            raise AssertionError("rank stored a row")
 
-        monkeypatch.setattr(type(field), "from_ints", refuse)
+        monkeypatch.setattr(type(field), "stored", refuse)
         assert [rank_of(m) for m in ms] == want
 
     @pytest.mark.parametrize("field", FIELDS, ids=repr)
-    def test_kernel_converts_each_pivot_row_once(self, field, monkeypatch):
-        real = type(field).from_ints
+    def test_kernel_stores_each_pivot_row_once(self, field, monkeypatch):
+        real = type(field).stored
         calls = []
 
-        def counted(self, ints, pivot):
-            calls.append(pivot)
-            return real(self, ints, pivot)
+        def counted(self, ints, c):
+            calls.append(c)
+            return real(ints, c) if field is QQ else real(self, ints, c)
 
         for m in self.matrices(field, 23):
             want, r = kernel_reference(m).basis, rank_of(m)
             calls.clear()
             with monkeypatch.context() as patch:
-                patch.setattr(type(field), "from_ints", counted)
+                patch.setattr(type(field), "stored", counted)
                 got = kernel_of(m)
             assert len(calls) == r
             assert got.basis == want
+
+    @pytest.mark.parametrize("field", FIELDS, ids=repr)
+    def test_integer_rows_make_no_field_element(self, field, monkeypatch):
+        """A spy on the element constructor (`Fraction.__new__` over Q,
+        `Mod.__init__` over GF(p)) sees no call from `from_rows`, `kernel`,
+        `constraints`, `intersect`, `sum` or `contains` on integer rows,
+        and sees the ones `basis` makes."""
+        rng = random.Random(41)
+        cases = []
+        for _ in range(30):
+            ncols = rng.randint(1, 8)
+            cases.append((ncols, [[(c, rng.randint(-9, 9)) for c in range(ncols)
+                                   if rng.random() < 0.6] for _ in range(rng.randint(0, 7))]))
+        made = []
+        owner, name = (Fraction, "__new__") if field is QQ else (Mod, "__init__")
+        real = getattr(owner, name)
+
+        def spy(*args, **kwargs):
+            made.append(args[1:])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, spy)
+        for ncols, rows in cases:
+            a = Subspace.from_rows(ncols, rows, field=field)
+            k = kernel(ncols, rows, field=field)
+            both = a.intersect(k).sum(k)
+            assert a.contains(a) and both.contains(k)
+            assert k.contains(k.intersect(a)) and len(a.constraints()) == a.codim
+        assert made == []
+        a.basis  # one element per stored entry
+        assert len(made) == sum(len(row) for row in a.sparse) > 0
+
+
+@st.composite
+def subspace_pairs(draw):
+    """(ncols, rows of a, rows of b, vectors) over one entry kind: small,
+    huge or rational, each row set optionally of low rank or holding a
+    repeated, negated or zero row."""
+    ncols = draw(st.integers(0, 7))
+    entry = draw(st.sampled_from(ENTRIES))
+    row = st.lists(entry, min_size=ncols, max_size=ncols)
+
+    def rows():
+        out = draw(st.lists(row, max_size=6))
+        if out and draw(st.booleans()):  # combinations of the first: low rank
+            out += [[3 * x - y for x, y in zip(out[0], r)] for r in out[:2]]
+        if out and draw(st.booleans()):
+            out.append([-2 * x for x in draw(st.sampled_from(out))])
+        if draw(st.booleans()):
+            out.append([0] * ncols)
+        return out
+
+    a, b = rows(), rows()
+    if a and draw(st.booleans()):  # b shares a row with a, so they meet
+        b.append(draw(st.sampled_from(a)))
+    return ncols, a, b, draw(st.lists(row, max_size=3))
+
+
+class TestAgainstFractionReference:
+    """Every Subspace operation against `SpanReference`, which keeps dense
+    RREF rows of Fractions (Mods over GF(p)) and computes in them: the
+    integer rows must give the same field elements wherever they are read,
+    and be canonical (`assert_canonical`) wherever they are stored."""
+
+    @pytest.mark.parametrize("field", FIELDS, ids=repr)
+    @given(case=subspace_pairs())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_every_operation(self, field, case):
+        ncols, a_rows, b_rows, vectors = case
+        a = Subspace.from_rows(ncols, sparse_rows(a_rows, field), field=field)
+        b = Subspace.from_rows(ncols, sparse_rows(b_rows, field), field=field)
+        ra, rb = SpanReference(ncols, a_rows, field), SpanReference(ncols, b_rows, field)
+        pairs = [(a, ra), (b, rb),
+                 (kernel(ncols, sparse_rows(a_rows, field), field=field),
+                  SpanReference.kernel(ncols, a_rows, field)),
+                 (a.intersect(b), ra.intersect(rb)), (a.sum(b), ra.sum(rb)),
+                 (Subspace.full(ncols, field=field), SpanReference.kernel(ncols, [], field))]
+        for got, want in pairs:
+            assert_canonical(got)
+            assert repr(got.basis) == repr(tuple(tuple(row) for row in want.rows))
+            assert got.dim == rank(ncols, sparse_rows(want.rows, field), field)
+            # each integer constraint row divided by its leading entry
+            cons = Matrix(ncols, [field.elements(row) for row in got.constraints()], field)
+            assert repr(cons.rows) == repr(want.constraints())
+            assert Subspace.from_rows(ncols, got.sparse, field=field) == got
+        assert rank(ncols, sparse_rows(a_rows, field), field) == a.dim
+        assert (a == b) == (ra.rows == rb.rows)
+        meet, ref_meet = a.intersect(b), ra.intersect(rb)
+        for x, y, rx, ry in ((a, b, ra, rb), (b, a, rb, ra), (a, meet, ra, ref_meet),
+                             (meet, a, ref_meet, ra)):
+            assert x.contains(y) == rx.contains(ry)
+        for v in vectors + [list(row) for row in b.basis[:1]]:
+            assert repr(a.reduce_vector(v)) == repr(ra.reduce(v))
+            assert a.contains(v) == (not any(ra.reduce(v)))
 
 
 class TestMixedEntries:

@@ -42,14 +42,15 @@ from borderapolar.ideals import (
     very_general_points,
     zero_ideal,
 )
-from borderapolar.linalg import Mod, PrimeField, Subspace
+from borderapolar.linalg import Mod, PrimeField, Subspace, kernel, rank
 from borderapolar.selftest import run_selftest, sum_of_powers_tensor
 from borderapolar.transfer import comon_certificate, upsilon
 
 P, Q = 2147483647, 1048583
 V2, V3, S22 = veronese_ring(2), veronese_ring(3), segre_ring(2, 2)
 X2 = HomPoly(2, 2, {(2, 0): 1})
-GF_FULL = Subspace.full(3, field=PrimeField(P))
+GF = PrimeField(P)
+GF_FULL = Subspace.full(3, field=GF)
 
 
 def refused(call, exc, match):
@@ -89,6 +90,20 @@ LINALG = {
                                r"field mismatch: GF\(2147483647\) vs QQ"),
     "prime-field-float": (lambda: PrimeField(P).of(1.5), TypeError,
                           r"cannot coerce 1.5 into GF\(2147483647\)"),
+    # a row that names a column twice, where the last entry would win (rank 1)
+    "repeated-column-rank": (lambda: rank(2, [[(0, 1), (0, -1)]]), ValueError,
+                             "column 0 appears twice in one row"),
+    "repeated-column-kernel": (lambda: kernel(3, [[(0, 1)], [(1, 1), (2, 5), (1, 2)]]),
+                               ValueError, "column 1 appears twice in one row"),
+    "repeated-column-from-rows": (lambda: Subspace.from_rows(2, [[(1, 1), (1, 1)]], field=GF),
+                                  ValueError, "column 1 appears twice in one row"),
+    # a float column inside the range, which no list takes as an index
+    "float-column-rank": (lambda: rank(2, [[(1.0, 1)]]), ValueError,
+                          r"column 1\.0 is not an integer"),
+    "float-column-kernel": (lambda: kernel(2, [[(0, 1)], [(-0.5, 1)]]), ValueError,
+                            r"column -0\.5 is not an integer"),
+    "float-column-from-rows": (lambda: Subspace.from_rows(3, [[(0, 1), (2.0, 1)]], field=GF),
+                               ValueError, r"column 2\.0 is not an integer"),
 }
 
 IDEALS = {

@@ -186,7 +186,7 @@ DEGREE_BOUNDARY = {
     "grading.dim_piece", "grading.monomials", "grading.unrank_monomial",
     "grading.PieceElement.__post_init__", "grading.PieceElement.from_terms",
     "apolarity.ann_piece", "apolarity.ann_sym_piece",
-    "diagonal_maps.psi", "diagonal_maps.ir_piece", "diagonal_maps.direct_sum_check",
+    "diagonal_maps.psi", "diagonal_maps.ir_piece",
     "ideals.expand", "ideals.hilbert_function", "ideals.generic_hf",
     "ideals.is_saturated_degreewise", "ideals.min_generators_in_degree",
     # `piece`, `piece_dim` and `pi_image` check through `_checked`
@@ -222,6 +222,31 @@ def test_three_ways_into_elimination():
                 if any(_calls(sub, "rref_with_pivots") for sub in ast.walk(node)):
                     callers.add(f"{path.stem}.{owner}{getattr(node, 'name', '<module>')}")
     assert sorted(callers) == ["linalg.Subspace.from_rows", "linalg.kernel", "linalg.rank"]
+
+
+def test_linalg_makes_field_elements_only_where_rows_are_read():
+    """Subspaces store integer rows, so inside `linalg` a `Fraction` or a
+    `Mod` is constructed only by the element type itself (`Mod`'s
+    arithmetic), by the fields' coercion of outside values (`of`, and the
+    zero and one a prime field holds) and by `elements`, which turns a stored
+    row into field elements; and only the readers `basis`, `matrix` and
+    `reduce_vector` call `elements`."""
+    tree = ast.parse((ROOT / "src" / "borderapolar" / "linalg.py").read_text(encoding="utf-8"))
+    makers, readers = set(), set()
+    for top in tree.body:
+        owner = f"{top.name}." if isinstance(top, ast.ClassDef) else ""
+        for node in (top.body if owner else [top]):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            name = f"{owner}{node.name}"
+            for sub in ast.walk(node):
+                if _calls(sub, "Fraction") or _calls(sub, "Mod"):
+                    makers.add("Mod.*" if owner == "Mod." else name)
+                if _calls(sub, "elements"):
+                    readers.add(name)
+    assert sorted(makers) == ["Mod.*", "PrimeField.__init__", "PrimeField.elements",
+                              "PrimeField.of", "RationalField.elements", "RationalField.of"]
+    assert sorted(readers) == ["Subspace.basis", "Subspace.matrix", "Subspace.reduce_vector"]
 
 
 def test_only_ideals_reduces_a_preimage():

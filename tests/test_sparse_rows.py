@@ -127,7 +127,9 @@ class TestAgainstDenseReferences:
         subs = list(sample_subspaces(field, rng))
         for a in subs:
             cons = a.constraints()
-            assert repr(Matrix(a.ambient_dim, cons, field).rows) \
+            # each integer row divided by its leading entry, at its column f
+            assert all(type(x) is int for row in cons for _, x in row)
+            assert repr(Matrix(a.ambient_dim, [field.elements(row) for row in cons], field).rows) \
                 == repr(constraints_reference(a).rows)
             for b in subs:
                 if b.ambient_dim == a.ambient_dim:
