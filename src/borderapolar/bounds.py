@@ -9,6 +9,19 @@ Ann(F)_{σu}, so `is_sharp` computes each Hilbert value once per orbit of
 degrees under that permutation.  For the same reason a `SymTensor`'s slice
 spans are one span and its degree-one count writes one block of constraints
 where a general F writes d - 1 (`_degree_one_generators`).
+
+The checks on a concise F work on the annihilator side, where every piece
+they grow has codimension at most n.  A piece J of S_u is held by a basis of
+J^perp, and S_{e_i} J is grown by `ideals.annihilator_from_below`: phi lies in
+(S_{e_i} J)^perp exactly when each contraction x_{ij} _| phi lies in J^perp,
+and contractions c_j come from one phi exactly when they agree wherever two
+products x_{ij} t = x_{ij'} t' meet, a Poincaré-type compatibility that the
+mixed partials of a potential satisfy.  That is one system in n codim J
+unknowns, where spanning S_{e_i} J takes n dim J rows.  A pi-image is read
+through the same duality: pi(P) lies in Ann(p_F)_k exactly when the
+catalecticant rows cutting out Ann(p_F)_k, pulled back along pi, lie in the
+span of P^perp, and dim pi(P)^perp is the dimension of the functionals in
+P^perp that are constant on every pi-fibre.
 """
 
 from __future__ import annotations
@@ -20,15 +33,16 @@ from functools import partial
 
 from .apolarity import (
     SymTensor,
+    _functional,
     ann_piece,
     ann_sym_piece,
     depolarize,
     slice_spans,
 )
-from .diagonal_maps import pi_image, proper_unit_box_degrees, staircase_degrees
-from .grading import _dim_piece, segre_ring, veronese_ring
-from .ideals import min_generators, span_from_below, variable_multiples
-from .linalg import Subspace, rank
+from .diagonal_maps import pi_fibres, proper_unit_box_degrees
+from .grading import _dim_piece, contractions, segre_ring, veronese_ring
+from .ideals import annihilator_from_below, min_generators
+from .linalg import rank
 from .transfer import Certificate, tensor_digest
 
 
@@ -98,11 +112,14 @@ def _concise_spans(f, what: str) -> list:
 def _require_concise_symmetric(f) -> list:
     if not isinstance(f, SymTensor):
         raise ValueError("sharpness is defined for symmetric tensors")
+    segre_ring(f.n, f.order)  # refuses a tensor with no factor
     return _concise_spans(f, "sharpness")
 
 
 def min_generators_degree_one(f) -> int:
     """Minimal generators of Ann(F) in degree (1,...,1), counted on the short side."""
+    if not f.order:  # before any row is built
+        raise ValueError("the degree-one count needs a tensor with at least one factor")
     return _degree_one_generators(f, slice_spans(f))
 
 
@@ -159,6 +176,19 @@ def min_generators_sym_in_degree(p, k: int) -> int:
 
 # -- sharpness -----------------------------------------------------------------------
 
+def _growth_chain(f, first) -> list:
+    """The annihilators of S_{e_0}^{s-1} Ann(F)_{e_0+e_1}, at (s, 1, 0, ...) for
+    s = 1, ..., d-1, each as a basis of integer rows: `first`, a basis of
+    Ann(F)_{e_0+e_1}^perp, then one `annihilator_from_below` step per s."""
+    n, d = f.n, f.order
+    ring, ann = segre_ring(n, d), first
+    chain = [ann]
+    for s in range(1, d - 1):
+        ann = annihilator_from_below(ring, (s, 1) + (0,) * (d - 2), 0, ann, f.field)
+        chain.append(ann)
+    return chain
+
+
 def is_sharp(f) -> Certificate:
     """Three exact conditions: n-1 degree-one minimal generators, Hilbert value n
     on the proper 0/1 degrees, and Hilbert value n along s e_i + e_j for the
@@ -166,33 +196,33 @@ def is_sharp(f) -> Certificate:
 
     F is symmetric, so permuting the factors maps Ann(F)_u onto Ann(F)_{σu}:
     one piece per weight w, at (1^w, 0^(d-w)), gives every unit-box value, and
-    the growth chain for (i, j) = (0, 1) gives the values of every pair."""
+    the growth chain for (i, j) = (0, 1) gives the values of every pair.  F is
+    concise, so the pieces of weight 1 and d-1 are read off the slice spans
+    (Ann(F)_{e_0} = 0 and Ann(F)_{1-e_{d-1}} = R_{d-1}^perp), and `ann_piece`
+    runs only for 2 <= w <= d-2.  The chain starts from Ann(F)_{e_0+e_1}^perp,
+    R_{d-1} at d = 3 and the constraints of the weight-2 piece above, and each
+    value is the row count of one annihilator (`_growth_chain`)."""
     if f.order < 3:  # before F's slice spans are read
         raise ValueError("sharpness needs at least three factors")
     spans = _require_concise_symmetric(f)
     n, d = f.n, f.order
-    ring = segre_ring(n, d)
     cert = Certificate("sharp", partial(tensor_digest, f))
     gens = _degree_one_generators(f, spans)
     cond1 = gens == n - 1
     cert.add(stage="degree-one-generators", count=gens, want=n - 1, ok=cond1)
 
-    by_weight = {sum(u): ann_piece(f, u) for u in staircase_degrees(d)[1:]}
+    pieces = {w: ann_piece(f, (1,) * w + (0,) * (d - w)) for w in range(2, d - 1)}
+    codims = {1: spans[0].dim, d - 1: spans[d - 1].dim}
+    codims.update((w, piece.codim) for w, piece in pieces.items())
     for u in proper_unit_box_degrees(d):
-        hf = by_weight[sum(u)].codim
+        hf = codims[sum(u)]
         if hf != n:
             cert.add(stage="unit-box-hilbert", degree=u, have=hf, want=n, ok=False)
-    cond2 = all(piece.codim == n for piece in by_weight.values())
+    cond2 = all(hf == n for hf in codims.values())
     cert.add(stage="unit-box-hilbert", ok=cond2)
 
-    sub, growth = by_weight[2], []
-    for s in range(1, d):
-        deg = (s, 1) + (0,) * (d - 2)
-        growth.append(_dim_piece(ring, deg) - sub.dim)
-        if s < d - 1:
-            dim = _dim_piece(ring, (s + 1, 1) + (0,) * (d - 2))
-            rows = variable_multiples(ring, deg, sub.sparse, 0)
-            sub = Subspace.from_rows(dim, rows, field=f.field)
+    first = pieces[2].constraints() if d > 3 else spans[d - 1].sparse
+    growth = [len(ann) for ann in _growth_chain(f, first)]
     for (i, j), (s, hf) in itertools.product(itertools.permutations(range(d), 2),
                                              enumerate(growth, 1)):
         if hf != n:
@@ -220,19 +250,68 @@ def is_111_sharp(f) -> Certificate:
 
 # -- supporting identity checks ------------------------------------------------------
 
+def _catalecticant(p, k: int) -> list:
+    """Cat_k of p as integer rows on V_k, one per monomial of V_{d-k}: p's
+    functional, scaled to integers, contracted by that monomial.  They cut
+    out Ann(p)_k; Cat_d is the functional itself."""
+    ring = veronese_ring(p.n)
+    ints = p.field.to_ints(_functional(p), _dim_piece(ring, p.d))
+    return contractions(ring, k, p.d - k, [[(c, x) for c, x in enumerate(ints) if x]])
+
+
+def _pulled_back(fibre, row) -> list:
+    """A functional on V_|u| read on S_u along pi: column c takes its entry at fibre[c]."""
+    at = dict(row)
+    return [(c, at[m]) for c, m in enumerate(fibre) if m in at]
+
+
+def _image_dim(fibre, perp, field) -> int:
+    """dim pi(P) for the piece P of S_u whose annihilator has the basis of
+    integer rows `perp`, where fibre[c] is the monomial of V_|u| that column c
+    collapses to.
+
+    pi is onto, so psi -> psi pi embeds pi(P)^perp into P^perp as the
+    functionals constant on every fibre: dim pi(P) = dim V_|u| - dim {mu :
+    sum_a mu_a perp_a is constant on each fibre}, and that space is the kernel
+    of one equation in the codim P unknowns mu per column c below the top t of
+    its fibre, sum_a mu_a (perp_a(c) - perp_a(t)) = 0."""
+    at = [{} for _ in fibre]
+    for a, row in enumerate(perp):
+        for c, x in row:
+            at[c][a] = x
+    top = {m: c for c, m in enumerate(fibre)}  # a later c overwrites
+    equations = []
+    for c, m in enumerate(fibre):
+        here, there = at[c], at[top[m]]
+        if c != top[m] and (here or there):
+            diff = dict(here)
+            for a, x in there.items():
+                diff[a] = diff.get(a, 0) - x
+            equations.append([(a, x) for a, x in diff.items() if x])
+    return len(top) - len(perp) + rank(len(perp), equations, field)
+
+
 def verify_lemma_1_minus_ed(f) -> Certificate:
     """Compare pi(Ann(F)_{1-e_d}) with Ann(p_F)_{d-1}: containment always
-    reported, equality recorded separately (it holds under sharpness)."""
-    _require_concise_symmetric(f)
+    reported, equality recorded separately (it holds under sharpness).
+
+    P = Ann(F)_{1-e_d} has P^perp = R_{d-1}, whose rows are stored.  pi(P)
+    lies in Ann(p_F)_{d-1}, cut out by the n rows of Cat_{d-1}, exactly when
+    each of those rows, pulled back along pi, lies in R_{d-1}; F is concise,
+    so they are independent and dim Ann(p_F)_{d-1} = dim V_{d-1} - n."""
+    spans = _require_concise_symmetric(f)
     n, d = f.n, f.order
     u = tuple(1 if t < d - 1 else 0 for t in range(d))
-    lifted = pi_image(n, d, u, ann_piece(f, u))
-    target = ann_sym_piece(depolarize(f), d - 1)
-    contained = target.contains(lifted)
-    equal = lifted == target
+    fibre = pi_fibres(n, d, u).f
+    cat = _catalecticant(depolarize(f), d - 1)
+    perp = spans[d - 1]
+    contained = all(perp._contains_row(_pulled_back(fibre, row)) for row in cat)
+    dim_image = _image_dim(fibre, perp.sparse, f.field)
+    dim_target = _dim_piece(veronese_ring(n), d - 1) - len(cat)
+    equal = contained and dim_image == dim_target
     cert = Certificate("image-of-degree-one-minus-last", partial(tensor_digest, f),
                        verdict=contained)
-    cert.add(degree=u, dim_image=lifted.dim, dim_target=target.dim,
+    cert.add(degree=u, dim_image=dim_image, dim_target=dim_target,
              contained=contained, equal=equal)
     if not contained:
         cert.failure = "the projected annihilator piece is not apolar to the form"
@@ -251,38 +330,33 @@ def verify_gen_count_transfer(f) -> Certificate:
     return cert
 
 
-def _proper_ideal_piece(f, u) -> Subspace:
-    """Piece u of the ideal generated by every Ann(F)_v with v strictly inside
-    the unit box, built from the pieces at the degrees v <= u (componentwise)
-    alone.
-
-    A proper unit-box piece of the ideal is Ann(F)_v itself, since Ann(F) is an
-    ideal; every other piece is spanned from below, as in `expand`."""
-    ring = segre_ring(f.n, f.order)
-    proper = set(proper_unit_box_degrees(f.order))
-    pieces: dict = {}
-
-    def piece_at(v):
-        if v not in pieces:
-            pieces[v] = (ann_piece(f, v) if v in proper else
-                         span_from_below(ring, v, piece_at, f.field, piece=(ring, v)))
-        return pieces[v]
-
-    return piece_at(u)
-
-
 def verify_containment_lemma(f) -> Certificate:
     """pi of the (d-1)e_1 + e_2 piece of the proper-degree annihilator ideal
-    lies inside Ann(p_F)_d."""
-    _require_concise_symmetric(f)
+    lies inside Ann(p_F)_d.
+
+    F is concise, so Ann(F) is zero at e_0 and e_1, and the piece P at
+    u = (d-1, 1, 0, ...) is S_{e_0}^{d-2} Ann(F)_{e_0+e_1}, the end of
+    `is_sharp`'s growth chain (P = 0 when d < 3, where e_0 + e_1 is not
+    proper).  pi(P) lies in Ann(p_F)_d, the kernel of p_F's functional, exactly
+    when the functional pulled back along pi lies in the span of P^perp: one
+    rank on codim P + 1 rows."""
+    spans = _require_concise_symmetric(f)
     n, d = f.n, f.order
     u = tuple([d - 1, 1] + [0] * (d - 2))
-    lifted = pi_image(n, d, u, _proper_ideal_piece(f, u))
-    target = ann_sym_piece(depolarize(f), d)
-    ok = target.contains(lifted)
+    fibre = pi_fibres(n, d, u).f
+    if d < 3:
+        perp = [((c, 1),) for c in range(len(fibre))]
+    else:
+        first = spans[2].sparse if d == 3 else ann_piece(f, (1, 1) + (0,) * (d - 2)).constraints()
+        perp = _growth_chain(f, first)[-1]
+    top = _catalecticant(depolarize(f), d)
+    ok = rank(len(fibre), [*perp, *[_pulled_back(fibre, row) for row in top]],
+              f.field) == len(perp)
+    dim_image = _image_dim(fibre, perp, f.field)
     cert = Certificate("proper-ideal-containment", partial(tensor_digest, f), verdict=ok)
-    cert.add(degree=u, dim_image=lifted.dim, dim_target=target.dim, ok=ok,
-             vacuous=lifted.is_zero)
+    cert.add(degree=u, dim_image=dim_image,
+             dim_target=_dim_piece(veronese_ring(n), d) - len(top), ok=ok,
+             vacuous=not dim_image)
     if not ok:
         cert.failure = "the projected piece escapes the form's annihilator"
     return cert

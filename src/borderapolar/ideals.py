@@ -33,7 +33,8 @@ W_|u|^perp pulled back along the pi-fibres: its matrix's column c is column
 f[c] of W_|u|'s integer constraint rows.  `_merged_kernel` reduces both.
 
 Every monomial product is read off `grading`'s cached table
-S_u x S_v -> S_{u+v} (`_product_map`): variable multiples at v = e_i and point
+S_u x S_v -> S_{u+v} (`_product_map`): variable multiples at v = e_i, the
+pairs x_{ij} t = x_{ij'} t' that `annihilator_from_below` equates, and point
 evaluation by inverting that; the saturation test (J_{u+v} : S_v)_u is
 `grading.colon`, so no monomial is ranked or multiplied here.
 """
@@ -111,6 +112,54 @@ def span_from_below(ring: RingSpec, u, piece_at, field=QQ, rows=(), piece=None) 
     for i, prev in _degrees_below(ring, u):
         rows.extend(variable_multiples(ring, prev, piece_at(prev).sparse, i))
     return Subspace.from_rows(_dim_piece(ring, u), rows, piece, field)
+
+
+def annihilator_from_below(ring: RingSpec, u, i: int, ann, field=QQ) -> tuple:
+    """A basis of (S_{e_i} J_u)^perp on S_{u+e_i}, as integer rows (not in
+    RREF), from integer rows `ann` that form a basis of J_u^perp on S_u: one
+    elimination in n r unknowns, r = len(ann), where `span_from_below` takes
+    n dim J_u rows.
+
+    A functional phi on S_{u+e_i} is fixed by its contractions
+    c_j = x_{ij} _| phi, the functionals t -> phi(x_{ij} t) on S_u, since
+    every monomial of S_{u+e_i} is a variable of factor i times one of S_u.
+    phi vanishes on S_{e_i} J_u exactly when every c_j lies in J_u^perp, that
+    is c_j = sum_a lambda_{j,a} ann_a, and a family (c_j) comes from some phi
+    exactly when c_j(t) = c_{j'}(t') whenever x_{ij} t = x_{ij'} t'.  So the
+    lambdas are the kernel of one equation per pair (j, t) of
+    `_variable_table` past the first pair of its product m, n dim S_u -
+    dim S_{u+e_i} of them, and each kernel row gives phi(m) = c_j(t) at that
+    first pair.  lambda -> phi is one to one, as the ann_a are independent,
+    so the rows are independent.  On V, i is 0.
+    """
+    if not ann:  # J_u = S_u, and so is S_{e_i} J_u
+        return ()
+    table, n, r = _variable_table(ring, u, i), ring.n, len(ann)
+    at = [[] for _ in range(_dim_piece(ring, u))]  # at[t]: the (a, ann_a(t)), ann_a(t) != 0
+    for a, row in enumerate(ann):
+        for t, x in row:
+            at[t].append((a, x))
+    first = {}  # each monomial m of S_{u+e_i}: its first pair (j, t), x_{ij} t = m
+    equations = []
+    for t, here in enumerate(at):
+        for j in range(n):
+            m = table[t * n + j]
+            if m not in first:
+                first[m] = j, t
+                continue
+            j0, t0 = first[m]
+            row = [(j0 * r + a, x) for a, x in at[t0]] + [(j * r + a, -x) for a, x in here]
+            if row:
+                equations.append(row)
+    owners = [first[m] for m in range(len(first))]  # every monomial of S_{u+e_i} has one
+    out = []
+    for lam in kernel(n * r, equations, field=field).sparse:
+        by_j = [{} for _ in range(n)]  # by_j[j]: a -> lambda_{j,a}
+        for q, x in lam:
+            by_j[q // r][q % r] = x
+        phi = [sum([by_j[j].get(a, 0) * x for a, x in at[t]]) for j, t in owners]
+        out.append(tuple([(m, x) for m, x in enumerate(field.normalize(phi)) if x]))
+    return tuple(out)
 
 
 class _Preimages(Mapping):

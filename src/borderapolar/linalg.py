@@ -253,20 +253,30 @@ class PrimeField:
         if isinstance(x, int):
             return Mod(x, self.p)
         if isinstance(x, Fraction):
-            if not x.denominator % self.p:
-                raise ValueError(
-                    f"{x} has no value mod {self.p}: its denominator is divisible by {self.p}")
-            return Mod(x.numerator, self.p) / Mod(x.denominator, self.p)
+            return Mod(self._residue(x), self.p)
         if isinstance(x, str):
             return self.of(Fraction(x))
         raise TypeError(f"cannot coerce {x!r} into GF({self.p})")
 
+    def _residue(self, x: Fraction) -> int:
+        """The residue of a rational, refused when its denominator is 0 mod p."""
+        p = self.p
+        if not x.denominator % p:
+            raise ValueError(f"{x} has no value mod {p}: its denominator is divisible by {p}")
+        return x.numerator * pow(x.denominator, -1, p) % p
+
     def to_ints(self, row, ncols: int) -> list:
-        """A sparse row as a dense row of residues, written in one pass."""
+        """A sparse row as a dense row of residues, written in one pass; a
+        `Fraction` entry is reduced as `of` reduces it."""
         p = self.p
         ints = [0] * ncols
         for c, x in row:
-            ints[c] = x.v if isinstance(x, Mod) else x % p
+            if isinstance(x, Mod):
+                ints[c] = x.v
+            elif isinstance(x, Fraction):
+                ints[c] = self._residue(x)
+            else:
+                ints[c] = x % p
         return ints
 
     def normalize(self, ints) -> list:
@@ -353,11 +363,15 @@ def _in_range(ncols: int, rows) -> list:
 
     One pass marks each column with the last row that has it: a column past
     the end or a float fails to index the marks, and a negative one is tested.
+    A row that is neither a list nor a tuple, such as a one-shot iterator, is
+    made a list first, so that elimination reads the entries this pass read.
     """
     rows = list(rows)
     seen = [-1] * ncols
     try:
         for i, row in enumerate(rows):
+            if not isinstance(row, (list, tuple)):
+                row = rows[i] = list(row)
             for c, _ in row:
                 if c < 0 or seen[c] == i:
                     raise IndexError

@@ -17,6 +17,7 @@ from borderapolar.apolarity import (
     ann_piece,
     ann_sym_piece,
     as_symmetric,
+    depolarize,
     is_concise,
 )
 from borderapolar.grading import (
@@ -33,7 +34,7 @@ from borderapolar.grading import (
     unit_degree,
     veronese_ring,
 )
-from borderapolar.diagonal_maps import pi_fibres, proper_unit_box_degrees
+from borderapolar.diagonal_maps import pi_fibres, pi_image, proper_unit_box_degrees
 from borderapolar.ideals import (
     GenericityError,
     PointSet,
@@ -43,6 +44,7 @@ from borderapolar.ideals import (
     first_non_generic,
     first_without_diagonal,
     min_generators,
+    span_from_below,
     variable_multiples,
 )
 from borderapolar.linalg import QQ, Matrix, Subspace, kernel, rank
@@ -643,7 +645,8 @@ def contract_poly_reference(g: PieceElement, p: HomPoly) -> HomPoly:
 
 def proper_degree_annihilator_ideal(f, bound: int):
     """The ideal generated by every Ann(F)_u with u strictly inside the unit box,
-    expanded to the bound: the oracle for `bounds._proper_ideal_piece`."""
+    expanded to the bound: the oracle for the proper-ideal piece that
+    `bounds.verify_containment_lemma` reads by its annihilator."""
     ring = segre_ring(f.n, f.order)
     gens = []
     for u in proper_unit_box_degrees(f.order):
@@ -665,16 +668,20 @@ def rho_stages_reference(f: SymTensor, r: int, j: TruncatedIdeal) -> tuple:
              {"stage": "rho-hilbert-function", "ok": hf}], apolar and hf)
 
 
+def _require_concise_symmetric_reference(f):
+    if not isinstance(f, SymTensor):
+        raise ValueError("sharpness is defined for symmetric tensors")
+    if not is_concise(f):
+        raise ValueError("sharpness is defined for concise tensors")
+
+
 def is_sharp_reference(f) -> Certificate:
     """`bounds.is_sharp` with no use of F's symmetry: a kernel for every proper
     unit-box degree, and a growth chain for every ordered pair (i, j)."""
     n, d = f.n, f.order
     if d < 3:
         raise ValueError("sharpness needs at least three factors")
-    if not isinstance(f, SymTensor):
-        raise ValueError("sharpness is defined for symmetric tensors")
-    if not is_concise(f):
-        raise ValueError("sharpness is defined for concise tensors")
+    _require_concise_symmetric_reference(f)
     ring = segre_ring(n, d)
     cert = Certificate("sharp", lambda: tensor_digest(f))
     gens = min_generators_degree_one_reference(f)
@@ -710,4 +717,58 @@ def is_sharp_reference(f) -> Certificate:
     cert.verdict = cond1 and cond2 and cond3
     if not cert.verdict:
         cert.failure = "a sharpness condition fails (see witnesses)"
+    return cert
+
+
+def verify_lemma_1_minus_ed_reference(f) -> Certificate:
+    """`bounds.verify_lemma_1_minus_ed` on the primal side: the kernel
+    Ann(F)_{1-e_d}, its pi-image, the kernel Ann(p_F)_{d-1} and their
+    containment and equality as subspaces."""
+    _require_concise_symmetric_reference(f)
+    n, d = f.n, f.order
+    u = tuple(1 if t < d - 1 else 0 for t in range(d))
+    lifted = pi_image(n, d, u, ann_piece(f, u))
+    target = ann_sym_piece(depolarize(f), d - 1)
+    contained = target.contains(lifted)
+    cert = Certificate("image-of-degree-one-minus-last", lambda: tensor_digest(f),
+                       verdict=contained)
+    cert.add(degree=u, dim_image=lifted.dim, dim_target=target.dim,
+             contained=contained, equal=lifted == target)
+    if not contained:
+        cert.failure = "the projected annihilator piece is not apolar to the form"
+    return cert
+
+
+def proper_ideal_piece_reference(f, u) -> Subspace:
+    """Piece u of the ideal generated by every Ann(F)_v with v strictly inside
+    the unit box, spanned from below over the degrees v <= u alone: Ann(F)_v
+    itself at a proper unit-box degree, `span_from_below` at every other."""
+    ring = segre_ring(f.n, f.order)
+    proper = set(proper_unit_box_degrees(f.order))
+    pieces: dict = {}
+
+    def piece_at(v):
+        if v not in pieces:
+            pieces[v] = (ann_piece(f, v) if v in proper else
+                         span_from_below(ring, v, piece_at, f.field, piece=(ring, v)))
+        return pieces[v]
+
+    return piece_at(u)
+
+
+def verify_containment_lemma_reference(f) -> Certificate:
+    """`bounds.verify_containment_lemma` on the primal side: the proper-ideal
+    piece P at (d-1, 1, 0, ...) spanned from below, its pi-image and the
+    kernel Ann(p_F)_d."""
+    _require_concise_symmetric_reference(f)
+    n, d = f.n, f.order
+    u = tuple([d - 1, 1] + [0] * (d - 2))
+    lifted = pi_image(n, d, u, proper_ideal_piece_reference(f, u))
+    target = ann_sym_piece(depolarize(f), d)
+    ok = target.contains(lifted)
+    cert = Certificate("proper-ideal-containment", lambda: tensor_digest(f), verdict=ok)
+    cert.add(degree=u, dim_image=lifted.dim, dim_target=target.dim, ok=ok,
+             vacuous=lifted.is_zero)
+    if not ok:
+        cert.failure = "the projected piece escapes the form's annihilator"
     return cert

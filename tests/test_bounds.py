@@ -47,6 +47,8 @@ from support import (
     random_symmetric_tensor,
     slice_spans_reference,
     sum_of_powers_tensor,
+    verify_containment_lemma_reference,
+    verify_lemma_1_minus_ed_reference,
 )
 
 
@@ -223,6 +225,11 @@ class TestGeneratorCounts:
             assert cert.verdict, cert.witnesses
 
 
+def _unit_rows(p, k):
+    """A wrong form side: the unit rows of V_k^*, which cut out Ann(p)_k = 0."""
+    return [[(c, 1)] for c in range(dim_piece(veronese_ring(p.n), k))]
+
+
 class TestLemmaSuite:
     def test_one_minus_last_equality_on_diagonals(self):
         for n, d in ((2, 3), (3, 3), (2, 4)):
@@ -269,22 +276,20 @@ class TestLemmaSuite:
         assert "vacuous" in cert.witnesses[0]
 
     @pytest.mark.parametrize("check, patched, fake, failure, witness", [
-        (verify_lemma_1_minus_ed, "ann_sym_piece",
-         lambda p, k: Subspace.zero(dim_piece(veronese_ring(p.n), k), field=p.field),
+        (verify_lemma_1_minus_ed, "_catalecticant", _unit_rows,
          "the projected annihilator piece is not apolar to the form",
          {"degree": (1, 1, 0), "dim_image": 3, "dim_target": 0, "contained": False,
           "equal": False}),
         (verify_gen_count_transfer, "min_generators_sym_in_degree", lambda p, k: 3,
          "generator counts differ: 2 vs 3", {"tensor_side": 2, "form_side": 3, "ok": False}),
-        (verify_containment_lemma, "ann_sym_piece",
-         lambda p, k: Subspace.zero(dim_piece(veronese_ring(p.n), k), field=p.field),
+        (verify_containment_lemma, "_catalecticant", _unit_rows,
          "the projected piece escapes the form's annihilator",
          {"degree": (2, 1, 0), "dim_image": 7, "dim_target": 0, "ok": False, "vacuous": False}),
     ], ids=["lemma_1_minus_ed", "gen_count_transfer", "containment_lemma"])
     def test_each_check_can_fail(self, monkeypatch, check, patched, fake, failure, witness):
         """Each identity holds for every concise symmetric F, so its failing
-        verdict is driven by a wrong form side: an empty Ann(p_F) piece, or a
-        generator count off by one."""
+        verdict is driven by a wrong form side: catalecticant rows that span
+        all of V_k^*, so that Ann(p_F)_k = 0, or a generator count off by one."""
         monkeypatch.setattr(bounds, patched, fake)
         cert = check(diagonal_tensor(3, 3))
         assert (cert.verdict, cert.failure, cert.witnesses[-1]) == (False, failure, witness)
@@ -334,30 +339,39 @@ def _recording(monkeypatch, name):
 
 
 class TestEliminationCounts:
-    @pytest.mark.parametrize("n,d,count", [(3, 3, 7), (2, 4, 9)])
+    @pytest.mark.parametrize("n,d,count", [(3, 3, 4), (2, 4, 6)])
     def test_containment_lemma_reads_the_down_set_only(self, monkeypatch, eliminations,
                                                        n, d, count):
-        # one slice span (F's d flattenings are equal), the proper pieces at
-        # e_1 and e_1 + e_2, the spans at k e_1 and k e_1 + e_2 for
-        # k = 2..d-1, one pi-image and one catalecticant kernel: 2d + 1
-        # eliminations
+        # one slice span (F's d flattenings are equal), the proper piece at
+        # e_1 + e_2 for d >= 4 (R_3 is its annihilator at d = 3), one
+        # annihilator step at each k e_1 + e_2, k = 1..d-2, in n codim
+        # unknowns, the containment rank on codim + 1 rows and the fibre
+        # rank in codim unknowns: d + 1 eliminations, and one more for d >= 4
         f = concise_power_sum_instance(n, d, random.Random(60 + d))
         ann = _recording(monkeypatch, "ann_piece")
-        spans = _recording(monkeypatch, "span_from_below")
+        steps = _recording(monkeypatch, "annihilator_from_below")
         eliminations.clear()
         assert verify_containment_lemma(f).verdict
-        assert len(eliminations) == count == 2 * d + 1
+        assert len(eliminations) == count == d + 1 + (d > 3)
         u = (d - 1, 1) + (0,) * (d - 2)
-        built = ann + spans
+        built = ann + steps
         assert all(all(a <= b for a, b in zip(v, u)) for v in built), built
-        assert len(set(built)) == len(built)
-        assert sorted(ann) == sorted([(1, 1) + (0,) * (d - 2), (1,) + (0,) * (d - 1)])
+        assert ann == ([(1, 1) + (0,) * (d - 2)] if d > 3 else [])
+        assert steps == [(s, 1) + (0,) * (d - 2) for s in range(1, d - 1)]
+        chain = eliminations[len(eliminations) - d:-2]
+        assert [cols for _, cols in chain] == [n * n] * (d - 2)
+        assert eliminations[-2] == (n + 1, math.comb(n + d - 2, d - 1) * n)
+        assert eliminations[-1][1] == n
 
     @pytest.mark.parametrize("n,d", [(2, 3), (3, 3), (2, 4), (2, 5)])
     def test_is_sharp_builds_one_unit_box_piece_per_weight(self, monkeypatch, n, d):
+        # the pieces of weight 1 and d-1 are read off the slice spans, and the
+        # growth chain steps along factor 0 from e_0 + e_1 alone
         seen = _recording(monkeypatch, "ann_piece")
+        steps = _recording(monkeypatch, "annihilator_from_below")
         assert is_sharp(concise_power_sum_instance(n, d, random.Random(61))).verdict
-        assert seen == [(1,) * w + (0,) * (d - w) for w in range(1, d)]
+        assert seen == [(1,) * w + (0,) * (d - w) for w in range(2, d - 1)]
+        assert steps == [(s, 1) + (0,) * (d - 2) for s in range(1, d - 1)]
 
     @pytest.mark.parametrize("check", [is_sharp, verify_gen_count_transfer,
                                        verify_containment_lemma, is_111_sharp],
@@ -373,28 +387,31 @@ class TestEliminationCounts:
         assert eliminations == shapes and shapes
 
     @pytest.mark.parametrize("check,count", [(is_111_sharp, 2), (verify_gen_count_transfer, 5),
-                                             (is_sharp, 5)],
+                                             (is_sharp, 3)],
                              ids=lambda v: getattr(v, "__name__", str(v)))
     def test_slice_spans_are_reduced_once(self, eliminations, check, count):
         # conciseness is read off the slice spans the degree-one count uses,
         # and F's 3 flattenings are equal: 1 span and the short system, then
         # 3 Veronese-side eliminations for the generator-count transfer and
-        # 2 unit-box pieces and 1 growth step for sharpness; reducing each
-        # flattening would add 2 to each
+        # 1 growth step for sharpness, whose unit-box values and first
+        # annihilator are the slice spans; reducing each flattening would add
+        # 2 to each
         f = concise_power_sum_instance(4, 3, random.Random(63))
         eliminations.clear()
         assert check(f).verdict
         assert len(eliminations) == count
 
-    @pytest.mark.parametrize("n,d,count", [(4, 3, 5), (2, 4, 7), (2, 5, 9)])
+    @pytest.mark.parametrize("n,d,count", [(4, 3, 3), (2, 4, 5), (2, 5, 7)])
     def test_is_sharp_uses_one_piece_per_weight_and_one_growth_chain(self, eliminations,
                                                                     n, d, count):
-        # one slice span and the short system, d-1 unit-box pieces and d-2
-        # growth steps, for (i, j) = (0, 1) alone: 2d - 1 eliminations
+        # one slice span and the short system, d-3 unit-box pieces (weights
+        # 2..d-2) and d-2 growth steps, for (i, j) = (0, 1) alone, each in
+        # n codim = n^2 unknowns: 2d - 3 eliminations
         f = concise_power_sum_instance(n, d, random.Random(63))
         eliminations.clear()
         assert is_sharp(f).verdict
-        assert len(eliminations) == count == 2 * d - 1
+        assert len(eliminations) == count == 2 * d - 3
+        assert [cols for _, cols in eliminations[-(d - 2):]] == [n * n] * (d - 2)
 
     def test_degree_one_count_is_one_short_system(self, eliminations):
         # one slice span of shape n x n^(d-1) (F's d flattenings are equal),
@@ -557,20 +574,25 @@ class TestSymmetricShortcut:
 class TestDownSetPiece:
     @pytest.mark.parametrize("field", [QQ, PrimeField(2147483647)], ids=["QQ", "GFp"])
     def test_equals_the_piece_of_the_full_ideal(self, monkeypatch, field):
+        # the growth chain ends at P^perp for the piece P at (d-1, 1, 0, ...)
+        # of the ideal that the proper unit-box pieces generate
         captured = []
-        real = bounds.pi_image
-        monkeypatch.setattr(bounds, "pi_image",
-                            lambda n, d, u, sub: captured.append((u, sub)) or real(n, d, u, sub))
+        real = bounds._growth_chain
+        monkeypatch.setattr(bounds, "_growth_chain",
+                            lambda f, first: captured.append(real(f, first)) or captured[-1])
         rng = random.Random(66)
         for n, d in ((2, 3), (3, 3), (2, 4), (3, 4)):
             for f in (diagonal_tensor(n, d), concise_power_sum_instance(n, d, rng)):
                 f = SymTensor(n, d, f.entries, field=field)
                 captured.clear()
                 assert verify_containment_lemma(f).verdict
-                (u, sub), = captured
-                assert u == (d - 1, 1) + (0,) * (d - 2)
-                assert sub == proper_degree_annihilator_ideal(f, d).piece(u)
-                assert sub.field == field and not sub.is_zero
+                (chain,), u = captured, (d - 1, 1) + (0,) * (d - 2)
+                piece = proper_degree_annihilator_ideal(f, d).piece(u)
+                perp = Subspace.from_rows(piece.ambient_dim, chain[-1], field=field)
+                assert len(chain) == d - 1 and len(chain[-1]) == perp.dim == piece.codim
+                assert perp == Subspace.from_rows(piece.ambient_dim, piece.constraints(),
+                                                  field=field)
+                assert perp.field == field and not piece.is_zero
 
 
 def _sparse_symmetric_tensor(n, d, rng):
@@ -580,26 +602,40 @@ def _sparse_symmetric_tensor(n, d, rng):
     return polarize(HomPoly(n, d, terms))
 
 
+def _reference_tensors(rng) -> list:
+    """A concise tensor that is not symmetric, a symmetric one that is not
+    concise, and for each shape a power sum of n forms, one of n + 1 forms, a
+    random symmetric tensor and a sparse one."""
+    tensors = [GeneralTensor(2, 3, {(0, 0, 0): 1, (1, 1, 1): 1, (0, 1, 1): 1}),
+               SymTensor(2, 4, {(0,) * 4: 1})]
+    for n, d in ((1, 3), (2, 2), (2, 3), (3, 3), (4, 3), (2, 4), (3, 4), (2, 5)):
+        tensors += [sum_of_powers_tensor(n, d, independent_forms(n, rng)),
+                    sum_of_powers_tensor(n, d, random_forms(n, n + 1, rng)),
+                    random_symmetric_tensor(n, d, rng), _sparse_symmetric_tensor(n, d, rng)]
+    return tensors
+
+
+def _in_field(f, field):
+    kind = SymTensor if isinstance(f, SymTensor) else GeneralTensor
+    return kind(f.n, f.order, f.entries, field=field)
+
+
+def _outcome(check, f):
+    """The certificate as `to_dict` gives it, or the refusal's message."""
+    try:
+        return check(f).to_dict()
+    except ValueError as exc:
+        return str(exc)
+
+
 class TestSharpnessAgainstReference:
     @pytest.mark.parametrize("field", [QQ, PrimeField(2147483647)], ids=["QQ", "GFp"])
     def test_certificates_equal_the_per_degree_per_pair_oracle(self, field):
-        rng = random.Random(67)
-        tensors = [GeneralTensor(2, 3, {(0, 0, 0): 1, (1, 1, 1): 1, (0, 1, 1): 1}),
-                   SymTensor(2, 4, {(0,) * 4: 1})]
-        for n, d in ((1, 3), (2, 2), (2, 3), (3, 3), (4, 3), (2, 4), (3, 4), (2, 5)):
-            tensors += [sum_of_powers_tensor(n, d, independent_forms(n, rng)),
-                        sum_of_powers_tensor(n, d, random_forms(n, n + 1, rng)),
-                        random_symmetric_tensor(n, d, rng), _sparse_symmetric_tensor(n, d, rng)]
+        tensors = _reference_tensors(random.Random(67))
         outcomes, failing = set(), set()
         for f in tensors:
-            kind = SymTensor if isinstance(f, SymTensor) else GeneralTensor
-            f = kind(f.n, f.order, f.entries, field=field)
-            results = []
-            for check in (is_sharp, is_sharp_reference):
-                try:
-                    results.append(check(f).to_dict())
-                except ValueError as exc:
-                    results.append(str(exc))
+            f = _in_field(f, field)
+            results = [_outcome(check, f) for check in (is_sharp, is_sharp_reference)]
             assert results[0] == results[1], f
             got = results[0]
             outcomes.add(got if isinstance(got, str) else got["verdict"])
@@ -609,3 +645,31 @@ class TestSharpnessAgainstReference:
                             "sharpness is defined for concise tensors",
                             "sharpness needs at least three factors"}
         assert failing == {"degree-one-generators", "unit-box-hilbert", "two-factor-growth"}
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(2147483647)], ids=["QQ", "GFp"])
+    def test_lemma_certificates_equal_the_primal_oracle(self, field):
+        # the annihilator-side lemmas against the kernels, pi-images and
+        # containments of the primal path, on the tensors above: sharp and
+        # not sharp, with images of every dimension and both equalities
+        tensors = _reference_tensors(random.Random(71))
+        rng = random.Random(72)
+        for n, d in ((2, 3), (3, 3), (2, 4), (3, 4)):
+            tensors += [sum_of_powers_tensor(n, d, random_forms(n, n + 2, rng)),
+                        diagonal_tensor(n, d)]
+        seen = set()
+        for f in tensors:
+            f = _in_field(f, field)
+            for check, oracle in ((verify_lemma_1_minus_ed, verify_lemma_1_minus_ed_reference),
+                                  (verify_containment_lemma,
+                                   verify_containment_lemma_reference)):
+                got = _outcome(check, f)
+                assert got == _outcome(oracle, f), (check.__name__, f)
+                if isinstance(got, dict):
+                    w = got["witnesses"][0]
+                    seen.add((check.__name__, w.get("equal", w.get("vacuous"))))
+                    seen.add(w["dim_image"])
+        # equality of the lemma's two sides held on every concise form tried;
+        # test_each_check_can_fail makes it fail
+        assert {(verify_lemma_1_minus_ed.__name__, True), (verify_containment_lemma.__name__, True),
+                (verify_containment_lemma.__name__, False)} <= seen
+        assert len(seen) > 10

@@ -26,6 +26,7 @@ from borderapolar.ideals import (
     GenericityError,
     PointSet,
     TruncatedIdeal,
+    annihilator_from_below,
     degrees_up_to,
     diagonal_ideal,
     diagonal_points,
@@ -37,6 +38,7 @@ from borderapolar.ideals import (
     is_saturated_degreewise,
     min_generators_in_degree,
     point_ideal,
+    span_from_below,
     very_general_points,
     zero_ideal,
 )
@@ -645,6 +647,61 @@ class TestMinGenerators:
         assert min_generators_degree_one(f) == 1
         p = depolarize(f)  # y1^3 + y2^3 up to scaling
         assert min_generators_sym_in_degree(p, 3) == 1
+
+
+def _annihilator_cases() -> list:
+    """(ring, u, i) with u_i = 0 and u_i > 0, on S and on V."""
+    s23, s32, s14 = segre_ring(2, 3), segre_ring(3, 2), segre_ring(1, 4)
+    cases = [(s23, (0, 0, 0), 1), (s23, (1, 0, 0), 1), (s23, (1, 1, 0), 0), (s23, (2, 1, 0), 0),
+             (s23, (1, 1, 1), 2), (s23, (0, 2, 1), 1), (s32, (1, 1), 0), (s32, (2, 0), 1),
+             (s32, (0, 2), 1), (s14, (1, 0, 1, 0), 0)]
+    return cases + [(ring, k, 0) for ring in (V2, V3) for k in range(4)]
+
+
+class TestAnnihilatorFromBelow:
+    """(S_{e_i} J_u)^perp grown on the annihilator side, against the perp of
+    the span `span_from_below` makes on the primal side."""
+
+    @pytest.mark.parametrize("field", [QQ, GF], ids=["QQ", "GFp"])
+    def test_equals_the_perp_of_the_primal_span(self, field):
+        rng = random.Random(74)
+        kinds = set()
+        for ring, u, i in _annihilator_cases():
+            dim = dim_piece(ring, u)
+            up = u + 1 if isinstance(u, int) else add_degrees(u, unit_degree(ring.d, i))
+            for kind in ("zero", "full", "random", "random", "random"):
+                rows = ([] if kind == "zero" else [[(c, 1)] for c in range(dim)] if kind == "full"
+                        else [[(c, rng.randint(-4, 4)) for c in range(dim) if rng.random() < 0.5]
+                              for _ in range(rng.randint(1, dim))])
+                j = Subspace.from_rows(dim, rows, field=field)
+                zero = {v: Subspace.zero(dim_piece(ring, v), field=field) for v in
+                        ([up - 1] if isinstance(up, int) else
+                         [sub for sub in (tuple(x - (t == k) for t, x in enumerate(up))
+                                          for k in range(ring.d)) if min(sub) >= 0])}
+                primal = span_from_below(ring, up, {**zero, u: j}.__getitem__, field)
+                got = annihilator_from_below(ring, u, i, j.constraints(), field)
+                assert all(type(x) is int for row in got for _, x in row)
+                perp = Subspace.from_rows(primal.ambient_dim, got, field=field)
+                assert len(got) == perp.dim == primal.codim, (ring, u, i, kind)
+                assert perp == Subspace.from_rows(primal.ambient_dim, primal.constraints(),
+                                                  field=field), (ring, u, i, kind)
+                kinds.add((kind, u[i] if isinstance(u, tuple) else u) if dim > 1 else kind)
+        assert {("zero", 0), ("full", 0), ("random", 0), ("random", 1), ("random", 2)} <= kinds
+
+    def test_one_elimination_in_n_codim_unknowns(self, eliminations):
+        # n dim S_u - dim S_{u+e_i} equations at most, in n r unknowns; none
+        # for a full piece
+        ring = segre_ring(3, 3)
+        j = Subspace.from_rows(dim_piece(ring, (2, 1, 0)), [[(0, 1), (5, 2)], [(7, 1)]])
+        eliminations.clear()
+        got = annihilator_from_below(ring, (2, 1, 0), 0, j.constraints())
+        codim = j.codim
+        (rows, cols), = eliminations
+        assert cols == 3 * codim
+        assert rows <= 3 * dim_piece(ring, (2, 1, 0)) - dim_piece(ring, (3, 1, 0))
+        assert len(got) == dim_piece(ring, (3, 1, 0)) - 3 * j.dim  # the 6 multiples are independent
+        eliminations.clear()
+        assert annihilator_from_below(ring, (2, 1, 0), 0, ()) == () and eliminations == []
 
 
 class TestGenericity:

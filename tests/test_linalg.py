@@ -599,6 +599,27 @@ class TestRowIterables:
                 assert got == want and repr(got) == repr(want)
                 assert (list(eliminations), eliminations.rows) == seen
 
+    @pytest.mark.parametrize("field", FIELDS, ids=repr)
+    def test_one_shot_rows_are_read_by_elimination(self, field):
+        # the column check reads each row, and elimination reads it again: a
+        # row given as an iterator or a generator is not used up by the check
+        assert rank(2, [iter([(0, 1)])], field) == 1
+        assert Subspace.from_rows(2, [((c, 1) for c in (0,))], field=field).dim == 1
+        assert kernel(2, [iter([(0, 1)])], field=field) == Subspace(2, (((1, 1),),), field=field)
+        rng = random.Random(38)
+        for _ in range(20):
+            ncols = rng.randint(1, 7)
+            rows = [[(c, rng.randint(-5, 5)) for c in range(ncols) if rng.random() < 0.6]
+                    for _ in range(rng.randint(0, 6))]
+            assert rank(ncols, [iter(row) for row in rows], field) == rank(ncols, rows, field)
+            for make in (Subspace.from_rows, kernel):
+                got = make(ncols, [(x for x in row) for row in rows], field=field)
+                assert got == make(ncols, rows, field=field)
+
+    def test_a_one_shot_row_is_refused_by_its_column(self):
+        with pytest.raises(ValueError, match="column 2 outside an ambient of dimension 2"):
+            rank(2, [iter([(0, 1), (2, 1)])])
+
 
 class TestPrimeField:
     def test_rejects_small_or_composite(self):
@@ -615,6 +636,25 @@ class TestPrimeField:
         assert bool(gf.zero) is False
         with pytest.raises(ValueError, match="1/2097166 has no value mod 1048583"):
             gf.of("1/2097166")
+
+    def test_fraction_entries_reduce_as_of_reduces_them(self):
+        # a Fraction entry in a row is its residue, as `of` makes it
+        half = Fraction(1, 2)
+        assert GF.to_ints([(0, half), (1, Fraction(-3, 7))], 2) == [GF.of(half).v,
+                                                                  GF.of(Fraction(-3, 7)).v]
+        assert Subspace.from_rows(2, [[(0, half)]], field=GF) == Subspace(2, (((0, 1),),), field=GF)
+        rows = [[(0, half), (1, 1)], [(0, 1), (1, Fraction(2, 3))]]
+        residues = [[(c, GF.of(x)) for c, x in row] for row in rows]
+        assert rank(2, rows, GF) == rank(2, residues, GF)
+        assert Subspace.from_rows(2, rows, field=GF) == Subspace.from_rows(2, residues, field=GF)
+        assert kernel(2, rows, field=GF) == kernel(2, residues, field=GF)
+        bad = Fraction(1, GF.p)
+        for call in (lambda: Subspace.from_rows(2, [[(0, bad)]], field=GF),
+                     lambda: rank(2, [[(1, bad)]], GF), lambda: GF.of(bad)):
+            with pytest.raises(ValueError,
+                               match=f"^1/{GF.p} has no value mod {GF.p}: its denominator "
+                                     f"is divisible by {GF.p}$"):
+                call()
 
     def test_rref_matches_rational_rank(self):
         gf = PrimeField(1048583)

@@ -14,8 +14,15 @@ from borderapolar.apolarity import (
     ann_sym_piece,
     contract_poly,
     contract_tensor,
+    polarize,
 )
-from borderapolar.bounds import MacaulayRep, is_sharp, macaulay_rep
+from borderapolar.bounds import (
+    MacaulayRep,
+    is_sharp,
+    macaulay_rep,
+    min_generators_degree_one,
+    verify_gen_count_transfer,
+)
 from borderapolar.diagonal_maps import direct_sum_check, ir_piece, pi_image, psi, tau
 from borderapolar.grading import (
     PieceElement,
@@ -249,6 +256,13 @@ BOUNDS = {
     # the order is checked before F's slice spans, which would find x^2 not concise
     "sharp-two-factors-not-concise": (lambda: is_sharp(SymTensor(2, 2, {(0, 0): 1})), ValueError,
                                       "^sharpness needs at least three factors$"),
+    # an order-0 tensor has no factor to count generators along, and no row is built
+    "degree-one-count-order-zero": (
+        lambda: min_generators_degree_one(polarize(HomPoly(2, 0, {(0, 0): 1}))), ValueError,
+        "^the degree-one count needs a tensor with at least one factor$"),
+    "gen-count-transfer-order-zero": (
+        lambda: verify_gen_count_transfer(SymTensor(2, 0, {(): 3})), ValueError,
+        "^need d >= 1, got 0$"),
 }
 
 SELFTEST = {

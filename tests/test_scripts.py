@@ -249,6 +249,18 @@ def test_linalg_makes_field_elements_only_where_rows_are_read():
     assert sorted(readers) == ["Subspace.basis", "Subspace.matrix", "Subspace.reduce_vector"]
 
 
+def test_bounds_grows_no_primal_span():
+    """The sharpness checks grow S_{e_0} J on the annihilator side, in n codim
+    unknowns, and read pi-images by a fibre test: `bounds` imports none of
+    the primal tools, by name or through a module."""
+    primal = {"pi_image", "span_from_below", "variable_multiples"}
+    path = ROOT / "src" / "borderapolar" / "bounds.py"
+    imported = {name.rsplit(".", 1)[-1]
+                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                for name in _imported(node)}
+    assert sorted(primal & (imported | _used_names(path))) == []
+
+
 def test_only_ideals_reduces_a_preimage():
     """A subspace of S_u taken along the pi-fibres is reduced by `ideals`
     alone, as a kernel of merged columns: `diagonal_maps` calls no `kernel`,
