@@ -7,21 +7,25 @@ kernels of the induced linear maps, so any nonzero rescaling of the pairing
 yields the same subspaces.  A `SymTensor` holds F by its form p_F, which
 `polarize` is given and an entry-built tensor makes as it checks symmetry; the
 entries of a polarized F are written on first read, and `entries` is read-only
-on every tensor.  A multilinear F is read through one contraction map: at a 0/1
-degree u, each entry lands in the row named by its indices off u and the column
-of its indices on u, in one pass over the entries.  `ann_piece` is its kernel,
-`slice_spans` its row spans at the degrees 1 - e_i, and `contract_tensor`
-applies an element of S_u to it.  A form is a functional on V_d, and its
-catalecticant rows are its `grading.contractions`: `ann_sym_piece` is their
-`grading.colon` and `contract_poly` pairs an element of V_k with them.
+on every tensor; `SymTensor.sorted_entries` lists them in index order from the
+form's orbits, for a digest, without writing them.  A multilinear F is read
+through one contraction map: at a 0/1 degree u, each entry lands in the row
+named by its indices off u and the column of its indices on u, in one pass
+over the entries, both read off a table built once per shape.  `ann_piece`
+is its kernel, `slice_spans` its row spans at the degrees 1 - e_i, and
+`contract_tensor` applies an element of S_u to it.  A form is a functional on
+V_d, and its catalecticant rows are its `grading.contractions`:
+`ann_sym_piece` is their `grading.colon` and `contract_poly` pairs an element
+of V_k with them.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 
 from .grading import (
@@ -152,15 +156,46 @@ class SymTensor(GeneralTensor):
 
     @cached_property
     def entries(self):
-        p = self.form
-        scale_den = math.factorial(p.d)
         entries = {}
-        for exps, a in p.terms.items():
-            c = a * p.field.of(Fraction(_gamma_factorial(exps), scale_den))
-            base = tuple(j for j, e in enumerate(exps) for _ in range(e))
+        for base, c in _orbits(self.form):
             for idx in set(itertools.permutations(base)):
                 entries[idx] = c
         return MappingProxyType(entries)
+
+    def sorted_entries(self):
+        """The pairs of `sorted(entries.items())`, one at a time, written from
+        the form's orbits without writing `entries`: each orbit's distinct
+        permutations come in ascending order, no index lies in two orbits,
+        and the orbits are merged."""
+        return heapq.merge(*[zip(_ascending_permutations(base), itertools.repeat(c))
+                             for base, c in _orbits(self.form)])
+
+
+def _orbits(p: HomPoly):
+    """(sorted index, entry) for each orbit of nonzero entries of polarize(p):
+    the entry is the coefficient of b^gamma times gamma!/d!."""
+    scale_den = math.factorial(p.d)
+    for exps, a in p.terms.items():
+        yield (tuple(j for j, e in enumerate(exps) for _ in range(e)),
+               a * p.field.of(Fraction(_gamma_factorial(exps), scale_den)))
+
+
+def _ascending_permutations(base: tuple):
+    """The distinct permutations of the sorted tuple `base`, in ascending order
+    (each the next permutation of the one before)."""
+    idx, d = list(base), len(base)
+    while True:
+        yield tuple(idx)
+        k = d - 2
+        while k >= 0 and idx[k] >= idx[k + 1]:
+            k -= 1
+        if k < 0:
+            return
+        last = d - 1
+        while idx[last] <= idx[k]:
+            last -= 1
+        idx[k], idx[last] = idx[last], idx[k]
+        idx[k + 1:] = idx[:k:-1]
 
 
 def as_symmetric(f: GeneralTensor) -> SymTensor:
@@ -193,14 +228,44 @@ def depolarize(f: GeneralTensor) -> HomPoly:
 
 # -- contraction ----------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _index_positions(n: int, d: int) -> MappingProxyType:
+    """Read-only: each index of an order-d tensor -> its position m in
+    `itertools.product` order, the mixed-radix number of its entries."""
+    return MappingProxyType({idx: m for m, idx in
+                             enumerate(itertools.product(range(n), repeat=d))})
+
+
+@lru_cache(maxsize=None)
+def _slice_keys(n: int, d: int, i: int) -> tuple:
+    """Where F's contraction at the degree 1 - e_i (every slot but i, in
+    order) puts the entry at the m-th index (`_index_positions`): the pair
+    (its index at slot i, as a 1-tuple, the mixed-radix rank of its other
+    indices, the first most significant), its row key and its column."""
+    step, heads = n ** (d - 1 - i), [(j,) for j in range(n)]
+    return tuple([(heads[m // step % n], m // (step * n) * step + m % step)
+                  for m in range(n ** d)])
+
+
 def _contraction_rows(f: GeneralTensor, picked) -> dict:
     """F's contraction by the square-free monomials on the positions `picked`,
     as sparse rows keyed by the indices off `picked`, in one pass over F's
     entries.  An entry sits in column c, the mixed-radix rank of its indices on
     `picked` with the first most significant: the rank of the contracting
-    monomial in its graded piece when `picked` follows slot order."""
-    n, off = f.n, [k for k in range(f.order) if k not in picked]
+    monomial in its graded piece when `picked` follows slot order.  A slice
+    contraction, every position but one in order, reads each entry's key and
+    column off the shape's `_slice_keys`.  A shape has d slices but 2^d 0/1
+    degrees, so no other contraction keeps a table of n^d keys: it computes
+    each key as it reads the entry."""
+    n, d = f.n, f.order
+    off = [k for k in range(d) if k not in picked]
     rows: dict = {}
+    if len(off) == 1 and list(picked) == sorted(picked):
+        keys, at = _slice_keys(n, d, off[0]), _index_positions(n, d)
+        for idx, x in f.entries.items():
+            key, c = keys[at[idx]]
+            rows.setdefault(key, []).append((c, x))
+        return rows
     for idx, x in f.entries.items():
         c = 0
         for k in picked:
@@ -274,11 +339,16 @@ def ann_piece(f: GeneralTensor, u) -> Subspace:
     return kernel(f.n ** len(picked), _contraction_rows(f, picked).values(), tag, f.field)
 
 
+@lru_cache(maxsize=None)
+def _gamma_weights(n: int, d: int) -> tuple:
+    """(gamma, gamma!) for each monomial gamma of V_d, in order."""
+    return tuple([(m, _gamma_factorial(m)) for m in monomials(veronese_ring(n), d)])
+
+
 def _functional(p: HomPoly) -> list:
     """p as a sparse row on V_d, a_gamma * gamma! at gamma: the catalecticant's entries."""
-    weights = [p.terms.get(m, 0) * _gamma_factorial(m)
-               for m in monomials(veronese_ring(p.n), p.d)]
-    return [(c, x) for c, x in enumerate(weights) if x]
+    get = p.terms.get
+    return [(c, x * w) for c, (m, w) in enumerate(_gamma_weights(p.n, p.d)) if (x := get(m))]
 
 
 def ann_sym_piece(p: HomPoly, k: int) -> Subspace:

@@ -21,7 +21,16 @@ unknowns, where spanning S_{e_i} J takes n dim J rows.  A pi-image is read
 through the same duality: pi(P) lies in Ann(p_F)_k exactly when the
 catalecticant rows cutting out Ann(p_F)_k, pulled back along pi, lie in the
 span of P^perp, and dim pi(P)^perp is the dimension of the functionals in
-P^perp that are constant on every pi-fibre.
+P^perp that are constant on every pi-fibre.  The form side's generators are
+counted the same way: Ann(p_F)_{k-1}^perp is the row span of the
+catalecticant Cat_{k-1}, so one step from below in n rank Cat_{k-1}
+unknowns and the rank of Cat_k give the count, and no piece of Ann(p_F) is
+built (`min_generators_sym_in_degree`).
+
+Nothing computed for F outlives a check.  The index maps that depend on
+the shape alone are read from tables built once per shape: the degree-one
+count splits each index at a slot with `apolarity`'s slice keys, and
+`annihilator_from_below` reads its pairs from `ideals`.
 """
 
 from __future__ import annotations
@@ -33,16 +42,16 @@ from functools import partial
 
 from .apolarity import (
     SymTensor,
-    _functional,
+    _gamma_weights,
+    _slice_keys,
     ann_piece,
-    ann_sym_piece,
     depolarize,
     slice_spans,
 )
 from .diagonal_maps import pi_fibres, proper_unit_box_degrees
-from .grading import _dim_piece, contractions, segre_ring, veronese_ring
-from .ideals import annihilator_from_below, min_generators
-from .linalg import rank
+from .grading import _dim_piece, check_degree, contractions, segre_ring, veronese_ring
+from .ideals import annihilator_from_below
+from .linalg import Subspace, rank
 from .transfer import Certificate, tensor_digest
 
 
@@ -141,37 +150,51 @@ def _degree_one_generators(f, spans) -> int:
     2 ... d-1 repeat block 1 column for column, and the rank is block 1's.
     """
     n, d, field = f.n, f.order, f.field
-    rests = list(itertools.product(range(n), repeat=d - 1))
-    cols = {t: c for c, t in enumerate(rests)}
-    # at[k]: (width + q, entry) for each constraint q of R_i with an entry at k,
-    # width being offset_i, the column count of the factors before i
+    width_0 = n ** (d - 1)  # the columns of R_i: the indices off one slot
+    # Per factor i: codim R_i, at[t], the (offset_i + q, entry) of each
+    # constraint q of R_i with an entry at t, and the shape's table that
+    # splits the m-th index into (its index j at slot i, t).
     factors, width = [], 0
     for i in range(1, d)[:1] if isinstance(f, SymTensor) else range(1, d):
         cons = spans[i].constraints()
-        at = [[] for _ in cols]
+        at = [[] for _ in range(width_0)]
         for q, row in enumerate(cons):
-            for k, y in row:
-                at[k].append((width + q, y))
-        factors.append((i, len(cons), at))
+            for t, y in row:
+                at[t].append((width + q, y))
+        factors.append((len(cons), at, _slice_keys(n, d, i)))
         width += n * len(cons)
     rows = []
     for a in range(n):
         for row in spans[0].sparse:  # the unknown e_a (x) row, an integer tensor
             acc = {}
             for c, x in row:
-                idx = (a,) + rests[c]
-                for i, codim, at in factors:
-                    shift = idx[i] * codim
-                    for col, y in at[cols[idx[:i] + idx[i + 1:]]]:
+                m = a * width_0 + c
+                for codim, at, keys in factors:
+                    (j,), t = keys[m]
+                    shift = j * codim
+                    for col, y in at[t]:
                         acc[col + shift] = acc.get(col + shift, 0) + y * x
-            rows.append(sorted([(col, x) for col, x in acc.items() if x]))
+            rows.append([(col, x) for col, x in acc.items() if x])
     dim_perp = len(rows) - rank(width, rows, field)
     return dim_perp - (not f.is_zero)
 
 
 def min_generators_sym_in_degree(p, k: int) -> int:
-    """Minimal generators of Ann(p) in degree k."""
-    return min_generators(veronese_ring(p.n), k, partial(ann_sym_piece, p), p.field)
+    """Minimal generators of Ann(p) in degree k, counted on the annihilator
+    side: dim Ann(p)_k - dim V_1 Ann(p)_{k-1} = dim (V_1 Ann(p)_{k-1})^perp -
+    rank Cat_k.  Ann(p)_{k-1}^perp is the row span of Cat_{k-1}, so the first
+    term is one `annihilator_from_below` on a basis of that span, and no
+    annihilator piece is built.  Nothing lies below degree 0, where the first
+    term is dim V_0 = 1."""
+    ring = veronese_ring(p.n)
+    k = check_degree(ring, k)
+    if not k:
+        below = 1
+    else:
+        cat = Subspace.from_rows(_dim_piece(ring, k - 1), _catalecticant(p, k - 1),
+                                 field=p.field)
+        below = len(annihilator_from_below(ring, k - 1, 0, cat.sparse, p.field))
+    return below - rank(_dim_piece(ring, k), _catalecticant(p, k), p.field)
 
 
 # -- sharpness -----------------------------------------------------------------------
@@ -252,10 +275,17 @@ def is_111_sharp(f) -> Certificate:
 
 def _catalecticant(p, k: int) -> list:
     """Cat_k of p as integer rows on V_k, one per monomial of V_{d-k}: p's
-    functional, scaled to integers, contracted by that monomial.  They cut
-    out Ann(p)_k; Cat_d is the functional itself."""
-    ring = veronese_ring(p.n)
-    ints = p.field.to_ints(_functional(p), _dim_piece(ring, p.d))
+    functional (`apolarity._functional`), scaled to integers, contracted by
+    that monomial.  They cut out Ann(p)_k; Cat_d is the functional itself,
+    and above d there is none."""
+    if k > p.d:
+        return []
+    ring, field, get = veronese_ring(p.n), p.field, p.terms.get
+    weights = _gamma_weights(p.n, p.d)
+    # p's coefficients as integers, then times their gamma!: no field element
+    coeffs = field.to_ints([(c, a) for c, (m, _) in enumerate(weights) if (a := get(m))],
+                           len(weights))
+    ints = field.normalize([a * w for a, (_, w) in zip(coeffs, weights)])
     return contractions(ring, k, p.d - k, [[(c, x) for c, x in enumerate(ints) if x]])
 
 

@@ -130,28 +130,22 @@ def annihilator_from_below(ring: RingSpec, u, i: int, ann, field=QQ) -> tuple:
     `_variable_table` past the first pair of its product m, n dim S_u -
     dim S_{u+e_i} of them, and each kernel row gives phi(m) = c_j(t) at that
     first pair.  lambda -> phi is one to one, as the ann_a are independent,
-    so the rows are independent.  On V, i is 0.
+    so the rows are independent.  On V, i is 0.  The pairs depend on the
+    shape alone and are made once (`_compatibility`).
     """
     if not ann:  # J_u = S_u, and so is S_{e_i} J_u
         return ()
-    table, n, r = _variable_table(ring, u, i), ring.n, len(ann)
+    pairs, owners = _compatibility(ring, u, i)
+    n, r = ring.n, len(ann)
     at = [[] for _ in range(_dim_piece(ring, u))]  # at[t]: the (a, ann_a(t)), ann_a(t) != 0
     for a, row in enumerate(ann):
         for t, x in row:
             at[t].append((a, x))
-    first = {}  # each monomial m of S_{u+e_i}: its first pair (j, t), x_{ij} t = m
     equations = []
-    for t, here in enumerate(at):
-        for j in range(n):
-            m = table[t * n + j]
-            if m not in first:
-                first[m] = j, t
-                continue
-            j0, t0 = first[m]
-            row = [(j0 * r + a, x) for a, x in at[t0]] + [(j * r + a, -x) for a, x in here]
-            if row:
-                equations.append(row)
-    owners = [first[m] for m in range(len(first))]  # every monomial of S_{u+e_i} has one
+    for j0, t0, j, t in pairs:
+        row = [(j0 * r + a, x) for a, x in at[t0]] + [(j * r + a, -x) for a, x in at[t]]
+        if row:
+            equations.append(row)
     out = []
     for lam in kernel(n * r, equations, field=field).sparse:
         by_j = [{} for _ in range(n)]  # by_j[j]: a -> lambda_{j,a}
@@ -160,6 +154,24 @@ def annihilator_from_below(ring: RingSpec, u, i: int, ann, field=QQ) -> tuple:
         phi = [sum([by_j[j].get(a, 0) * x for a, x in at[t]]) for j, t in owners]
         out.append(tuple([(m, x) for m, x in enumerate(field.normalize(phi)) if x]))
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _compatibility(ring: RingSpec, u, i: int) -> tuple:
+    """(pairs, owners) for `annihilator_from_below` at u and factor i, read off
+    `_variable_table`: owners[m] is the first pair (j, t) with x_{ij} t = m,
+    for each monomial m of S_{u+e_i}, and pairs holds (j0, t0, j, t) for every
+    later pair (j, t) of m, (j0, t0) being its first, t ascending, then j."""
+    table, n = _variable_table(ring, u, i), ring.n
+    first, pairs = {}, []
+    for t in range(_dim_piece(ring, u)):
+        for j in range(n):
+            m = table[t * n + j]
+            if m in first:
+                pairs.append(first[m] + (j, t))
+            else:
+                first[m] = j, t
+    return tuple(pairs), tuple([first[m] for m in range(len(first))])
 
 
 class _Preimages(Mapping):

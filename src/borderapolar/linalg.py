@@ -12,9 +12,11 @@ does).  Both fields run one fraction-free Gauss-Jordan pass,
 it (the field's `to_ints` writes it in one pass, with no sparse integer row
 between), clears the row at every pivot it keeps, keeps a nonzero remainder as
 a new pivot row and clears that column from the others, and stops at full
-column rank, so at most rank dense rows are held at once.  The `Matrix` it
-reads is only the record of the rows, their width and their field, and is
-made in this module alone.  The field supplies the rest: how a row becomes
+column rank, so at most rank dense rows are held at once.  `rank` runs it
+forward only: it counts the pivots, and no kept row is reduced against a
+later one (no back-substitution).  The `Matrix` it reads is only the record
+of the rows, their width, their field and that mode, and is made in this
+module alone.  The field supplies the rest: how a row becomes
 integers (primitive integers over Q, residues over GF(p)), how a row is kept
 small after each update (divided by its content over Q, reduced mod p over
 GF(p)) and how a reduced row is stored.
@@ -335,13 +337,14 @@ class Matrix:
 
     Each row is a sequence of (column, value) pairs with distinct columns.  A
     value is a field element or a plain int, which stands for its image in the
-    field; elimination reads both.  `rows` gives the dense rows.
+    field; elimination reads both.  `rows` gives the dense rows.  `forward`
+    asks for the pivots alone: no kept row is back-substituted (`rank`).
     """
 
-    __slots__ = ("ncols", "sparse", "field")
+    __slots__ = ("ncols", "sparse", "field", "forward")
 
-    def __init__(self, ncols: int, sparse, field=QQ):
-        self.ncols, self.sparse, self.field = ncols, sparse, field
+    def __init__(self, ncols: int, sparse, field=QQ, forward=False):
+        self.ncols, self.sparse, self.field, self.forward = ncols, sparse, field, forward
 
     @property
     def rows(self) -> list:
@@ -415,10 +418,17 @@ def rref_with_pivots(m: Matrix):
     is zero in every pivot column but pivots[i]; divided by its entry there it
     is row i of the RREF.  The rows of m are read once, in order, and none
     past full column rank.  No field element is made.
+
+    With `m.forward` the pivots are the same and the rows only echelon: no
+    kept row is reduced against a later one.  A row is reduced against the
+    kept rows in the order they were kept, and each kept row is zero at every
+    pivot kept before it, so a step never refills a pivot column already
+    cleared.
     """
     # The field keeps each row small after every update: primitive over Q,
     # so entries never outgrow the line they span, and reduced mod p over
-    # GF(p).  `kept` maps each pivot to its row, zero at every other pivot.
+    # GF(p).  `kept` maps each pivot to its row, zero at every pivot kept
+    # before it (and, unless forward, at every other pivot).
     field, ncols = m.field, m.ncols
     to_ints, normalize = field.to_ints, field.normalize
     kept = {}
@@ -432,9 +442,10 @@ def rref_with_pivots(m: Matrix):
                 break
         else:
             continue  # zero: the row is in the span of the kept ones
-        for p, other in kept.items():
-            if other[c]:
-                kept[p] = _eliminate(other, ints, c, normalize)
+        if not m.forward:
+            for p, other in kept.items():
+                if other[c]:
+                    kept[p] = _eliminate(other, ints, c, normalize)
         kept[c] = ints
         if len(kept) == ncols:
             break  # full column rank: every later row is in the span
@@ -443,8 +454,9 @@ def rref_with_pivots(m: Matrix):
 
 
 def rank(ncols: int, rows, field=QQ) -> int:
-    """Rank of the sparse `rows`, from one elimination of the rows as given."""
-    return len(rref_with_pivots(Matrix(ncols, _in_range(ncols, rows), field))[1])
+    """Rank of the sparse `rows`, from one forward elimination of the rows as
+    given: the pivots are counted and no row is back-substituted."""
+    return len(rref_with_pivots(Matrix(ncols, _in_range(ncols, rows), field, True))[1])
 
 
 def kernel(ncols: int, rows, piece=None, field=QQ) -> "Subspace":

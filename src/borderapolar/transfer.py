@@ -26,6 +26,7 @@ from __future__ import annotations
 import hashlib
 import math
 from functools import cached_property
+from itertools import islice
 
 from .apolarity import (
     GeneralTensor,
@@ -146,8 +147,21 @@ def ideal_digest(j: TruncatedIdeal) -> str:
 
 
 def tensor_digest(f: GeneralTensor) -> str:
-    """The sorted entries are hashed as a list, as in every digest made so far."""
-    return digest_of(f.n, f.order, sorted(f.entries.items()))
+    """digest_of(f.n, f.order, sorted(f.entries.items())), as in every digest
+    made so far.
+
+    A `SymTensor`'s list is streamed in index order from its form's orbits
+    (`SymTensor.sorted_entries`), and its repr written a chunk of entries at a
+    time, so its entries are never written."""
+    if not isinstance(f, SymTensor):
+        return digest_of(f.n, f.order, sorted(f.entries.items()))
+    h = hashlib.sha256(f"{f.n!r}\x00{f.order!r}\x00[".encode())
+    items, sep = map(repr, f.sorted_entries()), ""
+    while chunk := list(islice(items, 4096)):
+        h.update((sep + ", ".join(chunk)).encode())
+        sep = ", "
+    h.update(b"]\x00")
+    return h.hexdigest()[:16]
 
 
 # -- the three transport maps ---------------------------------------------------

@@ -532,6 +532,14 @@ def min_generators_degree_one_reference(f) -> int:
                           f.field)
 
 
+def min_generators_sym_in_degree_reference(p, k: int) -> int:
+    """The form-side count of Ann(p)'s generators in degree k as the library
+    made it before it counted on the annihilator side: dim Ann(p)_k, a
+    catalecticant kernel, minus the dimension of V_1 Ann(p)_{k-1}, spanned
+    from n dim Ann(p)_{k-1} rows (`span_from_below`)."""
+    return min_generators(veronese_ring(p.n), k, partial(ann_sym_piece, p), p.field)
+
+
 def flattening(f: GeneralTensor, i: int, cols: dict) -> list:
     """F's flattening along factor i, as sparse rows: row j is the slice F_{i=j},
     and the index on the other factors goes to column cols[index]."""

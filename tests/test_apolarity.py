@@ -1,5 +1,6 @@
 """Tests for polarization, contraction, annihilator pieces, and flattenings."""
 
+import functools
 import itertools
 import math
 import random
@@ -38,7 +39,7 @@ from borderapolar.grading import (
 )
 from borderapolar.linalg import QQ, PrimeField, kernel
 from borderapolar.selftest import random_forms
-from borderapolar.transfer import tensor_digest
+from borderapolar.transfer import digest_of, tensor_digest
 from support import (ann_piece_reference, ann_sym_piece_reference, colon_reference,
                      contract_poly_reference, contract_tensor_reference, depolarize_reference,
                      diagonal_tensor, multiply, power_of_form, random_form,
@@ -207,6 +208,40 @@ class TestHeldByForm:
                 assert _outcome(check, polarize(p)) == _outcome(check, g), (check, n, d)
             concise += is_concise(g)
         assert concise  # the certificates are compared on concise tensors too
+
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(2**31 - 1)], ids=["QQ", "GFp"])
+    def test_digest_streams_the_sorted_entries(self, field):
+        """`tensor_digest` hashes the repr of the sorted entries, byte for byte,
+        for a polarized, an entry-built and a general F; a polarized F's
+        entries are written only by the reference, after the digest.  (5, 6)
+        has 15,625 entries, so its text goes in several chunks."""
+        rng = random.Random(21)
+        shapes = TestForm._tensors(rng) + [(2, 0, {(): 3}), (3, 1, {(1,): -2}),
+                                           (5, 6, polarize(random_form(5, 6, rng)).entries)]
+        tensors = []
+        for n, d, entries in shapes:
+            g = SymTensor(n, d, entries, field=field)
+            tensors += [polarize(g.form), g, GeneralTensor(n, d, entries, field=field),
+                        GeneralTensor(n, d, _random_entries(n, d, rng, n), field=field)]
+        for f in tensors:
+            polarized = isinstance(f, SymTensor) and "entries" not in vars(f)
+            digest = tensor_digest(f)
+            assert not polarized or "entries" not in vars(f)
+            assert digest == digest_of(f.n, f.order, sorted(f.entries.items())), f
+        assert len(tensors) == 4 * 39
+
+    def test_digest_reads_no_entry_of_a_polarized_tensor(self, monkeypatch):
+        written = []
+        write = SymTensor.entries.func
+        entries = functools.cached_property(lambda f: written.append(f) or write(f))
+        entries.__set_name__(SymTensor, "entries")
+        monkeypatch.setattr(SymTensor, "entries", entries)
+        f = polarize(random_form(3, 4, random.Random(22)))
+        digest = tensor_digest(f)
+        assert written == []
+        assert digest == digest_of(3, 4, sorted(f.entries.items()))
+        assert written == [f]
 
 
 class TestContractTensor:

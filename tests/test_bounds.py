@@ -43,6 +43,7 @@ from support import (
     independent_forms,
     is_sharp_reference,
     min_generators_degree_one_reference,
+    min_generators_sym_in_degree_reference,
     proper_degree_annihilator_ideal,
     random_symmetric_tensor,
     slice_spans_reference,
@@ -223,6 +224,56 @@ class TestGeneratorCounts:
             f = concise_power_sum_instance(3, 3, rng)
             cert = verify_gen_count_transfer(f)
             assert cert.verdict, cert.witnesses
+
+    @staticmethod
+    def _forms(field) -> list:
+        """Concise (power sums of n and n + 1 forms, random dense forms),
+        non-concise (x^d, a form in fewer variables, a sparse form) and zero
+        forms, n = 1 ... 4, d = 0 ... 5."""
+        rng = random.Random(44)
+        forms = [HomPoly(n, d, {}, field=field) for n, d in [(1, 0), (2, 0), (2, 3), (3, 2)]]
+        for n, d in [(1, 1), (1, 3), (2, 1), (2, 2), (2, 3), (2, 5), (3, 2), (3, 3), (3, 4),
+                     (4, 3)]:
+            for count in (n, n + 1):
+                forms.append(depolarize(sum_of_powers_tensor(n, d, random_forms(n, count, rng))))
+            terms = random_symmetric_tensor(n, d, rng).form.terms
+            forms.append(HomPoly(n, d, dict(terms), field=field))
+            forms.append(HomPoly(n, d, {(d,) + (0,) * (n - 1): 3}, field=field))
+            if n > 1:
+                forms.append(HomPoly(n, d, {m: c for m, c in terms.items() if not m[-1]},
+                                     field=field))
+                forms.append(HomPoly(n, d, dict(list(terms.items())[:2]), field=field))
+        return [HomPoly(p.n, p.d, dict(p.terms), field=field) for p in forms]
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(2147483647)], ids=["QQ", "GFp"])
+    def test_form_side_count_equals_the_primal_count(self, field):
+        """The annihilator-side count against the kernel-and-span count it
+        replaced, at every degree k = 0 ... d + 1."""
+        forms = self._forms(field)
+        counts = set()
+        for p in forms:
+            for k in range(p.d + 2):
+                count = min_generators_sym_in_degree(p, k)
+                assert count == min_generators_sym_in_degree_reference(p, k), (p.terms, k)
+                counts.add(count)
+        assert len(forms) == 60 and len(counts) > 3
+
+    def test_form_side_count_builds_no_annihilator_piece(self, eliminations):
+        # Cat_{d-1}'s row span, one step from below in n^2 unknowns and the
+        # rank of Cat_d, where the primal count made the kernels Ann(p)_d
+        # (1 x 20) and Ann(p)_{d-1} (4 x 10) and spanned V_1 Ann(p)_{d-1}
+        # from n dim Ann(p)_{d-1} = 24 rows
+        p = depolarize(concise_power_sum_instance(4, 3, random.Random(45)))
+        eliminations.clear()
+        assert min_generators_sym_in_degree(p, 3) == 3
+        assert eliminations == [(4, 10), (20, 16), (1, 20)]
+
+    def test_form_side_count_refuses_a_bad_degree(self):
+        p = depolarize(diagonal_tensor(2, 3))
+        for k, message in [(-1, "negative degree"), (1.5, "not an integer"),
+                           ("2", "not an integer")]:
+            with pytest.raises(ValueError, match=message):
+                min_generators_sym_in_degree(p, k)
 
 
 def _unit_rows(p, k):

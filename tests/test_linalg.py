@@ -25,7 +25,15 @@ from borderapolar.linalg import (
     rank,
     rref_with_pivots,
 )
-from support import SpanReference, assert_canonical, mat_vec, rref_gf_reference, sparse_rows
+from borderapolar import linalg
+from support import (
+    SpanReference,
+    assert_canonical,
+    integer_row,
+    mat_vec,
+    rref_gf_reference,
+    sparse_rows,
+)
 
 GF = PrimeField(2147483647)
 FIELDS = [QQ, GF]
@@ -361,6 +369,68 @@ class TestOnePass:
         # a rank-deficient prefix reads on
         with pytest.raises(AssertionError, match="row 3 was read"):
             rref_with_pivots(Matrix(4, _ReadOnce(rows, 3), field))
+
+
+class TestForwardRank:
+    """`rank` runs the one counted `rref_with_pivots` forward only: no kept row
+    is back-substituted, and the count is the pivot count of the full
+    reduction of the same rows."""
+
+    @pytest.mark.parametrize("field", FIELDS, ids=repr)
+    @settings(max_examples=150, deadline=None)
+    @given(m=rational_matrices(), entries=st.sampled_from(["elements", "ints", "fractions",
+                                                           "one-shot"]))
+    def test_counts_the_pivots_of_the_full_reduction(self, field, m, entries):
+        rows = sparse_rows(m.rows, field)  # Fraction over Q, Mod over GF(p)
+        want = len(rref_with_pivots(Matrix(m.ncols, rows, field))[1])
+        given_rows = {
+            "elements": rows,
+            "ints": [integer_row(row, field) for row in rows],
+            "fractions": [[(c, x) for c, x in enumerate(row) if x] for row in m.rows],
+            "one-shot": [iter(row) for row in rows],
+        }[entries]
+        assert rank(m.ncols, given_rows, field) == want
+
+    @pytest.mark.parametrize("field", FIELDS, ids=repr)
+    def test_dependent_and_zero_rows(self, field):
+        # rows 3 and 4 are combinations of rows 0 and 1, and row 2 is zero;
+        # the second matrix has full rank, but reduced against the kept rows
+        # from the highest pivot down, a row refills a cleared pivot column
+        # and a pivot is lost
+        rows = [[0, 1, 1, 0], [1, 2, 0, 0], [0, 0, 0, 0], [1, 3, 1, 0], [2, 4, 0, 0],
+                [0, 0, 1, 1], [1, 1, 1, 1]]
+        assert rank(4, sparse_rows(rows, field), field) == 4
+        assert rank(4, sparse_rows(rows[:5], field), field) == 2
+        assert rank(4, sparse_rows([[-1, 1, 0, 0], [0, -1, 0, 1], [1, 0, -1, 0],
+                                    [-1, 1, -1, 2], [0, 0, -1, -1]], field), field) == 4
+        assert rank(4, [[], [(2, 0)]], field) == 0
+
+    @pytest.mark.parametrize("field", FIELDS, ids=repr)
+    def test_only_rank_is_forward(self, monkeypatch, field):
+        modes = []
+        real = linalg.rref_with_pivots
+        monkeypatch.setattr(linalg, "rref_with_pivots",
+                            lambda m: modes.append(m.forward) or real(m))
+        rows = sparse_rows([[1, 2, 3], [2, 4, 6], [0, 1, 1]], field)
+        assert rank(3, rows, field) == 2
+        assert Subspace.from_rows(3, rows, field=field).dim == 2
+        assert kernel(3, rows, field=field).dim == 1
+        assert modes == [True, False, False]
+
+    @pytest.mark.parametrize("field", FIELDS, ids=repr)
+    def test_stops_at_full_column_rank(self, field):
+        """Forward only, no row past full column rank is read either, and the
+        rows come out echelon but not reduced."""
+        rng = random.Random(5)
+        rows = sparse_rows(rows_of_rank(rng, 12, 4, 4)[:3] + [[0, 0, 0, 0]]
+                           + rows_of_rank(rng, 8, 4, 4), field)
+        ints, pivots = rref_with_pivots(Matrix(4, _ReadOnce(rows, 5), field, forward=True))
+        assert pivots == [0, 1, 2, 3]
+        assert all(not any(row[:c]) and row[c] for row, c in zip(ints, pivots))
+        full = rref_with_pivots(Matrix(4, rows[:5], field))[0]
+        assert ints != full
+        with pytest.raises(AssertionError, match="row 3 was read"):
+            rref_with_pivots(Matrix(4, _ReadOnce(rows, 3), field, forward=True))
 
 
 class TestKernel:

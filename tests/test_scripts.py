@@ -185,7 +185,7 @@ DEGREE_BOUNDARY = {
     "cli._parse_degree",
     "grading.dim_piece", "grading.monomials", "grading.unrank_monomial",
     "grading.PieceElement.__post_init__", "grading.PieceElement.from_terms",
-    "apolarity.ann_piece", "apolarity.ann_sym_piece",
+    "apolarity.ann_piece", "apolarity.ann_sym_piece", "bounds.min_generators_sym_in_degree",
     "diagonal_maps.psi", "diagonal_maps.ir_piece",
     "ideals.expand", "ideals.hilbert_function", "ideals.generic_hf",
     "ideals.is_saturated_degreewise", "ideals.min_generators_in_degree",
@@ -251,9 +251,12 @@ def test_linalg_makes_field_elements_only_where_rows_are_read():
 
 def test_bounds_grows_no_primal_span():
     """The sharpness checks grow S_{e_0} J on the annihilator side, in n codim
-    unknowns, and read pi-images by a fibre test: `bounds` imports none of
-    the primal tools, by name or through a module."""
-    primal = {"pi_image", "span_from_below", "variable_multiples"}
+    unknowns, read pi-images by a fibre test and count the form's generators
+    from catalecticant rows: `bounds` imports none of the primal tools (no
+    annihilator piece of the form, no from-below span), by name or through a
+    module."""
+    primal = {"pi_image", "span_from_below", "variable_multiples", "min_generators",
+              "ann_sym_piece"}
     path = ROOT / "src" / "borderapolar" / "bounds.py"
     imported = {name.rsplit(".", 1)[-1]
                 for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
@@ -282,3 +285,44 @@ def test_only_ideals_reduces_a_preimage():
             if path.stem == "diagonal_maps" and _calls(node, "kernel"):
                 offences.append(f"diagonal_maps calls kernel at line {node.lineno}")
     assert offences == []
+
+
+def test_shape_tables_are_built_once_per_shape(monkeypatch):
+    """The index maps that depend on the shape alone are immutable and cached:
+    two tensors of one shape read the very same objects through every `bounds`
+    check.  Each table is a tuple, except the positions of the index tuples,
+    a read-only mapping."""
+    import random
+    from types import MappingProxyType
+
+    from borderapolar import apolarity, bounds, ideals
+    from support import concise_power_sum_instance
+
+    tables = {"_slice_keys": (apolarity, bounds), "_index_positions": (apolarity,),
+              "_gamma_weights": (apolarity, bounds), "_compatibility": (ideals,)}
+    read = []
+    for name, modules in tables.items():
+        real = getattr(modules[0], name)
+
+        def spy(*args, real=real, name=name):
+            out = real(*args)
+            read.append((name, args, out))
+            return out
+
+        for module in modules:
+            monkeypatch.setattr(module, name, spy)
+    checks = (bounds.is_sharp, bounds.is_111_sharp, bounds.verify_gen_count_transfer,
+              bounds.verify_lemma_1_minus_ed, bounds.verify_containment_lemma)
+    seen = []
+    for seed in (1, 2):
+        f = concise_power_sum_instance(3, 3, random.Random(seed))
+        read.clear()
+        for check in checks:
+            check(f)
+        seen.append(list(read))
+    first, second = seen
+    assert {name for name, _, _ in first} == set(tables)
+    assert [(name, args) for name, args, _ in first] == [(name, args) for name, args, _ in second]
+    for (name, _, a), (_, _, b) in zip(first, second):
+        assert a is b, name
+        assert type(a) is (MappingProxyType if name == "_index_positions" else tuple), name
