@@ -11,12 +11,11 @@ on every tensor; `SymTensor.sorted_entries` lists them in index order from the
 form's orbits, for a digest, without writing them.  A multilinear F is read
 through one contraction map: at a 0/1 degree u, each entry lands in the row
 named by its indices off u and the column of its indices on u, in one pass
-over the entries, both read off a table built once per shape.  `ann_piece`
-is its kernel, `slice_spans` its row spans at the degrees 1 - e_i, and
-`contract_tensor` applies an element of S_u to it.  A form is a functional on
-V_d, and its catalecticant rows are its `grading.contractions`:
-`ann_sym_piece` is their `grading.colon` and `contract_poly` pairs an element
-of V_k with them.
+over the entries.  `ann_piece` is its kernel, `slice_spans` its row spans at
+the degrees 1 - e_i, and `contract_tensor` applies an element of S_u to it.  A
+form is a functional on V_d, and its catalecticant rows are its
+`grading.contractions`: `ann_sym_piece` is their `grading.colon` and
+`contract_poly` pairs an element of V_k with them.
 """
 
 from __future__ import annotations
@@ -228,44 +227,16 @@ def depolarize(f: GeneralTensor) -> HomPoly:
 
 # -- contraction ----------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _index_positions(n: int, d: int) -> MappingProxyType:
-    """Read-only: each index of an order-d tensor -> its position m in
-    `itertools.product` order, the mixed-radix number of its entries."""
-    return MappingProxyType({idx: m for m, idx in
-                             enumerate(itertools.product(range(n), repeat=d))})
-
-
-@lru_cache(maxsize=None)
-def _slice_keys(n: int, d: int, i: int) -> tuple:
-    """Where F's contraction at the degree 1 - e_i (every slot but i, in
-    order) puts the entry at the m-th index (`_index_positions`): the pair
-    (its index at slot i, as a 1-tuple, the mixed-radix rank of its other
-    indices, the first most significant), its row key and its column."""
-    step, heads = n ** (d - 1 - i), [(j,) for j in range(n)]
-    return tuple([(heads[m // step % n], m // (step * n) * step + m % step)
-                  for m in range(n ** d)])
-
-
 def _contraction_rows(f: GeneralTensor, picked) -> dict:
     """F's contraction by the square-free monomials on the positions `picked`,
     as sparse rows keyed by the indices off `picked`, in one pass over F's
     entries.  An entry sits in column c, the mixed-radix rank of its indices on
     `picked` with the first most significant: the rank of the contracting
-    monomial in its graded piece when `picked` follows slot order.  A slice
-    contraction, every position but one in order, reads each entry's key and
-    column off the shape's `_slice_keys`.  A shape has d slices but 2^d 0/1
-    degrees, so no other contraction keeps a table of n^d keys: it computes
-    each key as it reads the entry."""
-    n, d = f.n, f.order
-    off = [k for k in range(d) if k not in picked]
+    monomial in its graded piece when `picked` follows slot order.  Each key
+    and column is computed as its entry is read, so a sparse F costs its
+    number of entries and no table of n^d indices is built."""
+    n, off = f.n, [k for k in range(f.order) if k not in picked]
     rows: dict = {}
-    if len(off) == 1 and list(picked) == sorted(picked):
-        keys, at = _slice_keys(n, d, off[0]), _index_positions(n, d)
-        for idx, x in f.entries.items():
-            key, c = keys[at[idx]]
-            rows.setdefault(key, []).append((c, x))
-        return rows
     for idx, x in f.entries.items():
         c = 0
         for k in picked:

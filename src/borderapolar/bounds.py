@@ -29,7 +29,7 @@ built (`min_generators_sym_in_degree`).
 
 Nothing computed for F outlives a check.  The index maps that depend on
 the shape alone are read from tables built once per shape: the degree-one
-count splits each index at a slot with `apolarity`'s slice keys, and
+count splits each index at a slot with `_slice_keys`, and
 `annihilator_from_below` reads its pairs from `ideals`.
 """
 
@@ -38,12 +38,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 from .apolarity import (
     SymTensor,
     _gamma_weights,
-    _slice_keys,
     ann_piece,
     depolarize,
     slice_spans,
@@ -132,6 +131,19 @@ def min_generators_degree_one(f) -> int:
     return _degree_one_generators(f, slice_spans(f))
 
 
+@lru_cache(maxsize=None)
+def _slice_keys(n: int, d: int, i: int) -> tuple:
+    """For the c-th index (i_1, ..., i_{d-1}) off slot 0 of an order-d tensor,
+    in `itertools.product` order, and a slot i >= 1: the pair (i_i, the
+    mixed-radix rank of the other d-2 indices, the first most significant).
+    An entry at (a, i_1, ..., i_{d-1}) lies in row i_i and column
+    a n^(d-2) + that rank of the contraction map at 1 - e_i.  The table has
+    n^(d-1) pairs, as many as the count's per-call `at` list."""
+    step = n ** (d - 1 - i)
+    return tuple([(c // step % n, c // (step * n) * step + c % step)
+                  for c in range(n ** (d - 1))])
+
+
 def _degree_one_generators(f, spans) -> int:
     """`min_generators_degree_one` from F's slice spans R_i (`slice_spans`).
 
@@ -153,7 +165,7 @@ def _degree_one_generators(f, spans) -> int:
     width_0 = n ** (d - 1)  # the columns of R_i: the indices off one slot
     # Per factor i: codim R_i, at[t], the (offset_i + q, entry) of each
     # constraint q of R_i with an entry at t, and the shape's table that
-    # splits the m-th index into (its index j at slot i, t).
+    # splits the c-th index off slot 0 at slot i.
     factors, width = [], 0
     for i in range(1, d)[:1] if isinstance(f, SymTensor) else range(1, d):
         cons = spans[i].constraints()
@@ -165,14 +177,14 @@ def _degree_one_generators(f, spans) -> int:
         width += n * len(cons)
     rows = []
     for a in range(n):
+        first = a * width_0 // n  # the first column of R_i with a at slot 0
         for row in spans[0].sparse:  # the unknown e_a (x) row, an integer tensor
             acc = {}
             for c, x in row:
-                m = a * width_0 + c
                 for codim, at, keys in factors:
-                    (j,), t = keys[m]
+                    j, t = keys[c]
                     shift = j * codim
-                    for col, y in at[t]:
+                    for col, y in at[first + t]:
                         acc[col + shift] = acc.get(col + shift, 0) + y * x
             rows.append([(col, x) for col, x in acc.items() if x])
     dim_perp = len(rows) - rank(width, rows, field)

@@ -26,7 +26,6 @@ from __future__ import annotations
 import hashlib
 import math
 from functools import cached_property
-from itertools import islice
 
 from .apolarity import (
     GeneralTensor,
@@ -117,6 +116,24 @@ def digest_of(*parts) -> str:
     return h.hexdigest()[:16]
 
 
+def _list_digest(parts, items) -> str:
+    """digest_of(*parts, x) for a list x that is never built: `items` yields
+    the repr of each element of x as an iterable of byte strings, so no
+    element's repr need be held whole either."""
+    h = hashlib.sha256()
+    for p in parts:
+        h.update(repr(p).encode())
+        h.update(b"\x00")
+    h.update(b"[")
+    for k, item in enumerate(items):
+        if k:
+            h.update(b", ")
+        for chunk in item:
+            h.update(chunk)
+    h.update(b"]\x00")
+    return h.hexdigest()[:16]
+
+
 def ideal_digest(j: TruncatedIdeal) -> str:
     """digest_of(j.ring, j.bound, [(u, j.pieces[u].basis) for u in j.degrees()]).
 
@@ -126,11 +143,11 @@ def ideal_digest(j: TruncatedIdeal) -> str:
     string.  An ideal kept by its Veronese pieces builds each piece as it is
     read, and keeps none.
     """
-    h = hashlib.sha256(f"{j.ring!r}\x00{j.bound!r}\x00[".encode())
     zero, reprs = f"{j.field.zero!r}, ".encode(), j.field.reprs
-    for k, u in enumerate(j.degrees()):
+
+    def piece(u):
         n, rows = _dim_piece(j.ring, u), j.pieces[u].sparse
-        h.update(f"{', ' if k else ''}({u!r}, (".encode())
+        yield f"({u!r}, (".encode()
         for r, row in enumerate(rows):
             parts = [b", (" if r else b"("]
             at = 0
@@ -139,29 +156,23 @@ def ideal_digest(j: TruncatedIdeal) -> str:
                 at = c + 1
             parts.append(zero * (n - at))
             line = b"".join(parts)
-            h.update(memoryview(line)[:-2])  # the separator after the last entry
-            h.update(b",)" if n == 1 else b")")
-        h.update(b",))" if len(rows) == 1 else b"))")
-    h.update(b"]\x00")
-    return h.hexdigest()[:16]
+            yield memoryview(line)[:-2]  # the separator after the last entry
+            yield b",)" if n == 1 else b")"
+        yield b",))" if len(rows) == 1 else b"))"
+
+    return _list_digest((j.ring, j.bound), map(piece, j.degrees()))
 
 
 def tensor_digest(f: GeneralTensor) -> str:
     """digest_of(f.n, f.order, sorted(f.entries.items())), as in every digest
     made so far.
 
-    A `SymTensor`'s list is streamed in index order from its form's orbits
-    (`SymTensor.sorted_entries`), and its repr written a chunk of entries at a
-    time, so its entries are never written."""
-    if not isinstance(f, SymTensor):
-        return digest_of(f.n, f.order, sorted(f.entries.items()))
-    h = hashlib.sha256(f"{f.n!r}\x00{f.order!r}\x00[".encode())
-    items, sep = map(repr, f.sorted_entries()), ""
-    while chunk := list(islice(items, 4096)):
-        h.update((sep + ", ".join(chunk)).encode())
-        sep = ", "
-    h.update(b"]\x00")
-    return h.hexdigest()[:16]
+    A `SymTensor` whose entries are not yet written has its list streamed in
+    index order from its form's orbits (`SymTensor.sorted_entries`), so they
+    stay unwritten."""
+    if isinstance(f, SymTensor) and "entries" not in vars(f):
+        return _list_digest((f.n, f.order), ((repr(e).encode(),) for e in f.sorted_entries()))
+    return digest_of(f.n, f.order, sorted(f.entries.items()))
 
 
 # -- the three transport maps ---------------------------------------------------

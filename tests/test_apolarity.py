@@ -37,7 +37,7 @@ from borderapolar.grading import (
     segre_ring,
     veronese_ring,
 )
-from borderapolar.linalg import QQ, PrimeField, kernel
+from borderapolar.linalg import QQ, PrimeField, Subspace, kernel
 from borderapolar.selftest import random_forms
 from borderapolar.transfer import digest_of, tensor_digest
 from support import (ann_piece_reference, ann_sym_piece_reference, colon_reference,
@@ -242,6 +242,43 @@ class TestHeldByForm:
         assert written == []
         assert digest == digest_of(3, 4, sorted(f.entries.items()))
         assert written == [f]
+
+
+class TestSparseTensorCost:
+    def test_a_sparse_tensor_builds_no_table_of_its_indices(self, monkeypatch):
+        """A diagonal F with 6 entries among 6^7 = 279,936 indices: contracting
+        it at a slice degree and at e_0, and building the flattenings that
+        `slice_spans` reduces, allocate fewer bytes at their peak than F has
+        indices, so no table with an entry per index is built, cached or not.
+        The elimination is left out of the count: it writes each row densely."""
+        import tracemalloc
+
+        n, d = 6, 7
+        f = GeneralTensor(n, d, {(j,) * d: j + 1 for j in range(n)})
+        ring = segre_ring(n, d)
+        width = n ** (d - 1)
+        theta = PieceElement(ring, (0,) + (1,) * (d - 1),
+                             tuple(QQ.of(c % 7) for c in range(width)))
+        linear = PieceElement(ring, (1,) + (0,) * (d - 1), tuple(QQ.of(c + 1) for c in range(n)))
+        diagonal = [sum(j * n ** k for k in range(d - 1)) for j in range(n)]
+        reduced = []
+        monkeypatch.setattr(Subspace, "from_rows", classmethod(
+            lambda cls, ncols, rows, **kw: reduced.append((ncols, rows)) or object()))
+        tracemalloc.start()
+        try:
+            sliced = contract_tensor(theta, f)
+            contracted = contract_tensor(linear, f)
+            slice_spans(f)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        monkeypatch.undo()
+        assert peak < n ** d
+        assert sliced.entries == {(j,): (j + 1) * (diagonal[j] % 7) for j in range(n)
+                                  if diagonal[j] % 7}
+        assert contracted.entries == {(j,) * (d - 1): (j + 1) ** 2 for j in range(n)}
+        assert reduced == [(width, [[(diagonal[j], j + 1)] for j in range(n)])]
+        assert is_concise(f) and flattening_ranks(f) == (n,) * d
 
 
 class TestContractTensor:

@@ -289,17 +289,15 @@ def test_only_ideals_reduces_a_preimage():
 
 def test_shape_tables_are_built_once_per_shape(monkeypatch):
     """The index maps that depend on the shape alone are immutable and cached:
-    two tensors of one shape read the very same objects through every `bounds`
-    check.  Each table is a tuple, except the positions of the index tuples,
-    a read-only mapping."""
+    two tensors of one shape read the very same tuples through every `bounds`
+    check."""
     import random
-    from types import MappingProxyType
 
     from borderapolar import apolarity, bounds, ideals
     from support import concise_power_sum_instance
 
-    tables = {"_slice_keys": (apolarity, bounds), "_index_positions": (apolarity,),
-              "_gamma_weights": (apolarity, bounds), "_compatibility": (ideals,)}
+    tables = {"_slice_keys": (bounds,), "_gamma_weights": (apolarity, bounds),
+              "_compatibility": (ideals,)}
     read = []
     for name, modules in tables.items():
         real = getattr(modules[0], name)
@@ -325,4 +323,4 @@ def test_shape_tables_are_built_once_per_shape(monkeypatch):
     assert [(name, args) for name, args, _ in first] == [(name, args) for name, args, _ in second]
     for (name, _, a), (_, _, b) in zip(first, second):
         assert a is b, name
-        assert type(a) is (MappingProxyType if name == "_index_positions" else tuple), name
+        assert type(a) is tuple, name
