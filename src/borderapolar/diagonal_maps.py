@@ -18,9 +18,8 @@ Because of the split, every subspace of S_u that contains (I_R)_u is the
 pi-preimage of its pi-image: (I_R)_u + psi_u(W) = pi^{-1}(W) for any W inside
 V_|u|.  `ir_piece` is the case W = 0, whose rows e_c - e_top (top the largest
 column of c's fibre) it writes from the table with no elimination.  Any other
-W is the business of `ideals`: pi^{-1}(W) is the kernel of W's constraint
-columns pulled back along `f`, a matrix whose columns repeat inside each
-fibre, which `ideals` reduces as it reduces an evaluation matrix.
+W is the business of `ideals`: pi^{-1}(W) is W pulled back along `f`, which
+`ideals` writes from W's RREF rows as it writes a point ideal's pieces.
 """
 
 from __future__ import annotations

@@ -16,26 +16,27 @@ certificate stage has one path.
 
 Saturated ideals of finite point sets are computed as kernels of evaluation
 maps, evaluated on integer representatives of the points, so elimination
-receives integer rows.  A degree whose evaluation matrix an earlier degree
-already has (as at diagonal points, whose matrix at u depends only on the
-nonzero parts of u, in order) is neither evaluated nor reduced again.  Equal
-columns of a matrix (at diagonal points, the monomials with one image under
-pi) are reduced once, the kernel rows of the copies written directly, and a
-matrix whose distinct columns, in order, an earlier degree's matrix had (at
-diagonal points, degrees of one total whose monomials of V_|u| come in one
-order) shares that reduction: a point ideal costs one elimination per
-distinct matrix of distinct columns.  No generator normal forms or global
-saturation are ever needed.  A draw of very general points is certified by
-the ranks of the same evaluation matrices, with no kernel.
+receives integer rows.  On the Segre side, factors whose integer coordinates
+are equal at every point form a class, and J_u is the preimage of the
+collapsed point set's piece J'_kappa(u) under the map phi_u that multiplies
+the monomials within each class, an index map (`_merge_table`).  So a point
+ideal evaluates and reduces once per class degree: at diagonal points, one
+class, once per total degree, on dim V_k columns.  No generator normal forms
+or global saturation are ever needed.  A draw of very general points is
+certified by the ranks of the same evaluation matrices, with no kernel.
 
-A kept ideal's Segre piece J_u is a kernel of the same kind, as J_u^perp is
-W_|u|^perp pulled back along the pi-fibres: its matrix's column c is column
-f[c] of W_|u|'s integer constraint rows.  `_merged_kernel` reduces both.
+A kept ideal's Segre piece is a preimage of the same kind, pi^{-1}(W_|u|)
+along the pi-fibre table.  `_pullback` writes both from the RREF rows of the
+subspace pulled back, placed on the last column of each fibre.  Those rows
+serve any order of the fibres in which each row's leading column comes first
+(relabelled, with no arithmetic); another order costs one `kernel` of the
+subspace's constraints, whose rows are kept for the orders that come later.
 
 Every monomial product is read off `grading`'s cached table
 S_u x S_v -> S_{u+v} (`_product_map`): variable multiples at v = e_i, the
-pairs x_{ij} t = x_{ij'} t' that `annihilator_from_below` equates, and point
-evaluation by inverting that; the saturation test (J_{u+v} : S_v)_u is
+pairs x_{ij} t = x_{ij'} t' that `annihilator_from_below` equates, point
+evaluation by inverting that, and the merge tables, folded one factor at a
+time as `pi_fibres` is; the saturation test (J_{u+v} : S_v)_u is
 `grading.colon`, so no monomial is ranked or multiplied here.
 """
 
@@ -46,7 +47,7 @@ import random
 import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass, field as dataclass_field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 
 from .grading import (
@@ -66,8 +67,8 @@ from .grading import (
     segre_ring,
     veronese_ring,
 )
-from .diagonal_maps import ir_piece, pi_fibres, pi_image
-from .linalg import QQ, Subspace, _dense, kernel, rank
+from .diagonal_maps import pi_fibres, pi_image
+from .linalg import QQ, Subspace, kernel, rank
 
 
 class GenericityError(RuntimeError):
@@ -178,39 +179,26 @@ class _Preimages(Mapping):
     """The Segre pieces J_u = pi^{-1}(W_|u|) of an ideal kept by its Veronese
     pieces `w` = {k: W_k}, read-only.
 
-    A piece is built each time it is read, and none is kept.  J_u is the
-    kernel of W_|u|'s integer constraint columns (made once per k) taken
-    along the pi-fibres, and `_merged_kernel` reduces each distinct matrix of
-    distinct columns once per ideal.  W_k = 0 is `ir_piece`, and the memo
-    starts with the kernel of W_k's own distinct columns, the matrix of every
-    degree whose fibre order is the identity: W_k's rows led by a top, whose
-    entries are all at tops.  Neither eliminates.
+    A piece is built each time it is read, and none is kept: it is
+    `_pullback` of W_|u| along the pi-fibre table.  W_k's RREF in each order
+    of its columns that a degree's fibres ask for is made once per ideal
+    (`_variants[k]`).  W_k's own rows serve every order in which each row's
+    leading column comes first, so W = 0, W = V_k, a W spanned by monomials
+    and a degree whose fibres come in the order of V_k eliminate nothing.
     """
 
     def __init__(self, ring: RingSpec, bound: int, w):
         self.ring, self.w = ring, w
         self._degrees = degrees_up_to(ring, bound)
         self._known = frozenset(self._degrees)
-        self._cols = {}
-        self._merged = {}
+        self._variants = {k: {} for k in w}
 
     def __getitem__(self, u):
         if u not in self._known:
             raise KeyError(u)
         ring, k = self.ring, degree_total(u)
-        w = self.w[k]
-        if not w.sparse:
-            return ir_piece(ring.n, ring.d, u, w.field)
-        if k not in self._cols:
-            rows = [_dense(row, w.ambient_dim, 0) for row in w.constraints()]
-            cols = self._cols[k] = list(zip(*rows)) if rows else [()] * w.ambient_dim
-            _, tops, distinct = _distinct_columns(cols)
-            at = {t: i for i, t in enumerate(tops)}
-            self._merged[distinct] = tuple([tuple([(at[c], x) for c, x in row])
-                                            for row in w.sparse if row[0][0] in at])
-        rows = _merged_kernel([self._cols[k][m] for m in pi_fibres(ring.n, ring.d, u).f],
-                              w.field, self._merged)
-        return Subspace(_dim_piece(ring, u), rows, (ring, u), w.field)
+        w, f = self.w[k], pi_fibres(ring.n, ring.d, u).f
+        return Subspace(len(f), _pullback(w, f, self._variants[k]), (ring, u), w.field)
 
     def __contains__(self, u):
         return u in self._known
@@ -435,19 +423,14 @@ def saturation_degrees(j: TruncatedIdeal) -> tuple:
 
 # -- point sets and their saturated ideals ------------------------------------------
 
-def _is_projectively_equal(a, b) -> bool:
-    """Proportionality of coordinate vectors (2x2 minors vanish, supports match)."""
-    if any(bool(x) != bool(y) for x, y in zip(a, b)):
-        return False
-    for (x1, y1), (x2, y2) in itertools.combinations(zip(a, b), 2):
-        if x1 * y2 != x2 * y1:
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class PointSet:
-    """Rational points on the Segre (tuple of factor coords) or Veronese target."""
+    """Rational points on the Segre (tuple of factor coords) or Veronese target.
+
+    Two points are one when each factor (the point, on V) of one is
+    proportional to the other's, decided on normal forms: `_integers` with
+    its first nonzero entry made positive over Q, and made 1 over GF(p).
+    """
 
     ring: RingSpec
     points: tuple
@@ -474,14 +457,27 @@ class PointSet:
                     raise ValueError("zero point")
             norm.append(fac)
         object.__setattr__(self, "points", tuple(norm))
-        for a, b in itertools.combinations(range(len(self.points)), 2):
-            if self._same_point(self.points[a], self.points[b]):
-                raise ValueError(f"duplicate points at positions {a} and {b}")
+        stored, at = self.field.stored, {}  # at: normal form -> the positions holding it
+        for i, p in enumerate(self._integers):
+            factors = p if self.ring.is_multigraded else (p,)
+            key = tuple([stored(f, next(c for c, x in enumerate(f) if x)) for f in factors])
+            at.setdefault(key, []).append(i)
+        for same in at.values():  # by first position, so the first pair in order is named
+            if len(same) > 1:
+                raise ValueError(f"duplicate points at positions {same[0]} and {same[1]}")
 
-    def _same_point(self, p, q) -> bool:
+    @cached_property
+    def _integers(self) -> tuple:
+        """Each point on integer coordinates: primitive integers over Q (per
+        factor on the Segre side) and residues over GF(p).  Rescaling a
+        point, or one factor of a Segre point, scales its row of every
+        evaluation matrix, so each kernel is read off these."""
+        def integers(coords):
+            return self.field.to_ints(list(enumerate(coords)), len(coords))
+
         if self.ring.is_multigraded:
-            return all(_is_projectively_equal(f, g) for f, g in zip(p, q))
-        return _is_projectively_equal(p, q)
+            return tuple([tuple(map(integers, p)) for p in self.points])
+        return tuple(map(integers, self.points))
 
     @property
     def count(self) -> int:
@@ -505,92 +501,109 @@ def _predecessors(ring: RingSpec, u) -> tuple:
     return below, i, tuple(steps)
 
 
-def _distinct_columns(cols) -> tuple:
-    """(top, tops, rows): the last index of each column, those indices
-    ascending, and the matrix's rows on them alone."""
-    top = {col: c for c, col in enumerate(cols)}  # a later c overwrites
-    tops = sorted(top.values())
-    return top, tops, tuple(zip(*[cols[t] for t in tops]))
+@lru_cache(maxsize=None)
+def _merge_table(n: int, u: tuple, classes: tuple) -> tuple:
+    """(kappa, f) for a degree u whose factor i falls in class classes[i],
+    the classes numbered from 0 in order of first appearance: kappa is the
+    class degree, u summed within each class, on segre_ring(n, #classes),
+    and f[c] the column of S_kappa that monomial c of S_u goes to when the
+    monomials within each class are multiplied (phi_u).
+
+    As `pi_fibres` does, it folds in one factor at a time: factor i multiplies
+    the partial product by a monomial of degree u_i on class classes[i], read
+    off `grading`'s product table of the collapsed ring.  One class is pi's
+    fibre table, and a class per factor the identity."""
+    ring = segre_ring(n, max(classes) + 1)
+    f, kappa = [0], (0,) * ring.d
+    for ui, k in zip(u, classes):
+        step = tuple(ui if t == k else 0 for t in range(ring.d))
+        table, width = _product_map(ring, kappa, step), _dim_piece(ring, step)
+        f = [table[r * width + b] for r in f for b in range(width)]
+        kappa = add_degrees(kappa, step)
+    return kappa, tuple(f)
 
 
-def _merged_kernel(cols, field, merged) -> tuple:
-    """The RREF rows of the right kernel of the matrix with the integer
-    columns `cols`, from the kernel of its distinct columns.
-
-    Let top(c) be the last column equal to column c.  `kernel` reduces the
-    columns in reverse, so a copy comes after its top, is never a pivot and
-    reduces to the same column as its top: its kernel row is top(c)'s with
-    its pivot entry moved to c when top(c) has one, and e_c - e_top(c) when
-    top(c) is a pivot.  So only the tops, in ascending order, are
-    reduced, and the rows come out as `kernel` would make them on every column.
-    `merged` maps each matrix of tops reduced so far, by its rows (a matrix
-    with no rows has one distinct column), to its kernel's rows, so a matrix
-    whose distinct columns, in order, an earlier one had is not reduced again.
-    """
-    top, tops, distinct = _distinct_columns(cols)
-    reduced = merged.get(distinct)
-    if reduced is None:
-        reduced = merged[distinct] = kernel(
-            len(tops), [[(m, x) for m, x in enumerate(row) if x] for row in distinct],
-            field=field).sparse
-    if len(tops) == len(cols):  # no copies: every column is its own top
-        return reduced
-    tails = dict.fromkeys(tops)  # a pivot top keeps None: it has no kernel row
-    for row in reduced:
-        tails[tops[row[0][0]]] = row[0][1], tuple([(tops[m], x) for m, x in row[1:]])
-    minus_one = field.minus_one
+def _in_order(rows, at) -> tuple | None:
+    """`rows`, the RREF rows of a subspace in some order of its columns, each
+    led by its pivot, as the RREF in the order that puts column m at position
+    at[m], when each row's leading column comes first there: the pivots, each
+    clear in the other rows, and the pivot entries stay, so re-sorting the
+    entries and the rows by position is all it takes.  Otherwise None."""
     out = []
-    for c, col in enumerate(cols):
-        t = top[col]
-        tail = tails[t]
+    for row in rows:
+        moved = sorted([(at[m], m, x) for m, x in row])
+        if moved[0][1] != row[0][0]:
+            return None
+        out.append(moved)
+    out.sort()
+    return tuple([tuple([(m, x) for _, m, x in row]) for row in out])
+
+
+def _pullback(k: Subspace, f: tuple, variants: dict) -> tuple:
+    """The RREF rows of f^{-1}(K) = {x : sum_c x_c e_f[c] in K}, for a
+    subspace K on `k.ambient_dim` columns and an onto index map f from
+    len(f) columns to them.
+
+    Let top(m) be the last column c with f[c] = m.  f^{-1}(K) is spanned by
+    e_c - e_top(f[c]) for each column c below its top and by K's rows placed
+    on the tops, so its RREF row at such a c is K's row led by f[c] with its
+    leading entry moved to c, when f[c] leads one, and e_c - e_top(f[c])
+    otherwise; a top leading a row of K keeps that row.  This takes K's RREF
+    with its columns in the order of their tops: K's own rows, or a kept
+    variant's, re-sorted when `_in_order` allows, else one `kernel` of K's
+    constraints with the columns moved, kept in `variants` (order -> rows)
+    for the maps that come later.  K = 0 and K full never eliminate.
+    """
+    top = [0] * k.ambient_dim
+    for c, m in enumerate(f):
+        top[m] = c  # a later c overwrites
+    tails = [None] * k.ambient_dim  # tails[m]: K's row led by m, off its lead, on the tops
+    if k.sparse:
+        order = tuple(sorted(range(len(top)), key=top.__getitem__))
+        rows = variants.get(order)
+        if rows is None:
+            at = [0] * len(order)
+            for p, m in enumerate(order):
+                at[m] = p
+            for known in (k.sparse, *variants.values()):
+                rows = _in_order(known, at)
+                if rows is not None:
+                    break
+            else:
+                moved = [[(at[m], x) for m, x in row] for row in k.constraints()]
+                rows = tuple([tuple([(order[p], x) for p, x in row])
+                              for row in kernel(len(at), moved, field=k.field).sparse])
+            variants[order] = rows
+        for row in rows:
+            tails[row[0][0]] = row[0][1], tuple([(top[m], x) for m, x in row[1:]])
+    minus_one = k.field.minus_one
+    out = []
+    for c, m in enumerate(f):
+        tail = tails[m]
         if tail is not None:
             out.append(((c, tail[0]),) + tail[1])
-        elif c != t:
-            out.append(((c, 1), (t, minus_one)))
+        elif c != top[m]:
+            out.append(((c, 1), (top[m], minus_one)))
     return tuple(out)
 
 
-def _evaluations(zs: PointSet, bound: int):
-    """(u, key, rows) for each degree u up to the bound, in order: the
-    evaluation matrix at u is fixed by `key`, and `rows` are its integer rows,
-    one per point, the first time that key comes up, and None after.
-
-    Rescaling a point, or one factor of a Segre point, scales its row of every
-    evaluation matrix, so each point is evaluated on integer coordinates:
-    primitive integers over Q (per factor on the Segre side) and residues over
-    GF(p).  Each monomial takes one multiplication, from the value of its
-    predecessor one degree down, and the field's `normalize` keeps each row
-    small.  On the Segre side the matrix at u is fixed by the pairs (u_i,
-    first factor with factor i's integer coordinates) over the u_i > 0, so
-    when factor points repeat (diagonal points, say) many degrees share one
-    matrix, and it is evaluated once; on V it is fixed by u."""
-    ring, field, multigraded = zs.ring, zs.field, zs.ring.is_multigraded
-
-    def integers(coords):
-        return field.to_ints(list(enumerate(coords)), len(coords))
-
-    points = [tuple(map(integers, p)) if multigraded else integers(p) for p in zs.points]
-    factors = list(zip(*points)) if multigraded else []
-    first = [factors.index(f) for f in factors]
-
-    def key_of(u):
-        return tuple([(ui, f) for ui, f in zip(u, first) if ui]) if multigraded else u
-
-    values = {}  # matrix key -> its integer rows
+def _evaluations(ring: RingSpec, field, points, bound: int):
+    """(u, rows) for each degree u up to the bound, in order: the integer rows
+    of the evaluation matrix at u, one per point of `points`, given on
+    integer coordinates (`PointSet._integers`).  Each monomial takes one
+    multiplication, from the value of its predecessor one degree down, and
+    the field's `normalize` keeps each row small."""
+    values = {}  # degree -> its integer rows
     for u in degrees_up_to(ring, bound):
-        key = key_of(u)
-        if key in values:
-            yield u, key, None
-            continue
         if degree_total(u) == 0:
             rows = [[1] for _ in points]
         else:
             below, i, steps = _predecessors(ring, u)
-            coords = [p[i] for p in points] if multigraded else points
+            coords = [p[i] for p in points] if ring.is_multigraded else points
             rows = [field.normalize([prev[t] * x[j] for t, j in steps])
-                    for prev, x in zip(values[key_of(below)], coords)]
-        values[key] = rows
-        yield u, key, rows
+                    for prev, x in zip(values[below], coords)]
+        values[u] = rows
+        yield u, rows
 
 
 def point_ideal(zs: PointSet, bound: int, provenance: str = "point") -> TruncatedIdeal:
@@ -598,51 +611,62 @@ def point_ideal(zs: PointSet, bound: int, provenance: str = "point") -> Truncate
 
     Rescaling a point, or one factor of a Segre point, leaves each kernel
     alone, so the integer evaluation rows of `_evaluations` go to `kernel` as
-    they are.  Each distinct evaluation matrix is evaluated once per call, and
-    the call does one elimination per distinct matrix of distinct columns:
-    degrees that share a matrix share its kernel's rows, and each piece keeps
-    its own (ring, u) tag.  `_merged_kernel` reduces only the distinct columns
-    of a matrix (at diagonal points, one per monomial of V_|u|) and writes the
-    kernel rows of the copies directly; a later matrix with the same distinct
-    columns in the same order (at diagonal points, a degree of the same total
-    whose monomials of V_|u| come in the same order) takes that kernel's rows
-    and maps them back through its own columns."""
-    kernels = {}  # matrix key -> (its width, its kernel's rows), for this call only
-    merged = {}  # rows on the distinct columns -> their kernel's rows, for this call only
-    pieces = {}
-    for u, key, rows in _evaluations(zs, bound):
-        if rows is not None:
-            cols = list(zip(*rows))
-            kernels[key] = len(cols), _merged_kernel(cols, zs.field, merged)
-        width, known = kernels[key]
-        pieces[u] = Subspace(width, known, (zs.ring, u), zs.field)
-    return TruncatedIdeal(zs.ring, bound, pieces, provenance)
+    they are.  On the Segre side, factors whose integer coordinates are equal
+    at every point form a class, and the evaluation at u is that of the
+    collapsed set (one factor per class) at the class degree kappa(u), read
+    through the map phi_u that multiplies the monomials within each class:
+    J_u = phi_u^{-1}(J'_kappa(u)), `_pullback` along `_merge_table`.  So the
+    call evaluates and reduces once per class degree (at diagonal points,
+    one class, once per total degree), and once more per order of a
+    J'_kappa's columns that no kernel made so far serves.  Degrees with one
+    class degree and one merge table share their rows, and each piece keeps
+    its own (ring, u) tag."""
+    ring, field, points = zs.ring, zs.field, zs._integers
+    collapsed = ring
+    if ring.is_multigraded:
+        factors = list(zip(*points))
+        first = [factors.index(f) for f in factors]
+        reps = sorted(set(first))
+        if len(reps) < ring.d:
+            classes = tuple(map(reps.index, first))
+            collapsed = segre_ring(ring.n, len(reps))
+            points = [tuple([p[i] for i in reps]) for p in points]
+    kernels = {v: kernel(_dim_piece(collapsed, v),
+                         [[(c, x) for c, x in enumerate(row) if x] for row in rows],
+                         (collapsed, v), field)
+               for v, rows in _evaluations(collapsed, field, points, bound)}
+    if collapsed is ring:
+        return TruncatedIdeal(ring, bound, kernels, provenance)
+    variants = {v: {} for v in kernels}
+    shared, pieces = {}, {}  # shared: (kappa, f) -> the rows of phi^{-1}(J'_kappa)
+    for u in degrees_up_to(ring, bound):
+        v, f = _merge_table(ring.n, u, classes)
+        rows = shared.get((v, f))
+        if rows is None:
+            rows = shared[v, f] = _pullback(kernels[v], f, variants[v])
+        pieces[u] = Subspace(len(f), rows, (ring, u), field)
+    return TruncatedIdeal(ring, bound, pieces, provenance)
 
 
 def _has_generic_hf(zs: PointSet, bound: int) -> bool:
     """Whether the points' Hilbert function is min(r, dim S_u) at every degree
-    u up to the bound, read as the rank of their evaluation rows at u, once
-    per distinct matrix; the first degree that misses stops the walk."""
-    ranks = {}  # matrix key -> the rank of its rows
-    for u, key, rows in _evaluations(zs, bound):
+    u up to the bound, read as the rank of their evaluation rows at u; the
+    first degree that misses stops the walk."""
+    for u, rows in _evaluations(zs.ring, zs.field, zs._integers, bound):
         dim = _dim_piece(zs.ring, u)
-        if rows is not None:
-            ranks[key] = rank(dim, [[(c, x) for c, x in enumerate(row) if x] for row in rows],
-                              zs.field)
-        if ranks[key] != min(zs.count, dim):
+        if rank(dim, [[(c, x) for c, x in enumerate(row) if x] for row in rows],
+                zs.field) != min(zs.count, dim):
             return False
     return True
 
 
 def diagonal_points(zs: PointSet, d: int) -> PointSet:
-    """Image of a Veronese point set under the diagonal embedding into d factors."""
+    """Image of a Veronese point set under the diagonal embedding into d
+    factors; d is an integer (2.0 counts as 2)."""
     if zs.ring.is_multigraded:
         raise ValueError("expected points on the Veronese target")
-    return PointSet(
-        segre_ring(zs.ring.n, d),
-        tuple(tuple(p for _ in range(d)) for p in zs.points),
-        field=zs.field,
-    )
+    ring = segre_ring(zs.ring.n, d)
+    return PointSet(ring, tuple([(p,) * ring.d for p in zs.points]), field=zs.field)
 
 
 def very_general_points(ring: RingSpec, r: int, bound: int, rng: random.Random,

@@ -321,7 +321,8 @@ def preimage_reference(m: Matrix, w: Subspace) -> Subspace:
 
 def fibre_order(n: int, d: int, u: tuple) -> tuple:
     """The monomials of V_|u| sorted by the last column of S_u in their pi-fibre:
-    the order of the distinct columns of a matrix taken along the fibres."""
+    the column order in which a subspace of V_|u| is pulled back along the
+    fibres."""
     top = {m: c for c, m in enumerate(pi_fibres(n, d, u).f)}  # a later c overwrites
     return tuple(sorted(top, key=top.__getitem__))
 

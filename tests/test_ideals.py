@@ -6,8 +6,9 @@ import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from borderapolar.diagonal_maps import ir_generators
+from borderapolar.diagonal_maps import ir_generators, pi_fibres
 from borderapolar import grading, ideals
 from borderapolar.grading import (
     PieceElement,
@@ -330,6 +331,60 @@ class TestPointIdeal:
         with pytest.raises(ValueError):
             PointSet(V2, ((1, 2), (2, 4)))  # projectively equal
 
+    @staticmethod
+    def first_duplicate_reference(ring, points, field):
+        """The first pair of positions, in order, whose points are equal, as
+        the pairs were once compared: factor by factor, supports first and
+        then every 2x2 minor, in field elements."""
+        def same(a, b):
+            a, b = [field.of(x) for x in a], [field.of(x) for x in b]
+            return (all(bool(x) == bool(y) for x, y in zip(a, b))
+                    and all(x1 * y2 == x2 * y1 for (x1, y1), (x2, y2)
+                            in itertools.combinations(zip(a, b), 2)))
+
+        for a, b in itertools.combinations(range(len(points)), 2):
+            pairs = zip(points[a], points[b]) if ring.is_multigraded else [(points[a], points[b])]
+            if all(same(f, g) for f, g in pairs):
+                return a, b
+        return None
+
+    @pytest.mark.parametrize("field", [QQ, GF], ids=repr)
+    def test_duplicates_are_named_by_their_first_pair(self, field):
+        """Duplicates are found on each point's normal form; the pair named
+        is the first in the order of positions, as pairwise comparison names
+        it, with the same message."""
+        half, S2 = Fraction(1, 2), segre_ring(2, 2)
+        cases = [
+            (V2, ((1, 2), (3, 4), (-2, -4))),  # a negative multiple
+            (V2, ((1, 0), (0, 1), (0, 3), (5, 0))),  # (0, 3) comes before (1, 2)
+            (V2, ((1, 2), (1, 2 + GF.p))),  # one point mod p, two over Q
+            (V3, ((1, 2, 0), (half, 1, 0), (0, 0, 7))),
+            (S2, (((1, 2), (1, 1)), ((-1, -2), (2, 3)), ((2, 4), (-3, -3)))),
+            (S2, (((1, 2), (1, 1)), ((1, 2), (1, -1)))),  # one factor agrees: distinct
+        ]
+        rng = random.Random(37)
+        for ring in (V2, S2):
+            for _ in range(200):
+                def coords():
+                    return tuple(rng.choice((0, 1, -1, 2, half)) for _ in range(2))
+                points = []
+                while len(points) < 5:
+                    p = (coords(), coords()) if ring.is_multigraded else coords()
+                    if all(any(f) for f in (p if ring.is_multigraded else (p,))):
+                        points.append(p)
+                cases.append((ring, tuple(points)))
+        named = 0
+        for ring, points in cases:
+            want = self.first_duplicate_reference(ring, points, field)
+            if want is None:
+                assert PointSet(ring, points, field=field).count == len(points)
+                continue
+            named += 1
+            with pytest.raises(ValueError) as err:
+                PointSet(ring, points, field=field)
+            assert str(err.value) == f"duplicate points at positions {want[0]} and {want[1]}"
+        assert 50 < named < len(cases) - 50
+
     def test_zero_factor_rejected(self):
         with pytest.raises(ValueError):
             PointSet(segre_ring(2, 2), (((0, 0), (1, 1)),))
@@ -365,26 +420,28 @@ class TestPointIdeal:
                 assert hilbert_function(j, u) == generic_hf(r, ring, u)
 
     @pytest.mark.parametrize("field", [QQ, GF], ids=repr)
-    @pytest.mark.parametrize("n, d, r, bound, count", [(3, 3, 5, 4, 15), (2, 4, 3, 4, 5)])
+    @pytest.mark.parametrize("n, d, r, bound, count", [(3, 3, 5, 4, 8), (2, 4, 3, 4, 5)])
     def test_diagonal_points_reduce_each_distinct_matrix_once(self, eliminations, field,
                                                               n, d, r, bound, count):
-        # at diagonal points the columns of S_u with one image under pi are
-        # equal, so the distinct columns of the matrix at u are the monomials
-        # of V_|u|, in the order of their last columns in S_u (the pi-fibre
-        # order): 15 pairs (|u|, order) for n = 3, one per sequence of nonzero
-        # parts of u, and 5 for n = 2, where every order is the identity,
-        # against 35 and 70 degrees
+        # diagonal points have one factor class, so the call reduces the
+        # evaluation matrix of the collapsed points once per total degree, on
+        # dim V_k columns, and then pulls each kernel back along the fibres:
+        # 15 pairs (|u|, fibre order) for n = 3, all but 3 of them served by
+        # a kernel already made, and 5 for n = 2, where every order is the
+        # identity, against 35 and 70 degrees
         z = very_general_points(veronese_ring(n), r, bound, random.Random(21))
         zs = diagonal_points(PointSet(z.ring, z.points, field=field), d)
         eliminations.clear()
         j = point_ideal(zs, bound)
         assert len(eliminations) == count < len(j.degrees())
         assert all(j.pieces[u].piece == (zs.ring, u) for u in j.degrees())
-        # each distinct matrix of distinct columns is reduced once, the first
-        # time a degree has it
-        merged = dict.fromkeys((grading.degree_total(u), fibre_order(n, d, u))
-                               for u in j.degrees())
-        assert eliminations == [(r, dim_piece(veronese_ring(n), k)) for k, _ in merged]
+        dims = [dim_piece(veronese_ring(n), k) for k in range(bound + 1)]
+        assert eliminations[:bound + 1] == [(r, dim) for dim in dims]
+        # a reordered kernel is the kernel of its codim constraint rows, on
+        # the same columns, and no matrix is reduced twice
+        assert all((min(r, ncols), ncols) in eliminations[:bound + 1]
+                   for _, ncols in eliminations[bound + 1:])
+        assert len({repr(rows) for rows in eliminations.rows}) == count
 
     @pytest.mark.parametrize("field", [QQ, GF], ids=repr)
     def test_one_call_never_reduces_a_matrix_twice(self, field, monkeypatch):
@@ -448,6 +505,12 @@ class TestPointIdeal:
         many = PointSet(V2, many.points, field=field)
         cases += [(many, 3), (diagonal_points(many, 3), 3)]
         cases.append((scaled_factor_points(field), 3))
+        # d = 4: factor i of each point is factor pattern[i] of a general
+        # point on segre_ring(3, #classes), so the factors fall in classes
+        for pattern in ((0, 1, 0, 1), (0, 0, 1, 1), (0, 1, 1, 0), (0, 1, 2, 0)):
+            z = very_general_points(segre_ring(3, max(pattern) + 1), 3, 3, random.Random(35))
+            cases.append((PointSet(segre_ring(3, 4), tuple(tuple(p[c] for c in pattern)
+                                                          for p in z.points), field=field), 3))
         for points, b in cases:
             got, want = point_ideal(points, b), point_ideal_reference(points, b)
             for u in got.degrees():
@@ -456,12 +519,11 @@ class TestPointIdeal:
 
     def test_scaled_factors_are_not_merged_over_gf(self, eliminations):
         # over GF(p) the factors p, 2p and -p/3 have different residues, so
-        # each of the 20 degrees has its own matrix, and no two have the same
-        # distinct columns; over Q the first two are one factor, so the
-        # nonzero (u_i, factor) pairs of the 20 degrees take 14 values, and as
-        # (-p)^2 = p^2 the matrices at (0, 0, 2) and (1, 0, 2) have the
-        # distinct columns of those at (2, 0, 0) and (1, 2, 0): 12 eliminations
-        for field, count in ((GF, 20), (QQ, 12)):
+        # there are three classes and each of the 20 degrees is reduced; over
+        # Q the first two are one class, so the 10 class degrees of
+        # segre_ring(3, 2) up to 3 are reduced, and one order of a kernel's
+        # columns that no kernel made so far serves costs one more: 11
+        for field, count in ((GF, 20), (QQ, 11)):
             points = scaled_factor_points(field)
             eliminations.clear()
             j = point_ideal(points, 3)
@@ -517,9 +579,9 @@ def kept_ideal(n: int, d: int, bound: int, kind: str, field, rng) -> TruncatedId
 
 
 class TestKeptPieces:
-    """A kept ideal's Segre piece pi^{-1}(W_|u|) is the kernel of W's
-    constraint columns taken along the pi-fibres, reduced on its distinct
-    columns: it is checked against the dense preimage of `tests/support.py`."""
+    """A kept ideal's Segre piece pi^{-1}(W_|u|) is W pulled back along the
+    pi-fibres, written from W's RREF rows: it is checked against the dense
+    preimage of `tests/support.py`."""
 
     SHAPES = ((2, 3, 3), (3, 2, 3), (3, 3, 3))
 
@@ -539,15 +601,17 @@ class TestKeptPieces:
 
     @pytest.mark.parametrize("field", [QQ, GF], ids=repr)
     def test_repeated_columns_merge_across_fibres(self, field, eliminations):
-        """With W spanned by monomials, the zero constraint columns of its
-        monomials are one column, so each matrix reduced has one column more
-        than its codim W rows, fewer than dim V_k."""
+        """With W spanned by monomials, each RREF row of W is a unit row, led
+        by its only column in every order, so W's own rows serve every fibre
+        order and no degree eliminates, though most orders are not the
+        identity."""
         j = kept_ideal(3, 3, 3, "monomial", field, random.Random(61))
+        assert any(order != tuple(sorted(order))
+                   for order in (fibre_order(3, 3, u) for u in j.degrees()))
         eliminations.clear()
         for u in j.degrees():
             j.pieces[u]
-        assert eliminations
-        assert all(ncols == nrows + 1 for nrows, ncols in eliminations)
+        assert eliminations == []
 
     @pytest.mark.parametrize("field", [QQ, GF], ids=repr)
     @pytest.mark.parametrize("kind", KEPT_KINDS)
@@ -565,6 +629,82 @@ class TestKeptPieces:
             for u in identity:
                 j.pieces[u]
             assert eliminations == [], (n, d, kind)
+
+
+def positions(order) -> list:
+    """at[m]: the position of column m in `order`."""
+    at = [0] * len(order)
+    for p, m in enumerate(order):
+        at[m] = p
+    return at
+
+
+def class_patterns(d: int) -> list:
+    """Every way to put d factors in classes, numbered in order of first
+    appearance."""
+    patterns = [()]
+    for _ in range(d):
+        patterns = [p + (c,) for p in patterns for c in range(max(p, default=-1) + 2)]
+    return patterns
+
+
+class TestPullback:
+    """The parts of `ideals._pullback`: `_in_order`, which takes an RREF to
+    another column order with no arithmetic when it can, and `_merge_table`,
+    the index map of a point set's factor classes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([QQ, GF]), st.integers(1, 6).flatmap(lambda c: st.tuples(
+        st.lists(st.lists(st.sampled_from((0, 0, 0, 1, -1, 2, -3)), min_size=c, max_size=c),
+                 max_size=c),
+        st.permutations(range(c)))))
+    @example(QQ, ([[1, 0, 1], [0, 1, 1]], [2, 0, 1]))  # the re-sorted rows are not the RREF
+    @example(GF, ([[1, 0, 1], [0, 1, 1]], [2, 0, 1]))
+    @example(QQ, ([[1, 1, 0]], [1, 0, 2]))  # refused, though the re-sorted row is the RREF
+    @example(GF, ([[1, 0, 0, 2], [0, 0, 1, 3]], [2, 0, 3, 1]))  # each lead first: kept
+    def test_reorder_rule_matches_the_kernel_of_the_moved_constraints(self, field, case):
+        """The rule keeps K's rows exactly when each row's leading column
+        comes first in the new order, and what it keeps is the `kernel` of
+        K's constraints with their columns moved."""
+        rows, order = case
+        k = Subspace.from_rows(len(order), sparse_rows(rows, field), field=field)
+        at = positions(order)
+        moved = [[(at[m], x) for m, x in row] for row in k.constraints()]
+        want = tuple(tuple((order[p], x) for p, x in row)
+                     for row in kernel(len(order), moved, field=field).sparse)
+        got = ideals._in_order(k.sparse, at)
+        assert (got is not None) == all(at[row[0][0]] == min(at[m] for m, _ in row)
+                                         for row in k.sparse)
+        if got is not None:
+            assert got == want
+
+    def test_one_class_is_the_pi_fibre_table_and_one_per_factor_the_identity(self):
+        for n in (1, 2, 3):
+            for d in range(1, 5):
+                ring = segre_ring(n, d)
+                for u in degrees_up_to(ring, 4):
+                    assert ideals._merge_table(n, u, (0,) * d) == ((sum(u),),
+                                                                 pi_fibres(n, d, u).f)
+                    assert ideals._merge_table(n, u, tuple(range(d))) == (
+                        u, tuple(range(dim_piece(ring, u))))
+
+    def test_merge_table_multiplies_within_each_class(self):
+        for n in (2, 3):
+            for d in range(1, 5):
+                ring = segre_ring(n, d)
+                for classes in class_patterns(d):
+                    merged = segre_ring(n, max(classes) + 1)
+                    for u in degrees_up_to(ring, 3):
+                        kappa, f = ideals._merge_table(n, u, classes)
+                        assert kappa == tuple(sum(x for x, k in zip(u, classes) if k == c)
+                                              for c in range(merged.d))
+                        want = []
+                        for mono in monomials(ring, u):
+                            rows = [(0,) * n] * merged.d
+                            for row, k in zip(mono, classes):
+                                rows[k] = tuple(a + b for a, b in zip(rows[k], row))
+                            want.append(rank_monomial(merged, rows))
+                        assert f == tuple(want), (n, classes, u)
 
 
 class TestSaturation:

@@ -398,6 +398,10 @@ RING_SIZES = {
                             "point count '3' is not an integer"),
     "tau-non-integral-d": (lambda: tau(G2, 2.5), ValueError, "factor count 2.5 is not an integer"),
     "tau-no-factors": (lambda: tau(G2, 0), ValueError, "need d >= 1, got 0"),
+    "diagonal-points-non-integral-d": (lambda: diagonal_points(PointSet(V2, ((1, 2),)), 2.5),
+                                       ValueError, "factor count 2.5 is not an integer"),
+    "diagonal-points-no-factors": (lambda: diagonal_points(PointSet(V2, ((1, 2),)), 0),
+                                   ValueError, "need d >= 1, got 0"),
     # x^3 is not concise, so a point count read late would give a certificate
     "comon-non-integral-r": (lambda: comon_certificate(X3, 2.5, diagonal_ideal(2, 3, 3)),
                              ValueError, "point count 2.5 is not an integer"),
@@ -428,3 +432,6 @@ def test_integral_ring_sizes_and_point_counts_are_kept_as_ints():
     assert cert.to_dict() == comon_certificate(X3, 2, diagonal_ideal(2, 3, 3)).to_dict()
     points = very_general_points(V2, 2.0, 3, random.Random(1))
     assert points == very_general_points(V2, 2, 3, random.Random(1)) and points.count == 2
+    diagonal = diagonal_points(points, 2.0)
+    assert diagonal == diagonal_points(points, 2) and type(diagonal.ring.d) is int
+    assert all(len(p) == 2 for p in diagonal.points)

@@ -290,14 +290,16 @@ def test_only_ideals_reduces_a_preimage():
 def test_shape_tables_are_built_once_per_shape(monkeypatch):
     """The index maps that depend on the shape alone are immutable and cached:
     two tensors of one shape read the very same tuples through every `bounds`
-    check."""
+    check, and two point sets of one shape through the ideal of their
+    diagonal points."""
     import random
 
     from borderapolar import apolarity, bounds, ideals
+    from borderapolar.grading import veronese_ring
     from support import concise_power_sum_instance
 
     tables = {"_slice_keys": (bounds,), "_gamma_weights": (apolarity, bounds),
-              "_compatibility": (ideals,)}
+              "_compatibility": (ideals,), "_merge_table": (ideals,)}
     read = []
     for name, modules in tables.items():
         real = getattr(modules[0], name)
@@ -317,6 +319,8 @@ def test_shape_tables_are_built_once_per_shape(monkeypatch):
         read.clear()
         for check in checks:
             check(f)
+        z = ideals.very_general_points(veronese_ring(3), 4, 3, random.Random(seed))
+        ideals.point_ideal(ideals.diagonal_points(z, 3), 3)
         seen.append(list(read))
     first, second = seen
     assert {name for name, _, _ in first} == set(tables)
@@ -324,3 +328,18 @@ def test_shape_tables_are_built_once_per_shape(monkeypatch):
     for (name, _, a), (_, _, b) in zip(first, second):
         assert a is b, name
         assert type(a) is tuple, name
+
+
+def test_ideals_pulls_segre_pieces_back_along_one_index_map():
+    """`point_ideal` and `_Preimages` build their Segre pieces through the one
+    helper `_pullback`, and `ideals` keys no memo by a matrix's column
+    content: it turns no matrix into its columns, as the one transpose,
+    `zip(*...)`, is of a point set's integer points."""
+    tree = ast.parse((ROOT / "src" / "borderapolar" / "ideals.py").read_text(encoding="utf-8"))
+    defs = {node.name: node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    for name in ("point_ideal", "_Preimages"):
+        assert any(_calls(node, "_pullback") for node in ast.walk(defs[name])), name
+    transposes = [ast.unparse(node) for node in ast.walk(tree)
+                  if _calls(node, "zip") and any(isinstance(a, ast.Starred) for a in node.args)]
+    assert transposes == ["zip(*points)"]
