@@ -24,7 +24,7 @@ import itertools
 import math
 from bisect import bisect_left
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from enum import Enum
 from functools import lru_cache
 from operator import add
@@ -39,11 +39,17 @@ class RingKind(Enum):
 
 @dataclass(frozen=True)
 class RingSpec:
-    """n variables per factor, d factors; the Veronese ring is Z-graded."""
+    """n variables per factor, d factors; the Veronese ring is Z-graded.
+
+    `is_multigraded` and the hash are worked out once, when the ring is made:
+    every cache keyed by a ring hashes it, and the hash is of ints alone, so
+    it is the same in every process."""
 
     n: int
     d: int
     kind: RingKind
+    is_multigraded: bool = dataclass_field(init=False, repr=False, compare=False)
+    _hash: int = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "n", integer(self.n, "n"))
@@ -52,10 +58,12 @@ class RingSpec:
             raise ValueError(f"need n >= 1, got {self.n}")
         if self.d < 1:
             raise ValueError(f"need d >= 1, got {self.d}")
+        multigraded = self.kind is RingKind.SEGRE_COORD
+        object.__setattr__(self, "is_multigraded", multigraded)
+        object.__setattr__(self, "_hash", hash((self.n, self.d, multigraded)))
 
-    @property
-    def is_multigraded(self) -> bool:
-        return self.kind is RingKind.SEGRE_COORD
+    def __hash__(self):
+        return self._hash
 
 
 def segre_ring(n: int, d: int) -> RingSpec:
@@ -153,8 +161,18 @@ def dim_piece(ring: RingSpec, u) -> int:
 
 
 def _dim_piece(ring: RingSpec, u) -> int:
-    """`dim_piece` at a degree already checked."""
-    return math.prod(math.comb(ring.n + k - 1, k) for k in (u if ring.is_multigraded else (u,)))
+    """`dim_piece` at a degree already checked: dim V_u on V, the product of
+    the dim V_{u_i} on S, each read off `_veronese_dims` within its range."""
+    dims, out = _veronese_dims(ring.n), 1
+    for k in (u if ring.is_multigraded else (u,)):
+        out *= dims[k] if k < len(dims) else math.comb(ring.n + k - 1, k)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _veronese_dims(n: int) -> tuple:
+    """dim V_k = C(n + k - 1, k) for the degrees k < 64 in n variables."""
+    return tuple(math.comb(n + k - 1, k) for k in range(64))
 
 
 def _compositions_desc(total: int, parts: int):

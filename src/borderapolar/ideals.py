@@ -75,6 +75,16 @@ class GenericityError(RuntimeError):
     """Randomly drawn points failed to be in general position twice in a row."""
 
 
+def _bound(bound) -> int:
+    """A truncation bound as an int (2.0 counts as 2), refused when negative,
+    read once where it enters the package."""
+    if type(bound) is not int:
+        bound = integer(bound, "truncation bound")
+    if bound < 0:
+        raise ValueError(f"negative truncation bound {bound}")
+    return bound
+
+
 def _variable_table(ring: RingSpec, u, i: int) -> tuple:
     """`_product_map(ring, u, e_i)`; variable j of factor i is monomial j of S_{e_i}.
     On the Veronese ring e_0 is the int 1, the key `pi_fibres` caches the table by."""
@@ -226,10 +236,11 @@ class TruncatedIdeal:
     `provenance` records how the ideal arose ("point", "upsilon-of-point", ...)
     so that downstream certificates can state honestly whether membership in
     the closure of point ideals is known.  `field` is read off the pieces (W_0
-    on a kept ideal), which must all lie in one field.  The bound is at least
-    0, so there is a piece to read it off.  Every degree at or below the bound
-    has a piece of the right ambient dimension (W_k in V_k on a kept ideal);
-    stored pieces above the bound are allowed.
+    on a kept ideal), which must all lie in one field.  The bound is an
+    integer (2.0 counts as 2) of at least 0, so there is a piece to read it
+    off.  Every degree at or below the bound has a piece of the right ambient
+    dimension (W_k in V_k on a kept ideal); stored pieces above the bound are
+    allowed.
     """
 
     ring: RingSpec
@@ -239,26 +250,27 @@ class TruncatedIdeal:
     field: object = dataclass_field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.bound < 0:
-            raise ValueError(f"negative truncation bound {self.bound}")
-        if not isinstance(self.pieces, _Preimages):
-            object.__setattr__(self, "pieces", MappingProxyType(dict(self.pieces)))
+        bound = _bound(self.bound)
+        object.__setattr__(self, "bound", bound)
+        if isinstance(self.pieces, _Preimages):
+            ring, pieces, name = veronese_ring(self.ring.n), self.pieces.w, "W"
+        else:
+            ring, pieces, name = self.ring, dict(self.pieces), "J"
+            object.__setattr__(self, "pieces", MappingProxyType(pieces))
             object.__setattr__(self, "_images", {})
-        ring, pieces, name = self.ring, self.pieces, "J"
-        if self.veronese is not None:
-            ring, pieces, name = veronese_ring(ring.n), self.veronese, "W"
-        for u in degrees_up_to(ring, self.bound):
-            if u not in pieces:
+        for u in degrees_up_to(ring, bound):
+            sub = pieces.get(u)
+            if sub is None:
                 raise ValueError(f"missing piece {name}_{u}: every degree up to the bound "
-                                 f"{self.bound} needs one")
-            dim = _dim_piece(ring, u)
-            if pieces[u].ambient_dim != dim:
-                raise ValueError(f"{name}_{u}: subspace ambient {pieces[u].ambient_dim} "
-                                 f"is not dim {ring.kind.value}_{u} = {dim}")
-        fields = list(dict.fromkeys(sub.field for sub in pieces.values()))
-        if len(fields) > 1:
-            raise ValueError(f"pieces in two fields: {fields[0]!r} and {fields[1]!r}")
-        object.__setattr__(self, "field", fields[0] if fields else QQ)
+                                 f"{bound} needs one")
+            if sub.ambient_dim != _dim_piece(ring, u):
+                raise ValueError(f"{name}_{u}: subspace ambient {sub.ambient_dim} "
+                                 f"is not dim {ring.kind.value}_{u} = {_dim_piece(ring, u)}")
+        field = next(iter(pieces.values())).field  # degree 0 at least has a piece
+        for sub in pieces.values():
+            if sub.field is not field and sub.field != field:
+                raise ValueError(f"pieces in two fields: {field!r} and {sub.field!r}")
+        object.__setattr__(self, "field", field)
 
     @classmethod
     def pi_preimage(cls, ring: RingSpec, bound: int, w,
@@ -268,6 +280,7 @@ class TruncatedIdeal:
         them a subspace of V_k."""
         if not ring.is_multigraded:
             raise ValueError(f"a kept ideal lives on a Segre ring, got {ring}")
+        bound = _bound(bound)
         w = MappingProxyType({k: w[k] for k in range(bound + 1) if k in w})
         return cls(ring, bound, _Preimages(ring, bound, w), provenance)
 
@@ -315,6 +328,7 @@ class TruncatedIdeal:
 
 
 def zero_ideal(ring: RingSpec, bound: int, field=QQ) -> TruncatedIdeal:
+    bound = _bound(bound)
     pieces = {
         u: Subspace.zero(_dim_piece(ring, u), piece=(ring, u), field=field)
         for u in degrees_up_to(ring, bound)
@@ -330,8 +344,7 @@ def expand(generators, ring: RingSpec, bound: int, field=QQ) -> TruncatedIdeal:
     construction.  Generators beyond the bound are skipped with a warning; a
     negative bound is refused before any generator is read.
     """
-    if bound < 0:
-        raise ValueError(f"negative truncation bound {bound}")
+    bound = _bound(bound)
     by_degree: dict = {}
     for g in generators:
         if g.ring != ring:
@@ -528,14 +541,14 @@ def _in_order(rows, at) -> tuple | None:
     led by its pivot, as the RREF in the order that puts column m at position
     at[m], when each row's leading column comes first there: the pivots, each
     clear in the other rows, and the pivot entries stay, so re-sorting the
-    entries and the rows by position is all it takes.  Otherwise None."""
-    out = []
+    entries and the rows by position is all it takes.  Otherwise None,
+    decided before any row is sorted."""
     for row in rows:
-        moved = sorted([(at[m], m, x) for m, x in row])
-        if moved[0][1] != row[0][0]:
-            return None
-        out.append(moved)
-    out.sort()
+        lead = at[row[0][0]]
+        for m, _ in row:
+            if at[m] < lead:
+                return None
+    out = sorted([sorted([(at[m], m, x) for m, x in row]) for row in rows])
     return tuple([tuple([(m, x) for _, m, x in row]) for row in out])
 
 
@@ -549,10 +562,11 @@ def _pullback(k: Subspace, f: tuple, variants: dict) -> tuple:
     on the tops, so its RREF row at such a c is K's row led by f[c] with its
     leading entry moved to c, when f[c] leads one, and e_c - e_top(f[c])
     otherwise; a top leading a row of K keeps that row.  This takes K's RREF
-    with its columns in the order of their tops: K's own rows, or a kept
+    with its columns in the order of their tops: K's own rows, kept in
+    `variants` (order -> rows) as its RREF in the identity order, or a kept
     variant's, re-sorted when `_in_order` allows, else one `kernel` of K's
-    constraints with the columns moved, kept in `variants` (order -> rows)
-    for the maps that come later.  K = 0 and K full never eliminate.
+    constraints with the columns moved, kept in `variants` for the maps that
+    come later.  K = 0 and K full never eliminate.
     """
     top = [0] * k.ambient_dim
     for c, m in enumerate(f):
@@ -560,12 +574,14 @@ def _pullback(k: Subspace, f: tuple, variants: dict) -> tuple:
     tails = [None] * k.ambient_dim  # tails[m]: K's row led by m, off its lead, on the tops
     if k.sparse:
         order = tuple(sorted(range(len(top)), key=top.__getitem__))
+        if not variants:
+            variants[tuple(range(len(top)))] = k.sparse
         rows = variants.get(order)
         if rows is None:
             at = [0] * len(order)
             for p, m in enumerate(order):
                 at[m] = p
-            for known in (k.sparse, *variants.values()):
+            for known in variants.values():
                 rows = _in_order(known, at)
                 if rows is not None:
                     break
@@ -621,6 +637,7 @@ def point_ideal(zs: PointSet, bound: int, provenance: str = "point") -> Truncate
     J'_kappa's columns that no kernel made so far serves.  Degrees with one
     class degree and one merge table share their rows, and each piece keeps
     its own (ring, u) tag."""
+    bound = _bound(bound)
     ring, field, points = zs.ring, zs.field, zs._integers
     collapsed = ring
     if ring.is_multigraded:
@@ -662,11 +679,19 @@ def _has_generic_hf(zs: PointSet, bound: int) -> bool:
 
 def diagonal_points(zs: PointSet, d: int) -> PointSet:
     """Image of a Veronese point set under the diagonal embedding into d
-    factors; d is an integer (2.0 counts as 2)."""
+    factors; d is an integer (2.0 counts as 2).
+
+    The points were checked, normalized and put on integer coordinates when
+    `zs` was made, and a point's d copies of one factor are distinct from
+    another point's exactly when the two points are, so the Segre set is
+    built from those with no check and no conversion: d references to each."""
     if zs.ring.is_multigraded:
         raise ValueError("expected points on the Veronese target")
     ring = segre_ring(zs.ring.n, d)
-    return PointSet(ring, tuple([(p,) * ring.d for p in zs.points]), field=zs.field)
+    out = object.__new__(PointSet)  # frozen: the fields go into its __dict__
+    vars(out).update(ring=ring, points=tuple([(p,) * ring.d for p in zs.points]),
+                     field=zs.field, _integers=tuple([(p,) * ring.d for p in zs._integers]))
+    return out
 
 
 def very_general_points(ring: RingSpec, r: int, bound: int, rng: random.Random,
@@ -678,7 +703,7 @@ def very_general_points(ring: RingSpec, r: int, bound: int, rng: random.Random,
     on integer draws: one resample is attempted before giving up.  r is an
     integer (2.0 counts as 2).
     """
-    r = integer(r, "point count")
+    r, bound = integer(r, "point count"), _bound(bound)
     if r < 1:
         raise ValueError(f"need at least one point, got r={r}")
     if coord_bound < 1:  # every draw would be zero
@@ -748,6 +773,6 @@ def min_generators_in_degree(j: TruncatedIdeal, u) -> int:
 
 def diagonal_ideal(n: int, d: int, bound: int) -> TruncatedIdeal:
     """The diagonal ideal I_R = pi^{-1}(0), kept by its zero Veronese pieces."""
-    ring_v = veronese_ring(n)
+    ring_v, bound = veronese_ring(n), _bound(bound)
     w = {k: Subspace.zero(_dim_piece(ring_v, k), (ring_v, k)) for k in range(bound + 1)}
     return TruncatedIdeal.pi_preimage(segre_ring(n, d), bound, w, "diagonal-ideal")

@@ -43,10 +43,10 @@ as integers once scaled by the lcm of the pivot entries it touches
 (`annihilator_row`).  A Subspace applies this to its stored basis
 (`constraints`: the rows span the annihilator but are not in RREF), so the
 subspace in another column order is the `kernel` of those rows with their
-columns moved.  `kernel` applies it to the reduced rows of its rows with the
-columns reversed, where each pivot is the last nonzero column of its row, and
-there the rows come out already in RREF and in the stored form, written
-straight from the integer rows, with no copy of them.
+columns moved.  `kernel` applies it to the reduced rows of its rows with each
+pivot taken at the last nonzero column of its row, and there the rows come
+out already in RREF and in the stored form, written straight from the dense
+integer rows, with no copy of them.
 """
 
 from __future__ import annotations
@@ -108,6 +108,15 @@ class RationalField:
         if ints[c] < 0:
             return tuple([(j, -v) for j, v in enumerate(ints) if v])
         return tuple([(j, v) for j, v in enumerate(ints) if v])
+
+    @staticmethod
+    def annihilator_scales(pivot_entries) -> tuple:
+        """(den, factors) for rows with the nonzero `pivot_entries` b: den
+        the lcm of the |b|, and -den / b for each, so that an entry a of the
+        row with pivot q puts a * (-den / b) at q in the annihilator row
+        den e_c + ... of its column c."""
+        den = lcm(*pivot_entries)
+        return den, [-(den // b) for b in pivot_entries]
 
     @staticmethod
     def annihilator_row(c, den, entries) -> tuple:
@@ -293,9 +302,15 @@ class PrimeField:
         inv = pow(ints[c], -1, p)
         return tuple([(j, v * inv % p) for j, v in enumerate(ints) if v])
 
+    def annihilator_scales(self, pivot_entries) -> tuple:
+        """(1, factors): -1 / b for each of the nonzero `pivot_entries` b, as
+        `RationalField.annihilator_scales` with the pivot entries made 1."""
+        p = self.p
+        return 1, [-pow(b, -1, p) for b in pivot_entries]
+
     def annihilator_row(self, c, den, entries) -> tuple:
-        """e_c + sum v e_q over the (q, v) of `entries`, as residues; den, the
-        lcm of pivot entries that are all 1, is 1."""
+        """e_c + sum v e_q over the (q, v) of `entries`, as residues; den is 1
+        (`annihilator_scales`)."""
         p = self.p
         return ((c, 1),) + tuple([(q, v % p) for q, v in entries])
 
@@ -339,12 +354,15 @@ class Matrix:
     value is a field element or a plain int, which stands for its image in the
     field; elimination reads both.  `rows` gives the dense rows.  `forward`
     asks for the pivots alone: no kept row is back-substituted (`rank`).
+    `last` takes each row's pivot at its last nonzero column, not its first,
+    which is the reduction of the rows with their columns reversed (`kernel`).
     """
 
-    __slots__ = ("ncols", "sparse", "field", "forward")
+    __slots__ = ("ncols", "sparse", "field", "forward", "last")
 
-    def __init__(self, ncols: int, sparse, field=QQ, forward=False):
-        self.ncols, self.sparse, self.field, self.forward = ncols, sparse, field, forward
+    def __init__(self, ncols: int, sparse, field=QQ, forward=False, last=False):
+        self.ncols, self.sparse, self.field = ncols, sparse, field
+        self.forward, self.last = forward, last
 
     @property
     def rows(self) -> list:
@@ -419,11 +437,12 @@ def rref_with_pivots(m: Matrix):
     is row i of the RREF.  The rows of m are read once, in order, and none
     past full column rank.  No field element is made.
 
-    With `m.forward` the pivots are the same and the rows only echelon: no
-    kept row is reduced against a later one.  A row is reduced against the
-    kept rows in the order they were kept, and each kept row is zero at every
-    pivot kept before it, so a step never refills a pivot column already
-    cleared.
+    With `m.last` each row's pivot is its last nonzero column once reduced,
+    as if the columns were reversed.  With `m.forward` the pivots are the
+    same and the rows only echelon: no kept row is reduced against a later
+    one.  A row is reduced against the kept rows in the order they were
+    kept, and each kept row is zero at every pivot kept before it, so a step
+    never refills a pivot column already cleared.
     """
     # The field keeps each row small after every update: primitive over Q,
     # so entries never outgrow the line they span, and reduced mod p over
@@ -431,14 +450,15 @@ def rref_with_pivots(m: Matrix):
     # before it (and, unless forward, at every other pivot).
     field, ncols = m.field, m.ncols
     to_ints, normalize = field.to_ints, field.normalize
+    scan = range(ncols - 1, -1, -1) if m.last else range(ncols)
     kept = {}
     for row in m.sparse:
         ints = to_ints(row, ncols)
         for c, pivot_row in kept.items():
             if ints[c]:
                 ints = _eliminate(ints, pivot_row, c, normalize)
-        for c, v in enumerate(ints):
-            if v:
+        for c in scan:
+            if ints[c]:
                 break
         else:
             continue  # zero: the row is in the span of the kept ones
@@ -463,28 +483,23 @@ def kernel(ncols: int, rows, piece=None, field=QQ) -> "Subspace":
     """The right kernel {v : row . v = 0 for every row} of the sparse `rows`,
     from one elimination.
 
-    The rows are reduced with their columns reversed, so that, turned back,
+    Each row's pivot is taken at its last nonzero column (`Matrix.last`), so
     each reduced row ends at its pivot q.  The kernel row of a non-pivot
     column c then starts at c and has its other entries at pivots q > c, so
     with the reduced rows taken in ascending q the kernel rows, in ascending
-    c, are already the reduced row echelon form.  Each reduced row is stored
-    once (`field.stored`), and each of its entries, scaled to the common
-    denominator den, the lcm of the pivot entries, goes straight to the end
-    of the kernel row of its column; `field.annihilator_row` writes each
-    kernel row as integers.
+    c, are already the reduced row echelon form.  Each entry of a reduced
+    row, scaled by its row's factor (`field.annihilator_scales`: to the
+    common denominator den, the lcm of the pivot entries, over Q), goes
+    straight from the dense integer row to the end of the kernel row of its
+    column; `field.annihilator_row` writes each kernel row as integers.
     """
-    last = ncols - 1
-    rev = Matrix(ncols, [[(last - c, x) for c, x in row] for row in _in_range(ncols, rows)],
-                 field)
-    ints, pivots = rref_with_pivots(rev)
-    reduced = [field.stored(row, p) for row, p in zip(ints, pivots)]
-    den = lcm(*[row[0][1] for row in reduced])
+    ints, pivots = rref_with_pivots(Matrix(ncols, _in_range(ncols, rows), field, last=True))
+    den, factors = field.annihilator_scales([row[q] for row, q in zip(ints, pivots)])
     ann = [[] for _ in range(ncols)]
-    for row in reversed(reduced):
-        p, b = row[0]
-        q, f = last - p, -(den // b)
-        for c, a in row[1:]:
-            ann[last - c].append((q, a * f))
+    for row, q, f in zip(ints, pivots, factors):
+        for c, a in zip(range(q), row):
+            if a:
+                ann[c].append((q, a * f))
         ann[q] = None
     make = field.annihilator_row
     return Subspace(ncols, tuple([make(c, den, a) for c, a in enumerate(ann) if a is not None]),
@@ -576,12 +591,11 @@ class Subspace:
         primitive integer multiple, led by its entry at f.  There are codim
         rows and they span the annihilator, but they are not in RREF.
         """
-        den = lcm(*[row[0][1] for row in self.sparse])
+        den, factors = self.field.annihilator_scales([row[0][1] for row in self.sparse])
         ann = [[] for _ in range(self.ambient_dim)]
-        for row in self.sparse:
-            p, b = row[0]
+        for row, f in zip(self.sparse, factors):
+            p = row[0][0]
             ann[p] = None  # no other basis row has an entry at its pivot
-            f = -(den // b)
             for c, a in row[1:]:
                 ann[c].append((p, a * f))
         make = self.field.annihilator_row

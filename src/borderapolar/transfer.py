@@ -46,6 +46,7 @@ from .grading import (
 from .linalg import Subspace
 from .ideals import (
     TruncatedIdeal,
+    _bound,
     first_non_generic,
     first_without_diagonal,
     generic_hf,
@@ -186,7 +187,7 @@ def upsilon(i: TruncatedIdeal, d: int, bound: int | None = None) -> TruncatedIde
     """
     if i.ring.kind is not RingKind.VERONESE_COORD:
         raise ValueError("desymmetrization expects an ideal in the Veronese ring")
-    bound = i.bound if bound is None else bound
+    bound = i.bound if bound is None else _bound(bound)
     if bound > i.bound:
         raise ValueError(f"requested bound {bound} exceeds the input bound {i.bound}")
     ring_v = veronese_ring(i.ring.n)

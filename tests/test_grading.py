@@ -1,8 +1,14 @@
 """Tests for monomial enumeration, dimension counts, and rank/unrank indexing."""
 
+import dataclasses
 import itertools
 import math
+import os
+import pickle
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +19,9 @@ from borderapolar.diagonal_maps import direct_sum_check, pi, psi, rho
 from borderapolar.selftest import sum_of_powers_tensor
 from borderapolar.grading import (
     PieceElement,
+    RingKind,
+    RingSpec,
+    _dim_piece,
     check_degree,
     dim_piece,
     format_element,
@@ -60,6 +69,70 @@ class TestDimPiece:
     def test_bad_degree_length(self):
         with pytest.raises(ValueError):
             dim_piece(segre_ring(2, 3), (1, 1))
+
+
+class TestDimTable:
+    """`_dim_piece` reads dim V_k off a table keyed by n alone."""
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    @pytest.mark.parametrize("d", range(1, 5))
+    def test_counts_the_monomials(self, n, d):
+        ring = segre_ring(n, d)
+        for u in itertools.product(range(7), repeat=d):
+            if sum(u) <= 6:
+                assert _dim_piece(ring, u) == len(monomials(ring, u))
+        for k in range(7):
+            assert _dim_piece(veronese_ring(n), k) == len(monomials(veronese_ring(n), k))
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_degrees_past_the_table(self, n):
+        for k in (63, 64, 65, 200):
+            assert _dim_piece(veronese_ring(n), k) == math.comb(n + k - 1, k)
+            assert _dim_piece(segre_ring(n, 3), (2, k, 1)) \
+                == n * math.comb(n + k - 1, k) * math.comb(n + 1, 2)
+
+
+RINGS = (segre_ring(2, 3), segre_ring(3, 1), segre_ring(1, 4), veronese_ring(4))
+
+
+class TestRingSpec:
+    """`is_multigraded` and the hash are stored when a ring is made; the repr,
+    equality and hash read as before, also through pickle and `replace`."""
+
+    def test_repr_and_equality(self):
+        assert repr(segre_ring(2, 3)) == "RingSpec(n=2, d=3, kind=<RingKind.SEGRE_COORD: 'S'>)"
+        assert repr(veronese_ring(4)) == "RingSpec(n=4, d=1, kind=<RingKind.VERONESE_COORD: 'V'>)"
+        assert segre_ring(2, 3) == RingSpec(2, 3, RingKind.SEGRE_COORD)
+        assert segre_ring(2, 1) != veronese_ring(2) and segre_ring(2, 3) != segre_ring(3, 2)
+        assert [ring.is_multigraded for ring in RINGS] == [True, True, True, False]
+        assert len({segre_ring(2, 3), segre_ring(2.0, 3), *RINGS}) == len(RINGS)
+
+    @pytest.mark.parametrize("ring", RINGS, ids=repr)
+    def test_pickle_and_replace(self, ring):
+        for copy in (pickle.loads(pickle.dumps(ring)), dataclasses.replace(ring)):
+            assert copy == ring and hash(copy) == hash(ring) and repr(copy) == repr(ring)
+            assert copy.is_multigraded == ring.is_multigraded
+        wider = dataclasses.replace(ring, n=ring.n + 1)
+        assert wider == RingSpec(ring.n + 1, ring.d, ring.kind)
+        assert hash(wider) == hash(RingSpec(ring.n + 1, ring.d, ring.kind))
+        other = RingKind.VERONESE_COORD if ring.is_multigraded else RingKind.SEGRE_COORD
+        flipped = dataclasses.replace(ring, kind=other)
+        assert flipped.is_multigraded is not ring.is_multigraded
+        with pytest.raises(ValueError):
+            dataclasses.replace(ring, is_multigraded=not ring.is_multigraded)
+
+    def test_hash_is_the_same_in_every_process(self):
+        """The stored hash is of ints alone, so string hash randomization
+        leaves it alone."""
+        code = ("from borderapolar.grading import segre_ring, veronese_ring\n"
+                "print([hash(r) for r in (segre_ring(2, 3), segre_ring(3, 1), "
+                "segre_ring(1, 4), veronese_ring(4))])")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        seen = {subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                               env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed),
+                               check=True, timeout=60).stdout
+                for seed in ("0", "1", "12345")}
+        assert seen == {f"{[hash(r) for r in RINGS]}\n"}
 
 
 class TestCheckDegree:

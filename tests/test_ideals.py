@@ -554,6 +554,48 @@ class TestPointIdeal:
         assert dz.points[0] == ((1, 0), (1, 0), (1, 0))
 
 
+class TestDiagonalPoints:
+    """`diagonal_points` builds the Segre set from the checked Veronese set's
+    normalized points and integer coordinates, as the checked construction
+    would from the same coordinates."""
+
+    # rational, negative and non-primitive coordinates, and a string
+    POINTS = ((2, 4, 6), (-1, 0, 3), (Fraction(1, 2), Fraction(-3, 4), 5), (0, 0, -7),
+              (Fraction(2, 3), 4, Fraction(-1, 6)), ("3/5", -9, 12))
+
+    @pytest.mark.parametrize("field", [QQ, GF], ids=repr)
+    @pytest.mark.parametrize("d", range(1, 5))
+    def test_equals_the_checked_construction(self, field, d):
+        got = diagonal_points(PointSet(V3, self.POINTS, field=field), d)
+        want = PointSet(segre_ring(3, d), tuple((p,) * d for p in self.POINTS), field)
+        assert got.ring == want.ring and got.field == want.field
+        assert got.points == want.points and repr(got.points) == repr(want.points)
+        assert got._integers == want._integers
+        assert got == want and hash(got) == hash(want)
+        assert ideal_digest(point_ideal(got, 2)) == ideal_digest(point_ideal(want, 2))
+
+    @pytest.mark.parametrize("field", [QQ, GF], ids=repr)
+    def test_converts_each_point_once(self, field, monkeypatch):
+        """At most r conversions for r points, made once for the Veronese set
+        and read by every diagonal set after it, not one per factor copy."""
+        z = PointSet(V3, self.POINTS, field=field)
+        calls = []
+        for name in ("of", "to_ints"):
+            real = getattr(type(field), name)
+
+            def spy(self, *args, real=real, name=name):
+                calls.append(name)
+                return real(self, *args)
+
+            monkeypatch.setattr(type(field), name, spy)
+        first = diagonal_points(z, 4)
+        assert first._integers and len(calls) <= len(self.POINTS)
+        calls.clear()
+        second = diagonal_points(z, 3)
+        assert second._integers and second.count == first.count == len(self.POINTS)
+        assert calls == []
+
+
 KEPT_KINDS = ("zero", "full", "monomial", "random")
 
 
@@ -615,10 +657,15 @@ class TestKeptPieces:
 
     @pytest.mark.parametrize("field", [QQ, GF], ids=repr)
     @pytest.mark.parametrize("kind", KEPT_KINDS)
-    def test_identity_order_and_zero_do_no_elimination(self, field, kind, eliminations):
+    def test_identity_order_and_zero_do_no_elimination(self, field, kind, eliminations,
+                                                        monkeypatch):
         """A degree whose fibre order is the identity reads the kernel off W
-        (every degree when n = 2), even when W's columns repeat, and W = 0 is
-        `ir_piece`."""
+        (every degree when n = 2), even when W's columns repeat, with no
+        re-sorting, as W's rows are kept as its RREF in that order; and W = 0
+        is `ir_piece`."""
+        resorted = []
+        real = ideals._in_order
+        monkeypatch.setattr(ideals, "_in_order", lambda *a: resorted.append(a) or real(*a))
         rng = random.Random(f"identity/{kind}")
         for n, d, bound in self.SHAPES:
             j = kept_ideal(n, d, bound, kind, field, rng)
@@ -628,7 +675,7 @@ class TestKeptPieces:
             eliminations.clear()
             for u in identity:
                 j.pieces[u]
-            assert eliminations == [], (n, d, kind)
+            assert eliminations == [] and resorted == [], (n, d, kind)
 
 
 def positions(order) -> list:

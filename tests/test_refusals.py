@@ -26,6 +26,7 @@ from borderapolar.bounds import (
 from borderapolar.diagonal_maps import direct_sum_check, ir_piece, pi_image, psi, tau
 from borderapolar.grading import (
     PieceElement,
+    degrees_up_to,
     dim_piece,
     monomials,
     rank_monomial,
@@ -333,6 +334,50 @@ def test_negative_truncation_bound_refused(call):
     """A truncated ideal has a piece in degree 0 at least, so no constructor
     makes one with a negative bound."""
     refused(call, ValueError, "negative truncation bound -1")
+
+
+# A truncation bound is read once where it enters, with `integer`, so what a
+# bound of 2.0 or 1.5 does cannot depend on whether `degrees_up_to`'s cache
+# already holds the degrees for 2 (2.0 and 2 are one key there).
+BOUND_TAKERS = {
+    "zero-ideal": lambda b: zero_ideal(V2, b),
+    "expand": lambda b: expand([], V2, b),
+    "point-ideal": lambda b: point_ideal(PointSet(V2, ((1, 2), (3, 4))), b),
+    "point-ideal-segre": lambda b: point_ideal(PointSet(S22, (((1, 2), (3, 4)),)), b),
+    "diagonal-ideal": lambda b: diagonal_ideal(2, 3, b),
+    "very-general-points": lambda b: very_general_points(V2, 2, b, random.Random(1)),
+    "upsilon": lambda b: upsilon(point_ideal(GF_POINTS, 3), 3, b),
+    "truncated-ideal": lambda b: TruncatedIdeal(V2, b, dict(zero_ideal(V2, 3).pieces)),
+    "pi-preimage": lambda b: TruncatedIdeal.pi_preimage(S22, b, diagonal_ideal(2, 2, 3).veronese),
+}
+
+
+@pytest.mark.parametrize("call", BOUND_TAKERS.values(), ids=list(BOUND_TAKERS))
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_integral_bound_counts_as_an_int(call, warm):
+    """2.0 counts as 2 whether or not the degrees for 2 are cached."""
+    degrees_up_to.cache_clear()
+    want = call(2)
+    if not warm:
+        degrees_up_to.cache_clear()
+    got = call(2.0)
+    if isinstance(got, TruncatedIdeal):
+        assert type(got.bound) is int and got.bound == 2
+        assert got.degrees() == want.degrees()
+        assert all(got.pieces[u] == want.pieces[u] for u in got.degrees())
+    else:
+        assert got == want
+
+
+@pytest.mark.parametrize("call", BOUND_TAKERS.values(), ids=list(BOUND_TAKERS))
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_non_integral_bound_refused(call, warm):
+    degrees_up_to.cache_clear()
+    if warm:
+        call(1)
+        call(2)
+    refused(lambda: call(1.5), ValueError, "truncation bound 1.5 is not an integer")
+    refused(lambda: call("2"), ValueError, "truncation bound '2' is not an integer")
 
 
 # -- the degree boundary --------------------------------------------------------------

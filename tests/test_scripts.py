@@ -343,3 +343,44 @@ def test_ideals_pulls_segre_pieces_back_along_one_index_map():
     transposes = [ast.unparse(node) for node in ast.walk(tree)
                   if _calls(node, "zip") and any(isinstance(a, ast.Starred) for a in node.args)]
     assert transposes == ["zip(*points)"]
+
+
+# Every module-level cache under src/, as module.function.  Each grows with
+# the keys it is read at and lives as long as the process, so a new one is
+# added here on purpose, with what it is keyed by.
+LRU_CACHES = [
+    "apolarity._gamma_weights",    # (n, d)
+    "bounds._slice_keys",          # (n, d, slot)
+    "diagonal_maps.pi_fibres",     # (n, d, u)
+    "grading._monomials",          # (ring, u)
+    "grading._product_map",        # (ring, u, v)
+    "grading._veronese_dims",      # n
+    "grading.degrees_up_to",       # (ring, bound)
+    "ideals._compatibility",       # (ring, u, factor)
+    "ideals._merge_table",         # (n, u, classes)
+    "ideals._predecessors",        # (ring, u)
+]
+
+
+def test_module_level_caches_are_pinned():
+    """Every `lru_cache` (or `functools.cache`) under src/ decorates a
+    module-level function, and those functions are exactly `LRU_CACHES`."""
+    found, stray = [], []
+    for path in sorted((ROOT / "src" / "borderapolar").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        decorators = set()
+        for top in tree.body:
+            if isinstance(top, ast.FunctionDef):
+                for dec in top.decorator_list:
+                    if any(isinstance(n, (ast.Name, ast.Attribute)) and
+                           getattr(n, "id", getattr(n, "attr", None)) in ("lru_cache", "cache")
+                           for n in ast.walk(dec)):
+                        found.append(f"{path.stem}.{top.name}")
+                        decorators.update(id(n) for n in ast.walk(dec))
+        for node in ast.walk(tree):
+            name = getattr(node, "id", getattr(node, "attr", None))
+            if (isinstance(node, (ast.Name, ast.Attribute)) and name in ("lru_cache", "cache")
+                    and id(node) not in decorators):
+                stray.append(f"{path.stem} line {node.lineno}")
+    assert stray == []
+    assert sorted(found) == LRU_CACHES
