@@ -25,7 +25,7 @@ W is the business of `ideals`: pi^{-1}(W) is W pulled back along `f`, which
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache
 
 from .grading import (
@@ -49,14 +49,39 @@ def _require_kind(el: PieceElement, kind: RingKind, what: str):
 
 @dataclass(frozen=True)
 class PiFibres:
-    """How pi collapses the monomial columns of S_u onto those of V_|u|.
+    """How pi, or a merge of factor classes (`ideals._merge_table`), collapses
+    the monomial columns of S_u onto those of a smaller piece.
 
-    `f[c]` is the V-monomial that column c collapses to, and `section[m]` the
-    column that psi_u sends m to, so `len(section)` is dim V_|u|.
+    `f[c]` is the column that column c collapses to, and `section[m]` the
+    first column of m's fibre, which psi_u sends m to, so `len(section)` is
+    the number of targets.  For a pullback along f the table also holds the
+    last column `top[m]` of each fibre, the targets sorted by their tops
+    (`order`) and each target's position there (`at`).
     """
 
     f: tuple
     section: tuple
+    top: tuple = dataclass_field(init=False, repr=False, compare=False)
+    order: tuple = dataclass_field(init=False, repr=False, compare=False)
+    at: tuple = dataclass_field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        top = [0] * len(self.section)
+        for c, m in enumerate(self.f):
+            top[m] = c  # a later c overwrites
+        order = sorted(range(len(top)), key=top.__getitem__)
+        object.__setattr__(self, "top", tuple(top))
+        object.__setattr__(self, "order", tuple(order))
+        object.__setattr__(self, "at", tuple(sorted(range(len(order)), key=order.__getitem__)))
+
+
+def fibre_table(f: tuple) -> PiFibres:
+    """The table of an onto index map f, a tuple; the last write of a target
+    is its first column."""
+    section = [0] * (max(f) + 1)
+    for c in reversed(range(len(f))):
+        section[f[c]] = c
+    return PiFibres(f, tuple(section))
 
 
 @lru_cache(maxsize=None)
@@ -71,14 +96,10 @@ def pi_fibres(n: int, d: int, u: tuple) -> PiFibres:
         table, width = _product_map(ring_v, k, ui), _dim_piece(ring_v, ui)
         f = [table[r * width + b] for r in f for b in range(width)]
         k += ui
-    # pi is onto (psi is a section), so every fibre is nonempty; the last
-    # write leaves the smallest column of each fibre in `section`.  It is
-    # psi's: handing the lowest variables to the first factors gives the
-    # lex-largest exponent rows, which rank first.
-    section = [0] * _dim_piece(ring_v, k)
-    for c in reversed(range(len(f))):
-        section[f[c]] = c
-    return PiFibres(tuple(f), tuple(section))
+    # pi is onto (psi is a section), so every fibre is nonempty.  The first
+    # column of a fibre is psi's: handing the lowest variables to the first
+    # factors gives the lex-largest exponent rows, which rank first.
+    return fibre_table(tuple(f))
 
 
 def _push(index: tuple, row, zero) -> dict:
@@ -165,8 +186,8 @@ def ir_piece(n: int, d: int, u: tuple, field=QQ) -> Subspace:
     one row e_c - e_top per column c below the largest column, top, of its
     fibre.  No elimination."""
     u = check_degree(segre_ring(n, d), u)
-    f = pi_fibres(n, d, u).f
-    top = {m: c for c, m in enumerate(f)}  # a later c overwrites
+    fib = pi_fibres(n, d, u)
+    f, top = fib.f, fib.top
     minus_one = field.minus_one
     rows = tuple([((c, 1), (top[m], minus_one)) for c, m in enumerate(f) if c != top[m]])
     return Subspace(len(f), rows, (segre_ring(n, d), u), field)

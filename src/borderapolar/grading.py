@@ -67,11 +67,17 @@ class RingSpec:
 
 
 def segre_ring(n: int, d: int) -> RingSpec:
-    return RingSpec(n, d, RingKind.SEGRE_COORD)
+    return _ring(integer(n, "n"), integer(d, "factor count"), RingKind.SEGRE_COORD)
 
 
 def veronese_ring(n: int) -> RingSpec:
-    return RingSpec(n, 1, RingKind.VERONESE_COORD)
+    return _ring(integer(n, "n"), 1, RingKind.VERONESE_COORD)
+
+
+@lru_cache(maxsize=None)
+def _ring(n: int, d: int, kind: RingKind) -> RingSpec:
+    """One ring per shape, its sizes read as ints; a refused one is not kept."""
+    return RingSpec(n, d, kind)
 
 
 # -- degree arithmetic --------------------------------------------------------
@@ -185,16 +191,32 @@ def _compositions_desc(total: int, parts: int):
             yield (first,) + rest
 
 
-@lru_cache(maxsize=None)
 def degrees_up_to(ring: RingSpec, bound: int) -> tuple:
     """All degrees of total degree <= bound, sorted by (total, reverse-lex).
 
     Each total's block is its weak compositions into d parts in lexicographically
-    decreasing order, read off the cached monomials of that degree in d variables."""
+    decreasing order, read off the cached monomials of that degree in d variables.
+    The bound is read before the cache (2.0 counts as 2, 1.5 is refused)."""
+    if type(bound) is not int:
+        bound = integer(bound, "truncation bound")
+    return _degrees_up_to(ring, bound)
+
+
+@lru_cache(maxsize=None)
+def _degrees_up_to(ring: RingSpec, bound: int) -> tuple:
     if not ring.is_multigraded:
         return tuple(range(bound + 1))
     ring_d = veronese_ring(ring.d)
     return tuple(u for total in range(bound + 1) for u in monomials(ring_d, total))
+
+
+degrees_up_to.cache_clear = _degrees_up_to.cache_clear
+
+
+@lru_cache(maxsize=None)
+def _degree_set(ring: RingSpec, bound: int) -> frozenset:
+    """`degrees_up_to(ring, bound)` as a set, for `u in pieces` (`ideals._Preimages`)."""
+    return frozenset(degrees_up_to(ring, bound))
 
 
 def monomials(ring: RingSpec, u) -> tuple:

@@ -30,7 +30,8 @@ along the pi-fibre table.  `_pullback` writes both from the RREF rows of the
 subspace pulled back, placed on the last column of each fibre.  Those rows
 serve any order of the fibres in which each row's leading column comes first
 (relabelled, with no arithmetic); another order costs one `kernel` of the
-subspace's constraints, whose rows are kept for the orders that come later.
+subspace's constraints, or of a point ideal's evaluation rows, with the
+columns moved, and its rows are kept for the orders that come later.
 
 Every monomial product is read off `grading`'s cached table
 S_u x S_v -> S_{u+v} (`_product_map`): variable multiples at v = e_i, the
@@ -52,6 +53,7 @@ from types import MappingProxyType
 
 from .grading import (
     RingSpec,
+    _degree_set,
     _dim_piece,
     _product_map,
     add_degrees,
@@ -67,8 +69,8 @@ from .grading import (
     segre_ring,
     veronese_ring,
 )
-from .diagonal_maps import pi_fibres, pi_image
-from .linalg import QQ, Subspace, kernel, rank
+from .diagonal_maps import PiFibres, fibre_table, pi_fibres, pi_image
+from .linalg import QQ, IntRows, Subspace, kernel, rank
 
 
 class GenericityError(RuntimeError):
@@ -200,15 +202,15 @@ class _Preimages(Mapping):
     def __init__(self, ring: RingSpec, bound: int, w):
         self.ring, self.w = ring, w
         self._degrees = degrees_up_to(ring, bound)
-        self._known = frozenset(self._degrees)
+        self._known = _degree_set(ring, bound)
         self._variants = {k: {} for k in w}
 
     def __getitem__(self, u):
         if u not in self._known:
             raise KeyError(u)
         ring, k = self.ring, degree_total(u)
-        w, f = self.w[k], pi_fibres(ring.n, ring.d, u).f
-        return Subspace(len(f), _pullback(w, f, self._variants[k]), (ring, u), w.field)
+        w, fib = self.w[k], pi_fibres(ring.n, ring.d, u)
+        return Subspace(len(fib.f), _pullback(w, fib, self._variants[k]), (ring, u), w.field)
 
     def __contains__(self, u):
         return u in self._known
@@ -273,6 +275,28 @@ class TruncatedIdeal:
         object.__setattr__(self, "field", field)
 
     @classmethod
+    def _made(cls, ring: RingSpec, bound: int, pieces, provenance: str,
+              field) -> "TruncatedIdeal":
+        """The ideal of pieces (a dict or a `_Preimages`) that the package has
+        just made, all in `field` and of the right shapes: nothing is checked."""
+        j = object.__new__(cls)
+        attrs = vars(j)
+        attrs.update(ring=ring, bound=bound, provenance=provenance, field=field)
+        if isinstance(pieces, _Preimages):
+            attrs["pieces"] = pieces
+        else:
+            attrs.update(pieces=MappingProxyType(pieces), _images={})
+        return j
+
+    @classmethod
+    def _kept(cls, ring: RingSpec, bound: int, w: dict, provenance: str,
+              field) -> "TruncatedIdeal":
+        """`pi_preimage` of w = {k: W_k}, k <= bound, pieces the package has
+        made or checked: nothing is checked again."""
+        return cls._made(ring, bound, _Preimages(ring, bound, MappingProxyType(w)),
+                         provenance, field)
+
+    @classmethod
     def pi_preimage(cls, ring: RingSpec, bound: int, w,
                     provenance: str = "user") -> "TruncatedIdeal":
         """The ideal J_u = pi^{-1}(W_|u|) = (I_R)_u + psi_u(W_|u|) on the Segre
@@ -312,7 +336,10 @@ class TruncatedIdeal:
     def pi_image(self, u) -> Subspace:
         """pi(J_u) inside V_|u|: W_|u| on an ideal kept by its Veronese pieces,
         else one elimination on V_|u| (none for a zero piece), made once."""
-        u = self._checked(u)
+        return self._pi_image(self._checked(u))
+
+    def _pi_image(self, u) -> Subspace:
+        """`pi_image` at a degree within the bound, already checked."""
         if self.veronese is not None:
             return self.veronese[degree_total(u)]
         if u not in self._images:
@@ -516,16 +543,19 @@ def _predecessors(ring: RingSpec, u) -> tuple:
 
 @lru_cache(maxsize=None)
 def _merge_table(n: int, u: tuple, classes: tuple) -> tuple:
-    """(kappa, f) for a degree u whose factor i falls in class classes[i],
-    the classes numbered from 0 in order of first appearance: kappa is the
-    class degree, u summed within each class, on segre_ring(n, #classes),
-    and f[c] the column of S_kappa that monomial c of S_u goes to when the
-    monomials within each class are multiplied (phi_u).
+    """(kappa, fibres) for a degree u whose factor i falls in class
+    classes[i], the classes numbered from 0 in order of first appearance:
+    kappa is the class degree, u summed within each class, on
+    segre_ring(n, #classes), and fibres.f[c] the column of S_kappa that
+    monomial c of S_u goes to when the monomials within each class are
+    multiplied (phi_u), in the table `_pullback` reads.
 
     As `pi_fibres` does, it folds in one factor at a time: factor i multiplies
     the partial product by a monomial of degree u_i on class classes[i], read
     off `grading`'s product table of the collapsed ring.  One class is pi's
-    fibre table, and a class per factor the identity."""
+    fibre table, read from `pi_fibres`, and a class per factor the identity."""
+    if not any(classes):
+        return (sum(u),), pi_fibres(n, len(u), u)
     ring = segre_ring(n, max(classes) + 1)
     f, kappa = [0], (0,) * ring.d
     for ui, k in zip(u, classes):
@@ -533,7 +563,7 @@ def _merge_table(n: int, u: tuple, classes: tuple) -> tuple:
         table, width = _product_map(ring, kappa, step), _dim_piece(ring, step)
         f = [table[r * width + b] for r in f for b in range(width)]
         kappa = add_degrees(kappa, step)
-    return kappa, tuple(f)
+    return kappa, fibre_table(tuple(f))
 
 
 def _in_order(rows, at) -> tuple | None:
@@ -552,41 +582,42 @@ def _in_order(rows, at) -> tuple | None:
     return tuple([tuple([(m, x) for _, m, x in row]) for row in out])
 
 
-def _pullback(k: Subspace, f: tuple, variants: dict) -> tuple:
+def _pullback(k: Subspace, fib: PiFibres, variants: dict, ann=None) -> tuple:
     """The RREF rows of f^{-1}(K) = {x : sum_c x_c e_f[c] in K}, for a
-    subspace K on `k.ambient_dim` columns and an onto index map f from
-    len(f) columns to them.
+    subspace K on `k.ambient_dim` columns and the onto index map f of the
+    table `fib`, from len(f) columns to them.
 
     Let top(m) be the last column c with f[c] = m.  f^{-1}(K) is spanned by
     e_c - e_top(f[c]) for each column c below its top and by K's rows placed
     on the tops, so its RREF row at such a c is K's row led by f[c] with its
     leading entry moved to c, when f[c] leads one, and e_c - e_top(f[c])
     otherwise; a top leading a row of K keeps that row.  This takes K's RREF
-    with its columns in the order of their tops: K's own rows, kept in
-    `variants` (order -> rows) as its RREF in the identity order, or a kept
-    variant's, re-sorted when `_in_order` allows, else one `kernel` of K's
-    constraints with the columns moved, kept in `variants` for the maps that
-    come later.  K = 0 and K full never eliminate.
+    with its columns in the order of their tops (`fib.order`): K's own rows,
+    kept in `variants` (order -> rows) as its RREF in the identity order, or
+    a kept variant's, re-sorted when `_in_order` allows, else one `kernel`
+    of rows spanning K's annihilator with the columns moved, kept in
+    `variants` for the maps that come later: `ann`, K's evaluation rows as
+    an `IntRows`, or else K's constraints.  K = 0 and K full never
+    eliminate.
     """
-    top = [0] * k.ambient_dim
-    for c, m in enumerate(f):
-        top[m] = c  # a later c overwrites
+    top = fib.top
     tails = [None] * k.ambient_dim  # tails[m]: K's row led by m, off its lead, on the tops
     if k.sparse:
-        order = tuple(sorted(range(len(top)), key=top.__getitem__))
+        order = fib.order
         if not variants:
-            variants[tuple(range(len(top)))] = k.sparse
+            variants[tuple(range(len(order)))] = k.sparse
         rows = variants.get(order)
         if rows is None:
-            at = [0] * len(order)
-            for p, m in enumerate(order):
-                at[m] = p
+            at = fib.at
             for known in variants.values():
                 rows = _in_order(known, at)
                 if rows is not None:
                     break
             else:
-                moved = [[(at[m], x) for m, x in row] for row in k.constraints()]
+                if ann is None:
+                    moved = [[(at[m], x) for m, x in row] for row in k.constraints()]
+                else:
+                    moved = IntRows([[row[m] for m in order] for row in ann])
                 rows = tuple([tuple([(order[p], x) for p, x in row])
                               for row in kernel(len(at), moved, field=k.field).sparse])
             variants[order] = rows
@@ -594,7 +625,7 @@ def _pullback(k: Subspace, f: tuple, variants: dict) -> tuple:
             tails[row[0][0]] = row[0][1], tuple([(top[m], x) for m, x in row[1:]])
     minus_one = k.field.minus_one
     out = []
-    for c, m in enumerate(f):
+    for c, m in enumerate(fib.f):
         tail = tails[m]
         if tail is not None:
             out.append(((c, tail[0]),) + tail[1])
@@ -608,16 +639,16 @@ def _evaluations(ring: RingSpec, field, points, bound: int):
     of the evaluation matrix at u, one per point of `points`, given on
     integer coordinates (`PointSet._integers`).  Each monomial takes one
     multiplication, from the value of its predecessor one degree down, and
-    the field's `normalize` keeps each row small."""
+    the field's `normalize` keeps each row small: an `IntRows`."""
     values = {}  # degree -> its integer rows
     for u in degrees_up_to(ring, bound):
         if degree_total(u) == 0:
-            rows = [[1] for _ in points]
+            rows = IntRows([[1] for _ in points])
         else:
             below, i, steps = _predecessors(ring, u)
             coords = [p[i] for p in points] if ring.is_multigraded else points
-            rows = [field.normalize([prev[t] * x[j] for t, j in steps])
-                    for prev, x in zip(values[below], coords)]
+            rows = IntRows([field.normalize([prev[t] * x[j] for t, j in steps])
+                            for prev, x in zip(values[below], coords)])
         values[u] = rows
         yield u, rows
 
@@ -627,7 +658,7 @@ def point_ideal(zs: PointSet, bound: int, provenance: str = "point") -> Truncate
 
     Rescaling a point, or one factor of a Segre point, leaves each kernel
     alone, so the integer evaluation rows of `_evaluations` go to `kernel` as
-    they are.  On the Segre side, factors whose integer coordinates are equal
+    they are, dense.  On the Segre side, factors whose integer coordinates are equal
     at every point form a class, and the evaluation at u is that of the
     collapsed set (one factor per class) at the class degree kappa(u), read
     through the map phi_u that multiplies the monomials within each class:
@@ -648,21 +679,20 @@ def point_ideal(zs: PointSet, bound: int, provenance: str = "point") -> Truncate
             classes = tuple(map(reps.index, first))
             collapsed = segre_ring(ring.n, len(reps))
             points = [tuple([p[i] for i in reps]) for p in points]
-    kernels = {v: kernel(_dim_piece(collapsed, v),
-                         [[(c, x) for c, x in enumerate(row) if x] for row in rows],
-                         (collapsed, v), field)
-               for v, rows in _evaluations(collapsed, field, points, bound)}
+    evaluations = dict(_evaluations(collapsed, field, points, bound))
+    kernels = {v: kernel(_dim_piece(collapsed, v), rows, (collapsed, v), field)
+               for v, rows in evaluations.items()}
     if collapsed is ring:
-        return TruncatedIdeal(ring, bound, kernels, provenance)
+        return TruncatedIdeal._made(ring, bound, kernels, provenance, field)
     variants = {v: {} for v in kernels}
     shared, pieces = {}, {}  # shared: (kappa, f) -> the rows of phi^{-1}(J'_kappa)
     for u in degrees_up_to(ring, bound):
-        v, f = _merge_table(ring.n, u, classes)
-        rows = shared.get((v, f))
+        v, fib = _merge_table(ring.n, u, classes)
+        rows = shared.get((v, fib.f))
         if rows is None:
-            rows = shared[v, f] = _pullback(kernels[v], f, variants[v])
-        pieces[u] = Subspace(len(f), rows, (ring, u), field)
-    return TruncatedIdeal(ring, bound, pieces, provenance)
+            rows = shared[v, fib.f] = _pullback(kernels[v], fib, variants[v], evaluations[v])
+        pieces[u] = Subspace(len(fib.f), rows, (ring, u), field)
+    return TruncatedIdeal._made(ring, bound, pieces, provenance, field)
 
 
 def _has_generic_hf(zs: PointSet, bound: int) -> bool:
@@ -671,8 +701,7 @@ def _has_generic_hf(zs: PointSet, bound: int) -> bool:
     first degree that misses stops the walk."""
     for u, rows in _evaluations(zs.ring, zs.field, zs._integers, bound):
         dim = _dim_piece(zs.ring, u)
-        if rank(dim, [[(c, x) for c, x in enumerate(row) if x] for row in rows],
-                zs.field) != min(zs.count, dim):
+        if rank(dim, rows, zs.field) != min(zs.count, dim):
             return False
     return True
 

@@ -3,7 +3,8 @@
 Vectors are rows, held sparsely as the (column, value) pairs of their nonzero
 entries; dense rows are built only on demand, for dumps and tests.  Elimination
 takes a column count and any iterable of such rows, refusing a column that is
-not an int inside that count or that a row names twice, and returns a Subspace
+not an int inside that count or that a row names twice (or an `IntRows` of
+dense integer rows, read as they are), and returns a Subspace
 (`Subspace.from_rows`, `kernel`) or a number (`rank`); these three are its
 only entry points.  Each eliminates the rows as given, so a caller whose
 system is tall writes it on its short side (the degree-one count in `bounds`
@@ -143,6 +144,9 @@ class RationalField:
 
     def __repr__(self):
         return "QQ"
+
+    def __reduce__(self):
+        return "QQ"  # unpickled as the one instance, which equality and hashes read
 
 
 QQ = RationalField()
@@ -347,22 +351,36 @@ def _dense(row, ncols: int, zero) -> list:
     return out
 
 
+class IntRows(list):
+    """Dense integer rows of the full width, each already through the field's
+    `normalize`, that elimination reads with no check and no conversion."""
+
+    __slots__ = ()
+
+
 class Matrix:
-    """What `rref_with_pivots` reads: `ncols` columns and the `sparse` rows.
+    """What `rref_with_pivots` reads: `ncols` columns and the rows `given`.
 
     Each row is a sequence of (column, value) pairs with distinct columns.  A
     value is a field element or a plain int, which stands for its image in the
-    field; elimination reads both.  `rows` gives the dense rows.  `forward`
-    asks for the pivots alone: no kept row is back-substituted (`rank`).
-    `last` takes each row's pivot at its last nonzero column, not its first,
-    which is the reduction of the rows with their columns reversed (`kernel`).
+    field; elimination reads both, and an `IntRows` as it is (`sparse` gives
+    it as pairs).  `rows` gives the dense rows.  `forward` asks for the
+    pivots alone: no kept row is back-substituted (`rank`).  `last` takes
+    each row's pivot at its last nonzero column, not its first, which is the
+    reduction of the rows with their columns reversed (`kernel`).
     """
 
-    __slots__ = ("ncols", "sparse", "field", "forward", "last")
+    __slots__ = ("ncols", "given", "field", "forward", "last")
 
     def __init__(self, ncols: int, sparse, field=QQ, forward=False, last=False):
-        self.ncols, self.sparse, self.field = ncols, sparse, field
+        self.ncols, self.given, self.field = ncols, sparse, field
         self.forward, self.last = forward, last
+
+    @property
+    def sparse(self):
+        if type(self.given) is IntRows:
+            return [[(c, x) for c, x in enumerate(row) if x] for row in self.given]
+        return self.given
 
     @property
     def rows(self) -> list:
@@ -370,7 +388,7 @@ class Matrix:
 
     @property
     def nrows(self) -> int:
-        return len(self.sparse)
+        return len(self.given)
 
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols} over {self.field})"
@@ -386,7 +404,10 @@ def _in_range(ncols: int, rows) -> list:
     the end or a float fails to index the marks, and a negative one is tested.
     A row that is neither a list nor a tuple, such as a one-shot iterator, is
     made a list first, so that elimination reads the entries this pass read.
+    An `IntRows` is returned as it is.
     """
+    if type(rows) is IntRows:
+        return rows
     rows = list(rows)
     seen = [-1] * ncols
     try:
@@ -448,12 +469,12 @@ def rref_with_pivots(m: Matrix):
     # so entries never outgrow the line they span, and reduced mod p over
     # GF(p).  `kept` maps each pivot to its row, zero at every pivot kept
     # before it (and, unless forward, at every other pivot).
-    field, ncols = m.field, m.ncols
+    field, ncols, given = m.field, m.ncols, m.given
     to_ints, normalize = field.to_ints, field.normalize
     scan = range(ncols - 1, -1, -1) if m.last else range(ncols)
     kept = {}
-    for row in m.sparse:
-        ints = to_ints(row, ncols)
+    reading = given if type(given) is IntRows else (to_ints(row, ncols) for row in given)
+    for ints in reading:
         for c, pivot_row in kept.items():
             if ints[c]:
                 ints = _eliminate(ints, pivot_row, c, normalize)
@@ -508,7 +529,7 @@ def kernel(ncols: int, rows, piece=None, field=QQ) -> "Subspace":
 
 # -- subspaces ------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Subspace:
     """A linear subspace given by its RREF row basis inside a fixed ambient piece.
 
@@ -516,13 +537,19 @@ class Subspace:
     nonzero entries in ascending column order, so the pivot comes first: the
     RREF row times its pivot entry, primitive with a positive pivot entry over
     Q, residues with pivot entry 1 over GF(p).  `basis` builds the dense rows
-    of field elements.
+    of field elements.  The fields are written into the instance dict, as
+    the frozen class's own `__init__` would with four `object.__setattr__`.
     """
 
     ambient_dim: int
     sparse: tuple
     piece: object = dataclass_field(default=None, compare=False)
     field: object = QQ
+
+    def __init__(self, ambient_dim: int, sparse: tuple, piece=None, field=QQ):
+        attrs = self.__dict__
+        attrs["ambient_dim"], attrs["sparse"] = ambient_dim, sparse
+        attrs["piece"], attrs["field"] = piece, field
 
     @classmethod
     def from_rows(cls, ambient_dim: int, rows, piece=None, field=QQ) -> "Subspace":

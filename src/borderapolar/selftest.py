@@ -81,16 +81,29 @@ def diagonal_tensor(n: int, d: int) -> SymTensor:
 
 
 def sum_of_powers_tensor(n: int, d: int, forms) -> SymTensor:
-    """sum_j l_j^{tensor d} for linear forms given by coefficient vectors: the
-    polarization of sum_j l_j^d, whose coefficient of b^gamma is
-    (d!/gamma!) sum_j l_j^gamma."""
+    """sum_j l_j^{tensor d} for linear forms given by coefficient vectors of
+    ints or Fractions: the polarization of sum_j l_j^d, whose coefficient of
+    b^gamma is (d!/gamma!) sum_j l_j^gamma.  With l_j = L_j / D_j, L_j
+    integer, that is sum_j L_j^gamma / D_j^d, read off power tables."""
     bad = next((l for l in forms if len(l) != n), None)
     if bad is not None:
         raise ValueError(f"form {bad!r} has {len(bad)} coordinates, expected n={n}")
+    scaled = []  # (L_j, D_j)
+    for l in forms:
+        if not all(isinstance(c, (int, Fraction)) for c in l):
+            raise TypeError(f"form {l!r} has a coordinate that is not an int or a Fraction")
+        den = math.lcm(*[c.denominator for c in l])
+        scaled.append(([c.numerator * (den // c.denominator) for c in l], den))
+    common = math.lcm(*[den ** d for _, den in scaled])
+    gammas = monomials(veronese_ring(n), d)
+    total = [0] * len(gammas)
+    for ints, den in scaled:
+        powers, weight = [[c ** e for e in range(d + 1)] for c in ints], common // den ** d
+        total = [t + weight * math.prod([p[e] for p, e in zip(powers, gamma)])
+                 for t, gamma in zip(total, gammas)]
     fac = math.factorial(d)
-    terms = {gamma: fac // math.prod(map(math.factorial, gamma))
-             * sum(math.prod(c ** e for c, e in zip(l, gamma)) for l in forms)
-             for gamma in monomials(veronese_ring(n), d)}
+    terms = {gamma: Fraction(fac // math.prod(map(math.factorial, gamma)) * t, common)
+             for gamma, t in zip(gammas, total)}
     return polarize(HomPoly(n, d, terms))
 
 

@@ -190,13 +190,16 @@ def upsilon(i: TruncatedIdeal, d: int, bound: int | None = None) -> TruncatedIde
     bound = i.bound if bound is None else _bound(bound)
     if bound > i.bound:
         raise ValueError(f"requested bound {bound} exceeds the input bound {i.bound}")
-    ring_v = veronese_ring(i.ring.n)
-    w = {k: _tagged(i.piece(k), ring_v, k) for k in range(bound + 1)}
+    ring_v, ring = veronese_ring(i.ring.n), segre_ring(i.ring.n, d)
+    w = {k: _tagged(i.pieces[k], ring_v, k) for k in range(bound + 1)}
     provenance = "upsilon-of-point" if i.provenance in ("point", "diagonal-points") else "user"
-    return TruncatedIdeal.pi_preimage(segre_ring(i.ring.n, d), bound, w, provenance)
+    return TruncatedIdeal._kept(ring, bound, w, provenance, i.field)
 
 
 def _tagged(sub: Subspace, ring_v, k: int) -> Subspace:
+    """`sub` tagged as the piece (ring_v, k): itself when it is tagged so."""
+    if sub.piece == (ring_v, k):
+        return sub
     return Subspace(sub.ambient_dim, sub.sparse, (ring_v, k), sub.field)
 
 
@@ -207,8 +210,8 @@ def _pi_images(j, what: str, degree_at, provenance: str, needs_diagonal=False) -
     if needs_diagonal and first_without_diagonal(j) is not None:
         raise ValueError(f"{what} is undefined: the ideal does not contain the diagonal ideal")
     ring_v = veronese_ring(j.ring.n)
-    pieces = {k: _tagged(j.pi_image(degree_at(k)), ring_v, k) for k in range(j.bound + 1)}
-    return TruncatedIdeal(ring_v, j.bound, pieces, provenance)
+    pieces = {k: _tagged(j._pi_image(degree_at(k)), ring_v, k) for k in range(j.bound + 1)}
+    return TruncatedIdeal._made(ring_v, j.bound, pieces, provenance, j.field)
 
 
 def sigma(j: TruncatedIdeal) -> TruncatedIdeal:

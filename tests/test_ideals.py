@@ -456,8 +456,7 @@ class TestPointIdeal:
         handed = []
 
         def spy(ncols, rows, piece=None, field=QQ):
-            rows = tuple(tuple(row) for row in rows)
-            handed.append((ncols, rows))
+            handed.append((ncols, tuple(tuple(row) for row in rows)))
             return kernel(ncols, rows, piece, field)
 
         monkeypatch.setattr(ideals, "kernel", spy)
@@ -730,10 +729,27 @@ class TestPullback:
             for d in range(1, 5):
                 ring = segre_ring(n, d)
                 for u in degrees_up_to(ring, 4):
-                    assert ideals._merge_table(n, u, (0,) * d) == ((sum(u),),
-                                                                 pi_fibres(n, d, u).f)
-                    assert ideals._merge_table(n, u, tuple(range(d))) == (
-                        u, tuple(range(dim_piece(ring, u))))
+                    kappa, fib = ideals._merge_table(n, u, (0,) * d)
+                    assert kappa == (sum(u),) and fib is pi_fibres(n, d, u)
+                    kappa, fib = ideals._merge_table(n, u, tuple(range(d)))
+                    assert kappa == u and fib.f == tuple(range(dim_piece(ring, u)))
+                    assert fib.section == fib.top == fib.order == fib.at == fib.f
+
+    def test_fibre_tables_hold_their_pullback_orders(self):
+        """Each table's `top`, `order` and `at`, made once with it, are the
+        last column of each fibre, the targets sorted by it and their
+        positions there, for pi and for every merge of factor classes."""
+        for n in (1, 2, 3):
+            for d in range(1, 4):
+                for classes in class_patterns(d):
+                    for u in degrees_up_to(segre_ring(n, d), 3):
+                        fib = ideals._merge_table(n, u, classes)[1]
+                        targets = range(len(fib.section))
+                        assert fib.top == tuple(max(c for c, m in enumerate(fib.f) if m == t)
+                                                for t in targets)
+                        assert fib.section == tuple(fib.f.index(t) for t in targets)
+                        assert fib.order == tuple(sorted(targets, key=fib.top.__getitem__))
+                        assert all(fib.order[fib.at[t]] == t for t in targets)
 
     def test_merge_table_multiplies_within_each_class(self):
         for n in (2, 3):
@@ -742,7 +758,8 @@ class TestPullback:
                 for classes in class_patterns(d):
                     merged = segre_ring(n, max(classes) + 1)
                     for u in degrees_up_to(ring, 3):
-                        kappa, f = ideals._merge_table(n, u, classes)
+                        kappa, fib = ideals._merge_table(n, u, classes)
+                        f = fib.f
                         assert kappa == tuple(sum(x for x, k in zip(u, classes) if k == c)
                                               for c in range(merged.d))
                         want = []

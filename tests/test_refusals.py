@@ -349,6 +349,9 @@ BOUND_TAKERS = {
     "upsilon": lambda b: upsilon(point_ideal(GF_POINTS, 3), 3, b),
     "truncated-ideal": lambda b: TruncatedIdeal(V2, b, dict(zero_ideal(V2, 3).pieces)),
     "pi-preimage": lambda b: TruncatedIdeal.pi_preimage(S22, b, diagonal_ideal(2, 2, 3).veronese),
+    # called directly, as `selftest` and `proper_unit_box_degrees` call it
+    "degrees-up-to-segre": lambda b: degrees_up_to(S22, b),
+    "degrees-up-to-veronese": lambda b: degrees_up_to(V2, b),
 }
 
 

@@ -352,20 +352,67 @@ LRU_CACHES = [
     "apolarity._gamma_weights",    # (n, d)
     "bounds._slice_keys",          # (n, d, slot)
     "diagonal_maps.pi_fibres",     # (n, d, u)
+    "grading._degree_set",         # (ring, bound)
+    "grading._degrees_up_to",      # (ring, bound)
     "grading._monomials",          # (ring, u)
     "grading._product_map",        # (ring, u, v)
+    "grading._ring",               # (n, d, kind)
     "grading._veronese_dims",      # n
-    "grading.degrees_up_to",       # (ring, bound)
     "ideals._compatibility",       # (ring, u, factor)
     "ideals._merge_table",         # (n, u, classes)
     "ideals._predecessors",        # (ring, u)
 ]
 
+# What a function may call on a dict or a set to write into it.
+_WRITERS = {"setdefault", "update", "add", "pop", "popitem", "clear", "discard", "remove",
+            "__setitem__", "__delitem__", "difference_update", "intersection_update",
+            "symmetric_difference_update"}
+
+
+def _module_containers(tree) -> set:
+    """The names a module binds at its top level to a dict or a set, as a
+    display, a comprehension or a call of a container type."""
+    names = set()
+    for top in tree.body:
+        if isinstance(top, ast.Assign):
+            targets, value = top.targets, top.value
+        elif isinstance(top, ast.AnnAssign) and top.value is not None:
+            targets, value = [top.target], top.value
+        else:
+            continue
+        if (isinstance(value, (ast.Dict, ast.Set, ast.DictComp, ast.SetComp))
+                or (isinstance(value, ast.Call) and getattr(value.func, "id", None)
+                    in ("dict", "set", "defaultdict", "OrderedDict", "Counter"))):
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return names
+
+
+def _writes_into(function, names: set) -> list:
+    """The lines at which `function` writes into one of the containers `names`:
+    an item assigned, augmented or deleted, or a writing method called."""
+    lines = []
+    for node in ast.walk(function):
+        targets = []
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+            if isinstance(node, ast.AugAssign) and getattr(node.target, "id", None) in names:
+                lines.append(node.lineno)  # in place: s |= {...}
+        lines += [node.lineno for t in targets
+                  if isinstance(t, ast.Subscript) and getattr(t.value, "id", None) in names]
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in _WRITERS and getattr(node.func.value, "id", None) in names):
+            lines.append(node.lineno)
+    return lines
+
 
 def test_module_level_caches_are_pinned():
     """Every `lru_cache` (or `functools.cache`) under src/ decorates a
-    module-level function, and those functions are exactly `LRU_CACHES`."""
-    found, stray = [], []
+    module-level function, and those functions are exactly `LRU_CACHES`.  No
+    function writes into a module-level dict or set, which would be a cache
+    made by hand that the list does not pin."""
+    found, stray, hand_rolled = [], [], []
     for path in sorted((ROOT / "src" / "borderapolar").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         decorators = set()
@@ -382,5 +429,43 @@ def test_module_level_caches_are_pinned():
             if (isinstance(node, (ast.Name, ast.Attribute)) and name in ("lru_cache", "cache")
                     and id(node) not in decorators):
                 stray.append(f"{path.stem} line {node.lineno}")
+        containers = _module_containers(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                hand_rolled += [f"{path.stem} line {line}"
+                                for line in _writes_into(node, containers)]
     assert stray == []
+    assert sorted(set(hand_rolled)) == []
     assert sorted(found) == LRU_CACHES
+
+
+def test_the_cache_guard_sees_a_hand_rolled_cache():
+    """The guard above finds a module-level dict or set written from a
+    function in each way it looks for, and leaves a read-only one alone."""
+    source = """
+MEMO = {}
+SEEN = set()
+TABLE: dict = dict()
+NAMES = {"a", "b"}
+
+def put(k, v):
+    MEMO[k] = v
+
+def grow(k):
+    SEEN.add(k)
+    TABLE.setdefault(k, []).append(k)
+
+def more(k):
+    global SEEN
+    SEEN |= {k}
+
+def read(k):
+    return k in NAMES and MEMO.get(k)
+"""
+    tree = ast.parse(source)
+    containers = _module_containers(tree)
+    assert containers == {"MEMO", "SEEN", "TABLE", "NAMES"}
+    writes = {node.name: _writes_into(node, containers) for node in tree.body
+              if isinstance(node, ast.FunctionDef)}
+    assert {name: len(lines) for name, lines in writes.items()} == {
+        "put": 1, "grow": 2, "more": 1, "read": 0}

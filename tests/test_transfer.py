@@ -361,6 +361,31 @@ class TestEliminationCount:
         assert back == rho_ideal(stored) and twisted == sigma(stored)
 
 
+    @pytest.mark.parametrize("field", [QQ, PrimeField(2147483647)], ids=repr)
+    def test_one_round_trip_is_pinned(self, eliminations, field):
+        """One (n, d, bound, r) = (3, 3, 3, 4) round trip, as the transport
+        benchmark runs it, makes nine eliminations, each pinned by its shape:
+        the point ideal's four evaluation kernels (r rows on dim V_k columns),
+        none in upsilon, rho or sigma, and the diagonal-points ideal's four
+        again with one reordering, the kernel of the r evaluation rows at
+        k = 3 with their columns in a fibre order.  So no change to the
+        bookkeeping around them can add an elimination unnoticed."""
+        z = very_general_points(V3, 4, 3, random.Random(42))
+        z = PointSet(z.ring, z.points, field=field)
+        evaluations = [(4, dim_piece(V3, k)) for k in range(4)]
+        eliminations.clear()
+        i = point_ideal(z, 3)
+        assert eliminations == evaluations
+        eliminations.clear()
+        lifted = upsilon(i, 3, 3)
+        back, twisted = rho_ideal(lifted), sigma(lifted)
+        assert eliminations == []
+        diag = point_ideal(diagonal_points(z, 3), 3, provenance="diagonal-points")
+        assert eliminations == evaluations + [(4, 10)]
+        assert dict(back.pieces) == dict(twisted.pieces) == dict(i.pieces)
+        assert all(diag.pieces[u] == lifted.pieces[u] for u in diag.degrees())
+
+
 class TestConditionChecks:
     def _passing_instance(self, n, rng):
         d = 3
