@@ -39,7 +39,7 @@ from .grading import (
     segre_ring,
     veronese_ring,
 )
-from .linalg import QQ, Subspace, kernel
+from .linalg import QQ, IntRows, Subspace, kernel
 
 
 class HomPoly:
@@ -348,7 +348,9 @@ def slice_spans(f: GeneralTensor) -> list:
     _require_full_tensor(f)
     ncols = f.n ** (f.order - 1)
     if isinstance(f, SymTensor) and f.order:  # an order-0 tensor has no factor
-        rows = [sorted(row) for _, row in sorted(_contraction_rows(f, range(1, f.order)).items())]
+        to_ints = f.field.to_ints
+        rows = IntRows([to_ints(row, ncols) for _, row in
+                        sorted(_contraction_rows(f, range(1, f.order)).items())])
         return [Subspace.from_rows(ncols, rows, field=f.field)] * f.order
     reduced, spans = [], []  # reduced: (sorted rows, span) per distinct flattening
     for i in range(f.order):

@@ -25,7 +25,10 @@ P^perp that are constant on every pi-fibre.  The form side's generators are
 counted the same way: Ann(p_F)_{k-1}^perp is the row span of the
 catalecticant Cat_{k-1}, so one step from below in n rank Cat_{k-1}
 unknowns and the rank of Cat_k give the count, and no piece of Ann(p_F) is
-built (`min_generators_sym_in_degree`).
+built (`min_generators_sym_in_degree`).  The systems these checks write,
+the degree-one count, the compatibility equations and the fibre equations
+here and a `SymTensor`'s flattening in `apolarity`, reach `rank` and
+`kernel` as dense integer rows (`linalg.IntRows`), each normalized once.
 
 Nothing computed for F outlives a check.  The index maps that depend on
 the shape alone are read from tables built once per shape: the degree-one
@@ -50,7 +53,7 @@ from .apolarity import (
 from .diagonal_maps import pi_fibres, proper_unit_box_degrees
 from .grading import _dim_piece, check_degree, contractions, segre_ring, veronese_ring
 from .ideals import annihilator_from_below
-from .linalg import Subspace, rank
+from .linalg import IntRows, Subspace, rank
 from .transfer import Certificate, tensor_digest
 
 
@@ -175,18 +178,18 @@ def _degree_one_generators(f, spans) -> int:
                 at[t].append((width + q, y))
         factors.append((len(cons), at, _slice_keys(n, d, i)))
         width += n * len(cons)
-    rows = []
+    rows, normalize = IntRows(), field.normalize
     for a in range(n):
         first = a * width_0 // n  # the first column of R_i with a at slot 0
         for row in spans[0].sparse:  # the unknown e_a (x) row, an integer tensor
-            acc = {}
+            acc = [0] * width
             for c, x in row:
                 for codim, at, keys in factors:
                     j, t = keys[c]
                     shift = j * codim
                     for col, y in at[first + t]:
-                        acc[col + shift] = acc.get(col + shift, 0) + y * x
-            rows.append([(col, x) for col, x in acc.items() if x])
+                        acc[col + shift] += y * x
+            rows.append(normalize(acc))
     dim_perp = len(rows) - rank(width, rows, field)
     return dim_perp - (not f.is_zero)
 
@@ -317,20 +320,18 @@ def _image_dim(fibre, perp, field) -> int:
     sum_a mu_a perp_a is constant on each fibre}, and that space is the kernel
     of one equation in the codim P unknowns mu per column c below the top t of
     its fibre, sum_a mu_a (perp_a(c) - perp_a(t)) = 0."""
-    at = [{} for _ in fibre]
+    r = len(perp)
+    at = [[0] * r for _ in fibre]  # at[c][a]: perp_a(c)
     for a, row in enumerate(perp):
         for c, x in row:
             at[c][a] = x
     top = {m: c for c, m in enumerate(fibre)}  # a later c overwrites
-    equations = []
+    equations, normalize = IntRows(), field.normalize
     for c, m in enumerate(fibre):
         here, there = at[c], at[top[m]]
-        if c != top[m] and (here or there):
-            diff = dict(here)
-            for a, x in there.items():
-                diff[a] = diff.get(a, 0) - x
-            equations.append([(a, x) for a, x in diff.items() if x])
-    return len(top) - len(perp) + rank(len(perp), equations, field)
+        if c != top[m] and (any(here) or any(there)):
+            equations.append(normalize([x - y for x, y in zip(here, there)]))
+    return len(top) - r + rank(r, equations, field)
 
 
 def verify_lemma_1_minus_ed(f) -> Certificate:
@@ -361,7 +362,13 @@ def verify_lemma_1_minus_ed(f) -> Certificate:
 
 
 def verify_gen_count_transfer(f) -> Certificate:
-    """Minimal generators of Ann(p_F) in degree d vs Ann(F) in degree (1,...,1)."""
+    """Minimal generators of Ann(p_F) in degree d vs Ann(F) in degree (1,...,1).
+
+    The counts agree for d >= 3 only: at d = 2 the 2x2 minors of I_R are
+    minimal generators in degree (1, 1), C(n, 2) more on the tensor side, so
+    F is refused as `is_sharp` refuses it, before its slice spans are read."""
+    if f.order < 3:
+        raise ValueError("sharpness needs at least three factors")
     s_tensor = _degree_one_generators(f, _require_concise_symmetric(f))
     s_poly = min_generators_sym_in_degree(depolarize(f), f.order)
     ok = s_tensor == s_poly

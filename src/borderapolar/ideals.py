@@ -149,23 +149,29 @@ def annihilator_from_below(ring: RingSpec, u, i: int, ann, field=QQ) -> tuple:
     if not ann:  # J_u = S_u, and so is S_{e_i} J_u
         return ()
     pairs, owners = _compatibility(ring, u, i)
-    n, r = ring.n, len(ann)
+    n, r, normalize = ring.n, len(ann), field.normalize
     at = [[] for _ in range(_dim_piece(ring, u))]  # at[t]: the (a, ann_a(t)), ann_a(t) != 0
     for a, row in enumerate(ann):
         for t, x in row:
             at[t].append((a, x))
-    equations = []
+    equations = IntRows()
     for j0, t0, j, t in pairs:
-        row = [(j0 * r + a, x) for a, x in at[t0]] + [(j * r + a, -x) for a, x in at[t]]
-        if row:
-            equations.append(row)
-    out = []
+        if at[t0] or at[t]:
+            row = [0] * (n * r)
+            for a, x in at[t0]:
+                row[j0 * r + a] = x
+            for a, x in at[t]:
+                row[j * r + a] = -x
+            equations.append(normalize(row))
+    out, dim = [], len(at)
     for lam in kernel(n * r, equations, field=field).sparse:
-        by_j = [{} for _ in range(n)]  # by_j[j]: a -> lambda_{j,a}
+        c = [[0] * dim for _ in range(n)]  # c[j]: c_j = sum_a lambda_{j,a} ann_a, densely
         for q, x in lam:
-            by_j[q // r][q % r] = x
-        phi = [sum([by_j[j].get(a, 0) * x for a, x in at[t]]) for j, t in owners]
-        out.append(tuple([(m, x) for m, x in enumerate(field.normalize(phi)) if x]))
+            c_j = c[q // r]
+            for t, y in ann[q % r]:
+                c_j[t] += x * y
+        phi = [c[j][t] for j, t in owners]
+        out.append(tuple([(m, x) for m, x in enumerate(normalize(phi)) if x]))
     return tuple(out)
 
 

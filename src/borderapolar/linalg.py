@@ -19,8 +19,12 @@ later one (no back-substitution).  The `Matrix` it reads is only the record
 of the rows, their width, their field and that mode, and is made in this
 module alone.  The field supplies the rest: how a row becomes
 integers (primitive integers over Q, residues over GF(p)), how a row is kept
-small after each update (divided by its content over Q, reduced mod p over
-GF(p)) and how a reduced row is stored.
+small (`normalize`: divided by its content over Q, reduced mod p over GF(p))
+and how a reduced row is stored.  A kept row is always normalized; a row
+being reduced is normalized once the factors it was multiplied by since it
+last was add up to more than the field's `slack` bits: 64 over Q, so a
+row's content is divided out then or when it is kept, and 0 over GF(p),
+where every update is reduced because the zero test reads residues.
 
 A Subspace stores the unique reduced row echelon basis of its row span as
 integers: each RREF row as its primitive integer multiple with a positive
@@ -66,6 +70,7 @@ class RationalField:
     zero = Fraction(0)
     one = Fraction(1)
     minus_one = -1  # the stored integer of -1
+    slack = 64  # bits a row may grow by in elimination before it is normalized
 
     def of(self, x):
         if isinstance(x, Fraction):
@@ -259,6 +264,7 @@ class PrimeField:
         self.zero = Mod(0, p)
         self.one = Mod(1, p)
         self.minus_one = p - 1
+        self.slack = 0  # every update is reduced: the zero test reads residues
 
     def of(self, x):
         if isinstance(x, Mod):
@@ -437,17 +443,18 @@ def _refuse(ncols: int, row):
         seen.add(c)
 
 
-def _eliminate(row, pivot_row, c, normalize) -> list:
+def _eliminate(row, pivot_row, c) -> tuple:
     """Clear column c of an integer row against pivot_row.
 
     With a = row[c], b = pivot_row[c] and g = gcd(b, a), the result is the
-    normalized (b/g) row - (a/g) pivot_row.  Over GF(p) the factor b/g is a
-    nonzero residue, so the update keeps the span there too.
+    row (b/g) row - (a/g) pivot_row, not normalized, and the factor b/g.
+    Over GF(p) b/g is a nonzero residue, so the update keeps the span there
+    too.
     """
     a, b = row[c], pivot_row[c]
     g = gcd(b, a)
     x, y = b // g, a // g
-    return normalize([x * u - y * v if v else x * u for u, v in zip(row, pivot_row)])
+    return [x * u - y * v if v else x * u for u, v in zip(row, pivot_row)], x
 
 
 def rref_with_pivots(m: Matrix):
@@ -465,28 +472,35 @@ def rref_with_pivots(m: Matrix):
     kept, and each kept row is zero at every pivot kept before it, so a step
     never refills a pivot column already cleared.
     """
-    # The field keeps each row small after every update: primitive over Q,
-    # so entries never outgrow the line they span, and reduced mod p over
-    # GF(p).  `kept` maps each pivot to its row, zero at every pivot kept
-    # before it (and, unless forward, at every other pivot).
+    # A kept row is normalized; a row being reduced is normalized once its
+    # factors since it last was pass `field.slack` bits: 64 over Q, 0 over
+    # GF(p), where every update is reduced.  `kept` maps each pivot to its
+    # row, zero at every pivot kept before it (and, unless forward, at every
+    # other pivot).
     field, ncols, given = m.field, m.ncols, m.given
-    to_ints, normalize = field.to_ints, field.normalize
+    to_ints, normalize, slack = field.to_ints, field.normalize, field.slack
     scan = range(ncols - 1, -1, -1) if m.last else range(ncols)
     kept = {}
     reading = given if type(given) is IntRows else (to_ints(row, ncols) for row in given)
     for ints in reading:
+        grown = 0  # bits of the factors since the row was last normalized
         for c, pivot_row in kept.items():
             if ints[c]:
-                ints = _eliminate(ints, pivot_row, c, normalize)
+                ints, x = _eliminate(ints, pivot_row, c)
+                grown += x.bit_length()
+                if grown > slack:
+                    ints, grown = normalize(ints), 0
         for c in scan:
             if ints[c]:
                 break
         else:
             continue  # zero: the row is in the span of the kept ones
+        if grown:
+            ints = normalize(ints)
         if not m.forward:
             for p, other in kept.items():
                 if other[c]:
-                    kept[p] = _eliminate(other, ints, c, normalize)
+                    kept[p] = normalize(_eliminate(other, ints, c)[0])
         kept[c] = ints
         if len(kept) == ncols:
             break  # full column rank: every later row is in the span

@@ -20,11 +20,17 @@ class Eliminations(list):
 
 @pytest.fixture
 def eliminations(monkeypatch):
-    """Record every elimination: the one counted entry point is patched."""
+    """Record every elimination: the one counted entry point is patched.  An
+    `IntRows` handed over is checked as elimination would not check it: every
+    row has the full width and equals the field's `normalize` of itself."""
     seen = Eliminations()
     real = linalg.rref_with_pivots
 
     def recording(m):
+        if type(m.given) is linalg.IntRows:
+            for row in m.given:
+                assert len(row) == m.ncols and all(type(x) is int for x in row), row
+                assert row == m.field.normalize(row), row
         seen.append((m.nrows, m.ncols))
         seen.rows.append([list(row) for row in m.sparse])
         return real(m)

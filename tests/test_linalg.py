@@ -621,6 +621,72 @@ class TestRank:
             assert rank_of(zero) == len(rref_with_pivots(zero)[1]) == 0
 
 
+@st.composite
+def tall_wide_entry_matrices(draw):
+    """(ncols, rows): tall dense integer matrices with entries of up to 40
+    bits, as integer combinations of fewer rows than columns or as many, so
+    that most rows are read to the end and reduced against kept rows whose
+    pivot entries, minors of the matrix, run to hundreds of bits: a row's
+    factors pass 64 bits within two updates."""
+    ncols = draw(st.integers(2, 7))
+    nrows = draw(st.integers(ncols + 1, 2 * ncols + 3))
+    row = st.lists(st.integers(-(2**40), 2**40), min_size=ncols, max_size=ncols)
+    basis = draw(st.lists(row, min_size=1, max_size=ncols))
+    coeffs = st.lists(st.integers(-5, 5), min_size=len(basis), max_size=len(basis))
+    return ncols, [[sum(a * b[j] for a, b in zip(cs, basis)) for j in range(ncols)]
+                   for cs in draw(st.lists(coeffs, min_size=nrows, max_size=nrows))]
+
+
+class TestDeferredDivision:
+    """Over Q a row being reduced is divided by its content once the factors
+    it was multiplied by since it last was pass 64 bits, and when it is kept;
+    over GF(p) after every update.  Either way the rows that come out are
+    those of `SpanReference`."""
+
+    @pytest.mark.parametrize("field", FIELDS, ids=repr)
+    @given(case=tall_wide_entry_matrices())
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_rank_kernel_and_span_match_the_reference(self, field, case):
+        ncols, rows = case
+        ref = SpanReference(ncols, rows, field)
+        span_rows = repr(tuple(tuple(row) for row in ref.rows))
+        ref_kernel = SpanReference.kernel(ncols, rows, field)
+        kernel_rows = repr(tuple(tuple(row) for row in ref_kernel.rows))
+        ints = linalg.IntRows([field.normalize(list(row)) for row in rows])
+        for given_rows in (sparse_rows(rows, field), ints):
+            assert rank(ncols, given_rows, field) == len(ref.pivots)
+            assert repr(Subspace.from_rows(ncols, given_rows, field=field).basis) == span_rows
+            assert repr(kernel(ncols, given_rows, field=field).basis) == kernel_rows
+
+    @pytest.mark.parametrize("bits,divided", [(34, 2), (32, 1)])
+    def test_a_row_is_divided_past_64_bits_and_when_kept(self, monkeypatch, bits, divided):
+        # three kept rows with pairwise coprime pivot entries b_k of `bits`
+        # bits, and a row that each of them clears, multiplying it by b_k.
+        # At 34 bits the factors reach 68 > 64 bits at the second update,
+        # which divides, and 34 at the third, so the row is divided again
+        # when it is kept.  At 32 bits they reach 64 at the second, which
+        # does not divide, and 96 at the third, which does, and the row is
+        # kept as it is.
+        seen = []
+        real = linalg.RationalField.normalize
+        monkeypatch.setattr(linalg.RationalField, "normalize",
+                            staticmethod(lambda ints: seen.append(list(ints)) or real(ints)))
+        b1, b2, b3 = (2 ** (bits - 1) + k for k in (1, 3, 5))
+        rows = linalg.IntRows([[b1, 0, 0, 1], [0, b2, 0, 1], [0, 0, b3, 1], [1, 1, 1, 0]])
+        assert rank(4, rows) == 4
+        last = [0, 0, 0, -b3 * (b1 + b2) - b1 * b2]
+        assert seen == ([[0, 0, b1 * b2, -(b1 + b2)], last] if divided == 2 else [last])
+
+    def test_a_residue_row_is_reduced_after_every_update(self, monkeypatch):
+        seen = []
+        real = PrimeField.normalize
+        monkeypatch.setattr(PrimeField, "normalize",
+                            lambda self, ints: seen.append(list(ints)) or real(self, ints))
+        rows = linalg.IntRows([[2, 0, 0, 1], [0, 3, 0, 1], [0, 0, 5, 1], [1, 1, 1, 0]])
+        assert rank(4, rows, GF) == 4
+        assert len(seen) == 3  # one per update, and none again when the row is kept
+
+
 class TestEliminationCount:
     """Each kernel and annihilator costs at most one elimination, in each field."""
 

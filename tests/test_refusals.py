@@ -261,9 +261,17 @@ BOUNDS = {
     "degree-one-count-order-zero": (
         lambda: min_generators_degree_one(polarize(HomPoly(2, 0, {(0, 0): 1}))), ValueError,
         "^the degree-one count needs a tensor with at least one factor$"),
+    # the counts differ at d = 2 by C(n, 2), the 2x2 minors of I_R: the order
+    # is checked as `is_sharp` checks it, before F's slice spans are read
     "gen-count-transfer-order-zero": (
         lambda: verify_gen_count_transfer(SymTensor(2, 0, {(): 3})), ValueError,
-        "^need d >= 1, got 0$"),
+        "^sharpness needs at least three factors$"),
+    "gen-count-transfer-two-factors": (
+        lambda: verify_gen_count_transfer(SymTensor(2, 2, {(0, 0): 1, (1, 1): 1})), ValueError,
+        "^sharpness needs at least three factors$"),
+    "gen-count-transfer-two-factors-not-concise": (
+        lambda: verify_gen_count_transfer(SymTensor(2, 2, {(0, 0): 1})), ValueError,
+        "^sharpness needs at least three factors$"),
 }
 
 SELFTEST = {

@@ -224,6 +224,33 @@ def test_three_ways_into_elimination():
     assert sorted(callers) == ["linalg.Subspace.from_rows", "linalg.kernel", "linalg.rank"]
 
 
+# Every function under src/ that builds an `IntRows`, as module.function.
+# Elimination reads such rows with no check (the `eliminations` fixture checks
+# their width and that each is normalized), so a new producer is added here
+# on purpose.
+INT_ROWS_PRODUCERS = [
+    "apolarity.slice_spans",          # a symmetric F's one flattening
+    "bounds._degree_one_generators",  # the short system of the degree-one count
+    "bounds._image_dim",              # the fibre equations of a pi-image
+    "ideals._evaluations",            # evaluation at integer points
+    "ideals._pullback",               # evaluation rows with their columns moved
+    "ideals.annihilator_from_below",  # the compatibility equations
+]
+
+
+def test_int_rows_are_built_where_pinned():
+    """The functions under src/ that call `IntRows` are exactly
+    `INT_ROWS_PRODUCERS`."""
+    producers = set()
+    for path in sorted((ROOT / "src" / "borderapolar").glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = f"{top.name}." if isinstance(top, ast.ClassDef) else ""
+            for node in (top.body if owner else [top]):
+                if any(_calls(sub, "IntRows") for sub in ast.walk(node)):
+                    producers.add(f"{path.stem}.{owner}{getattr(node, 'name', '<module>')}")
+    assert sorted(producers) == INT_ROWS_PRODUCERS
+
+
 def test_linalg_makes_field_elements_only_where_rows_are_read():
     """Subspaces store integer rows, so inside `linalg` a `Fraction` or a
     `Mod` is constructed only by the element type itself (`Mod`'s
