@@ -344,24 +344,42 @@ def slice_spans(f: GeneralTensor) -> list:
     other tensor has each distinct flattening reduced once, told apart by its
     sorted sparse rows (all d agree when its entries are symmetric).  The rows
     are compared, not hashed, since hashing a Fraction costs more than
-    comparing two."""
+    comparing two.  Each is reduced by `_row_span`, so a sparse F costs its
+    entries, not the flattening's width."""
     _require_full_tensor(f)
     ncols = f.n ** (f.order - 1)
     if isinstance(f, SymTensor) and f.order:  # an order-0 tensor has no factor
-        to_ints = f.field.to_ints
-        rows = IntRows([to_ints(row, ncols) for _, row in
-                        sorted(_contraction_rows(f, range(1, f.order)).items())])
-        return [Subspace.from_rows(ncols, rows, field=f.field)] * f.order
+        rows = [row for _, row in sorted(_contraction_rows(f, range(1, f.order)).items())]
+        return [_row_span(ncols, rows, f.field)] * f.order
     reduced, spans = [], []  # reduced: (sorted rows, span) per distinct flattening
     for i in range(f.order):
         slices = sorted(_contraction_rows(f, [k for k in range(f.order) if k != i]).items())
         rows = [sorted(row) for _, row in slices]
         span = next((span for seen, span in reduced if seen == rows), None)
         if span is None:
-            span = Subspace.from_rows(ncols, rows, field=f.field)
+            span = _row_span(ncols, rows, f.field)
             reduced.append((rows, span))
         spans.append(span)
     return spans
+
+
+def _row_span(ncols: int, rows: list, field) -> Subspace:
+    """The span of a flattening's sparse `rows` on `ncols` columns, handed to
+    elimination as integer rows.  When the rows hold fewer entries than there
+    are columns, they are reduced on the columns they touch, kept in order,
+    and the stored rows are moved back: the RREF is the same, as every other
+    column is zero in every row, and no row of the full width is written."""
+    if sum(map(len, rows)) >= ncols:
+        return Subspace.from_rows(ncols, IntRows([field.to_ints(row, ncols) for row in rows]),
+                                  field=field)
+    cols = sorted({c for row in rows for c, _ in row})
+    at = {c: i for i, c in enumerate(cols)}
+    width = len(cols)
+    span = Subspace.from_rows(
+        width, IntRows([field.to_ints([(at[c], x) for c, x in row], width) for row in rows]),
+        field=field)
+    return Subspace(ncols, tuple([tuple([(cols[i], x) for i, x in row]) for row in span.sparse]),
+                    field=field)
 
 
 def flattening_ranks(f: GeneralTensor) -> tuple:

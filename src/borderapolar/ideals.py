@@ -27,11 +27,8 @@ certified by the ranks of the same evaluation matrices, with no kernel.
 
 A kept ideal's Segre piece is a preimage of the same kind, pi^{-1}(W_|u|)
 along the pi-fibre table.  `_pullback` writes both from the RREF rows of the
-subspace pulled back, placed on the last column of each fibre.  Those rows
-serve any order of the fibres in which each row's leading column comes first
-(relabelled, with no arithmetic); another order costs one `kernel` of the
-subspace's constraints, or of a point ideal's evaluation rows, with the
-columns moved, and its rows are kept for the orders that come later.
+subspace pulled back, placed on the last column of each fibre, in the order
+of those columns, which the subspace makes and keeps (`Subspace._rows_in`).
 
 Every monomial product is read off `grading`'s cached table
 S_u x S_v -> S_{u+v} (`_product_map`): variable multiples at v = e_i, the
@@ -198,25 +195,24 @@ class _Preimages(Mapping):
     pieces `w` = {k: W_k}, read-only.
 
     A piece is built each time it is read, and none is kept: it is
-    `_pullback` of W_|u| along the pi-fibre table.  W_k's RREF in each order
-    of its columns that a degree's fibres ask for is made once per ideal
-    (`_variants[k]`).  W_k's own rows serve every order in which each row's
-    leading column comes first, so W = 0, W = V_k, a W spanned by monomials
-    and a degree whose fibres come in the order of V_k eliminate nothing.
+    `_pullback` of W_|u| along the pi-fibre table.  W_k keeps its RREF in
+    each order of its columns that a degree's fibres ask for, and its own
+    rows serve every order in which each row's leading column comes first,
+    so W = 0, W = V_k, a W spanned by monomials and a degree whose fibres
+    come in the order of V_k eliminate nothing.
     """
 
     def __init__(self, ring: RingSpec, bound: int, w):
         self.ring, self.w = ring, w
         self._degrees = degrees_up_to(ring, bound)
         self._known = _degree_set(ring, bound)
-        self._variants = {k: {} for k in w}
 
     def __getitem__(self, u):
         if u not in self._known:
             raise KeyError(u)
         ring, k = self.ring, degree_total(u)
         w, fib = self.w[k], pi_fibres(ring.n, ring.d, u)
-        return Subspace(len(fib.f), _pullback(w, fib, self._variants[k]), (ring, u), w.field)
+        return Subspace(len(fib.f), _pullback(w, fib), (ring, u), w.field)
 
     def __contains__(self, u):
         return u in self._known
@@ -572,23 +568,7 @@ def _merge_table(n: int, u: tuple, classes: tuple) -> tuple:
     return kappa, fibre_table(tuple(f))
 
 
-def _in_order(rows, at) -> tuple | None:
-    """`rows`, the RREF rows of a subspace in some order of its columns, each
-    led by its pivot, as the RREF in the order that puts column m at position
-    at[m], when each row's leading column comes first there: the pivots, each
-    clear in the other rows, and the pivot entries stay, so re-sorting the
-    entries and the rows by position is all it takes.  Otherwise None,
-    decided before any row is sorted."""
-    for row in rows:
-        lead = at[row[0][0]]
-        for m, _ in row:
-            if at[m] < lead:
-                return None
-    out = sorted([sorted([(at[m], m, x) for m, x in row]) for row in rows])
-    return tuple([tuple([(m, x) for _, m, x in row]) for row in out])
-
-
-def _pullback(k: Subspace, fib: PiFibres, variants: dict, ann=None) -> tuple:
+def _pullback(k: Subspace, fib: PiFibres) -> tuple:
     """The RREF rows of f^{-1}(K) = {x : sum_c x_c e_f[c] in K}, for a
     subspace K on `k.ambient_dim` columns and the onto index map f of the
     table `fib`, from len(f) columns to them.
@@ -598,37 +578,13 @@ def _pullback(k: Subspace, fib: PiFibres, variants: dict, ann=None) -> tuple:
     on the tops, so its RREF row at such a c is K's row led by f[c] with its
     leading entry moved to c, when f[c] leads one, and e_c - e_top(f[c])
     otherwise; a top leading a row of K keeps that row.  This takes K's RREF
-    with its columns in the order of their tops (`fib.order`): K's own rows,
-    kept in `variants` (order -> rows) as its RREF in the identity order, or
-    a kept variant's, re-sorted when `_in_order` allows, else one `kernel`
-    of rows spanning K's annihilator with the columns moved, kept in
-    `variants` for the maps that come later: `ann`, K's evaluation rows as
-    an `IntRows`, or else K's constraints.  K = 0 and K full never
-    eliminate.
+    with its columns in the order of their tops, which K makes and keeps
+    (`Subspace._rows_in(fib.at)`).  K = 0 and K full never eliminate.
     """
     top = fib.top
     tails = [None] * k.ambient_dim  # tails[m]: K's row led by m, off its lead, on the tops
-    if k.sparse:
-        order = fib.order
-        if not variants:
-            variants[tuple(range(len(order)))] = k.sparse
-        rows = variants.get(order)
-        if rows is None:
-            at = fib.at
-            for known in variants.values():
-                rows = _in_order(known, at)
-                if rows is not None:
-                    break
-            else:
-                if ann is None:
-                    moved = [[(at[m], x) for m, x in row] for row in k.constraints()]
-                else:
-                    moved = IntRows([[row[m] for m in order] for row in ann])
-                rows = tuple([tuple([(order[p], x) for p, x in row])
-                              for row in kernel(len(at), moved, field=k.field).sparse])
-            variants[order] = rows
-        for row in rows:
-            tails[row[0][0]] = row[0][1], tuple([(top[m], x) for m, x in row[1:]])
+    for row in k._rows_in(fib.at) if k.sparse else ():
+        tails[row[0][0]] = row[0][1], tuple([(top[m], x) for m, x in row[1:]])
     minus_one = k.field.minus_one
     out = []
     for c, m in enumerate(fib.f):
@@ -671,9 +627,9 @@ def point_ideal(zs: PointSet, bound: int, provenance: str = "point") -> Truncate
     J_u = phi_u^{-1}(J'_kappa(u)), `_pullback` along `_merge_table`.  So the
     call evaluates and reduces once per class degree (at diagonal points,
     one class, once per total degree), and once more per order of a
-    J'_kappa's columns that no kernel made so far serves.  Degrees with one
-    class degree and one merge table share their rows, and each piece keeps
-    its own (ring, u) tag."""
+    J'_kappa's columns that no rows it made so far serve (`_rows_in`).
+    Degrees with one class degree and one merge table share their rows, and
+    each piece keeps its own (ring, u) tag."""
     bound = _bound(bound)
     ring, field, points = zs.ring, zs.field, zs._integers
     collapsed = ring
@@ -685,18 +641,16 @@ def point_ideal(zs: PointSet, bound: int, provenance: str = "point") -> Truncate
             classes = tuple(map(reps.index, first))
             collapsed = segre_ring(ring.n, len(reps))
             points = [tuple([p[i] for i in reps]) for p in points]
-    evaluations = dict(_evaluations(collapsed, field, points, bound))
     kernels = {v: kernel(_dim_piece(collapsed, v), rows, (collapsed, v), field)
-               for v, rows in evaluations.items()}
+               for v, rows in _evaluations(collapsed, field, points, bound)}
     if collapsed is ring:
         return TruncatedIdeal._made(ring, bound, kernels, provenance, field)
-    variants = {v: {} for v in kernels}
     shared, pieces = {}, {}  # shared: (kappa, f) -> the rows of phi^{-1}(J'_kappa)
     for u in degrees_up_to(ring, bound):
         v, fib = _merge_table(ring.n, u, classes)
         rows = shared.get((v, fib.f))
         if rows is None:
-            rows = shared[v, fib.f] = _pullback(kernels[v], fib, variants[v], evaluations[v])
+            rows = shared[v, fib.f] = _pullback(kernels[v], fib)
         pieces[u] = Subspace(len(fib.f), rows, (ring, u), field)
     return TruncatedIdeal._made(ring, bound, pieces, provenance, field)
 

@@ -48,10 +48,10 @@ as integers once scaled by the lcm of the pivot entries it touches
 (`annihilator_row`).  A Subspace applies this to its stored basis
 (`constraints`: the rows span the annihilator but are not in RREF), so the
 subspace in another column order is the `kernel` of those rows with their
-columns moved.  `kernel` applies it to the reduced rows of its rows with each
-pivot taken at the last nonzero column of its row, and there the rows come
-out already in RREF and in the stored form, written straight from the dense
-integer rows, with no copy of them.
+columns moved, made once per order (`_rows_in`).  `kernel` applies it to the
+reduced rows of its rows with each pivot taken at the last nonzero column of
+its row, and there the rows come out already in RREF and in the stored form,
+written straight from the dense integer rows, with no copy of them.
 """
 
 from __future__ import annotations
@@ -541,6 +541,16 @@ def kernel(ncols: int, rows, piece=None, field=QQ) -> "Subspace":
                     piece, field)
 
 
+def _leads_first(rows, at) -> bool:
+    """Whether each row's leading column comes first in the order of `at`."""
+    for row in rows:
+        lead = at[row[0][0]]
+        for m, _ in row:
+            if at[m] < lead:
+                return False
+    return True
+
+
 # -- subspaces ------------------------------------------------------------------
 
 @dataclass(frozen=True, init=False)
@@ -650,6 +660,41 @@ class Subspace:
     @cached_property
     def _row_at(self) -> dict:
         return {row[0][0]: row for row in self.sparse}
+
+    @cached_property
+    def _orders(self) -> dict:
+        """`_rows_in`'s rows by order; the identity order holds the stored rows."""
+        return {tuple(range(self.ambient_dim)): self.sparse}
+
+    def _rows_in(self, at: tuple) -> tuple:
+        """The RREF rows with column m at position at[m], as (m, x) pairs in
+        ascending position, made once per order.
+
+        Rows made in one order serve another that puts each row's leading
+        column first, re-sorted: the pivots and pivot entries stay.  Any other
+        order is one `kernel` of `constraints` moved into it, as dense integer
+        rows (primitive, so normalized), with few updates to make: in the
+        stored order each of those rows ends at a column of its own.
+        """
+        orders = self._orders
+        rows = orders.get(at)
+        if rows is not None:
+            return rows
+        for known in orders.values():
+            if _leads_first(known, at):
+                rows = sorted([sorted([(at[m], m, x) for m, x in row]) for row in known])
+                rows = tuple([tuple([(m, x) for _, m, x in row]) for row in rows])
+                break
+        else:
+            moved = IntRows([[0] * len(at) for _ in range(self.codim)])
+            for dense, row in zip(moved, self.constraints()):
+                for m, x in row:
+                    dense[at[m]] = x
+            order = sorted(range(len(at)), key=at.__getitem__)
+            rows = tuple([tuple([(order[p], x) for p, x in row])
+                          for row in kernel(len(at), moved, field=self.field).sparse])
+        orders[at] = rows
+        return rows
 
     def _contains_row(self, row) -> bool:
         """Whether a sparse integer row (residues over GF(p)) lies in the span.

@@ -245,12 +245,13 @@ class TestHeldByForm:
 
 
 class TestSparseTensorCost:
-    def test_a_sparse_tensor_builds_no_table_of_its_indices(self, monkeypatch):
+    def test_a_sparse_tensor_builds_no_table_of_its_indices(self, eliminations):
         """A diagonal F with 6 entries among 6^7 = 279,936 indices: contracting
-        it at a slice degree and at e_0, and building the flattenings that
-        `slice_spans` reduces, allocate fewer bytes at their peak than F has
-        indices, so no table with an entry per index is built, cached or not.
-        The elimination is left out of the count: it writes each row densely."""
+        it at a slice degree and at e_0, and reducing the flattenings in
+        `slice_spans`, allocate fewer bytes at their peak than F has indices,
+        so no table with an entry per index is built, cached or not, and no
+        row of the flattening's width: its one reduction runs on the 6
+        columns its rows touch."""
         import tracemalloc
 
         n, d = 6, 7
@@ -261,24 +262,68 @@ class TestSparseTensorCost:
                              tuple(QQ.of(c % 7) for c in range(width)))
         linear = PieceElement(ring, (1,) + (0,) * (d - 1), tuple(QQ.of(c + 1) for c in range(n)))
         diagonal = [sum(j * n ** k for k in range(d - 1)) for j in range(n)]
-        reduced = []
-        monkeypatch.setattr(Subspace, "from_rows", classmethod(
-            lambda cls, ncols, rows, **kw: reduced.append((ncols, rows)) or object()))
+        eliminations.clear()
         tracemalloc.start()
         try:
             sliced = contract_tensor(theta, f)
             contracted = contract_tensor(linear, f)
-            slice_spans(f)
+            spans = slice_spans(f)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        monkeypatch.undo()
         assert peak < n ** d
         assert sliced.entries == {(j,): (j + 1) * (diagonal[j] % 7) for j in range(n)
                                   if diagonal[j] % 7}
         assert contracted.entries == {(j,) * (d - 1): (j + 1) ** 2 for j in range(n)}
-        assert reduced == [(width, [[(diagonal[j], j + 1)] for j in range(n)])]
+        assert eliminations == [(n, n)]
+        assert all(span is spans[0] for span in spans) and spans[0].ambient_dim == width
+        assert spans[0].sparse == tuple(((c, 1),) for c in diagonal)
         assert is_concise(f) and flattening_ranks(f) == (n,) * d
+
+    def test_a_diagonal_form_of_high_order_costs_its_entries(self):
+        """A diagonal (10, 8) `SymTensor` has flattenings of width 10^7; its
+        ranks take well under 0.1 s and 1 MB at the peak, as no row of that
+        width is written."""
+        import time
+        import tracemalloc
+
+        n, d = 10, 8
+        f = SymTensor(n, d, {(j,) * d: j + 1 for j in range(n)})
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            ranks = flattening_ranks(f)
+            elapsed = time.perf_counter() - start
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ranks == (n,) * d
+        assert elapsed < 0.1 and peak < 1 << 20, (elapsed, peak)
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(2**31 - 1)], ids=["QQ", "GFp"])
+    def test_reduction_on_the_touched_columns_matches_the_full_width(self, field, eliminations):
+        """On random sparse tensors, entry-built and polarized, `slice_spans`
+        agrees with reducing each flattening on all its columns; those with
+        fewer entries than columns are reduced on fewer columns."""
+        rng = random.Random(44)
+        narrowed = 0
+        for _ in range(60):
+            n, d = rng.randint(1, 3), rng.randint(1, 4)
+            count = rng.randint(0, n ** (d - 1))
+            if rng.random() < 0.5:
+                f = GeneralTensor(n, d, _random_entries(n, d, rng, count), field=field)
+            else:
+                terms = {m: rng.choice((-3, -1, 1, 2)) for m in
+                         rng.sample(monomials(veronese_ring(n), d),
+                                    min(count, dim_piece(veronese_ring(n), d)))}
+                f = polarize(HomPoly(n, d, terms, field=field))
+            eliminations.clear()
+            got = slice_spans(f)
+            if len(f.entries) < n ** (d - 1):
+                assert all(width < n ** (d - 1) for _, width in eliminations), f
+                narrowed += 1
+            assert got == slice_spans_reference(f), f
+        assert narrowed > 10
 
 
 class TestContractTensor:

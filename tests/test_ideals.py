@@ -4,12 +4,13 @@ import itertools
 import random
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from borderapolar.diagonal_maps import ir_generators, pi_fibres
-from borderapolar import grading, ideals
+from borderapolar import grading, ideals, linalg
 from borderapolar.grading import (
     PieceElement,
     _product_map,
@@ -660,21 +661,35 @@ class TestKeptPieces:
                                                         monkeypatch):
         """A degree whose fibre order is the identity reads the kernel off W
         (every degree when n = 2), even when W's columns repeat, with no
-        re-sorting, as W's rows are kept as its RREF in that order; and W = 0
-        is `ir_piece`."""
-        resorted = []
-        real = ideals._in_order
-        monkeypatch.setattr(ideals, "_in_order", lambda *a: resorted.append(a) or real(*a))
+        re-sorting: W's own stored rows are its RREF in that order.  W = 0 is
+        `ir_piece` and asks W for no order, and W = V_k eliminates at no
+        degree, as its unit rows serve every order."""
+        read = []  # for each order asked of W: whether W handed out its stored rows
+        real = Subspace._rows_in
+
+        def spy(w, at):
+            rows = real(w, at)
+            read.append(rows is w.sparse)
+            return rows
+
+        monkeypatch.setattr(Subspace, "_rows_in", spy)
         rng = random.Random(f"identity/{kind}")
         for n, d, bound in self.SHAPES:
             j = kept_ideal(n, d, bound, kind, field, rng)
             orders = {u: fibre_order(n, d, u) for u in j.degrees()}
-            identity = [u for u, order in orders.items()
-                        if kind == "zero" or order == tuple(sorted(order))]
+            identity = [u for u, order in orders.items() if order == tuple(sorted(order))]
+            read.clear()
             eliminations.clear()
             for u in identity:
                 j.pieces[u]
-            assert eliminations == [] and resorted == [], (n, d, kind)
+            assert eliminations == [], (n, d, kind)
+            assert all(read), (n, d, kind)
+            if kind in ("zero", "full"):
+                for u in j.degrees():
+                    j.pieces[u]
+                assert eliminations == [], (n, d, kind)
+            if kind == "zero":
+                assert read == [], (n, d)
 
 
 def positions(order) -> list:
@@ -695,9 +710,9 @@ def class_patterns(d: int) -> list:
 
 
 class TestPullback:
-    """The parts of `ideals._pullback`: `_in_order`, which takes an RREF to
-    another column order with no arithmetic when it can, and `_merge_table`,
-    the index map of a point set's factor classes."""
+    """The parts of `ideals._pullback`: `Subspace._rows_in`, which takes an
+    RREF to another column order, with no arithmetic when it can, and keeps
+    it, and `_merge_table`, the index map of a point set's factor classes."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from([QQ, GF]), st.integers(1, 6).flatmap(lambda c: st.tuples(
@@ -709,20 +724,24 @@ class TestPullback:
     @example(QQ, ([[1, 1, 0]], [1, 0, 2]))  # refused, though the re-sorted row is the RREF
     @example(GF, ([[1, 0, 0, 2], [0, 0, 1, 3]], [2, 0, 3, 1]))  # each lead first: kept
     def test_reorder_rule_matches_the_kernel_of_the_moved_constraints(self, field, case):
-        """The rule keeps K's rows exactly when each row's leading column
-        comes first in the new order, and what it keeps is the `kernel` of
-        K's constraints with their columns moved."""
+        """K's rows in a new order are its stored rows re-sorted, with no
+        elimination, exactly when each row's leading column comes first in
+        that order, and either way they are the `kernel` of K's constraints
+        with their columns moved; the order is made once."""
         rows, order = case
         k = Subspace.from_rows(len(order), sparse_rows(rows, field), field=field)
-        at = positions(order)
+        at = tuple(positions(order))
         moved = [[(at[m], x) for m, x in row] for row in k.constraints()]
         want = tuple(tuple((order[p], x) for p, x in row)
                      for row in kernel(len(order), moved, field=field).sparse)
-        got = ideals._in_order(k.sparse, at)
-        assert (got is not None) == all(at[row[0][0]] == min(at[m] for m, _ in row)
-                                         for row in k.sparse)
-        if got is not None:
-            assert got == want
+        seen = []
+        real = linalg.rref_with_pivots
+        with mock.patch.object(linalg, "rref_with_pivots", lambda m: seen.append(m) or real(m)):
+            got = k._rows_in(at)
+            again = k._rows_in(at)
+        kept = all(at[row[0][0]] == min(at[m] for m, _ in row) for row in k.sparse)
+        assert (seen == []) == kept
+        assert got == want and again is got
 
     def test_one_class_is_the_pi_fibre_table_and_one_per_factor_the_identity(self):
         for n in (1, 2, 3):

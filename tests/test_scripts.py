@@ -229,12 +229,12 @@ def test_three_ways_into_elimination():
 # their width and that each is normalized), so a new producer is added here
 # on purpose.
 INT_ROWS_PRODUCERS = [
-    "apolarity.slice_spans",          # a symmetric F's one flattening
+    "apolarity._row_span",            # a flattening, on the columns its rows touch if fewer
     "bounds._degree_one_generators",  # the short system of the degree-one count
     "bounds._image_dim",              # the fibre equations of a pi-image
     "ideals._evaluations",            # evaluation at integer points
-    "ideals._pullback",               # evaluation rows with their columns moved
     "ideals.annihilator_from_below",  # the compatibility equations
+    "linalg.Subspace._rows_in",       # the constraints with their columns moved
 ]
 
 
@@ -464,6 +464,43 @@ def test_module_level_caches_are_pinned():
     assert stray == []
     assert sorted(set(hand_rolled)) == []
     assert sorted(found) == LRU_CACHES
+
+
+# Every per-instance memo under src/, a `functools.cached_property` of a
+# package class, as module.Class.attribute.  Each lives as long as its
+# instance and may grow with the keys it is read at, so a new one is added
+# here on purpose, with what it holds.
+INSTANCE_MEMOS = [
+    "apolarity.SymTensor.entries",      # the entries written from the form
+    "ideals.PointSet._integers",        # the points on integer coordinates
+    "linalg.Subspace._orders",          # the RREF rows per column order asked
+    "linalg.Subspace._row_at",          # the stored rows by pivot
+    "transfer.Certificate.inputs_digest",  # the digest of the inputs
+]
+
+
+def test_instance_memos_are_pinned():
+    """Every `cached_property` under src/ decorates a method of a class at a
+    module's top level, and those methods are exactly `INSTANCE_MEMOS`."""
+    found, stray = [], []
+    for path in sorted((ROOT / "src" / "borderapolar").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        decorators = set()
+        for top in tree.body:
+            if not isinstance(top, ast.ClassDef):
+                continue
+            for node in top.body:
+                for dec in getattr(node, "decorator_list", ()):
+                    if any(getattr(n, "id", getattr(n, "attr", None)) == "cached_property"
+                           for n in ast.walk(dec)):
+                        found.append(f"{path.stem}.{top.name}.{node.name}")
+                        decorators.update(id(n) for n in ast.walk(dec))
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.Name, ast.Attribute)) and id(node) not in decorators
+                    and getattr(node, "id", getattr(node, "attr", None)) == "cached_property"):
+                stray.append(f"{path.stem} line {node.lineno}")
+    assert stray == []
+    assert sorted(found) == INSTANCE_MEMOS
 
 
 def test_the_cache_guard_sees_a_hand_rolled_cache():

@@ -17,6 +17,7 @@ from borderapolar.apolarity import (
 from borderapolar.diagonal_maps import (
     ir_generators,
     ir_piece,
+    pi_fibres,
     psi_image,
 )
 from borderapolar.grading import dim_piece, ones, segre_ring, veronese_ring
@@ -367,9 +368,10 @@ class TestEliminationCount:
         benchmark runs it, makes nine eliminations, each pinned by its shape:
         the point ideal's four evaluation kernels (r rows on dim V_k columns),
         none in upsilon, rho or sigma, and the diagonal-points ideal's four
-        again with one reordering, the kernel of the r evaluation rows at
-        k = 3 with their columns in a fibre order.  So no change to the
-        bookkeeping around them can add an elimination unnoticed."""
+        again with one reordering at k = 3: the kernel of the collapsed
+        piece's own codim = r constraint rows, which equal I_3's, with their
+        columns in a fibre order.  So no change to the bookkeeping around them
+        can add an elimination unnoticed."""
         z = very_general_points(V3, 4, 3, random.Random(42))
         z = PointSet(z.ring, z.points, field=field)
         evaluations = [(4, dim_piece(V3, k)) for k in range(4)]
@@ -382,6 +384,9 @@ class TestEliminationCount:
         assert eliminations == []
         diag = point_ideal(diagonal_points(z, 3), 3, provenance="diagonal-points")
         assert eliminations == evaluations + [(4, 10)]
+        moved = [[sorted((fib.at[m], x) for m, x in row) for row in i.pieces[3].constraints()]
+                 for fib in (pi_fibres(3, 3, u) for u in lifted.degrees() if sum(u) == 3)]
+        assert eliminations.rows[-1] in moved
         assert dict(back.pieces) == dict(twisted.pieces) == dict(i.pieces)
         assert all(diag.pieces[u] == lifted.pieces[u] for u in diag.degrees())
 
