@@ -304,30 +304,29 @@ def _catalecticant(p, k: int) -> list:
     return contractions(ring, k, p.d - k, [[(c, x) for c, x in enumerate(ints) if x]])
 
 
-def _pulled_back(fibre, row) -> list:
-    """A functional on V_|u| read on S_u along pi: column c takes its entry at fibre[c]."""
+def _pulled_back(fib, row) -> list:
+    """A functional on V_|u| read on S_u along pi: column c takes its entry at fib.f[c]."""
     at = dict(row)
-    return [(c, at[m]) for c, m in enumerate(fibre) if m in at]
+    return [(c, at[m]) for c, m in enumerate(fib.f) if m in at]
 
 
-def _image_dim(fibre, perp, field) -> int:
+def _image_dim(fib, perp, field) -> int:
     """dim pi(P) for the piece P of S_u whose annihilator has the basis of
-    integer rows `perp`, where fibre[c] is the monomial of V_|u| that column c
-    collapses to.
+    integer rows `perp`, where fib.f[c] is the monomial of V_|u| that column c
+    collapses to in pi's fibre table and fib.top[m] the last column of m's fibre.
 
     pi is onto, so psi -> psi pi embeds pi(P)^perp into P^perp as the
     functionals constant on every fibre: dim pi(P) = dim V_|u| - dim {mu :
     sum_a mu_a perp_a is constant on each fibre}, and that space is the kernel
     of one equation in the codim P unknowns mu per column c below the top t of
     its fibre, sum_a mu_a (perp_a(c) - perp_a(t)) = 0."""
-    r = len(perp)
-    at = [[0] * r for _ in fibre]  # at[c][a]: perp_a(c)
+    r, top = len(perp), fib.top
+    at = [[0] * r for _ in fib.f]  # at[c][a]: perp_a(c)
     for a, row in enumerate(perp):
         for c, x in row:
             at[c][a] = x
-    top = {m: c for c, m in enumerate(fibre)}  # a later c overwrites
     equations, normalize = IntRows(), field.normalize
-    for c, m in enumerate(fibre):
+    for c, m in enumerate(fib.f):
         here, there = at[c], at[top[m]]
         if c != top[m] and (any(here) or any(there)):
             equations.append(normalize([x - y for x, y in zip(here, there)]))
@@ -345,11 +344,11 @@ def verify_lemma_1_minus_ed(f) -> Certificate:
     spans = _require_concise_symmetric(f)
     n, d = f.n, f.order
     u = tuple(1 if t < d - 1 else 0 for t in range(d))
-    fibre = pi_fibres(n, d, u).f
+    fib = pi_fibres(n, d, u)
     cat = _catalecticant(depolarize(f), d - 1)
     perp = spans[d - 1]
-    contained = all(perp._contains_row(_pulled_back(fibre, row)) for row in cat)
-    dim_image = _image_dim(fibre, perp.sparse, f.field)
+    contained = all(perp._contains_row(_pulled_back(fib, row)) for row in cat)
+    dim_image = _image_dim(fib, perp.sparse, f.field)
     dim_target = _dim_piece(veronese_ring(n), d - 1) - len(cat)
     equal = contained and dim_image == dim_target
     cert = Certificate("image-of-degree-one-minus-last", partial(tensor_digest, f),
@@ -392,16 +391,16 @@ def verify_containment_lemma(f) -> Certificate:
     spans = _require_concise_symmetric(f)
     n, d = f.n, f.order
     u = tuple([d - 1, 1] + [0] * (d - 2))
-    fibre = pi_fibres(n, d, u).f
+    fib = pi_fibres(n, d, u)
     if d < 3:
-        perp = [((c, 1),) for c in range(len(fibre))]
+        perp = [((c, 1),) for c in range(len(fib.f))]
     else:
         first = spans[2].sparse if d == 3 else ann_piece(f, (1, 1) + (0,) * (d - 2)).constraints()
         perp = _growth_chain(f, first)[-1]
     top = _catalecticant(depolarize(f), d)
-    ok = rank(len(fibre), [*perp, *[_pulled_back(fibre, row) for row in top]],
+    ok = rank(len(fib.f), [*perp, *[_pulled_back(fib, row) for row in top]],
               f.field) == len(perp)
-    dim_image = _image_dim(fibre, perp, f.field)
+    dim_image = _image_dim(fib, perp, f.field)
     cert = Certificate("proper-ideal-containment", partial(tensor_digest, f), verdict=ok)
     cert.add(degree=u, dim_image=dim_image,
              dim_target=_dim_piece(veronese_ring(n), d) - len(top), ok=ok,

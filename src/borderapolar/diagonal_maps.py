@@ -6,20 +6,21 @@ minors).  psi_u splits a sorted Veronese monomial into consecutive blocks of
 sizes u_1,...,u_d and is a section of pi, giving the decomposition
 S_u = (I_R)_u + psi_u(V_|u|) with zero intersection.
 
-Both maps only merge or pick monomials, so both are read off one cached
-pi-fibre table of S_u (`pi_fibres`), folded factor by factor from `grading`'s
-monomial product table: `f[c]` is the V-monomial that column c collapses to,
-and `section[m]` the smallest column in the fibre of m, which is the column
-psi_u sends m to.  `pi_image` scales each row to integers once, adds them into
-their fibres, drops the rows that collapse to zero and eliminates the rest
-once, on V_|u|; `psi_image` is a set of unit rows and needs no elimination.
+This module owns the package's index maps, each held as a fibre table
+(`fibre_table`): `f[c]` is the target of column c, and `section[m]` the first
+column of m's fibre.  A product of pieces is folded factor by factor from
+`grading`'s product table (`product_fibres`): pi on S_u is V_u1 x ... x V_ud
+-> V_|u| (`pi_fibres`), with psi_u its section, and `ideals` folds its merges
+of factor classes the same way.  `pi_image` adds each row, scaled to
+integers once, into its fibres and eliminates once, on V_|u|; `psi_image` is
+a set of unit rows and needs no elimination.
 
 Because of the split, every subspace of S_u that contains (I_R)_u is the
 pi-preimage of its pi-image: (I_R)_u + psi_u(W) = pi^{-1}(W) for any W inside
-V_|u|.  `ir_piece` is the case W = 0, whose rows e_c - e_top (top the largest
-column of c's fibre) it writes from the table with no elimination.  Any other
-W is the business of `ideals`: pi^{-1}(W) is W pulled back along `f`, which
-`ideals` writes from W's RREF rows as it writes a point ideal's pieces.
+V_|u|.  `pullback` writes f^{-1}(K) for any onto index map f from K's RREF
+rows: a kept ideal's Segre piece, a point ideal's pieces along its merge
+table, and `ir_piece`, the case W = 0, whose rows e_c - e_top it writes with
+no elimination.
 """
 
 from __future__ import annotations
@@ -31,8 +32,10 @@ from functools import lru_cache
 from .grading import (
     PieceElement,
     RingKind,
+    RingSpec,
     _dim_piece,
     _product_map,
+    add_degrees,
     check_degree,
     degree_total,
     degrees_up_to,
@@ -49,12 +52,13 @@ def _require_kind(el: PieceElement, kind: RingKind, what: str):
 
 @dataclass(frozen=True)
 class PiFibres:
-    """How pi, or a merge of factor classes (`ideals._merge_table`), collapses
-    the monomial columns of S_u onto those of a smaller piece.
+    """How an onto index map f collapses its columns onto those of a smaller
+    piece: pi, a merge of factor classes (`ideals._merge_table`) or a product
+    table S_u x S_e_i -> S_(u+e_i) read by pairs.
 
     `f[c]` is the column that column c collapses to, and `section[m]` the
-    first column of m's fibre, which psi_u sends m to, so `len(section)` is
-    the number of targets.  For a pullback along f the table also holds the
+    first column of m's fibre (on pi, the column psi_u sends m to), so
+    `len(section)` is the number of targets.  For a pullback along f the table also holds the
     last column `top[m]` of each fibre, the targets sorted by their tops
     (`order`) and each target's position there (`at`).
     """
@@ -84,22 +88,52 @@ def fibre_table(f: tuple) -> PiFibres:
     return PiFibres(f, tuple(section))
 
 
+def product_fibres(ring: RingSpec, steps) -> PiFibres:
+    """The table of the product S_v1 x ... x S_vt -> S_(v1+...+vt), for checked
+    degrees steps = (v1, ..., vt), v1 slowest, folded in one step at a time off
+    `grading`'s product tables S_k x S_vi -> S_(k+vi)."""
+    f, k = [0], (0,) * ring.d if ring.is_multigraded else 0
+    for v in steps:
+        table, width = _product_map(ring, k, v), _dim_piece(ring, v)
+        f = [table[r * width + b] for r in f for b in range(width)]
+        k = add_degrees(k, v)
+    return fibre_table(tuple(f))
+
+
 @lru_cache(maxsize=None)
 def pi_fibres(n: int, d: int, u: tuple) -> PiFibres:
-    """The fibre table of S_u, for a degree u already checked."""
-    ring_v = veronese_ring(n)
-    # The columns of S_u are the mixed-radix products of per-factor monomials,
-    # so f folds in one factor at a time: a partial collapse in V_k times a
-    # monomial of V_ui is read off the product table V_k x V_ui -> V_{k+ui}.
-    f, k = [0], 0
-    for ui in u:
-        table, width = _product_map(ring_v, k, ui), _dim_piece(ring_v, ui)
-        f = [table[r * width + b] for r in f for b in range(width)]
-        k += ui
-    # pi is onto (psi is a section), so every fibre is nonempty.  The first
-    # column of a fibre is psi's: handing the lowest variables to the first
-    # factors gives the lex-largest exponent rows, which rank first.
-    return fibre_table(tuple(f))
+    """The fibre table of S_u, for a degree u already checked: the product
+    V_u1 x ... x V_ud -> V_|u|.  A fibre's first column is psi's: the lowest
+    variables on the first factors give the lex-largest rows, which rank first."""
+    return product_fibres(veronese_ring(n), u)
+
+
+def pullback(k: Subspace, fib: PiFibres) -> tuple:
+    """The RREF rows of f^{-1}(K) = {x : sum_c x_c e_f[c] in K}, for a
+    subspace K on `k.ambient_dim` columns and the onto index map f of the
+    table `fib`, from len(f) columns to them.
+
+    Let top(m) be the last column c with f[c] = m.  f^{-1}(K) is spanned by
+    e_c - e_top(f[c]) for each column c below its top and by K's rows placed
+    on the tops, so its RREF row at such a c is K's row led by f[c] with its
+    leading entry moved to c, when f[c] leads one, and e_c - e_top(f[c])
+    otherwise; a top leading a row of K keeps that row.  This takes K's RREF
+    with its columns in the order of their tops, which K makes and keeps
+    (`Subspace._rows_in(fib.at)`).  K = 0 and K full never eliminate.
+    """
+    top = fib.top
+    tails = [None] * k.ambient_dim  # tails[m]: K's row led by m, off its lead, on the tops
+    for row in k._rows_in(fib.at) if k.sparse else ():
+        tails[row[0][0]] = row[0][1], tuple([(top[m], x) for m, x in row[1:]])
+    minus_one = k.field.minus_one
+    out = []
+    for c, m in enumerate(fib.f):
+        tail = tails[m]
+        if tail is not None:
+            out.append(((c, tail[0]),) + tail[1])
+        elif c != top[m]:
+            out.append(((c, 1), (top[m], minus_one)))
+    return tuple(out)
 
 
 def _push(index: tuple, row, zero) -> dict:
@@ -183,14 +217,12 @@ def ir_generators(n: int, d: int) -> list:
 
 def ir_piece(n: int, d: int, u: tuple, field=QQ) -> Subspace:
     """Degree-u piece of the diagonal ideal, ker pi = pi^{-1}(0) on S_u, in RREF:
-    one row e_c - e_top per column c below the largest column, top, of its
-    fibre.  No elimination."""
+    the `pullback` of the zero subspace, one row e_c - e_top per column c
+    below the largest column, top, of its fibre.  No elimination."""
     u = check_degree(segre_ring(n, d), u)
     fib = pi_fibres(n, d, u)
-    f, top = fib.f, fib.top
-    minus_one = field.minus_one
-    rows = tuple([((c, 1), (top[m], minus_one)) for c, m in enumerate(f) if c != top[m]])
-    return Subspace(len(f), rows, (segre_ring(n, d), u), field)
+    rows = pullback(Subspace.zero(len(fib.section), field=field), fib)
+    return Subspace(len(fib.f), rows, (segre_ring(n, d), u), field)
 
 
 def pi_image(n: int, d: int, u: tuple, sub: Subspace) -> Subspace:

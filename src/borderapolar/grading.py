@@ -28,6 +28,7 @@ from dataclasses import dataclass, field as dataclass_field
 from enum import Enum
 from functools import lru_cache
 from operator import add
+from types import MappingProxyType
 
 from .linalg import QQ, Subspace, kernel
 
@@ -214,9 +215,10 @@ degrees_up_to.cache_clear = _degrees_up_to.cache_clear
 
 
 @lru_cache(maxsize=None)
-def _degree_set(ring: RingSpec, bound: int) -> frozenset:
-    """`degrees_up_to(ring, bound)` as a set, for `u in pieces` (`ideals._Preimages`)."""
-    return frozenset(degrees_up_to(ring, bound))
+def _degree_set(ring: RingSpec, bound: int) -> MappingProxyType:
+    """`degrees_up_to(ring, bound)` as a read-only map from each degree to itself,
+    for `u in pieces` and the degree as listed, (2, 1, 0) at (2.0, 1, 0)."""
+    return MappingProxyType({u: u for u in degrees_up_to(ring, bound)})
 
 
 def monomials(ring: RingSpec, u) -> tuple:

@@ -19,23 +19,22 @@ maps, evaluated on integer representatives of the points, so elimination
 receives integer rows.  On the Segre side, factors whose integer coordinates
 are equal at every point form a class, and J_u is the preimage of the
 collapsed point set's piece J'_kappa(u) under the map phi_u that multiplies
-the monomials within each class, an index map (`_merge_table`).  So a point
+the monomials within each class, an index map (`_merge_table`, folded by
+`diagonal_maps.product_fibres` as pi's table is).  So a point
 ideal evaluates and reduces once per class degree: at diagonal points, one
 class, once per total degree, on dim V_k columns.  No generator normal forms
 or global saturation are ever needed.  A draw of very general points is
 certified by the ranks of the same evaluation matrices, with no kernel.
 
 A kept ideal's Segre piece is a preimage of the same kind, pi^{-1}(W_|u|)
-along the pi-fibre table.  `_pullback` writes both from the RREF rows of the
-subspace pulled back, placed on the last column of each fibre, in the order
-of those columns, which the subspace makes and keeps (`Subspace._rows_in`).
+along the pi-fibre table; `diagonal_maps.pullback` writes both.
 
 Every monomial product is read off `grading`'s cached table
-S_u x S_v -> S_{u+v} (`_product_map`): variable multiples at v = e_i, the
-pairs x_{ij} t = x_{ij'} t' that `annihilator_from_below` equates, point
-evaluation by inverting that, and the merge tables, folded one factor at a
-time as `pi_fibres` is; the saturation test (J_{u+v} : S_v)_u is
-`grading.colon`, so no monomial is ranked or multiplied here.
+S_u x S_v -> S_{u+v} (`_product_map`): variable multiples at v = e_i, and,
+off its fibres (`diagonal_maps.fibre_table`), each monomial's first pair
+x_{ij} t, from which point evaluation steps and to which
+`annihilator_from_below` equates the others; the saturation test
+(J_{u+v} : S_v)_u is `grading.colon`, so no monomial is ranked or multiplied here.
 """
 
 from __future__ import annotations
@@ -66,7 +65,7 @@ from .grading import (
     segre_ring,
     veronese_ring,
 )
-from .diagonal_maps import PiFibres, fibre_table, pi_fibres, pi_image
+from .diagonal_maps import fibre_table, pi_fibres, pi_image, product_fibres, pullback
 from .linalg import QQ, IntRows, Subspace, kernel, rank
 
 
@@ -175,19 +174,14 @@ def annihilator_from_below(ring: RingSpec, u, i: int, ann, field=QQ) -> tuple:
 @lru_cache(maxsize=None)
 def _compatibility(ring: RingSpec, u, i: int) -> tuple:
     """(pairs, owners) for `annihilator_from_below` at u and factor i, read off
-    `_variable_table`: owners[m] is the first pair (j, t) with x_{ij} t = m,
-    for each monomial m of S_{u+e_i}, and pairs holds (j0, t0, j, t) for every
-    later pair (j, t) of m, (j0, t0) being its first, t ascending, then j."""
-    table, n = _variable_table(ring, u, i), ring.n
-    first, pairs = {}, []
-    for t in range(_dim_piece(ring, u)):
-        for j in range(n):
-            m = table[t * n + j]
-            if m in first:
-                pairs.append(first[m] + (j, t))
-            else:
-                first[m] = j, t
-    return tuple(pairs), tuple([first[m] for m in range(len(first))])
+    the fibres of `_variable_table`, whose entry t n + j is x_{ij} t:
+    owners[m] is the first pair (j, t) with x_{ij} t = m, for each monomial m
+    of S_{u+e_i}, and pairs holds (j0, t0, j, t) for every later pair (j, t)
+    of m, (j0, t0) being its first, t ascending, then j."""
+    fib, n = fibre_table(_variable_table(ring, u, i)), ring.n
+    owners = tuple([(c % n, c // n) for c in fib.section])
+    return tuple([owners[m] + (c % n, c // n) for c, m in enumerate(fib.f)
+                  if fib.section[m] != c]), owners
 
 
 class _Preimages(Mapping):
@@ -195,7 +189,9 @@ class _Preimages(Mapping):
     pieces `w` = {k: W_k}, read-only.
 
     A piece is built each time it is read, and none is kept: it is
-    `_pullback` of W_|u| along the pi-fibre table.  W_k keeps its RREF in
+    `pullback` of W_|u| along the pi-fibre table, at the degree as the ideal
+    lists it, so (2.0, 1, 0) reads the piece of (2, 1, 0), as a stored
+    ideal's dict does.  W_k keeps its RREF in
     each order of its columns that a degree's fibres ask for, and its own
     rows serve every order in which each row's leading column comes first,
     so W = 0, W = V_k, a W spanned by monomials and a degree whose fibres
@@ -208,11 +204,9 @@ class _Preimages(Mapping):
         self._known = _degree_set(ring, bound)
 
     def __getitem__(self, u):
-        if u not in self._known:
-            raise KeyError(u)
-        ring, k = self.ring, degree_total(u)
-        w, fib = self.w[k], pi_fibres(ring.n, ring.d, u)
-        return Subspace(len(fib.f), _pullback(w, fib), (ring, u), w.field)
+        u, ring = self._known[u], self.ring  # KeyError off the degrees
+        w, fib = self.w[degree_total(u)], pi_fibres(ring.n, ring.d, u)
+        return Subspace(len(fib.f), pullback(w, fib), (ring, u), w.field)
 
     def __contains__(self, u):
         return u in self._known
@@ -412,17 +406,23 @@ def hilbert_function(j: TruncatedIdeal, u) -> int:
     return j.pieces[u].codim
 
 
-def generic_hf(r: int, ring: RingSpec, u) -> int:
-    """Hilbert function of r very general points: min(r, dim of the piece)."""
+def _point_count(r) -> int:
+    """A point count as an int (2.0 counts as 2), refused when negative."""
     r = integer(r, "point count")
     if r < 0:
         raise ValueError("negative point count")
-    return min(r, dim_piece(ring, u))
+    return r
+
+
+def generic_hf(r: int, ring: RingSpec, u) -> int:
+    """Hilbert function of r very general points: min(r, dim of the piece)."""
+    return min(_point_count(r), dim_piece(ring, u))
 
 
 def first_non_generic(j: TruncatedIdeal, r: int):
     """The first degree where J's Hilbert function is not `generic_hf(r, ...)`,
-    min(r, dim S_u), or None."""
+    min(r, dim S_u), or None; r is read as `generic_hf` reads it."""
+    r = _point_count(r)
     return next((u for u in j.degrees()
                  if hilbert_function(j, u) != min(r, _dim_piece(j.ring, u))), None)
 
@@ -530,17 +530,11 @@ class PointSet:
 def _predecessors(ring: RingSpec, u) -> tuple:
     """(u - e_i, i, steps) for a degree u above zero, where i is the first
     factor with u_i >= 1: monomial c of degree u is monomial steps[c][0] of
-    degree u - e_i times variable steps[c][1] of factor i, its first one.
-
-    It inverts the product table of S_{u-e_i} x S_{e_i}, written from the
-    highest variable to the lowest, so the lowest variable is the one kept."""
+    degree u - e_i times variable steps[c][1] of factor i, the first such
+    pair of the product table S_{u-e_i} x S_{e_i}, read off its section."""
     i, below = _degrees_below(ring, u)[0]
-    table, n = _variable_table(ring, below, i), ring.n
-    steps = [None] * _dim_piece(ring, u)
-    for j in reversed(range(n)):
-        for prev in range(_dim_piece(ring, below)):
-            steps[table[prev * n + j]] = (prev, j)
-    return below, i, tuple(steps)
+    section = fibre_table(_variable_table(ring, below, i)).section
+    return below, i, tuple([divmod(c, ring.n) for c in section])
 
 
 @lru_cache(maxsize=None)
@@ -550,50 +544,18 @@ def _merge_table(n: int, u: tuple, classes: tuple) -> tuple:
     kappa is the class degree, u summed within each class, on
     segre_ring(n, #classes), and fibres.f[c] the column of S_kappa that
     monomial c of S_u goes to when the monomials within each class are
-    multiplied (phi_u), in the table `_pullback` reads.
+    multiplied (phi_u), in the table `pullback` reads.
 
-    As `pi_fibres` does, it folds in one factor at a time: factor i multiplies
-    the partial product by a monomial of degree u_i on class classes[i], read
-    off `grading`'s product table of the collapsed ring.  One class is pi's
-    fibre table, read from `pi_fibres`, and a class per factor the identity."""
+    It is the product of the collapsed ring's pieces of degree u_i on class
+    classes[i], folded as `pi_fibres` is (`product_fibres`).  One class is
+    pi's fibre table, read from `pi_fibres`, and a class per factor the
+    identity."""
     if not any(classes):
         return (sum(u),), pi_fibres(n, len(u), u)
     ring = segre_ring(n, max(classes) + 1)
-    f, kappa = [0], (0,) * ring.d
-    for ui, k in zip(u, classes):
-        step = tuple(ui if t == k else 0 for t in range(ring.d))
-        table, width = _product_map(ring, kappa, step), _dim_piece(ring, step)
-        f = [table[r * width + b] for r in f for b in range(width)]
-        kappa = add_degrees(kappa, step)
-    return kappa, fibre_table(tuple(f))
-
-
-def _pullback(k: Subspace, fib: PiFibres) -> tuple:
-    """The RREF rows of f^{-1}(K) = {x : sum_c x_c e_f[c] in K}, for a
-    subspace K on `k.ambient_dim` columns and the onto index map f of the
-    table `fib`, from len(f) columns to them.
-
-    Let top(m) be the last column c with f[c] = m.  f^{-1}(K) is spanned by
-    e_c - e_top(f[c]) for each column c below its top and by K's rows placed
-    on the tops, so its RREF row at such a c is K's row led by f[c] with its
-    leading entry moved to c, when f[c] leads one, and e_c - e_top(f[c])
-    otherwise; a top leading a row of K keeps that row.  This takes K's RREF
-    with its columns in the order of their tops, which K makes and keeps
-    (`Subspace._rows_in(fib.at)`).  K = 0 and K full never eliminate.
-    """
-    top = fib.top
-    tails = [None] * k.ambient_dim  # tails[m]: K's row led by m, off its lead, on the tops
-    for row in k._rows_in(fib.at) if k.sparse else ():
-        tails[row[0][0]] = row[0][1], tuple([(top[m], x) for m, x in row[1:]])
-    minus_one = k.field.minus_one
-    out = []
-    for c, m in enumerate(fib.f):
-        tail = tails[m]
-        if tail is not None:
-            out.append(((c, tail[0]),) + tail[1])
-        elif c != top[m]:
-            out.append(((c, 1), (top[m], minus_one)))
-    return tuple(out)
+    steps = [tuple(ui if t == k else 0 for t in range(ring.d)) for ui, k in zip(u, classes)]
+    kappa = tuple([sum(ui for ui, k in zip(u, classes) if k == t) for t in range(ring.d)])
+    return kappa, product_fibres(ring, steps)
 
 
 def _evaluations(ring: RingSpec, field, points, bound: int):
@@ -624,7 +586,7 @@ def point_ideal(zs: PointSet, bound: int, provenance: str = "point") -> Truncate
     at every point form a class, and the evaluation at u is that of the
     collapsed set (one factor per class) at the class degree kappa(u), read
     through the map phi_u that multiplies the monomials within each class:
-    J_u = phi_u^{-1}(J'_kappa(u)), `_pullback` along `_merge_table`.  So the
+    J_u = phi_u^{-1}(J'_kappa(u)), `pullback` along `_merge_table`.  So the
     call evaluates and reduces once per class degree (at diagonal points,
     one class, once per total degree), and once more per order of a
     J'_kappa's columns that no rows it made so far serve (`_rows_in`).
@@ -650,7 +612,7 @@ def point_ideal(zs: PointSet, bound: int, provenance: str = "point") -> Truncate
         v, fib = _merge_table(ring.n, u, classes)
         rows = shared.get((v, fib.f))
         if rows is None:
-            rows = shared[v, fib.f] = _pullback(kernels[v], fib)
+            rows = shared[v, fib.f] = pullback(kernels[v], fib)
         pieces[u] = Subspace(len(fib.f), rows, (ring, u), field)
     return TruncatedIdeal._made(ring, bound, pieces, provenance, field)
 

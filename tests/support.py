@@ -35,8 +35,11 @@ from borderapolar.grading import (
     veronese_ring,
 )
 from borderapolar.diagonal_maps import pi_fibres, pi_image, proper_unit_box_degrees
+from borderapolar.grading import _product_map
 from borderapolar.ideals import (
     GenericityError,
+    _degrees_below,
+    _variable_table,
     PointSet,
     TruncatedIdeal,
     degrees_up_to,
@@ -333,6 +336,73 @@ def kept_piece(n: int, d: int, u: tuple, w: Subspace) -> Subspace:
     k, ring_v = degree_total(u), veronese_ring(n)
     pieces = {i: Subspace.zero(dim_piece(ring_v, i), field=w.field) for i in range(k)}
     return TruncatedIdeal.pi_preimage(segre_ring(n, d), k, {**pieces, k: w}).pieces[u]
+
+
+# -- the index maps derived by hand, as each reader once wrote them ------------------
+# `diagonal_maps` now folds every fibre table and writes every pullback; these
+# are the derivations it replaced, kept to check it against.
+
+def pi_fibres_reference(n: int, d: int, u: tuple) -> tuple:
+    """pi's index map on S_u, folded over the Veronese product tables."""
+    ring_v = veronese_ring(n)
+    f, k = [0], 0
+    for ui in u:
+        table, width = _product_map(ring_v, k, ui), dim_piece(ring_v, ui)
+        f = [table[r * width + b] for r in f for b in range(width)]
+        k += ui
+    return tuple(f)
+
+
+def predecessors_reference(ring, u) -> tuple:
+    """`ideals._predecessors` by inverting the product table, written from the
+    highest variable to the lowest, so the lowest variable is the one kept."""
+    i, below = _degrees_below(ring, u)[0]
+    table, n = _variable_table(ring, below, i), ring.n
+    steps = [None] * dim_piece(ring, u)
+    for j in reversed(range(n)):
+        for prev in range(dim_piece(ring, below)):
+            steps[table[prev * n + j]] = (prev, j)
+    return below, i, tuple(steps)
+
+
+def compatibility_reference(ring, u, i: int) -> tuple:
+    """`ideals._compatibility` with a dict of the first pair seen of each product."""
+    table, n = _variable_table(ring, u, i), ring.n
+    first, pairs = {}, []
+    for t in range(dim_piece(ring, u)):
+        for j in range(n):
+            m = table[t * n + j]
+            if m in first:
+                pairs.append(first[m] + (j, t))
+            else:
+                first[m] = j, t
+    return tuple(pairs), tuple([first[m] for m in range(len(first))])
+
+
+def ir_piece_reference(n: int, d: int, u: tuple, field=QQ) -> Subspace:
+    """(I_R)_u written row by row: e_c - e_top for each column c below the
+    last column, top, of its pi-fibre."""
+    f = pi_fibres_reference(n, d, u)
+    top = {m: c for c, m in enumerate(f)}  # a later c overwrites
+    rows = tuple([((c, 1), (top[m], field.minus_one)) for c, m in enumerate(f) if c != top[m]])
+    return Subspace(len(f), rows, (segre_ring(n, d), u), field)
+
+
+def image_dim_reference(fibre, perp, field) -> int:
+    """`bounds._image_dim` on the index map `fibre`, its tops kept in a dict."""
+    r = len(perp)
+    at = [[0] * r for _ in fibre]
+    for a, row in enumerate(perp):
+        for c, x in row:
+            at[c][a] = x
+    top = {m: c for c, m in enumerate(fibre)}  # a later c overwrites
+    equations = []
+    for c, m in enumerate(fibre):
+        here, there = at[c], at[top[m]]
+        if c != top[m] and (any(here) or any(there)):
+            equations.append(field.normalize([x - y for x, y in zip(here, there)]))
+    return len(top) - r + rank(r, [[(a, x) for a, x in enumerate(e) if x] for e in equations],
+                               field)
 
 
 # -- dense references for the sparse-row subspace calculus ---------------------------

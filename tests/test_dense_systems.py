@@ -202,10 +202,10 @@ def test_fibre_equations_give_the_image_dimension(field):
             up = (2,) + (1,) * (d - 2) + (0,)
             cases.append((up, annihilator_from_below(segre_ring(n, d), u, 0, perp, field)))
         for v, rows in cases:
-            fibre = pi_fibres(n, d, v).f
-            got = _image_dim(fibre, rows, field)
-            assert got == image_dim_pairs(fibre, rows, field)
-            piece = kernel(len(fibre), rows, field=field)
+            fib = pi_fibres(n, d, v)
+            got = _image_dim(fib, rows, field)
+            assert got == image_dim_pairs(fib.f, rows, field)
+            piece = kernel(len(fib.f), rows, field=field)
             assert got == image_reference(pi_matrix_reference(n, d, v, field), piece).dim, (f, v)
             seen.add(got)
     assert len(seen) > 5

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from borderapolar import bounds, ideals
 from borderapolar.apolarity import ann_piece, ann_sym_piece, depolarize
 from borderapolar.diagonal_maps import (
     direct_sum_check,
@@ -24,19 +25,25 @@ from borderapolar.diagonal_maps import (
 )
 from borderapolar.grading import (
     PieceElement,
+    degree_total,
     dim_piece,
     ones,
     segre_ring,
     veronese_ring,
 )
-from borderapolar.ideals import degrees_up_to, expand
+from borderapolar.ideals import PointSet, degrees_up_to, expand
 from borderapolar.linalg import QQ, PrimeField, Subspace, kernel
 from support import (
     assert_canonical,
+    compatibility_reference,
+    image_dim_reference,
     image_reference,
+    ir_piece_reference,
     kept_piece,
     mat_vec,
+    pi_fibres_reference,
     pi_matrix_reference,
+    predecessors_reference,
     preimage_reference,
     psi_matrix_reference,
     random_symmetric_tensor,
@@ -294,3 +301,97 @@ def test_section_property_everywhere(n, data):
     )
     g = PieceElement(ring_v, sum(u), coords)
     assert pi(psi(u, g)).coords == g.coords
+
+
+
+def random_points(ring, field, rng) -> PointSet:
+    """Three integer points with entries in [-5, 5] (one when n = 1, where
+    every two factors are proportional)."""
+    def draw():
+        def factor():
+            return tuple(rng.randint(-5, 5) for _ in range(ring.n))
+
+        return tuple(factor() for _ in range(ring.d)) if ring.is_multigraded else factor()
+
+    while True:
+        try:
+            return PointSet(ring, tuple(draw() for _ in range(3 if ring.n > 1 else 1)), field)
+        except ValueError:  # a zero factor, or two points that are one: draw again
+            continue
+
+
+class TestIndexMapsAgainstHandDerivations:
+    """Every fibre table is folded in `diagonal_maps`, and every pullback
+    written there: each reader's index map, and `ir_piece`'s rows, against
+    the derivation it once wrote by hand (`tests/support.py`), on the Segre
+    and the Veronese ring, for n <= 4, d <= 4 and |u| <= 5."""
+
+    SHAPES = [(n, d) for n in range(1, 5) for d in range(1, 5)]
+    RINGS = [veronese_ring(n) for n in range(1, 5)] + [segre_ring(n, d) for n, d in SHAPES]
+
+    def test_pi_fibres_and_ir_pieces(self):
+        for n, d in self.SHAPES:
+            for u in degrees_up_to(segre_ring(n, d), 5):
+                f = pi_fibres_reference(n, d, u)
+                fib = pi_fibres(n, d, u)
+                assert fib.f == f
+                assert fib.section == tuple(f.index(m) for m in range(max(f) + 1))
+                for field in FIELDS:
+                    got, want = ir_piece(n, d, u, field), ir_piece_reference(n, d, u, field)
+                    assert got.piece == want.piece
+                    assert repr(got.sparse) == repr(want.sparse), (n, d, u, field)
+
+    def test_variable_steps(self):
+        """`_compatibility` is its hand derivation; `_predecessors` steps from
+        the first pair of each product, where the hand derivation kept the
+        lowest variable, another factorisation of the same monomial."""
+        count = differ = 0
+        for ring in self.RINGS:
+            factors = range(ring.d) if ring.is_multigraded else (0,)
+            for u in degrees_up_to(ring, 5):
+                if degree_total(u) < 5:
+                    for i in factors:
+                        assert ideals._compatibility(ring, u, i) == \
+                            compatibility_reference(ring, u, i), (ring, u, i)
+                if degree_total(u) == 0:
+                    continue
+                below, i, steps = ideals._predecessors(ring, u)
+                want_below, want_i, want_steps = predecessors_reference(ring, u)
+                assert (below, i) == (want_below, want_i)
+                table, n = ideals._variable_table(ring, below, i), ring.n
+                for factorisation in (steps, want_steps):
+                    assert [table[t * n + j] for t, j in factorisation] == list(range(len(steps)))
+                count, differ = count + 1, differ + (steps != want_steps)
+        assert count > 500 and differ > 100
+
+    @pytest.mark.parametrize("field", FIELDS, ids=repr)
+    def test_evaluation_rows(self, field, monkeypatch):
+        """A monomial's value does not depend on how it is factored, so the
+        evaluation rows at random integer points are those of the steps
+        written by hand."""
+        rng = random.Random(45)
+        cases = [(ring, random_points(ring, field, rng)._integers) for ring in self.RINGS]
+
+        def evaluations(ring, points):
+            return [(u, [list(row) for row in rows])
+                    for u, rows in ideals._evaluations(ring, field, points, 5)]
+
+        got = [evaluations(*case) for case in cases]
+        monkeypatch.setattr(ideals, "_predecessors", predecessors_reference)
+        assert got == [evaluations(*case) for case in cases]
+
+    @pytest.mark.parametrize("field", FIELDS, ids=repr)
+    def test_image_dimensions(self, field):
+        rng = random.Random(46)
+        seen = set()
+        for n, d in self.SHAPES:
+            for u in degrees_up_to(segre_ring(n, d), 5):
+                fib = pi_fibres(n, d, u)
+                dim = len(fib.f)
+                rows = [[rng.choice((0, 0, 0, 1, -2, 3)) for _ in range(dim)]
+                        for _ in range(rng.randint(1, 3))]
+                perp = Subspace.from_rows(dim, sparse_rows(rows, field), field=field).sparse
+                got = bounds._image_dim(fib, perp, field)
+                assert got == image_dim_reference(fib.f, perp, field), (n, d, u)
+                seen.add(got)
+        assert len(seen) > 5

@@ -642,6 +642,28 @@ class TestKeptPieces:
                 assert repr(got.basis) == repr(want.basis), (n, d, kind, u)
 
     @pytest.mark.parametrize("field", [QQ, GF], ids=repr)
+    def test_equal_degrees_read_the_listed_piece_from_either_holding(self, field):
+        """A degree equal to a listed one, as (2.0, 1, 0) or (True, 1, 0) is,
+        reads the piece at the listed degree, tagged with it, from an ideal
+        kept by its Veronese pieces as from one that stores its pieces; a
+        degree off the list raises KeyError from both."""
+        zs = PointSet(V3, ((1, 2, 3), (1, -1, 0), (2, 0, 5)), field)
+        kept = upsilon(point_ideal(zs, 4), 3)
+        stored = point_ideal(diagonal_points(zs, 3), 4)
+        assert kept.veronese is not None and stored.veronese is None
+        for j in (kept, stored):
+            for alias, u in (((2.0, 1, 0), (2, 1, 0)), ((True, 1, 0), (1, 1, 0)),
+                             ((0, 0.0, 4), (0, 0, 4))):
+                assert alias in j.pieces
+                got = j.pieces[alias]
+                assert got.piece == (j.ring, u) and all(type(x) is int for x in got.piece[1])
+                assert got == j.pieces[u] and got.field == field
+            for off in ((5, 0, 0), (1, 1), (0, 0, 0, 0)):
+                assert off not in j.pieces
+                with pytest.raises(KeyError):
+                    j.pieces[off]
+
+    @pytest.mark.parametrize("field", [QQ, GF], ids=repr)
     def test_repeated_columns_merge_across_fibres(self, field, eliminations):
         """With W spanned by monomials, each RREF row of W is a unit row, led
         by its only column in every order, so W's own rows serve every fibre

@@ -42,6 +42,7 @@ from borderapolar.ideals import (
     diagonal_ideal,
     diagonal_points,
     expand,
+    first_non_generic,
     generic_hf,
     hilbert_function,
     is_saturated_degreewise,
@@ -452,6 +453,10 @@ RING_SIZES = {
                                   "point count 1.5 is not an integer"),
     "generic-hf-string-r": (lambda: generic_hf("3", S22, (1, 1)), ValueError,
                             "point count '3' is not an integer"),
+    "first-non-generic-negative-r": (lambda: first_non_generic(zero_ideal(S22, 2), -1),
+                                     ValueError, "negative point count"),
+    "first-non-generic-non-integral-r": (lambda: first_non_generic(zero_ideal(S22, 2), 2.5),
+                                         ValueError, "point count 2.5 is not an integer"),
     "tau-non-integral-d": (lambda: tau(G2, 2.5), ValueError, "factor count 2.5 is not an integer"),
     "tau-no-factors": (lambda: tau(G2, 0), ValueError, "need d >= 1, got 0"),
     "diagonal-points-non-integral-d": (lambda: diagonal_points(PointSet(V2, ((1, 2),)), 2.5),
@@ -484,6 +489,7 @@ def test_integral_ring_sizes_and_point_counts_are_kept_as_ints():
     assert tau(G2, 2.0) == tau(G2, 2) and tau(G2, 2).degree == (2, 0)
     hf = generic_hf(2.0, S22, (1, 1))
     assert hf == 2 and type(hf) is int
+    assert first_non_generic(zero_ideal(S22, 2), 2.0) == first_non_generic(zero_ideal(S22, 2), 2)
     cert = comon_certificate(X3, 2.0, diagonal_ideal(2, 3, 3))
     assert cert.to_dict() == comon_certificate(X3, 2, diagonal_ideal(2, 3, 3)).to_dict()
     points = very_general_points(V2, 2.0, 3, random.Random(1))

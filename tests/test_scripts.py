@@ -210,6 +210,35 @@ def test_only_the_boundary_checks_a_degree():
     assert sorted(callers - DEGREE_BOUNDARY) == []
 
 
+# Every function under src/ that builds a fibre table (`PiFibres`), directly,
+# by `fibre_table` or by the fold `product_fibres`, as module.function.  The
+# tables are made under a cache (`pi_fibres`, `_merge_table`,
+# `_compatibility`, `_predecessors`), so an index map is held one way and made
+# once per shape; a new builder is added here on purpose.
+FIBRE_TABLE_BUILDERS = [
+    "diagonal_maps.fibre_table",       # any onto index map
+    "diagonal_maps.pi_fibres",         # pi on S_u, by the fold
+    "diagonal_maps.product_fibres",    # the fold itself
+    "ideals._compatibility",           # the pairs of a variable step
+    "ideals._merge_table",             # a merge of factor classes, by the fold
+    "ideals._predecessors",            # the first pair of a variable step
+]
+
+
+def test_fibre_tables_are_built_where_pinned():
+    """The functions under src/ that call `PiFibres`, `fibre_table` or
+    `product_fibres` are exactly `FIBRE_TABLE_BUILDERS`."""
+    builders = set()
+    for path in sorted((ROOT / "src" / "borderapolar").glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = f"{top.name}." if isinstance(top, ast.ClassDef) else ""
+            for node in (top.body if owner else [top]):
+                if any(_calls(sub, name) for sub in ast.walk(node)
+                       for name in ("PiFibres", "fibre_table", "product_fibres")):
+                    builders.add(f"{path.stem}.{owner}{getattr(node, 'name', '<module>')}")
+    assert sorted(builders) == FIBRE_TABLE_BUILDERS
+
+
 def test_three_ways_into_elimination():
     """Elimination is entered through `Subspace.from_rows`, `kernel` and
     `rank` alone: no other package function calls `rref_with_pivots`, so a
@@ -292,10 +321,11 @@ def test_bounds_grows_no_primal_span():
 
 
 def test_only_ideals_reduces_a_preimage():
-    """A subspace of S_u taken along the pi-fibres is reduced by `ideals`
-    alone, as a kernel of merged columns: `diagonal_maps` calls no `kernel`,
-    and no package module reads a private name of `diagonal_maps`, by import
-    or through the module."""
+    """A preimage along an index map is written, not reduced: `diagonal_maps`
+    pulls a subspace back from its RREF rows (`pullback`) and calls no
+    `kernel`, so the one kernel behind a pulled-back piece is the one
+    `ideals` takes of merged evaluation columns; and no package module reads
+    a private name of `diagonal_maps`, by import or through the module."""
     aliases = {"diagonal_maps"}
     offences = []
     for path in sorted((ROOT / "src" / "borderapolar").glob("*.py")):
@@ -359,14 +389,19 @@ def test_shape_tables_are_built_once_per_shape(monkeypatch):
 
 def test_ideals_pulls_segre_pieces_back_along_one_index_map():
     """`point_ideal` and `_Preimages` build their Segre pieces through the one
-    helper `_pullback`, and `ideals` keys no memo by a matrix's column
-    content: it turns no matrix into its columns, as the one transpose,
-    `zip(*...)`, is of a point set's integer points."""
-    tree = ast.parse((ROOT / "src" / "borderapolar" / "ideals.py").read_text(encoding="utf-8"))
-    defs = {node.name: node for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
-    for name in ("point_ideal", "_Preimages"):
-        assert any(_calls(node, "_pullback") for node in ast.walk(defs[name])), name
+    helper `diagonal_maps.pullback`, as `ir_piece` does, and `ideals` keys no
+    memo by a matrix's column content: it turns no matrix into its columns,
+    as the one transpose, `zip(*...)`, is of a point set's integer points."""
+    def definitions(module):
+        tree = ast.parse((ROOT / "src" / "borderapolar" / f"{module}.py")
+                         .read_text(encoding="utf-8"))
+        return tree, {node.name: node for node in tree.body
+                      if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+
+    tree, defs = definitions("ideals")
+    pullers = [defs["point_ideal"], defs["_Preimages"], definitions("diagonal_maps")[1]["ir_piece"]]
+    for node in pullers:
+        assert any(_calls(sub, "pullback") for sub in ast.walk(node)), node.name
     transposes = [ast.unparse(node) for node in ast.walk(tree)
                   if _calls(node, "zip") and any(isinstance(a, ast.Starred) for a in node.args)]
     assert transposes == ["zip(*points)"]
