@@ -9,8 +9,9 @@ coordinates in [-5, 5] (seed 1), builds F = sum of the d-th powers of their
 linear forms with `sum_of_powers_tensor`, and runs point_ideal -> upsilon ->
 comon_certificate at bound d + 1, reading the verdict only, so neither F nor
 the ideal is digested.  It reports the time of each stage (building F is one),
-the number of eliminations, the peak RSS, the largest Segre piece (from
-closed-form dimensions; it is never built) and the verdict.
+the number of eliminations, the peak RSS after each stage (`ru_maxrss`, which
+only grows, so each stage's rise is the difference), the largest Segre piece
+(from closed-form dimensions; it is never built) and the verdict.
 
     python scripts/frontier.py --out BENCH_frontier.json
     python scripts/frontier.py --shapes 3,3 4,3 --wall 2
@@ -48,15 +49,20 @@ def run_instance(n: int, d: int) -> dict:
     linalg.rref_with_pivots = counted
     bound = d + 1
     zs = very_general_points(veronese_ring(n), n, bound, random.Random(1), coord_bound=5)
+    rss = {"start": peak_rss_mb()}
     t0 = time.perf_counter()
     f = sum_of_powers_tensor(n, d, zs.points)
     t1 = time.perf_counter()
+    rss["tensor"] = peak_rss_mb()
     ideal = point_ideal(zs, bound)
     t2 = time.perf_counter()
+    rss["point_ideal"] = peak_rss_mb()
     lifted = upsilon(ideal, d, bound)
     t3 = time.perf_counter()
+    rss["upsilon"] = peak_rss_mb()
     cert = comon_certificate(f, n, lifted)
     t4 = time.perf_counter()
+    rss["certificate"] = peak_rss_mb()
     u = max(lifted.degrees(), key=lambda v: dim_piece(lifted.ring, v))
     return {
         "verdict": "pass" if cert.verdict else "fail",
@@ -66,8 +72,14 @@ def run_instance(n: int, d: int) -> dict:
         "eliminations": eliminations[0],
         "largest_piece": {"degree": list(u), "dim_ambient": dim_piece(lifted.ring, u),
                           "dim": lifted.piece_dim(u)},
-        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+        "rss_mb_after": rss,
+        "peak_rss_mb": rss["certificate"],
     }
+
+
+def peak_rss_mb() -> float:
+    """This process's peak resident set so far, in MB."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
 def child(n: int, d: int):

@@ -17,10 +17,12 @@ a set of unit rows and needs no elimination.
 
 Because of the split, every subspace of S_u that contains (I_R)_u is the
 pi-preimage of its pi-image: (I_R)_u + psi_u(W) = pi^{-1}(W) for any W inside
-V_|u|.  `pullback` writes f^{-1}(K) for any onto index map f from K's RREF
-rows: a kept ideal's Segre piece, a point ideal's pieces along its merge
-table, and `ir_piece`, the case W = 0, whose rows e_c - e_top it writes with
-no elimination.
+V_|u|.  `pullback` writes f^{-1}(K) for any onto index map f, held by the
+side K holds: from K's annihilator rows, r rows pulled back along the
+fibres, with its basis written from K's RREF rows when first read; or from
+K's RREF rows directly.  It makes a kept ideal's Segre piece, a point ideal's
+pieces along its merge table, and `ir_piece`, the case W = 0, whose rows
+e_c - e_top it writes with no elimination.
 """
 
 from __future__ import annotations
@@ -60,7 +62,8 @@ class PiFibres:
     first column of m's fibre (on pi, the column psi_u sends m to), so
     `len(section)` is the number of targets.  For a pullback along f the table also holds the
     last column `top[m]` of each fibre, the targets sorted by their tops
-    (`order`) and each target's position there (`at`).
+    (`order`), each target's position there (`at`) and whether `section`
+    increases (`rising`).
     """
 
     f: tuple
@@ -68,6 +71,7 @@ class PiFibres:
     top: tuple = dataclass_field(init=False, repr=False, compare=False)
     order: tuple = dataclass_field(init=False, repr=False, compare=False)
     at: tuple = dataclass_field(init=False, repr=False, compare=False)
+    rising: bool = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         top = [0] * len(self.section)
@@ -77,6 +81,8 @@ class PiFibres:
         object.__setattr__(self, "top", tuple(top))
         object.__setattr__(self, "order", tuple(order))
         object.__setattr__(self, "at", tuple(sorted(range(len(order)), key=order.__getitem__)))
+        object.__setattr__(self, "rising", all(a < b for a, b in zip(self.section,
+                                                                      self.section[1:])))
 
 
 def fibre_table(f: tuple) -> PiFibres:
@@ -108,10 +114,30 @@ def pi_fibres(n: int, d: int, u: tuple) -> PiFibres:
     return product_fibres(veronese_ring(n), u)
 
 
-def pullback(k: Subspace, fib: PiFibres) -> tuple:
-    """The RREF rows of f^{-1}(K) = {x : sum_c x_c e_f[c] in K}, for a
+def pullback(k: Subspace, fib: PiFibres, piece=None) -> Subspace:
+    """f^{-1}(K) = {x : sum_c x_c e_f[c] in K} on len(f) columns, for a
     subspace K on `k.ambient_dim` columns and the onto index map f of the
-    table `fib`, from len(f) columns to them.
+    table `fib`, held by the side K holds.
+
+    Its annihilator is f^*(K^perp): each row of K's `perp` puts its entry at
+    m on every column of m's fibre.  Where `section` increases those rows are
+    already the RREF, as each leads at the section of its own lead, a column
+    where no other row has an entry; otherwise the r rows are reduced once.
+    Its basis is `preimage_rows`, written from K's RREF when first read.
+    """
+    if not k.held_by_perp:
+        return Subspace(len(fib.f), preimage_rows(k, fib), piece, k.field)
+    rows = [tuple([(c, x) for c, x in enumerate(map(dict(row).get, fib.f)) if x])
+            for row in k.perp]
+    if not fib.rising:
+        rows = Subspace.from_rows(len(fib.f), rows, field=k.field).sparse
+    return Subspace.by_perp(len(fib.f), tuple(rows), piece, k.field,
+                            lambda: preimage_rows(k, fib))
+
+
+def preimage_rows(k: Subspace, fib: PiFibres) -> tuple:
+    """The RREF basis rows of f^{-1}(K), as `pullback` names it, written from
+    K's RREF rows.
 
     Let top(m) be the last column c with f[c] = m.  f^{-1}(K) is spanned by
     e_c - e_top(f[c]) for each column c below its top and by K's rows placed
@@ -123,7 +149,7 @@ def pullback(k: Subspace, fib: PiFibres) -> tuple:
     """
     top = fib.top
     tails = [None] * k.ambient_dim  # tails[m]: K's row led by m, off its lead, on the tops
-    for row in k._rows_in(fib.at) if k.sparse else ():
+    for row in k._rows_in(fib.at) if k.dim else ():
         tails[row[0][0]] = row[0][1], tuple([(top[m], x) for m, x in row[1:]])
     minus_one = k.field.minus_one
     out = []
@@ -221,8 +247,7 @@ def ir_piece(n: int, d: int, u: tuple, field=QQ) -> Subspace:
     below the largest column, top, of its fibre.  No elimination."""
     u = check_degree(segre_ring(n, d), u)
     fib = pi_fibres(n, d, u)
-    rows = pullback(Subspace.zero(len(fib.section), field=field), fib)
-    return Subspace(len(fib.f), rows, (segre_ring(n, d), u), field)
+    return pullback(Subspace.zero(len(fib.section), field=field), fib, (segre_ring(n, d), u))
 
 
 def pi_image(n: int, d: int, u: tuple, sub: Subspace) -> Subspace:
@@ -231,7 +256,9 @@ def pi_image(n: int, d: int, u: tuple, sub: Subspace) -> Subspace:
     Each stored integer row is pushed through the fibres as it is, and
     entries that cancel and rows that collapse to zero, such as every
     e_c - e_top row of a pi-preimage, are dropped before the elimination.
+    The degree is read as `ir_piece` reads it.
     """
+    u = check_degree(segre_ring(n, d), u)
     fib = pi_fibres(n, d, u)
     if sub.ambient_dim != len(fib.f):
         raise ValueError(
@@ -248,16 +275,19 @@ def pi_image(n: int, d: int, u: tuple, sub: Subspace) -> Subspace:
 
 
 def psi_image(n: int, d: int, u: tuple, field=QQ) -> Subspace:
-    """psi_u(V_{|u|}) as a subspace of S_u: the unit rows at the section's columns."""
+    """psi_u(V_{|u|}) as a subspace of S_u: the unit rows at the section's
+    columns.  The degree is read as `ir_piece` reads it, and tags the piece."""
+    u = check_degree(segre_ring(n, d), u)
     fib = pi_fibres(n, d, u)
     rows = tuple(((s, 1),) for s in sorted(set(fib.section)))
-    return Subspace(len(fib.f), rows, None, field)
+    return Subspace(len(fib.f), rows, (segre_ring(n, d), u), field)
 
 
 def direct_sum_check(n: int, d: int, u) -> bool:
     """(I_R)_u and psi_u(V_{|u|}) meet trivially and fill S_u."""
-    a = ir_piece(n, d, u)  # checks the degree, which its piece tag holds as checked
-    b = psi_image(n, d, a.piece[1])
+    b = psi_image(n, d, u)  # checks the degree, which its piece tag holds as checked
+    fib = pi_fibres(n, d, b.piece[1])
+    a = pullback(Subspace.zero(len(fib.section)), fib, b.piece)
     return a.intersect(b).dim == 0 and a.dim + b.dim == a.ambient_dim
 
 

@@ -14,9 +14,12 @@ it get the same answers from either kind: `pieces`, `piece_dim`, `pi_image`
 `first_without_diagonal` and `saturation_degrees`, so each transport map and
 certificate stage has one path.
 
-Saturated ideals of finite point sets are computed as kernels of evaluation
-maps, evaluated on integer representatives of the points, so elimination
-receives integer rows.  On the Segre side, factors whose integer coordinates
+Saturated ideals of finite point sets are the kernels of evaluation maps,
+and each piece is held by its annihilator, the span of the evaluation rows:
+r rows per degree at r points, evaluated on integer representatives of the
+points, so elimination receives integer rows.  The kernel itself, the
+piece's basis, is made only when something reads it.  On the Segre side,
+factors whose integer coordinates
 are equal at every point form a class, and J_u is the preimage of the
 collapsed point set's piece J'_kappa(u) under the map phi_u that multiplies
 the monomials within each class, an index map (`_merge_table`, folded by
@@ -27,7 +30,9 @@ or global saturation are ever needed.  A draw of very general points is
 certified by the ranks of the same evaluation matrices, with no kernel.
 
 A kept ideal's Segre piece is a preimage of the same kind, pi^{-1}(W_|u|)
-along the pi-fibre table; `diagonal_maps.pullback` writes both.
+along the pi-fibre table; `diagonal_maps.pullback` writes both, from the
+annihilator rows when W holds them, and writes the basis from W's basis
+when it is read.
 
 Every monomial product is read off `grading`'s cached table
 S_u x S_v -> S_{u+v} (`_product_map`): variable multiples at v = e_i, and,
@@ -65,7 +70,14 @@ from .grading import (
     segre_ring,
     veronese_ring,
 )
-from .diagonal_maps import fibre_table, pi_fibres, pi_image, product_fibres, pullback
+from .diagonal_maps import (
+    fibre_table,
+    pi_fibres,
+    pi_image,
+    preimage_rows,
+    product_fibres,
+    pullback,
+)
 from .linalg import QQ, IntRows, Subspace, kernel, rank
 
 
@@ -191,11 +203,13 @@ class _Preimages(Mapping):
     A piece is built each time it is read, and none is kept: it is
     `pullback` of W_|u| along the pi-fibre table, at the degree as the ideal
     lists it, so (2.0, 1, 0) reads the piece of (2, 1, 0), as a stored
-    ideal's dict does.  W_k keeps its RREF in
-    each order of its columns that a degree's fibres ask for, and its own
-    rows serve every order in which each row's leading column comes first,
-    so W = 0, W = V_k, a W spanned by monomials and a degree whose fibres
-    come in the order of V_k eliminate nothing.
+    ideal's dict does.  It holds the side W holds: W's annihilator rows
+    pulled back, for a W held by them, such as a point ideal's.  Its basis,
+    read by a digest, is written from W's RREF.  W_k makes that once and
+    keeps it in each order of its columns that a degree's fibres ask for,
+    and its own rows serve every order in which each row's leading column
+    comes first, so W = 0, W = V_k, a W spanned by monomials and a degree
+    whose fibres come in the order of V_k eliminate nothing.
     """
 
     def __init__(self, ring: RingSpec, bound: int, w):
@@ -205,8 +219,7 @@ class _Preimages(Mapping):
 
     def __getitem__(self, u):
         u, ring = self._known[u], self.ring  # KeyError off the degrees
-        w, fib = self.w[degree_total(u)], pi_fibres(ring.n, ring.d, u)
-        return Subspace(len(fib.f), pullback(w, fib), (ring, u), w.field)
+        return pullback(self.w[degree_total(u)], pi_fibres(ring.n, ring.d, u), (ring, u))
 
     def __contains__(self, u):
         return u in self._known
@@ -329,6 +342,16 @@ class TruncatedIdeal:
         w = self.veronese[degree_total(u)]
         return _dim_piece(self.ring, u) - w.ambient_dim + w.dim
 
+    def _basis_rows(self, u) -> tuple:
+        """The stored basis rows of J_u, at a listed degree.  On an ideal kept
+        by its Veronese pieces they are written from W_|u|'s basis, made once
+        per W, and no annihilator is pulled back: a digest reads every piece
+        this way."""
+        if self.veronese is None:
+            return self.pieces[u].sparse
+        return preimage_rows(self.veronese[degree_total(u)],
+                             pi_fibres(self.ring.n, self.ring.d, u))
+
     def pi_image(self, u) -> Subspace:
         """pi(J_u) inside V_|u|: W_|u| on an ideal kept by its Veronese pieces,
         else one elimination on V_|u| (none for a zero piece), made once."""
@@ -340,7 +363,7 @@ class TruncatedIdeal:
             return self.veronese[degree_total(u)]
         if u not in self._images:
             n, p = self.ring.n, self.pieces[u]
-            self._images[u] = (pi_image(n, self.ring.d, u, p) if p.sparse else Subspace.zero(
+            self._images[u] = (pi_image(n, self.ring.d, u, p) if p.dim else Subspace.zero(
                 _dim_piece(veronese_ring(n), degree_total(u)), field=p.field))
         return self._images[u]
 
@@ -580,18 +603,21 @@ def _evaluations(ring: RingSpec, field, points, bound: int):
 def point_ideal(zs: PointSet, bound: int, provenance: str = "point") -> TruncatedIdeal:
     """Saturated ideal of a reduced point set, degreewise: ker of evaluation.
 
-    Rescaling a point, or one factor of a Segre point, leaves each kernel
-    alone, so the integer evaluation rows of `_evaluations` go to `kernel` as
-    they are, dense.  On the Segre side, factors whose integer coordinates are equal
-    at every point form a class, and the evaluation at u is that of the
-    collapsed set (one factor per class) at the class degree kappa(u), read
-    through the map phi_u that multiplies the monomials within each class:
-    J_u = phi_u^{-1}(J'_kappa(u)), `pullback` along `_merge_table`.  So the
-    call evaluates and reduces once per class degree (at diagonal points,
-    one class, once per total degree), and once more per order of a
-    J'_kappa's columns that no rows it made so far serve (`_rows_in`).
-    Degrees with one class degree and one merge table share their rows, and
-    each piece keeps its own (ring, u) tag."""
+    Each piece is held by its annihilator, the span of the evaluation rows,
+    and its basis, the kernel, is made only when read (see `linalg`).
+    Rescaling a point, or one factor of a Segre point, leaves each span
+    alone, so the integer evaluation rows of `_evaluations` go to
+    `Subspace.from_rows` as they are, dense: r rows per degree.  On the
+    Segre side, factors whose integer coordinates are equal at every point
+    form a class, and the evaluation at u is that of the collapsed set (one
+    factor per class) at the class degree kappa(u), read through the map
+    phi_u that multiplies the monomials within each class:
+    J_u = phi_u^{-1}(J'_kappa(u)), `pullback` along `_merge_table`, whose
+    annihilator is J'_kappa(u)'s pulled back.  So the call reduces once per
+    class degree (at diagonal points, one class, once per total degree), and
+    once more per merge table whose `section` does not increase.  Degrees
+    with one class degree and one merge table share their rows, and each
+    piece keeps its own (ring, u) tag."""
     bound = _bound(bound)
     ring, field, points = zs.ring, zs.field, zs._integers
     collapsed = ring
@@ -603,17 +629,20 @@ def point_ideal(zs: PointSet, bound: int, provenance: str = "point") -> Truncate
             classes = tuple(map(reps.index, first))
             collapsed = segre_ring(ring.n, len(reps))
             points = [tuple([p[i] for i in reps]) for p in points]
-    kernels = {v: kernel(_dim_piece(collapsed, v), rows, (collapsed, v), field)
-               for v, rows in _evaluations(collapsed, field, points, bound)}
+    held = {}  # the collapsed pieces, each by the span of its evaluation rows
+    for v, rows in _evaluations(collapsed, field, points, bound):
+        dim = _dim_piece(collapsed, v)
+        held[v] = Subspace.by_perp(dim, Subspace.from_rows(dim, rows, field=field).sparse,
+                                   (collapsed, v), field)
     if collapsed is ring:
-        return TruncatedIdeal._made(ring, bound, kernels, provenance, field)
-    shared, pieces = {}, {}  # shared: (kappa, f) -> the rows of phi^{-1}(J'_kappa)
+        return TruncatedIdeal._made(ring, bound, held, provenance, field)
+    shared, pieces = {}, {}  # shared: (kappa, f) -> phi^{-1}(J'_kappa)
     for u in degrees_up_to(ring, bound):
         v, fib = _merge_table(ring.n, u, classes)
-        rows = shared.get((v, fib.f))
-        if rows is None:
-            rows = shared[v, fib.f] = pullback(kernels[v], fib)
-        pieces[u] = Subspace(len(fib.f), rows, (ring, u), field)
+        sub = shared.get((v, fib.f))
+        if sub is None:
+            sub = shared[v, fib.f] = pullback(held[v], fib, (ring, u))
+        pieces[u] = sub.tagged((ring, u))
     return TruncatedIdeal._made(ring, bound, pieces, provenance, field)
 
 

@@ -26,37 +26,44 @@ last was add up to more than the field's `slack` bits: 64 over Q, so a
 row's content is divided out then or when it is kept, and 0 over GF(p),
 where every update is reduced because the zero test reads residues.
 
-A Subspace stores the unique reduced row echelon basis of its row span as
-integers: each RREF row as its primitive integer multiple with a positive
-pivot entry over Q, and as residues with pivot entry 1 over GF(p), in
-ascending column order with its pivot first.  The form is unique, so two
-subspaces over one field are equal as sets exactly when their stored rows
-compare equal.  As elimination reads only integers, rows may hold plain ints
-in place of field elements, each standing for its image in the field, so the
-stored rows go back into elimination as they are, and producers that know a
-row only up to a scalar, such as an evaluation at a point or a row pushed
-through an index map, pass integers too.  Field elements are made only where
+A Subspace holds the unique reduced row echelon form of its row span
+(`sparse`) or of its annihilator (`perp`) as integers: each RREF row as its
+primitive integer multiple with a positive pivot entry over Q, and as
+residues with pivot entry 1 over GF(p), in ascending column order with its
+pivot first.  Each side is the `kernel` of the other, and the side a
+subspace was not made with is made the first time it is read.  The form is
+unique, so two subspaces over one field are equal as sets exactly when the
+rows of a side both hold compare equal; where one holds only its basis and
+the other only its annihilator, the dimensions are compared and the rows
+paired.  A piece of small codimension, such as a point ideal's, is held by
+its annihilator: r rows in place of dim - r.  As elimination reads only
+integers, rows may hold plain ints in place of field elements, each standing
+for its image in the field, so the stored rows go back into elimination as
+they are, and producers that know a row only up to a scalar, such as an
+evaluation at a point or a row pushed through an index map, pass integers
+too.  Field elements are made only where
 a row is read out: `basis`, `matrix` and `reduce_vector` divide each stored
 row by its pivot entry (`elements`), and a digest writes the text of those
 elements without making them (`reprs`).  Containment is decided on the
-integers, by cross-multiplication.
+integers, by cross-multiplication or by pairing rows, with no elimination.
 
 A kernel costs one elimination and an annihilator none.  Both come from a basis
 whose pivot columns are clean: the annihilator of such a basis has one row
 e_c - sum_i (row_i[c] / row_i[p_i]) e_{p_i} per non-pivot column c, written
 as integers once scaled by the lcm of the pivot entries it touches
-(`annihilator_row`).  A Subspace applies this to its stored basis
-(`constraints`: the rows span the annihilator but are not in RREF), so the
-subspace in another column order is the `kernel` of those rows with their
-columns moved, made once per order (`_rows_in`).  `kernel` applies it to the
-reduced rows of its rows with each pivot taken at the last nonzero column of
-its row, and there the rows come out already in RREF and in the stored form,
-written straight from the dense integer rows, with no copy of them.
+(`annihilator_row`).  A Subspace held by its basis applies this to it
+(`constraints`: the rows span the annihilator but are not in RREF; one held
+by its annihilator hands out its `perp` rows), so the subspace in another
+column order is the `kernel` of those rows with their columns moved, made
+once per order (`_rows_in`).  `kernel` applies it to the reduced rows of its
+rows with each pivot taken at the last nonzero column of its row, and there
+the rows come out already in RREF and in the stored form, written straight
+from the dense integer rows, with no copy of them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -553,27 +560,81 @@ def _leads_first(rows, at) -> bool:
 
 # -- subspaces ------------------------------------------------------------------
 
-@dataclass(frozen=True, init=False)
-class Subspace:
-    """A linear subspace given by its RREF row basis inside a fixed ambient piece.
+def _in_span(row, row_at, field) -> bool:
+    """Whether a sparse integer row (residues over GF(p)) lies in the span of
+    stored RREF rows, given by pivot in `row_at`.
 
-    `sparse` holds each basis row as the (column, integer) pairs of its
-    nonzero entries in ascending column order, so the pivot comes first: the
-    RREF row times its pivot entry, primitive with a positive pivot entry over
-    Q, residues with pivot entry 1 over GF(p).  `basis` builds the dense rows
-    of field elements.  The fields are written into the instance dict, as
-    the frozen class's own `__init__` would with four `object.__setattr__`.
+    With den the lcm of the pivot entries of the rows whose pivots the row
+    meets, den * row minus (den * row[p] / b) times the stored row with pivot
+    p and pivot entry b, for each such p, is den times the remainder:
+    subtracting a stored row leaves every other pivot entry as it is, so each
+    pivot column is cleared once, in integers.
+    """
+    v = dict(row)
+    hits = [row_at[c] for c in v if c in row_at]
+    den = lcm(*[r[0][1] for r in hits])
+    if den != 1:
+        v = {c: x * den for c, x in v.items()}
+    for r in hits:
+        p, b = r[0]
+        f = v.pop(p) // b
+        for c, x in r[1:]:
+            v[c] = v.get(c, 0) - f * x
+    return not any(field.normalize(list(v.values())))
+
+
+def _annihilates(perp, rows, ncols: int, field) -> bool:
+    """Whether every sparse row of `perp` pairs to zero with every one of
+    `rows`, on `ncols` columns; one `perp` row is written densely at a time."""
+    dense = [0] * ncols
+    for ell in perp:
+        for c, x in ell:
+            dense[c] = x
+        if any(field.normalize([sum([x * dense[c] for c, x in row]) for row in rows])):
+            return False
+        for c, _ in ell:
+            dense[c] = 0
+    return True
+
+
+@dataclass(frozen=True, init=False, eq=False, repr=False)
+class Subspace:
+    """A linear subspace of a fixed ambient piece, held by the canonical RREF
+    of its row span (`sparse`) or of its annihilator (`perp`).
+
+    Each side holds its rows as the (column, integer) pairs of their nonzero
+    entries in ascending column order, so the pivot comes first: the RREF row
+    times its pivot entry, primitive with a positive pivot entry over Q,
+    residues with pivot entry 1 over GF(p).  A subspace is made holding one
+    side, and the other is made the first time it is read: each is the
+    `kernel` of the other.  A subspace held by its annihilator may instead be
+    given a function that writes its basis (a pullback writes it from its
+    source's basis), called on that first read.  `basis` builds the dense rows
+    of field elements.  The fields are written into the instance dict, as the
+    frozen class's own `__init__` would with four `object.__setattr__`.
     """
 
     ambient_dim: int
-    sparse: tuple
-    piece: object = dataclass_field(default=None, compare=False)
+    piece: object = None
     field: object = QQ
 
     def __init__(self, ambient_dim: int, sparse: tuple, piece=None, field=QQ):
         attrs = self.__dict__
         attrs["ambient_dim"], attrs["sparse"] = ambient_dim, sparse
         attrs["piece"], attrs["field"] = piece, field
+
+    @classmethod
+    def by_perp(cls, ambient_dim: int, perp: tuple, piece=None, field=QQ,
+                make_basis=None) -> "Subspace":
+        """The subspace whose annihilator has the stored RREF rows `perp`; its
+        basis is made on first read, by `make_basis()` when given."""
+        sub = object.__new__(cls)
+        attrs = sub.__dict__
+        attrs["ambient_dim"], attrs["perp"] = ambient_dim, perp
+        attrs["piece"], attrs["field"] = piece, field
+        if make_basis is not None:
+            attrs["_make_basis"] = make_basis
+        return sub
 
     @classmethod
     def from_rows(cls, ambient_dim: int, rows, piece=None, field=QQ) -> "Subspace":
@@ -591,6 +652,44 @@ class Subspace:
     def full(cls, ambient_dim: int, piece=None, field=QQ) -> "Subspace":
         return cls(ambient_dim, tuple(((i, 1),) for i in range(ambient_dim)), piece, field)
 
+    @cached_property
+    def sparse(self) -> tuple:
+        """The stored RREF basis rows; on a subspace held by its annihilator,
+        made on first read."""
+        make = self.__dict__.pop("_make_basis", None)
+        if make is not None:
+            return make()
+        return kernel(self.ambient_dim, self.perp, field=self.field).sparse
+
+    @cached_property
+    def perp(self) -> tuple:
+        """The stored RREF rows of the annihilator; on a subspace held by its
+        basis, made on first read."""
+        return kernel(self.ambient_dim, self.sparse, field=self.field).sparse
+
+    @property
+    def held_by_perp(self) -> bool:
+        """Whether the annihilator's rows are held (the basis may be too)."""
+        return "perp" in self.__dict__
+
+    def tagged(self, piece) -> "Subspace":
+        """This subspace tagged as `piece`, itself when it is tagged so: a copy
+        holds the sides this one holds, and shares a basis made later."""
+        if self.piece == piece:
+            return self
+        sub = object.__new__(Subspace)
+        attrs = sub.__dict__
+        attrs.update(self.__dict__)
+        attrs["piece"] = piece
+        if "sparse" not in attrs:
+            attrs["_make_basis"] = lambda: self.sparse
+        return sub
+
+    def __getstate__(self):
+        """The instance dict without a function that would make the basis: the
+        kernel of `perp` makes the same rows."""
+        return {k: v for k, v in self.__dict__.items() if k != "_make_basis"}
+
     @property
     def basis(self) -> tuple:
         """The RREF rows as dense tuples of field elements."""
@@ -599,7 +698,10 @@ class Subspace:
 
     @property
     def dim(self) -> int:
-        return len(self.sparse)
+        attrs = self.__dict__
+        if "sparse" in attrs:
+            return len(attrs["sparse"])
+        return self.ambient_dim - len(attrs["perp"])
 
     @property
     def codim(self) -> int:
@@ -607,11 +709,31 @@ class Subspace:
 
     @property
     def is_zero(self) -> bool:
-        return not self.sparse
+        return self.dim == 0
 
     @property
     def is_full(self) -> bool:
-        return self.dim == self.ambient_dim
+        return self.codim == 0
+
+    def __eq__(self, other):
+        """Equal as sets, the tag aside: the rows of a side both hold compare
+        equal, or, where one holds only its basis and the other only its
+        annihilator, the dimensions agree and the one annihilates the other."""
+        if not isinstance(other, Subspace):
+            return NotImplemented
+        if self.ambient_dim != other.ambient_dim or self.field != other.field:
+            return False
+        mine, theirs = self.__dict__, other.__dict__
+        for side in ("sparse", "perp"):
+            if side in mine and side in theirs:
+                return mine[side] == theirs[side]
+        if self.dim != other.dim:
+            return False
+        held, spanned = (self, other) if "perp" in mine else (other, self)
+        return _annihilates(held.perp, spanned.sparse, self.ambient_dim, self.field)
+
+    def __hash__(self):
+        return hash((self.ambient_dim, self.dim, self.field))
 
     def _check_compatible(self, other: "Subspace"):
         if self.ambient_dim != other.ambient_dim:
@@ -635,13 +757,16 @@ class Subspace:
 
     def constraints(self) -> tuple:
         """Integer rows spanning the linear functionals that vanish on this
-        subspace.
+        subspace, codim of them.
 
-        Read off the stored basis with no elimination: for each non-pivot
-        column f, the row e_f - sum_i (row_i[f] / row_i[p_i]) e_{p_i} as its
-        primitive integer multiple, led by its entry at f.  There are codim
-        rows and they span the annihilator, but they are not in RREF.
+        On a subspace held by its annihilator these are the stored `perp`
+        rows, in RREF.  Otherwise they are read off the stored basis with no
+        elimination: for each non-pivot column f, the row
+        e_f - sum_i (row_i[f] / row_i[p_i]) e_{p_i} as its primitive integer
+        multiple, led by its entry at f; they are not in RREF.
         """
+        if "perp" in self.__dict__:
+            return self.perp
         den, factors = self.field.annihilator_scales([row[0][1] for row in self.sparse])
         ann = [[] for _ in range(self.ambient_dim)]
         for row, f in zip(self.sparse, factors):
@@ -673,8 +798,8 @@ class Subspace:
         Rows made in one order serve another that puts each row's leading
         column first, re-sorted: the pivots and pivot entries stay.  Any other
         order is one `kernel` of `constraints` moved into it, as dense integer
-        rows (primitive, so normalized), with few updates to make: in the
-        stored order each of those rows ends at a column of its own.
+        rows (primitive, so normalized), with few updates to make: each of
+        those rows has a column of its own.
         """
         orders = self._orders
         rows = orders.get(at)
@@ -697,26 +822,8 @@ class Subspace:
         return rows
 
     def _contains_row(self, row) -> bool:
-        """Whether a sparse integer row (residues over GF(p)) lies in the span.
-
-        With den the lcm of the pivot entries of the basis rows whose pivots
-        the row meets, den * row minus (den * row[p] / b) times the basis row
-        with pivot p and pivot entry b, for each such p, is den times the
-        remainder: subtracting a basis row leaves every other pivot entry as
-        it is, so each pivot column is cleared once, in integers.
-        """
-        v = dict(row)
-        row_at = self._row_at
-        hits = [row_at[c] for c in v if c in row_at]
-        den = lcm(*[r[0][1] for r in hits])
-        if den != 1:
-            v = {c: x * den for c, x in v.items()}
-        for r in hits:
-            p, b = r[0]
-            f = v.pop(p) // b
-            for c, x in r[1:]:
-                v[c] = v.get(c, 0) - f * x
-        return not any(self.field.normalize(list(v.values())))
+        """Whether a sparse integer row (residues over GF(p)) lies in the span."""
+        return _in_span(row, self._row_at, self.field)
 
     def reduce_vector(self, v) -> list:
         """Remainder of v after elimination against the RREF basis, as field
@@ -736,10 +843,25 @@ class Subspace:
         return not any(self.reduce_vector(v))
 
     def contains(self, other) -> bool:
-        if isinstance(other, Subspace):
-            self._check_compatible(other)
+        """Whether `other`, a Subspace or a vector, lies in this subspace.
+
+        Of equal dimensions, A contains B exactly when A == B.  Otherwise,
+        against a subspace held by its annihilator, A contains B exactly when
+        A^perp lies in B^perp: each of A's `constraints` is reduced by B's
+        `perp` rows.  Otherwise each of B's basis rows is reduced by A's, or
+        paired with A's `perp` rows when A holds only those.  None eliminates.
+        """
+        if not isinstance(other, Subspace):
+            return self.contains_vector(other)
+        self._check_compatible(other)
+        if other.dim >= self.dim:
+            return other.dim == self.dim and self == other
+        if "perp" in other.__dict__:
+            at = {row[0][0]: row for row in other.perp}
+            return all(_in_span(row, at, self.field) for row in self.constraints())
+        if "sparse" in self.__dict__:
             return all(self._contains_row(row) for row in other.sparse)
-        return self.contains_vector(other)
+        return _annihilates(self.perp, other.sparse, self.ambient_dim, self.field)
 
     def __repr__(self):
         tag = f" @ {self.piece}" if self.piece is not None else ""

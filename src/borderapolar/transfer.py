@@ -43,7 +43,6 @@ from .grading import (
     segre_ring,
     veronese_ring,
 )
-from .linalg import Subspace
 from .ideals import (
     TruncatedIdeal,
     _bound,
@@ -141,13 +140,14 @@ def ideal_digest(j: TruncatedIdeal) -> str:
     The repr of the dense bases is streamed from the stored integer rows, one
     row at a time, with each entry's text written by the field (`reprs`)
     without making the element, and each run of zeros written as one repeated
-    string.  An ideal kept by its Veronese pieces builds each piece as it is
-    read, and keeps none.
+    string.  A piece held by its annihilator makes its basis as it is read.
+    An ideal kept by its Veronese pieces writes each piece's basis from
+    W_|u|'s, made once per W, and keeps none (`TruncatedIdeal._basis_rows`).
     """
     zero, reprs = f"{j.field.zero!r}, ".encode(), j.field.reprs
 
     def piece(u):
-        n, rows = _dim_piece(j.ring, u), j.pieces[u].sparse
+        n, rows = _dim_piece(j.ring, u), j._basis_rows(u)
         yield f"({u!r}, (".encode()
         for r, row in enumerate(rows):
             parts = [b", (" if r else b"("]
@@ -191,16 +191,9 @@ def upsilon(i: TruncatedIdeal, d: int, bound: int | None = None) -> TruncatedIde
     if bound > i.bound:
         raise ValueError(f"requested bound {bound} exceeds the input bound {i.bound}")
     ring_v, ring = veronese_ring(i.ring.n), segre_ring(i.ring.n, d)
-    w = {k: _tagged(i.pieces[k], ring_v, k) for k in range(bound + 1)}
+    w = {k: i.pieces[k].tagged((ring_v, k)) for k in range(bound + 1)}
     provenance = "upsilon-of-point" if i.provenance in ("point", "diagonal-points") else "user"
     return TruncatedIdeal._kept(ring, bound, w, provenance, i.field)
-
-
-def _tagged(sub: Subspace, ring_v, k: int) -> Subspace:
-    """`sub` tagged as the piece (ring_v, k): itself when it is tagged so."""
-    if sub.piece == (ring_v, k):
-        return sub
-    return Subspace(sub.ambient_dim, sub.sparse, (ring_v, k), sub.field)
 
 
 def _pi_images(j, what: str, degree_at, provenance: str, needs_diagonal=False) -> TruncatedIdeal:
@@ -210,7 +203,7 @@ def _pi_images(j, what: str, degree_at, provenance: str, needs_diagonal=False) -
     if needs_diagonal and first_without_diagonal(j) is not None:
         raise ValueError(f"{what} is undefined: the ideal does not contain the diagonal ideal")
     ring_v = veronese_ring(j.ring.n)
-    pieces = {k: _tagged(j._pi_image(degree_at(k)), ring_v, k) for k in range(j.bound + 1)}
+    pieces = {k: j._pi_image(degree_at(k)).tagged((ring_v, k)) for k in range(j.bound + 1)}
     return TruncatedIdeal._made(ring_v, j.bound, pieces, provenance, j.field)
 
 

@@ -23,7 +23,7 @@ from borderapolar.ideals import (
     very_general_points,
 )
 from borderapolar.linalg import QQ, IntRows, PrimeField, Subspace, kernel
-from borderapolar.transfer import _tagged, rho_ideal, sigma, upsilon
+from borderapolar.transfer import rho_ideal, sigma, upsilon
 from support import sparse_rows
 
 GF = PrimeField(2147483647)
@@ -31,13 +31,22 @@ FIELDS = [QQ, GF]
 
 
 def same_as_public(got: Subspace):
-    """`got` against `Subspace(...)` of its fields, and against its pickled
-    copy: equal, with equal hash and repr, the tag kept, fields frozen."""
-    public = Subspace(got.ambient_dim, got.sparse, got.piece, got.field)
+    """`got` against the public constructor of the side it holds,
+    `Subspace(...)` or `Subspace.by_perp(...)`, and against its pickled copy
+    (taken before the other side is made): equal, with equal hash and repr,
+    the tag kept, fields frozen.  Once both sides are read, each holds the
+    same fields."""
+    if got.held_by_perp:
+        public = Subspace.by_perp(got.ambient_dim, got.perp, got.piece, got.field)
+    else:
+        public = Subspace(got.ambient_dim, got.sparse, got.piece, got.field)
     copy = pickle.loads(pickle.dumps(got))
     for other in (public, copy):
         assert other == got and hash(other) == hash(got) and repr(other) == repr(got)
         assert other.piece == got.piece and other.field == got.field
+    for sub in (got, public, copy):
+        assert (sub.sparse, sub.perp) == (got.sparse, got.perp)
+    for other in (public, copy):
         assert vars(other) == vars(got)
     with pytest.raises(dataclasses.FrozenInstanceError):
         got.sparse = ()
@@ -147,9 +156,9 @@ class TestIdeals:
     def test_tagged(self, field):
         ring_v = veronese_ring(2)
         sub = Subspace.from_rows(3, rows_for(field, random.Random(3), 2, 3), field=field)
-        got = _tagged(sub, ring_v, 2)
+        got = sub.tagged((ring_v, 2))
         assert got.piece == (ring_v, 2) and got == sub and got.sparse is sub.sparse
         same_as_public(got)
-        assert _tagged(got, ring_v, 2) is got
-        assert _tagged(got, ring_v, 1).piece == (ring_v, 1)
+        assert got.tagged((ring_v, 2)) is got
+        assert got.tagged((ring_v, 1)).piece == (ring_v, 1)
         assert dim_piece(ring_v, 2) == got.ambient_dim

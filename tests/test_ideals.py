@@ -421,31 +421,26 @@ class TestPointIdeal:
                 assert hilbert_function(j, u) == generic_hf(r, ring, u)
 
     @pytest.mark.parametrize("field", [QQ, GF], ids=repr)
-    @pytest.mark.parametrize("n, d, r, bound, count", [(3, 3, 5, 4, 8), (2, 4, 3, 4, 5)])
+    @pytest.mark.parametrize("n, d, r, bound", [(3, 3, 5, 4), (2, 4, 3, 4)])
     def test_diagonal_points_reduce_each_distinct_matrix_once(self, eliminations, field,
-                                                              n, d, r, bound, count):
+                                                              n, d, r, bound):
         # diagonal points have one factor class, so the call reduces the
-        # evaluation matrix of the collapsed points once per total degree, on
-        # dim V_k columns, and then pulls each kernel back along the fibres:
-        # 15 pairs (|u|, fibre order) for n = 3, all but 3 of them served by
-        # a kernel already made, and 5 for n = 2, where every order is the
-        # identity, against 35 and 70 degrees
+        # evaluation rows of the collapsed points once per total degree, on
+        # dim V_k columns, and then pulls each span back along the pi-fibres,
+        # whose sections increase, with no elimination: 5 against 35 and 70
+        # degrees, and no kernel in any fibre order
         z = very_general_points(veronese_ring(n), r, bound, random.Random(21))
         zs = diagonal_points(PointSet(z.ring, z.points, field=field), d)
         eliminations.clear()
         j = point_ideal(zs, bound)
-        assert len(eliminations) == count < len(j.degrees())
+        assert len(eliminations) == bound + 1 < len(j.degrees())
         assert all(j.pieces[u].piece == (zs.ring, u) for u in j.degrees())
         dims = [dim_piece(veronese_ring(n), k) for k in range(bound + 1)]
-        assert eliminations[:bound + 1] == [(r, dim) for dim in dims]
-        # a reordered kernel is the kernel of its codim constraint rows, on
-        # the same columns, and no matrix is reduced twice
-        assert all((min(r, ncols), ncols) in eliminations[:bound + 1]
-                   for _, ncols in eliminations[bound + 1:])
-        assert len({repr(rows) for rows in eliminations.rows}) == count
+        assert eliminations == [(r, dim) for dim in dims]
+        assert len({repr(rows) for rows in eliminations.rows}) == bound + 1
 
     @pytest.mark.parametrize("field", [QQ, GF], ids=repr)
-    def test_one_call_never_reduces_a_matrix_twice(self, field, monkeypatch):
+    def test_one_call_never_reduces_a_matrix_twice(self, field, eliminations):
         cases = []
         for n, r, bound in ((2, 3, 4), (3, 5, 4), (4, 6, 3)):
             z = very_general_points(veronese_ring(n), r, bound, random.Random(40 + n))
@@ -454,16 +449,11 @@ class TestPointIdeal:
         # a Segre point set whose factor 0 repeats as factor 2
         cases.append((PointSet(segre_ring(2, 3), tuple((p[0], p[1], p[0]) for p in z.points),
                                field=field), 3))
-        handed = []
-
-        def spy(ncols, rows, piece=None, field=QQ):
-            handed.append((ncols, tuple(tuple(row) for row in rows)))
-            return kernel(ncols, rows, piece, field)
-
-        monkeypatch.setattr(ideals, "kernel", spy)
         for zs, bound in cases:
-            handed.clear()
+            eliminations.clear()
             j = point_ideal(zs, bound)
+            handed = [(ncols, repr(rows)) for (_, ncols), rows in zip(eliminations,
+                                                                     eliminations.rows)]
             assert handed and len(set(handed)) == len(handed)
             assert len(handed) < len(j.degrees())
             want = point_ideal_reference(zs, bound)
@@ -521,9 +511,9 @@ class TestPointIdeal:
         # over GF(p) the factors p, 2p and -p/3 have different residues, so
         # there are three classes and each of the 20 degrees is reduced; over
         # Q the first two are one class, so the 10 class degrees of
-        # segre_ring(3, 2) up to 3 are reduced, and one order of a kernel's
-        # columns that no kernel made so far serves costs one more: 11
-        for field, count in ((GF, 20), (QQ, 11)):
+        # segre_ring(3, 2) up to 3 are reduced, and each is pulled back from
+        # its annihilator with no elimination: 10
+        for field, count in ((GF, 20), (QQ, 10)):
             points = scaled_factor_points(field)
             eliminations.clear()
             j = point_ideal(points, 3)
@@ -777,9 +767,10 @@ class TestPullback:
                     assert fib.section == fib.top == fib.order == fib.at == fib.f
 
     def test_fibre_tables_hold_their_pullback_orders(self):
-        """Each table's `top`, `order` and `at`, made once with it, are the
-        last column of each fibre, the targets sorted by it and their
-        positions there, for pi and for every merge of factor classes."""
+        """Each table's `top`, `order`, `at` and `rising`, made once with it,
+        are the last column of each fibre, the targets sorted by it, their
+        positions there and whether `section` increases, for pi and for
+        every merge of factor classes."""
         for n in (1, 2, 3):
             for d in range(1, 4):
                 for classes in class_patterns(d):
@@ -791,6 +782,10 @@ class TestPullback:
                         assert fib.section == tuple(fib.f.index(t) for t in targets)
                         assert fib.order == tuple(sorted(targets, key=fib.top.__getitem__))
                         assert all(fib.order[fib.at[t]] == t for t in targets)
+                        # a pi-fibre table (one class) always rises: its
+                        # annihilator rows pull back with no elimination
+                        assert fib.rising == (list(fib.section) == sorted(fib.section))
+                        assert fib.rising or any(classes)
 
     def test_merge_table_multiplies_within_each_class(self):
         for n in (2, 3):

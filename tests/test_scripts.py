@@ -2,6 +2,7 @@
 a guard against dead public functions in the package."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -29,6 +30,25 @@ def test_script_runs(args, summary):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().splitlines()[-1] == summary
+
+
+def test_frontier_records_the_peak_rss_after_each_stage(tmp_path):
+    """Each instance of `frontier.py --out` holds the peak RSS after each
+    stage, from before F to the certificate: `ru_maxrss` never falls, and the
+    last is the reported peak."""
+    out = tmp_path / "frontier.json"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "frontier.py"), "--shapes", "3,3",
+         "--wall", "20", "--out", str(out)],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    (row,) = json.loads(out.read_text(encoding="utf-8"))["instances"]
+    rss = row["rss_mb_after"]
+    assert list(rss) == ["start", "tensor", "point_ideal", "upsilon", "certificate"]
+    assert list(rss.values()) == sorted(rss.values()) and rss["start"] > 0
+    assert row["peak_rss_mb"] == rss["certificate"]
 
 
 def _used_names(path: Path) -> set:
@@ -187,6 +207,7 @@ DEGREE_BOUNDARY = {
     "grading.PieceElement.__post_init__", "grading.PieceElement.from_terms",
     "apolarity.ann_piece", "apolarity.ann_sym_piece", "bounds.min_generators_sym_in_degree",
     "diagonal_maps.psi", "diagonal_maps.ir_piece",
+    "diagonal_maps.pi_image", "diagonal_maps.psi_image",
     "ideals.expand", "ideals.hilbert_function", "ideals.generic_hf",
     "ideals.is_saturated_degreewise", "ideals.min_generators_in_degree",
     # `piece`, `piece_dim` and `pi_image` check through `_checked`
@@ -510,6 +531,8 @@ INSTANCE_MEMOS = [
     "ideals.PointSet._integers",        # the points on integer coordinates
     "linalg.Subspace._orders",          # the RREF rows per column order asked
     "linalg.Subspace._row_at",          # the stored rows by pivot
+    "linalg.Subspace.perp",             # the annihilator's RREF, made from the basis
+    "linalg.Subspace.sparse",           # the basis's RREF, made from the annihilator
     "transfer.Certificate.inputs_digest",  # the digest of the inputs
 ]
 

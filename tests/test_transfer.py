@@ -17,7 +17,6 @@ from borderapolar.apolarity import (
 from borderapolar.diagonal_maps import (
     ir_generators,
     ir_piece,
-    pi_fibres,
     psi_image,
 )
 from borderapolar.grading import dim_piece, ones, segre_ring, veronese_ring
@@ -45,8 +44,8 @@ from borderapolar.transfer import (
     slip_label,
     upsilon,
 )
-from support import (contains_diagonal_ideal, diagonal_tensor, fibre_order, mat_vec,
-                     pi_matrix_reference, power_of_form, sparse_rows)
+from support import (contains_diagonal_ideal, diagonal_tensor, mat_vec, pi_matrix_reference,
+                     power_of_form, sparse_rows)
 
 
 V2 = veronese_ring(2)
@@ -283,8 +282,12 @@ class TestEliminationCount:
 
     @pytest.fixture
     def lifted(self, kept):
-        """The same ideal with every piece stored."""
-        return TruncatedIdeal(kept.ring, kept.bound, dict(kept.pieces), kept.provenance)
+        """The same ideal with every piece stored by its basis, as an ideal
+        file gives it: a kept piece holds its annihilator, and would make its
+        basis when a pi-image first reads it."""
+        pieces = {u: Subspace(p.ambient_dim, p.sparse, p.piece, p.field)
+                  for u, p in kept.pieces.items()}
+        return TruncatedIdeal(kept.ring, kept.bound, pieces, kept.provenance)
 
     def test_sigma_eliminates_once_per_piece(self, eliminations, lifted):
         """One elimination per nonzero piece, of the rows whose pi-image is
@@ -303,28 +306,28 @@ class TestEliminationCount:
     @pytest.mark.parametrize("field", [QQ, PrimeField(2147483647)], ids=repr)
     @pytest.mark.parametrize("n, r, count", [(2, 3, 0), (3, 4, 2)])
     def test_upsilon_reduces_once_per_fibre_order(self, eliminations, field, n, r, count):
-        """upsilon itself eliminates nothing; reading its pieces reduces W = I_k
-        only for a fibre order among the degrees of total k that neither W's
-        own rows nor a reduction made earlier serve, never in the identity
-        order (every order when n = 2) and never when W = 0.  Each reduction
-        is the kernel of W's codim W constraint rows with their columns in
-        the fibre order, on dim V_k columns, and each is made once: reading
-        every piece again reduces nothing."""
+        """upsilon itself eliminates nothing, and neither does reading its
+        pieces: each holds W = I_k's annihilator pulled back.  The digest
+        reads their bases, written from W's: it makes W's basis once for
+        each k with W != 0, and reduces W only for a fibre order among the
+        degrees of total k that neither W's own rows nor a reduction made
+        earlier serve, never in the identity order (every order when n = 2).
+        Each reduction is the kernel of W's codim W annihilator rows, in the
+        stored order or with their columns in the fibre order, on dim V_k
+        columns, and each is made once: digesting again reduces nothing."""
         z = very_general_points(veronese_ring(n), r, 4, random.Random(36))
         ideal = point_ideal(PointSet(z.ring, z.points, field=field), 4)
         eliminations.clear()
         lifted = upsilon(ideal, 3, 4)
+        for u in lifted.degrees():
+            lifted.piece(u)
         assert eliminations == []
-        for u in lifted.degrees():
-            lifted.piece(u)
-        orders = {(sum(u), fibre_order(n, 3, u)) for u in lifted.degrees()}
-        shapes = {(ideal.piece(k).codim, dim_piece(veronese_ring(n), k)) for k, order in orders
-                  if order != tuple(range(len(order))) and ideal.piece(k).dim}
+        transfer.ideal_digest(lifted)
+        nonzero = [k for k in range(5) if ideal.piece(k).dim]
+        shapes = {(ideal.piece(k).codim, dim_piece(veronese_ring(n), k)) for k in nonzero}
         assert set(eliminations) <= shapes
-        assert len(eliminations) == count
+        assert len(eliminations) == len(nonzero) + count
         eliminations.clear()
-        for u in lifted.degrees():
-            lifted.piece(u)
         transfer.ideal_digest(lifted)
         assert eliminations == []
 
@@ -365,13 +368,13 @@ class TestEliminationCount:
     @pytest.mark.parametrize("field", [QQ, PrimeField(2147483647)], ids=repr)
     def test_one_round_trip_is_pinned(self, eliminations, field):
         """One (n, d, bound, r) = (3, 3, 3, 4) round trip, as the transport
-        benchmark runs it, makes nine eliminations, each pinned by its shape:
-        the point ideal's four evaluation kernels (r rows on dim V_k columns),
-        none in upsilon, rho or sigma, and the diagonal-points ideal's four
-        again with one reordering at k = 3: the kernel of the collapsed
-        piece's own codim = r constraint rows, which equal I_3's, with their
-        columns in a fibre order.  So no change to the bookkeeping around them
-        can add an elimination unnoticed."""
+        benchmark runs it, makes eight eliminations, each pinned by its shape:
+        the point ideal's four spans of evaluation rows (r rows on dim V_k
+        columns), none in upsilon, rho or sigma, and the diagonal-points
+        ideal's four again, pulled back along the pi-fibres with no
+        reordering.  Every piece holds its annihilator and no basis is made.
+        So no change to the bookkeeping around them can add an elimination
+        unnoticed."""
         z = very_general_points(V3, 4, 3, random.Random(42))
         z = PointSet(z.ring, z.points, field=field)
         evaluations = [(4, dim_piece(V3, k)) for k in range(4)]
@@ -383,12 +386,12 @@ class TestEliminationCount:
         back, twisted = rho_ideal(lifted), sigma(lifted)
         assert eliminations == []
         diag = point_ideal(diagonal_points(z, 3), 3, provenance="diagonal-points")
-        assert eliminations == evaluations + [(4, 10)]
-        moved = [[sorted((fib.at[m], x) for m, x in row) for row in i.pieces[3].constraints()]
-                 for fib in (pi_fibres(3, 3, u) for u in lifted.degrees() if sum(u) == 3)]
-        assert eliminations.rows[-1] in moved
+        assert eliminations == evaluations
         assert dict(back.pieces) == dict(twisted.pieces) == dict(i.pieces)
         assert all(diag.pieces[u] == lifted.pieces[u] for u in diag.degrees())
+        assert eliminations == evaluations
+        assert all(j.pieces[u].held_by_perp and "sparse" not in vars(j.pieces[u])
+                   for j in (i, diag) for u in j.degrees())
 
 
 class TestConditionChecks:

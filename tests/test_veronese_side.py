@@ -331,12 +331,14 @@ def test_apolarity_stage_tests_each_distinct_pair_once(monkeypatch, n, d):
 
 
 def test_pipeline_builds_no_segre_piece(monkeypatch):
-    """upsilon -> comon_certificate reads W alone: the lazy builder never runs
-    unless the digest or a piece is read."""
+    """upsilon -> comon_certificate reads W alone: the lazy builders, of a
+    piece and of the basis rows a digest reads, never run unless the digest
+    or a piece is read."""
     def unreachable(*args):
         raise AssertionError("a Segre piece was built")
 
     monkeypatch.setattr(ideals._Preimages, "__getitem__", unreachable)
+    monkeypatch.setattr(ideals, "preimage_rows", unreachable)
     for n, d in ((2, 3), (3, 3), (4, 3), (3, 4)):
         j = upsilon(point_ideal(coordinate_points(n), d + 1), d, d + 1)
         cert = comon_certificate(diagonal_tensor(n, d), n, j)
@@ -391,8 +393,10 @@ class TestEliminationCount:
     patching `linalg.rref_with_pivots`.  upsilon makes none; the verdict-only
     certificate makes one Veronese annihilator per total degree up to d
     (conciseness reads Ann(p_F)_1, so no flattening is reduced) and one colon
-    per testable total degree; reading the digest adds W's reduction once per
-    fibre order that neither W's own rows nor an earlier reduction serve."""
+    per testable total degree, and no basis of W; reading the digest makes
+    W's basis once per total degree where W != 0 and adds W's reduction once
+    per fibre order that neither W's own rows nor an earlier reduction
+    serve."""
 
     @pytest.mark.parametrize("n, d, r, cert_shapes", [
         (3, 3, 4, [(1, 10), (3, 6), (6, 3), (10, 1), (40, 1), (40, 3)]),
@@ -421,7 +425,8 @@ class TestEliminationCount:
         assert sorted(eliminations) == cert_shapes
         eliminations.clear()
         cert.inputs_digest
-        assert len(eliminations) == {3: 2, 4: 5}[n] and digested == [f]
+        # W_k != 0 for k = 2, 3, 4, as r = 4 <= dim V_2, and 2 or 5 reorders
+        assert len(eliminations) == {3: 3 + 2, 4: 3 + 5}[n] and digested == [f]
 
     @pytest.mark.parametrize("n, d", [(2, 3), (3, 3), (4, 3), (3, 4)])
     def test_is_concise_reduces_one_flattening(self, eliminations, n, d):
@@ -433,16 +438,21 @@ class TestEliminationCount:
         assert eliminations == [(n, n ** (d - 1))]
 
     @pytest.mark.parametrize("n, d, r, shapes", [
-        (3, 3, 4, [(1, 10), (3, 6), (3, 6), (3, 6), (3, 6), (6, 3), (6, 10),
-                   (10, 1), (17, 10), (108, 1), (108, 3), (108, 3), (108, 3)]),
-        (4, 3, 4, [(1, 20), (4, 10), (9, 10), (9, 10), (9, 10), (10, 4), (16, 20),
-                   (20, 1), (54, 20), (256, 1), (256, 4), (256, 4), (256, 4)]),
+        (3, 3, 4, [(1, 10), (3, 6), (3, 6), (3, 6), (3, 6), (4, 6), (4, 10), (4, 10),
+                   (6, 3), (6, 10), (10, 1), (17, 10), (108, 1), (108, 3), (108, 3),
+                   (108, 3)]),
+        (4, 3, 4, [(1, 20), (4, 10), (4, 10), (4, 10), (4, 20), (4, 20), (9, 10), (9, 10),
+                   (9, 10), (10, 4), (16, 20), (20, 1), (54, 20), (256, 1), (256, 4),
+                   (256, 4), (256, 4)]),
     ])
     def test_stored_copy_counts(self, eliminations, n, d, r, shapes):
         """On the stored copy: one Veronese annihilator per total degree up to d,
         one pi-image per nonzero piece read (each made once, for apolarity and
         pi-containment together; rho(J) is not built), and one colon per
-        testable degree."""
+        testable degree.  The copy's pieces hold their annihilators, so the
+        first pi-image read at a total degree k >= 2 makes W_k's basis (r rows
+        on dim V_k columns), and W_k is reduced once more per fibre order
+        among the pieces read that its rows do not serve."""
         z = very_general_points(veronese_ring(n), r, d + 1, random.Random(7))
         f = sum_of_powers_tensor(n, d, z.points)
         kept = upsilon(point_ideal(z, d + 1), d, d + 1)
