@@ -41,6 +41,7 @@ from .diagonal_maps import (
     ir_piece,
     pi,
     psi,
+    psi_image,
     rho,
     tau,
 )

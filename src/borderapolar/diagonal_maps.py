@@ -276,18 +276,21 @@ def pi_image(n: int, d: int, u: tuple, sub: Subspace) -> Subspace:
 
 def psi_image(n: int, d: int, u: tuple, field=QQ) -> Subspace:
     """psi_u(V_{|u|}) as a subspace of S_u: the unit rows at the section's
-    columns.  The degree is read as `ir_piece` reads it, and tags the piece."""
-    u = check_degree(segre_ring(n, d), u)
+    columns.  The degree is read as `ir_piece` reads it."""
+    return _psi_image(n, d, check_degree(segre_ring(n, d), u), field)
+
+
+def _psi_image(n: int, d: int, u: tuple, field=QQ) -> Subspace:
+    """`psi_image` at a degree already checked."""
     fib = pi_fibres(n, d, u)
     rows = tuple(((s, 1),) for s in sorted(set(fib.section)))
-    return Subspace(len(fib.f), rows, (segre_ring(n, d), u), field)
+    return Subspace(len(fib.f), rows, None, field)
 
 
 def direct_sum_check(n: int, d: int, u) -> bool:
     """(I_R)_u and psi_u(V_{|u|}) meet trivially and fill S_u."""
-    b = psi_image(n, d, u)  # checks the degree, which its piece tag holds as checked
-    fib = pi_fibres(n, d, b.piece[1])
-    a = pullback(Subspace.zero(len(fib.section)), fib, b.piece)
+    a = ir_piece(n, d, u)  # checks the degree, which its piece tag holds as checked
+    b = _psi_image(n, d, a.piece[1])
     return a.intersect(b).dim == 0 and a.dim + b.dim == a.ambient_dim
 
 

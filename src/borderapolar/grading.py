@@ -30,7 +30,7 @@ from functools import lru_cache
 from operator import add
 from types import MappingProxyType
 
-from .linalg import QQ, Subspace, kernel
+from .linalg import QQ, RowSource, Subspace, kernel
 
 
 class RingKind(Enum):
@@ -301,13 +301,21 @@ def _product_map(ring: RingSpec, u, v) -> tuple:
     return tuple(x for row in table for x in row)
 
 
-def contractions(ring: RingSpec, u, v, functionals) -> list:
+def contractions(ring: RingSpec, u, v, functionals) -> RowSource:
     """Each sparse-row functional phi on S_{u+v} contracted by each monomial m
-    of S_v, m first: the sparse row t -> phi(t * m) on S_u, empty ones kept."""
+    of S_v, m first: the sparse row t -> phi(t * m) on S_u, empty ones kept.
+    A row is made when it is read, so an elimination that reaches full
+    column rank makes none of the rest."""
     table, dim_v = _product_map(ring, u, v), _dim_piece(ring, v)
     phis = [dict(phi) for phi in functionals]
-    return [[(t, phi[c]) for t, c in enumerate(table[m::dim_v]) if c in phi]
-            for m in range(dim_v) for phi in phis]
+
+    def rows():
+        for m in range(dim_v):
+            column = table[m::dim_v]
+            for phi in phis:
+                yield [(t, phi[c]) for t, c in enumerate(column) if c in phi]
+
+    return RowSource(dim_v * len(phis), rows)
 
 
 def full_piece(ring: RingSpec, u, piece=None, field=QQ) -> Subspace:

@@ -70,14 +70,7 @@ from .grading import (
     segre_ring,
     veronese_ring,
 )
-from .diagonal_maps import (
-    fibre_table,
-    pi_fibres,
-    pi_image,
-    preimage_rows,
-    product_fibres,
-    pullback,
-)
+from .diagonal_maps import fibre_table, pi_fibres, pi_image, product_fibres, pullback
 from .linalg import QQ, IntRows, Subspace, kernel, rank
 
 
@@ -341,16 +334,6 @@ class TruncatedIdeal:
             return self.pieces[u].dim
         w = self.veronese[degree_total(u)]
         return _dim_piece(self.ring, u) - w.ambient_dim + w.dim
-
-    def _basis_rows(self, u) -> tuple:
-        """The stored basis rows of J_u, at a listed degree.  On an ideal kept
-        by its Veronese pieces they are written from W_|u|'s basis, made once
-        per W, and no annihilator is pulled back: a digest reads every piece
-        this way."""
-        if self.veronese is None:
-            return self.pieces[u].sparse
-        return preimage_rows(self.veronese[degree_total(u)],
-                             pi_fibres(self.ring.n, self.ring.d, u))
 
     def pi_image(self, u) -> Subspace:
         """pi(J_u) inside V_|u|: W_|u| on an ideal kept by its Veronese pieces,

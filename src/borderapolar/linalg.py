@@ -4,7 +4,8 @@ Vectors are rows, held sparsely as the (column, value) pairs of their nonzero
 entries; dense rows are built only on demand, for dumps and tests.  Elimination
 takes a column count and any iterable of such rows, refusing a column that is
 not an int inside that count or that a row names twice (or an `IntRows` of
-dense integer rows, read as they are), and returns a Subspace
+dense integer rows, or a `RowSource` whose rows are made as they are read,
+both read as they are), and returns a Subspace
 (`Subspace.from_rows`, `kernel`) or a number (`rank`); these three are its
 only entry points.  Each eliminates the rows as given, so a caller whose
 system is tall writes it on its short side (the degree-one count in `bounds`
@@ -371,6 +372,25 @@ class IntRows(list):
     __slots__ = ()
 
 
+class RowSource:
+    """`count` sparse rows made as elimination reads them: each read calls
+    `make()` for a fresh iterator over them, so a recorder may read them
+    too.  Each row is a list of (column, value) pairs with distinct columns
+    in range, which elimination reads with no check; elimination stops at
+    full column rank, and no row past it is made."""
+
+    __slots__ = ("count", "make")
+
+    def __init__(self, count: int, make):
+        self.count, self.make = count, make
+
+    def __len__(self):
+        return self.count
+
+    def __iter__(self):
+        return self.make()
+
+
 class Matrix:
     """What `rref_with_pivots` reads: `ncols` columns and the rows `given`.
 
@@ -417,9 +437,9 @@ def _in_range(ncols: int, rows) -> list:
     the end or a float fails to index the marks, and a negative one is tested.
     A row that is neither a list nor a tuple, such as a one-shot iterator, is
     made a list first, so that elimination reads the entries this pass read.
-    An `IntRows` is returned as it is.
+    An `IntRows` or a `RowSource` is returned as it is.
     """
-    if type(rows) is IntRows:
+    if type(rows) is IntRows or type(rows) is RowSource:
         return rows
     rows = list(rows)
     seen = [-1] * ncols

@@ -141,13 +141,13 @@ def ideal_digest(j: TruncatedIdeal) -> str:
     row at a time, with each entry's text written by the field (`reprs`)
     without making the element, and each run of zeros written as one repeated
     string.  A piece held by its annihilator makes its basis as it is read.
-    An ideal kept by its Veronese pieces writes each piece's basis from
-    W_|u|'s, made once per W, and keeps none (`TruncatedIdeal._basis_rows`).
+    An ideal kept by its Veronese pieces builds each piece as it is read, and
+    keeps none; its basis is written from W_|u|'s, made once per W.
     """
     zero, reprs = f"{j.field.zero!r}, ".encode(), j.field.reprs
 
     def piece(u):
-        n, rows = _dim_piece(j.ring, u), j._basis_rows(u)
+        n, rows = _dim_piece(j.ring, u), j.pieces[u].sparse
         yield f"({u!r}, (".encode()
         for r, row in enumerate(rows):
             parts = [b", (" if r else b"("]

@@ -154,10 +154,34 @@ class TestColon:
             assert got == want and got.field == want.field == field, (ring, u, v)
             assert repr(got.sparse) == repr(want.sparse), (ring, u, v)
             rows = colon_rows_reference(ring, u, v, upper)
-            assert stacked == ([rows] if rows else []), (ring, u, v)
+            assert [list(s) for s in stacked] == ([rows] if rows else []), (ring, u, v)
         full = Subspace.full(dim_piece(V3, 3), field=field)
         assert colon(V3, 1, 2, full.constraints(), field=field) == Subspace.full(
             dim_piece(V3, 1), field=field)
+
+    @pytest.mark.parametrize("field", [QQ, GF], ids=repr)
+    def test_makes_no_row_past_full_column_rank(self, monkeypatch, field):
+        """The contraction rows are made as elimination reads them: once the
+        rows made have full column rank, no later row is made.  Here
+        (W_4 : V_3)_1 = W_1 = 0 at four points of P^2, from 3 of 40 rows."""
+        made, real = [], grading.RowSource
+
+        def counting(count, make):
+            def rows():
+                for row in make():
+                    made.append(row)
+                    yield row
+            return real(count, rows)
+
+        monkeypatch.setattr(grading, "RowSource", counting)
+        z = very_general_points(V3, 4, 4, random.Random(3))
+        upper = point_ideal(PointSet(V3, z.points, field=field), 4).pieces[4]
+        got = colon(V3, 1, 3, upper.constraints(), field=field)
+        assert got == Subspace.zero(3, field=field)
+        rows = colon_rows_reference(V3, 1, 3, upper)
+        assert len(rows) == 40 and made == rows[:len(made)]
+        assert len(made) == next(i for i in range(len(rows) + 1)
+                                 if linalg.rank(3, rows[:i], field) == 3) == 3
 
 
 class TestFieldFromPieces:
