@@ -13,9 +13,11 @@ through one contraction map: at a 0/1 degree u, each entry lands in the row
 named by its indices off u and the column of its indices on u, in one pass
 over the entries.  `ann_piece` is its kernel, `slice_spans` its row spans at
 the degrees 1 - e_i, and `contract_tensor` applies an element of S_u to it.  A
-form is a functional on V_d, and its catalecticant rows are its
-`grading.contractions`: `ann_sym_piece` is their `grading.colon` and
-`contract_poly` pairs an element of V_k with them.
+form is a functional on V_d, and its catalecticant Cat_k is that functional's
+`grading.contractions` by the monomials of V_{d-k}.  `_catalecticant` is the
+one writer of those rows, as integers: `ann_sym_piece` is their `kernel`, and
+the sharpness checks in `bounds` read them.  `contract_poly` pairs an element
+of V_k with the exact functional (`_functional`).
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from .grading import (
     PieceElement,
     RingKind,
     check_degree,
-    colon,
     contractions,
     full_piece,
     integer,
@@ -317,19 +318,34 @@ def _gamma_weights(n: int, d: int) -> tuple:
 
 
 def _functional(p: HomPoly) -> list:
-    """p as a sparse row on V_d, a_gamma * gamma! at gamma: the catalecticant's entries."""
+    """p as a sparse row on V_d of field elements, a_gamma * gamma! at gamma."""
     get = p.terms.get
     return [(c, x * w) for c, (m, w) in enumerate(_gamma_weights(p.n, p.d)) if (x := get(m))]
 
 
+def _catalecticant(p: HomPoly, k: int):
+    """Cat_k of p at a checked degree k: integer rows on V_k, made as they are
+    read, one per monomial mu of V_{d-k}: p's coefficients made integers, times
+    gamma!, contracted by mu.  Row mu is mu! times Cat_k's row times one positive
+    scale (1 over GF(p)), so they cut out Ann(p)_k; above d there is none."""
+    if k > p.d:
+        return []
+    field, get, weights = p.field, p.terms.get, _gamma_weights(p.n, p.d)
+    # p's coefficients as integers, then times their gamma!: no field element
+    coeffs = field.to_ints([(c, a) for c, (m, _) in enumerate(weights) if (a := get(m))],
+                           len(weights))
+    ints = field.normalize([a * w for a, (_, w) in zip(coeffs, weights)])
+    return contractions(veronese_ring(p.n), k, p.d - k, [[(c, x) for c, x in enumerate(ints) if x]])
+
+
 def ann_sym_piece(p: HomPoly, k: int) -> Subspace:
     """Degree-k piece of the apolar ideal of a form, (p^perp : V_{d-k})_k: the
-    catalecticant kernel, which the rows' mu! scales leave alone."""
+    kernel of Cat_k on the C(n + k - 1, k) monomials of V_k."""
     ring = veronese_ring(p.n)
     k = check_degree(ring, k)
     if k > p.d:
         return full_piece(ring, k, (ring, k), p.field)
-    return colon(ring, k, p.d - k, [_functional(p)], (ring, k), p.field)
+    return kernel(math.comb(p.n + k - 1, k), _catalecticant(p, k), (ring, k), p.field)
 
 
 # -- flattenings ------------------------------------------------------------------

@@ -25,10 +25,12 @@ P^perp that are constant on every pi-fibre.  The form side's generators are
 counted the same way: Ann(p_F)_{k-1}^perp is the row span of the
 catalecticant Cat_{k-1}, so one step from below in n rank Cat_{k-1}
 unknowns and the rank of Cat_k give the count, and no piece of Ann(p_F) is
-built (`min_generators_sym_in_degree`).  The systems these checks write,
-the degree-one count, the compatibility equations and the fibre equations
-here and a `SymTensor`'s flattening in `apolarity`, reach `rank` and
-`kernel` as dense integer rows (`linalg.IntRows`), each normalized once.
+built (`min_generators_sym_in_degree`).  Every Cat_k here is read from
+`apolarity._catalecticant`, whose kernel `ann_sym_piece` takes, so p's
+coefficients become catalecticant rows in one place.  The systems these
+checks write, the degree-one count, the compatibility equations and the fibre
+equations here and a `SymTensor`'s flattening in `apolarity`, reach `rank`
+and `kernel` as dense integer rows (`linalg.IntRows`), each normalized once.
 
 Nothing computed for F outlives a check.  The index maps that depend on
 the shape alone are read from tables built once per shape: the degree-one
@@ -43,15 +45,9 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
-from .apolarity import (
-    SymTensor,
-    _gamma_weights,
-    ann_piece,
-    depolarize,
-    slice_spans,
-)
+from .apolarity import SymTensor, _catalecticant, ann_piece, depolarize, slice_spans
 from .diagonal_maps import pi_fibres, proper_unit_box_degrees
-from .grading import _dim_piece, check_degree, contractions, segre_ring, veronese_ring
+from .grading import _dim_piece, check_degree, segre_ring, veronese_ring
 from .ideals import annihilator_from_below
 from .linalg import IntRows, Subspace, rank
 from .transfer import Certificate, tensor_digest
@@ -287,22 +283,6 @@ def is_111_sharp(f) -> Certificate:
 
 
 # -- supporting identity checks ------------------------------------------------------
-
-def _catalecticant(p, k: int) -> list:
-    """Cat_k of p as integer rows on V_k, one per monomial of V_{d-k}: p's
-    functional (`apolarity._functional`), scaled to integers, contracted by
-    that monomial.  They cut out Ann(p)_k; Cat_d is the functional itself,
-    and above d there is none."""
-    if k > p.d:
-        return []
-    ring, field, get = veronese_ring(p.n), p.field, p.terms.get
-    weights = _gamma_weights(p.n, p.d)
-    # p's coefficients as integers, then times their gamma!: no field element
-    coeffs = field.to_ints([(c, a) for c, (m, _) in enumerate(weights) if (a := get(m))],
-                           len(weights))
-    ints = field.normalize([a * w for a, (_, w) in zip(coeffs, weights)])
-    return contractions(ring, k, p.d - k, [[(c, x) for c, x in enumerate(ints) if x]])
-
 
 def _pulled_back(fib, row) -> list:
     """A functional on V_|u| read on S_u along pi: column c takes its entry at fib.f[c]."""

@@ -677,13 +677,13 @@ def contract_tensor_reference(theta: PieceElement, f: GeneralTensor) -> GeneralT
     return GeneralTensor(f.n, len(remaining), out, field=f.field, factors=remaining)
 
 
-def ann_sym_piece_reference(p: HomPoly, k: int) -> Subspace:
-    """`apolarity.ann_sym_piece` by a lookup of every (mu, delta) pair of
-    V_{d-k} x V_k, each entry a_gamma times the falling factorial gamma!/mu!."""
+def catalecticant_reference(p: HomPoly, k: int) -> list:
+    """Cat_k of p by a lookup of every (mu, delta) pair of V_{d-k} x V_k: row
+    mu has a_gamma times the falling factorial gamma!/mu! at delta, gamma =
+    mu + delta, in field elements; there is no row above d."""
     ring = veronese_ring(p.n)
-    dim, tag = dim_piece(ring, k), (ring, k)
     if k > p.d:
-        return Subspace.full(dim, piece=tag, field=p.field)
+        return []
     rows = []
     for mu in monomials(ring, p.d - k):
         row = []
@@ -696,7 +696,16 @@ def ann_sym_piece_reference(p: HomPoly, k: int) -> Subspace:
                     fall *= math.factorial(gj) // math.factorial(gj - dj)
                 row.append((c, a * fall))
         rows.append(row)
-    return kernel(dim, rows, tag, p.field)
+    return rows
+
+
+def ann_sym_piece_reference(p: HomPoly, k: int) -> Subspace:
+    """`apolarity.ann_sym_piece` as the kernel of `catalecticant_reference`."""
+    ring = veronese_ring(p.n)
+    dim, tag = dim_piece(ring, k), (ring, k)
+    if k > p.d:
+        return Subspace.full(dim, piece=tag, field=p.field)
+    return kernel(dim, catalecticant_reference(p, k), tag, p.field)
 
 
 def contract_poly_reference(g: PieceElement, p: HomPoly) -> HomPoly:

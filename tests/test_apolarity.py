@@ -12,6 +12,7 @@ from borderapolar.apolarity import (
     GeneralTensor,
     HomPoly,
     SymTensor,
+    _catalecticant,
     ann_piece,
     ann_sym_piece,
     contract_poly,
@@ -40,10 +41,10 @@ from borderapolar.grading import (
 from borderapolar.linalg import QQ, PrimeField, Subspace, kernel
 from borderapolar.selftest import random_forms
 from borderapolar.transfer import digest_of, tensor_digest
-from support import (ann_piece_reference, ann_sym_piece_reference, colon_reference,
-                     contract_poly_reference, contract_tensor_reference, depolarize_reference,
-                     diagonal_tensor, multiply, power_of_form, random_form,
-                     random_symmetric_tensor, slice_spans_reference, sparse_rows,
+from support import (ann_piece_reference, ann_sym_piece_reference, catalecticant_reference,
+                     colon_reference, contract_poly_reference, contract_tensor_reference,
+                     depolarize_reference, diagonal_tensor, multiply, power_of_form,
+                     random_form, random_symmetric_tensor, slice_spans_reference, sparse_rows,
                      sum_of_powers_tensor, symmetry_error_reference)
 
 
@@ -561,9 +562,10 @@ class TestAnnSymPiece:
 
 
 class TestCatalecticant:
-    """`ann_sym_piece` and `contract_poly` read the catalecticant through
-    `grading.contractions`; the references look up every (mu, delta) pair, or
-    compose the colon one variable step at a time."""
+    """`ann_sym_piece` reads the catalecticant from its one writer,
+    `_catalecticant`, and `contract_poly` through `grading.contractions`; the
+    references look up every (mu, delta) pair, or compose the colon one
+    variable step at a time."""
 
     @staticmethod
     def _forms(rng, field):
@@ -591,6 +593,29 @@ class TestCatalecticant:
                 assert repr(sorted(got.terms.items())) == repr(sorted(want.terms.items())), (
                     p.terms, g.coords)
 
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(2**31 - 1)], ids=["QQ", "GFp"])
+    def test_writer_is_the_pair_lookup_up_to_scale(self, field):
+        """Row mu of `_catalecticant` is mu! times row mu of the pair lookup,
+        all times one common positive scale, which is 1 over GF(p), and its
+        entries are ints."""
+        rng = random.Random(20)
+        for p in self._forms(rng, field):
+            ring = veronese_ring(p.n)
+            for k in range(p.d + 2):
+                got, want = list(_catalecticant(p, k)), catalecticant_reference(p, k)
+                if k > p.d:
+                    assert got == want == []
+                    continue
+                assert len(got) == len(want) == dim_piece(ring, p.d - k)
+                scales = set()
+                for mu, got_row, want_row in zip(monomials(ring, p.d - k), got, want):
+                    assert [c for c, _ in got_row] == [c for c, _ in want_row], (p.terms, k, mu)
+                    assert all(type(x) is int for _, x in got_row)
+                    w = math.prod(map(math.factorial, mu))
+                    scales |= {field.of(x) / (y * w) for (_, x), (_, y) in zip(got_row, want_row)}
+                assert len(scales) <= 1, (p.terms, k)
+                assert all(s > 0 for s in scales) if field is QQ else scales <= {field.one}
 
     @pytest.mark.parametrize("field", [QQ, PrimeField(2**31 - 1)], ids=["QQ", "GFp"])
     def test_is_the_colon_of_the_hyperplane(self, field):

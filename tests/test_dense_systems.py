@@ -20,12 +20,13 @@ from borderapolar.apolarity import (
     GeneralTensor,
     HomPoly,
     SymTensor,
+    _catalecticant,
     _contraction_rows,
     depolarize,
     polarize,
     slice_spans,
 )
-from borderapolar.bounds import _catalecticant, _image_dim, _slice_keys, min_generators_degree_one
+from borderapolar.bounds import _image_dim, _slice_keys, min_generators_degree_one
 from borderapolar.diagonal_maps import pi_fibres
 from borderapolar.grading import dim_piece, monomials, segre_ring, veronese_ring
 from borderapolar.ideals import _compatibility, annihilator_from_below, span_from_below

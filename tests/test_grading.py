@@ -180,18 +180,20 @@ class TestCheckDegree:
     @pytest.mark.parametrize("ring, call", [
         (segre_ring(2, 3), lambda f: ann_piece(f, [1, 0, 1])),
         (segre_ring(2, 3), lambda f: ann_piece(f, (2, 0, 1))),
+        (veronese_ring(2), lambda f: ann_sym_piece(HomPoly(2, 2, {(2, 0): 1}), 1.0)),
         (veronese_ring(2), lambda f: ann_sym_piece(HomPoly(2, 2, {(2, 0): 1}), 3.0)),
         (segre_ring(2, 3), lambda f: direct_sum_check(2, 3, [1, 1, 0])),
         (segre_ring(2, 2),
          lambda f: PieceElement.from_terms(segre_ring(2, 2), [1, 1], {((1, 0), (0, 1)): 3})),
         (segre_ring(2, 2), lambda f: psi([1, 1], PieceElement(veronese_ring(2), 2, (1, 0, 2)))),
-    ], ids=["ann_piece", "ann_piece-full", "ann_sym_piece-full", "direct_sum_check",
-            "from_terms", "psi"])
+    ], ids=["ann_piece", "ann_piece-full", "ann_sym_piece", "ann_sym_piece-full",
+            "direct_sum_check", "from_terms", "psi"])
     def test_an_export_checks_its_degree_once(self, ring, call, monkeypatch):
         """Each export below takes one degree on `ring` from its caller and
         runs `check_degree` on it once, whatever module the check is bound
-        in; checks on other rings (a monomial's factors, the form's degree)
-        are not counted."""
+        in; checks on other rings (a monomial's factors) are not counted.  The
+        call runs once first, so the shape tables are warm: a cold
+        `apolarity._gamma_weights` checks the form's degree on the same ring."""
         real, seen = grading.check_degree, []
 
         def counted(r, u):
@@ -199,6 +201,7 @@ class TestCheckDegree:
             return real(r, u)
 
         f = sum_of_powers_tensor(2, 3, [(1, 2), (3, -1)])
+        call(f)
         for module in (grading, apolarity, diagonal_maps):
             monkeypatch.setattr(module, "check_degree", counted)
         call(f)

@@ -301,6 +301,40 @@ def test_int_rows_are_built_where_pinned():
     assert sorted(producers) == INT_ROWS_PRODUCERS
 
 
+# Every function under src/ that calls `grading.contractions`, as
+# module.function: the colon, the one writer of catalecticant rows and the
+# exact pairing of a form with an element of V_k.  A new caller is added here
+# on purpose.
+CONTRACTION_CALLERS = [
+    "apolarity._catalecticant",  # Cat_k as integer rows, read by the kernels and checks
+    "apolarity.contract_poly",   # the exact functional, paired with an element
+    "grading.colon",             # (H : S_v)_u for any functionals
+]
+
+
+def test_catalecticant_rows_have_one_writer():
+    """A form's catalecticant rows are written by `apolarity._catalecticant`
+    alone: no module but `apolarity` reads `_functional` or `_gamma_weights`
+    (by import, by name or through the module), none but `apolarity` and
+    `grading` names `contractions`, and the functions that call it are
+    exactly `CONTRACTION_CALLERS`."""
+    offences, callers = [], set()
+    for path in sorted((ROOT / "src" / "borderapolar").glob("*.py")):
+        used = _used_names(path)
+        if path.stem != "apolarity":
+            offences += [f"{path.stem} reads {name}"
+                         for name in sorted({"_functional", "_gamma_weights"} & used)]
+        if path.stem not in ("apolarity", "grading") and "contractions" in used:
+            offences.append(f"{path.stem} names contractions")
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = f"{top.name}." if isinstance(top, ast.ClassDef) else ""
+            for node in (top.body if owner else [top]):
+                if any(_calls(sub, "contractions") for sub in ast.walk(node)):
+                    callers.add(f"{path.stem}.{owner}{getattr(node, 'name', '<module>')}")
+    assert offences == []
+    assert sorted(callers) == CONTRACTION_CALLERS
+
+
 def test_linalg_makes_field_elements_only_where_rows_are_read():
     """Subspaces store integer rows, so inside `linalg` a `Fraction` or a
     `Mod` is constructed only by the element type itself (`Mod`'s
@@ -376,7 +410,7 @@ def test_shape_tables_are_built_once_per_shape(monkeypatch):
     from borderapolar.grading import veronese_ring
     from support import concise_power_sum_instance
 
-    tables = {"_slice_keys": (bounds,), "_gamma_weights": (apolarity, bounds),
+    tables = {"_slice_keys": (bounds,), "_gamma_weights": (apolarity,),
               "_compatibility": (ideals,), "_merge_table": (ideals,)}
     read = []
     for name, modules in tables.items():
