@@ -4,20 +4,22 @@ The coordinate rings act on their graded duals by partial differentiation:
 a Segre-side variable contracts one tensor factor against the dual basis,
 and a Veronese-side variable differentiates a form.  Annihilator pieces are
 kernels of the induced linear maps, so any nonzero rescaling of the pairing
-yields the same subspaces.  A `SymTensor` holds F by its form p_F, which
-`polarize` is given and an entry-built tensor makes as it checks symmetry; the
-entries of a polarized F are written on first read, and `entries` is read-only
-on every tensor; `SymTensor.sorted_entries` lists them in index order from the
-form's orbits, for a digest, without writing them.  A multilinear F is read
-through one contraction map: at a 0/1 degree u, each entry lands in the row
-named by its indices off u and the column of its indices on u, in one pass
-over the entries.  `ann_piece` is its kernel, `slice_spans` its row spans at
-the degrees 1 - e_i, and `contract_tensor` applies an element of S_u to it.  A
-form is a functional on V_d, and its catalecticant Cat_k is that functional's
-`grading.contractions` by the monomials of V_{d-k}.  `_catalecticant` is the
-one writer of those rows, as integers: `ann_sym_piece` is their `kernel`, and
-the sharpness checks in `bounds` read them.  `contract_poly` pairs an element
-of V_k with the exact functional (`_functional`).
+yields the same subspaces; each is held by the RREF of the map's rows.  A
+`SymTensor` holds F by its form p_F, which `polarize` is given and an
+entry-built tensor makes as it checks symmetry; the entries of a polarized F
+are written on first read, and `entries` is read-only on every tensor;
+`SymTensor.sorted_entries` lists them in index order from the form's orbits,
+for a digest, without writing them.  A multilinear F is read through one
+contraction map: at a 0/1 degree u, each entry lands in the row named by its
+indices off u and the column of its indices on u, in one pass over the
+entries.  `ann_piece` is cut out by its rows, `slice_spans` is its row spans
+at the degrees 1 - e_i, and `contract_tensor` applies an element of S_u to
+it.  A form is a functional on V_d, and its catalecticant Cat_k is that
+functional's `grading.contractions` by the monomials of V_{d-k}.
+`_catalecticant` is the one writer of those rows, as integers: they cut out
+`ann_sym_piece`, and the sharpness checks in `bounds` read them.
+`contract_poly` pairs an element of V_k with the exact functional
+(`_functional`).
 """
 
 from __future__ import annotations
@@ -34,13 +36,12 @@ from .grading import (
     RingKind,
     check_degree,
     contractions,
-    full_piece,
     integer,
     monomials,
     segre_ring,
     veronese_ring,
 )
-from .linalg import QQ, IntRows, Subspace, kernel
+from .linalg import QQ, IntRows, Subspace
 
 
 class HomPoly:
@@ -299,16 +300,16 @@ def _require_full_tensor(f: GeneralTensor):
 
 def ann_piece(f: GeneralTensor, u) -> Subspace:
     """Degree-u piece of the apolar ideal of a multilinear tensor: the kernel
-    of F's contraction map at u."""
+    of F's contraction map at u, held at a 0/1 degree by the RREF of that
+    map's row span (`_row_span`); the basis is made on first read."""
     _require_full_tensor(f)
     ring = segre_ring(f.n, f.order)
     u = check_degree(ring, u)
-    tag = (ring, u)
+    tag, ncols = (ring, u), math.prod([math.comb(f.n + x - 1, x) for x in u])  # dim S_u
     if any(ui > 1 for ui in u):
-        return full_piece(ring, u, tag, f.field)
-    picked = [i for i, ui in enumerate(u) if ui]
-    # at a 0/1 degree S_u has n^|u| monomials, the contraction map's columns
-    return kernel(f.n ** len(picked), _contraction_rows(f, picked).values(), tag, f.field)
+        return Subspace.full(ncols, tag, f.field)
+    rows = _contraction_rows(f, [i for i, ui in enumerate(u) if ui]).values()
+    return Subspace.by_perp(ncols, _row_span(ncols, rows, f.field).sparse, tag, f.field)
 
 
 @lru_cache(maxsize=None)
@@ -340,12 +341,11 @@ def _catalecticant(p: HomPoly, k: int):
 
 def ann_sym_piece(p: HomPoly, k: int) -> Subspace:
     """Degree-k piece of the apolar ideal of a form, (p^perp : V_{d-k})_k: the
-    kernel of Cat_k on the C(n + k - 1, k) monomials of V_k."""
+    kernel of Cat_k on the C(n + k - 1, k) monomials of V_k, held by the RREF
+    of Cat_k's rows (none above d, where the piece is full)."""
     ring = veronese_ring(p.n)
     k = check_degree(ring, k)
-    if k > p.d:
-        return full_piece(ring, k, (ring, k), p.field)
-    return kernel(math.comb(p.n + k - 1, k), _catalecticant(p, k), (ring, k), p.field)
+    return Subspace.cut_out(math.comb(p.n + k - 1, k), _catalecticant(p, k), (ring, k), p.field)
 
 
 # -- flattenings ------------------------------------------------------------------
@@ -379,12 +379,13 @@ def slice_spans(f: GeneralTensor) -> list:
     return spans
 
 
-def _row_span(ncols: int, rows: list, field) -> Subspace:
-    """The span of a flattening's sparse `rows` on `ncols` columns, handed to
-    elimination as integer rows.  When the rows hold fewer entries than there
-    are columns, they are reduced on the columns they touch, kept in order,
-    and the stored rows are moved back: the RREF is the same, as every other
-    column is zero in every row, and no row of the full width is written."""
+def _row_span(ncols: int, rows, field) -> Subspace:
+    """The span of a contraction map's sparse `rows` (a list or a dict's
+    values) on `ncols` columns, handed to elimination as integer rows.  When
+    the rows hold fewer entries than there are columns, they are reduced on
+    the columns they touch, kept in order, and the stored rows are moved
+    back: the RREF is the same, as every other column is zero in every row,
+    and no row of the full width is written."""
     if sum(map(len, rows)) >= ncols:
         return Subspace.from_rows(ncols, IntRows([field.to_ints(row, ncols) for row in rows]),
                                   field=field)

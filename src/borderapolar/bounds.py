@@ -22,12 +22,12 @@ through the same duality: pi(P) lies in Ann(p_F)_k exactly when the
 catalecticant rows cutting out Ann(p_F)_k, pulled back along pi, lie in the
 span of P^perp, and dim pi(P)^perp is the dimension of the functionals in
 P^perp that are constant on every pi-fibre.  The form side's generators are
-counted the same way: Ann(p_F)_{k-1}^perp is the row span of the
-catalecticant Cat_{k-1}, so one step from below in n rank Cat_{k-1}
-unknowns and the rank of Cat_k give the count, and no piece of Ann(p_F) is
-built (`min_generators_sym_in_degree`).  Every Cat_k here is read from
-`apolarity._catalecticant`, whose kernel `ann_sym_piece` takes, so p's
-coefficients become catalecticant rows in one place.  The systems these
+counted the same way: `ann_sym_piece` holds Ann(p_F)_{k-1} by the RREF of
+the catalecticant Cat_{k-1}'s rows, so one step from below in n rank
+Cat_{k-1} unknowns and the row count of Ann(p_F)_k give the count, and no
+basis of Ann(p_F) is made (`min_generators_sym_in_degree`).  Every Cat_k
+here is read from `apolarity._catalecticant`, the rows that cut out
+`ann_sym_piece`, so p's coefficients become catalecticant rows in one place.  The systems these
 checks write, the degree-one count, the compatibility equations and the fibre
 equations here and a `SymTensor`'s flattening in `apolarity`, reach `rank`
 and `kernel` as dense integer rows (`linalg.IntRows`), each normalized once.
@@ -45,11 +45,12 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
-from .apolarity import SymTensor, _catalecticant, ann_piece, depolarize, slice_spans
+from .apolarity import (SymTensor, _catalecticant, ann_piece, ann_sym_piece, depolarize,
+                        slice_spans)
 from .diagonal_maps import pi_fibres, proper_unit_box_degrees
 from .grading import _dim_piece, check_degree, segre_ring, veronese_ring
 from .ideals import annihilator_from_below
-from .linalg import IntRows, Subspace, rank
+from .linalg import IntRows, rank
 from .transfer import Certificate, tensor_digest
 
 
@@ -193,19 +194,17 @@ def _degree_one_generators(f, spans) -> int:
 def min_generators_sym_in_degree(p, k: int) -> int:
     """Minimal generators of Ann(p) in degree k, counted on the annihilator
     side: dim Ann(p)_k - dim V_1 Ann(p)_{k-1} = dim (V_1 Ann(p)_{k-1})^perp -
-    rank Cat_k.  Ann(p)_{k-1}^perp is the row span of Cat_{k-1}, so the first
-    term is one `annihilator_from_below` on a basis of that span, and no
-    annihilator piece is built.  Nothing lies below degree 0, where the first
-    term is dim V_0 = 1."""
+    codim Ann(p)_k.  `ann_sym_piece` holds Ann(p)_{k-1} by the RREF of
+    Cat_{k-1}'s rows, so the first term is one `annihilator_from_below` on
+    those rows, and no basis of an annihilator piece is made.  Nothing lies
+    below degree 0, where the first term is dim V_0 = 1."""
     ring = veronese_ring(p.n)
     k = check_degree(ring, k)
     if not k:
         below = 1
     else:
-        cat = Subspace.from_rows(_dim_piece(ring, k - 1), _catalecticant(p, k - 1),
-                                 field=p.field)
-        below = len(annihilator_from_below(ring, k - 1, 0, cat.sparse, p.field))
-    return below - rank(_dim_piece(ring, k), _catalecticant(p, k), p.field)
+        below = len(annihilator_from_below(ring, k - 1, 0, ann_sym_piece(p, k - 1).perp, p.field))
+    return below - ann_sym_piece(p, k).codim
 
 
 # -- sharpness -----------------------------------------------------------------------
@@ -255,7 +254,7 @@ def is_sharp(f) -> Certificate:
     cond2 = all(hf == n for hf in codims.values())
     cert.add(stage="unit-box-hilbert", ok=cond2)
 
-    first = pieces[2].constraints() if d > 3 else spans[d - 1].sparse
+    first = pieces[2].perp if d > 3 else spans[d - 1].sparse
     growth = [len(ann) for ann in _growth_chain(f, first)]
     for (i, j), (s, hf) in itertools.product(itertools.permutations(range(d), 2),
                                              enumerate(growth, 1)):
@@ -375,7 +374,7 @@ def verify_containment_lemma(f) -> Certificate:
     if d < 3:
         perp = [((c, 1),) for c in range(len(fib.f))]
     else:
-        first = spans[2].sparse if d == 3 else ann_piece(f, (1, 1) + (0,) * (d - 2)).constraints()
+        first = spans[2].sparse if d == 3 else ann_piece(f, (1, 1) + (0,) * (d - 2)).perp
         perp = _growth_chain(f, first)[-1]
     top = _catalecticant(depolarize(f), d)
     ok = rank(len(fib.f), [*perp, *[_pulled_back(fib, row) for row in top]],

@@ -30,7 +30,7 @@ from functools import lru_cache
 from operator import add
 from types import MappingProxyType
 
-from .linalg import QQ, RowSource, Subspace, kernel
+from .linalg import QQ, RowSource, Subspace
 
 
 class RingKind(Enum):
@@ -318,19 +318,12 @@ def contractions(ring: RingSpec, u, v, functionals) -> RowSource:
     return RowSource(dim_v * len(phis), rows)
 
 
-def full_piece(ring: RingSpec, u, piece=None, field=QQ) -> Subspace:
-    """S_u as a subspace of itself, at a degree already checked."""
-    return Subspace.full(_dim_piece(ring, u), piece, field)
-
-
 def colon(ring: RingSpec, u, v, functionals, piece=None, field=QQ) -> Subspace:
     """(H : S_v)_u, the f of degree u with f * m in H for every monomial m of
     S_v, where H is cut out of S_{u+v} by the sparse-row `functionals` (any
-    iterable): the kernel of their `contractions`, the full piece when there is none."""
-    rows = contractions(ring, u, v, functionals)
-    if not rows:
-        return full_piece(ring, u, piece, field)
-    return kernel(_dim_piece(ring, u), rows, piece, field)
+    iterable): the subspace their `contractions` cut out (all of S_u for none)."""
+    return Subspace.cut_out(_dim_piece(ring, u), contractions(ring, u, v, functionals), piece,
+                            field)
 
 
 def monomial_degree(ring: RingSpec, mono):

@@ -614,9 +614,7 @@ def point_ideal(zs: PointSet, bound: int, provenance: str = "point") -> Truncate
             points = [tuple([p[i] for i in reps]) for p in points]
     held = {}  # the collapsed pieces, each by the span of its evaluation rows
     for v, rows in _evaluations(collapsed, field, points, bound):
-        dim = _dim_piece(collapsed, v)
-        held[v] = Subspace.by_perp(dim, Subspace.from_rows(dim, rows, field=field).sparse,
-                                   (collapsed, v), field)
+        held[v] = Subspace.cut_out(_dim_piece(collapsed, v), rows, (collapsed, v), field)
     if collapsed is ring:
         return TruncatedIdeal._made(ring, bound, held, provenance, field)
     shared, pieces = {}, {}  # shared: (kappa, f) -> phi^{-1}(J'_kappa)

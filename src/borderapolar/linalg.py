@@ -36,17 +36,17 @@ subspace was not made with is made the first time it is read.  The form is
 unique, so two subspaces over one field are equal as sets exactly when the
 rows of a side both hold compare equal; where one holds only its basis and
 the other only its annihilator, the dimensions are compared and the rows
-paired.  A piece of small codimension, such as a point ideal's, is held by
-its annihilator: r rows in place of dim - r.  As elimination reads only
-integers, rows may hold plain ints in place of field elements, each standing
-for its image in the field, so the stored rows go back into elimination as
-they are, and producers that know a row only up to a scalar, such as an
-evaluation at a point or a row pushed through an index map, pass integers
-too.  Field elements are made only where
-a row is read out: `basis`, `matrix` and `reduce_vector` divide each stored
-row by its pivot entry (`elements`), and a digest writes the text of those
-elements without making them (`reprs`).  Containment is decided on the
-integers, by cross-multiplication or by pairing rows, with no elimination.
+paired.  A piece cut out by functionals, such as a point ideal's, is held
+by their RREF (`cut_out`): r rows in place of dim - r.  As elimination reads
+only integers, rows may hold plain ints in place of field elements, each
+standing for its image in the field, so the stored rows go back into
+elimination as they are, and producers that know a row only up to a scalar,
+such as an evaluation at a point or a row pushed through an index map, pass
+integers too.  Field elements are made only where a row is read out:
+`basis`, `matrix` and `reduce_vector` divide each stored row by its pivot
+entry (`elements`), and a digest writes the text of those elements without
+making them (`reprs`).  Containment, of a subspace or of a vector, is
+decided by cross-multiplication or by pairing rows, with no elimination.
 
 A kernel costs one elimination and an annihilator none.  Both come from a basis
 whose pivot columns are clean: the annihilator of such a basis has one row
@@ -665,6 +665,13 @@ class Subspace:
                    piece, field)
 
     @classmethod
+    def cut_out(cls, ambient_dim: int, rows, piece=None, field=QQ) -> "Subspace":
+        """The subspace the sparse functionals `rows` cut out, held by the RREF
+        of their span from one elimination; its basis is made on first read."""
+        return cls.by_perp(ambient_dim, cls.from_rows(ambient_dim, rows, field=field).sparse,
+                           piece, field)
+
+    @classmethod
     def zero(cls, ambient_dim: int, piece=None, field=QQ) -> "Subspace":
         return cls(ambient_dim, (), piece, field)
 
@@ -860,7 +867,13 @@ class Subspace:
         return v
 
     def contains_vector(self, v) -> bool:
-        return not any(self.reduce_vector(v))
+        """Whether v lies in this subspace: each of its `constraints` pairs to
+        zero with v, so one held by its annihilator makes no basis."""
+        field = self.field
+        v = [field.of(x) for x in v]
+        if len(v) != self.ambient_dim:
+            raise ValueError("vector length mismatch")
+        return not any([sum([x * v[c] for c, x in row], field.zero) for row in self.constraints()])
 
     def contains(self, other) -> bool:
         """Whether `other`, a Subspace or a vector, lies in this subspace.

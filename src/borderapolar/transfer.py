@@ -16,7 +16,7 @@ rho(J) witnesses of `comon_certificate` are read off the stages that proved
 them.  A symmetric tensor F is annihilated by I_R, so Ann(F)_u =
 pi^{-1}(Ann(p_F)_|u|) at every 0/1 degree u, and apolarity is pi(J_u) inside
 Ann(p_F)_|u|; a general tensor reads Ann(F)_u.  Every flattening of F has rank
-n - dim Ann(p_F)_1, so conciseness is read off p_F too.  A certificate is
+codim Ann(p_F)_1, so conciseness is read off p_F too.  A certificate is
 given a function that digests F and J, called the first time `inputs_digest`
 is read: the verdict writes no entry of a polarized F.
 """
@@ -24,6 +24,7 @@ is read: the verdict writes no entry of a polarized F.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 from functools import cached_property
 
@@ -228,31 +229,24 @@ def rho_ideal(j: TruncatedIdeal) -> TruncatedIdeal:
 def _apolarity_stage(cert: Certificate, j: TruncatedIdeal, f: GeneralTensor,
                      up_to: int, ann: dict | None = None) -> bool:
     """Degreewise containment J_u in Ann(F)_u for |u| <= up_to; pieces above the
-    unit box are full, so only 0/1 degrees need a kernel computation.
+    unit box are full, so only 0/1 degrees are tested.
 
     A symmetric F is annihilated by I_R, so Ann(F)_u = pi^{-1}(Ann(p_F)_k) with
     k = |u|, and J_u lies in it exactly when pi(J_u) lies in Ann(p_F)_k, read
     from `ann` (made here unless the caller passes it to reuse); then dim_ann is
-    dim S_u - dim V_k + dim Ann(p_F)_k.  On an ideal kept by its Veronese pieces
-    pi(J_u) is W_k for every u of total k, so each distinct pair is tested once.
-    A general tensor reads Ann(F)_u.
+    dim S_u - dim V_k + dim Ann(p_F)_k.  A general tensor reads Ann(F)_u.  Each
+    of Ann(p_F)_k, Ann(F)_u and a kept ideal's W_k holds its annihilator rows,
+    and a test compares or reduces those.
     """
     if ann is None and isinstance(f, SymTensor):
         ann = {k: ann_sym_piece(f.form, k) for k in range(min(up_to, j.bound) + 1)}
-    answers = {}  # (id(a), id(piece)) -> a contains piece; `ann` and j keep both alive
     first_failure = None
     for u in j.degrees():
         if degree_total(u) > up_to or any(x > 1 for x in u):
             continue
-        if ann is None:
-            a, piece = ann_piece(f, u), j.pieces[u]
-            ok = a.contains(piece)
-        else:
-            a, piece = ann[degree_total(u)], j.pi_image(u)
-            key = (id(a), id(piece))
-            if key not in answers:
-                answers[key] = a.contains(piece)
-            ok = answers[key]
+        a, piece = ((ann_piece(f, u), j.pieces[u]) if ann is None
+                    else (ann[degree_total(u)], j.pi_image(u)))
+        ok = a.contains(piece)
         cert.add(degree=u, dim_ideal=j.piece_dim(u),
                  dim_ann=_dim_piece(j.ring, u) - a.ambient_dim + a.dim, ok=ok)
         if not ok and first_failure is None:
@@ -314,9 +308,8 @@ def check_condition_ii(j: TruncatedIdeal, f: GeneralTensor) -> Certificate:
         cert.failure = f"the diagonal ideal is not inside J at degree {missing}"
         return cert
     cert.add(stage="diagonal-containment", ok=True)
-    images = {u: j.pi_image(u) for u in j.degrees()}
-    for total in range(j.bound + 1):
-        same_total = [im for u, im in images.items() if degree_total(u) == total]
+    for total, degrees in itertools.groupby(j.degrees(), degree_total):  # sorted by total
+        same_total = [j.pi_image(u) for u in degrees]
         same = all(im == same_total[0] for im in same_total[1:])
         cert.add(stage="pi-image-equality", total_degree=total,
                  dims=tuple(im.dim for im in same_total), ok=same)
@@ -353,7 +346,7 @@ def comon_certificate(f: SymTensor, r: int, j: TruncatedIdeal) -> Certificate:
     cert = Certificate("comon-transfer", lambda: digest_of(tensor_digest(f), r, ideal_digest(j)),
                        tested_bound=j.bound, slip_provenance=slip_label(j.provenance))
     ann = {k: ann_sym_piece(f.form, k) for k in range(d + 1)}  # Ann(p_F)_k
-    rank, dim_ann_d = n - ann[1].dim, ann[d].dim  # each flattening's rank; dim Ann(p_F)_d
+    rank, dim_ann_d = ann[1].codim, ann[d].dim  # each flattening's rank; dim Ann(p_F)_d
     concise = rank == n
     cert.add(stage="conciseness", flattening_ranks=(rank,) * d, ok=concise)
     if not concise:

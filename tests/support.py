@@ -629,13 +629,19 @@ def slice_spans_reference(f) -> list:
 
 
 def ann_piece_reference(f: GeneralTensor, u) -> Subspace:
-    """`apolarity.ann_piece` by a lookup of every index tuple: one row per index
-    on the factors off u, one column per monomial of S_u."""
+    """`apolarity.ann_piece` as the kernel of `contraction_rows_reference`."""
     ring = segre_ring(f.n, f.order)
     u = check_degree(ring, u)
     dim, tag = dim_piece(ring, u), (ring, u)
     if any(ui > 1 for ui in u):
         return Subspace.full(dim, piece=tag, field=f.field)
+    return kernel(dim, contraction_rows_reference(f, u), tag, f.field)
+
+
+def contraction_rows_reference(f: GeneralTensor, u) -> list:
+    """F's contraction map at a 0/1 degree u by a lookup of every index tuple:
+    one row per index on the factors off u, one column per monomial of S_u."""
+    ring = segre_ring(f.n, f.order)
     selected = [i for i, ui in enumerate(u) if ui == 1]
     remaining = [i for i, ui in enumerate(u) if ui == 0]
     selectors = [{i: mono[i].index(1) for i in selected} for mono in monomials(ring, u)]
@@ -652,7 +658,7 @@ def ann_piece_reference(f: GeneralTensor, u) -> Subspace:
             if x is not None:
                 row.append((c, x))
         rows.append(row)
-    return kernel(dim, rows, tag, f.field)
+    return rows
 
 
 def contract_tensor_reference(theta: PieceElement, f: GeneralTensor) -> GeneralTensor:

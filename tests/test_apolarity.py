@@ -43,7 +43,7 @@ from borderapolar.selftest import random_forms
 from borderapolar.transfer import digest_of, tensor_digest
 from support import (ann_piece_reference, ann_sym_piece_reference, catalecticant_reference,
                      colon_reference, contract_poly_reference, contract_tensor_reference,
-                     depolarize_reference, diagonal_tensor, multiply, power_of_form,
+                     contraction_rows_reference, depolarize_reference, diagonal_tensor, multiply, power_of_form,
                      random_form, random_symmetric_tensor, slice_spans_reference, sparse_rows,
                      sum_of_powers_tensor, symmetry_error_reference)
 
@@ -428,12 +428,21 @@ class TestContractionMap:
 
     @pytest.mark.parametrize("field", [QQ, PrimeField(2**31 - 1)], ids=["QQ", "GFp"])
     def test_matches_the_index_lookups(self, field):
+        """`ann_piece` at a 0/1 degree holds the RREF of the contraction rows,
+        reduced on the columns they touch when they hold fewer entries than
+        there are columns, and makes the reference's basis when read."""
         rng = random.Random(18)
+        paths = set()  # whether the rows were reduced on the columns they touch
         for f in self._tensors(rng, field):
             ring = segre_ring(f.n, f.order)
             for u in itertools.product((0, 1), repeat=f.order):
                 got, want = ann_piece(f, u), ann_piece_reference(f, u)
+                rows = contraction_rows_reference(f, u)
+                paths.add(sum(map(len, rows)) < want.ambient_dim)
+                span = Subspace.from_rows(want.ambient_dim, rows, field=field)
+                assert got.held_by_perp and got.perp == span.sparse, (f, u)
                 assert got == want and got.piece == want.piece, (f, u)
+                assert repr(got.sparse) == repr(want.sparse), (f, u)
                 theta = _random_element(ring, u, rng, field)
                 assert contract_tensor(theta, f) == contract_tensor_reference(theta, f), (f, u)
         # F on slots (2, 0) of three: the columns follow slot order, not position order
@@ -443,6 +452,7 @@ class TestContractionMap:
             got = contract_tensor(theta, part)
             assert got == contract_tensor_reference(theta, part), u
             assert got.factors == tuple(i for i in (2, 0) if not u[i])
+        assert paths == {False, True}
 
     def test_entries_are_only_iterated(self):
         rng = random.Random(19)
@@ -585,6 +595,10 @@ class TestCatalecticant:
             ring = veronese_ring(p.n)
             for k in range(p.d + 2):
                 got, want = ann_sym_piece(p, k), ann_sym_piece_reference(p, k)
+                # held by the RREF of Cat_k's rows (none above d), the basis made when read
+                rows = Subspace.from_rows(want.ambient_dim, catalecticant_reference(p, k),
+                                          field=field)
+                assert got.held_by_perp and got.perp == rows.sparse, (p.terms, k)
                 assert repr(got.sparse) == repr(want.sparse), (p.terms, k)
                 assert got == want
                 g = _random_element(ring, k, rng, field)

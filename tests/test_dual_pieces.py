@@ -10,14 +10,18 @@ annihilator must be the `kernel` of that basis, and `==`, `contains` and
 `codim` must answer the same whichever side each operand holds.
 """
 
+import importlib.util
 import random
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from borderapolar import diagonal_maps, ideals
+from borderapolar import bounds, diagonal_maps, ideals, transfer
+from borderapolar.apolarity import HomPoly, ann_sym_piece
 from borderapolar.diagonal_maps import pi_image, psi_image
-from borderapolar.grading import degrees_up_to, segre_ring, veronese_ring
+from borderapolar.grading import degrees_up_to, monomials, segre_ring, veronese_ring
 from borderapolar.ideals import (
     PointSet,
     diagonal_points,
@@ -29,7 +33,7 @@ from borderapolar.linalg import QQ, PrimeField, Subspace, kernel
 from borderapolar.selftest import sum_of_powers_tensor
 from borderapolar.apolarity import SymTensor
 from borderapolar.transfer import comon_certificate, upsilon
-from support import kept_piece, point_ideal_reference, sparse_rows
+from support import ann_sym_piece_reference, kept_piece, point_ideal_reference, sparse_rows
 
 GF = PrimeField(2147483647)
 FIELDS = [QQ, GF]
@@ -151,6 +155,83 @@ def test_a_verdict_only_certificate_makes_no_basis_of_w(field, monkeypatch):
     assert cert.verdict
     assert saturation_degrees(j)[1]  # saturation was tested
     assert [k for k, w in j.veronese.items() if "sparse" in vars(w)] == []
+
+
+@pytest.fixture
+def apolar_pieces(monkeypatch):
+    """Every piece `ann_sym_piece` or `ann_piece` hands to `transfer` or `bounds`."""
+    made = []
+    for module in (transfer, bounds):
+        for name in ("ann_sym_piece", "ann_piece"):
+            monkeypatch.setattr(module, name,
+                                lambda *a, real=getattr(module, name): made.append(real(*a))
+                                or made[-1])
+    return made
+
+
+def scan_workload(monkeypatch):
+    """The benchmark's `perfbench/workloads.py`, loaded as a module."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_no_basis_of_an_apolar_piece_is_made(field, apolar_pieces, monkeypatch):
+    """Ann(p_F)_k and Ann(F)_u are read by their held rows and their sizes: a
+    verdict-only `comon_certificate` on a kept point ideal, and the five
+    checks of the `apolarity-scan` workload on its seed-1 tensors, make no
+    basis of any of them."""
+    n, d, r = 3, 3, 4
+    z = very_general_points(veronese_ring(n), r, d + 1, random.Random(5))
+    f = sum_of_powers_tensor(n, d, z.points)
+    f = SymTensor(f.n, f.order, f.entries, field=field)
+    j = upsilon(point_ideal(PointSet(z.ring, z.points, field=field), d + 1), d, d + 1)
+    assert comon_certificate(f, r, j).verdict
+    assert len(apolar_pieces) == d + 1
+    workloads = scan_workload(monkeypatch)
+    for item in workloads.scan_items(1):
+        f = item.tensor
+        item.tensor = SymTensor(f.n, f.order, f.entries, field=field)
+        assert all(cert.verdict for cert in workloads.run_scan(item, bounds).values())
+    assert {p.piece[0].kind.value for p in apolar_pieces} == {"V", "S"}
+    assert [p for p in apolar_pieces if "sparse" in vars(p)] == []
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_a_vector_is_paired_with_the_held_rows(field, eliminations):
+    """`contains_vector`, and `contains` of a vector, on a piece held by its
+    annihilator pair the vector with the `perp` rows: members and
+    non-members get the answer reduction by the basis gives, coerced through
+    the field,
+    and a vector of the wrong length is refused, with no elimination and no
+    basis made."""
+    rng = random.Random(11)
+    zs = draw_points(veronese_ring(3), 4, rng, field)
+    terms = {m: rng.randint(-3, 3) for m in monomials(veronese_ring(3), 3)}
+    p = HomPoly(3, 3, terms, field=field)
+    ideal, want_ideal = point_ideal(zs, 3), point_ideal_reference(zs, 3)
+    pairs = [(ideal.pieces[k], want_ideal[k]) for k in range(4)]
+    pairs += [(ann_sym_piece(p, k), ann_sym_piece_reference(p, k)) for k in range(5)]
+    cases = []  # (piece, vector, answer)
+    for got, want in pairs:
+        n = want.ambient_dim
+        for _ in range(3):
+            member = [sum(rng.randint(-2, 2) * row[c] for row in want.basis) for c in range(n)]
+            other = [rng.randint(-2, 2) for _ in range(n)]
+            for v in (member, [str(x) for x in other]):
+                cases.append((got, v, not any(want.reduce_vector(v))))
+    answers = {answer for _, _, answer in cases}
+    eliminations.clear()
+    for got, v, answer in cases:
+        assert got.contains_vector(v) is answer and got.contains(v) is answer
+        with pytest.raises(ValueError, match="vector length mismatch"):
+            got.contains_vector(v + [0])
+    assert answers == {False, True} and eliminations == []
+    assert all(got.held_by_perp and "sparse" not in vars(got) for got, _ in pairs)
 
 
 class TestDegreesOfTheImages:

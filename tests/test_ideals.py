@@ -140,21 +140,26 @@ class TestColon:
 
     @pytest.mark.parametrize("field", [QQ, GF], ids=repr)
     def test_matches_reference(self, monkeypatch, field):
-        stacked = []
+        """The colon is held by the RREF of the stacked rows, one `from_rows`
+        of them, and makes the reference's basis when read; with no
+        functionals the rows span 0 and the colon is the full piece."""
+        stacked, real = [], Subspace.from_rows.__func__
 
-        def recording(ncols, rows, piece=None, field=QQ):
+        def recording(cls, ncols, rows, piece=None, field=QQ):
             stacked.append(rows)
-            return kernel(ncols, rows, piece, field)
+            return real(cls, ncols, rows, piece, field)
 
-        monkeypatch.setattr(grading, "kernel", recording)
+        monkeypatch.setattr(Subspace, "from_rows", classmethod(recording))
         for ring, u, v, upper in self.cases(field):
             stacked.clear()
             got = colon(ring, u, v, upper.constraints(), field=upper.field)
+            rows = colon_rows_reference(ring, u, v, upper)
+            assert [list(s) for s in stacked] == [rows], (ring, u, v)
             want = colon_reference(ring, u, v, upper)
+            span = real(Subspace, want.ambient_dim, rows, field=field)
+            assert got.held_by_perp and got.perp == span.sparse, (ring, u, v)
             assert got == want and got.field == want.field == field, (ring, u, v)
             assert repr(got.sparse) == repr(want.sparse), (ring, u, v)
-            rows = colon_rows_reference(ring, u, v, upper)
-            assert [list(s) for s in stacked] == ([rows] if rows else []), (ring, u, v)
         full = Subspace.full(dim_piece(V3, 3), field=field)
         assert colon(V3, 1, 2, full.constraints(), field=field) == Subspace.full(
             dim_piece(V3, 1), field=field)

@@ -363,11 +363,11 @@ def test_linalg_makes_field_elements_only_where_rows_are_read():
 def test_bounds_grows_no_primal_span():
     """The sharpness checks grow S_{e_0} J on the annihilator side, in n codim
     unknowns, read pi-images by a fibre test and count the form's generators
-    from catalecticant rows: `bounds` imports none of the primal tools (no
-    annihilator piece of the form, no from-below span), by name or through a
-    module."""
-    primal = {"pi_image", "span_from_below", "variable_multiples", "min_generators",
-              "ann_sym_piece"}
+    from the catalecticant rows Ann(p)_{k-1} is held by: `bounds` imports none
+    of the primal tools (no from-below span, no pi-image), by name or through
+    a module.  That it makes no basis of an annihilator piece is checked by
+    `test_dual_pieces.py::test_no_basis_of_an_apolar_piece_is_made`."""
+    primal = {"pi_image", "span_from_below", "variable_multiples", "min_generators"}
     path = ROOT / "src" / "borderapolar" / "bounds.py"
     imported = {name.rsplit(".", 1)[-1]
                 for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))

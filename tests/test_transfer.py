@@ -475,6 +475,23 @@ class TestConditionChecks:
         assert not cert.verdict
         assert "diagonal" in cert.failure
 
+    def test_condition_ii_walks_the_degrees_once(self, monkeypatch):
+        """The pi-image-equality stage walks J's degrees once, grouped by total
+        degree as `degrees_up_to` sorts them: one `degree_total` per degree,
+        as the apolarity stage reads one per degree and one more per 0/1
+        degree, and one witness per total degree with the pi-image dimensions
+        in degree order."""
+        calls = []
+        monkeypatch.setattr(transfer, "degree_total", lambda u: calls.append(u) or sum(u))
+        j = upsilon(point_ideal(PointSet(V2, ((1, 0), (0, 1))), 6), 3, 6)
+        cert = check_condition_ii(j, diagonal_tensor(2, 3))
+        degrees = j.degrees()
+        assert cert.verdict and len(calls) == 2 * len(degrees) + 2 ** 3
+        want = [{"stage": "pi-image-equality", "total_degree": t, "ok": True,
+                 "dims": tuple([j.pi_image(u).dim for u in degrees if sum(u) == t])}
+                for t in range(j.bound + 1)]
+        assert [w for w in cert.witnesses if w.get("stage") == "pi-image-equality"] == want
+
     def test_ii_implies_iii(self):
         rng = random.Random(31)
         for n in (2, 3):

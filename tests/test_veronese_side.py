@@ -309,25 +309,33 @@ def test_verdict_only_certificate_writes_no_entries(monkeypatch):
 
 
 @pytest.mark.parametrize("n, d", [(2, 3), (3, 3), (3, 4)])
-def test_apolarity_stage_tests_each_distinct_pair_once(monkeypatch, n, d):
-    """On a kept ideal pi(J_u) is W_|u| for every 0/1 degree u, so a verdict-only
-    certificate makes one containment test per total degree k <= d in the
-    apolarity stage, inside Ann(p_F)_k, then one for pi-containment; the rho
+def test_apolarity_stage_compares_held_rows(monkeypatch, eliminations, n, d):
+    """Ann(p_F)_k and a kept ideal's W_k are both held by the RREF of the
+    functionals that cut them out, so a verdict-only certificate makes one
+    containment test per 0/1 degree u, inside Ann(p_F)_|u|, then one for
+    pi-containment, 2^d + 1 in all, and none of them eliminates; the rho
     witnesses make none.  The stored copy, with one pi-image per degree, gives
-    the same witnesses from one test per 0/1 degree."""
+    the same witnesses from as many tests, none eliminating either."""
     calls = []
     real = Subspace.contains
-    monkeypatch.setattr(Subspace, "contains",
-                        lambda a, b: calls.append(a.ambient_dim) or real(a, b))
+
+    def counted(a, b):
+        before = len(eliminations)
+        ok = real(a, b)
+        calls.append((a.ambient_dim, len(eliminations) - before))
+        return ok
+
+    monkeypatch.setattr(Subspace, "contains", counted)
     z = very_general_points(veronese_ring(n), n, d + 1, random.Random(7))
     f = sum_of_powers_tensor(n, d, z.points)
     kept = upsilon(point_ideal(z, d + 1), d, d + 1)
     cert = comon_certificate(f, n, kept)
     dims = [dim_piece(veronese_ring(n), k) for k in range(d + 1)]
-    assert cert.verdict and calls == dims + [dims[d]]
+    want = [(dims[sum(u)], 0) for u in kept.degrees() if max(u) <= 1] + [(dims[d], 0)]
+    assert cert.verdict and len(want) == 2 ** d + 1 and calls == want
     calls.clear()
     assert comon_certificate(f, n, stored(kept)).witnesses == cert.witnesses
-    assert len(calls) == 2 ** d + 1
+    assert calls == want
 
 
 def test_pipeline_builds_no_segre_piece(monkeypatch):
