@@ -55,6 +55,7 @@ from .ideals import (
     is_ideal_closed,
     is_saturated_degreewise,
     min_generators_in_degree,
+    multiply_vector_by_variable,
     point_ideal,
     very_general_points,
     zero_ideal,

@@ -10,32 +10,29 @@ degrees under that permutation.  For the same reason a `SymTensor`'s slice
 spans are one span and its degree-one count writes one block of constraints
 where a general F writes d - 1 (`_degree_one_generators`).
 
-The checks on a concise F work on the annihilator side, where every piece
-they grow has codimension at most n.  A piece J of S_u is held by a basis of
-J^perp, and S_{e_i} J is grown by `ideals.annihilator_from_below`: phi lies in
-(S_{e_i} J)^perp exactly when each contraction x_{ij} _| phi lies in J^perp,
-and contractions c_j come from one phi exactly when they agree wherever two
-products x_{ij} t = x_{ij'} t' meet, a Poincaré-type compatibility that the
-mixed partials of a potential satisfy.  That is one system in n codim J
-unknowns, where spanning S_{e_i} J takes n dim J rows.  A pi-image is read
-through the same duality: pi(P) lies in Ann(p_F)_k exactly when the
+The checks on a concise F work on the annihilator side, where every piece they
+grow has codimension at most n.  A piece J of S_u is held by a basis of
+J^perp, and S_{e_i} J is grown by `ideals.annihilator_from_below`, the fibre
+duality of `ideals.annihilator_of_image` along a product table: one system in
+n codim J unknowns, where spanning S_{e_i} J takes n dim J rows.  A pi-image
+is read through the same duality: pi(P) lies in Ann(p_F)_k exactly when the
 catalecticant rows cutting out Ann(p_F)_k, pulled back along pi, lie in the
-span of P^perp, and dim pi(P)^perp is the dimension of the functionals in
-P^perp that are constant on every pi-fibre.  The form side's generators are
-counted the same way: `ann_sym_piece` holds Ann(p_F)_{k-1} by the RREF of
-the catalecticant Cat_{k-1}'s rows, so one step from below in n rank
-Cat_{k-1} unknowns and the row count of Ann(p_F)_k give the count, and no
-basis of Ann(p_F) is made (`min_generators_sym_in_degree`).  Every Cat_k
-here is read from `apolarity._catalecticant`, the rows that cut out
-`ann_sym_piece`, so p's coefficients become catalecticant rows in one place.  The systems these
-checks write, the degree-one count, the compatibility equations and the fibre
-equations here and a `SymTensor`'s flattening in `apolarity`, reach `rank`
-and `kernel` as dense integer rows (`linalg.IntRows`), each normalized once.
+span of P^perp, and dim pi(P) is read off the rank of that system along pi
+(`_image_dim`).  The form side's generators are counted the same way:
+`ann_sym_piece` holds Ann(p_F)_{k-1} by the RREF of the catalecticant
+Cat_{k-1}'s rows, so one step from below in n rank Cat_{k-1} unknowns and the
+row count of Ann(p_F)_k give the count, and no basis of Ann(p_F) is made
+(`min_generators_sym_in_degree`).  Every Cat_k here is read from
+`apolarity._catalecticant`, the rows that cut out `ann_sym_piece`, so p's
+coefficients become catalecticant rows in one place.  The systems these checks
+write, the degree-one count here, the fibre equations in `ideals` and a
+`SymTensor`'s flattening in `apolarity`, reach `rank` and `kernel` as dense
+integer rows (`linalg.IntRows`), each normalized once.
 
 Nothing computed for F outlives a check.  The index maps that depend on
 the shape alone are read from tables built once per shape: the degree-one
 count splits each index at a slot with `_slice_keys`, and
-`annihilator_from_below` reads its pairs from `ideals`.
+`annihilator_from_below` reads its product table's fibres from `ideals`.
 """
 
 from __future__ import annotations
@@ -49,7 +46,7 @@ from .apolarity import (SymTensor, _catalecticant, ann_piece, ann_sym_piece, dep
                         slice_spans)
 from .diagonal_maps import pi_fibres, proper_unit_box_degrees
 from .grading import _dim_piece, check_degree, segre_ring, veronese_ring
-from .ideals import annihilator_from_below
+from .ideals import _image_equations, annihilator_from_below
 from .linalg import IntRows, rank
 from .transfer import Certificate, tensor_digest
 
@@ -213,12 +210,9 @@ def _growth_chain(f, first) -> list:
     """The annihilators of S_{e_0}^{s-1} Ann(F)_{e_0+e_1}, at (s, 1, 0, ...) for
     s = 1, ..., d-1, each as a basis of integer rows: `first`, a basis of
     Ann(F)_{e_0+e_1}^perp, then one `annihilator_from_below` step per s."""
-    n, d = f.n, f.order
-    ring, ann = segre_ring(n, d), first
-    chain = [ann]
+    d, ring, chain = f.order, segre_ring(f.n, f.order), [first]
     for s in range(1, d - 1):
-        ann = annihilator_from_below(ring, (s, 1) + (0,) * (d - 2), 0, ann, f.field)
-        chain.append(ann)
+        chain.append(annihilator_from_below(ring, (s, 1) + (0,) * (d - 2), 0, chain[-1], f.field))
     return chain
 
 
@@ -290,26 +284,11 @@ def _pulled_back(fib, row) -> list:
 
 
 def _image_dim(fib, perp, field) -> int:
-    """dim pi(P) for the piece P of S_u whose annihilator has the basis of
-    integer rows `perp`, where fib.f[c] is the monomial of V_|u| that column c
-    collapses to in pi's fibre table and fib.top[m] the last column of m's fibre.
-
-    pi is onto, so psi -> psi pi embeds pi(P)^perp into P^perp as the
-    functionals constant on every fibre: dim pi(P) = dim V_|u| - dim {mu :
-    sum_a mu_a perp_a is constant on each fibre}, and that space is the kernel
-    of one equation in the codim P unknowns mu per column c below the top t of
-    its fibre, sum_a mu_a (perp_a(c) - perp_a(t)) = 0."""
-    r, top = len(perp), fib.top
-    at = [[0] * r for _ in fib.f]  # at[c][a]: perp_a(c)
-    for a, row in enumerate(perp):
-        for c, x in row:
-            at[c][a] = x
-    equations, normalize = IntRows(), field.normalize
-    for c, m in enumerate(fib.f):
-        here, there = at[c], at[top[m]]
-        if c != top[m] and (any(here) or any(there)):
-            equations.append(normalize([x - y for x, y in zip(here, there)]))
-    return len(top) - r + rank(r, equations, field)
+    """dim pi(P) for the piece P of S_u cut out by the independent integer
+    rows `perp`, along pi's fibre table `fib`: dim V_|u| - codim P + the rank
+    of `ideals.annihilator_of_image`'s equations, with no kernel made."""
+    r = len(perp)
+    return len(fib.section) - r + rank(r, _image_equations(fib, perp, 1, field), field)
 
 
 def verify_lemma_1_minus_ed(f) -> Certificate:

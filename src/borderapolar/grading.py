@@ -318,12 +318,12 @@ def contractions(ring: RingSpec, u, v, functionals) -> RowSource:
     return RowSource(dim_v * len(phis), rows)
 
 
-def colon(ring: RingSpec, u, v, functionals, piece=None, field=QQ) -> Subspace:
+def colon(ring: RingSpec, u, v, functionals, field=QQ) -> Subspace:
     """(H : S_v)_u, the f of degree u with f * m in H for every monomial m of
     S_v, where H is cut out of S_{u+v} by the sparse-row `functionals` (any
     iterable): the subspace their `contractions` cut out (all of S_u for none)."""
-    return Subspace.cut_out(_dim_piece(ring, u), contractions(ring, u, v, functionals), piece,
-                            field)
+    return Subspace.cut_out(_dim_piece(ring, u), contractions(ring, u, v, functionals),
+                            field=field)
 
 
 def monomial_degree(ring: RingSpec, mono):

@@ -35,11 +35,13 @@ annihilator rows when W holds them, and writes the basis from W's basis
 when it is read.
 
 Every monomial product is read off `grading`'s cached table
-S_u x S_v -> S_{u+v} (`_product_map`): variable multiples at v = e_i, and,
-off its fibres (`diagonal_maps.fibre_table`), each monomial's first pair
-x_{ij} t, from which point evaluation steps and to which
-`annihilator_from_below` equates the others; the saturation test
-(J_{u+v} : S_v)_u is `grading.colon`, so no monomial is ranked or multiplied here.
+S_u x S_v -> S_{u+v} (`_product_map`): variable multiples at v = e_i, and, off
+its fibres (`diagonal_maps.fibre_table`), each monomial's first pair x_{ij} t,
+from which point evaluation steps; the saturation test (J_{u+v} : S_v)_u is
+`grading.colon`, so no monomial is ranked or multiplied here.  The annihilator
+of a piece's image under an index map is written once, by the fibre duality of
+`annihilator_of_image`: `annihilator_from_below` reads it along a product
+table, and `bounds` reads a pi-image's dimension off it.
 """
 
 from __future__ import annotations
@@ -89,27 +91,36 @@ def _bound(bound) -> int:
 
 
 def _variable_table(ring: RingSpec, u, i: int) -> tuple:
-    """`_product_map(ring, u, e_i)`; variable j of factor i is monomial j of S_{e_i}.
-    On the Veronese ring e_0 is the int 1, the key `pi_fibres` caches the table by."""
-    e_i = (0,) * i + (1,) + (0,) * (ring.d - 1 - i) if ring.is_multigraded else 1
-    return _product_map(ring, u, e_i)
+    """`_product_map(ring, u, e_i)`, i in range(ring.d) (`unit_degree` refuses
+    others): variable j of factor i is monomial j of S_{e_i}; on V e_0 is 1."""
+    e_i = unit_degree(ring.d, i)
+    return _product_map(ring, u, e_i if ring.is_multigraded else 1)
+
+
+@lru_cache(maxsize=None)
+def _variable_fibres(ring: RingSpec, u, i: int):
+    """The fibre table of `_variable_table`, column t n + j going to x_{ij} t."""
+    return fibre_table(_variable_table(ring, u, i))
 
 
 def multiply_vector_by_variable(ring: RingSpec, u, row, i: int, j: int) -> list:
     """The sparse row of (variable i,j) * element, in the degree-(u+e_i) piece.
 
     Multiplying by a variable maps monomials one to one and keeps their order,
-    so each (column, value) pair just moves to its new column.
+    so each (column, value) pair just moves to its new column; j is in range(n).
     """
     table, n = _variable_table(ring, u, i), ring.n
+    if not 0 <= j < n:
+        raise ValueError(f"variable index {j} out of range for n={n}")
     return [(table[c * n + j], x) for c, x in row]
 
 
 def variable_multiples(ring: RingSpec, u, rows, i: int):
     """Each sparse row of `rows` (degree u) times each variable of factor i, in turn."""
+    table, n = _variable_table(ring, u, i), ring.n
     for b in rows:
-        for j in range(ring.n):
-            yield multiply_vector_by_variable(ring, u, b, i, j)
+        for j in range(n):
+            yield [(table[c * n + j], x) for c, x in b]
 
 
 def _degrees_below(ring: RingSpec, u) -> list:
@@ -128,65 +139,69 @@ def span_from_below(ring: RingSpec, u, piece_at, field=QQ, rows=(), piece=None) 
     return Subspace.from_rows(_dim_piece(ring, u), rows, piece, field)
 
 
-def annihilator_from_below(ring: RingSpec, u, i: int, ann, field=QQ) -> tuple:
-    """A basis of (S_{e_i} J_u)^perp on S_{u+e_i}, as integer rows (not in
-    RREF), from integer rows `ann` that form a basis of J_u^perp on S_u: one
-    elimination in n r unknowns, r = len(ann), where `span_from_below` takes
-    n dim J_u rows.
-
-    A functional phi on S_{u+e_i} is fixed by its contractions
-    c_j = x_{ij} _| phi, the functionals t -> phi(x_{ij} t) on S_u, since
-    every monomial of S_{u+e_i} is a variable of factor i times one of S_u.
-    phi vanishes on S_{e_i} J_u exactly when every c_j lies in J_u^perp, that
-    is c_j = sum_a lambda_{j,a} ann_a, and a family (c_j) comes from some phi
-    exactly when c_j(t) = c_{j'}(t') whenever x_{ij} t = x_{ij'} t'.  So the
-    lambdas are the kernel of one equation per pair (j, t) of
-    `_variable_table` past the first pair of its product m, n dim S_u -
-    dim S_{u+e_i} of them, and each kernel row gives phi(m) = c_j(t) at that
-    first pair.  lambda -> phi is one to one, as the ann_a are independent,
-    so the rows are independent.  On V, i is 0.  The pairs depend on the
-    shape alone and are made once (`_compatibility`).
-    """
-    if not ann:  # J_u = S_u, and so is S_{e_i} J_u
-        return ()
-    pairs, owners = _compatibility(ring, u, i)
-    n, r, normalize = ring.n, len(ann), field.normalize
-    at = [[] for _ in range(_dim_piece(ring, u))]  # at[t]: the (a, ann_a(t)), ann_a(t) != 0
+def _image_equations(fib, ann, blocks: int, field) -> IntRows:
+    """The equations of `annihilator_of_image`, in blocks r unknowns
+    lambda_{j,a} at column j r + a, r = len(ann): for each column c past the
+    first column s of its fibre, sum_a lambda_{j,a} ann_a read at s minus read
+    at c, column t blocks + j reading block j at t; kept where ann has an
+    entry at either."""
+    r, normalize, section = len(ann), field.normalize, fib.section
+    at = [[] for _ in range(len(fib.f) // blocks)]  # at[t]: the (a, ann_a(t)), ann_a(t) != 0
     for a, row in enumerate(ann):
         for t, x in row:
             at[t].append((a, x))
     equations = IntRows()
-    for j0, t0, j, t in pairs:
-        if at[t0] or at[t]:
-            row = [0] * (n * r)
-            for a, x in at[t0]:
-                row[j0 * r + a] = x
-            for a, x in at[t]:
-                row[j * r + a] = -x
+    for c, m in enumerate(fib.f):
+        s = section[m]
+        if s != c and (at[s // blocks] or at[c // blocks]):
+            row, first, here = [0] * (blocks * r), s % blocks * r, c % blocks * r
+            for a, x in at[s // blocks]:
+                row[first + a] += x
+            for a, x in at[c // blocks]:
+                row[here + a] -= x
             equations.append(normalize(row))
-    out, dim = [], len(at)
-    for lam in kernel(n * r, equations, field=field).sparse:
-        c = [[0] * dim for _ in range(n)]  # c[j]: c_j = sum_a lambda_{j,a} ann_a, densely
+    return equations
+
+
+def annihilator_of_image(fib, ann, blocks: int = 1, field=QQ) -> tuple:
+    """A basis of f(K^blocks (x) P)^perp, as integer rows (not in RREF), where f
+    is the onto index map of the fibre table `fib`, column t blocks + j being
+    e_j (x) e_t, and P is cut out of len(fib.f) / blocks columns by the
+    independent integer rows `ann`: one elimination in blocks r unknowns,
+    r = len(ann), and no basis of P.
+
+    The fibre duality: f is onto, so psi -> psi f embeds the annihilator of
+    an image f(X) into X^perp, as the functionals constant on every fibre.  A
+    functional is one c_j per block, and vanishes on K^blocks (x) P exactly
+    when every c_j lies in P^perp, c_j = sum_a lambda_{j,a} ann_a.  So the
+    lambdas are the kernel of one equation per column past its fibre's first
+    (`_image_equations`), and each kernel row gives psi(m) = c_j(t) at the
+    first column t blocks + j of m's fibre.  lambda -> psi is one to one, as
+    the ann_a are independent, so the rows are independent, and the image has
+    dimension #targets - r + the equations' rank (`bounds._image_dim`).
+    """
+    if not ann:  # P is everything, and so is its image
+        return ()
+    r, normalize = len(ann), field.normalize
+    out, dim = [], len(fib.f) // blocks
+    for lam in kernel(blocks * r, _image_equations(fib, ann, blocks, field), field=field).sparse:
+        c = [[0] * dim for _ in range(blocks)]  # c[j]: c_j = sum_a lambda_{j,a} ann_a, densely
         for q, x in lam:
             c_j = c[q // r]
             for t, y in ann[q % r]:
                 c_j[t] += x * y
-        phi = [c[j][t] for j, t in owners]
-        out.append(tuple([(m, x) for m, x in enumerate(normalize(phi)) if x]))
+        psi = [c[s % blocks][s // blocks] for s in fib.section]
+        out.append(tuple([(m, x) for m, x in enumerate(normalize(psi)) if x]))
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _compatibility(ring: RingSpec, u, i: int) -> tuple:
-    """(pairs, owners) for `annihilator_from_below` at u and factor i, read off
-    the fibres of `_variable_table`, whose entry t n + j is x_{ij} t:
-    owners[m] is the first pair (j, t) with x_{ij} t = m, for each monomial m
-    of S_{u+e_i}, and pairs holds (j0, t0, j, t) for every later pair (j, t)
-    of m, (j0, t0) being its first, t ascending, then j."""
-    fib, n = fibre_table(_variable_table(ring, u, i)), ring.n
-    owners = tuple([(c % n, c // n) for c in fib.section])
-    return tuple([owners[m] + (c % n, c // n) for c, m in enumerate(fib.f)
-                  if fib.section[m] != c]), owners
+def annihilator_from_below(ring: RingSpec, u, i: int, ann, field=QQ) -> tuple:
+    """A basis of (S_{e_i} J_u)^perp on S_{u+e_i}, as integer rows (not in
+    RREF), from integer rows `ann` that form a basis of J_u^perp on S_u:
+    S_{e_i} J_u is the image of K^n (x) J_u along the product table
+    x_{ij} t (`_variable_fibres`), so `annihilator_of_image` takes n r
+    unknowns where `span_from_below` takes n dim J_u rows."""
+    return annihilator_of_image(_variable_fibres(ring, u, i), ann, ring.n, field)
 
 
 class _Preimages(Mapping):

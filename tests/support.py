@@ -366,7 +366,10 @@ def predecessors_reference(ring, u) -> tuple:
 
 
 def compatibility_reference(ring, u, i: int) -> tuple:
-    """`ideals._compatibility` with a dict of the first pair seen of each product."""
+    """(pairs, owners) of a variable step, with a dict of the first pair seen of
+    each product x_{ij} t: owners[m] is the first pair (j, t) of monomial m of
+    S_{u+e_i}, and pairs holds (j0, t0, j, t) for every later pair (j, t) of
+    m, (j0, t0) being its first, t ascending, then j."""
     table, n = _variable_table(ring, u, i), ring.n
     first, pairs = {}, []
     for t in range(dim_piece(ring, u)):
@@ -389,7 +392,8 @@ def ir_piece_reference(n: int, d: int, u: tuple, field=QQ) -> Subspace:
 
 
 def image_dim_reference(fibre, perp, field) -> int:
-    """`bounds._image_dim` on the index map `fibre`, its tops kept in a dict."""
+    """`bounds._image_dim` on the index map `fibre`, against each fibre's last
+    column (kept in a dict) where the shared system takes its first."""
     r = len(perp)
     at = [[0] * r for _ in fibre]
     for a, row in enumerate(perp):

@@ -775,6 +775,26 @@ class TestSelftest:
         assert (result.instances, result.passed) == (2, False)
         assert result.detail == "sigma accepted an ideal without I_R"
 
+    def test_degree_one_image_fails_against_another_forms_piece(self, monkeypatch):
+        """pi(Ann(F)_(1,...,1)) is compared with Ann(p_F)_d by annihilator rows
+        alone; swapping the target for the piece of another form of the same
+        shape, x_0^d + ... + x_{n-1}^d, fails the first instance."""
+        import random
+
+        from borderapolar import selftest
+
+        real = selftest.ann_sym_piece
+
+        def another(p, k):
+            powers = {tuple(k if t == i else 0 for t in range(p.n)): 1 for i in range(p.n)}
+            return real(HomPoly(p.n, k, powers, field=p.field), k)
+
+        assert selftest.suite_degree_one_image(SCALES["desk"], random.Random(0)).passed
+        monkeypatch.setattr(selftest, "ann_sym_piece", another)
+        result = selftest.suite_degree_one_image(SCALES["desk"], random.Random(0))
+        assert (result.instances, result.passed) == (1, False)
+        assert result.detail == "projected annihilator differs at n=2 d=3"
+
     def test_mutated_psi_fails_kernel_suite(self, monkeypatch):
         import dataclasses
         import random

@@ -1,9 +1,10 @@
 """The systems the sharpness checks hand elimination as dense integer rows
 (`IntRows`), over Q and GF(2^31 - 1), against the (column, value) pair
 systems they replace, kept here as they were written, and against the
-references of `tests/support.py`: the degree-one count, the compatibility
-equations of `annihilator_from_below`, the fibre equations of `_image_dim`
-and a symmetric F's flattening in `slice_spans`.
+references of `tests/support.py`: the degree-one count, the fibre equations
+of `ideals.annihilator_of_image`, which `annihilator_from_below` solves along
+a product table and `_image_dim` ranks along pi, and a symmetric F's
+flattening in `slice_spans`.
 
 The tensors: for each n <= 4 and d <= 5 shape, a `SymTensor` built from
 entries, the polarization of a form with rational coefficients, a sparse
@@ -14,6 +15,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from borderapolar import bounds
 from borderapolar.apolarity import (
@@ -27,11 +29,12 @@ from borderapolar.apolarity import (
     slice_spans,
 )
 from borderapolar.bounds import _image_dim, _slice_keys, min_generators_degree_one
-from borderapolar.diagonal_maps import pi_fibres
+from borderapolar.diagonal_maps import fibre_table, pi_fibres
 from borderapolar.grading import dim_piece, monomials, segre_ring, veronese_ring
-from borderapolar.ideals import _compatibility, annihilator_from_below, span_from_below
+from borderapolar.ideals import annihilator_from_below, annihilator_of_image, span_from_below
 from borderapolar.linalg import QQ, IntRows, PrimeField, Subspace, kernel, rank
 from support import (
+    compatibility_reference,
     image_reference,
     min_generators_degree_one_reference,
     pi_matrix_reference,
@@ -88,10 +91,11 @@ def degree_one_pairs(f, spans) -> tuple:
 
 
 def annihilator_from_below_pairs(ring, u, i, ann, field) -> tuple:
-    """`annihilator_from_below` with pair equations and per-j dicts of lambda."""
+    """`annihilator_from_below` with pair equations and per-j dicts of lambda,
+    the pairs derived by hand."""
     if not ann:
         return ()
-    pairs, owners = _compatibility(ring, u, i)
+    pairs, owners = compatibility_reference(ring, u, i)
     n, r = ring.n, len(ann)
     at = [[] for _ in range(dim_piece(ring, u))]
     for a, row in enumerate(ann):
@@ -221,3 +225,51 @@ def test_symmetric_flattening_spans_what_its_pairs_span(field):
             pairs = [sorted(row) for _, row in sorted(_contraction_rows(f, range(1, f.order))
                                                       .items())]
             assert spans[0] == Subspace.from_rows(f.n ** (f.order - 1), pairs, field=field)
+
+
+# -- the image of K^blocks (x) P under a random onto index map ----------------------
+
+@st.composite
+def image_cases(draw):
+    """(field, blocks, fib, ann, dim): an onto index map f on blocks dim
+    columns, column t blocks + j being e_j (x) e_t, and independent integer
+    rows `ann` on dim columns, echelon in a drawn column order and so not in
+    RREF in general.  P is drawn, everything (no rows) or zero (dim rows)."""
+    field = draw(st.sampled_from(FIELDS))
+    blocks, dim = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    width = blocks * dim
+    targets = draw(st.integers(1, width))
+    f = draw(st.lists(st.integers(0, targets - 1), min_size=width, max_size=width))
+    for m, c in enumerate(draw(st.permutations(range(width)))[:targets]):
+        f[c] = m  # every target is hit
+    kind = draw(st.sampled_from(["drawn", "everything", "zero"]))
+    count = {"drawn": draw(st.integers(1, dim)), "everything": 0, "zero": dim}[kind]
+    order, ann = draw(st.permutations(range(dim))), []
+    for k in range(count):  # row k leads at order[k] and is zero on order[:k]
+        row = [0] * dim
+        row[order[k]] = draw(st.sampled_from((1, 2, -3)))
+        for t in order[k + 1:]:
+            row[t] = draw(st.integers(-3, 3))
+        ann.append(tuple([(t, x) for t, x in enumerate(field.normalize(row)) if x]))
+    return field, blocks, fibre_table(tuple(f)), tuple(ann), dim
+
+
+@settings(max_examples=150, deadline=None)
+@given(image_cases())
+def test_annihilator_of_image_is_the_pushed_basis_perp(case):
+    field, blocks, fib, ann, dim = case
+    targets = len(fib.section)
+    pushed = []  # e_j (x) b for each block j and basis row b of P, through f
+    for b in kernel(dim, ann, field=field).sparse:
+        for j in range(blocks):
+            at = {}
+            for t, x in b:
+                m = fib.f[t * blocks + j]
+                at[m] = at.get(m, 0) + x
+            pushed.append(sorted(at.items()))
+    want = Subspace.from_rows(targets, pushed, field=field)
+    got = annihilator_of_image(fib, ann, blocks, field)
+    assert rank(targets, got, field) == len(got) == want.codim
+    assert Subspace.cut_out(targets, got, field=field) == want
+    if blocks == 1:
+        assert bounds._image_dim(fib, ann, field) == want.dim

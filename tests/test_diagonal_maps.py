@@ -342,17 +342,22 @@ class TestIndexMapsAgainstHandDerivations:
                     assert repr(got.sparse) == repr(want.sparse), (n, d, u, field)
 
     def test_variable_steps(self):
-        """`_compatibility` is its hand derivation; `_predecessors` steps from
-        the first pair of each product, where the hand derivation kept the
-        lowest variable, another factorisation of the same monomial."""
+        """`_variable_fibres` holds the pairs of the hand derivation: a
+        product's first pair is its fibre's first column; `_predecessors`
+        steps from the first pair of each product, where the hand derivation
+        kept the lowest variable, another factorisation of the same monomial."""
         count = differ = 0
         for ring in self.RINGS:
             factors = range(ring.d) if ring.is_multigraded else (0,)
             for u in degrees_up_to(ring, 5):
                 if degree_total(u) < 5:
                     for i in factors:
-                        assert ideals._compatibility(ring, u, i) == \
-                            compatibility_reference(ring, u, i), (ring, u, i)
+                        fib, n = ideals._variable_fibres(ring, u, i), ring.n
+                        owners = tuple([(c % n, c // n) for c in fib.section])
+                        pairs = tuple([owners[m] + (c % n, c // n) for c, m in enumerate(fib.f)
+                                       if fib.section[m] != c])
+                        assert (pairs, owners) == compatibility_reference(ring, u, i), \
+                            (ring, u, i)
                 if degree_total(u) == 0:
                     continue
                 below, i, steps = ideals._predecessors(ring, u)

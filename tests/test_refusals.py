@@ -39,6 +39,7 @@ from borderapolar.grading import (
 from borderapolar.ideals import (
     PointSet,
     TruncatedIdeal,
+    annihilator_from_below,
     diagonal_ideal,
     diagonal_points,
     expand,
@@ -47,7 +48,9 @@ from borderapolar.ideals import (
     hilbert_function,
     is_saturated_degreewise,
     min_generators_in_degree,
+    multiply_vector_by_variable,
     point_ideal,
+    variable_multiples,
     very_general_points,
     zero_ideal,
 )
@@ -128,6 +131,21 @@ IDEALS = {
     "coordinate-length": (lambda: PointSet(V2, ((1, 2, 3),)), ValueError,
                           "coordinate length mismatch"),
     "zero-point": (lambda: PointSet(V2, ((0, 0),)), ValueError, "zero point"),
+    # an index out of range once answered for another variable or factor
+    "variable-index-past-n": (lambda: multiply_vector_by_variable(V3, 1, [(0, 1)], 0, 3),
+                              ValueError, "variable index 3 out of range for n=3"),
+    "variable-index-negative": (lambda: multiply_vector_by_variable(V3, 1, [(0, 1)], 0, -1),
+                                ValueError, "variable index -1 out of range for n=3"),
+    "factor-index-negative": (lambda: multiply_vector_by_variable(S22, (1, 0), [(0, 1)], -1, 0),
+                              ValueError, "factor index -1 out of range for d=2"),
+    "factor-index-on-veronese": (lambda: multiply_vector_by_variable(V3, 1, [(0, 1)], 1, 0),
+                                 ValueError, "factor index 1 out of range for d=1"),
+    "multiples-factor-index": (lambda: list(variable_multiples(S22, (1, 0), [[(0, 1)]], 2)),
+                               ValueError, "factor index 2 out of range for d=2"),
+    "step-factor-index-negative": (lambda: annihilator_from_below(S22, (1, 0), -1, (((0, 1),),)),
+                                   ValueError, "factor index -1 out of range for d=2"),
+    "step-factor-index-on-veronese": (lambda: annihilator_from_below(V3, 1, 1, (((0, 1),),)),
+                                      ValueError, "factor index 1 out of range for d=1"),
     "zero-coord-bound": (lambda: very_general_points(V2, 1, 2, FewDraws(), coord_bound=0),
                          ValueError, "coord_bound must be at least 1, got 0"),
     "diagonal-of-segre-points": (lambda: diagonal_points(PointSet(S22, (((1, 0), (0, 1)),)), 2),

@@ -234,15 +234,15 @@ def test_only_the_boundary_checks_a_degree():
 # Every function under src/ that builds a fibre table (`PiFibres`), directly,
 # by `fibre_table` or by the fold `product_fibres`, as module.function.  The
 # tables are made under a cache (`pi_fibres`, `_merge_table`,
-# `_compatibility`, `_predecessors`), so an index map is held one way and made
-# once per shape; a new builder is added here on purpose.
+# `_variable_fibres`, `_predecessors`), so an index map is held one way and
+# made once per shape; a new builder is added here on purpose.
 FIBRE_TABLE_BUILDERS = [
     "diagonal_maps.fibre_table",       # any onto index map
     "diagonal_maps.pi_fibres",         # pi on S_u, by the fold
     "diagonal_maps.product_fibres",    # the fold itself
-    "ideals._compatibility",           # the pairs of a variable step
     "ideals._merge_table",             # a merge of factor classes, by the fold
     "ideals._predecessors",            # the first pair of a variable step
+    "ideals._variable_fibres",         # the product table of a variable step
 ]
 
 
@@ -281,9 +281,8 @@ def test_three_ways_into_elimination():
 INT_ROWS_PRODUCERS = [
     "apolarity._row_span",            # a flattening, on the columns its rows touch if fewer
     "bounds._degree_one_generators",  # the short system of the degree-one count
-    "bounds._image_dim",              # the fibre equations of a pi-image
     "ideals._evaluations",            # evaluation at integer points
-    "ideals.annihilator_from_below",  # the compatibility equations
+    "ideals._image_equations",        # the fibre equations of an index map's image
     "linalg.Subspace._rows_in",       # the constraints with their columns moved
 ]
 
@@ -401,17 +400,18 @@ def test_only_ideals_reduces_a_preimage():
 
 def test_shape_tables_are_built_once_per_shape(monkeypatch):
     """The index maps that depend on the shape alone are immutable and cached:
-    two tensors of one shape read the very same tuples through every `bounds`
-    check, and two point sets of one shape through the ideal of their
-    diagonal points."""
+    two tensors of one shape read the very same tuples or fibre tables through
+    every `bounds` check, and two point sets of one shape through the ideal of
+    their diagonal points."""
     import random
 
     from borderapolar import apolarity, bounds, ideals
+    from borderapolar.diagonal_maps import PiFibres
     from borderapolar.grading import veronese_ring
     from support import concise_power_sum_instance
 
     tables = {"_slice_keys": (bounds,), "_gamma_weights": (apolarity,),
-              "_compatibility": (ideals,), "_merge_table": (ideals,)}
+              "_variable_fibres": (ideals,), "_merge_table": (ideals,)}
     read = []
     for name, modules in tables.items():
         real = getattr(modules[0], name)
@@ -439,7 +439,7 @@ def test_shape_tables_are_built_once_per_shape(monkeypatch):
     assert [(name, args) for name, args, _ in first] == [(name, args) for name, args, _ in second]
     for (name, _, a), (_, _, b) in zip(first, second):
         assert a is b, name
-        assert type(a) is tuple, name
+        assert type(a) in (tuple, PiFibres), name  # a frozen table, as `pi_fibres` returns
 
 
 def test_ideals_pulls_segre_pieces_back_along_one_index_map():
@@ -475,9 +475,9 @@ LRU_CACHES = [
     "grading._product_map",        # (ring, u, v)
     "grading._ring",               # (n, d, kind)
     "grading._veronese_dims",      # n
-    "ideals._compatibility",       # (ring, u, factor)
     "ideals._merge_table",         # (n, u, classes)
     "ideals._predecessors",        # (ring, u)
+    "ideals._variable_fibres",     # (ring, u, factor)
 ]
 
 # What a function may call on a dict or a set to write into it.
