@@ -14,12 +14,11 @@ contraction map: at a 0/1 degree u, each entry lands in the row named by its
 indices off u and the column of its indices on u, in one pass over the
 entries.  `ann_piece` is cut out by its rows, `slice_spans` is its row spans
 at the degrees 1 - e_i, and `contract_tensor` applies an element of S_u to
-it.  A form is a functional on V_d, and its catalecticant Cat_k is that
-functional's `grading.contractions` by the monomials of V_{d-k}.
-`_catalecticant` is the one writer of those rows, as integers: they cut out
-`ann_sym_piece`, and the sharpness checks in `bounds` read them.
-`contract_poly` pairs an element of V_k with the exact functional
-(`_functional`).
+it.  A form is a functional on V_d, a_gamma * gamma! at gamma, written once
+per form as ints and a scale (`_weighted`); readers divide, none converts.
+`_catalecticant` writes Cat_k, its `grading.contractions` by V_{d-k}: they
+cut out `ann_sym_piece`, `bounds` reads them, and `contract_poly` pairs them
+with an element of V_k.  A polarized F's entries are its values over d!.
 """
 
 from __future__ import annotations
@@ -27,8 +26,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from types import MappingProxyType
 
 from .grading import (
@@ -39,15 +37,18 @@ from .grading import (
     integer,
     monomials,
     segre_ring,
+    sparse_row,
     veronese_ring,
 )
 from .linalg import QQ, IntRows, Subspace
 
 
 class HomPoly:
-    """Homogeneous degree-d form in n dual variables; `terms` is read-only."""
+    """Homogeneous degree-d form in n dual variables; `terms` is read-only,
+    and `weighted` is a_gamma * gamma! * `scale` at each term's column of V_d,
+    as ints in the order of `terms` (`_weighted`)."""
 
-    __slots__ = ("n", "d", "terms", "field")
+    __slots__ = ("n", "d", "terms", "field", "weighted", "scale")
 
     def __init__(self, n: int, d: int, terms: dict, field=QQ):
         self.n = integer(n, "n")
@@ -64,6 +65,7 @@ class HomPoly:
             if c:
                 clean[exps] = c
         self.terms = MappingProxyType(clean)
+        self.weighted, self.scale = _weighted(self.n, clean, field)
 
     @property
     def is_zero(self) -> bool:
@@ -174,11 +176,10 @@ class SymTensor(GeneralTensor):
 
 def _orbits(p: HomPoly):
     """(sorted index, entry) for each orbit of nonzero entries of polarize(p):
-    the entry is the coefficient of b^gamma times gamma!/d!."""
-    scale_den = math.factorial(p.d)
-    for exps, a in p.terms.items():
-        yield (tuple(j for j, e in enumerate(exps) for _ in range(e)),
-               a * p.field.of(Fraction(_gamma_factorial(exps), scale_den)))
+    the entry is a_gamma * gamma!/d!, p's weighted coefficient over scale * d!."""
+    per = p.field.one / (p.scale * math.factorial(p.d))
+    for exps, (_, x) in zip(p.terms, p.weighted):
+        yield tuple(j for j, e in enumerate(exps) for _ in range(e)), per * x
 
 
 def _ascending_permutations(base: tuple):
@@ -208,10 +209,17 @@ def as_symmetric(f: GeneralTensor) -> SymTensor:
 # -- polarization ---------------------------------------------------------------
 
 def _gamma_factorial(exps) -> int:
-    out = 1
-    for e in exps:
-        out *= math.factorial(e)
-    return out
+    return math.prod(map(math.factorial, exps))
+
+
+def _weighted(n: int, terms: dict, field) -> tuple:
+    """(weighted, scale) of a form: a_gamma * gamma! times the scale, as ints,
+    primitive over Q (the scale is a positive rational) and residues over
+    GF(p) (the scale is 1)."""
+    values = [a * _gamma_factorial(m) for m, a in terms.items()]
+    ints = field.to_ints(list(enumerate(values)), len(values))
+    return (sparse_row(veronese_ring(n), zip(terms, ints)),
+            field.of(ints[0]) / values[0] if values else field.one)
 
 
 def polarize(p: HomPoly) -> SymTensor:
@@ -274,7 +282,7 @@ def contract_tensor(theta: PieceElement, f: GeneralTensor) -> GeneralTensor:
 
 def contract_poly(g: PieceElement, p: HomPoly) -> HomPoly:
     """Apply a Veronese-side element to a form by iterated differentiation:
-    g paired with the contraction of p by each mu of V_{d-k}, divided by mu!."""
+    g paired with row mu of Cat_k, divided by p's scale and by mu!."""
     if g.ring.kind is not RingKind.VERONESE_COORD:
         raise ValueError(f"expected an element of the Veronese coordinate ring, got {g.ring}")
     if g.ring.n != p.n:
@@ -283,11 +291,10 @@ def contract_poly(g: PieceElement, p: HomPoly) -> HomPoly:
     if k > p.d:
         return HomPoly(p.n, max(p.d - k, 0), {}, field=p.field)
     out: dict = {}
-    rows = contractions(g.ring, k, p.d - k, [_functional(p)])
-    for mu, row in zip(monomials(g.ring, p.d - k), rows):
+    for mu, row in zip(monomials(g.ring, p.d - k), _catalecticant(p, k)):
         x = sum((g.coords[c] * y for c, y in row), p.field.zero)
         if x:
-            out[mu] = x / _gamma_factorial(mu)
+            out[mu] = x / (p.scale * _gamma_factorial(mu))
     return HomPoly(p.n, p.d - k, out, field=p.field)
 
 
@@ -312,31 +319,14 @@ def ann_piece(f: GeneralTensor, u) -> Subspace:
     return Subspace.by_perp(ncols, _row_span(ncols, rows, f.field).sparse, tag, f.field)
 
 
-@lru_cache(maxsize=None)
-def _gamma_weights(n: int, d: int) -> tuple:
-    """(gamma, gamma!) for each monomial gamma of V_d, in order."""
-    return tuple([(m, _gamma_factorial(m)) for m in monomials(veronese_ring(n), d)])
-
-
-def _functional(p: HomPoly) -> list:
-    """p as a sparse row on V_d of field elements, a_gamma * gamma! at gamma."""
-    get = p.terms.get
-    return [(c, x * w) for c, (m, w) in enumerate(_gamma_weights(p.n, p.d)) if (x := get(m))]
-
-
 def _catalecticant(p: HomPoly, k: int):
     """Cat_k of p at a checked degree k: integer rows on V_k, made as they are
-    read, one per monomial mu of V_{d-k}: p's coefficients made integers, times
-    gamma!, contracted by mu.  Row mu is mu! times Cat_k's row times one positive
+    read, one per monomial mu of V_{d-k}: p's weighted coefficients contracted
+    by mu, with no conversion.  Row mu is mu! times Cat_k's row times p's
     scale (1 over GF(p)), so they cut out Ann(p)_k; above d there is none."""
     if k > p.d:
         return []
-    field, get, weights = p.field, p.terms.get, _gamma_weights(p.n, p.d)
-    # p's coefficients as integers, then times their gamma!: no field element
-    coeffs = field.to_ints([(c, a) for c, (m, _) in enumerate(weights) if (a := get(m))],
-                           len(weights))
-    ints = field.normalize([a * w for a, (_, w) in zip(coeffs, weights)])
-    return contractions(veronese_ring(p.n), k, p.d - k, [[(c, x) for c, x in enumerate(ints) if x]])
+    return contractions(veronese_ring(p.n), k, p.d - k, [p.weighted])
 
 
 def ann_sym_piece(p: HomPoly, k: int) -> Subspace:

@@ -23,11 +23,11 @@ span of P^perp, and dim pi(P) is read off the rank of that system along pi
 Cat_{k-1}'s rows, so one step from below in n rank Cat_{k-1} unknowns and the
 row count of Ann(p_F)_k give the count, and no basis of Ann(p_F) is made
 (`min_generators_sym_in_degree`).  Every Cat_k here is read from
-`apolarity._catalecticant`, the rows that cut out `ann_sym_piece`, so p's
-coefficients become catalecticant rows in one place.  The systems these checks
-write, the degree-one count here, the fibre equations in `ideals` and a
-`SymTensor`'s flattening in `apolarity`, reach `rank` and `kernel` as dense
-integer rows (`linalg.IntRows`), each normalized once.
+`apolarity._catalecticant`, which cuts out `ann_sym_piece` from the integers
+the form was made with; F's slice spans stay read off F's own entries.  The
+systems these checks write, the degree-one count here, the fibre equations in
+`ideals` and a `SymTensor`'s flattening in `apolarity`, reach `rank` and
+`kernel` as dense integer rows (`linalg.IntRows`), each normalized once.
 
 Nothing computed for F outlives a check.  The index maps that depend on
 the shape alone are read from tables built once per shape: the degree-one

@@ -7,28 +7,27 @@ decreasing on the flattened exponent table, so that coefficient vectors, and
 hence row-reduced subspace bases, are bit-for-bit comparable.
 
 This module owns that order, and every other module reads it from here:
-`monomials` enumerates it, `rank_monomial` and `unrank_monomial` look
-positions up in that enumeration, `degrees_up_to` lists degrees the same way,
-as a cached tuple, and `_product_map`, the table S_u x S_v -> S_{u+v}, is the
-only place monomials are multiplied.  `contractions` and `colon` read it to
-contract functionals by monomials, for the apolar ideal of a form and the
-saturation test.  A degree is checked once, by `check_degree` in the export
-that takes it, and the canonical form that returns (an int on V, a tuple of
-ints on S) is what travels below, to `_dim_piece`, `_product_map` and the
-private helpers of the other modules.
+`monomials` enumerates it, `rank_monomial` counts a monomial's position in
+it without listing it (`sparse_row` places a form's terms so, for the other
+modules), `unrank_monomial` looks a position up, `degrees_up_to` lists
+degrees the same way, as a cached tuple, and `_product_map`, the table
+S_u x S_v -> S_{u+v}, is the only place monomials are multiplied.
+`contractions` and `colon` read it to contract functionals by monomials, for
+the apolar ideal of a form and the saturation test.  A degree is checked
+once, by `check_degree` in the export that takes it, and the canonical form
+that returns (an int on V, a tuple of ints on S) is what travels below, to
+`_dim_piece`, `_product_map` and the private helpers of the other modules.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_left
 from collections.abc import Iterable
 from dataclasses import dataclass, field as dataclass_field
 from enum import Enum
 from functools import lru_cache
 from operator import add
-from types import MappingProxyType
 
 from .linalg import QQ, RowSource, Subspace
 
@@ -214,13 +213,6 @@ def _degrees_up_to(ring: RingSpec, bound: int) -> tuple:
 degrees_up_to.cache_clear = _degrees_up_to.cache_clear
 
 
-@lru_cache(maxsize=None)
-def _degree_set(ring: RingSpec, bound: int) -> MappingProxyType:
-    """`degrees_up_to(ring, bound)` as a read-only map from each degree to itself,
-    for `u in pieces` and the degree as listed, (2, 1, 0) at (2.0, 1, 0)."""
-    return MappingProxyType({u: u for u in degrees_up_to(ring, bound)})
-
-
 def monomials(ring: RingSpec, u) -> tuple:
     """Canonically ordered monomial basis of the graded piece.
 
@@ -243,30 +235,36 @@ monomials.cache_info = _monomials.cache_info  # perfbench's tracer counts its hi
 
 
 def rank_monomial(ring: RingSpec, mono) -> int:
-    """Position of `mono` in the canonical order of its graded piece.
-
-    Each exponent row is found by bisection in its block `monomials(V, |row|)`,
-    which is lexicographically decreasing; on the Segre ring the rank is the
-    mixed-radix number of those positions, first factor most significant.  A
-    row in no block, with a negative or a non-integral exponent, is refused."""
+    """Position of `mono` in its graded piece, with no list of the piece: a row
+    e of V_k follows, for each i < n - 1, the C(t_i - e_i + n - i - 2, n - i - 1)
+    monomials that agree with it before i and exceed it at i (t_i: e's total
+    from i on); on S the rows' positions are mixed-radix, first factor most
+    significant.  A row with an entry that is not an integer >= 0 is refused."""
     if ring.is_multigraded:
         rows = tuple(tuple(row) for row in mono)
         if len(rows) != ring.d or any(len(row) != ring.n for row in rows):
             raise ValueError(f"bad monomial shape {mono}")
-        ring_v = veronese_ring(ring.n)
     else:
-        rows, ring_v = (tuple(mono),), ring
-    idx = 0
+        rows = (tuple(mono),)
+    n, idx = ring.n, 0
     for row in rows:
         try:
-            block = monomials(ring_v, sum(row))
-        except ValueError:  # a negative or non-integral total
-            block = ()
-        pos = bisect_left(block, [-e for e in row], key=lambda m: [-e for e in m])
-        if block[pos:pos + 1] != (row,):
+            ints = tuple(map(int, row))
+        except (TypeError, ValueError, OverflowError):
+            ints = None
+        if ints != row or len(row) != n or min(ints) < 0:  # int(x) == x only for an integral x
             raise ValueError(f"bad monomial {rows if ring.is_multigraded else rows[0]}")
-        idx = idx * len(block) + pos
+        rest = sum(ints)
+        idx *= math.comb(n + rest - 1, rest)  # dim V_rest
+        for i, e in enumerate(ints[:-1]):
+            idx += math.comb(rest - e + n - i - 2, n - i - 1)
+            rest -= e
     return idx
+
+
+def sparse_row(ring: RingSpec, terms) -> tuple:
+    """The (monomial, value) pairs `terms` as (column, value) pairs, in order."""
+    return tuple([(rank_monomial(ring, m), x) for m, x in terms])
 
 
 def unrank_monomial(ring: RingSpec, u, index: int):
@@ -288,9 +286,9 @@ def _product_map(ring: RingSpec, u, v) -> tuple:
     tables one factor at a time.  Both degrees come checked.
     """
     if not ring.is_multigraded:
-        position = {m: r for r, m in enumerate(monomials(ring, u + v))}
+        position = {m: r for r, m in enumerate(_monomials(ring, u + v))}
         return tuple(position[tuple(map(add, a, b))]
-                     for a in monomials(ring, u) for b in monomials(ring, v))
+                     for a in _monomials(ring, u) for b in _monomials(ring, v))
     ring_v = veronese_ring(ring.n)
     table = [[0]]  # table[c][m] over the factors folded so far
     for uf, vf in zip(u, v):

@@ -56,7 +56,6 @@ from types import MappingProxyType
 
 from .grading import (
     RingSpec,
-    _degree_set,
     _dim_piece,
     _product_map,
     add_degrees,
@@ -210,27 +209,38 @@ class _Preimages(Mapping):
 
     A piece is built each time it is read, and none is kept: it is
     `pullback` of W_|u| along the pi-fibre table, at the degree as the ideal
-    lists it, so (2.0, 1, 0) reads the piece of (2, 1, 0), as a stored
-    ideal's dict does.  It holds the side W holds: W's annihilator rows
-    pulled back, for a W held by them, such as a point ideal's.  Its basis,
-    read by a digest, is written from W's RREF.  W_k makes that once and
-    keeps it in each order of its columns that a degree's fibres ask for,
+    lists it, d integral entries of at least 0 within the bound (no set of
+    the degrees is made), so (2.0, 1, 0) reads the piece of (2, 1, 0), as a
+    stored ideal's dict does.  It holds the side W holds: W's annihilator
+    rows pulled back, for a W held by them, such as a point ideal's.  Its
+    basis, read by a digest, is written from W's RREF.  W_k makes that once
+    and keeps it in each order of its columns that a degree's fibres ask for,
     and its own rows serve every order in which each row's leading column
     comes first, so W = 0, W = V_k, a W spanned by monomials and a degree
     whose fibres come in the order of V_k eliminate nothing.
     """
 
     def __init__(self, ring: RingSpec, bound: int, w):
-        self.ring, self.w = ring, w
+        self.ring, self.w, self.bound = ring, w, bound
         self._degrees = degrees_up_to(ring, bound)
-        self._known = _degree_set(ring, bound)
+
+    def _listed(self, u):
+        """u as the ideal lists it, a tuple of ints, or None off the list."""
+        hash(u)  # a list raises TypeError, as a dict's lookup does
+        try:  # int(x) == x only for an integral x
+            t = tuple(map(int, u)) if isinstance(u, tuple) and len(u) == self.ring.d else ()
+        except (TypeError, ValueError, OverflowError):
+            t = ()
+        return t if t and t == u and min(t) >= 0 and sum(t) <= self.bound else None
 
     def __getitem__(self, u):
-        u, ring = self._known[u], self.ring  # KeyError off the degrees
-        return pullback(self.w[degree_total(u)], pi_fibres(ring.n, ring.d, u), (ring, u))
+        t, ring = self._listed(u), self.ring
+        if t is None:
+            raise KeyError(u)
+        return pullback(self.w[sum(t)], pi_fibres(ring.n, ring.d, t), (ring, t))
 
     def __contains__(self, u):
-        return u in self._known
+        return self._listed(u) is not None
 
     def __iter__(self):
         return iter(self._degrees)

@@ -579,13 +579,16 @@ class TestCatalecticant:
 
     @staticmethod
     def _forms(rng, field):
-        for n, d in itertools.product((1, 2, 3, 4), (1, 2, 3, 4)):
+        """Dense forms with denominators, dense ones with a negative content
+        and a denominator, sparse, zero and pure-power forms, of degree 0 to 4."""
+        for n, d in itertools.product((1, 2, 3, 4), (0, 1, 2, 3, 4)):
             monos = monomials(veronese_ring(n), d)
             dense = {m: Fraction(rng.randint(1, 9), rng.choice((1, 2, 3))) * rng.choice((1, -1))
                      for m in monos}
+            negative = {m: Fraction(-6 * rng.randint(1, 4), 35) for m in monos}
             sparse = {m: rng.randint(-5, 5) for m in rng.sample(monos, min(2, len(monos)))}
             power = {(d,) + (0,) * (n - 1): 1}
-            for terms in (dense, sparse, {}, power):
+            for terms in (dense, negative, sparse, {}, power):
                 yield HomPoly(n, d, terms, field=field)
 
     @pytest.mark.parametrize("field", [QQ, PrimeField(2**31 - 1)], ids=["QQ", "GFp"])
@@ -611,25 +614,90 @@ class TestCatalecticant:
     @pytest.mark.parametrize("field", [QQ, PrimeField(2**31 - 1)], ids=["QQ", "GFp"])
     def test_writer_is_the_pair_lookup_up_to_scale(self, field):
         """Row mu of `_catalecticant` is mu! times row mu of the pair lookup,
-        all times one common positive scale, which is 1 over GF(p), and its
-        entries are ints."""
+        all times the form's pinned scale: a positive rational over Q, where
+        the weighted coefficients are primitive integers, and 1 over GF(p),
+        where they are residues; its entries are ints."""
         rng = random.Random(20)
         for p in self._forms(rng, field):
             ring = veronese_ring(p.n)
+            ints = [x for _, x in p.weighted]
+            assert all(type(x) is int for x in ints) and len(ints) == len(p.terms)
+            if field is QQ:
+                assert p.scale > 0 and math.gcd(*ints) in ((1,) if ints else (0,))
+            else:
+                assert p.scale == field.one and all(0 < x < field.p for x in ints)
             for k in range(p.d + 2):
                 got, want = list(_catalecticant(p, k)), catalecticant_reference(p, k)
                 if k > p.d:
                     assert got == want == []
                     continue
                 assert len(got) == len(want) == dim_piece(ring, p.d - k)
-                scales = set()
                 for mu, got_row, want_row in zip(monomials(ring, p.d - k), got, want):
                     assert [c for c, _ in got_row] == [c for c, _ in want_row], (p.terms, k, mu)
                     assert all(type(x) is int for _, x in got_row)
                     w = math.prod(map(math.factorial, mu))
-                    scales |= {field.of(x) / (y * w) for (_, x), (_, y) in zip(got_row, want_row)}
-                assert len(scales) <= 1, (p.terms, k)
-                assert all(s > 0 for s in scales) if field is QQ else scales <= {field.one}
+                    assert [field.of(x) for _, x in got_row] == [
+                        p.scale * w * y for _, y in want_row], (p.terms, k, mu)
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(2**31 - 1)], ids=["QQ", "GFp"])
+    def test_polarize_writes_the_entries_the_form_was_made_from(self, field):
+        """A symmetric tensor made from entries, with denominators, negative
+        values and missing orbits, keeps its form; polarizing that form
+        writes the same entries, and lists them in order, from the weighted
+        coefficients divided by the scale and by d!."""
+        rng = random.Random(21)
+        for n, d in itertools.product((1, 2, 3), (0, 1, 2, 3, 4)):
+            for density in (1.0, 0.4):
+                entries = {}
+                for base in itertools.combinations_with_replacement(range(n), d):
+                    if rng.random() < density:
+                        x = Fraction(rng.randint(-9, 9), rng.choice((1, 2, 5, 12)))
+                        entries.update(dict.fromkeys(itertools.permutations(base), x))
+                f = SymTensor(n, d, entries, field=field)
+                g = polarize(f.form)
+                assert g.entries == f.entries
+                assert repr(sorted(g.entries.items())) == repr(sorted(f.entries.items()))
+                assert repr(list(g.sorted_entries())) == repr(sorted(f.entries.items()))
+
+    def test_a_forms_coefficients_are_converted_once(self, monkeypatch):
+        """p's coefficients are converted once, when its tensor is made, across
+        a `comon_certificate` and the five scan checks on that tensor, and
+        `_catalecticant` converts nothing: no field's `to_ints` or
+        `normalize` runs while its rows are read."""
+        from borderapolar import apolarity
+        from borderapolar.ideals import point_ideal, very_general_points
+        from borderapolar.transfer import comon_certificate, upsilon
+
+        n, d = 3, 3
+        z = very_general_points(veronese_ring(n), n, d + 1, random.Random(5))
+        j = upsilon(point_ideal(z, d + 1), d, d + 1)
+        made, real = [], apolarity._weighted
+
+        def counted(*args):
+            made.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(apolarity, "_weighted", counted)
+        f = sum_of_powers_tensor(n, d, z.points)
+        assert len(made) == 1
+        checks = [comon_certificate(f, n, j), is_sharp(f), is_111_sharp(f),
+                  verify_gen_count_transfer(f), verify_lemma_1_minus_ed(f),
+                  verify_containment_lemma(f)]
+        assert all(cert.verdict for cert in checks)
+        assert len(made) == 1
+
+        def refused(*args):
+            raise AssertionError("a catalecticant row was converted")
+
+        for field in (QQ, PrimeField(2**31 - 1)):
+            p = HomPoly(n, d, dict(f.form.terms), field=field)
+            monkeypatch.setattr(type(field), "to_ints", refused)
+            monkeypatch.setattr(type(field), "normalize", refused)
+            try:
+                for k in range(d + 1):
+                    assert len(list(_catalecticant(p, k))) == dim_piece(veronese_ring(n), d - k)
+            finally:
+                monkeypatch.undo()
 
     @pytest.mark.parametrize("field", [QQ, PrimeField(2**31 - 1)], ids=["QQ", "GFp"])
     def test_is_the_colon_of_the_hyperplane(self, field):

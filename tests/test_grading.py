@@ -192,8 +192,9 @@ class TestCheckDegree:
         """Each export below takes one degree on `ring` from its caller and
         runs `check_degree` on it once, whatever module the check is bound
         in; checks on other rings (a monomial's factors) are not counted.  The
-        call runs once first, so the shape tables are warm: a cold
-        `apolarity._gamma_weights` checks the form's degree on the same ring."""
+        caches are cleared first, so a cold table counts too: a form is
+        placed in V_d by `rank_monomial`, which lists no piece and checks no
+        degree."""
         real, seen = grading.check_degree, []
 
         def counted(r, u):
@@ -201,7 +202,8 @@ class TestCheckDegree:
             return real(r, u)
 
         f = sum_of_powers_tensor(2, 3, [(1, 2), (3, -1)])
-        call(f)
+        for cached in (grading._monomials, grading._product_map, grading._degrees_up_to):
+            cached.cache_clear()
         for module in (grading, apolarity, diagonal_maps):
             monkeypatch.setattr(module, "check_degree", counted)
         call(f)

@@ -665,7 +665,8 @@ class TestKeptPieces:
         """A degree equal to a listed one, as (2.0, 1, 0) or (True, 1, 0) is,
         reads the piece at the listed degree, tagged with it, from an ideal
         kept by its Veronese pieces as from one that stores its pieces; a
-        degree off the list raises KeyError from both."""
+        degree off the list, or with an entry that is not integral, raises
+        KeyError from both, and a list TypeError, as a dict's key does."""
         zs = PointSet(V3, ((1, 2, 3), (1, -1, 0), (2, 0, 5)), field)
         kept = upsilon(point_ideal(zs, 4), 3)
         stored = point_ideal(diagonal_points(zs, 3), 4)
@@ -677,10 +678,16 @@ class TestKeptPieces:
                 got = j.pieces[alias]
                 assert got.piece == (j.ring, u) and all(type(x) is int for x in got.piece[1])
                 assert got == j.pieces[u] and got.field == field
-            for off in ((5, 0, 0), (1, 1), (0, 0, 0, 0)):
+            for off in ((5, 0, 0), (1, 1), (0, 0, 0, 0), (2.5, 1, 0), (-1, 1, 0), (1, "1", 0),
+                        (1.0, float("nan"), 0), 3, "abc"):
                 assert off not in j.pieces
                 with pytest.raises(KeyError):
                     j.pieces[off]
+            for unhashable in ([2, 1, 0], ([2], 1, 0)):
+                with pytest.raises(TypeError):
+                    unhashable in j.pieces
+                with pytest.raises(TypeError):
+                    j.pieces[unhashable]
 
     @pytest.mark.parametrize("field", [QQ, GF], ids=repr)
     def test_repeated_columns_merge_across_fibres(self, field, eliminations):

@@ -300,38 +300,86 @@ def test_int_rows_are_built_where_pinned():
     assert sorted(producers) == INT_ROWS_PRODUCERS
 
 
+def _functions(path: Path):
+    """(qualified name, node) for each top-level statement of a module and each
+    statement in the body of a top-level class, as module.Class.name."""
+    for top in ast.parse(path.read_text(encoding="utf-8")).body:
+        owner = f"{top.name}." if isinstance(top, ast.ClassDef) else ""
+        for node in (top.body if owner else [top]):
+            yield f"{path.stem}.{owner}{getattr(node, 'name', '<module>')}", node
+
+
+def _names_in(node) -> set:
+    """The names and attributes a definition names anywhere in its body."""
+    return {getattr(sub, "id", getattr(sub, "attr", None)) for sub in ast.walk(node)}
+
+
 # Every function under src/ that calls `grading.contractions`, as
-# module.function: the colon, the one writer of catalecticant rows and the
-# exact pairing of a form with an element of V_k.  A new caller is added here
-# on purpose.
+# module.function: the colon and the one writer of catalecticant rows, which
+# `contract_poly` reads too.  A new caller is added here on purpose.
 CONTRACTION_CALLERS = [
-    "apolarity._catalecticant",  # Cat_k as integer rows, read by the kernels and checks
-    "apolarity.contract_poly",   # the exact functional, paired with an element
+    "apolarity._catalecticant",  # Cat_k as integer rows: the kernels, the checks, the pairing
     "grading.colon",             # (H : S_v)_u for any functionals
+]
+
+# Every function under src/ that reads a form's weighted coefficients
+# (`HomPoly.weighted`), as module.function.
+WEIGHTED_READERS = [
+    "apolarity._catalecticant",  # contracts them as they are
+    "apolarity._orbits",         # divides them by the scale and by d!
 ]
 
 
 def test_catalecticant_rows_have_one_writer():
-    """A form's catalecticant rows are written by `apolarity._catalecticant`
-    alone: no module but `apolarity` reads `_functional` or `_gamma_weights`
-    (by import, by name or through the module), none but `apolarity` and
-    `grading` names `contractions`, and the functions that call it are
-    exactly `CONTRACTION_CALLERS`."""
-    offences, callers = [], set()
+    """A form's gamma!-weighted coefficients are written by
+    `apolarity._weighted` alone, which `HomPoly.__init__` alone calls, so once
+    per form; the functions that read them are exactly `WEIGHTED_READERS`,
+    and `_catalecticant` contracts them with no `to_ints` or `normalize`.
+    None but `apolarity` and `grading` names `contractions`, the functions
+    that call it are exactly `CONTRACTION_CALLERS`, and the names of the
+    writers this one replaced, `_functional` and `_gamma_weights`, are gone."""
+    offences, callers, writers, readers = [], set(), set(), set()
     for path in sorted((ROOT / "src" / "borderapolar").glob("*.py")):
         used = _used_names(path)
-        if path.stem != "apolarity":
-            offences += [f"{path.stem} reads {name}"
-                         for name in sorted({"_functional", "_gamma_weights"} & used)]
+        offences += [f"{path.stem} names {name}"
+                     for name in sorted({"_functional", "_gamma_weights"} & used)]
         if path.stem not in ("apolarity", "grading") and "contractions" in used:
             offences.append(f"{path.stem} names contractions")
-        for top in ast.parse(path.read_text(encoding="utf-8")).body:
-            owner = f"{top.name}." if isinstance(top, ast.ClassDef) else ""
-            for node in (top.body if owner else [top]):
-                if any(_calls(sub, "contractions") for sub in ast.walk(node)):
-                    callers.add(f"{path.stem}.{owner}{getattr(node, 'name', '<module>')}")
+        for name, node in _functions(path):
+            if name.rsplit(".", 1)[-1] in ("_functional", "_gamma_weights"):
+                offences.append(f"{name} is defined")
+            subs = list(ast.walk(node))
+            if any(_calls(sub, "contractions") for sub in subs):
+                callers.add(name)
+            if any(_calls(sub, "_weighted") for sub in subs):
+                writers.add(name)
+            if any(isinstance(sub, ast.Attribute) and sub.attr == "weighted"
+                   and isinstance(sub.ctx, ast.Load) for sub in subs):
+                readers.add(name)
+            if name == "apolarity._catalecticant":
+                offences += [f"_catalecticant names {conversion}"
+                             for conversion in sorted({"to_ints", "normalize"} & _names_in(node))]
     assert offences == []
     assert sorted(callers) == CONTRACTION_CALLERS
+    assert sorted(writers) == ["apolarity.HomPoly.__init__"]
+    assert sorted(readers) == WEIGHTED_READERS
+
+
+def test_slice_spans_stay_on_the_tensor_side():
+    """A tensor's slice spans and 0/1 pieces are read off its own entries, never
+    off the form's catalecticant: `slice_spans`, `_contraction_rows`,
+    `_row_span` and `ann_piece` name none of `_catalecticant`,
+    `ann_sym_piece` or `_weighted`.  Cat_{d-1}'s rows pulled back along pi
+    give the same RREF as R_0, but `verify_lemma_1_minus_ed` tests those very
+    rows against R_{d-1}, which could then never fail, and
+    `verify_gen_count_transfer` would lose its independent tensor side."""
+    path = ROOT / "src" / "borderapolar" / "apolarity.py"
+    tensor_side = {f"apolarity.{name}" for name in
+                   ("slice_spans", "_contraction_rows", "_row_span", "ann_piece")}
+    found = {name: _names_in(node) & {"_catalecticant", "ann_sym_piece", "_weighted"}
+             for name, node in _functions(path) if name in tensor_side}
+    assert set(found) == tensor_side
+    assert {name: names for name, names in found.items() if names} == {}
 
 
 def test_linalg_makes_field_elements_only_where_rows_are_read():
@@ -405,13 +453,13 @@ def test_shape_tables_are_built_once_per_shape(monkeypatch):
     their diagonal points."""
     import random
 
-    from borderapolar import apolarity, bounds, ideals
+    from borderapolar import bounds, ideals
     from borderapolar.diagonal_maps import PiFibres
     from borderapolar.grading import veronese_ring
     from support import concise_power_sum_instance
 
-    tables = {"_slice_keys": (bounds,), "_gamma_weights": (apolarity,),
-              "_variable_fibres": (ideals,), "_merge_table": (ideals,)}
+    tables = {"_slice_keys": (bounds,), "_variable_fibres": (ideals,),
+              "_merge_table": (ideals,)}
     read = []
     for name, modules in tables.items():
         real = getattr(modules[0], name)
@@ -466,10 +514,8 @@ def test_ideals_pulls_segre_pieces_back_along_one_index_map():
 # the keys it is read at and lives as long as the process, so a new one is
 # added here on purpose, with what it is keyed by.
 LRU_CACHES = [
-    "apolarity._gamma_weights",    # (n, d)
     "bounds._slice_keys",          # (n, d, slot)
     "diagonal_maps.pi_fibres",     # (n, d, u)
-    "grading._degree_set",         # (ring, bound)
     "grading._degrees_up_to",      # (ring, bound)
     "grading._monomials",          # (ring, u)
     "grading._product_map",        # (ring, u, v)
